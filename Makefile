@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-obs race-wal race-stream race-cluster race-compact race-recovery race-faults golden-faults bench bench-dsp bench-snapshot bench-check load-smoke load-cluster experiments experiments-paper chaos crash-trials cover fuzz clean
+.PHONY: all build test vet race race-obs race-wal race-stream race-cluster race-compact race-recovery race-faults golden-faults bench bench-dsp bench-snapshot bench-check experiments experiments-paper chaos crash-trials cover fuzz clean
 
 all: build vet test
 
@@ -105,16 +105,6 @@ bench-snapshot:
 # print a per-case diff (seed value, measured value, ratio).
 bench-check:
 	$(GO) run ./cmd/vibebench -bench -benchgate BENCH_PR10.json
-
-# End-to-end throughput smoke: boot vibed -simulate, drive it with the
-# vibebench closed-loop read mix, and fail unless requests succeed.
-load-smoke:
-	./scripts/load_smoke.sh
-
-# Multi-node closed loop: boot 3 in-process cluster nodes behind the
-# consistent-hash router and report per-node req/s and p99.
-load-cluster:
-	$(GO) run ./cmd/vibebench -load -load-nodes 3 -load-duration 5s
 
 # Regenerate every table and figure at the default (medium) scale.
 experiments:

@@ -8,6 +8,7 @@ import (
 	"vibepm/internal/dataset"
 	"vibepm/internal/physics"
 	"vibepm/internal/store"
+	"vibepm/internal/stream"
 )
 
 // prePR6Baseline records the batch-path timing measured on the
@@ -77,7 +78,7 @@ func newPR6Fixture() (*pr6Fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.ingestLS = vibepm.NewLiveState(vibepm.LiveConfig{})
+	f.ingestLS = stream.NewLiveState(stream.Config{})
 	f.ingestLS.SetBaseline(base)
 
 	// Pool captures stay inside the experiment window (interleaved

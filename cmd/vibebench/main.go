@@ -17,17 +17,6 @@
 //	                                          # gate vs the committed
 //	                                          # snapshot(s), exit 1 past
 //	                                          # ±tolerance
-//
-// HTTP load harness (against a live vibed):
-//
-//	vibebench -load -load-url http://127.0.0.1:8080 \
-//	          -load-concurrency 4 -load-duration 5s
-//	                                          # closed-loop read-mix load,
-//	                                          # reports req/s + p50/p90/p99,
-//	                                          # exit 1 on zero successes
-//	vibebench -load -load-nodes 3             # boot 3 in-process cluster
-//	                                          # nodes behind the hash router
-//	                                          # and report per-node req/s+p99
 package main
 
 import (
@@ -102,18 +91,9 @@ func main() {
 		benchOut  = flag.String("benchout", "", "write the benchmark snapshot JSON to this path (implies -bench)")
 		benchGate = flag.String("benchgate", "", "comma-separated committed snapshot(s) to gate against; exit 1 past tolerance (implies -bench)")
 		benchTol  = flag.Float64("benchtol", 0.30, "relative tolerance for -benchgate")
-		load      = flag.Bool("load", false, "drive a live vibed with the read-side request mix and report req/s + latency quantiles")
-		loadURL   = flag.String("load-url", "http://127.0.0.1:8080", "base URL of the vibed instance for -load")
-		loadNodes = flag.Int("load-nodes", 0, "boot N in-process cluster nodes as the -load target instead of -load-url; reports per-node req/s and p99")
-		loadConc  = flag.Int("load-concurrency", 4, "concurrent workers for -load")
-		loadDur   = flag.Duration("load-duration", 5*time.Second, "measurement window for -load")
-		loadPaths = flag.String("load-paths", "", "comma-separated request paths for -load (default: built-in dashboard mix)")
 	)
 	flag.Parse()
 
-	if *load {
-		os.Exit(runLoadCommand(*loadURL, *loadNodes, *loadConc, *loadDur, *loadPaths))
-	}
 	if *bench || *benchOut != "" || *benchGate != "" {
 		os.Exit(runBenchCommand(*benchOut, *benchGate, *benchTol))
 	}

@@ -1,13 +1,8 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"vibepm/internal/cluster"
@@ -61,43 +56,13 @@ func runClusterMode(addr, walDir, fsyncPolicy string, nodes int, maxBodyBytes in
 		logger.Info("cluster node up", "node", ns.Name, "records", ns.Records, "ships_to", ns.ShipsTo)
 	}
 
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           rt,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("cluster listening", "addr", addr, "nodes", nodes, "fsync", policy.String())
-		errCh <- srv.ListenAndServe()
-	}()
-	select {
-	case err := <-errCh:
-		logger.Error("serve failed", "err", err)
-		return 1
-	case <-ctx.Done():
-		stop()
-		logger.Info("shutting down", "grace", "10s")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			logger.Error("shutdown", "err", err)
-			return 1
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("serve", "err", err)
-			return 1
-		}
+	logger.Info("cluster listening", "addr", addr, "nodes", nodes, "fsync", policy.String())
+	return serveUntilSignal(addr, rt, logger, func() error {
 		if err := c.Close(); err != nil {
 			logger.Error("cluster close", "err", err)
-			return 1
+			return err
 		}
 		logger.Info("cluster stopped cleanly")
-	}
-	return 0
+		return nil
+	})
 }

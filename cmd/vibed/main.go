@@ -265,50 +265,59 @@ func main() {
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", *addr, "pprof", *pprofEnabled)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		logger.Error("serve failed", "err", err)
-		os.Exit(1)
-	case <-ctx.Done():
-		stop()
-		logger.Info("shutting down", "grace", "10s")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			logger.Error("shutdown", "err", err)
-			os.Exit(1)
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("serve", "err", err)
-			os.Exit(1)
-		}
+	logger.Info("listening", "addr", *addr, "pprof", *pprofEnabled)
+	os.Exit(serveUntilSignal(*addr, mux, logger, func() error {
 		if durable != nil {
 			// Final checkpoint: a clean shutdown restarts from the
 			// snapshot alone instead of replaying the whole log.
 			if err := durable.Close(); err != nil {
 				logger.Error("durable close", "err", err)
-				os.Exit(1)
+				return err
 			}
 			logger.Info("durable store checkpointed")
 		}
 		logger.Info("stopped cleanly")
+		return nil
+	}))
+}
+
+// serveUntilSignal serves h on addr until SIGINT or SIGTERM, then
+// drains in-flight requests for up to 10 s and runs onStop, which
+// closes the stores and logs its own outcome. Returns the process exit
+// code.
+func serveUntilSignal(addr string, h http.Handler, logger *obs.Logger, onStop func() error) int {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      60 * time.Second,
+		IdleTimeout:       120 * time.Second,
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.ListenAndServe() }()
+	select {
+	case err := <-errCh:
+		logger.Error("serve failed", "err", err)
+		return 1
+	case <-ctx.Done():
+	}
+	stop()
+	logger.Info("shutting down", "grace", "10s")
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		logger.Error("shutdown", "err", err)
+		return 1
+	}
+	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		logger.Error("serve", "err", err)
+		return 1
+	}
+	if onStop() != nil {
+		return 1
+	}
+	return 0
 }

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"vibepm/internal/core"
 	"vibepm/internal/feature"
+	"vibepm/internal/gencache"
 	"vibepm/internal/par"
 	"vibepm/internal/physics"
 	"vibepm/internal/preprocess"
@@ -64,16 +64,14 @@ type Engine struct {
 	boundary   float64
 	models     *LifetimeModels
 
-	// trendCache memoizes CleanTrend per pump; an entry is valid while
-	// the pump's series generation is unchanged and the same baseline is
-	// in force, so a hit never touches the record slices at all. The
+	// trends memoizes CleanTrend per pump; an entry is valid while the
+	// pump's series generation is unchanged and the same baseline is in
+	// force, so a hit never touches the record slices at all. The
 	// repeated-experiment pattern (Table IV, headline, ablations over
 	// the same corpus) otherwise recomputes identical 100k-measurement
-	// scans. trendMu guards the map: fleet-wide passes
-	// (LearnLifetimeModels, AnalyzeAll) run CleanTrend for distinct
-	// pumps concurrently.
-	trendMu    sync.Mutex
-	trendCache map[int]trendCacheEntry
+	// scans. Cached points hold the raw service day in AgeDays; the
+	// caller's ageOf is applied per call.
+	trends *gencache.Cache[int, trendTag, []TrendPoint]
 
 	// detector, when non-nil, classifies measurements into the
 	// rotating-machine fault taxonomy (EnableFaults). Immutable value;
@@ -95,20 +93,18 @@ type Engine struct {
 	cold *store.ColdStore
 }
 
-type trendCacheEntry struct {
+// trendTag is what a cached trend was computed from.
+type trendTag struct {
 	gen      uint64
 	baseline *Baseline
-	trend    []TrendPoint
 }
 
+// maxCachedTrends bounds the per-pump trend cache; past it a new pump
+// evicts an arbitrary other one.
+const maxCachedTrends = 1 << 16
+
 // New builds an engine with fresh stores.
-func New(opts Options) *Engine {
-	return &Engine{
-		opts:         opts.withDefaults(),
-		measurements: store.NewMeasurements(),
-		labels:       store.NewLabels(),
-	}
-}
+func New(opts Options) *Engine { return NewWithStores(opts, nil, nil) }
 
 // NewWithStores builds an engine over existing stores (e.g. loaded from
 // disk or filled by a gateway).
@@ -119,7 +115,10 @@ func NewWithStores(opts Options, m *Measurements, l *Labels) *Engine {
 	if l == nil {
 		l = store.NewLabels()
 	}
-	return &Engine{opts: opts.withDefaults(), measurements: m, labels: l}
+	return &Engine{
+		opts: opts.withDefaults(), measurements: m, labels: l,
+		trends: gencache.New[int, trendTag, []TrendPoint](maxCachedTrends),
+	}
 }
 
 // Measurements exposes the engine's measurement store.
@@ -351,97 +350,96 @@ type AgeFunc func(pumpID int, serviceDays float64) float64
 // against the baseline, smoothed with the configured moving-average
 // window, and mapped to equipment age with ageOf.
 func (e *Engine) CleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error) {
-	if e.baseline == nil {
+	base := e.baseline
+	if base == nil {
 		return nil, ErrNotFitted
 	}
-	// The cached D_a series is age-agnostic only when ageOf is pure; it
-	// is keyed on the series generation and baseline, and ages are
-	// reapplied below. Cache the (day, Da) pairs instead of the final
-	// points. Reading the generation before the records keeps a stale
-	// tag conservative: a racing append only forces one extra rebuild.
+	// Reading the generation before the records keeps a stale tag
+	// conservative: a racing append only forces one extra rebuild.
 	gen := e.measurements.Generation(pumpID)
 	if gen == 0 {
 		return nil, fmt.Errorf("%w: pump %d has no measurements", ErrNoData, pumpID)
 	}
-	e.trendMu.Lock()
-	entry, ok := e.trendCache[pumpID]
-	e.trendMu.Unlock()
-	if ok && entry.gen == gen && entry.baseline == e.baseline {
-		metTrendCacheHits.Inc()
-		out := make([]TrendPoint, len(entry.trend))
-		copy(out, entry.trend)
-		for i := range out {
-			out[i].AgeDays = ageOf(pumpID, out[i].AgeDays)
+	tag := trendTag{gen: gen, baseline: base}
+	cached, hit, err := e.trends.Get(pumpID, tag, func() ([]TrendPoint, trendTag, error) {
+		recs := e.measurements.All(pumpID)
+		if len(recs) == 0 {
+			return nil, tag, fmt.Errorf("%w: pump %d has no measurements", ErrNoData, pumpID)
 		}
-		return out, nil
-	}
-	metTrendCacheMisses.Inc()
-	recs := e.measurements.All(pumpID)
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("%w: pump %d has no measurements", ErrNoData, pumpID)
-	}
-	start := time.Now()
-	defer func() { metAnalyzeTrend.Observe(time.Since(start).Seconds()) }()
-	var days, das []float64
-	if e.live != nil {
+		start := time.Now()
+		defer func() { metAnalyzeTrend.Observe(time.Since(start).Seconds()) }()
+		if e.live == nil {
+			trend, err := e.batchTrend(pumpID, recs, base, 0)
+			return trend, tag, err
+		}
 		// Incremental path: per-record transforms come from the live
 		// cache; only the cheap global passes (mean shift over the 3-D
 		// offsets, smoothing) run over the full series. Values are
-		// bit-identical to the batch branch below.
+		// bit-identical to batchTrend.
 		feats := e.live.Ensure(pumpID, recs)
 		validIdx, _, err := preprocess.DetectOutliersPoints(stream.OffsetRowsOf(feats), preprocess.OutlierConfig{Bandwidth: e.opts.OutlierBandwidth})
 		if err != nil {
-			return nil, err
+			return nil, tag, err
 		}
 		sort.Ints(validIdx)
-		days, das = e.live.DaSeries(pumpID, recs, feats, validIdx, e.baseline)
+		days, das := e.live.DaSeries(pumpID, recs, feats, validIdx, base)
+		trend, err := e.smoothTrend(pumpID, days, das)
+		return trend, tag, err
+	})
+	if hit {
+		metTrendCacheHits.Inc()
 	} else {
-		validIdx, _, err := preprocess.DetectOutliers(recs, preprocess.OutlierConfig{Bandwidth: e.opts.OutlierBandwidth})
-		if err != nil {
-			return nil, err
-		}
-		sort.Ints(validIdx)
-		type scored struct {
-			day float64
-			da  float64
-			ok  bool
-		}
-		results := par.Map(len(validIdx), 0, func(i int) scored {
-			rec := recs[validIdx[i]]
-			da, err := e.baseline.Da(rec)
-			if err != nil {
-				return scored{}
-			}
-			return scored{day: rec.ServiceDays, da: da, ok: true}
-		})
-		days = make([]float64, 0, len(validIdx))
-		das = make([]float64, 0, len(validIdx))
-		for _, r := range results {
-			if r.ok {
-				days = append(days, r.day)
-				das = append(das, r.da)
-			}
+		metTrendCacheMisses.Inc()
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([]TrendPoint, len(cached))
+	for i, p := range cached {
+		out[i] = TrendPoint{AgeDays: ageOf(pumpID, p.AgeDays), Da: p.Da}
+	}
+	return out, nil
+}
+
+// batchTrend recomputes one pump's cleaned trend from raw waveforms,
+// scoring D_a across workers goroutines (0 = GOMAXPROCS, 1 = inline —
+// the sequential reference BatchCleanTrend pins the live path against).
+// AgeDays holds the raw service day.
+func (e *Engine) batchTrend(pumpID int, recs []*Record, base *Baseline, workers int) ([]TrendPoint, error) {
+	validIdx, _, err := preprocess.DetectOutliers(recs, preprocess.OutlierConfig{Bandwidth: e.opts.OutlierBandwidth})
+	if err != nil {
+		return nil, err
+	}
+	sort.Ints(validIdx)
+	type scored struct {
+		da float64
+		ok bool
+	}
+	results := par.Map(len(validIdx), workers, func(i int) scored {
+		da, err := base.Da(recs[validIdx[i]])
+		return scored{da: da, ok: err == nil}
+	})
+	days := make([]float64, 0, len(validIdx))
+	das := make([]float64, 0, len(validIdx))
+	for i, r := range results {
+		if r.ok {
+			days = append(days, recs[validIdx[i]].ServiceDays)
+			das = append(das, r.da)
 		}
 	}
+	return e.smoothTrend(pumpID, days, das)
+}
+
+// smoothTrend applies the configured moving-average window to a scored
+// (service day, D_a) series.
+func (e *Engine) smoothTrend(pumpID int, days, das []float64) ([]TrendPoint, error) {
 	if len(days) == 0 {
 		return nil, fmt.Errorf("%w: pump %d has no valid measurements", ErrNoData, pumpID)
 	}
 	smoothed := preprocess.SmoothSeries(days, das, e.opts.SmoothingWindowDays)
-	// Cache with AgeDays holding the raw service day; the mapping
-	// through ageOf happens per call.
-	cached := make([]TrendPoint, len(days))
-	for i := range days {
-		cached[i] = TrendPoint{AgeDays: days[i], Da: smoothed[i]}
-	}
-	e.trendMu.Lock()
-	if e.trendCache == nil {
-		e.trendCache = map[int]trendCacheEntry{}
-	}
-	e.trendCache[pumpID] = trendCacheEntry{gen: gen, baseline: e.baseline, trend: cached}
-	e.trendMu.Unlock()
 	out := make([]TrendPoint, len(days))
 	for i := range days {
-		out[i] = TrendPoint{AgeDays: ageOf(pumpID, days[i]), Da: smoothed[i]}
+		out[i] = TrendPoint{AgeDays: days[i], Da: smoothed[i]}
 	}
 	return out, nil
 }

@@ -225,45 +225,3 @@ func TestRouterClusterStatusEndpoint(t *testing.T) {
 		t.Fatalf("live = %d after kill", st.Live)
 	}
 }
-
-// TestRestapiClusterRoute307: the node-level guard — a server that
-// knows it does not own a pump answers 307 (or 503 with no owner)
-// before touching its store, so a stale client cannot split a series
-// across nodes.
-func TestRestapiClusterRoute307(t *testing.T) {
-	m := store.NewMeasurements()
-	api := restapi.New(m, nil, nil, restapi.WithClusterRoute(
-		func(pumpID int) (string, bool, string) {
-			switch pumpID {
-			case 1:
-				return "self", true, ""
-			case 2:
-				return "other", false, "http://other.example/api/v1/measurements"
-			default:
-				return "", false, ""
-			}
-		}))
-
-	post := func(pump int) *httptest.ResponseRecorder {
-		w := httptest.NewRecorder()
-		api.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/measurements",
-			strings.NewReader(ingestBody(pump, 1))))
-		return w
-	}
-	if w := post(1); w.Code != http.StatusCreated {
-		t.Fatalf("local pump: %d: %s", w.Code, w.Body.String())
-	}
-	w := post(2)
-	if w.Code != http.StatusTemporaryRedirect {
-		t.Fatalf("foreign pump: %d, want 307", w.Code)
-	}
-	if got := w.Header().Get("Location"); got != "http://other.example/api/v1/measurements" {
-		t.Fatalf("Location = %q", got)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("store holds %d records; the redirected POST must not land locally", m.Len())
-	}
-	if w := post(3); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("ownerless pump: %d, want 503", w.Code)
-	}
-}

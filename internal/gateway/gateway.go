@@ -145,15 +145,6 @@ type Config struct {
 	// WAL append succeeded, so an acked ingest survives a crash of the
 	// server process.
 	Durable *store.Durable
-	// Ingest, when non-nil, replaces the store write entirely — the
-	// clustering seam: a routed deployment points this at
-	// cluster.Ingest so each measurement lands on (and is acked by)
-	// its owning node rather than this process's store. The bool
-	// reports whether the record landed (false = idempotent
-	// duplicate); a nil error carries the same durability meaning as
-	// the Durable path. Takes precedence over Durable and Store, which
-	// then only serve local reads.
-	Ingest func(rec *store.Record) (bool, error)
 	// Link configures the lossy radio channel between each mote and the
 	// base station (per-mote links are derived with distinct seeds).
 	Link flush.LinkConfig
@@ -193,12 +184,11 @@ type Config struct {
 // state (links, retry stream, breaker, heartbeat) is guarded by its own
 // lock, so transfers of distinct motes proceed in parallel.
 type Server struct {
-	mu      sync.Mutex // guards motes map and registration order
-	cfg     Config
-	store   *store.Measurements
-	durable *store.Durable
-	motes   map[int]*entry
-	metrics *gatewayMetrics
+	mu       sync.Mutex // guards motes map and registration order
+	cfg      Config
+	ingester stream.Ingester
+	motes    map[int]*entry
+	metrics  *gatewayMetrics
 }
 
 type entry struct {
@@ -313,11 +303,16 @@ func New(cfg Config) *Server {
 	if reg == nil {
 		reg = obs.Default
 	}
-	return &Server{cfg: cfg, store: st, durable: cfg.Durable, motes: make(map[int]*entry), metrics: newGatewayMetrics(reg)}
+	return &Server{
+		cfg:      cfg,
+		ingester: stream.Ingester{Store: st, Durable: cfg.Durable, Live: cfg.Live},
+		motes:    make(map[int]*entry),
+		metrics:  newGatewayMetrics(reg),
+	}
 }
 
 // Store returns the measurement database the server ingests into.
-func (s *Server) Store() *store.Measurements { return s.store }
+func (s *Server) Store() *store.Measurements { return s.ingester.Store }
 
 // ErrDuplicateMote is returned when registering an id twice.
 var ErrDuplicateMote = errors.New("gateway: mote already registered")
@@ -496,7 +491,7 @@ func (s *Server) advanceEntry(e *entry, nowDays float64) IngestReport {
 		}
 		stored := s.storeWithRetry(e, got, &rep)
 		for d := 0; stored && d < wf.DuplicateDeliveries; d++ {
-			dup, err := s.ingest(got)
+			dup, err := s.ingester.Ingest(got)
 			if err != nil {
 				// A durable ingest failure is a store failure wherever it
 				// happens — the duplicate-delivery path must not swallow
@@ -556,29 +551,6 @@ func (s *Server) transferWithRetry(e *entry, payload []byte, corrupt func([]byte
 	}
 }
 
-// ingest applies one record through the durable path when configured
-// (WAL append before the memory apply — the ack point) or straight
-// into the in-memory store otherwise.
-func (s *Server) ingest(rec *store.Record) (bool, error) {
-	stored, err := s.ingestStore(rec)
-	if stored && err == nil && s.cfg.Live != nil {
-		// Fold only after the ack: the live cache must never hold
-		// features for a record the store rejected or the WAL lost.
-		s.cfg.Live.Fold(rec)
-	}
-	return stored, err
-}
-
-func (s *Server) ingestStore(rec *store.Record) (bool, error) {
-	if s.cfg.Ingest != nil {
-		return s.cfg.Ingest(rec)
-	}
-	if s.durable != nil {
-		return s.durable.AddUnique(rec)
-	}
-	return s.store.AddUnique(rec), nil
-}
-
 // storeWithRetry ingests one record, retrying injected store write
 // errors — and real WAL append errors — under the same backoff budget
 // as transfers. The measurement counts Stored only after the write is
@@ -594,7 +566,7 @@ func (s *Server) storeWithRetry(e *entry, rec *store.Record, rep *IngestReport) 
 		}
 		var stored bool
 		if err == nil {
-			stored, err = s.ingest(rec)
+			stored, err = s.ingester.Ingest(rec)
 		}
 		if err == nil {
 			if stored {
@@ -604,7 +576,7 @@ func (s *Server) storeWithRetry(e *entry, rec *store.Record, rep *IngestReport) 
 			}
 			return true
 		}
-		if errors.Is(err, store.ErrRecordTooLarge) {
+		if errors.Is(err, store.ErrRecordTooLarge) || errors.Is(err, stream.ErrInvalidRecord) {
 			// Permanent per-record rejection, not a transient store
 			// fault: retrying cannot help.
 			rep.StoreFailures++

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"vibepm"
+	"vibepm/internal/gencache"
 	"vibepm/internal/obs"
 )
 
@@ -21,12 +22,10 @@ type Analysis struct {
 	learnOnce sync.Once
 	learnErr  error
 
-	// fleetMu single-flights fleet report builds; the cached serialized
-	// response is valid while no series in the store has mutated
-	// (GenerationTotal) and model readiness is unchanged.
-	fleetMu    sync.Mutex
-	fleetResp  *cachedResp
-	fleetReady bool
+	// fleet holds the one serialized fleet response, valid while no
+	// series in the store has mutated (GenerationTotal), the partition
+	// list is unchanged and model readiness is the same.
+	fleet *gencache.Cache[struct{}, respTag, *cachedResp]
 }
 
 // AnalysisOption customizes an Analysis handler.
@@ -49,7 +48,10 @@ func NewAnalysis(eng *vibepm.Engine, ageOf vibepm.AgeFunc, opts ...AnalysisOptio
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	a := &Analysis{eng: eng, ageOf: ageOf, mux: http.NewServeMux()}
+	a := &Analysis{
+		eng: eng, ageOf: ageOf, mux: http.NewServeMux(),
+		fleet: gencache.New[struct{}, respTag, *cachedResp](1),
+	}
 	handle := func(pattern string, h http.HandlerFunc) {
 		a.mux.HandleFunc(pattern, instrumentHandler(cfg.metrics, pattern, h))
 	}
@@ -134,7 +136,7 @@ func (a *Analysis) handleRUL(w http.ResponseWriter, r *http.Request) {
 // handleFleet serves the whole-fleet report. The serialized response is
 // cached and keyed on the store-wide generation counter plus model
 // readiness, so a dashboard polling the fleet view costs one map
-// lookup (or a 304) between ingests. fleetMu single-flights rebuilds —
+// lookup (or a 304) between ingests. Rebuilds are single-flight:
 // concurrent pollers after an append trigger one FleetReport, not N.
 func (a *Analysis) handleFleet(w http.ResponseWriter, r *http.Request) {
 	ready := a.ensureModels() == nil
@@ -151,28 +153,23 @@ func (a *Analysis) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if c := a.eng.Cold(); c != nil {
 		coldGen = c.Generation()
 	}
-	a.fleetMu.Lock()
-	defer a.fleetMu.Unlock()
-	if ent := a.fleetResp; ent != nil && ent.gen == gen && ent.coldGen == coldGen && a.fleetReady == ready {
-		serveCached(w, r, ent)
-		return
-	}
-	reports, err := a.eng.FleetReport(age)
+	tag := respTag{gen: gen, coldGen: coldGen, ready: ready}
+	code := http.StatusServiceUnavailable
+	ent, _, err := a.fleet.Get(struct{}{}, tag, func() (*cachedResp, respTag, error) {
+		reports, err := a.eng.FleetReport(age)
+		if err != nil {
+			return nil, tag, err
+		}
+		body, err := json.Marshal(map[string]any{"fleet": reports})
+		if err != nil {
+			code = http.StatusInternalServerError
+			return nil, tag, fmt.Errorf("encode fleet: %w", err)
+		}
+		return &cachedResp{etag: fmt.Sprintf("\"fleet-%d-%d-%t\"", gen, coldGen, ready), body: body}, tag, nil
+	})
 	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
+		writeErr(w, code, "%v", err)
 		return
 	}
-	body, err := json.Marshal(map[string]any{"fleet": reports})
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "encode fleet: %v", err)
-		return
-	}
-	ent := &cachedResp{
-		gen:     gen,
-		coldGen: coldGen,
-		etag:    fmt.Sprintf("\"fleet-%d-%d-%t\"", gen, coldGen, ready),
-		body:    body,
-	}
-	a.fleetResp, a.fleetReady = ent, ready
 	serveCached(w, r, ent)
 }

@@ -69,33 +69,21 @@ type mergedKey struct {
 	metric string
 }
 
-// mergedEntry is a pyramid over the merged series, valid while neither
-// tier's generation has moved.
-type mergedEntry struct {
-	hotGen  uint64
-	coldGen uint64
-	pyr     *store.Pyramid
-}
-
 // mergedPyramid returns the pyramid over pump id's metric series across
 // both tiers, rebuilding only when the hot series or the partition list
 // changed — the same generation-keyed discipline as the hot-only
 // TrendCache.
 func (s *Server) mergedPyramid(id int, metric string, fn func(*store.Record) float64, hotGen, coldGen uint64) *store.Pyramid {
-	key := mergedKey{pumpID: id, metric: metric}
-	s.mergedMu.Lock()
-	ent, ok := s.mergedPyrs[key]
-	s.mergedMu.Unlock()
-	if ok && ent.hotGen == hotGen && ent.coldGen == coldGen {
+	tag := respTag{gen: hotGen, coldGen: coldGen}
+	pyr, hit, _ := s.mergedPyrs.Get(mergedKey{pumpID: id, metric: metric}, tag, func() (*store.Pyramid, respTag, error) {
+		hot := store.ExtractSeries(s.measurements.All(id), fn)
+		return store.NewPyramid(mergeSeries(s.cold.TrendSeries(id, metric), hot)), tag, nil
+	})
+	if hit {
 		s.trendCacheHits.Inc()
-		return ent.pyr
+	} else {
+		s.trendCacheMisses.Inc()
 	}
-	s.trendCacheMisses.Inc()
-	hot := store.ExtractSeries(s.measurements.All(id), fn)
-	pyr := store.NewPyramid(mergeSeries(s.cold.TrendSeries(id, metric), hot))
-	s.mergedMu.Lock()
-	s.mergedPyrs[key] = mergedEntry{hotGen: hotGen, coldGen: coldGen, pyr: pyr}
-	s.mergedMu.Unlock()
 	return pyr
 }
 

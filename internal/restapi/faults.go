@@ -4,31 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"vibepm"
 )
 
-// faultsState is the fault endpoint's wiring: the engine that owns the
-// detector plus the per-pump serialized response cache. Responses are
-// keyed on the pump's series generation — the same discipline as the
-// trend endpoint — so a dashboard polling a pump's fault status between
-// ingests costs a map lookup (or a 304), and an append invalidates
-// exactly the touched pump.
-type faultsState struct {
-	eng  *vibepm.Engine
-	mu   sync.Mutex
-	resp map[int]*cachedResp
-}
-
 // WithFaults attaches a fault-classification engine to the data API:
 // GET /api/v1/pumps/{id}/faults serves the taxonomy classification of
 // the pump's latest measurement. The endpoint answers 404 until
-// EnableFaults has been called on the engine.
+// EnableFaults has been called on the engine. Responses are keyed on
+// the pump's series generation — the same discipline as the trend
+// endpoint — so a dashboard polling a pump's fault status between
+// ingests costs a map lookup (or a 304), an append invalidates exactly
+// the touched pump, and a rebuild for one pump never stalls another's.
 func WithFaults(eng *vibepm.Engine) Option {
-	return func(s *Server) {
-		s.faults = &faultsState{eng: eng, resp: make(map[int]*cachedResp)}
-	}
+	return func(s *Server) { s.faults = eng }
 }
 
 // handleFaults serves GET /api/v1/pumps/{id}/faults.
@@ -42,8 +31,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad pump id")
 		return
 	}
-	fs := s.faults
-	if !fs.eng.FaultsEnabled() {
+	if !s.faults.FaultsEnabled() {
 		writeErr(w, http.StatusNotFound, "fault classification not enabled")
 		return
 	}
@@ -52,29 +40,27 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "pump %d has no measurements", id)
 		return
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if ent := fs.resp[id]; ent != nil && ent.gen == gen {
+	code := http.StatusNotFound
+	ent, hit, err := s.faultResp.Get(id, respTag{gen: gen}, func() (*cachedResp, respTag, error) {
+		status, err := s.faults.FaultStatus(id)
+		if err != nil {
+			return nil, respTag{}, err
+		}
+		body, err := json.Marshal(status)
+		if err != nil {
+			code = http.StatusInternalServerError
+			return nil, respTag{}, fmt.Errorf("encode fault status: %w", err)
+		}
+		return &cachedResp{etag: fmt.Sprintf("\"faults-%d-%d\"", id, gen), body: body}, respTag{gen: gen}, nil
+	})
+	if hit {
 		s.trendCacheHits.Inc()
-		serveCached(w, r, ent)
-		return
+	} else {
+		s.trendCacheMisses.Inc()
 	}
-	s.trendCacheMisses.Inc()
-	status, err := fs.eng.FaultStatus(id)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, "%v", err)
+		writeErr(w, code, "%v", err)
 		return
 	}
-	body, err := json.Marshal(status)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "encode fault status: %v", err)
-		return
-	}
-	ent := &cachedResp{
-		gen:  gen,
-		etag: fmt.Sprintf("\"faults-%d-%d\"", id, gen),
-		body: body,
-	}
-	fs.resp[id] = ent
 	serveCached(w, r, ent)
 }

@@ -1,9 +1,11 @@
 package restapi
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"vibepm"
 	"vibepm/internal/mems"
@@ -125,5 +127,49 @@ func TestFaultsCacheHit(t *testing.T) {
 	}
 	if b1["class"] != b2["class"] || b1["confidence"] != b2["confidence"] {
 		t.Fatalf("cached body diverged: %v vs %v", b1, b2)
+	}
+}
+
+// TestFaultsMissDoesNotStallOtherPumps pins the per-pump rebuild lock:
+// while pump 3's fault status is being rebuilt, pump 4's query is
+// answered.
+func TestFaultsMissDoesNotStallOtherPumps(t *testing.T) {
+	s, eng, m := faultsFixture(t)
+	eng.EnableFaults(vibepm.MachineSpec{}, vibepm.FaultOptions{})
+	for _, rec := range m.All(3) {
+		other := *rec
+		other.PumpID = 4
+		m.Add(&other)
+	}
+
+	building := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _ = s.faultResp.Get(3, respTag{gen: m.Generation(3)}, func() (*cachedResp, respTag, error) {
+			close(building)
+			<-release
+			return nil, respTag{}, errors.New("abandoned")
+		})
+	}()
+	<-building
+	served := make(chan int, 1)
+	go func() {
+		rec, _ := get(t, s, "/api/v1/pumps/4/faults")
+		served <- rec.Code
+	}()
+	select {
+	case code := <-served:
+		if code != http.StatusOK {
+			t.Errorf("pump 4 status %d", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("pump 4's fault query stalled behind pump 3's rebuild")
+	}
+	close(release)
+	<-done
+	if rec, _ := get(t, s, "/api/v1/pumps/3/faults"); rec.Code != http.StatusOK {
+		t.Fatalf("pump 3 after the abandoned rebuild: status %d", rec.Code)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 
 	"vibepm/internal/store"
+	"vibepm/internal/stream"
 )
 
 // IngestRequest is the wire format for pushing one measurement into the
@@ -75,23 +76,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "sample_rate_hz and scale_g must be positive")
 		return
 	}
-	if s.route != nil {
-		node, local, redirect := s.route(req.PumpID)
-		if !local {
-			if redirect == "" {
-				writeErr(w, http.StatusServiceUnavailable, "no live node owns pump %d", req.PumpID)
-				return
-			}
-			// 307 keeps the method and body: the client re-POSTs the same
-			// measurement to the owner, and idempotent ingest makes an
-			// accidental double delivery harmless.
-			w.Header().Set("Location", redirect)
-			writeJSON(w, http.StatusTemporaryRedirect, map[string]any{
-				"error": "pump owned by another node", "node": node, "location": redirect,
-			})
-			return
-		}
-	}
 	rec := &store.Record{
 		PumpID:       req.PumpID,
 		ServiceDays:  req.ServiceDays,
@@ -107,42 +91,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		rec.Raw[axis] = samples
 	}
-	k := rec.Samples()
-	if k == 0 || len(rec.Raw[1]) != k || len(rec.Raw[2]) != k {
-		s.ingestRejected.Inc()
-		writeErr(w, http.StatusBadRequest, "axes must be non-empty and equal length")
-		return
-	}
-	if k > store.MaxSamplesPerAxis {
-		// The codec (and so the WAL and snapshots) caps the per-axis
-		// sample count; a record past the cap could be held in memory
-		// but never persisted or recovered, so it is rejected up front
-		// on the in-memory path too.
-		s.ingestRejected.Inc()
-		writeErr(w, http.StatusBadRequest, "%d samples per axis exceeds limit %d", k, store.MaxSamplesPerAxis)
-		return
-	}
 	// Idempotent insert: a retried or duplicated POST must not inflate
 	// the series — the same guarantee the gateway's transport path has.
 	// On the durable path the insert is WAL-logged first; only a record
 	// that is on disk (per the fsync policy) earns the 201.
-	stored := false
-	if s.durable != nil {
-		var err error
-		stored, err = s.durable.AddUnique(rec)
-		if err != nil {
-			s.ingestRejected.Inc()
-			if errors.Is(err, store.ErrRecordTooLarge) {
-				// Per-record rejection — the WAL is healthy, the client
-				// payload is not. 400, not 503.
-				writeErr(w, http.StatusBadRequest, "measurement too large: %v", err)
-				return
-			}
-			writeErr(w, http.StatusServiceUnavailable, "write-ahead log unavailable: %v", err)
+	stored, err := s.ingester.Ingest(rec)
+	if err != nil {
+		s.ingestRejected.Inc()
+		if errors.Is(err, stream.ErrInvalidRecord) || errors.Is(err, store.ErrRecordTooLarge) {
+			// Per-record rejection — the WAL is healthy, the client
+			// payload is not. 400, not 503.
+			writeErr(w, http.StatusBadRequest, "bad measurement: %v", err)
 			return
 		}
-	} else {
-		stored = s.measurements.AddUnique(rec)
+		writeErr(w, http.StatusServiceUnavailable, "write-ahead log unavailable: %v", err)
+		return
 	}
 	if !stored {
 		s.ingestDuplicates.Inc()
@@ -154,13 +117,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ingestAccepted.Inc()
-	if s.live != nil {
-		// Fold only after the ack: on the durable path the WAL frame is
-		// on disk by now, so the cache never holds features for a record
-		// a crash could lose.
-		s.live.Fold(rec)
-	}
 	writeJSON(w, http.StatusCreated, map[string]any{
-		"pump_id": rec.PumpID, "service_days": rec.ServiceDays, "samples": k,
+		"pump_id": rec.PumpID, "service_days": rec.ServiceDays, "samples": rec.Samples(),
 	})
 }

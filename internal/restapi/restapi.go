@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"sync"
 
+	"vibepm"
+	"vibepm/internal/gencache"
 	"vibepm/internal/obs"
 	"vibepm/internal/store"
 	"vibepm/internal/stream"
@@ -29,27 +31,26 @@ const DefaultMaxBodyBytes = 8 << 20
 // Server wires the stores into an http.Handler.
 type Server struct {
 	measurements *store.Measurements
-	durable      *store.Durable
 	labels       *store.Labels
 	periods      *store.PeriodManager
 	mux          *http.ServeMux
 	metrics      *obs.Registry
 	maxBodyBytes int64
-	live         *stream.LiveState
-	route        ClusterRoute
-	cold         *store.ColdStore
-	faults       *faultsState
+	// ingester is the write seam: the plain or durable store every
+	// accepted POST lands in, and the live state it is folded into.
+	ingester stream.Ingester
+	cold     *store.ColdStore
+	faults   *vibepm.Engine
 
-	// pyramids caches the per-series downsample pyramid; respCache
-	// holds fully serialized trend responses, both keyed on the series
-	// generation so an append invalidates exactly the touched pump.
-	// mergedPyrs is the tiered counterpart of pyramids: pyramids over
-	// the cold+hot merged series, keyed on both tiers' generations.
+	// pyramids caches the per-series downsample pyramid; trendResp and
+	// faultResp hold fully serialized responses, all keyed on the
+	// series generation so an append invalidates exactly the touched
+	// pump. mergedPyrs is the tiered counterpart of pyramids: pyramids
+	// over the cold+hot merged series, keyed on both tiers' generations.
 	pyramids   *store.TrendCache
-	respMu     sync.Mutex
-	respCache  map[respKey]*cachedResp
-	mergedMu   sync.Mutex
-	mergedPyrs map[mergedKey]mergedEntry
+	mergedPyrs *gencache.Cache[mergedKey, respTag, *store.Pyramid]
+	trendResp  *gencache.Cache[respKey, respTag, *cachedResp]
+	faultResp  *gencache.Cache[int, respTag, *cachedResp]
 
 	ingestAccepted   *obs.Counter
 	ingestDuplicates *obs.Counter
@@ -85,7 +86,7 @@ func WithMaxBodyBytes(n int64) Option {
 // read path too (see WithCold).
 func WithDurable(d *store.Durable) Option {
 	return func(s *Server) {
-		s.durable = d
+		s.ingester.Durable = d
 		if c := d.Cold(); c != nil {
 			s.cold = c
 		}
@@ -98,22 +99,7 @@ func WithDurable(d *store.Durable) Option {
 // re-transforming raw waveforms on every pyramid rebuild. Values are
 // bit-identical to the uncached path.
 func WithLive(ls *stream.LiveState) Option {
-	return func(s *Server) { s.live = ls }
-}
-
-// ClusterRoute decides measurement placement for one pump id: node
-// names the owner, local reports whether this server is that owner,
-// and redirect is the absolute URL a non-local client should re-issue
-// the request against ("" when the owner has no advertised address).
-type ClusterRoute func(pumpID int) (node string, local bool, redirect string)
-
-// WithClusterRoute makes ingest routing-aware: a POST for a pump this
-// node does not own answers 307 Temporary Redirect with the owner's
-// URL in Location (clients re-POST the identical body there — 307
-// preserves method and body by definition), or 503 when no live owner
-// exists. A nil route keeps the single-node behavior.
-func WithClusterRoute(route ClusterRoute) Option {
-	return func(s *Server) { s.route = route }
+	return func(s *Server) { s.ingester.Live = ls }
 }
 
 // New builds the API server. labels and periods may be nil, disabling
@@ -121,12 +107,14 @@ func WithClusterRoute(route ClusterRoute) Option {
 func New(m *store.Measurements, l *store.Labels, p *store.PeriodManager, opts ...Option) *Server {
 	s := &Server{
 		measurements: m, labels: l, periods: p,
+		ingester:     stream.Ingester{Store: m},
 		mux:          http.NewServeMux(),
 		metrics:      obs.Default,
 		maxBodyBytes: DefaultMaxBodyBytes,
 		pyramids:     store.NewTrendCache(),
-		respCache:    make(map[respKey]*cachedResp),
-		mergedPyrs:   make(map[mergedKey]mergedEntry),
+		mergedPyrs:   gencache.New[mergedKey, respTag, *store.Pyramid](maxCachedPumpViews),
+		trendResp:    gencache.New[respKey, respTag, *cachedResp](maxCachedTrendBodies),
+		faultResp:    gencache.New[int, respTag, *cachedResp](maxCachedPumpViews),
 	}
 	for _, opt := range opts {
 		opt(s)

@@ -12,10 +12,19 @@ import (
 )
 
 // Trend point budgets. The default fits a dashboard panel; the cap
-// bounds the response cache's footprint per (pump, metric).
+// bounds the size of one response.
 const (
 	defaultTrendPoints = 512
 	maxTrendPoints     = 4096
+)
+
+// Cache bounds. The trend body cache is keyed on the client-chosen
+// point budget, so without a bound one poller sweeping points=1..4096
+// would pin that many bodies per (pump, metric); the per-pump caches
+// are bounded against pump-id cardinality.
+const (
+	maxCachedTrendBodies = 1024
+	maxCachedPumpViews   = 4096
 )
 
 // trendMetricFor maps the metric query parameter to the scalar
@@ -25,8 +34,9 @@ func trendMetricFor(name string) (func(*store.Record) float64, bool) {
 	case "rms":
 		return transform.RMS, true
 	case "vrms":
-		// ISO 10816-style velocity severity band.
-		return func(r *store.Record) float64 { return transform.VelocityRMS(r, 10, 1000) }, true
+		return func(r *store.Record) float64 {
+			return transform.VelocityRMS(r, transform.ISOBandLoHz, transform.ISOBandHiHz)
+		}, true
 	}
 	return nil, false
 }
@@ -39,16 +49,22 @@ type respKey struct {
 	points int
 }
 
-// cachedResp is a fully serialized response plus the generations it
-// reflects and the strong ETag clients revalidate against. coldGen is 0
-// when the server has no cold tier; with tiering it is the partition
-// list's generation, so a compaction or retention drop invalidates the
-// response exactly like a hot append does.
-type cachedResp struct {
+// respTag is the state a cached pyramid or serialized response
+// reflects. coldGen is 0 when the server has no cold tier; with tiering
+// it is the partition list's generation, so a compaction or retention
+// drop invalidates the entry exactly like a hot append does. ready is
+// the fleet view's model readiness and false everywhere else.
+type respTag struct {
 	gen     uint64
 	coldGen uint64
-	etag    string
-	body    []byte
+	ready   bool
+}
+
+// cachedResp is a fully serialized response plus the strong ETag
+// clients revalidate against.
+type cachedResp struct {
+	etag string
+	body []byte
 }
 
 // TrendPointJSON is one downsampled trend sample on the wire.
@@ -117,11 +133,11 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 	}
 	var fn func(*store.Record) float64
 	var ok bool
-	if s.live != nil {
+	if live := s.ingester.Live; live != nil {
 		// Cache-served metrics: a pyramid rebuild after a warm-up reads
 		// precomputed scalars instead of re-running the per-record
 		// transforms. Values match trendMetricFor exactly.
-		fn, ok = s.live.MetricFunc(metric)
+		fn, ok = live.MetricFunc(metric)
 	} else {
 		fn, ok = trendMetricFor(metric)
 	}
@@ -151,52 +167,47 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 		coldGen = s.cold.Generation()
 	}
 	key := respKey{pumpID: id, metric: metric, points: points}
-	s.respMu.Lock()
-	ent := s.respCache[key]
-	s.respMu.Unlock()
-	if ent != nil && ent.gen == gen && ent.coldGen == coldGen {
-		s.trendCacheHits.Inc()
-		serveCached(w, r, ent)
-		return
-	}
-	var pyr *store.Pyramid
-	pgen := gen
-	if coldPump {
-		// Tiered read: the pyramid spans the cold scalar series merged
-		// under the hot series — built from the partitions' resident
-		// metric streams, never from decompressed waveforms.
-		pyr = s.mergedPyramid(id, metric, fn, gen, coldGen)
-	} else {
-		s.trendCacheMisses.Inc()
-		// The pyramid cache reads the generation itself (before the
-		// records), so pgen is the generation the response truly
-		// reflects — it may lag gen by an in-flight append, which only
-		// means one extra rebuild on the next request.
-		pyr, pgen = s.pyramids.Pyramid(s.measurements, id, metric, fn)
-	}
-	down := pyr.Downsample(points)
-	resp := TrendResponse{
-		PumpID:      id,
-		Metric:      metric,
-		TotalPoints: pyr.Len(),
-		Points:      make([]TrendPointJSON, len(down)),
-	}
-	for i, p := range down {
-		resp.Points[i] = TrendPointJSON{ServiceDays: p.ServiceDays, Value: p.Value}
-	}
-	body, err := json.Marshal(resp)
+	ent, hit, err := s.trendResp.Get(key, respTag{gen: gen, coldGen: coldGen}, func() (*cachedResp, respTag, error) {
+		var pyr *store.Pyramid
+		pgen := gen
+		if coldPump {
+			// Tiered read: the pyramid spans the cold scalar series
+			// merged under the hot series — built from the partitions'
+			// resident metric streams, never from decompressed waveforms.
+			pyr = s.mergedPyramid(id, metric, fn, gen, coldGen)
+		} else {
+			s.trendCacheMisses.Inc()
+			// The pyramid cache reads the generation itself (before the
+			// records), so pgen is the generation the response truly
+			// reflects — it may differ from gen by an in-flight append,
+			// which only means one extra rebuild on the next request.
+			pyr, pgen = s.pyramids.Pyramid(s.measurements, id, metric, fn)
+		}
+		down := pyr.Downsample(points)
+		resp := TrendResponse{
+			PumpID:      id,
+			Metric:      metric,
+			TotalPoints: pyr.Len(),
+			Points:      make([]TrendPointJSON, len(down)),
+		}
+		for i, p := range down {
+			resp.Points[i] = TrendPointJSON{ServiceDays: p.ServiceDays, Value: p.Value}
+		}
+		body, err := json.Marshal(resp)
+		if err != nil {
+			return nil, respTag{}, err
+		}
+		return &cachedResp{
+			etag: fmt.Sprintf("\"trend-%d-%s-%d-%d-%d\"", id, metric, points, pgen, coldGen),
+			body: body,
+		}, respTag{gen: pgen, coldGen: coldGen}, nil
+	})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "encode trend: %v", err)
 		return
 	}
-	ent = &cachedResp{
-		gen:     pgen,
-		coldGen: coldGen,
-		etag:    fmt.Sprintf("\"trend-%d-%s-%d-%d-%d\"", id, metric, points, pgen, coldGen),
-		body:    body,
+	if hit {
+		s.trendCacheHits.Inc()
 	}
-	s.respMu.Lock()
-	s.respCache[key] = ent
-	s.respMu.Unlock()
 	serveCached(w, r, ent)
 }

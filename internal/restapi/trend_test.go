@@ -1,7 +1,9 @@
 package restapi
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -167,5 +169,48 @@ func TestTrendDownsampleBudget(t *testing.T) {
 	}
 	if len(resp.Points) == 0 || len(resp.Points) > 16 {
 		t.Fatalf("downsampled to %d points, want 1..16", len(resp.Points))
+	}
+}
+
+// TestTrendPointsSweepIsBounded pins the response cache's footprint:
+// the cache key carries the client-chosen point budget, so one poller
+// sweeping points=1..4096 must not pin a serialized body per budget,
+// and every body — cached, rebuilt or evicted and rebuilt — must equal
+// a fresh min-max downsample of the stored series.
+func TestTrendPointsSweepIsBounded(t *testing.T) {
+	m := store.NewMeasurements()
+	for i := 0; i < 80; i++ {
+		rec := &store.Record{PumpID: 9, ServiceDays: float64(i) / 4, SampleRateHz: 4000, ScaleG: 0.003}
+		for axis := range rec.Raw {
+			rec.Raw[axis] = []int16{int16(i*37%211 - 100), int16(i * 13 % 97), int16(-i % 53), int16(i)}
+		}
+		m.Add(rec)
+	}
+	s := New(m, nil, nil)
+	series := store.ExtractSeries(m.All(9), transform.RMS)
+	// The second, partial pass re-reads budgets the first pass cached or
+	// evicted.
+	for _, last := range []int{maxTrendPoints, 100} {
+		for points := 1; points <= last; points++ {
+			rec := getTrend(t, s, fmt.Sprintf("/api/v1/pumps/9/trend?points=%d", points), "")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("points=%d: status %d", points, rec.Code)
+			}
+			down := store.DownsampleMinMax(series, points)
+			want := TrendResponse{PumpID: 9, Metric: "rms", TotalPoints: len(series), Points: make([]TrendPointJSON, len(down))}
+			for i, p := range down {
+				want.Points[i] = TrendPointJSON{ServiceDays: p.ServiceDays, Value: p.Value}
+			}
+			body, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rec.Body.Bytes(), body) {
+				t.Fatalf("points=%d: body differs from a fresh downsample", points)
+			}
+			if n := s.trendResp.Len(); n > maxCachedTrendBodies {
+				t.Fatalf("points=%d: %d cached bodies, cap %d", points, n, maxCachedTrendBodies)
+			}
+		}
 	}
 }

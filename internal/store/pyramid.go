@@ -2,7 +2,8 @@ package store
 
 import (
 	"math/bits"
-	"sync"
+
+	"vibepm/internal/gencache"
 )
 
 // Pyramid is a multi-resolution min-max index over one extracted
@@ -142,23 +143,21 @@ type trendKey struct {
 	metric string
 }
 
-type trendEntry struct {
-	gen uint64
-	pyr *Pyramid
-}
+// maxCachedPyramids bounds the pyramid cache; past it a new
+// (pump, metric) evicts an arbitrary other one.
+const maxCachedPyramids = 4096
 
 // TrendCache caches per-(pump, metric) downsample pyramids keyed by
 // the series generation: a cached pyramid is served until the pump's
 // series mutates, then rebuilt lazily on the next request. Safe for
 // concurrent use.
 type TrendCache struct {
-	mu      sync.RWMutex
-	entries map[trendKey]trendEntry
+	pyramids *gencache.Cache[trendKey, uint64, *Pyramid]
 }
 
 // NewTrendCache returns an empty cache.
 func NewTrendCache() *TrendCache {
-	return &TrendCache{entries: make(map[trendKey]trendEntry)}
+	return &TrendCache{pyramids: gencache.New[trendKey, uint64, *Pyramid](maxCachedPyramids)}
 }
 
 // Pyramid returns the pyramid over pump pumpID's series extracted with
@@ -166,25 +165,18 @@ func NewTrendCache() *TrendCache {
 // since the cached build. The returned generation is the one the
 // pyramid was built against — response caches should key on it.
 func (c *TrendCache) Pyramid(m *Measurements, pumpID int, metric string, fn func(*Record) float64) (*Pyramid, uint64) {
-	key := trendKey{pumpID: pumpID, metric: metric}
 	// Read the generation before the records: if an append lands in
 	// between, the cache entry is tagged with the older generation and
 	// the next request rebuilds — stale tags are conservative, never
 	// wrong.
 	gen := m.Generation(pumpID)
-	c.mu.RLock()
-	e, ok := c.entries[key]
-	c.mu.RUnlock()
-	if ok && e.gen == gen {
+	pyr, hit, _ := c.pyramids.Get(trendKey{pumpID: pumpID, metric: metric}, gen, func() (*Pyramid, uint64, error) {
+		return NewPyramid(ExtractSeries(m.All(pumpID), fn)), gen, nil
+	})
+	if hit {
 		metPyramidHits.Inc()
-		return e.pyr, gen
+	} else {
+		metPyramidMisses.Inc()
 	}
-	metPyramidMisses.Inc()
-	pyr := NewPyramid(ExtractSeries(m.All(pumpID), fn))
-	c.mu.Lock()
-	if cur, ok := c.entries[key]; !ok || cur.gen != gen {
-		c.entries[key] = trendEntry{gen: gen, pyr: pyr}
-	}
-	c.mu.Unlock()
 	return pyr, gen
 }

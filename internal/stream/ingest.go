@@ -1,0 +1,60 @@
+package stream
+
+import (
+	"errors"
+	"fmt"
+
+	"vibepm/internal/store"
+)
+
+// ErrInvalidRecord marks a record whose axes cannot be stored: a
+// permanent per-record rejection, like store.ErrRecordTooLarge, that
+// ingestion layers map to "bad request", not "retry".
+var ErrInvalidRecord = errors.New("invalid record")
+
+// Ingester is the one write seam every ingestion front-end (REST
+// ingest, the mote gateway) goes through. It owns the two rules they
+// share: a record is validated before anything is written, and the
+// live state folds a record only after its write was acknowledged —
+// on the durable path after the WAL frame is on disk per the fsync
+// policy — so the feature cache never holds a record a crash could
+// lose or the store refused.
+type Ingester struct {
+	// Store receives the records when Durable is nil.
+	Store *store.Measurements
+	// Durable, when non-nil, logs every record before applying it.
+	Durable *store.Durable
+	// Live, when non-nil, folds every newly stored record.
+	Live *LiveState
+}
+
+// Ingest stores one record idempotently. stored is false for a
+// duplicate (same pump and service time as a stored record). A non-nil
+// error means the record was not acknowledged: ErrInvalidRecord or
+// store.ErrRecordTooLarge reject the record itself, anything else is
+// the write-ahead log failing.
+func (in *Ingester) Ingest(rec *store.Record) (stored bool, err error) {
+	k := rec.Samples()
+	if k == 0 || len(rec.Raw[1]) != k || len(rec.Raw[2]) != k {
+		return false, fmt.Errorf("%w: axes must be non-empty and equal length", ErrInvalidRecord)
+	}
+	if k > store.MaxSamplesPerAxis {
+		// The codec (and so the WAL and snapshots) caps the per-axis
+		// sample count; a record past the cap could be held in memory
+		// but never persisted or recovered, so it is rejected on the
+		// in-memory path too.
+		return false, fmt.Errorf("%w: %d samples per axis exceeds limit %d", ErrInvalidRecord, k, store.MaxSamplesPerAxis)
+	}
+	if in.Durable != nil {
+		stored, err = in.Durable.AddUnique(rec)
+		if err != nil {
+			return false, err
+		}
+	} else {
+		stored = in.Store.AddUnique(rec)
+	}
+	if stored && in.Live != nil {
+		in.Live.Fold(rec)
+	}
+	return stored, nil
+}

@@ -48,19 +48,6 @@ type Config struct {
 	// features precomputed. After SetBaseline, folds also extract with
 	// the baseline's (resolution-pinned) options and score D_a.
 	Harmonic feature.Options
-	// VRMSLoHz and VRMSHiHz bound the velocity-RMS band (defaults 10
-	// and 1000 — the ISO 10816 band the REST trend endpoint serves).
-	VRMSLoHz, VRMSHiHz float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.VRMSLoHz <= 0 {
-		c.VRMSLoHz = 10
-	}
-	if c.VRMSHiHz <= 0 {
-		c.VRMSHiHz = 1000
-	}
-	return c
 }
 
 // harmSlot caches one harmonic feature keyed by the exact (unfilled)
@@ -93,8 +80,8 @@ type Feat struct {
 	Offsets [3]float64
 	// RMS is transform.RMS(rec), the r_mn feature.
 	RMS float64
-	// VRMS is transform.VelocityRMS(rec, lo, hi) over the configured
-	// band.
+	// VRMS is transform.VelocityRMS(rec, lo, hi) over the ISO band the
+	// REST trend endpoint serves.
 	VRMS float64
 
 	harms  []harmSlot
@@ -184,7 +171,7 @@ type LiveState struct {
 
 // NewLiveState returns an empty live state.
 func NewLiveState(cfg Config) *LiveState {
-	ls := &LiveState{cfg: cfg.withDefaults()}
+	ls := &LiveState{cfg: cfg}
 	for i := range ls.shards {
 		ls.shards[i].pumps = make(map[int]*pumpState)
 	}
@@ -224,7 +211,7 @@ func (ls *LiveState) computeFeat(rec *store.Record, base *feature.Baseline) *Fea
 		RMS:     transform.RMS(rec),
 	}
 	freq, psd := transform.PSD(rec)
-	f.VRMS = transform.VelocityRMSFromPSD(freq, psd, ls.cfg.VRMSLoHz, ls.cfg.VRMSHiHz)
+	f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
 	// ExtractHarmonic over this PSD is exactly HarmonicOfRecord: both
 	// feed the same transform.PSDInto output into the same peak search.
 	f.putHarmonic(ls.cfg.Harmonic, feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic))

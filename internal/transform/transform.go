@@ -190,9 +190,18 @@ func VelocityPSD(freq, accelPSD []float64) []float64 {
 	return out
 }
 
+// ISOBandLoHz and ISOBandHiHz bound the ISO 10816 velocity-severity
+// band. The REST trend endpoint, the live fold and the cold tier's
+// persisted vrms series must all integrate over the same band or
+// cold ≡ hot breaks, so all three read it from here.
+const (
+	ISOBandLoHz = 10.0
+	ISOBandHiHz = 1000.0
+)
+
 // VelocityRMS returns the broadband vibration velocity of a record in
 // mm/s RMS, integrated over the band [loHz, hiHz] (pass 0, 0 for the
-// ISO-standard 10 Hz to 1 kHz band).
+// ISO band).
 func VelocityRMS(rec *store.Record, loHz, hiHz float64) float64 {
 	freq, psd := PSD(rec)
 	return VelocityRMSFromPSD(freq, psd, loHz, hiHz)
@@ -204,10 +213,10 @@ func VelocityRMS(rec *store.Record, loHz, hiHz float64) float64 {
 // derive every spectral feature from it.
 func VelocityRMSFromPSD(freq, psd []float64, loHz, hiHz float64) float64 {
 	if loHz <= 0 {
-		loHz = 10
+		loHz = ISOBandLoHz
 	}
 	if hiHz <= 0 {
-		hiHz = 1000
+		hiHz = ISOBandHiHz
 	}
 	vel := VelocityPSD(freq, psd)
 	var sum float64

@@ -2,9 +2,7 @@ package vibepm
 
 import (
 	"fmt"
-	"sort"
 
-	"vibepm/internal/preprocess"
 	"vibepm/internal/stream"
 )
 
@@ -12,12 +10,6 @@ import (
 // the gateway, the REST server and the engine to one shared cache do
 // not import the internal package path.
 type LiveState = stream.LiveState
-
-// LiveConfig parameterizes a live state.
-type LiveConfig = stream.Config
-
-// NewLiveState builds a standalone live state (see Engine.AttachLive).
-func NewLiveState(cfg LiveConfig) *LiveState { return stream.NewLiveState(cfg) }
 
 // EnableLive switches the engine onto the incremental analysis path:
 // a fresh live state, configured from the engine's options, is
@@ -38,19 +30,6 @@ func (e *Engine) EnableLive() *LiveState {
 		}
 	}
 	return e.live
-}
-
-// AttachLive adopts an existing live state (e.g. one the gateway was
-// already folding into before the engine was constructed). A nil ls
-// detaches and returns the engine to pure batch analysis.
-func (e *Engine) AttachLive(ls *LiveState) {
-	e.live = ls
-	if ls != nil && e.baseline != nil {
-		ls.SetBaseline(e.baseline)
-	}
-	if ls != nil && e.detector != nil {
-		ls.SetFaultDetector(e.detector)
-	}
 }
 
 // Live returns the attached live state, or nil when the engine runs
@@ -85,29 +64,12 @@ func (e *Engine) BatchCleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("%w: pump %d has no measurements", ErrNoData, pumpID)
 	}
-	validIdx, _, err := preprocess.DetectOutliers(recs, preprocess.OutlierConfig{Bandwidth: e.opts.OutlierBandwidth})
+	trend, err := e.batchTrend(pumpID, recs, e.baseline, 1)
 	if err != nil {
 		return nil, err
 	}
-	sort.Ints(validIdx)
-	days := make([]float64, 0, len(validIdx))
-	das := make([]float64, 0, len(validIdx))
-	for _, i := range validIdx {
-		rec := recs[i]
-		da, err := e.baseline.Da(rec)
-		if err != nil {
-			continue
-		}
-		days = append(days, rec.ServiceDays)
-		das = append(das, da)
+	for i := range trend {
+		trend[i].AgeDays = ageOf(pumpID, trend[i].AgeDays)
 	}
-	if len(days) == 0 {
-		return nil, fmt.Errorf("%w: pump %d has no valid measurements", ErrNoData, pumpID)
-	}
-	smoothed := preprocess.SmoothSeries(days, das, e.opts.SmoothingWindowDays)
-	out := make([]TrendPoint, len(days))
-	for i := range days {
-		out[i] = TrendPoint{AgeDays: ageOf(pumpID, days[i]), Da: smoothed[i]}
-	}
-	return out, nil
+	return trend, nil
 }
