@@ -38,12 +38,13 @@ race-stream:
 	$(GO) test -race -run 'TestLiveConcurrentIngestTrendCheckpoint|TestWarmFromWALReplay' -count=1 ./internal/stream/
 	$(GO) test -race -short -run 'TestLive' -count=1 .
 
-# The clustering suite under the race detector: the node-kill
-# crash-point sweep (acked ⊆ recovered cluster-wide after failover),
+# The clustering suite under the race detector: the node assembly's
+# restart tests, the node-kill crash-point sweep (acked ⊆ recovered
+# cluster-wide and live ≡ batch on every survivor after failover),
 # concurrent ingest across the routing/failover lock handoff, and the
 # replication mirror tests (-short bounds the sweep's trial count).
 race-cluster:
-	$(GO) test -race -short -run 'TestCluster|TestRouter|TestRing' -count=1 ./internal/cluster/
+	$(GO) test -race -short -run 'TestNode|TestCluster|TestRouter|TestRing' -count=1 ./internal/node/ ./internal/cluster/
 	$(GO) test -race -run 'TestMirror|TestOnFrame' -count=1 ./internal/store/
 
 # The parallel recovery pipeline under the race detector: the

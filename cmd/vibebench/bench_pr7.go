@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"vibepm/internal/cluster"
+	"vibepm/internal/node"
 	"vibepm/internal/store"
 )
 
 // benchSuitePR7 assembles the clustering cases: the consistent-hash
 // owner lookup every routed request pays, the full clustered ingest
-// (route + WAL frame + synchronous mirror ship + memory apply), and
-// the follower-side segment shipping in isolation. Together with
-// DurableAddUnique16 from the PR 5 suite they put a price on the
-// replication hop: ClusterIngest minus the single-node durable ingest
-// is what the follower guarantee costs per record.
+// (route + WAL frame + synchronous mirror ship + memory apply + live
+// fold + fault classify — members are full nodes), and the
+// follower-side segment shipping in isolation. SegmentShip is what the
+// follower guarantee costs per record; the rest of ClusterIngest is
+// what a single node's ingest seam pays too.
 func benchSuitePR7() []benchCase {
 	mkRec := func(rng *rand.Rand, pump int, day float64) *store.Record {
 		raw := make([]int16, 16)
@@ -45,9 +46,10 @@ func benchSuitePR7() []benchCase {
 			}
 		}},
 		{"ClusterIngest", func(b *testing.B) {
-			c, err := cluster.Open(b.TempDir(), []string{"n1", "n2", "n3"}, cluster.Options{
-				WAL: store.WALOptions{Policy: store.SyncNever},
-			})
+			c, err := cluster.Open(b.TempDir(), cluster.MemberNames(3), cluster.Options{Node: node.Options{
+				Faults:  true,
+				Durable: store.DurableOptions{WAL: store.WALOptions{Policy: store.SyncNever}},
+			}})
 			if err != nil {
 				b.Fatal(err)
 			}

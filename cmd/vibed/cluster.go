@@ -1,68 +1,60 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"vibepm/internal/cluster"
-	"vibepm/internal/obs"
-	"vibepm/internal/restapi"
-	"vibepm/internal/store"
+	"vibepm/internal/node"
 )
 
-// runClusterMode serves N in-process vibed-style nodes behind the
-// consistent-hash router: each node owns a hash range of the pump
-// space, logs its ingests to its own WAL, and ships every frame
-// synchronously to its follower's mirror. One listener fronts the
-// whole cluster; requests land on their pump's owner, and
-// /api/v1/cluster/status reports membership, the replication chain,
-// and shipping counters. Returns the process exit code.
-func runClusterMode(addr, walDir, fsyncPolicy string, nodes int, maxBodyBytes int64, ckptEvery, syncEvery time.Duration, logger *obs.Logger) int {
-	if walDir == "" {
+// runClusterMode serves N in-process full nodes, each opened from the
+// options a single vibed uses, behind the consistent-hash router of
+// internal/cluster: one listener, every request lands on its pump's
+// owner, and /api/v1/cluster/status reports membership, the replication
+// chain and shipping counters. Returns the process exit code.
+func runClusterMode(addr string, nodes int, member node.Options, ckptEvery, syncEvery time.Duration) int {
+	logger := member.Logger
+	if nodes < 2 {
+		fmt.Fprintln(os.Stderr, "-cluster needs at least 2 nodes")
+		return 2
+	}
+	// Members boot empty and untiered: sharding a corpus across the ring
+	// does not exist, and failover and the retarget bootstrap read only a
+	// member's hot store, so a tiered member would drop its cold records.
+	var refused []string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "data", "simulate", "seed", "tiered", "cold-dir", "retention", "hot-window-days", "partition-days":
+			refused = append(refused, "-"+f.Name)
+		}
+	})
+	if len(refused) > 0 {
+		fmt.Fprintf(os.Stderr, "-cluster cannot be combined with %s (members boot empty and untiered)\n", strings.Join(refused, ", "))
+		return 2
+	}
+	if member.Dir == "" {
 		fmt.Fprintln(os.Stderr, "-cluster needs -wal-dir (each node keeps its own WAL under it)")
 		return 2
 	}
-	policy, err := store.ParseSyncPolicy(fsyncPolicy)
+	c, err := cluster.Open(member.Dir, cluster.MemberNames(nodes), cluster.Options{Node: member})
 	if err != nil {
-		logger.Error("bad -fsync", "err", err)
-		return 2
-	}
-	names := make([]string, nodes)
-	for i := range names {
-		names[i] = fmt.Sprintf("n%d", i+1)
-	}
-	c, err := cluster.Open(walDir, names, cluster.Options{
-		WAL: store.WALOptions{Policy: policy},
-	})
-	if err != nil {
-		logger.Error("open cluster failed", "dir", walDir, "err", err)
+		logger.Error("open cluster failed", "dir", member.Dir, "err", err)
 		return 1
 	}
-	rt := cluster.NewRouter(c.Ring(), c.Status)
-	for _, name := range names {
-		n := c.Node(name)
-		d := n.Durable()
-		d.StartCheckpointLoop(ckptEvery, syncEvery, func(err error) {
-			logger.Warn("durable background maintenance", "node", name, "err", err)
-		})
-		api := restapi.New(d.Store(), nil, nil,
-			restapi.WithDurable(d),
-			restapi.WithMaxBodyBytes(maxBodyBytes))
-		rt.SetNode(name, api, "")
-	}
-	st := c.Status()
-	for _, ns := range st.Nodes {
+	for _, ns := range c.Status().Nodes {
+		c.Node(ns.Name).StartMaintenance(ckptEvery, syncEvery)
 		logger.Info("cluster node up", "node", ns.Name, "records", ns.Records, "ships_to", ns.ShipsTo)
 	}
-
-	logger.Info("cluster listening", "addr", addr, "nodes", nodes, "fsync", policy.String())
-	return serveUntilSignal(addr, rt, logger, func() error {
-		if err := c.Close(); err != nil {
+	logger.Info("cluster listening", "addr", addr, "nodes", nodes, "fsync", member.Durable.WAL.Policy.String())
+	return serveUntilSignal(addr, c.Router(), logger, func() error {
+		err := c.Close()
+		if err != nil {
 			logger.Error("cluster close", "err", err)
-			return err
 		}
-		logger.Info("cluster stopped cleanly")
-		return nil
-	})
+		return err
+	}, "cluster stopped cleanly")
 }

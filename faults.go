@@ -48,14 +48,6 @@ func (e *Engine) EnableFaults(def MachineSpec, opt FaultOptions) {
 	}
 }
 
-// DisableFaults switches fault classification off.
-func (e *Engine) DisableFaults() {
-	e.detector = nil
-	if e.live != nil {
-		e.live.SetFaultDetector(nil)
-	}
-}
-
 // FaultsEnabled reports whether fault classification is on.
 func (e *Engine) FaultsEnabled() bool { return e.detector != nil }
 

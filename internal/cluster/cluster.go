@@ -5,36 +5,35 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"vibepm/internal/node"
 	"vibepm/internal/store"
 )
 
 // Options parameterizes a cluster.
 type Options struct {
-	// VirtualNodes is the ring points per node (<= 0 = default).
-	VirtualNodes int
-	// WAL is the per-node WAL configuration. OnFrame/OnSeal are owned
-	// by the cluster (they carry replication) and must be nil.
-	WAL store.WALOptions
+	// Node is the template every member is opened from. The cluster
+	// owns Dir, the WAL's OnFrame/OnSeal (they carry replication) and
+	// WrapFile; members take no corpus and no tiering. Its
+	// Durable.ReplayWorkers also bounds the dead-primary mirror replay
+	// at failover.
+	Node node.Options
 	// WrapFileFor, when non-nil, supplies a per-node segment-file
 	// interposer — the chaos harness uses it to arm a crash budget on
 	// exactly one victim node.
 	WrapFileFor func(node string) func(path string, f *os.File) store.SegmentFile
-	// ReplayWorkers bounds recovery parallelism on every replay the
-	// cluster runs: node boot recovery and dead-primary mirror replay
-	// at failover. <= 0 means GOMAXPROCS; 1 forces sequential replay.
-	ReplayWorkers int
 }
 
-// Node is one cluster member: a durable store plus the replication
-// sink it ships WAL frames to. The sink lives on the node's follower.
+// Node is one cluster member: a full node plus the replication sink it
+// ships WAL frames to. The sink lives on the node's follower.
 type Node struct {
+	*node.Node
 	Name string
 	dir  string
-	d    *store.Durable
 
 	// sink is the follower-side mirror this node's OnFrame hook ships
 	// into; swapped atomically at retarget, nil when the node has no
@@ -50,20 +49,12 @@ type Node struct {
 	alive bool
 }
 
-// Durable exposes the node's durable store (reads, tests, metrics).
-func (n *Node) Durable() *store.Durable { return n.d }
-
-// Alive reports liveness at the caller's snapshot; the cluster mutex
-// is the authority during membership changes.
-func (n *Node) Alive() bool { return n.alive }
-
 // Cluster is N in-process nodes behind one consistent-hash ring.
 // Membership changes (Kill, failover) hold the write lock; ingest and
 // status hold the read lock, so routing decisions never interleave
 // with a promotion half-way through.
 type Cluster struct {
 	mu    sync.RWMutex
-	dir   string
 	ring  *Ring
 	nodes map[string]*Node
 	order []string // boot order; fixes the follower chain
@@ -73,9 +64,9 @@ type Cluster struct {
 // ErrNoNode is returned when routing finds no live owner for a key.
 var ErrNoNode = errors.New("cluster: no live node for key")
 
-// Open boots a cluster of len(names) nodes rooted at dir, each node a
-// durable store in dir/<name>, recovery included: existing node
-// directories replay their snapshot+WAL exactly as a single vibed
+// Open boots a cluster of len(names) nodes rooted at dir, each opened
+// by node.Open in dir/<name>, recovery and warm-up included: existing
+// node directories replay their snapshot+WAL exactly as a single vibed
 // would. With two or more nodes, node i synchronously replicates every
 // WAL frame to a mirror hosted on node i+1 (mod N, in boot order) —
 // an append is acked only after its frame reached both the local
@@ -84,8 +75,14 @@ func Open(dir string, names []string, opts Options) (*Cluster, error) {
 	if len(names) == 0 {
 		return nil, errors.New("cluster: no nodes")
 	}
-	if opts.WAL.OnFrame != nil || opts.WAL.OnSeal != nil {
+	if w := opts.Node.Durable.WAL; w.OnFrame != nil || w.OnSeal != nil {
 		return nil, errors.New("cluster: WAL OnFrame/OnSeal are cluster-owned")
+	}
+	// Union, failover and the retarget bootstrap read a member's hot
+	// store only, so a tiered member would silently lose its cold
+	// records; and one corpus cannot be shared by N stores.
+	if t := opts.Node; t.Measurements != nil || t.Labels != nil || t.Durable.Tiered != nil {
+		return nil, errors.New("cluster: members take no corpus and no tiering")
 	}
 	seen := make(map[string]struct{}, len(names))
 	for _, name := range names {
@@ -98,8 +95,7 @@ func Open(dir string, names []string, opts Options) (*Cluster, error) {
 		seen[name] = struct{}{}
 	}
 	c := &Cluster{
-		dir:   dir,
-		ring:  NewRing(opts.VirtualNodes),
+		ring:  NewRing(DefaultVirtualNodes),
 		nodes: make(map[string]*Node, len(names)),
 		order: append([]string(nil), names...),
 		opts:  opts,
@@ -129,7 +125,12 @@ func Open(dir string, names []string, opts Options) (*Cluster, error) {
 	}
 	for _, name := range names {
 		n := c.nodes[name]
-		wopts := opts.WAL
+		nopts := opts.Node
+		nopts.Dir = n.dir
+		if nopts.Logger != nil {
+			nopts.Logger = nopts.Logger.With("node", name)
+		}
+		wopts := &nopts.Durable.WAL
 		if opts.WrapFileFor != nil {
 			wopts.WrapFile = opts.WrapFileFor(name)
 		}
@@ -147,15 +148,24 @@ func Open(dir string, names []string, opts Options) (*Cluster, error) {
 				_ = s.Seal(seg)
 			}
 		}
-		d, _, err := store.OpenDurable(n.dir, store.DurableOptions{WAL: wopts, ReplayWorkers: opts.ReplayWorkers})
+		opened, err := node.Open(nopts)
 		if err != nil {
 			c.abortAll()
 			return nil, fmt.Errorf("cluster: open node %s: %w", name, err)
 		}
-		n.d = d
+		n.Node = opened
 	}
 	metLiveNodes.Set(float64(len(names)))
 	return c, nil
+}
+
+// MemberNames returns the conventional member names n1..nN.
+func MemberNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i+1)
+	}
+	return names
 }
 
 // mirrorDir is where a host node keeps its mirror of src's WAL.
@@ -163,29 +173,16 @@ func mirrorDir(hostDir, src string) string {
 	return filepath.Join(hostDir, "mirrors", src)
 }
 
-// Ring exposes the routing ring (shared with the HTTP router).
-func (c *Cluster) Ring() *Ring { return c.ring }
+// Node returns a member by name (nil if unknown). The member set is
+// fixed at Open, so the lookup takes no lock.
+func (c *Cluster) Node(name string) *Node { return c.nodes[name] }
 
-// Dir returns the cluster root directory.
-func (c *Cluster) Dir() string { return c.dir }
-
-// Node returns a member by name (nil if unknown).
-func (c *Cluster) Node(name string) *Node {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.nodes[name]
-}
-
-// Owner returns the live node owning pump, or "" when none.
-func (c *Cluster) Owner(pump int) string {
-	return c.ring.Route(pump)
-}
-
-// Ingest routes rec to its owning node and appends it durably there,
-// returning the owner's name and whether the record landed (false =
-// idempotent duplicate). The nil-error contract is the single-node
-// one, now cluster-wide: the record's WAL frame reached the owner's
-// segment file and its follower's mirror before the ack.
+// Ingest routes rec to its owning node and ingests it there — durable
+// append, then fold — returning the owner's name and whether the
+// record landed (false = idempotent duplicate). The nil-error contract
+// is the single-node one, now cluster-wide: the record's WAL frame
+// reached the owner's segment file and its follower's mirror before
+// the ack.
 func (c *Cluster) Ingest(rec *store.Record) (string, bool, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -194,55 +191,22 @@ func (c *Cluster) Ingest(rec *store.Record) (string, bool, error) {
 	if n == nil || !n.alive {
 		return owner, false, ErrNoNode
 	}
-	stored, err := n.d.AddUnique(rec)
+	stored, err := n.Ingest(rec)
 	return owner, stored, err
 }
 
-// nextLiveLocked returns the first live node strictly after name in
-// the boot-order chain, excluding any in skip. "" when none.
-func (c *Cluster) nextLiveLocked(name string, skip ...string) string {
-	idx := -1
-	for i, o := range c.order {
-		if o == name {
-			idx = i
-			break
-		}
-	}
+// liveNeighbourLocked returns the first live node strictly after
+// (dir +1) or before (dir -1) name in the boot-order chain — a node's
+// follower, or the node whose sink it hosts. "" when none.
+func (c *Cluster) liveNeighbourLocked(name string, dir int) string {
+	idx := slices.Index(c.order, name)
 	if idx < 0 {
 		return ""
 	}
-scan:
-	for step := 1; step < len(c.order); step++ {
-		cand := c.order[(idx+step)%len(c.order)]
-		if n := c.nodes[cand]; n == nil || !n.alive {
-			continue
-		}
-		for _, s := range skip {
-			if cand == s {
-				continue scan
-			}
-		}
-		return cand
-	}
-	return ""
-}
-
-// prevLiveLocked returns the first live node strictly before name in
-// the chain — the node whose sink was hosted on name.
-func (c *Cluster) prevLiveLocked(name string) string {
-	idx := -1
-	for i, o := range c.order {
-		if o == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return ""
-	}
-	for step := 1; step < len(c.order); step++ {
-		cand := c.order[(idx-step+len(c.order))%len(c.order)]
-		if n := c.nodes[cand]; n != nil && n.alive {
+	n := len(c.order)
+	for step := 1; step < n; step++ {
+		cand := c.order[((idx+dir*step)%n+n)%n]
+		if c.nodes[cand].alive {
 			return cand
 		}
 	}
@@ -276,8 +240,8 @@ type FailoverStats struct {
 
 // Kill marks a node dead, removes it from the ring, and runs failover:
 // the dead node's follower replays its hosted mirror and redistributes
-// every record to its post-removal owner via the normal durable ingest
-// path (re-logged, re-replicated), and any node whose sink lived on
+// every record to its post-removal owner via the normal ingest path
+// (re-logged, re-replicated, folded), and any node whose sink lived on
 // the corpse is retargeted to a fresh mirror on its next live follower
 // — seeded with the node's full store so the new follower could itself
 // drive a future promotion. Kill on a dead or unknown node is an
@@ -294,14 +258,14 @@ func (c *Cluster) Kill(name string) (FailoverStats, error) {
 		return stats, fmt.Errorf("cluster: node %q already dead", name)
 	}
 	n.alive = false
-	n.d.Abort()
+	n.Abort()
 	n.sink.Store(nil)
 	n.sinkHost = ""
 	c.ring.Remove(name)
-	metLiveNodes.Set(float64(c.liveCountLocked()))
+	metLiveNodes.Set(float64(len(c.ring.Nodes()))) // the ring holds exactly the live members
 	metFailovers.Inc()
 
-	follower := c.nextLiveLocked(name)
+	follower := c.liveNeighbourLocked(name, +1)
 	stats.Follower = follower
 	if follower == "" {
 		return stats, nil
@@ -326,7 +290,7 @@ func (c *Cluster) Kill(name string) (FailoverStats, error) {
 			if on == nil || !on.alive {
 				return fmt.Errorf("cluster: no live owner for pump %d", rec.PumpID)
 			}
-			stored, err := on.d.AddUnique(rec)
+			stored, err := on.Ingest(rec)
 			if err != nil {
 				return err
 			}
@@ -335,7 +299,7 @@ func (c *Cluster) Kill(name string) (FailoverStats, error) {
 				metFailoverRecords.Inc()
 			}
 			return nil
-		}, c.opts.ReplayWorkers)
+		}, c.opts.Node.Durable.ReplayWorkers)
 		if err != nil {
 			return stats, fmt.Errorf("cluster: promote %s from %s: %w", name, follower, err)
 		}
@@ -345,12 +309,12 @@ func (c *Cluster) Kill(name string) (FailoverStats, error) {
 	// Retarget: the dead node hosted its predecessor's sink; give that
 	// predecessor a fresh mirror on its next live follower, seeded with
 	// its current store so the chain's cover is complete again.
-	pred := c.prevLiveLocked(name)
+	pred := c.liveNeighbourLocked(name, -1)
 	if pred != "" && c.nodes[pred].sinkHost == name {
 		pn := c.nodes[pred]
 		pn.sink.Store(nil)
 		pn.sinkHost = ""
-		next := c.nextLiveLocked(pred)
+		next := c.liveNeighbourLocked(pred, +1)
 		if next != "" && next != pred {
 			nn := c.nodes[next]
 			m, err := store.NewSegmentMirror(mirrorDir(nn.dir, pred))
@@ -361,8 +325,8 @@ func (c *Cluster) Kill(name string) (FailoverStats, error) {
 			// and ship it through AppendRecords — byte-identical frames to
 			// the old per-record loop, at ~1 MiB per syscall instead of
 			// one Write (and one mirror lock round-trip) per record.
-			seg := pn.d.WAL().Segment()
-			ps := pn.d.Store()
+			seg := pn.Durable.WAL().Segment()
+			ps := pn.Store
 			var seed []*store.Record
 			for _, id := range ps.Pumps() {
 				seed = append(seed, ps.All(id)...)
@@ -384,16 +348,6 @@ func (c *Cluster) Kill(name string) (FailoverStats, error) {
 	return stats, nil
 }
 
-func (c *Cluster) liveCountLocked() int {
-	live := 0
-	for _, n := range c.nodes {
-		if n.alive {
-			live++
-		}
-	}
-	return live
-}
-
 // Union merges every live node's store into one canonical view — the
 // cluster-wide record set the chaos harness compares against the acked
 // stream. Records are AddUnique'd, so a record present on two nodes
@@ -407,7 +361,7 @@ func (c *Cluster) Union() *store.Measurements {
 		if n == nil || !n.alive {
 			continue
 		}
-		s := n.d.Store()
+		s := n.Store
 		for _, id := range s.Pumps() {
 			for _, rec := range s.All(id) {
 				u.AddUnique(rec)
@@ -446,8 +400,8 @@ func (c *Cluster) Status() Status {
 		ns := NodeStatus{Name: name, Alive: n.alive}
 		if n.alive {
 			st.Live++
-			ns.Records = n.d.Store().Len()
-			ns.WALSegment = n.d.WAL().Segment()
+			ns.Records = n.Store.Len()
+			ns.WALSegment = n.Durable.WAL().Segment()
 			ns.ShipsTo = n.sinkHost
 			if s := n.sink.Load(); s != nil {
 				ns.FramesShipped = s.FramesShipped()
@@ -475,7 +429,7 @@ func (c *Cluster) Close() error {
 			continue
 		}
 		n.alive = false
-		if err := n.d.Close(); err != nil && first == nil {
+		if err := n.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -493,8 +447,8 @@ func (c *Cluster) Close() error {
 // abortAll tears down a half-open cluster without checkpoints.
 func (c *Cluster) abortAll() {
 	for _, n := range c.nodes {
-		if n.d != nil {
-			n.d.Abort()
+		if n.Node != nil {
+			n.Abort()
 		}
 		for _, m := range n.hosted {
 			m.Close()

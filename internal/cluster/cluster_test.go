@@ -6,8 +6,15 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vibepm/internal/node"
 	"vibepm/internal/store"
 )
+
+// memberWAL is the cluster options of the tests: default members over
+// the given WAL configuration.
+func memberWAL(w store.WALOptions) Options {
+	return Options{Node: node.Options{Durable: store.DurableOptions{WAL: w}}}
+}
 
 // ingestN pushes n seeded records through the cluster, returning the
 // acked records. off shifts the generated key range so successive
@@ -34,7 +41,7 @@ func ingestN(t *testing.T, c *Cluster, seed int64, off, n int) []*store.Record {
 // TestClusterIngestRoutesByRing: every record lands on the node the
 // ring names, and nowhere else.
 func TestClusterIngestRoutesByRing(t *testing.T) {
-	c, err := Open(t.TempDir(), trialNames(3), Options{WAL: store.WALOptions{Policy: store.SyncNever}})
+	c, err := Open(t.TempDir(), MemberNames(3), memberWAL(store.WALOptions{Policy: store.SyncNever}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +53,12 @@ func TestClusterIngestRoutesByRing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
-		if want := c.Ring().Route(rec.PumpID); owner != want {
+		if want := c.ring.Route(rec.PumpID); owner != want {
 			t.Fatalf("record %d: acked by %q, ring owner %q", i, owner, want)
 		}
-		for _, name := range trialNames(3) {
+		for _, name := range MemberNames(3) {
 			n := c.Node(name)
-			got := len(n.Durable().Store().Query(rec.PumpID, rec.ServiceDays, rec.ServiceDays))
+			got := len(n.Store.Query(rec.PumpID, rec.ServiceDays, rec.ServiceDays))
 			if name == owner && got != 1 {
 				t.Fatalf("record %d: owner %s holds %d copies", i, owner, got)
 			}
@@ -67,18 +74,18 @@ func TestClusterIngestRoutesByRing(t *testing.T) {
 // alone reconstructs every record the owner acked.
 func TestClusterSynchronousReplication(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, trialNames(2), Options{WAL: store.WALOptions{Policy: store.SyncNever}})
+	c, err := Open(dir, MemberNames(2), memberWAL(store.WALOptions{Policy: store.SyncNever}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.abortAll()
 	acked := ingestN(t, c, 2, 0, 80)
 
-	for _, name := range trialNames(2) {
+	for _, name := range MemberNames(2) {
 		n := c.Node(name)
 		ownRecs := make([]*store.Record, 0)
 		for _, rec := range acked {
-			if c.Ring().Route(rec.PumpID) == name {
+			if c.ring.Route(rec.PumpID) == name {
 				ownRecs = append(ownRecs, rec)
 			}
 		}
@@ -107,7 +114,7 @@ func TestClusterSynchronousReplication(t *testing.T) {
 // the follower promotes its mirror and the cluster union still equals
 // the full acked stream; records reroute to live owners afterwards.
 func TestClusterCleanKillFailover(t *testing.T) {
-	c, err := Open(t.TempDir(), trialNames(3), Options{WAL: store.WALOptions{Policy: store.SyncNever}})
+	c, err := Open(t.TempDir(), MemberNames(3), memberWAL(store.WALOptions{Policy: store.SyncNever}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +136,7 @@ func TestClusterCleanKillFailover(t *testing.T) {
 		t.Fatalf("after failover: %v", err)
 	}
 	for pump := 0; pump < 64; pump++ {
-		if got := c.Ring().Route(pump); got == victim {
+		if got := c.ring.Route(pump); got == victim {
 			t.Fatalf("pump %d still routed to the corpse", pump)
 		}
 	}
@@ -151,7 +158,7 @@ func TestClusterCleanKillFailover(t *testing.T) {
 // its sink is re-homed and seeded; killing the node itself afterwards
 // must still lose nothing — the fresh mirror carries the full store.
 func TestClusterRetargetAfterFollowerDeath(t *testing.T) {
-	c, err := Open(t.TempDir(), trialNames(3), Options{WAL: store.WALOptions{Policy: store.SyncNever}})
+	c, err := Open(t.TempDir(), MemberNames(3), memberWAL(store.WALOptions{Policy: store.SyncNever}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +177,8 @@ func TestClusterRetargetAfterFollowerDeath(t *testing.T) {
 	if n1.sinkHost != "n3" {
 		t.Fatalf("n1 ships to %q after retarget, want n3", n1.sinkHost)
 	}
-	if fo.BootstrapRecords != n1.Durable().Store().Len() {
-		t.Fatalf("bootstrap seeded %d records, n1 holds %d", fo.BootstrapRecords, n1.Durable().Store().Len())
+	if fo.BootstrapRecords != n1.Store.Len() {
+		t.Fatalf("bootstrap seeded %d records, n1 holds %d", fo.BootstrapRecords, n1.Store.Len())
 	}
 
 	// Now kill n1: only the retargeted mirror on n3 can save its data.
@@ -187,7 +194,7 @@ func TestClusterRetargetAfterFollowerDeath(t *testing.T) {
 // follower and the union goes empty — data is gone, and the API says
 // so instead of pretending.
 func TestClusterLastNodeDiesDark(t *testing.T) {
-	c, err := Open(t.TempDir(), trialNames(2), Options{WAL: store.WALOptions{Policy: store.SyncNever}})
+	c, err := Open(t.TempDir(), MemberNames(2), memberWAL(store.WALOptions{Policy: store.SyncNever}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +223,8 @@ func TestClusterLastNodeDiesDark(t *testing.T) {
 // from disk with identical cluster-wide contents.
 func TestClusterReopenRecoversUnion(t *testing.T) {
 	dir := t.TempDir()
-	names := trialNames(3)
-	c, err := Open(dir, names, Options{WAL: store.WALOptions{Policy: store.SyncNever}})
+	names := MemberNames(3)
+	c, err := Open(dir, names, memberWAL(store.WALOptions{Policy: store.SyncNever}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +232,7 @@ func TestClusterReopenRecoversUnion(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Open(dir, names, Options{WAL: store.WALOptions{Policy: store.SyncNever}})
+	again, err := Open(dir, names, memberWAL(store.WALOptions{Policy: store.SyncNever}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +245,7 @@ func TestClusterReopenRecoversUnion(t *testing.T) {
 // TestClusterStatus: the status report names every member, the chain,
 // and the shipping counters.
 func TestClusterStatus(t *testing.T) {
-	c, err := Open(t.TempDir(), trialNames(3), Options{WAL: store.WALOptions{Policy: store.SyncNever}})
+	c, err := Open(t.TempDir(), MemberNames(3), memberWAL(store.WALOptions{Policy: store.SyncNever}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +300,22 @@ func TestClusterOpenValidation(t *testing.T) {
 	if _, err := Open(dir, []string{""}, Options{}); err == nil {
 		t.Fatal("empty name: want error")
 	}
-	if _, err := Open(dir, []string{"a"}, Options{
-		WAL: store.WALOptions{OnFrame: func(int, []byte) error { return nil }},
-	}); err == nil {
+	if _, err := Open(dir, []string{"a"}, memberWAL(store.WALOptions{OnFrame: func(int, []byte) error { return nil }})); err == nil {
 		t.Fatal("caller-set OnFrame: want error")
 	}
+	// What a member cannot honour is refused, not dropped: failover
+	// reads the hot store only, and N stores cannot share one corpus.
+	for what, tmpl := range map[string]node.Options{
+		"tiering": {Durable: store.DurableOptions{Tiered: &store.TieredOptions{}}},
+		"corpus":  {Measurements: store.NewMeasurements()},
+		"labels":  {Labels: store.NewLabels()},
+	} {
+		if _, err := Open(dir, []string{"a", "b"}, Options{Node: tmpl}); err == nil {
+			t.Fatalf("member template with %s: want error", what)
+		}
+	}
 	// Single node: no replication, but ingest works.
-	c, err := Open(filepath.Join(dir, "solo"), []string{"a"}, Options{WAL: store.WALOptions{Policy: store.SyncNever}})
+	c, err := Open(filepath.Join(dir, "solo"), []string{"a"}, memberWAL(store.WALOptions{Policy: store.SyncNever}))
 	if err != nil {
 		t.Fatal(err)
 	}

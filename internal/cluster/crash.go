@@ -2,34 +2,34 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"reflect"
 
 	"vibepm/internal/chaos"
+	"vibepm/internal/feature"
+	"vibepm/internal/node"
 	"vibepm/internal/store"
+	"vibepm/internal/transform"
 )
 
 // ClusterCrashConfig parameterizes one node-kill crash trial.
 type ClusterCrashConfig struct {
 	// Dir is the cluster root (one per trial).
 	Dir string
-	// Nodes is the member count (default 3, minimum 2 — a one-node
-	// cluster has no follower to promote).
-	Nodes int
 	// Seed fixes the generated record stream.
 	Seed int64
 	// Records is how many ingests the trial attempts.
 	Records int
-	// Victim names the node whose local WAL byte stream is cut; ""
-	// picks the first node. The budget wraps only the victim's own
-	// segment files — mirror writes on the follower are real — so the
-	// crash point is a deterministic function of the victim's appends.
-	Victim string
 	// CrashAfterBytes cuts the victim's WAL at this byte offset
 	// (headers included); <= 0 runs the stream to completion with no
-	// crash (the probe mode the sweep uses to size its offsets).
+	// crash (the probe mode the sweep uses to size its offsets). The
+	// victim is the first of the trial's three members. The budget wraps
+	// only its own segment files — mirror writes on the follower are
+	// real — so the crash point is a deterministic function of the
+	// victim's appends.
 	CrashAfterBytes int64
 	// SegmentBytes sets every node's WAL rotation threshold (0 =
 	// default). Small values make crash offsets land on rotations and
@@ -92,15 +92,6 @@ func clusterTrialRecord(rng *rand.Rand, i int) *store.Record {
 	}
 }
 
-// trialNames returns the member names n1..nN.
-func trialNames(n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("n%d", i+1)
-	}
-	return names
-}
-
 // RunClusterCrashTrial ingests a seeded record stream into an N-node
 // cluster whose victim node's WAL is cut at an injected byte offset.
 // The moment an ingest fails on the armed crash, the victim is killed
@@ -116,29 +107,24 @@ func trialNames(n int) []string {
 // the trial could not run).
 func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 	var res ClusterCrashResult
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 3
-	}
-	if cfg.Nodes < 2 {
-		return res, errors.New("cluster: crash trial needs at least 2 nodes")
-	}
-	names := trialNames(cfg.Nodes)
-	victim := cfg.Victim
-	if victim == "" {
-		victim = names[0]
-	}
+	names := MemberNames(3)
+	victim := names[0]
 	budget := chaos.NewCrashBudget(cfg.CrashAfterBytes)
+	// Members classify faults like a default vibed, so the live ≡ batch
+	// check below covers the fault status too.
+	member := node.Options{Faults: true, Durable: store.DurableOptions{
+		WAL:           store.WALOptions{SegmentBytes: cfg.SegmentBytes, Policy: cfg.Policy},
+		ReplayWorkers: cfg.ReplayWorkers,
+	}}
 	c, err := Open(cfg.Dir, names, Options{
-		WAL: store.WALOptions{SegmentBytes: cfg.SegmentBytes, Policy: cfg.Policy},
-		WrapFileFor: func(node string) func(string, *os.File) store.SegmentFile {
-			if node == victim {
+		Node: member,
+		WrapFileFor: func(name string) func(string, *os.File) store.SegmentFile {
+			if name == victim {
 				return budget.Wrap
 			}
 			return nil
 		},
-		ReplayWorkers: cfg.ReplayWorkers,
 	})
-	killed := false
 	if err != nil {
 		if !budget.Crashed() {
 			return res, fmt.Errorf("open cluster: %w", err)
@@ -147,17 +133,7 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 		// the node died at boot and the cluster forms without it. Nothing
 		// was acked there, and no mirror exists to promote.
 		res.Victim = victim
-		killed = true
-		survivors := make([]string, 0, len(names))
-		for _, n := range names {
-			if n != victim {
-				survivors = append(survivors, n)
-			}
-		}
-		c, err = Open(cfg.Dir, survivors, Options{
-			WAL:           store.WALOptions{SegmentBytes: cfg.SegmentBytes, Policy: cfg.Policy},
-			ReplayWorkers: cfg.ReplayWorkers,
-		})
+		c, err = Open(cfg.Dir, names[1:], Options{Node: member})
 		if err != nil {
 			return res, fmt.Errorf("open cluster without victim: %w", err)
 		}
@@ -165,12 +141,12 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 	defer func() { c.abortAll() }()
 
 	// killVictim runs the operator's move once the armed node is seen
-	// failing: kill it and let the follower promote.
+	// failing: kill it and let the follower promote. res.Victim records
+	// that it is already dead.
 	killVictim := func() error {
-		if killed {
+		if res.Victim != "" {
 			return nil
 		}
-		killed = true
 		res.Victim = victim
 		fo, err := c.Kill(victim)
 		if err != nil {
@@ -181,7 +157,7 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var acked, attempted, failed []*store.Record
+	var acked, attempted []*store.Record
 	for i := 0; i < cfg.Records; i++ {
 		rec := clusterTrialRecord(rng, i)
 		attempted = append(attempted, rec)
@@ -191,7 +167,6 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 			if !budget.Crashed() {
 				return res, fmt.Errorf("ingest %d: %w", i, err)
 			}
-			failed = append(failed, rec)
 			res.Failed++
 			if err := killVictim(); err != nil {
 				return res, err
@@ -209,7 +184,7 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 
 	// The budget can fire on the victim's very last frame with no later
 	// ingest routed there; the sweep still wants the failover exercised.
-	if res.Crashed && !killed {
+	if res.Crashed && res.Victim == "" {
 		if err := killVictim(); err != nil {
 			return res, err
 		}
@@ -223,6 +198,9 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 	if err := containedIn(union, attempted, "recovered", "attempted"); err != nil {
 		return res, err
 	}
+	if err := liveEqualsBatch(c); err != nil {
+		return res, fmt.Errorf("after failover: %w", err)
+	}
 
 	if cfg.Reingest {
 		for i, rec := range attempted {
@@ -231,7 +209,7 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 				// landed exactly on the last byte of the main stream) fires
 				// on the first re-ingested duplicate instead; the operator
 				// story is the same — kill, promote, retry.
-				if !budget.Crashed() || killed {
+				if !budget.Crashed() || res.Victim != "" {
 					return res, fmt.Errorf("re-ingest %d: %w", i, err)
 				}
 				if err := killVictim(); err != nil {
@@ -246,23 +224,21 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 		if err := storesEqual(union, attempted); err != nil {
 			return res, fmt.Errorf("after re-ingest: %w", err)
 		}
+		if err := liveEqualsBatch(c); err != nil {
+			return res, fmt.Errorf("after re-ingest: %w", err)
+		}
 	}
 
 	if cfg.Reopen {
 		want := c.Union()
-		survivors := make([]string, 0, len(names))
-		for _, n := range names {
-			if n != res.Victim {
-				survivors = append(survivors, n)
-			}
+		survivors := names
+		if res.Victim != "" {
+			survivors = names[1:]
 		}
 		if err := c.Close(); err != nil {
 			return res, fmt.Errorf("clean close: %w", err)
 		}
-		again, err := Open(cfg.Dir, survivors, Options{
-			WAL:           store.WALOptions{SegmentBytes: cfg.SegmentBytes, Policy: cfg.Policy},
-			ReplayWorkers: cfg.ReplayWorkers,
-		})
+		again, err := Open(cfg.Dir, survivors, Options{Node: member})
 		if err != nil {
 			return res, fmt.Errorf("reopen cluster: %w", err)
 		}
@@ -271,8 +247,54 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 		if err := storesSameBytes(got, want, "reopened", "pre-close"); err != nil {
 			return res, err
 		}
+		if err := liveEqualsBatch(again); err != nil {
+			return res, fmt.Errorf("after reopen: %w", err)
+		}
 	}
 	return res, nil
+}
+
+// liveEqualsBatch asserts the live ≡ batch contract on every surviving
+// member: each stored record was folded at its ack — routed ingest and
+// failover adoption alike — and never since (the live state holds
+// exactly the store's records before any query could fold one
+// lazily), every record's live trend scalars are bit-identical to the
+// batch transforms over the member's store, and each pump's fault
+// status equals a fresh detector pass over its latest record.
+func liveEqualsBatch(c *Cluster) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	det := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{})
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, name := range c.order {
+		n := c.nodes[name]
+		if !n.alive {
+			continue
+		}
+		s, live := n.Store, n.Live
+		if live.Size() != s.Len() {
+			return fmt.Errorf("node %s: live state holds %d folded records, store holds %d", name, live.Size(), s.Len())
+		}
+		rms, _ := live.MetricFunc("rms")
+		vrms, _ := live.MetricFunc("vrms")
+		for _, id := range s.Pumps() {
+			for _, rec := range s.All(id) {
+				wantV := transform.VelocityRMS(rec, transform.ISOBandLoHz, transform.ISOBandHiHz)
+				if !same(rms(rec), transform.RMS(rec)) || !same(vrms(rec), wantV) {
+					return fmt.Errorf("node %s pump %d t=%g: live trend point differs from batch", name, id, rec.ServiceDays)
+				}
+			}
+			got, err := n.Engine.FaultStatus(id)
+			if err != nil {
+				return fmt.Errorf("node %s pump %d: fault status: %w", name, id, err)
+			}
+			latest := s.Latest(id)
+			if want := det.Detect(latest); got.ServiceDays != latest.ServiceDays || !reflect.DeepEqual(got.FaultReport, want) {
+				return fmt.Errorf("node %s pump %d: live fault status %+v differs from a fresh detector pass %+v", name, id, got.FaultReport, want)
+			}
+		}
+	}
+	return nil
 }
 
 // subsetEqual asserts every record in want appears in got with

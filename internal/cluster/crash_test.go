@@ -21,7 +21,6 @@ import (
 // convergence) or reboot the surviving cluster from disk.
 func TestClusterNodeKillSweep(t *testing.T) {
 	base := ClusterCrashConfig{
-		Nodes:        3,
 		Seed:         42,
 		Records:      48,
 		SegmentBytes: 1 << 11, // small segments: crashes hit rotations, mirrors switch files
@@ -117,7 +116,6 @@ func TestClusterCrashTrialDeterminism(t *testing.T) {
 	run := func() (ClusterCrashResult, error) {
 		return RunClusterCrashTrial(ClusterCrashConfig{
 			Dir:             t.TempDir(),
-			Nodes:           3,
 			Seed:            17,
 			Records:         40,
 			CrashAfterBytes: 800,
@@ -153,7 +151,6 @@ func TestClusterCrashParallelReplayMatchesSequential(t *testing.T) {
 		run := func(workers int) ClusterCrashResult {
 			res, err := RunClusterCrashTrial(ClusterCrashConfig{
 				Dir:             t.TempDir(),
-				Nodes:           3,
 				Seed:            23,
 				Records:         44,
 				CrashAfterBytes: off,
@@ -187,15 +184,14 @@ func TestClusterCrashConcurrentIngest(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		victim := "n1"
 		budget := chaos.NewCrashBudget(int64(2000 + 700*trial))
-		c, err := Open(t.TempDir(), trialNames(3), Options{
-			WAL: store.WALOptions{SegmentBytes: 1 << 11, Policy: store.SyncAlways},
-			WrapFileFor: func(node string) func(string, *os.File) store.SegmentFile {
-				if node == victim {
-					return budget.Wrap
-				}
-				return nil
-			},
-		})
+		opts := memberWAL(store.WALOptions{SegmentBytes: 1 << 11, Policy: store.SyncAlways})
+		opts.WrapFileFor = func(node string) func(string, *os.File) store.SegmentFile {
+			if node == victim {
+				return budget.Wrap
+			}
+			return nil
+		}
+		c, err := Open(t.TempDir(), MemberNames(3), opts)
 		if err != nil {
 			t.Fatalf("trial %d: open: %v", trial, err)
 		}

@@ -13,5 +13,4 @@ var (
 	metFailovers       = obs.Default.Counter("vibepm_cluster_failovers_total")
 	metFailoverRecords = obs.Default.Counter("vibepm_cluster_failover_records_redistributed_total")
 	metForwards        = obs.Default.Counter("vibepm_cluster_router_forwards_total")
-	metRedirects       = obs.Default.Counter("vibepm_cluster_router_redirects_total")
 )

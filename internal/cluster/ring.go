@@ -161,13 +161,6 @@ func (r *Ring) Nodes() []string {
 	return out
 }
 
-// Len returns the number of member nodes.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
-
 // Route returns the node owning pump. The empty string means the ring
 // is empty.
 func (r *Ring) Route(pump int) string {

@@ -8,64 +8,37 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
+
+	"vibepm/internal/restapi"
 )
 
 // NodeHeader is set on every routed response so load generators and
 // operators can attribute a request to the member that served it.
 const NodeHeader = "X-Vibepm-Node"
 
-// routerTarget is one routable member: an in-process handler (forward)
-// or an advertised base URL (307 redirect). Handler wins when both are
-// set.
-type routerTarget struct {
-	handler http.Handler
-	baseURL string
-}
-
 // Router is the thin routing tier in front of a cluster: it reads the
 // pump id out of each request (the {id} path segment, or the pump_id
-// field of an ingest body) and hands the request to the ring owner —
-// dispatching in process when the owner is local, answering 307 with
-// the owner's URL when it is remote. Requests with no pump affinity
-// (fleet listings, health, metrics) go to a deterministic live member.
-// The router holds no data of its own; killing it loses nothing.
+// field of an ingest body) and dispatches the request to the ring
+// owner's handler. Requests with no pump affinity (fleet listings,
+// health, metrics) go to a deterministic live member, and are answered
+// from that one member's view. The router holds no data of its own;
+// killing it loses nothing.
 type Router struct {
-	ring   *Ring
-	status func() Status // nil disables /api/v1/cluster/status
-
-	mu      sync.RWMutex
-	targets map[string]routerTarget
-
+	c *Cluster
+	// maxBodyBytes is the members' ingest body cap: the router buffers
+	// an ingest body to find its pump id, so it bounds it exactly as
+	// the member will.
 	maxBodyBytes int64
 }
 
-// NewRouter builds a router over ring. status, when non-nil, is served
-// at GET /api/v1/cluster/status (vibectl's `cluster status` endpoint).
-func NewRouter(ring *Ring, status func() Status) *Router {
-	return &Router{
-		ring:         ring,
-		status:       status,
-		targets:      make(map[string]routerTarget),
-		maxBodyBytes: 8 << 20,
+// Router returns the routing tier over the cluster's members. It also
+// serves GET /api/v1/cluster/status (vibectl's `cluster status`).
+func (c *Cluster) Router() *Router {
+	maxBody := c.opts.Node.MaxBodyBytes
+	if maxBody <= 0 {
+		maxBody = restapi.DefaultMaxBodyBytes
 	}
-}
-
-// SetNode registers (or replaces) a member's target. handler non-nil
-// marks the member local; baseURL is its externally reachable root
-// (e.g. "http://node1:8080") for redirect mode.
-func (rt *Router) SetNode(name string, handler http.Handler, baseURL string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.targets[name] = routerTarget{handler: handler, baseURL: strings.TrimRight(baseURL, "/")}
-}
-
-// RemoveNode drops a dead member. The ring is managed by the cluster
-// (or the caller); this only forgets the dispatch target.
-func (rt *Router) RemoveNode(name string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	delete(rt.targets, name)
+	return &Router{c: c, maxBodyBytes: maxBody}
 }
 
 // pumpFromPath extracts the {id} of /api/v1/pumps/{id}/... paths.
@@ -83,7 +56,7 @@ func pumpFromPath(path string) (int, bool) {
 	return id, true
 }
 
-// routerErr writes a minimal JSON error without pulling in restapi.
+// routerErr writes a minimal JSON error.
 func routerErr(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -92,10 +65,9 @@ func routerErr(w http.ResponseWriter, code int, msg string) {
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if rt.status != nil && r.Method == http.MethodGet && r.URL.Path == "/api/v1/cluster/status" {
-		st := rt.status()
+	if r.Method == http.MethodGet && r.URL.Path == "/api/v1/cluster/status" {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(st)
+		json.NewEncoder(w).Encode(rt.c.Status())
 		return
 	}
 
@@ -103,7 +75,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/api/v1/measurements":
 		// The pump id lives in the body; buffer it (bounded — the same
-		// cap restapi enforces) so the owning node can re-read it.
+		// cap the member enforces) so the owning node can re-read it.
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.maxBodyBytes))
 		if err != nil {
 			// Only the byte-cap error is 413; everything else (client
@@ -126,14 +98,14 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		r.ContentLength = int64(len(body))
-		owner = rt.ring.Route(*peek.PumpID)
+		owner = rt.c.ring.Route(*peek.PumpID)
 	default:
 		if id, ok := pumpFromPath(r.URL.Path); ok {
-			owner = rt.ring.Route(id)
+			owner = rt.c.ring.Route(id)
 		} else {
 			// No pump affinity: pin the path to a member so repeated
 			// requests (and their response caches) stay put.
-			owner = rt.ring.RouteKey(r.URL.Path)
+			owner = rt.c.ring.RouteKey(r.URL.Path)
 		}
 	}
 	if owner == "" {
@@ -141,27 +113,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rt.mu.RLock()
-	target, ok := rt.targets[owner]
-	rt.mu.RUnlock()
-	if !ok {
-		routerErr(w, http.StatusServiceUnavailable, "owner "+owner+" has no route target")
-		return
-	}
 	w.Header().Set(NodeHeader, owner)
-	if target.handler != nil {
-		metForwards.Inc()
-		target.handler.ServeHTTP(w, r)
-		return
-	}
-	if target.baseURL == "" {
-		routerErr(w, http.StatusServiceUnavailable, "owner "+owner+" unreachable")
-		return
-	}
-	metRedirects.Inc()
-	loc := target.baseURL + r.URL.RequestURI()
-	// 307 preserves the method and body; combined with idempotent
-	// ingest, a client retrying through a stale router converges on the
-	// right owner without double-storing anything.
-	http.Redirect(w, r, loc, http.StatusTemporaryRedirect)
+	metForwards.Inc()
+	rt.c.Node(owner).Handler.ServeHTTP(w, r)
 }

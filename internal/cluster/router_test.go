@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"vibepm/internal/node"
 	"vibepm/internal/restapi"
 	"vibepm/internal/store"
 )
@@ -20,22 +22,16 @@ func ingestBody(pump int, day float64) string {
 		pump, day, axis, axis, axis)
 }
 
-// newTestRouter boots a 3-node cluster with a restapi server per node
-// behind one Router — the in-process shape `vibed -cluster` runs.
+// newTestRouter boots a 3-node cluster behind its Router — the
+// in-process shape `vibed -cluster` runs.
 func newTestRouter(t *testing.T) (*Cluster, *Router) {
 	t.Helper()
-	c, err := Open(t.TempDir(), trialNames(3), Options{WAL: store.WALOptions{Policy: store.SyncNever}})
+	c, err := Open(t.TempDir(), MemberNames(3), memberWAL(store.WALOptions{Policy: store.SyncNever}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.abortAll() })
-	rt := NewRouter(c.Ring(), c.Status)
-	for _, name := range trialNames(3) {
-		n := c.Node(name)
-		api := restapi.New(n.Durable().Store(), nil, nil, restapi.WithDurable(n.Durable()))
-		rt.SetNode(name, api, "")
-	}
-	return c, rt
+	return c, c.Router()
 }
 
 // TestRouterForwardsIngestToOwner: a POST through the router lands on
@@ -51,12 +47,12 @@ func TestRouterForwardsIngestToOwner(t *testing.T) {
 		if w.Code != http.StatusCreated {
 			t.Fatalf("pump %d: status %d: %s", pump, w.Code, w.Body.String())
 		}
-		owner := c.Ring().Route(pump)
+		owner := c.ring.Route(pump)
 		if got := w.Header().Get(NodeHeader); got != owner {
 			t.Fatalf("pump %d: served by %q, ring owner %q", pump, got, owner)
 		}
-		for _, name := range trialNames(3) {
-			n := len(c.Node(name).Durable().Store().Query(pump, 1.5, 1.5))
+		for _, name := range MemberNames(3) {
+			n := len(c.Node(name).Store.Query(pump, 1.5, 1.5))
 			if (name == owner) != (n == 1) {
 				t.Fatalf("pump %d: node %s holds %d copies, owner is %s", pump, name, n, owner)
 			}
@@ -85,7 +81,7 @@ func TestRouterRoutesPumpPaths(t *testing.T) {
 	if w2.Code != http.StatusOK {
 		t.Fatalf("measurements: %d: %s", w2.Code, w2.Body.String())
 	}
-	if want := c.Ring().Route(7); node != want {
+	if want := c.ring.Route(7); node != want {
 		t.Fatalf("pump path served by %q, owner %q", node, want)
 	}
 	// An un-keyed path routes deterministically: same member each time.
@@ -97,29 +93,9 @@ func TestRouterRoutesPumpPaths(t *testing.T) {
 	}
 }
 
-// TestRouterRedirectsToRemoteOwner: an owner registered with only a
-// base URL answers 307 with the full Location, preserving the path.
-func TestRouterRedirectsToRemoteOwner(t *testing.T) {
-	c, rt := newTestRouter(t)
-	pump := 0
-	owner := c.Ring().Route(pump)
-	rt.SetNode(owner, nil, "http://"+owner+".example:8080/")
-
-	req := httptest.NewRequest(http.MethodPost, "/api/v1/measurements", strings.NewReader(ingestBody(pump, 3)))
-	w := httptest.NewRecorder()
-	rt.ServeHTTP(w, req)
-	if w.Code != http.StatusTemporaryRedirect {
-		t.Fatalf("status %d, want 307", w.Code)
-	}
-	want := "http://" + owner + ".example:8080/api/v1/measurements"
-	if got := w.Header().Get("Location"); got != want {
-		t.Fatalf("Location = %q, want %q", got, want)
-	}
-}
-
-// TestRouterErrors: missing pump_id, empty ring, unregistered owner.
+// TestRouterErrors: missing pump_id, and a ring with no live member.
 func TestRouterErrors(t *testing.T) {
-	_, rt := newTestRouter(t)
+	c, rt := newTestRouter(t)
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/measurements", strings.NewReader(`{"service_days":1}`))
 	w := httptest.NewRecorder()
 	rt.ServeHTTP(w, req)
@@ -127,20 +103,15 @@ func TestRouterErrors(t *testing.T) {
 		t.Fatalf("missing pump_id: status %d", w.Code)
 	}
 
-	empty := NewRouter(NewRing(8), nil)
+	for _, name := range MemberNames(3) {
+		if _, err := c.Kill(name); err != nil {
+			t.Fatal(err)
+		}
+	}
 	w = httptest.NewRecorder()
-	empty.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/healthz", nil))
+	rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/healthz", nil))
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("empty ring: status %d", w.Code)
-	}
-
-	ring := NewRing(8)
-	ring.Add("ghost")
-	unreg := NewRouter(ring, nil)
-	w = httptest.NewRecorder()
-	unreg.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/healthz", nil))
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("unregistered owner: status %d", w.Code)
 	}
 }
 
@@ -196,6 +167,104 @@ func TestRouterIngestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestClusterOfOneEqualsNode: a cluster member is the node a plain
+// vibed serves. The same POST stream through node.Open's handler and
+// through a one-member cluster's router yields byte-identical statuses,
+// ETags and bodies on every per-pump view; the router adds only its
+// X-Vibepm-Node header.
+func TestClusterOfOneEqualsNode(t *testing.T) {
+	member := node.Options{Faults: true, Durable: store.DurableOptions{WAL: store.WALOptions{Policy: store.SyncNever}}}
+	solo := member
+	solo.Dir = t.TempDir()
+	n, err := node.Open(solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Abort()
+	c, err := Open(t.TempDir(), []string{"a"}, Options{Node: member})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.abortAll()
+	rt := c.Router()
+
+	both := func(method, path, body string) {
+		t.Helper()
+		var got [2]*httptest.ResponseRecorder
+		for i, h := range []http.Handler{n.Handler, rt} {
+			got[i] = httptest.NewRecorder()
+			h.ServeHTTP(got[i], httptest.NewRequest(method, path, strings.NewReader(body)))
+		}
+		direct, routed := got[0], got[1]
+		if routed.Header().Get(NodeHeader) != "a" {
+			t.Fatalf("%s %s: routed response served by %q", method, path, routed.Header().Get(NodeHeader))
+		}
+		if direct.Code != routed.Code || direct.Header().Get("ETag") != routed.Header().Get("ETag") || direct.Body.String() != routed.Body.String() {
+			t.Fatalf("%s %s: node answered %d %s %s, cluster of one %d %s %s", method, path,
+				direct.Code, direct.Header().Get("ETag"), direct.Body, routed.Code, routed.Header().Get("ETag"), routed.Body)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 24; i++ {
+		axis := make([]int16, 256)
+		for k := range axis {
+			axis[k] = int16(rng.Intn(4096) - 2048)
+		}
+		x := restapi.EncodeAxis(axis)
+		both(http.MethodPost, "/api/v1/measurements", fmt.Sprintf(
+			`{"pump_id":%d,"service_days":%g,"sample_rate_hz":4000,"scale_g":0.003,"x":%q,"y":%q,"z":%q}`, i%5, float64(i)*0.5, x, x, x))
+	}
+	both(http.MethodPost, "/api/v1/measurements", ingestBody(0, 0)) // duplicate key: 409 on both
+	for pump := 0; pump < 6; pump++ {                               // pump 5 has no data: 404 on both
+		for _, view := range []string{"trend", "trend?metric=vrms&points=4", "faults", "measurements", "psd"} {
+			both(http.MethodGet, fmt.Sprintf("/api/v1/pumps/%d/%s", pump, view), "")
+		}
+		both(http.MethodGet, fmt.Sprintf("/api/v1/analysis/pumps/%d/zone", pump), "")
+	}
+}
+
+// TestRouterBodyCapFollowsMembers: the router buffers an ingest body
+// under the members' own cap — a lowered cap is refused at the router
+// before anything is buffered past it, and a raised cap lets a body
+// past the 8 MiB default through to the owning member.
+func TestRouterBodyCapFollowsMembers(t *testing.T) {
+	cases := []struct {
+		name      string
+		cap       int64
+		bodyBytes int
+		atRouter  bool
+	}{
+		{"cap 1 KiB refuses 2 KiB at the router", 1 << 10, 2 << 10, true},
+		{"cap 16 MiB passes 9 MiB to the member", 16 << 20, 9 << 20, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := memberWAL(store.WALOptions{Policy: store.SyncNever})
+			opts.Node.MaxBodyBytes = tc.cap
+			c, err := Open(t.TempDir(), MemberNames(2), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.abortAll()
+			body := `{"pump_id":1,"pad":"` + strings.Repeat("x", tc.bodyBytes) + `"}`
+			w := httptest.NewRecorder()
+			c.Router().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/measurements", strings.NewReader(body)))
+			node := w.Header().Get(NodeHeader)
+			if tc.atRouter {
+				if w.Code != http.StatusRequestEntityTooLarge || node != "" {
+					t.Fatalf("status %d served by %q, want the router's own 413", w.Code, node)
+				}
+				return
+			}
+			// The padded body carries no samples, so the member answers
+			// 400 — what matters is that the member answered.
+			if w.Code != http.StatusBadRequest || node != c.ring.Route(1) {
+				t.Fatalf("status %d served by %q, want the owner's 400: %s", w.Code, node, w.Body.String())
+			}
+		})
+	}
+}
+
 // TestRouterClusterStatusEndpoint: the status JSON vibectl consumes.
 func TestRouterClusterStatusEndpoint(t *testing.T) {
 	c, rt := newTestRouter(t)
@@ -215,7 +284,6 @@ func TestRouterClusterStatusEndpoint(t *testing.T) {
 	if _, err := c.Kill("n1"); err != nil {
 		t.Fatal(err)
 	}
-	rt.RemoveNode("n1")
 	w = httptest.NewRecorder()
 	rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/cluster/status", nil))
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {

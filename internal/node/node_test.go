@@ -1,0 +1,220 @@
+package node
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"vibepm/internal/dataset"
+	"vibepm/internal/physics"
+	"vibepm/internal/restapi"
+	"vibepm/internal/store"
+)
+
+// corpusOptions returns the options of a node over a small seeded,
+// labelled corpus with its durable store in dir — what `vibed
+// -simulate -wal-dir dir` builds, scaled down. Every call regenerates
+// the same corpus, as a restarted process would.
+func corpusOptions(t *testing.T, dir string) Options {
+	t.Helper()
+	ds, err := dataset.Generate(dataset.Config{
+		Seed: 5, Pumps: 6, DurationDays: 40, MeasurementsPerDay: 0.5, Samples: 512,
+		LabelCounts: map[physics.MergedZone]int{
+			physics.MergedA: 25, physics.MergedBC: 50, physics.MergedD: 25,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lr := range ds.LabelledRecords {
+		ds.Measurements.Add(lr.Record)
+	}
+	return Options{
+		Dir:          dir,
+		Measurements: ds.Measurements,
+		Labels:       ds.Labels,
+		AgeOf: func(pumpID int, serviceDays float64) float64 {
+			return ds.Fleet.Pump(pumpID).UnitAgeDays(serviceDays)
+		},
+		Faults: true,
+	}
+}
+
+func mustOpen(t *testing.T, opts Options) *Node {
+	t.Helper()
+	n, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Abort)
+	return n
+}
+
+// ingestBody is the i-th POST of a seeded stream: a 1× tone at 29 Hz
+// plus noise, on pumps 0..3, at service times past the corpus. The
+// record codec keeps scale_g and the sample rate as float32, so the
+// stream uses values float32 holds exactly; any other scale comes back
+// from a restart rounded, and every derived number moves in its 8th
+// digit.
+func ingestBody(rng *rand.Rand, i int) []byte {
+	var axes [3][]int16
+	for a := range axes {
+		axes[a] = make([]int16, 512)
+		for k := range axes[a] {
+			axes[a][k] = int16(600*math.Sin(2*math.Pi*29*float64(k)/4000) + float64(rng.Intn(200)-100))
+		}
+	}
+	body, _ := json.Marshal(restapi.IngestRequest{
+		PumpID: i % 4, ServiceDays: 100 + float64(i)*0.5, SampleRateHz: 4000, ScaleG: 1.0 / 256,
+		X: restapi.EncodeAxis(axes[0]), Y: restapi.EncodeAxis(axes[1]), Z: restapi.EncodeAxis(axes[2]),
+	})
+	return body
+}
+
+func postStream(t *testing.T, h http.Handler, seed int64, k int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < k; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/measurements", bytes.NewReader(ingestBody(rng, i))))
+		if w.Code != http.StatusCreated {
+			t.Fatalf("ingest %d: status %d: %s", i, w.Code, w.Body)
+		}
+	}
+}
+
+func get(h http.Handler, path string) (int, string) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	return w.Code, w.Body.String()
+}
+
+// views are the derived bodies a restart must reproduce: trend and
+// fault status of the pumps the stream wrote to, and the fleet report.
+func views(t *testing.T, h http.Handler) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, path := range []string{
+		"/api/v1/pumps/0/trend", "/api/v1/pumps/1/trend?metric=vrms", "/api/v1/pumps/3/trend?points=16",
+		"/api/v1/pumps/0/faults", "/api/v1/pumps/2/faults",
+		"/api/v1/analysis/fleet",
+	} {
+		code, body := get(h, path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, code, body)
+		}
+		out[path] = body
+	}
+	return out
+}
+
+func sameViews(t *testing.T, when string, got, want map[string]string) {
+	t.Helper()
+	for path, body := range want {
+		if got[path] != body {
+			t.Errorf("%s: GET %s differs from before the restart\n got: %.200s\nwant: %.200s", when, path, got[path], body)
+		}
+	}
+}
+
+// TestNodeCleanRestart: Close takes the final checkpoint, so the next
+// Open restarts from the snapshot alone and serves the same bodies.
+func TestNodeCleanRestart(t *testing.T) {
+	dir := t.TempDir()
+	n := mustOpen(t, corpusOptions(t, dir))
+	postStream(t, n.Handler, 1, 12)
+	before := views(t, n.Handler)
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again := mustOpen(t, corpusOptions(t, dir))
+	rs := again.Recovery
+	if !rs.SnapshotLoaded || rs.Replay.Records != 0 || rs.Replayed != 0 {
+		t.Fatalf("clean restart was not snapshot-only: %+v", rs)
+	}
+	if rs.SnapshotRecords != again.Store.Len() || again.Live.Size() != again.Store.Len() {
+		t.Fatalf("snapshot %d, store %d, live %d records", rs.SnapshotRecords, again.Store.Len(), again.Live.Size())
+	}
+	sameViews(t, "after Close", views(t, again.Handler), before)
+}
+
+// TestNodeCrashRestart: after an Abort the next Open replays the WAL,
+// checkpoints what it replayed (so the Open after that replays
+// nothing), and serves the same bodies.
+func TestNodeCrashRestart(t *testing.T) {
+	dir := t.TempDir()
+	n := mustOpen(t, corpusOptions(t, dir))
+	postStream(t, n.Handler, 2, 12)
+	before := views(t, n.Handler)
+	n.Abort()
+
+	second := mustOpen(t, corpusOptions(t, dir))
+	if rs := second.Recovery; rs.Replayed != 12 {
+		t.Fatalf("crash restart replayed %d records, want 12: %+v", rs.Replayed, rs)
+	}
+	sameViews(t, "after Abort", views(t, second.Handler), before)
+	second.Abort()
+
+	third := mustOpen(t, corpusOptions(t, dir))
+	if rs := third.Recovery; !rs.SnapshotLoaded || rs.Replayed != 0 {
+		t.Fatalf("the post-recovery checkpoint did not run: third open recovered %+v", rs)
+	}
+	sameViews(t, "after the second Abort", views(t, third.Handler), before)
+}
+
+// TestNodeWithoutLabels: a node opened with no labels (a cluster
+// member) skips the fit; everything that needs no fitted engine serves
+// and the analysis routes say so with 503.
+func TestNodeWithoutLabels(t *testing.T) {
+	n := mustOpen(t, Options{Dir: t.TempDir(), Faults: true})
+	if n.Engine.Fitted() {
+		t.Fatal("engine fitted without labels")
+	}
+	postStream(t, n.Handler, 3, 4)
+	for path, want := range map[string]int{
+		"/api/v1/pumps/0/trend":          http.StatusOK,
+		"/api/v1/pumps/0/faults":         http.StatusOK,
+		"/api/v1/pumps/0/psd":            http.StatusOK,
+		"/api/v1/pumps/0/measurements":   http.StatusOK,
+		"/api/v1/analysis/boundary":      http.StatusServiceUnavailable,
+		"/api/v1/analysis/pumps/0/zone":  http.StatusServiceUnavailable,
+		"/api/v1/analysis/pumps/0/rul":   http.StatusServiceUnavailable,
+		"/api/v1/analysis/fleet":         http.StatusServiceUnavailable,
+		"/api/v1/pumps/99/trend":         http.StatusNotFound,
+		"/debug/pprof/":                  http.StatusNotFound,
+		"/api/v1/pumps/0/trend?metric=x": http.StatusBadRequest,
+	} {
+		if code, body := get(n.Handler, path); code != want {
+			t.Errorf("GET %s: status %d, want %d: %s", path, code, want, body)
+		}
+	}
+}
+
+// TestNodeInMemory: without Dir there is no durable store, and the
+// lifecycle calls are no-ops rather than nil dereferences.
+func TestNodeInMemory(t *testing.T) {
+	n := mustOpen(t, Options{Pprof: true})
+	if n.Durable != nil {
+		t.Fatal("durable store without Dir")
+	}
+	n.StartMaintenance(0, 0)
+	stored, err := n.Ingest(&store.Record{PumpID: 1, ServiceDays: 1, SampleRateHz: 4000, ScaleG: 0.003,
+		Raw: [3][]int16{{1, 2, 3, 4}, {1, 2, 3, 4}, {1, 2, 3, 4}}})
+	if err != nil || !stored || n.Live.Size() != 1 {
+		t.Fatalf("ingest: stored=%v err=%v live=%d", stored, err, n.Live.Size())
+	}
+	if code, _ := get(n.Handler, "/debug/pprof/cmdline"); code != http.StatusOK {
+		t.Fatalf("pprof not mounted: %d", code)
+	}
+	if code, _ := get(n.Handler, "/api/v1/pumps/1/faults"); code != http.StatusNotFound {
+		t.Fatalf("faults served without Options.Faults: %d", code)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,7 @@ package restapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -28,32 +29,15 @@ type Analysis struct {
 	fleet *gencache.Cache[struct{}, respTag, *cachedResp]
 }
 
-// AnalysisOption customizes an Analysis handler.
-type AnalysisOption func(*analysisConfig)
-
-type analysisConfig struct {
-	metrics *obs.Registry
-}
-
-// WithAnalysisMetrics routes the analysis routes' HTTP metrics to reg
-// instead of obs.Default.
-func WithAnalysisMetrics(reg *obs.Registry) AnalysisOption {
-	return func(c *analysisConfig) { c.metrics = reg }
-}
-
 // NewAnalysis wraps a fitted engine. ageOf supplies equipment install
 // ages for RUL; nil limits the API to classification.
-func NewAnalysis(eng *vibepm.Engine, ageOf vibepm.AgeFunc, opts ...AnalysisOption) *Analysis {
-	cfg := analysisConfig{metrics: obs.Default}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+func NewAnalysis(eng *vibepm.Engine, ageOf vibepm.AgeFunc) *Analysis {
 	a := &Analysis{
 		eng: eng, ageOf: ageOf, mux: http.NewServeMux(),
 		fleet: gencache.New[struct{}, respTag, *cachedResp](1),
 	}
 	handle := func(pattern string, h http.HandlerFunc) {
-		a.mux.HandleFunc(pattern, instrumentHandler(cfg.metrics, pattern, h))
+		a.mux.HandleFunc(pattern, instrumentHandler(obs.Default, pattern, h))
 	}
 	handle("GET /api/v1/analysis/boundary", a.handleBoundary)
 	handle("GET /api/v1/analysis/pumps/{id}/zone", a.handleZone)
@@ -82,7 +66,13 @@ func (a *Analysis) handleZone(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := a.eng.Report(id, nil)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, "%v", err)
+		code := http.StatusNotFound
+		if errors.Is(err, vibepm.ErrNotFitted) {
+			// Like boundary, rul and fleet: the server's state, not a
+			// missing resource.
+			code = http.StatusServiceUnavailable
+		}
+		writeErr(w, code, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -20,15 +20,6 @@ func ColdMetrics() []store.ColdMetric {
 	}
 }
 
-// WithCold attaches a cold partition store to the read path: trend
-// queries merge the cold scalar series under the hot series, and
-// GET /api/v1/storage/status reports both tiers. WithDurable attaches
-// the durable store's cold tier automatically; this option is for
-// read-only servers opened over a partition directory.
-func WithCold(c *store.ColdStore) Option {
-	return func(s *Server) { s.cold = c }
-}
-
 // mergeSeries merges the cold and hot views of one pump's metric
 // series, both already in ascending time order. The hot point wins when
 // both tiers hold the same service time — after a crash between a

@@ -83,7 +83,8 @@ func WithMaxBodyBytes(n int64) Option {
 // succeeded, and a failed log (disk gone, WAL wedged) answers 503
 // instead of acking data that would not survive a restart. When the
 // durable store is tiered, its cold partition store is attached to the
-// read path too (see WithCold).
+// read path too: trend queries merge the cold scalar series under the
+// hot series, and GET /api/v1/storage/status reports both tiers.
 func WithDurable(d *store.Durable) Option {
 	return func(s *Server) {
 		s.ingester.Durable = d
