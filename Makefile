@@ -60,8 +60,10 @@ race-recovery:
 
 # The fault-taxonomy suite under the race detector: the live-vs-batch
 # fault report equivalence over randomized ingestion orders, the
-# copy-on-write spec update through the live cache, and the detector's
-# stream-fold memoization.
+# copy-on-write spec update through the live cache, the detector's
+# stream-fold memoization, and eight goroutines classifying through one
+# shared detector (TestFaultDetectorSharedScratch: pooled scratch must
+# never be handed to two classifications at once).
 race-faults:
 	$(GO) test -race -run 'TestFaultReport' -count=1 .
 	$(GO) test -race -run 'TestFault' -count=1 ./internal/stream/ ./internal/feature/

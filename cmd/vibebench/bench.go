@@ -240,6 +240,9 @@ func baselineFor(name string) (benchResult, bool) {
 	if base, ok := prePR9Baseline[name]; ok {
 		return base, true
 	}
+	if base, ok := prePR14Baseline[name]; ok {
+		return base, true
+	}
 	return benchResult{}, false
 }
 

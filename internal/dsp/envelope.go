@@ -61,9 +61,15 @@ func EnvelopeInto(dst, x []float64) []float64 {
 // defect passing frequencies appear directly regardless of which
 // high-frequency resonance carries them.
 func EnvelopeSpectrum(x []float64, fs float64) (freq, psd []float64, err error) {
+	return EnvelopeSpectrumInto(nil, nil, x, fs)
+}
+
+// EnvelopeSpectrumInto is EnvelopeSpectrum writing into freq and psd
+// with PeriodogramInto's contract.
+func EnvelopeSpectrumInto(freq, psd, x []float64, fs float64) ([]float64, []float64, error) {
 	eb := getFBuf(len(x))
 	env := EnvelopeInto(eb.s, x)
-	freq, psd, err = Periodogram(env, fs)
+	freq, psd, err := PeriodogramInto(freq, psd, env, fs)
 	putFBuf(eb)
 	return freq, psd, err
 }

@@ -114,3 +114,34 @@ func TestEnvelopeSpectrumEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// TestEnvelopeSpectrumIntoReuse pins the Into variant to the
+// allocating one across reused, oversized and undersized outputs.
+func TestEnvelopeSpectrumIntoReuse(t *testing.T) {
+	var freqBuf, psdBuf []float64
+	for _, n := range []int{512, 7, 1000, 64} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = (1 + 0.5*math.Sin(2*math.Pi*37*float64(i)/1000)) * math.Sin(2*math.Pi*210*float64(i)/1000)
+		}
+		freq, psd, err := EnvelopeSpectrum(x, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freqBuf, psdBuf, err = EnvelopeSpectrumInto(freqBuf, psdBuf, x, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(psdBuf) != len(psd) || len(freqBuf) != len(freq) {
+			t.Fatalf("n=%d: lens %d/%d, want %d", n, len(freqBuf), len(psdBuf), len(psd))
+		}
+		for k := range psd {
+			if psdBuf[k] != psd[k] || freqBuf[k] != freq[k] {
+				t.Fatalf("n=%d bin %d: Into (%g, %g), allocating (%g, %g)", n, k, freqBuf[k], psdBuf[k], freq[k], psd[k])
+			}
+		}
+	}
+	if _, _, err := EnvelopeSpectrumInto(freqBuf, psdBuf, nil, 1000); err == nil {
+		t.Fatal("empty input must error")
+	}
+}

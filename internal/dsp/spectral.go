@@ -114,6 +114,14 @@ func PSDDCTInto(dst, x []float64) []float64 {
 // doubles interior bins so the integral of the PSD equals the signal
 // variance.
 func Periodogram(x []float64, fs float64) (freq, psd []float64, err error) {
+	return PeriodogramInto(nil, nil, x, fs)
+}
+
+// PeriodogramInto is Periodogram writing into freq and psd (each grown
+// if needed, returned resliced to len(x)/2+1). The transform runs on a
+// cached plan over pooled scratch, so steady-state calls with adequate
+// outputs are allocation-free.
+func PeriodogramInto(freq, psd, x []float64, fs float64) ([]float64, []float64, error) {
 	n := len(x)
 	if n == 0 {
 		return nil, nil, ErrEmptySignal
@@ -121,14 +129,21 @@ func Periodogram(x []float64, fs float64) (freq, psd []float64, err error) {
 	if fs <= 0 {
 		return nil, nil, errors.New("dsp: sampling rate must be positive")
 	}
-	dbuf := getFBuf(n)
-	DemeanInto(dbuf.s, x)
-	sbuf := getCBuf(n/2 + 1)
-	spec := RealFFTInto(sbuf.s, dbuf.s)
-	putFBuf(dbuf)
-	half := len(spec)
-	freq = make([]float64, half)
-	psd = make([]float64, half)
+	half := n/2 + 1
+	if cap(freq) < half {
+		freq = make([]float64, half)
+	}
+	if cap(psd) < half {
+		psd = make([]float64, half)
+	}
+	freq, psd = freq[:half], psd[:half]
+	cb := getCBuf(n)
+	spec := cb.s
+	mu := Mean(x)
+	for i, v := range x {
+		spec[i] = complex(v-mu, 0)
+	}
+	FFT(spec)
 	scale := 1 / (fs * float64(n))
 	for k := 0; k < half; k++ {
 		freq[k] = float64(k) * fs / float64(n)
@@ -139,7 +154,7 @@ func Periodogram(x []float64, fs float64) (freq, psd []float64, err error) {
 		}
 		psd[k] = p
 	}
-	putCBuf(sbuf)
+	putCBuf(cb)
 	return freq, psd, nil
 }
 

@@ -172,3 +172,54 @@ func TestRMSNonNegativeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPeriodogramIntoMatchesComposition pins PeriodogramInto, which
+// demeans straight into the transform buffer, bit for bit to the
+// composition it replaced (Demean, RealFFT, one-sided scaling) across
+// power-of-two, Bluestein, odd and tiny lengths — and pins buffer
+// reuse: oversized outputs are resliced, short ones grown, stale
+// contents never leak.
+func TestPeriodogramIntoMatchesComposition(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const fs = 4000.0
+	var freqBuf, psdBuf []float64
+	for _, n := range []int{1024, 1, 2, 5, 1000, 1023, 16, 2048} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 3 + rng.NormFloat64()
+		}
+		spec := RealFFT(Demean(x))
+		scale := 1 / (fs * float64(n))
+		wantPSD := make([]float64, len(spec))
+		for k, m := range spec {
+			p := (real(m)*real(m) + imag(m)*imag(m)) * scale
+			if k != 0 && !(n%2 == 0 && k == len(spec)-1) {
+				p *= 2
+			}
+			wantPSD[k] = p
+		}
+		for i := range psdBuf {
+			freqBuf[i], psdBuf[i] = -1, -1
+		}
+		var err error
+		freqBuf, psdBuf, err = PeriodogramInto(freqBuf, psdBuf, x, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freq, psd, err := Periodogram(x, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(psdBuf) != n/2+1 || len(freqBuf) != n/2+1 || len(psd) != n/2+1 {
+			t.Fatalf("n=%d: lens %d/%d/%d, want %d", n, len(freqBuf), len(psdBuf), len(psd), n/2+1)
+		}
+		for k := range wantPSD {
+			if psdBuf[k] != wantPSD[k] || psd[k] != wantPSD[k] {
+				t.Fatalf("n=%d bin %d: Into %g, Periodogram %g, composition %g", n, k, psdBuf[k], psd[k], wantPSD[k])
+			}
+			if f := float64(k) * fs / float64(n); freqBuf[k] != f || freq[k] != f {
+				t.Fatalf("n=%d bin %d: freq %g/%g, want %g", n, k, freqBuf[k], freq[k], f)
+			}
+		}
+	}
+}

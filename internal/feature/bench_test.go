@@ -4,6 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"vibepm/internal/mems"
+	"vibepm/internal/physics"
+	"vibepm/internal/store"
 )
 
 // benchPSD builds a synthetic smoothed-PSD-like spectrum with a harmonic
@@ -50,6 +54,77 @@ func BenchmarkPeakDistance(b *testing.B) {
 	for b.Loop() {
 		if _, err := PeakDistance(h1, h2, 0, 0, Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// capture synthesizes one quantized measurement of a (possibly faulty)
+// pump at 4 kHz, k samples per axis, wrapped as a stored record, plus
+// the spec carrying the pump's true rotor speed.
+func capture(tb testing.TB, id int, pumpSeed, sensorSeed int64, day float64, fault physics.FaultConfig, k int) (*store.Record, MachineSpec) {
+	tb.Helper()
+	pump := physics.NewPump(physics.PumpConfig{ID: id, Seed: pumpSeed, LifeDays: 600})
+	src := mems.Source(pump)
+	if fault.Class != physics.FaultNone {
+		src = physics.NewFaultyPump(pump, fault)
+	}
+	sensor, err := mems.New(mems.Config{Seed: sensorSeed, SampleRateHz: 4000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := sensor.Measure(src, day, k)
+	return &store.Record{
+		PumpID:       id,
+		ServiceDays:  day,
+		SampleRateHz: m.SampleRateHz,
+		ScaleG:       m.ScaleG,
+		Raw:          m.Raw,
+	}, MachineSpec{RotorHz: pump.RotorHz()}
+}
+
+// benchRecords captures the traffic vibed receives — k samples per axis
+// at 4 kHz — from eight pumps, half of them carrying a bearing fault
+// (the records of vibebench's FaultDetect1kEst). A bench that
+// reclassified one record would let the branch predictor learn its
+// spectrum; rotating over several keeps the floor-median selection as
+// unpredictable as live traffic.
+func benchRecords(tb testing.TB, k int) (recs []*store.Record, specs []MachineSpec) {
+	tb.Helper()
+	for id := 1; id <= 8; id++ {
+		var fault physics.FaultConfig
+		if id%2 == 1 {
+			fault = physics.FaultConfig{Class: physics.FaultBearing, Defect: physics.DefectOuterRace, Severity: 0.6}
+		}
+		rec, spec := capture(tb, id, int64(209+id), int64(7*id+204), float64(30*id), fault, k)
+		recs, specs = append(recs, rec), append(specs, spec)
+	}
+	return recs, specs
+}
+
+// BenchmarkDetectRecord prices the fault classifier on the traffic
+// vibed serves — 1024-sample records with the rotor speed estimated
+// from the spectrum (vibed enables faults with an empty MachineSpec) —
+// next to the given-rotor and large-capture variants.
+func BenchmarkDetectRecord(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		k    int
+	}{{"1k", 1024}, {"16k", 16384}} {
+		recs, given := benchRecords(b, size.k)
+		for _, mode := range []struct {
+			name  string
+			specs []MachineSpec
+		}{{"estimated", make([]MachineSpec, len(recs))}, {"given", given}} {
+			b.Run(size.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				i := 0
+				for b.Loop() {
+					if rep := DetectRecord(recs[i], mode.specs[i], FaultOptions{}); rep.RotorHz <= 0 {
+						b.Fatalf("rotor unresolved: %+v", rep)
+					}
+					i = (i + 1) % len(recs)
+				}
+			})
 		}
 	}
 }

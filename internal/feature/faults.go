@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"time"
 
 	"vibepm/internal/dsp"
+	"vibepm/internal/obs"
 	"vibepm/internal/physics"
 	"vibepm/internal/store"
+	"vibepm/internal/transform"
 )
 
 // The fault detectors classify one measurement into the standard
@@ -158,20 +162,27 @@ func DetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultRe
 		}}
 	}
 	fs := rec.SampleRateHz
-	x := rec.AxisG(0)
-	y := rec.AxisG(1)
-	z := rec.AxisG(2)
+	sc := detectPool.Get().(*detectScratch)
+	defer detectPool.Put(sc)
+	for axis := range sc.axis {
+		sc.axis[axis] = transform.CountsToGInto(sc.axis[axis], rec.Raw[axis], rec.ScaleG)
+	}
+	x, y, z := sc.axis[0], sc.axis[1], sc.axis[2]
 
-	freq, px, err := dsp.Periodogram(x, fs)
-	if err != nil {
+	var err error
+	if sc.freq, sc.px, err = dsp.PeriodogramInto(sc.freq, sc.px, x, fs); err != nil {
 		return FaultReport{Class: physics.FaultNone}
 	}
-	_, py, _ := dsp.Periodogram(y, fs)
-	_, pz, _ := dsp.Periodogram(z, fs)
+	// The frequency axis depends only on (k, fs): every later transform
+	// rewrites sc.freq with the same values.
+	sc.freq, sc.py, _ = dsp.PeriodogramInto(sc.freq, sc.py, y, fs)
+	sc.freq, sc.pz, _ = dsp.PeriodogramInto(sc.freq, sc.pz, z, fs)
+	px, py, pz := sc.px, sc.py, sc.pz
 
 	// Radial spectrum: the two radial axes carry the same recipe, so
 	// summing their periodograms halves the estimator variance.
-	rp := make([]float64, len(px))
+	sc.rp = resizeFloats(sc.rp, len(px))
+	rp := sc.rp
 	for i := range rp {
 		rp[i] = px[i] + py[i]
 	}
@@ -180,7 +191,7 @@ func DetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultRe
 	rotor := spec.RotorHz
 	estimated := false
 	if rotor <= 0 {
-		rotor = EstimateRotorHz(freq, rp, opt)
+		rotor = estimateRotorHz(sc.freq, rp, opt, &sc.floor)
 		estimated = true
 	}
 	if rotor <= 0 || rotor < opt.MinRotorHz || 6*rotor >= fs/2 {
@@ -190,11 +201,10 @@ func DetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultRe
 	}
 
 	band := func(psd []float64, f0 float64) float64 {
-		e, _ := bandStat(psd, f0, binHz, opt.FreqTolFrac)
-		return e
+		return bandEnergy(psd, f0, binHz, opt.FreqTolFrac)
 	}
 	snr := func(psd []float64, f0 float64) float64 {
-		_, s := bandStat(psd, f0, binHz, opt.FreqTolFrac)
+		_, s := bandStat(psd, f0, binHz, opt.FreqTolFrac, &sc.floor)
 		return s
 	}
 
@@ -236,10 +246,11 @@ func DetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultRe
 	var envSNR [3]float64 // BPFO, BPFI, BSF
 	geometry := spec.Bearing
 	envFreqOf := [3]float64{}
-	if _, pe, err := dsp.EnvelopeSpectrum(x, fs); err == nil {
-		if _, pe2, err2 := dsp.EnvelopeSpectrum(y, fs); err2 == nil {
+	if sc.freq, sc.pe, err = dsp.EnvelopeSpectrumInto(sc.freq, sc.pe, x, fs); err == nil {
+		pe := sc.pe
+		if sc.freq, sc.pe2, err = dsp.EnvelopeSpectrumInto(sc.freq, sc.pe2, y, fs); err == nil {
 			for i := range pe {
-				pe[i] += pe2[i]
+				pe[i] += sc.pe2[i]
 			}
 		}
 		for i, defect := range bearingCandidates {
@@ -304,9 +315,9 @@ func DetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultRe
 		Evidence{Name: "axial-ratio", Value: round6(axial)},
 		Evidence{Name: "half-order-snr", Freq: round6(0.5 * rotor), Value: round6(looseSNR)},
 	)
-	for i, defect := range bearingCandidates {
+	for i := range bearingCandidates {
 		ev = append(ev, Evidence{
-			Name:  "env-" + defect.String(),
+			Name:  envEvidence[i],
 			Freq:  round6(envFreqOf[i]),
 			Value: round6(envSNR[i]),
 		})
@@ -321,6 +332,23 @@ func DetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultRe
 var bearingCandidates = [3]physics.BearingDefect{
 	physics.DefectOuterRace, physics.DefectInnerRace, physics.DefectBall,
 }
+
+// envEvidence names the envelope statistic of each bearing candidate.
+var envEvidence = [3]string{"env-BPFO", "env-BPFI", "env-BSF"}
+
+// detectScratch pools every transient array of one DetectRecord call —
+// the three axes in g, the frequency axis, the five spectra with their
+// radial sum, and the floor-median work area — so the only steady-state
+// allocation of a classification is the Evidence slice it returns.
+type detectScratch struct {
+	axis           [3][]float64
+	freq           []float64
+	px, py, pz, rp []float64
+	pe, pe2        []float64
+	floor          []float64
+}
+
+var detectPool = sync.Pool{New: func() any { return new(detectScratch) }}
 
 // combRolloff is the healthy harmonic PSD rolloff exponent: amplitude
 // ∝ h^-0.8, so energy ∝ h^-1.6.
@@ -337,27 +365,48 @@ func bandHalfWidth(f0, binHz, tolFrac float64) float64 {
 	return hw
 }
 
-// bandStat sums the PSD over the matching band around f0 (energy) and
-// rates it against the local floor — the median bin level of the
-// surrounding ±8 half-widths, excluding the band itself (SNR).
-func bandStat(psd []float64, f0, binHz, tolFrac float64) (energy, snr float64) {
+// bandBins is the matching band around f0 as an inclusive bin range
+// clamped to the spectrum (ok false when it is empty), with the
+// half-width it was cut from.
+func bandBins(n int, f0, binHz, tolFrac float64) (lo, hi int, hw float64, ok bool) {
 	if binHz <= 0 || f0 <= 0 {
-		return 0, 0
+		return 0, 0, 0, false
 	}
-	hw := bandHalfWidth(f0, binHz, tolFrac)
-	lo := int(math.Ceil((f0 - hw) / binHz))
-	hi := int(math.Floor((f0 + hw) / binHz))
+	hw = bandHalfWidth(f0, binHz, tolFrac)
+	lo = int(math.Ceil((f0 - hw) / binHz))
+	hi = int(math.Floor((f0 + hw) / binHz))
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > len(psd)-1 {
-		hi = len(psd) - 1
+	if hi > n-1 {
+		hi = n - 1
 	}
-	if hi < lo {
+	return lo, hi, hw, hi >= lo
+}
+
+// bandEnergy sums the PSD over the matching band around f0.
+func bandEnergy(psd []float64, f0, binHz, tolFrac float64) (energy float64) {
+	lo, hi, _, ok := bandBins(len(psd), f0, binHz, tolFrac)
+	if !ok {
+		return 0
+	}
+	for _, p := range psd[lo : hi+1] {
+		energy += p
+	}
+	return energy
+}
+
+// bandStat is bandEnergy plus the band's rating against the local
+// floor — the median bin level of the surrounding ±8 half-widths,
+// excluding the band itself (SNR). The floor bins are copied into
+// *work (grown as needed) and the median is selected there.
+func bandStat(psd []float64, f0, binHz, tolFrac float64, work *[]float64) (energy, snr float64) {
+	lo, hi, hw, ok := bandBins(len(psd), f0, binHz, tolFrac)
+	if !ok {
 		return 0, 0
 	}
-	for i := lo; i <= hi; i++ {
-		energy += psd[i]
+	for _, p := range psd[lo : hi+1] {
+		energy += p
 	}
 	flo := int(math.Ceil((f0 - 8*hw) / binHz))
 	fhi := int(math.Floor((f0 + 8*hw) / binHz))
@@ -367,18 +416,13 @@ func bandStat(psd []float64, f0, binHz, tolFrac float64) (energy, snr float64) {
 	if fhi > len(psd)-1 {
 		fhi = len(psd) - 1
 	}
-	floorBins := make([]float64, 0, fhi-flo+1)
-	for i := flo; i <= fhi; i++ {
-		if i >= lo && i <= hi {
-			continue
-		}
-		floorBins = append(floorBins, psd[i])
-	}
+	// flo <= lo and hi <= fhi: the floor window is the band widened.
+	floorBins := append(append((*work)[:0], psd[flo:lo]...), psd[hi+1:fhi+1]...)
+	*work = floorBins
 	if len(floorBins) == 0 {
 		return energy, 0
 	}
-	sort.Float64s(floorBins)
-	floor := floorBins[len(floorBins)/2]
+	floor := upperMedian(floorBins)
 	denom := floor * float64(hi-lo+1)
 	if denom <= 0 {
 		if energy <= 0 {
@@ -387,6 +431,95 @@ func bandStat(psd []float64, f0, binHz, tolFrac float64) (energy, snr float64) {
 		return energy, math.Inf(1)
 	}
 	return energy, energy / denom
+}
+
+// upperMedian returns the element sort.Float64s would leave at
+// v[len(v)/2] — NaNs order before every number there — by in-place
+// selection instead of a full sort. v is permuted.
+func upperMedian(v []float64) float64 {
+	// NaNs compare false both ways and would derail the partition
+	// scans, so they are swapped to the front, where the sort puts them.
+	nan := 0
+	for i, x := range v {
+		if x != x {
+			v[i], v[nan] = v[nan], x
+			nan++
+		}
+	}
+	k := len(v) / 2
+	if k < nan {
+		return v[k]
+	}
+	return selectKth(v[nan:], k-nan)
+}
+
+// selectKth returns the k-th smallest element of v (0-based), which
+// must hold no NaN, permuting v. It is quickselect with both partition
+// loops written branch-free (the comparison feeds an add, not a jump):
+// on spectral noise every comparison is a coin flip, and a mispredicted
+// jump costs more than the rest of the loop body.
+func selectKth(v []float64, k int) float64 {
+	lo, hi := 0, len(v)-1
+	for hi-lo > 8 {
+		// Pivot: the median of the first, middle and last elements.
+		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi]
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b = c
+		}
+		if a > b {
+			b = a
+		}
+		pivot := b
+		// v[lo:p] < pivot <= v[p:hi+1].
+		p := lo
+		for i := lo; i <= hi; i++ {
+			x := v[i]
+			v[i] = v[p]
+			v[p] = x
+			less := 0
+			if x < pivot {
+				less = 1
+			}
+			p += less
+		}
+		switch {
+		case k < p:
+			hi = p - 1
+		case p > lo:
+			lo = p
+		default:
+			// The pivot is the range's minimum, so nothing moved. Take
+			// all its copies off at once — a flat spectrum (a dead
+			// sensor's record) is one long tie — v[lo:q] == pivot.
+			q := lo
+			for i := lo; i <= hi; i++ {
+				x := v[i]
+				v[i] = v[q]
+				v[q] = x
+				same := 0
+				if x <= pivot {
+					same = 1
+				}
+				q += same
+			}
+			if k < q {
+				return pivot
+			}
+			lo = q
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		x := v[i]
+		j := i
+		for ; j > lo && v[j-1] > x; j-- {
+			v[j] = v[j-1]
+		}
+		v[j] = x
+	}
+	return v[k]
 }
 
 // nearInteger reports whether f sits within tol of an integer multiple
@@ -418,7 +551,13 @@ func nearInteger(f, base, tol float64) bool {
 // result is refined to sub-bin accuracy from the highest-SNR harmonic
 // line.
 func EstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
-	opt = opt.fill()
+	var work []float64
+	return estimateRotorHz(freq, psd, opt.fill(), &work)
+}
+
+// estimateRotorHz is EstimateRotorHz over filled options, selecting its
+// floor medians in *work.
+func estimateRotorHz(freq, psd []float64, opt FaultOptions, work *[]float64) float64 {
 	if len(freq) < 4 {
 		return 0
 	}
@@ -435,7 +574,7 @@ func EstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
 		}
 		var s float64
 		for h := 1; h <= 6; h++ {
-			_, sn := bandStat(psd, float64(h)*f0, binHz, opt.FreqTolFrac)
+			_, sn := bandStat(psd, float64(h)*f0, binHz, opt.FreqTolFrac, work)
 			s += math.Log1p(sn)
 		}
 		return s
@@ -473,10 +612,10 @@ func EstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
 	if 12*bestF <= fs2 {
 		var s [3]float64
 		for i, k := range [3]float64{1, 3, 5} {
-			_, s[i] = bandStat(psd, k*bestF, binHz, opt.FreqTolFrac)
+			_, s[i] = bandStat(psd, k*bestF, binHz, opt.FreqTolFrac, work)
 		}
-		e4, _ := bandStat(psd, 4*bestF, binHz, opt.FreqTolFrac)
-		e5, _ := bandStat(psd, 5*bestF, binHz, opt.FreqTolFrac)
+		e4 := bandEnergy(psd, 4*bestF, binHz, opt.FreqTolFrac)
+		e5 := bandEnergy(psd, 5*bestF, binHz, opt.FreqTolFrac)
 		if median3(s) >= opt.LoosenessSNR && e5 > halfCombRise*e4 {
 			bestF *= 2
 		}
@@ -485,7 +624,7 @@ func EstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
 	// Sub-bin refinement from the sharpest line of the winning comb.
 	refH, refSNR := 0, 0.0
 	for h := 1; h <= 6; h++ {
-		if _, sn := bandStat(psd, float64(h)*bestF, binHz, opt.FreqTolFrac); sn > refSNR {
+		if _, sn := bandStat(psd, float64(h)*bestF, binHz, opt.FreqTolFrac, work); sn > refSNR {
 			refSNR = sn
 			refH = h
 		}
@@ -581,9 +720,16 @@ func (d *FaultDetector) SpecFor(pumpID int) MachineSpec {
 // Options returns the detector's threshold options.
 func (d *FaultDetector) Options() FaultOptions { return d.opt }
 
+// metDetectDur times one classification through a detector — the
+// "fault classify" stage of the ingest and warm-up paths.
+var metDetectDur = obs.Default.Histogram("vibepm_feature_detect_seconds", obs.StageBuckets)
+
 // Detect classifies one measurement using the pump's machine spec.
 func (d *FaultDetector) Detect(rec *store.Record) FaultReport {
-	return DetectRecord(rec, d.SpecFor(rec.PumpID), d.opt)
+	start := time.Now()
+	rep := DetectRecord(rec, d.SpecFor(rec.PumpID), d.opt)
+	metDetectDur.Observe(time.Since(start).Seconds())
+	return rep
 }
 
 // String summarizes a report for logs.

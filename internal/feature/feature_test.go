@@ -3,6 +3,7 @@ package feature
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"vibepm/internal/dsp"
@@ -96,6 +97,22 @@ func TestExtractHarmonicFindsRotorPeaks(t *testing.T) {
 	}
 	if h.BinHz <= 0 {
 		t.Fatalf("BinHz = %g", h.BinHz)
+	}
+}
+
+// TestExtractHarmonicWindowBounded: a smoothing width pinned in Hz is
+// SmoothingHz/binHz bins, and binHz follows the record's sample rate —
+// near zero the quotient is billions of bins (a trained node folding
+// one 1e-6 Hz record died allocating the Hann table). The window never
+// exceeds the spectrum.
+func TestExtractHarmonicWindowBounded(t *testing.T) {
+	freq, psd := benchPSD(512)
+	for i := range freq {
+		freq[i] *= 1e-12
+	}
+	h := ExtractHarmonic(freq, psd, Options{SmoothingHz: 50})
+	if want := ExtractHarmonic(freq, psd, Options{HannWindow: len(psd)}); !reflect.DeepEqual(h, want) {
+		t.Fatalf("window not clamped to the spectrum:\ngot  %+v\nwant %+v", h, want)
 	}
 }
 

@@ -87,6 +87,11 @@ func ExtractHarmonic(freq, psd []float64, opt Options) Harmonic {
 		if window < 3 {
 			window = 3
 		}
+		// A Hann window wider than the spectrum smooths nothing more,
+		// and the ratio is unbounded as the rate approaches zero.
+		if window > len(psd) {
+			window = len(psd)
+		}
 	}
 	peaks := dsp.TopPeaks(freq, psd, opt.NumPeaks, window)
 	if opt.MinSignificance > 0 && len(peaks) > 0 {

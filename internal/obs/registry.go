@@ -70,6 +70,13 @@ var DurationBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1, 5, 10,
 }
 
+// StageBuckets resolves the per-record pipeline stages (fold, fault
+// classify), which run from tens of microseconds to a few milliseconds
+// — inside two decades of DurationBuckets.
+var StageBuckets = []float64{
+	2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 0.01, 0.05, 0.1, 1,
+}
+
 // Histogram is a fixed-bucket distribution metric. Observations are
 // three atomic operations; export computes the cumulative counts
 // Prometheus expects.

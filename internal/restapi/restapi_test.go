@@ -270,4 +270,29 @@ func TestIngestValidation(t *testing.T) {
 	if code := post(`{"pump_id":1,"sample_rate_hz":4000,"scale_g":0.01,"x":"` + ax + `","y":"` + short + `","z":"` + ax + `"}`); code != http.StatusBadRequest {
 		t.Fatalf("ragged axes status %d", code)
 	}
+
+	// Finite numbers that overflow once analysed — int16 × scale_g past
+	// float64, a rate whose bin frequencies do — or, near zero, size a
+	// smoothing window by their reciprocal: refused before the write,
+	// so the pump's views keep answering.
+	before := s.measurements.Len()
+	for name, fields := range map[string]string{
+		"scale_g 1e306":        `"sample_rate_hz":4000,"scale_g":1e306`,
+		"scale_g 1e150":        `"sample_rate_hz":4000,"scale_g":1e150`,
+		"sample_rate_hz 1e308": `"sample_rate_hz":1e308,"scale_g":0.01`,
+		"sample_rate_hz 1e-9":  `"sample_rate_hz":1e-9,"scale_g":0.01`,
+	} {
+		body := `{"pump_id":3,"service_days":9,` + fields + `,"x":"` + ax + `","y":"` + ax + `","z":"` + ax + `"}`
+		if code := post(body); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, code)
+		}
+	}
+	if got := s.measurements.Len(); got != before {
+		t.Fatalf("rejected measurements grew the store: %d -> %d", before, got)
+	}
+	for _, path := range []string{"/api/v1/pumps/3/trend", "/api/v1/pumps/3/trend?metric=vrms", "/api/v1/pumps/3/psd?service_days=1"} {
+		if rec, _ := get(t, s, path); rec.Code != http.StatusOK {
+			t.Fatalf("GET %s after the rejected POSTs: %d", path, rec.Code)
+		}
+	}
 }

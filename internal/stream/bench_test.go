@@ -1,0 +1,74 @@
+package stream
+
+import (
+	"testing"
+
+	"vibepm/internal/feature"
+	"vibepm/internal/mems"
+	"vibepm/internal/physics"
+	"vibepm/internal/store"
+)
+
+// simRec captures one simulated pump measurement the way vibed receives
+// it: k samples per axis at 4 kHz, quantized through the MEMS model.
+func simRec(tb testing.TB, pumpID int, day float64, k int) *store.Record {
+	tb.Helper()
+	pump := physics.NewPump(physics.PumpConfig{ID: pumpID, Seed: int64(100 + pumpID), LifeDays: 600})
+	sensor, err := mems.New(mems.Config{Seed: int64(7*pumpID + 1), SampleRateHz: 4000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := sensor.Measure(pump, day, k)
+	return &store.Record{
+		PumpID:       pumpID,
+		ServiceDays:  day,
+		SampleRateHz: m.SampleRateHz,
+		ScaleG:       m.ScaleG,
+		Raw:          m.Raw,
+	}
+}
+
+// servingState builds a live state the way a fitted vibed holds it: a
+// trained baseline installed, and (with faults) the detector vibed
+// enables — an empty MachineSpec, so every fold estimates the rotor.
+func servingState(tb testing.TB, faults bool) *LiveState {
+	tb.Helper()
+	var healthy []*store.Record
+	for i := 0; i < 4; i++ {
+		healthy = append(healthy, simRec(tb, 2, float64(10+i), 1024))
+	}
+	base, err := feature.TrainBaseline(healthy, feature.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hs := make([]feature.Harmonic, len(healthy))
+	for i, rec := range healthy {
+		hs[i] = feature.HarmonicOfRecord(rec, feature.Options{})
+	}
+	base.SetNormalizers(hs...)
+	ls := NewLiveState(Config{})
+	ls.SetBaseline(base)
+	if faults {
+		ls.SetFaultDetector(feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{}))
+	}
+	return ls
+}
+
+// BenchmarkFold1k prices the ingest-time fold of one 1024-sample record
+// on a fitted node, with and without the fault classifier vibed turns
+// on by default.
+func BenchmarkFold1k(b *testing.B) {
+	rec := simRec(b, 1, 90, 1024)
+	for _, c := range []struct {
+		name   string
+		faults bool
+	}{{"faults", true}, {"nofaults", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			ls := servingState(b, c.faults)
+			b.ReportAllocs()
+			for b.Loop() {
+				ls.Fold(rec)
+			}
+		})
+	}
+}

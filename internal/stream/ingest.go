@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"vibepm/internal/store"
 )
@@ -11,6 +12,26 @@ import (
 // permanent per-record rejection, like store.ErrRecordTooLarge, that
 // ingestion layers map to "bad request", not "retry".
 var ErrInvalidRecord = errors.New("invalid record")
+
+// Bounds on a record's metadata, checked before anything is written.
+// They sit far outside any physical sensor; they exist because a stored
+// record is analysed for as long as it is kept, and one whose numbers
+// overflow makes every view of its pump answer 500 (encoding/json
+// refuses ±Inf and NaN) — or, through a sample rate near zero, sizes a
+// smoothing window in the billions of bins. With K ≤
+// store.MaxSamplesPerAxis ≈ 1e6 samples of amplitude A ≤ MaxFullScaleG
+// at a rate fs within [MinSampleRateHz, MaxSampleRateHz], the largest
+// intermediates any transform forms — |FFT bin|² ≤ (K·A)² = 1e72, a
+// periodogram bin ≤ 2·K·A²/fs = 2e66, a frequency ≤ fs·K = 1e15 — stay
+// finite, in float64 and in the codec's float32 header fields alike.
+const (
+	// MaxFullScaleG bounds |scale_g| × 32768, the largest acceleration
+	// (in g) a sample can decode to.
+	MaxFullScaleG = 1e30
+	// MinSampleRateHz and MaxSampleRateHz bound sample_rate_hz.
+	MinSampleRateHz = 1.0
+	MaxSampleRateHz = 1e9
+)
 
 // Ingester is the one write seam every ingestion front-end (REST
 // ingest, the mote gateway) goes through. It owns the two rules they
@@ -44,6 +65,16 @@ func (in *Ingester) Ingest(rec *store.Record) (stored bool, err error) {
 		// but never persisted or recovered, so it is rejected on the
 		// in-memory path too.
 		return false, fmt.Errorf("%w: %d samples per axis exceeds limit %d", ErrInvalidRecord, k, store.MaxSamplesPerAxis)
+	}
+	if math.IsNaN(rec.ServiceDays) || math.IsInf(rec.ServiceDays, 0) {
+		return false, fmt.Errorf("%w: service_days must be finite", ErrInvalidRecord)
+	}
+	// The bounds are written so that NaN fails them.
+	if !(rec.SampleRateHz >= MinSampleRateHz && rec.SampleRateHz <= MaxSampleRateHz) {
+		return false, fmt.Errorf("%w: sample_rate_hz %g outside [%g, %g]", ErrInvalidRecord, rec.SampleRateHz, MinSampleRateHz, MaxSampleRateHz)
+	}
+	if !(math.Abs(rec.ScaleG)*(math.MaxInt16+1) <= MaxFullScaleG) {
+		return false, fmt.Errorf("%w: scale_g %g puts full scale past %g g", ErrInvalidRecord, rec.ScaleG, MaxFullScaleG)
 	}
 	if in.Durable != nil {
 		stored, err = in.Durable.AddUnique(rec)

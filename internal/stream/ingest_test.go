@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"math"
 	"os"
 	"testing"
 
@@ -38,6 +39,14 @@ func TestIngestAckThenFold(t *testing.T) {
 	big := make([]int16, store.MaxSamplesPerAxis+1)
 	huge.Raw[0], huge.Raw[1], huge.Raw[2] = big, big, big
 
+	// with returns a storable record with one metadata field replaced.
+	with := func(set func(*store.Record)) *store.Record {
+		rec := mkRec(1, 2.5, 64)
+		set(rec)
+		return rec
+	}
+	const fullScale = math.MaxInt16 + 1
+
 	type wiring struct {
 		durable bool
 		wedged  bool
@@ -59,6 +68,22 @@ func TestIngestAckThenFold(t *testing.T) {
 		{name: "unequal-axes", rec: shaped(4, 4, 3), invalid: true},
 		{name: "empty-axes", rec: shaped(0, 0, 0), invalid: true},
 		{name: "over-max-samples", rec: huge, invalid: true},
+		// Metadata that would overflow the analysis (or the codec's
+		// float32 header) of an acknowledged record.
+		{name: "scale-overflows", rec: with(func(r *store.Record) { r.ScaleG = 1e306 }), invalid: true},
+		{name: "scale-past-bound", rec: with(func(r *store.Record) { r.ScaleG = 1.01 * MaxFullScaleG / fullScale }), invalid: true},
+		{name: "scale-negative-overflows", rec: with(func(r *store.Record) { r.ScaleG = -1e306 }), invalid: true},
+		{name: "scale-inf", rec: with(func(r *store.Record) { r.ScaleG = math.Inf(1) }), invalid: true},
+		{name: "scale-nan", rec: with(func(r *store.Record) { r.ScaleG = math.NaN() }), invalid: true},
+		{name: "scale-at-bound", rec: with(func(r *store.Record) { r.ScaleG = MaxFullScaleG / fullScale }), stored: true},
+		{name: "rate-near-zero", rec: with(func(r *store.Record) { r.SampleRateHz = 1e-6 }), invalid: true},
+		{name: "rate-zero", rec: with(func(r *store.Record) { r.SampleRateHz = 0 }), invalid: true},
+		{name: "rate-overflows", rec: with(func(r *store.Record) { r.SampleRateHz = 1e308 }), invalid: true},
+		{name: "rate-nan", rec: with(func(r *store.Record) { r.SampleRateHz = math.NaN() }), invalid: true},
+		{name: "rate-at-min", rec: with(func(r *store.Record) { r.SampleRateHz = MinSampleRateHz }), stored: true},
+		{name: "rate-at-max", rec: with(func(r *store.Record) { r.SampleRateHz = MaxSampleRateHz }), stored: true},
+		{name: "days-nan", rec: with(func(r *store.Record) { r.ServiceDays = math.NaN() }), invalid: true},
+		{name: "days-inf", rec: with(func(r *store.Record) { r.ServiceDays = math.Inf(-1) }), invalid: true},
 	}
 	for wname, w := range wirings {
 		for _, tc := range cases {

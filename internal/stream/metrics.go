@@ -10,6 +10,10 @@ var (
 	metHits      = obs.Default.Counter("vibepm_stream_cache_hits_total")
 	metMisses    = obs.Default.Counter("vibepm_stream_cache_misses_total")
 	metEvictions = obs.Default.Counter("vibepm_stream_evictions_total")
+	// metFoldDur times one record's fold — every transform and, with a
+	// detector installed, its fault classification (which
+	// vibepm_feature_detect_seconds times on its own).
+	metFoldDur = obs.Default.Histogram("vibepm_stream_fold_seconds", obs.StageBuckets)
 	// metWarmDur is the recovery warm-up wall time — the third leg of
 	// the restart breakdown next to the store's snapshot-load and
 	// WAL-replay histograms.

@@ -206,9 +206,14 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 // installed baseline, and — when a baseline is installed — the D_a
 // score. One PSD pass feeds every spectral product.
 func (ls *LiveState) computeFeat(rec *store.Record, base *feature.Baseline) *Feat {
+	start := time.Now()
 	f := &Feat{
 		Offsets: transform.Offsets(rec),
 		RMS:     transform.RMS(rec),
+	}
+	if base != nil {
+		// The raw-option variant plus the baseline's.
+		f.harms = make([]harmSlot, 0, 2)
 	}
 	freq, psd := transform.PSD(rec)
 	f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
@@ -228,6 +233,7 @@ func (ls *LiveState) computeFeat(rec *store.Record, base *feature.Baseline) *Fea
 		f.putFault(det, det.Detect(rec))
 	}
 	metFolds.Inc()
+	metFoldDur.Observe(time.Since(start).Seconds())
 	return f
 }
 
