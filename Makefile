@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-obs race-wal race-stream race-cluster race-compact race-recovery race-faults golden-faults bench bench-dsp bench-snapshot bench-check experiments experiments-paper chaos crash-trials cover fuzz clean
+.PHONY: all build test vet race race-obs race-wal race-stream race-cluster race-compact race-recovery race-faults golden-faults bench bench-check experiments experiments-paper chaos crash-trials cover fuzz clean
 
 all: build vet test
 
@@ -83,31 +83,32 @@ race-compact:
 	$(GO) test -race -run 'TestCompactionCrash|TestTiered|TestPartition|TestRetention|TestColdStore' -count=1 ./internal/chaos/ ./internal/store/
 	$(GO) test -race -run 'TestTrendHotColdEquivalence|TestTrendFullyColdPump|TestStorageStatus' -count=1 ./internal/restapi/
 
-# One testing.B per paper table/figure (bench_test.go) plus DSP
-# micro-benches.
+# Every benchmark, once: one testing.B per paper table/figure
+# (bench_test.go) plus the hot-path cases beside the layer they price.
+# Select with `go test -run '^$$' -bench Regex -benchmem ./pkg`; pass one
+# -cpu value per invocation (under go1.24 a b.Loop benchmark's first
+# -cpu list entry runs at the GOMAXPROCS the previous benchmark left).
+BENCH = $(GO) test -run '^$$' -benchmem
+
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(BENCH) -bench . ./...
 
-bench-dsp:
-	$(GO) test -bench=. -benchmem ./internal/dsp/
+# Gate the hot paths against the pinned anchor. BENCH.txt is `go test
+# -bench` text edited only by deliberate per-row re-anchor, never
+# re-snapshotted. The suite runs in two passes at -cpu 1 (what the
+# carried rows were measured at) and benchgate keeps each name's lower
+# reading per metric: the passes sit minutes apart, so a slow phase of
+# a shared host has to outlast a whole pass to fail a row. After each
+# pass the worker-pool cases run at -cpu 2 against their own `-2` rows.
+# bench.out keeps the raw output (CI uploads it; benchstat reads it
+# next to BENCH.txt).
+BENCH_POOLS = $(BENCH) -bench 'Recovery100k|WarmLive40x10k|EngineFitSmall' -cpu 2 . ./internal/store ./internal/stream
 
-# Refresh the committed hot-path snapshot. BENCH_PR10.json is the
-# current full-suite snapshot (the PR2-PR9 cases plus the fault
-# taxonomy cases: full-record fault classification and the
-# envelope-spectrum primitive); the earlier BENCH_PR*.json files are
-# kept as the historical records of the earlier passes. Volatile cases
-# (per-op fsync) run but are excluded from the written file.
-bench-snapshot:
-	$(GO) run ./cmd/vibebench -bench -benchout BENCH_PR10.json
-
-# Re-run the hot-path suite once and fail if any case drifts more than
-# ±30% from the committed snapshot (or regresses its allocation count
-# or a gated p99). BENCH_PR10.json covers the full suite with numbers
-# this machine can currently reproduce; -benchgate accepts a
-# comma-separated list when gating several snapshots at once. Failures
-# print a per-case diff (seed value, measured value, ratio).
 bench-check:
-	$(GO) run ./cmd/vibebench -bench -benchgate BENCH_PR10.json
+	{ $(BENCH) -bench . -cpu 1 ./... && $(BENCH_POOLS) && \
+	  $(BENCH) -bench . -cpu 1 ./... && $(BENCH_POOLS); \
+	} > bench.out || { cat bench.out; exit 1; }
+	$(GO) run ./cmd/benchgate BENCH.txt < bench.out
 
 # Regenerate every table and figure at the default (medium) scale.
 experiments:

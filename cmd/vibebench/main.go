@@ -8,15 +8,6 @@
 //	vibebench -scale paper    # full-scale (155,520-measurement) run
 //	vibebench -seed 7         # change the corpus seed
 //	vibebench -list           # list experiment ids
-//
-// Benchmark-regression harness:
-//
-//	vibebench -bench                          # run the hot-path suite
-//	vibebench -bench -benchout BENCH_PR4.json # write a snapshot
-//	vibebench -bench -benchgate BENCH_PR2.json,BENCH_PR4.json [-benchtol 0.30]
-//	                                          # gate vs the committed
-//	                                          # snapshot(s), exit 1 past
-//	                                          # ±tolerance
 package main
 
 import (
@@ -87,16 +78,8 @@ func main() {
 		seed      = flag.Int64("seed", 1, "corpus seed")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		outDir    = flag.String("out", "", "also write each experiment's output to <out>/<id>.txt")
-		bench     = flag.Bool("bench", false, "run the hot-path benchmark suite instead of experiments")
-		benchOut  = flag.String("benchout", "", "write the benchmark snapshot JSON to this path (implies -bench)")
-		benchGate = flag.String("benchgate", "", "comma-separated committed snapshot(s) to gate against; exit 1 past tolerance (implies -bench)")
-		benchTol  = flag.Float64("benchtol", 0.30, "relative tolerance for -benchgate")
 	)
 	flag.Parse()
-
-	if *bench || *benchOut != "" || *benchGate != "" {
-		os.Exit(runBenchCommand(*benchOut, *benchGate, *benchTol))
-	}
 
 	if *list {
 		for _, e := range catalogue {

@@ -68,13 +68,10 @@ type Event struct {
 	AtDays float64
 }
 
-// PaperEvents is the Table IV maintenance schedule: pumps 4, 5 and 8
-// are replaced by plan mid-window, pump 7 breaks down and is replaced.
-func PaperEvents() []Event { return PaperEventsFor(90) }
-
-// PaperEventsFor scales the Table IV schedule to an experiment window
-// of the given length (the paper's events fall at days 35/45/55/60 of
-// its 90-day window).
+// PaperEventsFor is the Table IV maintenance schedule — pumps 4, 5 and
+// 8 are replaced by plan mid-window, pump 7 breaks down and is replaced
+// — scaled to an experiment window of the given length (the paper's
+// events fall at days 35/45/55/60 of its 90-day window).
 func PaperEventsFor(durationDays float64) []Event {
 	f := durationDays / 90
 	return []Event{

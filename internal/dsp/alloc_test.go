@@ -1,0 +1,57 @@
+//go:build !race
+
+// The race detector makes sync.Pool drop a share of what is put back,
+// so allocation counts over pooled scratch only hold without it.
+
+package dsp
+
+import "testing"
+
+// TestKernelsDoNotAllocate is the machine-independent half of the
+// benchmark gate: the kernels BENCH.txt anchors at 0 allocs/op, on the
+// inputs their benchmarks use, must not allocate once their plan and
+// scratch are warm. AllocsPerRun rounds down, so a GC emptying a pool
+// mid-run does not fail this; an allocation per call does.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	resetPlanRegistries()
+	x1k, x4k, x16k := benchSignal(1024), benchSignal(4096), benchSignal(16384)
+	cbuf := make([]complex128, 1024)
+	dst1k, dst4k := make([]float64, 1024), make([]float64, 4096)
+	freq, psd := make([]float64, 1024/2+1), make([]float64, 1024/2+1)
+	var sg Spectrogram
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"FFT", func() {
+			for j, v := range x1k {
+				cbuf[j] = complex(v, 0)
+			}
+			FFT(cbuf)
+		}},
+		{"FFT (Bluestein)", func() {
+			for j, v := range x1k[:1000] {
+				cbuf[j] = complex(v, 0)
+			}
+			FFT(cbuf[:1000])
+		}},
+		{"DCTInto", func() { DCTInto(dst1k, x1k) }},
+		{"PSDDCTInto", func() { PSDDCTInto(dst1k, x1k) }},
+		{"WelchInto", func() {
+			if err := WelchInto(freq, psd, x16k, 1000, WelchConfig{SegmentLength: 1024, Overlap: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"STFTInto", func() {
+			if err := STFTInto(&sg, x16k, 1000, STFTConfig{FrameLength: 1024, HopLength: 512}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"EnvelopeInto", func() { EnvelopeInto(dst4k, x4k) }},
+	} {
+		k.run()
+		if n := testing.AllocsPerRun(100, k.run); n != 0 {
+			t.Errorf("%s: %.0f allocs/op, BENCH.txt anchors 0", k.name, n)
+		}
+	}
+}

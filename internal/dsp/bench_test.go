@@ -90,6 +90,16 @@ func BenchmarkEnvelope4096(b *testing.B) {
 	}
 }
 
+func BenchmarkEnvelopeSpectrum4096(b *testing.B) {
+	x := benchSignal(4096)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := EnvelopeSpectrum(x, 4000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSmoothConvolveHann24(b *testing.B) {
 	x := benchSignal(1024)
 	k := HannWindow(24)

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"sync"
+	"sync/atomic"
 )
 
 // Transform plans. Every FFT/DCT length that appears in a workload is
@@ -12,9 +13,8 @@ import (
 // the per-length setup — bit-reversal permutations, stage twiddle
 // factors, Bluestein chirp sequences and their transformed filters, DCT
 // recombination tables — is computed once and cached in a
-// concurrency-safe registry. Plans are immutable after construction;
-// lookups are lock-free sync.Map loads, and a racing first use at worst
-// builds the same plan twice and keeps one.
+// concurrency-safe, bounded registry (planRegistry). Plans are immutable
+// after construction.
 
 // fftPlan caches the setup of a radix-2 Cooley-Tukey transform of one
 // power-of-two length.
@@ -230,44 +230,57 @@ func newDCTPlan(n int) *dctPlan {
 	return p
 }
 
-// Plan registries.
+// maxCachedPlans caps how many distinct lengths each registry keeps.
+// A fleet samples at a handful of rates, so a workload's lengths fit
+// several times over. The cap exists because the length is the client's
+// per-axis sample count: a Bluestein plan holds 100-160 bytes per
+// sample (~12 MB at 100k samples, ~100 MB at the codec's 1Mi-sample
+// limit), and without a cap a client walking through lengths pins
+// memory without bound. With it the worst case is maxCachedPlans plans
+// of the largest accepted length.
+const maxCachedPlans = 32
+
+// planRegistry caches one immutable plan per length, for the first
+// maxCachedPlans distinct lengths it sees. Past that a miss builds a
+// one-off plan and does not keep it: correct, only slower. A hit is one
+// lock-free sync.Map load; a racing first use at worst builds the same
+// plan twice and keeps one.
+type planRegistry[T any] struct {
+	plans sync.Map // int -> T
+	slots atomic.Int32
+}
+
+func (r *planRegistry[T]) get(n int, build func(int) T) T {
+	if v, ok := r.plans.Load(n); ok {
+		return v.(T)
+	}
+	plan := build(n)
+	// Reserve a slot before storing, so concurrent misses cannot carry
+	// the registry past the cap.
+	if r.slots.Add(1) > maxCachedPlans {
+		r.slots.Add(-1)
+		return plan
+	}
+	v, loaded := r.plans.LoadOrStore(n, plan)
+	if loaded {
+		r.slots.Add(-1)
+	}
+	return v.(T)
+}
+
 var (
-	fftPlans       sync.Map // int -> *fftPlan
-	bluesteinPlans sync.Map // int -> *bluesteinPlan
-	dctPlans       sync.Map // int -> *dctPlan
-	hannPlans      sync.Map // int -> []float64 (shared, read-only)
+	fftPlans       planRegistry[*fftPlan]
+	bluesteinPlans planRegistry[*bluesteinPlan]
+	dctPlans       planRegistry[*dctPlan]
+	hannPlans      planRegistry[[]float64] // shared, read-only
 )
 
-func planFFT(n int) *fftPlan {
-	if v, ok := fftPlans.Load(n); ok {
-		return v.(*fftPlan)
-	}
-	v, _ := fftPlans.LoadOrStore(n, newFFTPlan(n))
-	return v.(*fftPlan)
-}
+func planFFT(n int) *fftPlan { return fftPlans.get(n, newFFTPlan) }
 
-func planBluestein(n int) *bluesteinPlan {
-	if v, ok := bluesteinPlans.Load(n); ok {
-		return v.(*bluesteinPlan)
-	}
-	v, _ := bluesteinPlans.LoadOrStore(n, newBluesteinPlan(n))
-	return v.(*bluesteinPlan)
-}
+func planBluestein(n int) *bluesteinPlan { return bluesteinPlans.get(n, newBluesteinPlan) }
 
-func planDCT(n int) *dctPlan {
-	if v, ok := dctPlans.Load(n); ok {
-		return v.(*dctPlan)
-	}
-	v, _ := dctPlans.LoadOrStore(n, newDCTPlan(n))
-	return v.(*dctPlan)
-}
+func planDCT(n int) *dctPlan { return dctPlans.get(n, newDCTPlan) }
 
 // hannCached returns a shared, read-only Hann window of length n.
 // Callers must not modify it; use HannWindow for a private copy.
-func hannCached(n int) []float64 {
-	if v, ok := hannPlans.Load(n); ok {
-		return v.([]float64)
-	}
-	v, _ := hannPlans.LoadOrStore(n, HannWindow(n))
-	return v.([]float64)
-}
+func hannCached(n int) []float64 { return hannPlans.get(n, HannWindow) }

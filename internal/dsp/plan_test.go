@@ -98,10 +98,37 @@ func TestPlannedParsevalAllLengthClasses(t *testing.T) {
 	}
 }
 
+// reset empties the registry, so a test's lengths are cached whatever
+// ran before it in this process.
+func (r *planRegistry[T]) reset() {
+	r.plans.Range(func(k, _ any) bool {
+		r.plans.Delete(k)
+		return true
+	})
+	r.slots.Store(0)
+}
+
+func (r *planRegistry[T]) len() int {
+	n := 0
+	r.plans.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+func resetPlanRegistries() {
+	fftPlans.reset()
+	bluesteinPlans.reset()
+	dctPlans.reset()
+	hannPlans.reset()
+}
+
 // TestPlanRegistryReturnsSharedPlans verifies the registries converge
 // on one immutable plan per length, so repeated transforms hit the
 // cache instead of rebuilding tables.
 func TestPlanRegistryReturnsSharedPlans(t *testing.T) {
+	resetPlanRegistries()
 	for _, n := range []int{8, 64, 1024} {
 		if p1, p2 := planFFT(n), planFFT(n); p1 != p2 {
 			t.Fatalf("planFFT(%d) returned distinct plans", n)
@@ -261,5 +288,68 @@ func TestDemeanIntoAliasing(t *testing.T) {
 	}
 	if math.Abs(sum) > 1e-12 {
 		t.Fatalf("demeaned sum %g", sum)
+	}
+}
+
+// TestPlanRegistriesAreBounded walks four times the cap of distinct
+// lengths through every registry — what a client varying its sample
+// count does to a serving node. Each registry must stop growing at the
+// cap, and every transform, cached or one-off, must equal the one a
+// freshly built plan computes.
+func TestPlanRegistriesAreBounded(t *testing.T) {
+	resetPlanRegistries()
+	t.Cleanup(resetPlanRegistries)
+	rng := rand.New(rand.NewSource(33))
+	for i := 0; i < 4*maxCachedPlans; i++ {
+		n := 2*i + 35 // odd: Bluestein, over a few power-of-two sub-plans
+		x := make([]float64, n)
+		c := make([]complex128, n)
+		for j := range x {
+			x[j] = rng.NormFloat64()
+			c[j] = complex(x[j], rng.NormFloat64())
+		}
+
+		want := append([]complex128(nil), c...)
+		newBluesteinPlan(n).transform(want, false)
+		FFT(c)
+		for k := range c {
+			if c[k] != want[k] {
+				t.Fatalf("FFT n=%d bin %d: %v, fresh plan %v", n, k, c[k], want[k])
+			}
+		}
+
+		// DCTInto has no entry point taking a plan: pin it to the
+		// O(n²) reference instead.
+		got, ref := DCT(x), naiveDCT2(x)
+		for k := range got {
+			if !almostEqual(got[k], ref[k], 1e-9) {
+				t.Fatalf("DCT n=%d coefficient %d: %g, naive %g", n, k, got[k], ref[k])
+			}
+		}
+
+		w, fresh := hannCached(n), HannWindow(n)
+		for k := range w {
+			if w[k] != fresh[k] {
+				t.Fatalf("hann n=%d tap %d: %g, fresh %g", n, k, w[k], fresh[k])
+			}
+		}
+	}
+	for name, size := range map[string]int{
+		"fft": fftPlans.len(), "bluestein": bluesteinPlans.len(), "dct": dctPlans.len(), "hann": hannPlans.len(),
+	} {
+		if size > maxCachedPlans {
+			t.Errorf("%s registry holds %d plans, cap %d", name, size, maxCachedPlans)
+		}
+	}
+	if got := bluesteinPlans.len(); got != maxCachedPlans {
+		t.Errorf("bluestein registry holds %d plans after %d lengths, want it full at %d", got, 4*maxCachedPlans, maxCachedPlans)
+	}
+	// A length cached before the cap was reached is still a hit.
+	if p1, p2 := planBluestein(35), planBluestein(35); p1 != p2 {
+		t.Error("a cached length must keep returning its one plan")
+	}
+	// One past the cap is served by a one-off plan.
+	if p1, p2 := planBluestein(2*(4*maxCachedPlans-1)+35), planBluestein(2*(4*maxCachedPlans-1)+35); p1 == p2 {
+		t.Error("a length past the cap must not have been stored")
 	}
 }

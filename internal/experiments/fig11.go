@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"vibepm/internal/core"
-	"vibepm/internal/kde"
 	"vibepm/internal/physics"
 )
 
@@ -84,10 +83,6 @@ func meanOf(x []float64) float64 {
 	}
 	return s / float64(len(x))
 }
-
-// BandwidthFor exposes the KDE bandwidth used for a zone (for the
-// sensitivity ablation).
-func BandwidthFor(samples []float64) float64 { return kde.SilvermanBandwidth(samples) }
 
 // String renders the density summary and boundary.
 func (r *Fig11Result) String() string {

@@ -83,7 +83,7 @@ const (
 	DefaultBearingSNR      = 12.0
 	DefaultMinRotorHz      = 5.0
 	DefaultMinFaultSamples = 256
-	// halfCombRise gates the octave promotion in EstimateRotorHz: the
+	// halfCombRise gates the octave promotion in estimateRotorHz: the
 	// comb-scan winner is read as a half-rate comb when the position-5
 	// band energy exceeds halfCombRise × the position-4 band energy.
 	// Calibrated against the synthesis model (see DESIGN §17): genuine
@@ -535,7 +535,7 @@ func nearInteger(f, base, tol float64) bool {
 	return math.Abs(f-m*base) < tol
 }
 
-// EstimateRotorHz recovers the shaft speed from a radial spectrum when
+// estimateRotorHz recovers the shaft speed from a radial spectrum when
 // the machine spec does not provide one (imported recordings). Every
 // candidate fundamental in [MinRotorHz, fs/8] is scored against the
 // integer harmonic comb (Σ log(1+SNR) over h = 1..6); anchoring on the
@@ -549,14 +549,7 @@ func nearInteger(f, base, tol float64) bool {
 // to position 5 (the structural signature of a half-order comb; a
 // genuine rotor comb always decays there — see halfCombRise). The
 // result is refined to sub-bin accuracy from the highest-SNR harmonic
-// line.
-func EstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
-	var work []float64
-	return estimateRotorHz(freq, psd, opt.fill(), &work)
-}
-
-// estimateRotorHz is EstimateRotorHz over filled options, selecting its
-// floor medians in *work.
+// line. opt must be filled; the floor medians are selected in *work.
 func estimateRotorHz(freq, psd []float64, opt FaultOptions, work *[]float64) float64 {
 	if len(freq) < 4 {
 		return 0

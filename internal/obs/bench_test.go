@@ -7,8 +7,7 @@ import (
 
 // The tentpole's overhead contract: incrementing a held counter is a
 // single atomic add — well under 20 ns and allocation-free — so
-// instrumenting the PR 2 hot paths cannot move the committed BENCH_PR2
-// gates.
+// instrumenting the hot paths cannot move the rows BENCH.txt anchors.
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total")

@@ -214,3 +214,28 @@ func TestTrendPointsSweepIsBounded(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkHTTPTrend10k is a 512-point trend request over a 10k-record
+// pump, served from the pyramid and response caches.
+func BenchmarkHTTPTrend10k(b *testing.B) {
+	m := store.NewMeasurements()
+	for i := 0; i < 10000; i++ {
+		m.Add(&store.Record{
+			PumpID:       1,
+			ServiceDays:  float64(i),
+			SampleRateHz: 4000,
+			ScaleG:       0.003,
+			Raw:          [3][]int16{{int16(i % 997), int16(i % 31)}, {1, 2}, {3, 4}},
+		})
+	}
+	srv := New(m, nil, nil)
+	b.ReportAllocs()
+	for b.Loop() {
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/pumps/1/trend?points=512", nil)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("trend status %d", rec.Code)
+		}
+	}
+}

@@ -193,8 +193,8 @@ func TestGenerationSemantics(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreAddQuery is the mixed ingest/read workload of the
-// BENCH_PR4 gate: 1024 time-ordered adds across 16 pumps interleaved
+// BenchmarkStoreAddQuery is the mixed ingest/read workload BENCH.txt
+// anchors: 1024 time-ordered adds across 16 pumps interleaved
 // with 1024 whole-series queries. Sequential so the number is
 // deterministic on any core count; the sharded win on multicore is on
 // top of this.

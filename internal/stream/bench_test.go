@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math/rand"
 	"testing"
 
 	"vibepm/internal/feature"
@@ -70,5 +71,36 @@ func BenchmarkFold1k(b *testing.B) {
 				ls.Fold(rec)
 			}
 		})
+	}
+}
+
+// BenchmarkWarmLive40x10k warms a fresh live state over 40 pumps × 250
+// records — the shape of a mid-size fleet restart, 10k folds per warm —
+// with workers=0, so it fans out to GOMAXPROCS: BENCH.txt has a row at
+// -cpu 1 and one at -cpu 2. Payload content is irrelevant to warm cost,
+// so a seeded rng stands in for the MEMS model.
+func BenchmarkWarmLive40x10k(b *testing.B) {
+	rng := rand.New(rand.NewSource(92))
+	warm := store.NewMeasurements()
+	for p := 0; p < 40; p++ {
+		for i := 0; i < 250; i++ {
+			rec := &store.Record{PumpID: p, ServiceDays: float64(i) * 0.25, SampleRateHz: 3200, ScaleG: 16}
+			for axis := 0; axis < 3; axis++ {
+				w := make([]int16, 64)
+				for j := range w {
+					w[j] = int16(rng.Intn(4096) - 2048)
+				}
+				rec.Raw[axis] = w
+			}
+			warm.AddUnique(rec)
+		}
+	}
+	want := warm.Len()
+	b.ReportAllocs()
+	for b.Loop() {
+		ls := NewLiveState(Config{})
+		if total := ls.Warm(warm, 0); total != want {
+			b.Fatalf("warmed %d records, want %d", total, want)
+		}
 	}
 }

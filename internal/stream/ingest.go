@@ -49,11 +49,12 @@ type Ingester struct {
 	Live *LiveState
 }
 
-// Ingest stores one record idempotently. stored is false for a
-// duplicate (same pump and service time as a stored record). A non-nil
-// error means the record was not acknowledged: ErrInvalidRecord or
-// store.ErrRecordTooLarge reject the record itself, anything else is
-// the write-ahead log failing.
+// Ingest stores one record idempotently, after rounding rec's
+// SampleRateHz and ScaleG in place to the float32 precision the codec
+// keeps. stored is false for a duplicate (same pump and service time as
+// a stored record). A non-nil error means the record was not
+// acknowledged: ErrInvalidRecord or store.ErrRecordTooLarge reject the
+// record itself, anything else is the write-ahead log failing.
 func (in *Ingester) Ingest(rec *store.Record) (stored bool, err error) {
 	k := rec.Samples()
 	if k == 0 || len(rec.Raw[1]) != k || len(rec.Raw[2]) != k {
@@ -76,6 +77,11 @@ func (in *Ingester) Ingest(rec *store.Record) (stored bool, err error) {
 	if !(math.Abs(rec.ScaleG)*(math.MaxInt16+1) <= MaxFullScaleG) {
 		return false, fmt.Errorf("%w: scale_g %g puts full scale past %g g", ErrInvalidRecord, rec.ScaleG, MaxFullScaleG)
 	}
+	// The codec stores both as float32. Round before anything reads
+	// the record, so the live fold and every view computed now see the
+	// values a restart will recover.
+	rec.SampleRateHz = float64(float32(rec.SampleRateHz))
+	rec.ScaleG = float64(float32(rec.ScaleG))
 	if in.Durable != nil {
 		stored, err = in.Durable.AddUnique(rec)
 		if err != nil {

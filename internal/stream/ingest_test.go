@@ -104,8 +104,12 @@ func TestIngestAckThenFold(t *testing.T) {
 					defer d.Abort()
 					in.Durable = d
 				}
+				// Ingest rounds the record's scale and rate in place: each
+				// wiring gets its own copy of the case's record.
+				rec := *tc.rec
 				if tc.prior != nil {
-					if stored, err := in.Ingest(tc.prior); !stored || err != nil {
+					prior := *tc.prior
+					if stored, err := in.Ingest(&prior); !stored || err != nil {
 						t.Fatalf("prior ingest: stored=%v err=%v", stored, err)
 					}
 				}
@@ -117,7 +121,7 @@ func TestIngestAckThenFold(t *testing.T) {
 				sizeBefore, lenBefore := live.Size(), in.Store.Len()
 				during = during[:0]
 
-				stored, err := in.Ingest(tc.rec)
+				stored, err := in.Ingest(&rec)
 
 				wantStored := tc.stored && !w.wedged
 				wantErr := tc.invalid || w.wedged

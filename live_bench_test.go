@@ -1,7 +1,7 @@
-package main
+package vibepm_test
 
 import (
-	"fmt"
+	"sync"
 	"testing"
 
 	"vibepm"
@@ -11,23 +11,13 @@ import (
 	"vibepm/internal/stream"
 )
 
-// prePR6Baseline records the batch-path timing measured on the
-// reference machine for the queries the incremental analysis path
-// replaces: LiveTrend's baseline is what the same trend rebuild cost
-// through the batch CleanTrend branch on the same warm 10k store
-// (the CleanTrendBatch10k case of this suite).
-var prePR6Baseline = map[string]benchResult{
-	"LiveTrend": {NsPerOp: 23234862, AllocsPerOp: 2660},
-}
-
-// pr6Fixture is the warm 10k-measurement deployment the streaming
-// cases run against: a 40-pump fleet at the default 4 measurements/day
-// over 63 days (10,080 trend captures + 120 labelled ones), one live
-// engine with every record folded, and one batch engine over the very
-// same stores. Pools of fresh captures (unique, post-window service
-// days) feed the per-iteration ingests so no two iterations collide.
-type pr6Fixture struct {
-	ds       *dataset.Dataset
+// liveBench is the warm 10k-measurement deployment the streaming
+// benchmarks run against: a 40-pump fleet at the default 4
+// measurements/day over 63 days (10,080 trend captures + 120 labelled
+// ones), one live engine with every record folded, and one batch engine
+// over the very same stores. Pools of fresh captures feed the
+// per-iteration ingests so no two iterations collide.
+type liveBench struct {
 	liveEng  *vibepm.Engine
 	batchEng *vibepm.Engine
 
@@ -40,7 +30,22 @@ type pr6Fixture struct {
 	batchPool  []*store.Record // ingested by CleanTrendBatch10k
 }
 
-func newPR6Fixture() (*pr6Fixture, error) {
+var (
+	liveBenchOnce sync.Once
+	liveBenchFix  *liveBench
+	liveBenchErr  error
+)
+
+func liveFixture(b *testing.B) *liveBench {
+	b.Helper()
+	liveBenchOnce.Do(func() { liveBenchFix, liveBenchErr = newLiveBench() })
+	if liveBenchErr != nil {
+		b.Fatal(liveBenchErr)
+	}
+	return liveBenchFix
+}
+
+func newLiveBench() (*liveBench, error) {
 	ds, err := dataset.Generate(dataset.Config{
 		Seed:               606,
 		Pumps:              40,
@@ -53,18 +58,18 @@ func newPR6Fixture() (*pr6Fixture, error) {
 		},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("pr6 corpus: %w", err)
+		return nil, err
 	}
 	// The labelled captures live outside the trend store; add them so
 	// Fit finds its (label, measurement) pairs.
 	for _, lr := range ds.LabelledRecords {
 		ds.Measurements.Add(lr.Record)
 	}
-	f := &pr6Fixture{ds: ds}
+	f := &liveBench{}
 	f.liveEng = vibepm.NewWithStores(vibepm.Options{}, ds.Measurements, ds.Labels)
 	f.liveEng.EnableLive()
 	if err := f.liveEng.Fit(); err != nil {
-		return nil, fmt.Errorf("pr6 live fit: %w", err)
+		return nil, err
 	}
 	// Warm after Fit so every fold carries the baseline's harmonic
 	// variant and D_a — the steady state of a deployment that ingested
@@ -72,7 +77,7 @@ func newPR6Fixture() (*pr6Fixture, error) {
 	f.liveEng.WarmLive()
 	f.batchEng = vibepm.NewWithStores(vibepm.Options{}, ds.Measurements, ds.Labels)
 	if err := f.batchEng.Fit(); err != nil {
-		return nil, fmt.Errorf("pr6 batch fit: %w", err)
+		return nil, err
 	}
 	base, err := f.liveEng.Baseline()
 	if err != nil {
@@ -101,50 +106,42 @@ func newPR6Fixture() (*pr6Fixture, error) {
 	return f, nil
 }
 
-func pr6Age(_ int, serviceDays float64) float64 { return serviceDays }
+func serviceAge(_ int, serviceDays float64) float64 { return serviceDays }
 
-// benchSuitePR6 assembles the streaming-analysis cases: the
-// per-record fold cost the live path pays at ingest, the trend rebuild
-// after one new measurement through the incremental path, and the same
-// rebuild through the batch branch — the before/after of the O(new
-// data) claim on a warm 10k-measurement store.
-func benchSuitePR6() ([]benchCase, error) {
-	f, err := newPR6Fixture()
-	if err != nil {
-		return nil, err
+// BenchmarkLiveIngest is the per-record fold the live path pays at
+// ingest.
+func BenchmarkLiveIngest(b *testing.B) {
+	f := liveFixture(b)
+	i := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		f.ingestLS.Fold(f.ingestPool[i%len(f.ingestPool)])
+		i++
 	}
-	return []benchCase{
-		{"LiveIngest", func(b *testing.B) {
-			i := 0
-			b.ReportAllocs()
-			for b.Loop() {
-				f.ingestLS.Fold(f.ingestPool[i%len(f.ingestPool)])
-				i++
-			}
-		}},
-		{"LiveTrend", func(b *testing.B) {
-			i := 0
-			b.ReportAllocs()
-			for b.Loop() {
-				rec := f.livePool[i%len(f.livePool)]
-				i++
-				f.liveEng.Ingest(rec)
-				if _, err := f.liveEng.CleanTrend(rec.PumpID, pr6Age); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"CleanTrendBatch10k", func(b *testing.B) {
-			i := 0
-			b.ReportAllocs()
-			for b.Loop() {
-				rec := f.batchPool[i%len(f.batchPool)]
-				i++
-				f.batchEng.Ingest(rec)
-				if _, err := f.batchEng.CleanTrend(rec.PumpID, pr6Age); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-	}, nil
+}
+
+// BenchmarkLiveTrend is the trend rebuild after one new measurement
+// through the incremental path; BenchmarkCleanTrendBatch10k is the same
+// rebuild through the batch branch on the same store.
+func BenchmarkLiveTrend(b *testing.B) {
+	f := liveFixture(b)
+	benchmarkTrendAfterIngest(b, f.liveEng, f.livePool)
+}
+
+func BenchmarkCleanTrendBatch10k(b *testing.B) {
+	f := liveFixture(b)
+	benchmarkTrendAfterIngest(b, f.batchEng, f.batchPool)
+}
+
+func benchmarkTrendAfterIngest(b *testing.B, eng *vibepm.Engine, pool []*store.Record) {
+	i := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		rec := pool[i%len(pool)]
+		i++
+		eng.Ingest(rec)
+		if _, err := eng.CleanTrend(rec.PumpID, serviceAge); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
