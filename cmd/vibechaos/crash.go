@@ -10,27 +10,33 @@ import (
 )
 
 // crashReport is the JSON outcome of a -crash-trials run. Like the
-// soak report it is deterministic for a fixed seed: the WAL byte
+// soak report it is deterministic for a fixed seed: the store's byte
 // stream is a pure function of the seeded records, so the probe size,
 // crash offsets and per-trial outcomes never vary across runs.
 type crashReport struct {
-	Trials    int   `json:"trials"`
-	Records   int   `json:"records_per_trial"`
-	Seed      int64 `json:"seed"`
-	WALBytes  int64 `json:"wal_bytes_per_trial"`
-	Crashed   int   `json:"crashed"`
-	Acked     int   `json:"acked_total"`
-	Recovered int   `json:"recovered_total"`
+	Trials  int   `json:"trials"`
+	Records int   `json:"records_per_trial"`
+	Seed    int64 `json:"seed"`
+	// StreamBytes is what one uncut trial writes: WAL segments, snapshot
+	// temps and partition temps together.
+	StreamBytes int64 `json:"stream_bytes_per_trial"`
+	Crashed     int   `json:"crashed"`
+	// CutsByFileKind counts the crashed trials by the kind of file the
+	// cut landed in.
+	CutsByFileKind map[string]int `json:"cuts_by_file_kind"`
+	Acked          int            `json:"acked_total"`
+	Recovered      int            `json:"recovered_total"`
 	// Violations counts trials where recovery broke the contract
-	// (acked data lost, phantom records, or a reopen failure). A
-	// healthy build reports 0.
+	// (acked data lost, phantom records, a leftover temp file, or a
+	// reopen failure). A healthy build reports 0.
 	Violations int      `json:"violations"`
 	Failures   []string `json:"failures"`
 }
 
-// runCrashTrials sweeps trial crash offsets evenly across the WAL byte
-// stream of a seeded ingest run, verifying after each injected crash
-// that reopening the store recovers exactly the acknowledged appends.
+// runCrashTrials sweeps trial crash offsets evenly across the byte
+// stream of a seeded run that ingests into a tiered store and
+// checkpoints as it goes, verifying after each injected crash the
+// contract chaos.RunCrashTrial documents.
 func runCrashTrials(trials int, seed int64, records int) (*crashReport, error) {
 	root, err := os.MkdirTemp("", "vibechaos-crash-*")
 	if err != nil {
@@ -39,10 +45,12 @@ func runCrashTrials(trials int, seed int64, records int) (*crashReport, error) {
 	defer os.RemoveAll(root)
 
 	base := chaos.CrashTrialConfig{
-		Seed:         seed,
-		Records:      records,
-		SegmentBytes: 1 << 11,
-		Policy:       store.SyncAlways,
+		Seed:            seed,
+		Records:         records,
+		CheckpointEvery: 12,
+		Tiered:          true,
+		SegmentBytes:    1 << 11,
+		Policy:          store.SyncAlways,
 	}
 	probe := base
 	probe.Dir = filepath.Join(root, "probe")
@@ -51,16 +59,17 @@ func runCrashTrials(trials int, seed int64, records int) (*crashReport, error) {
 		return nil, fmt.Errorf("probe trial: %w", err)
 	}
 	out := &crashReport{
-		Trials:   trials,
-		Records:  records,
-		Seed:     seed,
-		WALBytes: probeRes.WALBytes,
-		Failures: []string{},
+		Trials:         trials,
+		Records:        records,
+		Seed:           seed,
+		StreamBytes:    probeRes.Bytes,
+		CutsByFileKind: map[string]int{},
+		Failures:       []string{},
 	}
 	if trials < 1 {
 		return out, nil
 	}
-	stride := probeRes.WALBytes / int64(trials)
+	stride := probeRes.Bytes / int64(trials)
 	if stride < 1 {
 		stride = 1
 	}
@@ -68,7 +77,6 @@ func runCrashTrials(trials int, seed int64, records int) (*crashReport, error) {
 		cfg := base
 		cfg.Dir = filepath.Join(root, fmt.Sprintf("trial-%04d", i))
 		cfg.CrashAfterBytes = 1 + int64(i)*stride
-		cfg.CleanClose = i%8 == 0
 		res, err := chaos.RunCrashTrial(cfg)
 		if err != nil {
 			out.Violations++
@@ -78,6 +86,7 @@ func runCrashTrials(trials int, seed int64, records int) (*crashReport, error) {
 		}
 		if res.Crashed {
 			out.Crashed++
+			out.CutsByFileKind[res.CutKind.String()]++
 		}
 		out.Acked += res.Acked
 		out.Recovered += res.Recovered

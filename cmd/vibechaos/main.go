@@ -267,7 +267,7 @@ func main() {
 		planNm  = flag.String("plan", "bursty", "fault plan: none, bursty, hostile")
 		kill    = flag.Bool("kill", false, "schedule a permanent death for the last mote")
 		outP    = flag.String("out", "", "write the JSON report here instead of stdout")
-		crashN  = flag.Int("crash-trials", 0, "run N WAL crash-recovery trials instead of a soak")
+		crashN  = flag.Int("crash-trials", 0, "run N store crash-recovery trials instead of a soak")
 		crashRc = flag.Int("crash-records", 48, "appends per crash trial")
 	)
 	flag.Parse()

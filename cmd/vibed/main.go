@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -33,7 +34,6 @@ import (
 
 	"vibepm/internal/dataset"
 	"vibepm/internal/node"
-	"vibepm/internal/obs"
 	"vibepm/internal/physics"
 	"vibepm/internal/restapi"
 	"vibepm/internal/store"
@@ -63,7 +63,13 @@ func main() {
 	)
 	flag.Parse()
 
-	logger := obs.NewLogger(os.Stderr, obs.ParseLevel(*logLevel))
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		fmt.Fprintln(os.Stderr, "bad -log-level:", err)
+		os.Exit(2)
+	}
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	slog.SetDefault(logger) // the request path's rare write-failure lines
 	opts := node.Options{
 		Dir:          *walDir,
 		Faults:       *faults,
@@ -158,7 +164,7 @@ func main() {
 // drains in-flight requests for up to 10 s and runs closeStores, which
 // logs its own failure; stopped is the line logged after a clean stop.
 // Returns the process exit code.
-func serveUntilSignal(addr string, h http.Handler, logger *obs.Logger, closeStores func() error, stopped string) int {
+func serveUntilSignal(addr string, h http.Handler, logger *slog.Logger, closeStores func() error, stopped string) int {
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           h,

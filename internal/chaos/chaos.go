@@ -99,9 +99,6 @@ func NewInjector(plan Plan) *Injector {
 	return &Injector{plan: plan, motes: make(map[int]*moteStream)}
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 func (in *Injector) stream(moteID int) *moteStream {
 	in.mu.Lock()
 	defer in.mu.Unlock()

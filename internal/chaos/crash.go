@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 
 	"vibepm/internal/store"
@@ -16,22 +19,61 @@ import (
 // is exhausted — the injected stand-in for the process dying mid-write.
 var ErrCrashed = errors.New("chaos: injected crash")
 
+// FileKind tells apart the files a durable store writes through its
+// one wrapper seam (store.WALOptions.WrapFile), by their path.
+type FileKind int
+
+const (
+	// KindSegment is a WAL segment file.
+	KindSegment FileKind = iota
+	// KindSnapshotTemp is the checkpoint snapshot before its rename.
+	KindSnapshotTemp
+	// KindPartitionTemp is a cold partition before its rename.
+	KindPartitionTemp
+)
+
+func (k FileKind) String() string {
+	return [...]string{"wal_segment", "snapshot_temp", "partition_temp"}[k]
+}
+
+func kindOf(path string) FileKind {
+	switch base := filepath.Base(path); {
+	case strings.Contains(base, ".cold.tmp"):
+		return KindPartitionTemp
+	case strings.Contains(base, ".tmp"):
+		return KindSnapshotTemp
+	default:
+		return KindSegment
+	}
+}
+
+// TempSpan locates one temp file in a trial's byte stream: its bytes
+// are offsets [Start, End) of everything written through the budget.
+type TempSpan struct {
+	Kind       FileKind
+	Start, End int64
+}
+
 // CrashBudget is a byte allowance shared by every CrashWriter wrapping
-// one WAL: after budget bytes have been written (across all segment
-// files, headers included), the write in flight is cut at exactly that
-// offset and every later write or sync fails. The partial prefix
-// reaches the real file — precisely what a kernel would have persisted
-// when the process died mid-write.
+// one durable store: after budget bytes have been written (across
+// segment files, snapshot temps and partition temps alike, headers
+// included), the write in flight is cut at exactly that offset and
+// every later write or sync fails. The partial prefix reaches the real
+// file — precisely what a kernel would have persisted when the process
+// died mid-write.
 type CrashBudget struct {
 	mu        sync.Mutex
 	remaining int64
 	written   int64
 	crashed   bool
+	cutKind   FileKind
+	temps     []TempSpan
+	pinErr    error
 }
 
 // NewCrashBudget allows n bytes before the crash. n <= 0 means no
 // crash: the budget only counts bytes, which is how the harness
-// measures a trial's total WAL footprint.
+// measures a trial's total footprint.
 func NewCrashBudget(n int64) *CrashBudget {
 	if n <= 0 {
 		n = math.MaxInt64
@@ -53,10 +95,17 @@ func (b *CrashBudget) Crashed() bool {
 	return b.crashed
 }
 
-// Wrap interposes the budget on one segment file — the function handed
-// to store.WALOptions.WrapFile.
-func (b *CrashBudget) Wrap(_ string, f *os.File) store.SegmentFile {
-	return &CrashWriter{f: f, budget: b}
+// Wrap interposes the budget on one file — the function handed to
+// store.WALOptions.WrapFile.
+func (b *CrashBudget) Wrap(path string, f *os.File) store.SegmentFile {
+	c := &CrashWriter{f: f, path: path, kind: kindOf(path), span: -1, budget: b}
+	if c.kind != KindSegment {
+		b.mu.Lock()
+		c.span = len(b.temps)
+		b.temps = append(b.temps, TempSpan{Kind: c.kind, Start: b.written, End: b.written})
+		b.mu.Unlock()
+	}
+	return c
 }
 
 // CrashWriter is a SegmentFile that writes through to the real file
@@ -66,6 +115,9 @@ func (b *CrashBudget) Wrap(_ string, f *os.File) store.SegmentFile {
 // crash point is a pure function of the byte stream, not of timing.
 type CrashWriter struct {
 	f      *os.File
+	path   string
+	kind   FileKind
+	span   int // index into budget.temps, -1 for a segment
 	budget *CrashBudget
 }
 
@@ -77,18 +129,29 @@ func (c *CrashWriter) Write(p []byte) (int, error) {
 	if b.crashed {
 		return 0, ErrCrashed
 	}
-	if int64(len(p)) <= b.remaining {
-		n, err := c.f.Write(p)
-		b.remaining -= int64(n)
-		b.written += int64(n)
-		return n, err
+	keep, err := int64(len(p)), error(nil)
+	if keep > b.remaining {
+		keep, err = b.remaining, ErrCrashed
+		b.crashed = true
+		b.cutKind = c.kind
 	}
-	keep := b.remaining
-	b.crashed = true
-	b.remaining = 0
-	n, _ := c.f.Write(p[:keep])
+	n, werr := c.f.Write(p[:keep])
+	b.remaining -= int64(n)
 	b.written += int64(n)
-	return n, ErrCrashed
+	if c.span >= 0 {
+		b.temps[c.span].End = b.written
+	}
+	if err != nil && c.span >= 0 {
+		// A dead process cannot clean up after itself, but the error
+		// return standing in for its death lets the store remove the
+		// torn temp. Pin it under a second name of the same *.tmp* shape
+		// so the next open finds what a real kill would have left.
+		b.pinErr = os.Link(c.path, c.path+".torn")
+	}
+	if err == nil {
+		err = werr
+	}
+	return n, err
 }
 
 // Sync fsyncs until the crash, then fails like the dead process would.
@@ -111,18 +174,22 @@ type CrashTrialConfig struct {
 	Seed int64
 	// Records is how many appends the trial attempts.
 	Records int
-	// CrashAfterBytes cuts the WAL byte stream at this offset
-	// (headers included); <= 0 runs to completion without crashing.
+	// CheckpointEvery checkpoints after every n-th acked append, so
+	// snapshot (and, when Tiered, partition) writes interleave with the
+	// appends in one byte stream; 0 never checkpoints before the crash.
+	CheckpointEvery int
+	// Tiered enables the cold tier (hot window 4 days, partitions of 2
+	// over the stream's 4 records a day), so checkpoints compact.
+	Tiered bool
+	// CrashAfterBytes cuts that byte stream at this offset, wherever it
+	// falls — frame, segment header, snapshot temp, partition temp;
+	// <= 0 runs to completion without crashing.
 	CrashAfterBytes int64
 	// SegmentBytes sets the WAL rotation threshold (0 = default).
 	// Small values make crash offsets land on rotation boundaries.
 	SegmentBytes int64
 	// Policy is the WAL fsync policy under test.
 	Policy store.SyncPolicy
-	// CleanClose, when set, additionally closes the recovered store
-	// with a checkpoint and reopens it once more, asserting the
-	// snapshot+retire path reproduces the same contents.
-	CleanClose bool
 	// ReplayWorkers is the recovery parallelism every reopen in the
 	// trial uses (<= 0 GOMAXPROCS, 1 sequential) — the sweep pins it
 	// above 1 to prove recovered == acked under the parallel replayer.
@@ -136,24 +203,31 @@ type CrashTrialResult struct {
 	Attempted int
 	// Acked is how many appends were acknowledged (nil error).
 	Acked int
-	// Recovered is how many records reopening the store reconstructed.
+	// Recovered is how many records reopening the store reconstructed,
+	// hot and cold together.
 	Recovered int
-	// Crashed reports whether the injected crash fired.
+	// Crashed reports whether the injected crash fired, and CutKind
+	// names the kind of file whose write it cut.
 	Crashed bool
-	// WALBytes is the total bytes the trial wrote through the budget.
-	WALBytes int64
+	CutKind FileKind
+	// Bytes is the total the trial wrote through the budget.
+	Bytes int64
+	// Temps locates every temp file the trial wrote in that stream.
+	Temps []TempSpan
 }
 
-// crashTrialRecord builds the i-th record of a seeded trial stream:
-// pump ids stride across shards, service times ascend, and the samples
-// are seeded noise so every record's bytes are distinct.
-func crashTrialRecord(rng *rand.Rand, i int) *store.Record {
+// TrialRecord builds the i-th record of a seeded trial stream: pump
+// ids stride across every shard (and every member of a small cluster),
+// service times ascend four to a day, and the samples are seeded noise
+// so every record's bytes are distinct — a swapped or phantom record
+// cannot hide behind an identical payload.
+func TrialRecord(rng *rand.Rand, i int) *store.Record {
 	raw := make([]int16, 8)
 	for j := range raw {
 		raw[j] = int16(rng.Intn(4096) - 2048)
 	}
 	return &store.Record{
-		PumpID:       (i * 7) % 48, // strides across all 16 shards
+		PumpID:       (i * 7) % 48,
 		ServiceDays:  float64(i) * 0.25,
 		SampleRateHz: 4000,
 		ScaleG:       0.003,
@@ -161,100 +235,188 @@ func crashTrialRecord(rng *rand.Rand, i int) *store.Record {
 	}
 }
 
-// RunCrashTrial appends a seeded record stream into a durable store
-// whose WAL is cut at an injected byte offset, then reopens the
-// directory and checks the recovery contract: the recovered store
-// holds exactly the acknowledged appends — no acked record lost, no
-// phantom records, no panic. A non-nil error means the contract was
-// violated (or the trial could not run).
+func (cfg CrashTrialConfig) options(wrap func(string, *os.File) store.SegmentFile) store.DurableOptions {
+	opts := store.DurableOptions{
+		WAL:           store.WALOptions{SegmentBytes: cfg.SegmentBytes, Policy: cfg.Policy, WrapFile: wrap},
+		ReplayWorkers: cfg.ReplayWorkers,
+	}
+	if cfg.Tiered {
+		opts.Tiered = &store.TieredOptions{
+			HotWindowDays: 4,
+			PartitionDays: 2,
+			// One scalar stream, as a deployment's partitions carry.
+			Metrics: []store.ColdMetric{{Name: "first", Fn: func(r *store.Record) float64 { return float64(r.Raw[0][0]) }}},
+		}
+	}
+	return opts
+}
+
+// RunCrashTrial appends a seeded record stream into a durable store,
+// checkpointing as configured, with every byte the store writes — WAL
+// segments, snapshot temps, partition temps — counted against one
+// budget that cuts the stream at an injected offset. It then checks
+// the recovery contract, reopening with no wrapper:
+//
+//   - hot ∪ cold holds exactly the acknowledged appends, byte for byte
+//     (no acked record lost, no phantom, no panic);
+//   - no *.tmp* file is left anywhere under the directory;
+//   - a further checkpoint converges and still holds exactly that;
+//   - a second reopen is identical.
+//
+// A non-nil error means the contract was violated (or the trial could
+// not run).
 func RunCrashTrial(cfg CrashTrialConfig) (CrashTrialResult, error) {
 	var res CrashTrialResult
 	budget := NewCrashBudget(cfg.CrashAfterBytes)
-	d, _, err := store.OpenDurable(cfg.Dir, store.DurableOptions{
-		WAL: store.WALOptions{
-			SegmentBytes: cfg.SegmentBytes,
-			Policy:       cfg.Policy,
-			WrapFile:     budget.Wrap,
-		},
-	})
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var acked []*store.Record
-	if err != nil {
-		// The crash fired while opening the very first segment: nothing
-		// was acked, and reopening below must still recover cleanly.
-		if !budget.Crashed() {
-			return res, fmt.Errorf("open durable: %w", err)
-		}
-	} else {
+	// A failure before the budget fired is the store's, not the trial's.
+	d, _, err := store.OpenDurable(cfg.Dir, cfg.options(budget.Wrap))
+	if err == nil {
 		for i := 0; i < cfg.Records; i++ {
-			rec := crashTrialRecord(rng, i)
+			rec := TrialRecord(rng, i)
 			res.Attempted++
-			stored, err := d.AddUnique(rec)
-			if err != nil {
+			var stored bool
+			if stored, err = d.AddUnique(rec); err != nil {
 				break
 			}
 			if !stored {
+				d.Abort()
 				return res, fmt.Errorf("append %d: unexpectedly judged duplicate", i)
 			}
 			acked = append(acked, rec)
+			if cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
+				if _, err = d.Checkpoint(); err != nil {
+					break
+				}
+			}
 		}
 		d.Abort()
 	}
 	res.Acked = len(acked)
 	res.Crashed = budget.Crashed()
-	res.WALBytes = budget.Written()
+	res.CutKind = budget.cutKind
+	res.Bytes = budget.Written()
+	res.Temps = budget.temps
+	if err != nil && !res.Crashed {
+		return res, fmt.Errorf("failed without an injected crash: %w", err)
+	}
+	if budget.pinErr != nil {
+		return res, fmt.Errorf("pin the torn temp: %w", budget.pinErr)
+	}
 
-	recovered, _, err := store.OpenDurable(cfg.Dir, store.DurableOptions{ReplayWorkers: cfg.ReplayWorkers})
-	if err != nil {
-		return res, fmt.Errorf("reopen after crash: %w", err)
-	}
-	res.Recovered = recovered.Store().Len()
-	if err := storesEqualAcked(recovered.Store(), acked); err != nil {
-		recovered.Abort()
-		return res, err
-	}
-	if cfg.CleanClose {
-		// Exercise checkpoint + segment retirement: close cleanly and
-		// reopen from the snapshot alone.
-		if err := recovered.Close(); err != nil {
-			return res, fmt.Errorf("clean close: %w", err)
-		}
-		again, _, err := store.OpenDurable(cfg.Dir, store.DurableOptions{ReplayWorkers: cfg.ReplayWorkers})
+	for _, pass := range []string{"reopen after crash", "second reopen"} {
+		re, _, err := store.OpenDurable(cfg.Dir, cfg.options(nil))
 		if err != nil {
-			return res, fmt.Errorf("reopen after checkpoint: %w", err)
+			return res, fmt.Errorf("%s: %w", pass, err)
 		}
-		if err := storesEqualAcked(again.Store(), acked); err != nil {
-			again.Abort()
-			return res, fmt.Errorf("after checkpoint: %w", err)
+		err = durableHoldsExactly(re, acked, &res.Recovered)
+		if err == nil {
+			err = noTempsUnder(cfg.Dir)
 		}
-		again.Abort()
-	} else {
-		recovered.Abort()
+		if err == nil && pass == "reopen after crash" {
+			// Convergence: the next checkpoint finishes whatever the
+			// crash interrupted and retires the log it replayed.
+			if _, err = re.Checkpoint(); err != nil {
+				err = fmt.Errorf("checkpoint: %w", err)
+			} else {
+				err = durableHoldsExactly(re, acked, &res.Recovered)
+			}
+		}
+		re.Abort()
+		if err != nil {
+			return res, fmt.Errorf("%s: %w", pass, err)
+		}
 	}
 	return res, nil
 }
 
-// storesEqualAcked asserts that got holds exactly the acked records,
-// byte for byte, by comparing canonical Save encodings.
-func storesEqualAcked(got *store.Measurements, acked []*store.Record) error {
-	want := store.NewMeasurements()
-	for _, rec := range acked {
-		if !want.AddUnique(rec) {
-			return fmt.Errorf("acked stream contains an internal duplicate")
+// durableHoldsExactly asserts that the union of d's hot store and cold
+// partitions is exactly the acked records. Records a crash left in
+// both tiers (renamed partition, WAL not yet retired) dedupe by key;
+// the byte comparison then also proves the cold copy decompressed
+// bit-identical to what was acked.
+func durableHoldsExactly(d *store.Durable, acked []*store.Record, n *int) error {
+	union := store.NewMeasurements()
+	for _, id := range d.Store().Pumps() {
+		for _, rec := range d.Store().All(id) {
+			union.AddUnique(rec)
 		}
 	}
-	if got.Len() != want.Len() {
-		return fmt.Errorf("recovered %d records, acked %d", got.Len(), want.Len())
+	if c := d.Cold(); c != nil {
+		for _, id := range c.Pumps() {
+			recs, err := c.Records(id)
+			if err != nil {
+				return fmt.Errorf("decompress pump %d: %w", id, err)
+			}
+			for _, rec := range recs {
+				union.AddUnique(rec)
+			}
+		}
 	}
-	var gb, wb bytes.Buffer
-	if err := got.Save(&gb); err != nil {
-		return fmt.Errorf("encode recovered: %w", err)
+	*n = union.Len()
+	return CheckRecovered(union, acked, acked)
+}
+
+// CheckRecovered is the one yardstick every crash harness measures
+// with: acked ⊆ got ⊆ attempted, byte for byte in the canonical record
+// encoding — every acknowledged record survived, and nothing that was
+// never sent (or a mangled copy of something that was) materialized.
+// Passing the same slice twice asserts got holds exactly those records.
+func CheckRecovered(got *store.Measurements, acked, attempted []*store.Record) error {
+	type key struct {
+		pump int
+		day  float64
 	}
-	if err := want.Save(&wb); err != nil {
-		return fmt.Errorf("encode acked: %w", err)
+	encode := func(rec *store.Record) ([]byte, error) {
+		var b bytes.Buffer
+		err := store.EncodeRecord(&b, rec)
+		return b.Bytes(), err
 	}
-	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-		return errors.New("recovered store differs from the acked appends")
+	sent := make(map[key][]byte, len(attempted))
+	for _, rec := range attempted {
+		b, err := encode(rec)
+		if err != nil {
+			return err
+		}
+		sent[key{rec.PumpID, rec.ServiceDays}] = b
+	}
+	held := make(map[key]bool, got.Len())
+	for _, id := range got.Pumps() {
+		for _, rec := range got.All(id) {
+			k := key{rec.PumpID, rec.ServiceDays}
+			b, err := encode(rec)
+			if err != nil {
+				return err
+			}
+			want, ok := sent[k]
+			switch {
+			case !ok:
+				return fmt.Errorf("phantom record pump %d t=%g", k.pump, k.day)
+			case held[k]:
+				return fmt.Errorf("record pump %d t=%g held twice", k.pump, k.day)
+			case !bytes.Equal(b, want):
+				return fmt.Errorf("record pump %d t=%g differs from what was sent", k.pump, k.day)
+			}
+			held[k] = true
+		}
+	}
+	for _, rec := range acked {
+		if !held[key{rec.PumpID, rec.ServiceDays}] {
+			return fmt.Errorf("acked record pump %d t=%g lost (%d held, %d acked)",
+				rec.PumpID, rec.ServiceDays, len(held), len(acked))
+		}
 	}
 	return nil
+}
+
+// noTempsUnder asserts the open-time sweeps left no atomic-writer temp
+// anywhere under dir.
+func noTempsUnder(dir string) error {
+	return filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err == nil && !e.IsDir() && strings.Contains(e.Name(), ".tmp") {
+			err = fmt.Errorf("leftover temp file %s", path)
+		}
+		return err
+	})
 }

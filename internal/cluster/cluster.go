@@ -326,12 +326,7 @@ func (c *Cluster) Kill(name string) (FailoverStats, error) {
 			// the old per-record loop, at ~1 MiB per syscall instead of
 			// one Write (and one mirror lock round-trip) per record.
 			seg := pn.Durable.WAL().Segment()
-			ps := pn.Store
-			var seed []*store.Record
-			for _, id := range ps.Pumps() {
-				seed = append(seed, ps.All(id)...)
-			}
-			appended, err := m.AppendRecords(seg, seed)
+			appended, err := m.AppendRecords(seg, allRecords(pn.Store))
 			stats.BootstrapRecords += appended
 			if err != nil {
 				return stats, fmt.Errorf("cluster: bootstrap %s -> %s: %w", pred, next, err)
@@ -348,6 +343,15 @@ func (c *Cluster) Kill(name string) (FailoverStats, error) {
 	return stats, nil
 }
 
+// allRecords flattens a store into one slice, pump by pump.
+func allRecords(m *store.Measurements) []*store.Record {
+	var recs []*store.Record
+	for _, id := range m.Pumps() {
+		recs = append(recs, m.All(id)...)
+	}
+	return recs
+}
+
 // Union merges every live node's store into one canonical view — the
 // cluster-wide record set the chaos harness compares against the acked
 // stream. Records are AddUnique'd, so a record present on two nodes
@@ -361,11 +365,8 @@ func (c *Cluster) Union() *store.Measurements {
 		if n == nil || !n.alive {
 			continue
 		}
-		s := n.Store
-		for _, id := range s.Pumps() {
-			for _, rec := range s.All(id) {
-				u.AddUnique(rec)
-			}
+		for _, rec := range allRecords(n.Store) {
+			u.AddUnique(rec)
 		}
 	}
 	return u

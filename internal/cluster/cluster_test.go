@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vibepm/internal/chaos"
 	"vibepm/internal/node"
 	"vibepm/internal/store"
 )
@@ -25,7 +26,7 @@ func ingestN(t *testing.T, c *Cluster, seed int64, off, n int) []*store.Record {
 	rng := rand.New(rand.NewSource(seed))
 	acked := make([]*store.Record, 0, n)
 	for i := 0; i < n; i++ {
-		rec := clusterTrialRecord(rng, off+i)
+		rec := chaos.TrialRecord(rng, off+i)
 		_, stored, err := c.Ingest(rec)
 		if err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
@@ -48,7 +49,7 @@ func TestClusterIngestRoutesByRing(t *testing.T) {
 	defer c.abortAll()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 120; i++ {
-		rec := clusterTrialRecord(rng, i)
+		rec := chaos.TrialRecord(rng, i)
 		owner, _, err := c.Ingest(rec)
 		if err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
@@ -101,11 +102,8 @@ func TestClusterSynchronousReplication(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("replay mirror of %s: %v", name, err)
 		}
-		if err := subsetEqual(ownRecs, got, "acked on "+name, "mirror"); err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != len(ownRecs) {
-			t.Fatalf("mirror of %s holds %d records, owner acked %d", name, got.Len(), len(ownRecs))
+		if err := chaos.CheckRecovered(got, ownRecs, ownRecs); err != nil {
+			t.Fatalf("mirror of %s vs what it acked: %v", name, err)
 		}
 	}
 }
@@ -132,7 +130,7 @@ func TestClusterCleanKillFailover(t *testing.T) {
 	if fo.MirrorRecords == 0 || fo.Redistributed == 0 {
 		t.Fatalf("failover moved nothing: %+v", fo)
 	}
-	if err := storesEqual(c.Union(), acked); err != nil {
+	if err := chaos.CheckRecovered(c.Union(), acked, acked); err != nil {
 		t.Fatalf("after failover: %v", err)
 	}
 	for pump := 0; pump < 64; pump++ {
@@ -142,7 +140,8 @@ func TestClusterCleanKillFailover(t *testing.T) {
 	}
 	// Ingest keeps working, including keys the victim used to own.
 	more := ingestN(t, c, 4, 150, 60)
-	if err := storesEqual(c.Union(), append(append([]*store.Record{}, acked...), more...)); err != nil {
+	acked = append(acked, more...)
+	if err := chaos.CheckRecovered(c.Union(), acked, acked); err != nil {
 		t.Fatalf("after post-failover ingest: %v", err)
 	}
 
@@ -185,7 +184,7 @@ func TestClusterRetargetAfterFollowerDeath(t *testing.T) {
 	if _, err := c.Kill("n1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := storesEqual(c.Union(), acked); err != nil {
+	if err := chaos.CheckRecovered(c.Union(), acked, acked); err != nil {
 		t.Fatalf("after double failover: %v", err)
 	}
 }
@@ -213,7 +212,7 @@ func TestClusterLastNodeDiesDark(t *testing.T) {
 	if got := c.Union().Len(); got != 0 {
 		t.Fatalf("union of zero live nodes holds %d records", got)
 	}
-	rec := clusterTrialRecord(rand.New(rand.NewSource(9)), 0)
+	rec := chaos.TrialRecord(rand.New(rand.NewSource(9)), 0)
 	if _, _, err := c.Ingest(rec); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("ingest into dead cluster: err=%v, want ErrNoNode", err)
 	}
@@ -237,7 +236,7 @@ func TestClusterReopenRecoversUnion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer again.abortAll()
-	if err := storesEqual(again.Union(), acked); err != nil {
+	if err := chaos.CheckRecovered(again.Union(), acked, acked); err != nil {
 		t.Fatalf("after reopen: %v", err)
 	}
 }
@@ -321,7 +320,7 @@ func TestClusterOpenValidation(t *testing.T) {
 	}
 	defer c.abortAll()
 	acked := ingestN(t, c, 10, 0, 10)
-	if err := storesEqual(c.Union(), acked); err != nil {
+	if err := chaos.CheckRecovered(c.Union(), acked, acked); err != nil {
 		t.Fatal(err)
 	}
 }

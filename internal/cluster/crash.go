@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,9 +26,9 @@ type ClusterCrashConfig struct {
 	// (headers included); <= 0 runs the stream to completion with no
 	// crash (the probe mode the sweep uses to size its offsets). The
 	// victim is the first of the trial's three members. The budget wraps
-	// only its own segment files — mirror writes on the follower are
-	// real — so the crash point is a deterministic function of the
-	// victim's appends.
+	// only its own files — mirror writes on the follower are real — so
+	// the crash point is a deterministic function of the victim's
+	// appends.
 	CrashAfterBytes int64
 	// SegmentBytes sets every node's WAL rotation threshold (0 =
 	// default). Small values make crash offsets land on rotations and
@@ -73,25 +72,6 @@ type ClusterCrashResult struct {
 	Failover FailoverStats
 }
 
-// clusterTrialRecord builds the i-th record of a seeded trial stream:
-// pump ids stride so the stream spreads across every member, service
-// times ascend, and the samples are seeded noise so each record's
-// bytes are distinct (a swapped or phantom record cannot hide behind
-// an identical payload).
-func clusterTrialRecord(rng *rand.Rand, i int) *store.Record {
-	raw := make([]int16, 8)
-	for j := range raw {
-		raw[j] = int16(rng.Intn(4096) - 2048)
-	}
-	return &store.Record{
-		PumpID:       (i * 11) % 64,
-		ServiceDays:  float64(i) * 0.25,
-		SampleRateHz: 4000,
-		ScaleG:       0.003,
-		Raw:          [3][]int16{raw, raw, raw},
-	}
-}
-
 // RunClusterCrashTrial ingests a seeded record stream into an N-node
 // cluster whose victim node's WAL is cut at an injected byte offset.
 // The moment an ingest fails on the armed crash, the victim is killed
@@ -99,7 +79,7 @@ func clusterTrialRecord(rng *rand.Rand, i int) *store.Record {
 // through post-failover routing. The trial then checks the clustered
 // recovery contract:
 //
-//	acked ⊆ recovered ⊆ attempted   (cluster-wide, canonical Save bytes)
+//	acked ⊆ recovered ⊆ attempted   (cluster-wide, chaos.CheckRecovered)
 //
 // — every acknowledged ingest survives the node death byte-for-byte
 // somewhere in the cluster, and nothing the clients never sent
@@ -159,7 +139,7 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var acked, attempted []*store.Record
 	for i := 0; i < cfg.Records; i++ {
-		rec := clusterTrialRecord(rng, i)
+		rec := chaos.TrialRecord(rng, i)
 		attempted = append(attempted, rec)
 		res.Attempted++
 		_, stored, err := c.Ingest(rec)
@@ -192,10 +172,7 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 
 	union := c.Union()
 	res.Recovered = union.Len()
-	if err := subsetEqual(acked, union, "acked", "recovered"); err != nil {
-		return res, err
-	}
-	if err := containedIn(union, attempted, "recovered", "attempted"); err != nil {
+	if err := chaos.CheckRecovered(union, acked, attempted); err != nil {
 		return res, err
 	}
 	if err := liveEqualsBatch(c); err != nil {
@@ -220,8 +197,7 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 				}
 			}
 		}
-		union = c.Union()
-		if err := storesEqual(union, attempted); err != nil {
+		if err := chaos.CheckRecovered(c.Union(), attempted, attempted); err != nil {
 			return res, fmt.Errorf("after re-ingest: %w", err)
 		}
 		if err := liveEqualsBatch(c); err != nil {
@@ -230,7 +206,7 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 	}
 
 	if cfg.Reopen {
-		want := c.Union()
+		want := allRecords(c.Union())
 		survivors := names
 		if res.Victim != "" {
 			survivors = names[1:]
@@ -243,9 +219,8 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 			return res, fmt.Errorf("reopen cluster: %w", err)
 		}
 		defer again.abortAll()
-		got := again.Union()
-		if err := storesSameBytes(got, want, "reopened", "pre-close"); err != nil {
-			return res, err
+		if err := chaos.CheckRecovered(again.Union(), want, want); err != nil {
+			return res, fmt.Errorf("reopened vs pre-close: %w", err)
 		}
 		if err := liveEqualsBatch(again); err != nil {
 			return res, fmt.Errorf("after reopen: %w", err)
@@ -293,76 +268,6 @@ func liveEqualsBatch(c *Cluster) error {
 				return fmt.Errorf("node %s pump %d: live fault status %+v differs from a fresh detector pass %+v", name, id, got.FaultReport, want)
 			}
 		}
-	}
-	return nil
-}
-
-// subsetEqual asserts every record in want appears in got with
-// identical canonical bytes: got restricted to want's keys must encode
-// exactly like a store of want alone.
-func subsetEqual(want []*store.Record, got *store.Measurements, wantName, gotName string) error {
-	ws := store.NewMeasurements()
-	rs := store.NewMeasurements()
-	for _, rec := range want {
-		if !ws.AddUnique(rec) {
-			return fmt.Errorf("%s stream contains an internal duplicate", wantName)
-		}
-		hits := got.Query(rec.PumpID, rec.ServiceDays, rec.ServiceDays)
-		if len(hits) != 1 {
-			return fmt.Errorf("%s record pump %d t=%g: %d matches in %s (want 1)",
-				wantName, rec.PumpID, rec.ServiceDays, len(hits), gotName)
-		}
-		rs.AddUnique(hits[0])
-	}
-	return storesSameBytes(rs, ws, gotName+" (restricted)", wantName)
-}
-
-// containedIn asserts every record in got is one of the allowed
-// records, byte for byte — no phantom data materialized.
-func containedIn(got *store.Measurements, allowed []*store.Record, gotName, allowedName string) error {
-	as := store.NewMeasurements()
-	for _, rec := range allowed {
-		as.AddUnique(rec)
-	}
-	rs := store.NewMeasurements()
-	for _, id := range got.Pumps() {
-		for _, rec := range got.All(id) {
-			hits := as.Query(rec.PumpID, rec.ServiceDays, rec.ServiceDays)
-			if len(hits) != 1 {
-				return fmt.Errorf("%s record pump %d t=%g not in %s",
-					gotName, rec.PumpID, rec.ServiceDays, allowedName)
-			}
-			rs.AddUnique(hits[0])
-		}
-	}
-	return storesSameBytes(got, rs, gotName, allowedName+" (restricted)")
-}
-
-// storesEqual asserts got holds exactly the given records.
-func storesEqual(got *store.Measurements, recs []*store.Record) error {
-	want := store.NewMeasurements()
-	for _, rec := range recs {
-		want.AddUnique(rec)
-	}
-	return storesSameBytes(got, want, "cluster union", "expected")
-}
-
-// storesSameBytes compares two stores via their canonical Save
-// encodings — the same byte-exact yardstick the single-node crash
-// harness uses.
-func storesSameBytes(got, want *store.Measurements, gotName, wantName string) error {
-	if got.Len() != want.Len() {
-		return fmt.Errorf("%s has %d records, %s has %d", gotName, got.Len(), wantName, want.Len())
-	}
-	var gb, wb bytes.Buffer
-	if err := got.Save(&gb); err != nil {
-		return fmt.Errorf("encode %s: %w", gotName, err)
-	}
-	if err := want.Save(&wb); err != nil {
-		return fmt.Errorf("encode %s: %w", wantName, err)
-	}
-	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-		return fmt.Errorf("%s differs from %s", gotName, wantName)
 	}
 	return nil
 }

@@ -61,7 +61,7 @@ func TestClusterNodeKillSweep(t *testing.T) {
 		jitter := rng.Int63n(stride + 1)
 		cfg := base
 		cfg.Dir = t.TempDir()
-		cfg.CrashAfterBytes = min64(off+jitter, total)
+		cfg.CrashAfterBytes = min(off+jitter, total)
 		cfg.Policy = policies[trials%len(policies)]
 		cfg.Reingest = trials%3 == 0
 		cfg.Reopen = trials%8 == 0
@@ -101,13 +101,6 @@ func TestClusterNodeKillSweep(t *testing.T) {
 		t.Fatalf("only %d node-kill trials ran, want >= %d", trials, minTrials)
 	}
 	t.Logf("%d node-kill trials over %d victim WAL bytes, acked ⊆ recovered held in all", trials, total)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestClusterCrashTrialDeterminism: the same crash offset over the
@@ -208,7 +201,7 @@ func TestClusterCrashConcurrentIngest(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(trial)*100 + int64(w)))
 				for i := 0; i < perWriter; i++ {
-					rec := clusterTrialRecord(rng, i)
+					rec := chaos.TrialRecord(rng, i)
 					rec.PumpID = w*100 + i%16
 					mu.Lock()
 					attempted = append(attempted, rec)
@@ -241,11 +234,7 @@ func TestClusterCrashConcurrentIngest(t *testing.T) {
 			c.abortAll()
 			return
 		}
-		union := c.Union()
-		if err := subsetEqual(acked, union, "acked", "union"); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := containedIn(union, attempted, "union", "attempted"); err != nil {
+		if err := chaos.CheckRecovered(c.Union(), acked, attempted); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		c.abortAll()

@@ -166,13 +166,6 @@ func (c CostModel) Summarize(outcomes []PumpOutcome, fixedPeriodDays, marginDays
 	return rep, nil
 }
 
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // FormatRUL renders an RUL estimate the way the paper's Table IV
 // "Diagnosed RUL" row does: coarse human buckets.
 func FormatRUL(days float64) string {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sort"
 
 	"vibepm/internal/dsp"
@@ -62,7 +61,3 @@ func FuseTrends(trends [][]TrendPoint, toleranceDays float64) ([]TrendPoint, err
 	flush(len(pool))
 	return out, nil
 }
-
-// ErrTrendMismatch is reserved for fusion callers that require equal
-// trend lengths; FuseTrends itself tolerates ragged inputs.
-var ErrTrendMismatch = errors.New("core: trends disagree")

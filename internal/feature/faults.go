@@ -710,9 +710,6 @@ func (d *FaultDetector) SpecFor(pumpID int) MachineSpec {
 	return d.def
 }
 
-// Options returns the detector's threshold options.
-func (d *FaultDetector) Options() FaultOptions { return d.opt }
-
 // metDetectDur times one classification through a detector — the
 // "fault classify" stage of the ingest and warm-up paths.
 var metDetectDur = obs.Default.Histogram("vibepm_feature_detect_seconds", obs.StageBuckets)

@@ -53,9 +53,6 @@ func (m Metric) String() string {
 // Metrics lists the paper's four comparison metrics in figure order.
 var Metrics = []Metric{MetricPeakHarmonic, MetricEuclidean, MetricMahalanobis, MetricTemperature}
 
-// AllMetrics adds the RMS extension metric to the paper's four.
-var AllMetrics = append(append([]Metric(nil), Metrics...), MetricRMS)
-
 // Baseline is the trained Zone-A reference each metric scores against:
 // the exemplary healthy harmonic feature for Algorithm 1, and the
 // healthy PSD centroid/covariance for the vector baselines.

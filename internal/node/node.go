@@ -9,12 +9,12 @@ package node
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"time"
 
 	"vibepm"
-	"vibepm/internal/obs"
 	"vibepm/internal/restapi"
 	"vibepm/internal/store"
 	"vibepm/internal/stream"
@@ -48,7 +48,7 @@ type Options struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
 	// Logger receives the assembly's progress lines; nil discards them.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // Node is one assembled vibed. The embedded Ingester is its write seam
@@ -63,11 +63,11 @@ type Node struct {
 	Recovery store.RecoveryStats
 	// Handler serves the node's whole HTTP surface.
 	Handler http.Handler
-	log     *obs.Logger
+	log     *slog.Logger
 }
 
 // Open recovers the durable store (when Dir is set), builds the engine
-// over it, warms the live state, fits when there are labels, and
+// over it, fits when there are labels, warms the live state, and
 // mounts the API. Failures are logged at the step that failed and
 // returned.
 func Open(opts Options) (*Node, error) {
@@ -76,7 +76,7 @@ func Open(opts Options) (*Node, error) {
 		n.Store = store.NewMeasurements()
 	}
 	if n.log == nil {
-		n.log = obs.NewLogger(io.Discard, obs.LevelError)
+		n.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 
 	// Durable ingestion: recover snapshot + WAL into the corpus store,
@@ -141,42 +141,53 @@ func Open(opts Options) (*Node, error) {
 	// ingest seam, so trend and fleet queries stay O(new data).
 	n.Live = n.Engine.EnableLive()
 
+	// With labels, fit before the warm-up: the fit's scan touches only
+	// the labelled records, and once the baseline is installed every
+	// warm-up fold extracts both harmonic variants from its one PSD and
+	// scores D_a, so the first analysis request is pure cache reads
+	// instead of a second DSP pass over the whole store.
+	var fitErr error
+	if opts.Labels != nil {
+		if fitErr = n.Engine.Fit(); fitErr == nil {
+			boundary, _ := n.Engine.Boundary()
+			n.log.Info("engine fitted", "boundary_da", boundary)
+		}
+	}
+
 	// When recovery replayed WAL records (or repaired torn frames),
 	// fold them into a fresh snapshot right away so the next restart
 	// skips the replay. The checkpoint is I/O-bound and the warm-up is
 	// CPU-bound, and both only read the recovered store — so they run
-	// concurrently instead of stacking their latencies.
-	var ckptDone chan struct{}
-	if n.Durable != nil && (n.Recovery.Replayed > 0 || n.Recovery.Replay.Truncated()) {
-		ckptDone = make(chan struct{})
-		go func() {
-			defer close(ckptDone)
-			cs, err := n.Durable.Checkpoint()
-			if err != nil {
-				n.log.Warn("post-recovery checkpoint failed", "err", err)
-				return
-			}
-			n.log.Info("post-recovery checkpoint",
-				"records", cs.Records,
-				"segments_retired", cs.SegmentsRetired,
-				"took_ms", cs.Duration.Milliseconds(),
-			)
-		}()
-	}
-	warmStart := time.Now()
-	warmed := n.Engine.WarmLive()
-	n.log.Info("live state warmed", "records", warmed, "warm_ms", time.Since(warmStart).Milliseconds())
-	if ckptDone != nil {
-		<-ckptDone
-	}
-	if opts.Labels != nil {
-		if err := n.Engine.Fit(); err != nil {
-			n.log.Error("fit failed", "err", err)
-			n.Abort()
-			return nil, fmt.Errorf("fit: %w", err)
+	// concurrently instead of stacking their latencies. It starts after
+	// the fit, whose label scan caches cold reads per pump and must not
+	// race a compaction's evictions, and runs on the fit-error path too.
+	ckptDone := make(chan struct{})
+	go func() {
+		defer close(ckptDone)
+		if n.Durable == nil || (n.Recovery.Replayed == 0 && !n.Recovery.Replay.Truncated()) {
+			return
 		}
-		boundary, _ := n.Engine.Boundary()
-		n.log.Info("engine fitted", "boundary_da", boundary)
+		cs, err := n.Durable.Checkpoint()
+		if err != nil {
+			n.log.Warn("post-recovery checkpoint failed", "err", err)
+			return
+		}
+		n.log.Info("post-recovery checkpoint",
+			"records", cs.Records,
+			"segments_retired", cs.SegmentsRetired,
+			"took_ms", cs.Duration.Milliseconds(),
+		)
+	}()
+	if fitErr == nil {
+		warmStart := time.Now()
+		warmed := n.Engine.WarmLive()
+		n.log.Info("live state warmed", "records", warmed, "warm_ms", time.Since(warmStart).Milliseconds())
+	}
+	<-ckptDone
+	if fitErr != nil {
+		n.log.Error("fit failed", "err", fitErr)
+		n.Abort()
+		return nil, fmt.Errorf("fit: %w", fitErr)
 	}
 
 	mux := http.NewServeMux()

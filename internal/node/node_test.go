@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vibepm/internal/dataset"
+	"vibepm/internal/obs"
 	"vibepm/internal/physics"
 	"vibepm/internal/restapi"
 	"vibepm/internal/store"
@@ -165,6 +166,29 @@ func TestNodeCrashRestart(t *testing.T) {
 		t.Fatalf("the post-recovery checkpoint did not run: third open recovered %+v", rs)
 	}
 	sameViews(t, "after the second Abort", views(t, third.Handler), before)
+}
+
+// TestNodeOpenScoresDaAtWarmUp: with labels the node fits before it
+// warms, so the warm-up folds already carry D_a against the fitted
+// baseline and the first analysis request re-runs no DSP — scoring
+// every stored record is cache hits only.
+func TestNodeOpenScoresDaAtWarmUp(t *testing.T) {
+	n := mustOpen(t, corpusOptions(t, t.TempDir()))
+	hits := obs.Default.Counter("vibepm_stream_cache_hits_total")
+	misses := obs.Default.Counter("vibepm_stream_cache_misses_total")
+	h0, m0 := hits.Value(), misses.Value()
+	scored := 0
+	for _, id := range n.Store.Pumps() {
+		for _, rec := range n.Store.All(id) {
+			if _, err := n.Engine.Da(rec); err != nil {
+				t.Fatalf("pump %d t=%g: %v", id, rec.ServiceDays, err)
+			}
+			scored++
+		}
+	}
+	if dh, dm := hits.Value()-h0, misses.Value()-m0; dm != 0 || dh != uint64(scored) {
+		t.Fatalf("scoring %d warmed records: %d cache hits, %d misses; want all hits", scored, dh, dm)
+	}
 }
 
 // TestNodeWithoutLabels: a node opened with no labels (a cluster

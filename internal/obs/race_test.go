@@ -54,26 +54,3 @@ func TestRegistryRaceHammer(t *testing.T) {
 		t.Fatalf("histogram count = %d, want %d", got, workers*rounds)
 	}
 }
-
-// TestLoggerRaceHammer writes from many goroutines through parents and
-// With-children sharing one writer.
-func TestLoggerRaceHammer(t *testing.T) {
-	l := NewLogger(io.Discard, LevelDebug)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			child := l.With("worker", w)
-			for i := 0; i < 200; i++ {
-				l.Info("parent", "i", i)
-				child.Debug("child", "i", i)
-				if i%64 == 0 {
-					l.SetLevel(LevelInfo)
-					l.SetLevel(LevelDebug)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}

@@ -1,7 +1,7 @@
 // Package obs is the observability substrate of the serving stack: a
 // dependency-free metrics registry (counters, gauges, histograms with
-// atomic hot paths, snapshot and Prometheus text exposition) plus a
-// leveled structured logger. The paper's management server (§II,
+// atomic hot paths, snapshot and Prometheus text exposition); logging
+// is the standard log/slog. The paper's management server (§II,
 // Fig. 1/Fig. 7) is an always-on fab service; its operators need to see
 // mote health, ingestion loss, and analysis latency — the signals the
 // gateway, engine, restapi, and store layers record here.

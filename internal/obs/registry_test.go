@@ -175,43 +175,3 @@ func TestSnapshotAndTotals(t *testing.T) {
 		}
 	}
 }
-
-func TestLoggerLevelsAndFormat(t *testing.T) {
-	var buf strings.Builder
-	l := NewLogger(&buf, LevelInfo)
-	l.Debug("hidden")
-	l.Info("serving", "addr", ":8080", "pumps", 12)
-	l.With("component", "gateway").Warn("breaker open", "mote", 3)
-	out := buf.String()
-	if strings.Contains(out, "hidden") {
-		t.Fatalf("debug line leaked below min level:\n%s", out)
-	}
-	if !strings.Contains(out, "level=info msg=serving addr=:8080 pumps=12") {
-		t.Fatalf("info line malformed:\n%s", out)
-	}
-	if !strings.Contains(out, "level=warn") || !strings.Contains(out, "component=gateway mote=3") {
-		t.Fatalf("With context missing:\n%s", out)
-	}
-	l.SetLevel(LevelError)
-	before := buf.Len()
-	l.Warn("suppressed")
-	if buf.Len() != before {
-		t.Fatal("SetLevel did not raise the floor")
-	}
-	// Values with spaces or quotes are quoted.
-	l.Error("boom", "err", `disk "full" now`)
-	if !strings.Contains(buf.String(), `err="disk \"full\" now"`) {
-		t.Fatalf("quoting wrong:\n%s", buf.String())
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError, "bogus": LevelInfo,
-	} {
-		if got := ParseLevel(in); got != want {
-			t.Fatalf("ParseLevel(%q) = %v, want %v", in, got, want)
-		}
-	}
-}

@@ -92,9 +92,6 @@ func NewFaultyPump(base *Pump, fault FaultConfig) *FaultyPump {
 	return &FaultyPump{Pump: base, fault: fault}
 }
 
-// Fault returns the injected fault configuration.
-func (f *FaultyPump) Fault() FaultConfig { return f.fault }
-
 // Acceleration synthesizes one faulty measurement; see
 // Pump.Acceleration for the contract.
 func (f *FaultyPump) Acceleration(serviceDays, fs float64, k int) (ax, ay, az []float64) {

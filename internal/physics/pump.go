@@ -151,9 +151,6 @@ func (p *Pump) UnitAgeDays(serviceDays float64) float64 {
 	return p.unitAge(serviceDays)
 }
 
-// InitialAgeDays returns the pump's age when monitoring began.
-func (p *Pump) InitialAgeDays() float64 { return p.cfg.InitialAgeDays }
-
 // DegradationAt returns the latent wear level d at the given service
 // time: 0 is factory-new, DegradationD (0.70) is the Zone D boundary,
 // and 1.0 the characteristic wear-out. Growth is linear in unit age —

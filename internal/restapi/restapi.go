@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
@@ -169,7 +170,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		jsonBufPool.Put(buf)
-		obs.DefaultLogger.Error("api response encode failed", "err", err)
+		slog.Error("api response encode failed", "err", err)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		_, _ = io.WriteString(w, "{\"error\":\"response encoding failed\"}\n")
@@ -179,7 +180,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
 	if _, err := w.Write(buf.Bytes()); err != nil {
-		obs.DefaultLogger.Warn("api response write failed", "err", err)
+		slog.Warn("api response write failed", "err", err)
 	}
 	if buf.Cap() <= maxPooledBufBytes {
 		jsonBufPool.Put(buf)

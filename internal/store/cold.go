@@ -53,6 +53,9 @@ func OpenColdStore(dir string) (*ColdStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: cold dir: %w", err)
 	}
+	if err := removeStaleTemps(dir); err != nil {
+		return nil, fmt.Errorf("store: cold dir: %w", err)
+	}
 	c := &ColdStore{dir: dir}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -61,12 +64,6 @@ func OpenColdStore(dir string) (*ColdStore, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() {
-			continue
-		}
-		if strings.Contains(name, ".cold.tmp") {
-			// An interrupted compaction died before rename; the data is
-			// still covered by the WAL/snapshot, so the temp is garbage.
-			_ = os.Remove(filepath.Join(dir, name))
 			continue
 		}
 		if !strings.HasSuffix(name, partitionSuffix) {

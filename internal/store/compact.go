@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -15,8 +14,8 @@ import (
 //
 //	rotate (cut) → compact (write partitions, evict hot) → snapshot → retire
 //
-// That ordering is the whole crash-safety argument. Partitions are
-// written temp/fsync/rename before any hot record is evicted; the
+// That ordering is the whole crash-safety argument. Partitions land
+// atomically (writeFileAtomic) before any hot record is evicted; the
 // snapshot that no longer holds the evicted records is written only
 // after the partitions covering them are durable; and the WAL segments
 // are retired only after that snapshot landed. At every crash point an
@@ -135,9 +134,6 @@ type TieredOptions struct {
 	Metrics []ColdMetric
 	// Retention bounds the cold tier; zero keeps everything.
 	Retention RetentionPolicy
-	// WrapPartFile, when non-nil, interposes on partition temp files —
-	// the compaction crash-point seam, mirroring WALOptions.WrapFile.
-	WrapPartFile func(path string, f *os.File) SegmentFile
 }
 
 func (t *TieredOptions) withDefaults(dir string) TieredOptions {
@@ -227,7 +223,7 @@ func (d *Durable) compact() (CompactionStats, error) {
 			continue // empty span: nothing to persist, nothing to cover
 		}
 		path := filepath.Join(d.cold.Dir(), partitionName(from, to))
-		if err := WritePartition(path, data, t.WrapPartFile); err != nil {
+		if err := WritePartition(path, data, d.wrapFile); err != nil {
 			return stats, fmt.Errorf("store: compact partition [%g,%g): %w", from, to, err)
 		}
 		// Reopen what was just renamed: this both registers the partition

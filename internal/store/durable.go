@@ -10,7 +10,7 @@ import (
 )
 
 // snapshotName is the checkpoint snapshot file inside a durable
-// directory, written atomically by SaveFile (temp file + rename).
+// directory, written through writeFileAtomic.
 const snapshotName = "snapshot.bin"
 
 // DurableOptions parameterizes a durable store.
@@ -76,6 +76,9 @@ type Durable struct {
 	m   *Measurements
 	wal *WAL
 	dir string
+	// wrapFile is WALOptions.WrapFile, applied to the snapshot and
+	// partition temps as the WAL applies it to its segments.
+	wrapFile func(path string, f *os.File) SegmentFile
 
 	// tiered/cold are set when DurableOptions.Tiered enabled the cold
 	// tier; both are nil otherwise.
@@ -101,7 +104,8 @@ type Durable struct {
 }
 
 // OpenDurable opens (creating if needed) a durable store rooted at
-// dir: it loads the latest snapshot if one exists, replays every
+// dir: it removes the temps an interrupted checkpoint left behind,
+// loads the latest snapshot if one exists, replays every
 // intact WAL record on top of it (truncating each damaged segment at
 // its first torn or corrupt frame), and starts a fresh WAL segment for
 // new appends. Replay applies records idempotently, so segments that
@@ -110,6 +114,9 @@ type Durable struct {
 func OpenDurable(dir string, opts DurableOptions) (*Durable, RecoveryStats, error) {
 	var stats RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, stats, fmt.Errorf("store: durable dir: %w", err)
+	}
+	if err := removeStaleTemps(dir); err != nil {
 		return nil, stats, fmt.Errorf("store: durable dir: %w", err)
 	}
 	m := opts.Store
@@ -147,7 +154,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, RecoveryStats, erro
 		return nil, stats, err
 	}
 	metRecoveries.Inc()
-	d := &Durable{m: m, wal: wal, dir: dir, stopCh: make(chan struct{}), done: make(chan struct{})}
+	d := &Durable{m: m, wal: wal, dir: dir, wrapFile: opts.WAL.WrapFile, stopCh: make(chan struct{}), done: make(chan struct{})}
 	if opts.Tiered != nil {
 		t := opts.Tiered.withDefaults(dir)
 		cold, err := OpenColdStore(t.ColdDir)
@@ -227,7 +234,7 @@ func (d *Durable) Checkpoint() (CheckpointStats, error) {
 	}
 
 	// Tiering runs between the rotation and the snapshot: partitions
-	// are durable (temp/fsync/rename) before the covered hot records
+	// are durable (writeFileAtomic) before the covered hot records
 	// are evicted, the snapshot persists the post-eviction hot state,
 	// and only then are the WAL segments retired. A crash anywhere in
 	// that sequence leaves every acked record in at least one of
@@ -240,7 +247,7 @@ func (d *Durable) Checkpoint() (CheckpointStats, error) {
 		}
 	}
 
-	if err := d.m.SaveFile(filepath.Join(d.dir, snapshotName)); err != nil {
+	if err := writeFileAtomic(filepath.Join(d.dir, snapshotName), d.wrapFile, d.m.Save); err != nil {
 		return CheckpointStats{}, fmt.Errorf("store: checkpoint snapshot: %w", err)
 	}
 	retired, err := d.wal.Retire(cut)

@@ -95,27 +95,6 @@ func (l *Labels) Valid() []Label {
 	return out
 }
 
-// CountByZone tallies the valid labels per zone — the paper's
-// 700 / 1400 / 700 split check.
-func (l *Labels) CountByZone() map[physics.MergedZone]int {
-	out := make(map[physics.MergedZone]int)
-	for _, lab := range l.Valid() {
-		out[lab.Zone]++
-	}
-	return out
-}
-
-// ForPump returns the valid labels of one pump in time order.
-func (l *Labels) ForPump(pumpID int) []Label {
-	var out []Label
-	for _, lab := range l.Valid() {
-		if lab.PumpID == pumpID {
-			out = append(out, lab)
-		}
-	}
-	return out
-}
-
 // Save writes all labels (valid and invalid) as JSON.
 func (l *Labels) Save(w io.Writer) error {
 	l.mu.RLock()
@@ -136,17 +115,9 @@ func (l *Labels) Load(r io.Reader) error {
 	return nil
 }
 
-// SaveFile writes the labels to path.
+// SaveFile writes the labels to path atomically (writeFileAtomic).
 func (l *Labels) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := l.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFileAtomic(path, nil, l.Save)
 }
 
 // LoadFile reads labels from path.

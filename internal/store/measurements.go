@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -218,11 +217,6 @@ func (m *Measurements) Query(pumpID int, fromDays, toDays float64) []*Record {
 	return out
 }
 
-// QueryPeriod returns one pump's records inside the analysis period.
-func (m *Measurements) QueryPeriod(pumpID int, p AnalysisPeriod) []*Record {
-	return m.Query(pumpID, p.StartDays, p.EndDays)
-}
-
 // All returns every record of one pump in time order.
 func (m *Measurements) All(pumpID int) []*Record {
 	sh := m.shardFor(pumpID)
@@ -429,44 +423,10 @@ func (m *Measurements) installLoaded(fresh map[int][]*Record, loaded int) {
 	metRecordsLoad.Add(uint64(loaded))
 }
 
-// SaveFile writes the store to path atomically: the bytes go to a
-// temp file in the same directory, are fsynced, and only then renamed
-// over path. A crash mid-save can therefore never truncate or corrupt
-// an existing snapshot — the previous file stays intact until the new
-// one is complete and durable.
+// SaveFile writes the store to path atomically (writeFileAtomic): a
+// crash mid-save can never truncate or corrupt an existing file.
 func (m *Measurements) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := m.Save(f); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Durable rename: fsync the directory so the new name survives a
-	// crash. Best-effort — some filesystems refuse directory syncs.
-	if df, err := os.Open(dir); err == nil {
-		_ = df.Sync()
-		df.Close()
-	}
-	return nil
+	return writeFileAtomic(path, nil, m.Save)
 }
 
 // LoadFile reads a store from path.

@@ -80,10 +80,3 @@ func (m *PeriodManager) Pin(p AnalysisPeriod) error {
 	m.pinned = true
 	return nil
 }
-
-// Unpin resumes automatic refresh from the current period.
-func (m *PeriodManager) Unpin() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pinned = false
-}

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 )
@@ -249,47 +247,4 @@ func (m *SegmentMirror) Close() error {
 		return serr
 	}
 	return cerr
-}
-
-// CopySegment copies one sealed segment file into dstDir byte for
-// byte, overwriting any partial or stale copy — bulk catch-up for a
-// follower that joined late. The copy goes through a temp file and
-// rename, so a crash mid-copy never leaves a half segment a later
-// replay would mistake for a torn one. Re-shipping an already-copied
-// segment is idempotent by construction: same bytes, same name.
-func CopySegment(srcPath, dstDir string) error {
-	src, err := os.Open(srcPath)
-	if err != nil {
-		return fmt.Errorf("store: copy segment: %w", err)
-	}
-	defer src.Close()
-	if err := os.MkdirAll(dstDir, 0o755); err != nil {
-		return fmt.Errorf("store: copy segment: %w", err)
-	}
-	tmp, err := os.CreateTemp(dstDir, filepath.Base(srcPath)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: copy segment: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := io.Copy(tmp, src); err != nil {
-		return cleanup(fmt.Errorf("store: copy segment: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	dst := filepath.Join(dstDir, filepath.Base(srcPath))
-	if err := os.Rename(tmpName, dst); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
 }

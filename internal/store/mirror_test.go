@@ -77,13 +77,13 @@ func TestMirrorByteIdenticalToPrimary(t *testing.T) {
 }
 
 // TestMirrorEmptyRotatedSegment: a segment rotated before any append
-// reaches it is header-only on both sides; replicating and replaying
-// it yields zero records and no damage report.
+// reaches it is header-only on the primary and absent from the mirror;
+// replaying the mirror yields the later record and no damage report.
 func TestMirrorEmptyRotatedSegment(t *testing.T) {
 	dir, mdir := t.TempDir(), t.TempDir()
 	w, m := shipWAL(t, dir, mdir, WALOptions{Policy: SyncNever})
 	// Rotate the fresh, empty first segment away, then append into the
-	// second so the mirror sees both.
+	// second.
 	if _, err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMirrorEmptyRotatedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The empty segment never produced a frame, so the mirror has no
-	// copy of it — ship it wholesale, the catch-up path's job.
+	// copy of it — and must replay cleanly without one.
 	segs, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +110,8 @@ func TestMirrorEmptyRotatedSegment(t *testing.T) {
 	if st, err := os.Stat(empty); err != nil || st.Size() != int64(len(walSegHeader)) {
 		t.Fatalf("first segment not header-only: %v %v", st, err)
 	}
-	if err := CopySegment(empty, mdir); err != nil {
-		t.Fatal(err)
+	if msegs, err := listSegments(mdir); err != nil || len(msegs) != 1 || msegs[0] != segs[1] {
+		t.Fatalf("mirror holds segments %v (%v), want only %d", msegs, err, segs[1])
 	}
 	recs, stats := collectReplay(t, mdir)
 	if len(recs) != 1 || stats.Truncated() {
@@ -170,10 +170,9 @@ func TestMirrorTornFinalFrame(t *testing.T) {
 	}
 }
 
-// TestMirrorIdempotentReShip: applying the same shipped segment twice
-// — the catch-up path re-sending a segment the follower already holds
-// — changes nothing: CopySegment overwrites byte-identically and the
-// AddUnique apply dedupes a double replay.
+// TestMirrorIdempotentReShip: applying the same shipped segments twice
+// — a promotion retried over a mirror it already replayed — changes
+// nothing: the AddUnique apply dedupes a double replay.
 func TestMirrorIdempotentReShip(t *testing.T) {
 	dir, mdir := t.TempDir(), t.TempDir()
 	w, m := shipWAL(t, dir, mdir, WALOptions{Policy: SyncNever, SegmentBytes: 512})
@@ -208,17 +207,7 @@ func TestMirrorIdempotentReShip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Re-ship every sealed segment over the already-present copies,
-	// then replay the whole mirror again into the same store.
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range segs {
-		if err := CopySegment(segmentPath(dir, seg), mdir); err != nil {
-			t.Fatalf("re-ship segment %d: %v", seg, err)
-		}
-	}
+	// Replay the whole mirror again into the same store.
 	apply(got)
 	var twice bytes.Buffer
 	if err := got.Save(&twice); err != nil {

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -38,7 +38,6 @@ import (
 const (
 	partitionVersion = 1
 	partitionSuffix  = ".cold"
-	partitionTmpGlob = "*.cold.tmp*"
 )
 
 var partitionHeader = []byte("VPMCOLD1\n")
@@ -153,50 +152,19 @@ func encodePartition(data *PartitionData) ([]byte, error) {
 	return buf, nil
 }
 
-// WritePartition encodes data and writes it to path atomically: temp
-// file in the same directory, fsync, rename. wrap, when non-nil,
-// interposes on the temp file exactly like WALOptions.WrapFile — the
-// seam the compaction crash-point harness cuts writes at. A crash at
-// any byte leaves either no file or a *.tmp the cold store ignores.
+// WritePartition encodes data and writes it to path atomically
+// (writeFileAtomic); wrap, when non-nil, interposes on the temp file. A
+// crash at any byte leaves either no file or a temp the cold store
+// sweeps away at its next open.
 func WritePartition(path string, data *PartitionData, wrap func(path string, f *os.File) SegmentFile) error {
 	buf, err := encodePartition(data)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	return writeFileAtomic(path, wrap, func(w io.Writer) error {
+		_, err := w.Write(buf)
 		return err
-	}
-	tmp := f.Name()
-	var sf SegmentFile = f
-	if wrap != nil {
-		sf = wrap(tmp, f)
-	}
-	cleanup := func(err error) error {
-		sf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := sf.Write(buf); err != nil {
-		return cleanup(fmt.Errorf("store: write partition: %w", err))
-	}
-	if err := sf.Sync(); err != nil {
-		return cleanup(fmt.Errorf("store: sync partition: %w", err))
-	}
-	if err := sf.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: close partition: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if df, err := os.Open(dir); err == nil {
-		_ = df.Sync()
-		df.Close()
-	}
-	return nil
+	})
 }
 
 // partPump is the in-memory view of one pump inside an open partition:

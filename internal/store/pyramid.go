@@ -72,9 +72,6 @@ func NewPyramid(series []SeriesPoint) *Pyramid {
 // Len returns the length of the indexed series.
 func (p *Pyramid) Len() int { return len(p.series) }
 
-// Series returns the indexed series. Callers must not mutate it.
-func (p *Pyramid) Series() []SeriesPoint { return p.series }
-
 // rangeMinMax returns the indices of the first minimum and first
 // maximum in [lo, hi) by combining two overlapping power-of-two
 // windows. hi > lo.

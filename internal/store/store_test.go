@@ -133,19 +133,6 @@ func TestMeasurementsAddAndQuery(t *testing.T) {
 	}
 }
 
-func TestMeasurementsQueryPeriod(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := NewMeasurements()
-	for day := 0.0; day < 10; day++ {
-		m.Add(randomRecord(rng, 0, day, 4))
-	}
-	p := AnalysisPeriod{StartDays: 2.5, EndDays: 6.5}
-	got := m.QueryPeriod(0, p)
-	if len(got) != 4 { // days 3,4,5,6
-		t.Fatalf("period query returned %d", len(got))
-	}
-}
-
 func TestMeasurementsSaveLoadRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewMeasurements()
@@ -233,13 +220,6 @@ func TestLabelsStore(t *testing.T) {
 	if valid[0].PumpID != 0 || valid[1].ServiceDays != 1 || valid[2].ServiceDays != 2 {
 		t.Fatalf("ordering: %+v", valid)
 	}
-	counts := l.CountByZone()
-	if counts[physics.MergedA] != 1 || counts[physics.MergedBC] != 1 || counts[physics.MergedD] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if got := l.ForPump(1); len(got) != 2 {
-		t.Fatalf("ForPump = %d", len(got))
-	}
 }
 
 func TestLabelsSaveLoad(t *testing.T) {
@@ -296,10 +276,6 @@ func TestPeriodManager(t *testing.T) {
 	}
 	if err := m.Pin(AnalysisPeriod{StartDays: 5, EndDays: 1}); !errors.Is(err, ErrBadPeriod) {
 		t.Fatalf("err = %v", err)
-	}
-	m.Unpin()
-	if got := m.Refresh(); got.EndDays != 20.5 {
-		t.Fatalf("unpinned refresh: %+v", got)
 	}
 	// Default step is hourly.
 	d, err := NewPeriodManager(AnalysisPeriod{}, 0)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -195,10 +196,10 @@ func TestPartitionRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mutate := range []func([]byte) []byte{
-		func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b },            // bit flip
-		func(b []byte) []byte { return b[:len(b)-9] },                      // truncation
-		func(b []byte) []byte { return append(b, 0xAB) },                   // trailing junk
-		func(b []byte) []byte { copy(b, "NOTCOLD1\n"); return b },          // wrong magic
+		func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b },             // bit flip
+		func(b []byte) []byte { return b[:len(b)-9] },                       // truncation
+		func(b []byte) []byte { return append(b, 0xAB) },                    // trailing junk
+		func(b []byte) []byte { copy(b, "NOTCOLD1\n"); return b },           // wrong magic
 		func(b []byte) []byte { b[len(partitionHeader)] ^= 0xFF; return b }, // version
 	} {
 		bad := mutate(append([]byte(nil), buf...))
@@ -327,6 +328,122 @@ func TestTieredCheckpointCompacts(t *testing.T) {
 		t.Fatalf("reopened cold UpTo=%g want 6", got)
 	}
 	d2.Abort()
+}
+
+// countingFile counts the bytes written through it into *n.
+type countingFile struct {
+	*os.File
+	n *int64
+}
+
+func (c countingFile) Write(p []byte) (int, error) {
+	n, err := c.File.Write(p)
+	*c.n += int64(n)
+	return n, err
+}
+
+// TestOneWrapperSeesEveryFileKind pins the disk seam: the one wrapper
+// a durable store takes observes every byte of one tiered checkpoint —
+// the rotated segment's header, each partition temp and the snapshot
+// temp — and the temps it saw are the files that were renamed in.
+func TestOneWrapperSeesEveryFileKind(t *testing.T) {
+	dir := t.TempDir()
+	var segment, partition, snapshot int64
+	d, _, err := OpenDurable(dir, DurableOptions{
+		WAL: WALOptions{Policy: SyncNever, WrapFile: func(path string, f *os.File) SegmentFile {
+			switch base := filepath.Base(path); {
+			case strings.HasSuffix(base, walSegSuffix):
+				return countingFile{f, &segment}
+			case strings.HasPrefix(base, "part-") && strings.Contains(base, partitionSuffix+tempInfix):
+				return countingFile{f, &partition}
+			case strings.HasPrefix(base, snapshotName+tempInfix):
+				return countingFile{f, &snapshot}
+			}
+			t.Errorf("wrapper handed an unexpected file %s", path)
+			return f
+		}},
+		Tiered: &TieredOptions{HotWindowDays: 4, PartitionDays: 2, Metrics: testColdMetrics},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Abort()
+	for i := 0; i < 48; i++ { // days 0 .. 11.75
+		if _, err := d.AddUnique(tieredRec(1, float64(i)*0.25, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appended := segment
+	if _, err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := segment - appended; got != int64(len(walSegHeader)) {
+		t.Fatalf("checkpoint wrote %d segment bytes through the wrapper, want the rotated segment's %d-byte header", got, len(walSegHeader))
+	}
+	var onDisk int64
+	for _, p := range d.Cold().Partitions() {
+		onDisk += p.CompressedBytes()
+	}
+	if partition == 0 || partition != onDisk {
+		t.Fatalf("wrapper saw %d partition temp bytes, the renamed partitions hold %d", partition, onDisk)
+	}
+	st, err := os.Stat(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapshot == 0 || snapshot != st.Size() {
+		t.Fatalf("wrapper saw %d snapshot temp bytes, %s holds %d", snapshot, snapshotName, st.Size())
+	}
+}
+
+// TestOpenDurableSweepsStaleTemps: a checkpoint killed before its
+// rename leaves a snapshot-sized temp behind. The next open must
+// remove it — and must not mistake it for the snapshot.
+func TestOpenDurableSweepsStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	d := openTiered(t, dir)
+	var acked []*Record
+	add := func(from, to int) {
+		for i := from; i < to; i++ {
+			rec := tieredRec(2, float64(i)*0.25, 64)
+			if _, err := d.AddUnique(rec); err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, rec)
+		}
+	}
+	add(0, 20)
+	if _, err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	add(20, 30) // the WAL tail on top of the snapshot
+	d.Abort()
+
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string][]byte{
+		snapshotName + ".tmp123": []byte("not a snapshot"),
+		snapshotName + ".tmp456": snap[:len(snap)/2], // a real one, torn
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), content, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	re := openTiered(t, dir)
+	defer re.Abort()
+	recordSetsEqual(t, tieredUnion(t, re), acked)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), tempInfix) {
+			t.Fatalf("stale temp %s survived the reopen", e.Name())
+		}
+	}
 }
 
 // TestTieredLateArrivalStaysHot pins the straggler rule: a record

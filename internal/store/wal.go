@@ -92,7 +92,8 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// SegmentFile is the slice of *os.File the WAL writes through. The
+// SegmentFile is the slice of *os.File a durable store writes through
+// — log segments and the temps of writeFileAtomic alike. The
 // indirection exists for fault injection: a chaos CrashWriter wraps the
 // real file and cuts writes off at an exact byte offset.
 type SegmentFile interface {
@@ -108,8 +109,13 @@ type WALOptions struct {
 	SegmentBytes int64
 	// Policy selects the fsync policy (default SyncAlways).
 	Policy SyncPolicy
-	// WrapFile, when non-nil, interposes on every segment file the WAL
-	// opens — the fault-injection seam the crash-point harness uses.
+	// WrapFile, when non-nil, interposes on every file the log's owner
+	// writes: each segment file the WAL opens and, when the owner is a
+	// Durable, the checkpoint's snapshot temp and partition temps too.
+	// It is the store's one fault-injection seam; path tells the file
+	// kinds apart. Replication mirrors are outside it: a follower write
+	// fault wedges its primary, and what that should cost is an
+	// availability decision, not a crash-safety one.
 	WrapFile func(path string, f *os.File) SegmentFile
 	// OnFrame, when non-nil, observes every frame (header + payload)
 	// right after it reached the current segment file, with the segment
@@ -199,9 +205,6 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	return w, nil
 }
 
-// Dir returns the log directory.
-func (w *WAL) Dir() string { return w.dir }
-
 func segmentPath(dir string, seg int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", walSegPrefix, seg, walSegSuffix))
 }
@@ -254,17 +257,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // walBufPool recycles frame-encode buffers across appends.
 var walBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// appendWALFrame writes one framed payload into buf: header then
-// payload, so the frame leaves the pool as one contiguous Write.
-func appendWALFrame(buf *bytes.Buffer, payload []byte) {
-	var hdr [walHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], walFrameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(payload, crcTable))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-}
 
 // frameRecord encodes rec as one complete WAL frame into buf (which
 // the caller has Reset), returning the frame bytes — a view into buf,

@@ -12,13 +12,12 @@ import (
 // out on disk.
 func walFrameBytes(tb testing.TB, rec *Record) []byte {
 	tb.Helper()
-	var payload bytes.Buffer
-	if err := EncodeRecord(&payload, rec); err != nil {
+	var buf bytes.Buffer
+	frame, err := frameRecord(&buf, rec)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	var frame bytes.Buffer
-	appendWALFrame(&frame, payload.Bytes())
-	return frame.Bytes()
+	return frame
 }
 
 // FuzzWALDecode hammers the WAL frame decoder with arbitrary byte
@@ -36,11 +35,11 @@ func FuzzWALDecode(f *testing.F) {
 	}
 	valid := walFrameBytes(f, rec)
 
-	f.Add(valid)                                // one intact frame
+	f.Add(valid)                                        // one intact frame
 	f.Add(append(append([]byte{}, valid...), valid...)) // two frames back to back
-	f.Add(valid[:len(valid)-3])                 // torn payload
-	f.Add(valid[:walHeaderLen-2])               // torn header
-	f.Add([]byte{})                             // empty stream
+	f.Add(valid[:len(valid)-3])                         // torn payload
+	f.Add(valid[:walHeaderLen-2])                       // torn header
+	f.Add([]byte{})                                     // empty stream
 	bitflip := append([]byte(nil), valid...)
 	bitflip[walHeaderLen+4] ^= 0x01 // payload corruption: CRC must catch it
 	f.Add(bitflip)

@@ -183,9 +183,6 @@ func NewLiveState(cfg Config) *LiveState {
 // trend queries after new data stay pure cache reads.
 func (ls *LiveState) SetBaseline(b *feature.Baseline) { ls.baseline.Store(b) }
 
-// Baseline returns the installed baseline (nil before SetBaseline).
-func (ls *LiveState) Baseline() *feature.Baseline { return ls.baseline.Load() }
-
 // Size returns the number of cached records across every pump.
 func (ls *LiveState) Size() int { return int(ls.size.Load()) }
 
