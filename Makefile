@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race golden-faults bench bench-check experiments experiments-paper chaos crash-trials cover fuzz clean
+.PHONY: all build test vet race lines golden-faults bench bench-check experiments experiments-paper chaos crash-trials cover fuzz clean
 
 all: build vet test
 
@@ -18,6 +18,17 @@ test:
 # Every suite under the race detector — what CI's build-test job runs.
 race:
 	$(GO) test -race ./...
+
+# The size ledger ROADMAP aim 2 and item 7 track, from the one command
+# every re-anchor used: Go lines outside benchmark/, non-test and test,
+# then internal/store and internal/stream non-test. A line that moves
+# from the first number into the second was moved, not deleted.
+NONTEST = -name '*.go' -not -name '*_test.go'
+lines:
+	@printf 'non-test Go lines outside benchmark/: '; find . $(NONTEST) -not -path './benchmark/*' | xargs cat | wc -l
+	@printf 'test Go lines outside benchmark/:     '; find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+	@printf 'internal/store non-test:              '; find internal/store $(NONTEST) | xargs cat | wc -l
+	@printf 'internal/stream non-test:             '; find internal/stream $(NONTEST) | xargs cat | wc -l
 
 # The golden classification harness: the pinned labelled corpus must
 # classify byte-identically to testdata/faults_golden.json, with zero
@@ -45,7 +56,7 @@ bench:
 # pass the worker-pool cases run at -cpu 2 against their own `-2` rows.
 # bench.out keeps the raw output (CI uploads it; benchstat reads it
 # next to BENCH.txt).
-BENCH_POOLS = $(BENCH) -bench 'Recovery100k|WarmLive40x10k|EngineFitSmall' -cpu 2 . ./internal/store ./internal/stream
+BENCH_POOLS = $(BENCH) -bench 'Recovery100k|RecoveryPaperShape|SnapshotLoadPaperShape|WarmLive40x10k|EngineFitSmall' -cpu 2 . ./internal/store ./internal/stream
 
 bench-check:
 	{ $(BENCH) -bench . -cpu 1 ./... && $(BENCH_POOLS) && \

@@ -36,7 +36,6 @@ type runConfig struct {
 	Samples     int
 	Seed        int64
 	Plan        string
-	StepDays    float64
 	Kill        bool // schedule a permanent death for the last mote
 }
 
@@ -139,13 +138,9 @@ func run(cfg runConfig) (*report, error) {
 	}
 
 	var total gateway.IngestReport
-	step := cfg.StepDays
-	if step <= 0 {
-		step = 1
-	}
-	for now := step; now < cfg.Days+step/2; now += step {
-		rep := srv.Advance(now)
-		mergeInto(&total, rep)
+	// The soak advances one day at a time.
+	for now := 1.0; now < cfg.Days+0.5; now++ {
+		mergeInto(&total, srv.Advance(now))
 	}
 	mergeInto(&total, srv.Drain())
 

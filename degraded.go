@@ -21,9 +21,6 @@ type DegradedConfig struct {
 	// is reported but skipped (default 0.5). Classification also
 	// requires a fitted engine.
 	MinCompleteness float64
-	// AgeOf maps service time to equipment age for trend-based checks;
-	// optional.
-	AgeOf AgeFunc
 }
 
 // PumpHealth is one pump's row of a degraded-mode fleet report.
@@ -97,10 +94,9 @@ func (e *Engine) AnalyzeDegraded(cfg DegradedConfig) (*DegradedReport, error) {
 		totalExpected += expected
 		if received > 0 && ph.Completeness >= cfg.MinCompleteness && e.Fitted() {
 			if rec := e.measurements.Latest(id); rec != nil {
-				if zone, _, err := e.Classify(rec); err == nil {
-					da, _ := e.Da(rec)
+				if da, err := e.Da(rec); err == nil {
 					ph.Analyzed = true
-					ph.Zone = zone.String()
+					ph.Zone = e.classifier.Predict(da).String()
 					ph.Da = da
 				}
 			}

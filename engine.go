@@ -382,7 +382,7 @@ func (e *Engine) CleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error) {
 			return nil, tag, err
 		}
 		sort.Ints(validIdx)
-		days, das := e.live.DaSeries(pumpID, recs, feats, validIdx, base)
+		days, das := e.live.DaSeries(recs, validIdx, base)
 		trend, err := e.smoothTrend(pumpID, days, das)
 		return trend, tag, err
 	})

@@ -43,8 +43,6 @@ type LearnConfig struct {
 	MinInliers int
 	// MinSlope rejects non-ageing models (default 1e-5 per day).
 	MinSlope float64
-	// MaxModels bounds the recursion (default 0: unbounded).
-	MaxModels int
 	// Iterations per RANSAC fit (default 2000).
 	Iterations int
 	// Seed fixes the random sampling.
@@ -87,7 +85,7 @@ func LearnLifetimeModels(points []TrendPoint, thresholdDa float64, cfg LearnConf
 		MinSlope:        cfg.MinSlope,
 		Iterations:      cfg.Iterations,
 		Seed:            cfg.Seed,
-	}, cfg.MaxModels)
+	}, 0) // unbounded: recurse until no acceptable model remains
 	if err != nil {
 		return nil, err
 	}

@@ -19,9 +19,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean (L2) norm of a.
-func Norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
-
 // EuclideanDistance returns ‖a − b‖₂.
 func EuclideanDistance(a, b []float64) float64 {
 	checkLen("EuclideanDistance", len(a), len(b))

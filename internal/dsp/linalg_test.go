@@ -13,9 +13,6 @@ func TestDotAndNorm(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %g", got)
 	}
-	if got := Norm2([]float64{3, 4}); !almostEqual(got, 5, 1e-12) {
-		t.Fatalf("Norm2 = %g", got)
-	}
 }
 
 func TestEuclideanDistance(t *testing.T) {

@@ -14,15 +14,14 @@ type Spectrogram struct {
 	Power [][]float64
 }
 
-// STFTConfig controls the transform.
+// STFTConfig controls the transform. Each frame is tapered with a Hann
+// window.
 type STFTConfig struct {
 	// FrameLength is the per-frame FFT size (default 256).
 	FrameLength int
 	// HopLength is the frame advance in samples (default
 	// FrameLength/2).
 	HopLength int
-	// Window tapers each frame (default Hann of FrameLength).
-	Window []float64
 }
 
 func (cfg STFTConfig) params(n int) (frame, hop int, window []float64) {
@@ -40,11 +39,7 @@ func (cfg STFTConfig) params(n int) (frame, hop int, window []float64) {
 	if hop < 1 {
 		hop = 1
 	}
-	window = cfg.Window
-	if len(window) != frame {
-		window = hannCached(frame)
-	}
-	return frame, hop, window
+	return frame, hop, hannCached(frame)
 }
 
 // STFT computes the spectrogram of x sampled at fs Hz. It underlies

@@ -2,15 +2,14 @@ package dsp
 
 import "errors"
 
-// WelchConfig controls Welch's averaged-periodogram PSD estimate.
+// WelchConfig controls Welch's averaged-periodogram PSD estimate. Each
+// segment is tapered with a Hann window.
 type WelchConfig struct {
 	// SegmentLength is the per-segment FFT length (default 256).
 	SegmentLength int
 	// Overlap is the fraction of segment overlap in [0, 0.95]
 	// (default 0.5).
 	Overlap float64
-	// Window is the taper applied per segment (default Hann).
-	Window []float64
 }
 
 // ErrShortSignal is returned when a signal is shorter than one analysis
@@ -34,15 +33,11 @@ func (cfg WelchConfig) params(n int) (seg, step int, window []float64) {
 	if overlap > 0.95 {
 		overlap = 0.95
 	}
-	window = cfg.Window
-	if len(window) != seg {
-		window = hannCached(seg)
-	}
 	step = int(float64(seg) * (1 - overlap))
 	if step < 1 {
 		step = 1
 	}
-	return seg, step, window
+	return seg, step, hannCached(seg)
 }
 
 // Welch estimates the one-sided PSD of x (sampled at fs Hz) by

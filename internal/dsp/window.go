@@ -20,32 +20,6 @@ func HannWindow(n int) []float64 {
 	return w
 }
 
-// HammingWindow returns the length-n Hamming window. It is provided for
-// ablation experiments that vary the smoothing kernel.
-func HammingWindow(n int) []float64 {
-	w := make([]float64, n)
-	if n <= 0 {
-		return w
-	}
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := 0; i < n; i++ {
-		w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}
-
-// RectWindow returns the length-n rectangular (boxcar) window.
-func RectWindow(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // ApplyWindow multiplies x element-wise by window w into a new slice.
 // It panics if the lengths differ, since that is always a programming
 // error at the call sites inside this module.

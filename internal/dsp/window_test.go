@@ -33,12 +33,6 @@ func TestWindowEdgeCases(t *testing.T) {
 	if got := HannWindow(1); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("HannWindow(1) = %v", got)
 	}
-	if got := HammingWindow(1); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("HammingWindow(1) = %v", got)
-	}
-	if got := RectWindow(3); got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("RectWindow = %v", got)
-	}
 }
 
 func TestApplyWindow(t *testing.T) {

@@ -137,13 +137,10 @@ type Faults interface {
 
 // Config parameterizes the server.
 type Config struct {
-	// Store receives the ingested measurements; nil allocates a fresh
-	// one. Ignored when Durable is set.
-	Store *store.Measurements
 	// Durable, when non-nil, routes every ingest through the write-ahead
 	// log: a measurement is acknowledged (counted Stored) only after its
 	// WAL append succeeded, so an acked ingest survives a crash of the
-	// server process.
+	// server process. Nil ingests into a fresh in-memory store.
 	Durable *store.Durable
 	// Link configures the lossy radio channel between each mote and the
 	// base station (per-mote links are derived with distinct seeds).
@@ -165,11 +162,6 @@ type Config struct {
 	Breaker BreakerConfig
 	// Faults, when non-nil, injects faults at the named points.
 	Faults Faults
-	// Live, when non-nil, receives a feature fold for every acknowledged
-	// ingest — the incremental analysis path: a record's expensive
-	// transforms run once here, right after the (durable) write is
-	// acked, so trend queries stay O(new data).
-	Live *stream.LiveState
 	// Workers caps the goroutines Advance fans out across motes
 	// (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
@@ -287,11 +279,10 @@ func (r *IngestReport) merge(o IngestReport) {
 
 // New builds a server from cfg.
 func New(cfg Config) *Server {
-	st := cfg.Store
+	var st *store.Measurements
 	if cfg.Durable != nil {
 		st = cfg.Durable.Store()
-	}
-	if st == nil {
+	} else {
 		st = store.NewMeasurements()
 	}
 	if cfg.SlotSpacingHours <= 0 {
@@ -305,7 +296,7 @@ func New(cfg Config) *Server {
 	}
 	return &Server{
 		cfg:      cfg,
-		ingester: stream.Ingester{Store: st, Durable: cfg.Durable, Live: cfg.Live},
+		ingester: stream.Ingester{Store: st, Durable: cfg.Durable},
 		motes:    make(map[int]*entry),
 		metrics:  newGatewayMetrics(reg),
 	}

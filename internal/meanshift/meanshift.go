@@ -10,34 +10,23 @@ import (
 	"math"
 )
 
-// Kernel selects the weighting profile used when computing the shifted
-// mean.
-type Kernel int
-
-const (
-	// Flat weighs every point inside the bandwidth equally.
-	Flat Kernel = iota
-	// Gaussian weighs points by exp(-d²/(2h²)); points beyond 3h are
-	// ignored for speed.
-	Gaussian
-)
-
 // Config controls the clustering run. The zero value is not usable: a
 // positive Bandwidth is required.
 type Config struct {
-	// Bandwidth is the kernel radius h. Required, > 0.
+	// Bandwidth is the radius h of the flat kernel: every point within
+	// h of a mode estimate weighs equally in its shifted mean. Required,
+	// > 0.
 	Bandwidth float64
-	// Kernel selects Flat (default) or Gaussian weighting.
-	Kernel Kernel
-	// MaxIter bounds the shifts per seed (default 300).
-	MaxIter int
-	// Tol is the convergence threshold on the shift length
-	// (default Bandwidth * 1e-3).
-	Tol float64
-	// MergeRadius collapses converged modes closer than this distance
-	// (default Bandwidth / 2).
-	MergeRadius float64
 }
+
+// The rest of the run is fixed: a seed shifts at most maxIter times,
+// has converged once a shift is shorter than h·tolFrac, and converged
+// modes closer than h·mergeFrac are one cluster.
+const (
+	maxIter   = 300
+	tolFrac   = 1e-3
+	mergeFrac = 0.5
+)
 
 // Result reports the clustering outcome.
 type Result struct {
@@ -72,25 +61,15 @@ func Cluster(points [][]float64, cfg Config) (*Result, error) {
 			return nil, errors.New("meanshift: inconsistent point dimensions")
 		}
 	}
-	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
-		maxIter = 300
-	}
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = cfg.Bandwidth * 1e-3
-	}
-	mergeRadius := cfg.MergeRadius
-	if mergeRadius <= 0 {
-		mergeRadius = cfg.Bandwidth / 2
-	}
+	tol := cfg.Bandwidth * tolFrac
+	mergeRadius := cfg.Bandwidth * mergeFrac
 
 	modes := make([][]float64, n)
 	buf := make([]float64, dim)
 	for i, p := range points {
 		mode := append([]float64(nil), p...)
 		for iter := 0; iter < maxIter; iter++ {
-			shift := shiftMean(points, mode, cfg.Bandwidth, cfg.Kernel, buf)
+			shift := shiftMean(points, mode, cfg.Bandwidth, buf)
 			if shift == nil {
 				break // isolated point: stays where it is
 			}
@@ -126,31 +105,22 @@ func Cluster(points [][]float64, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// shiftMean computes the kernel-weighted mean of the points within reach
-// of center. It returns nil when no point carries weight. buf is scratch
-// space of the point dimension.
-func shiftMean(points [][]float64, center []float64, h float64, k Kernel, buf []float64) []float64 {
+// shiftMean computes the mean of the points within h of center. It
+// returns nil when there is none. buf is scratch space of the point
+// dimension.
+func shiftMean(points [][]float64, center []float64, h float64, buf []float64) []float64 {
 	for i := range buf {
 		buf[i] = 0
 	}
 	var mass float64
-	cutoff := h
-	if k == Gaussian {
-		cutoff = 3 * h
-	}
 	for _, p := range points {
-		d := dist(center, p)
-		if d > cutoff {
+		if dist(center, p) > h {
 			continue
 		}
-		w := 1.0
-		if k == Gaussian {
-			w = math.Exp(-d * d / (2 * h * h))
-		}
 		for j, v := range p {
-			buf[j] += w * v
+			buf[j] += v
 		}
-		mass += w
+		mass++
 	}
 	if mass == 0 {
 		return nil

@@ -54,18 +54,6 @@ func TestClusterTwoBlobs(t *testing.T) {
 	}
 }
 
-func TestClusterGaussianKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := append(blob(rng, []float64{0}, 0.2, 80), blob(rng, []float64{4}, 0.2, 80)...)
-	res, err := Cluster(pts, Config{Bandwidth: 0.8, Kernel: Gaussian})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Centers) != 2 {
-		t.Fatalf("Gaussian kernel found %d clusters, want 2", len(res.Centers))
-	}
-}
-
 func TestClusterSingleMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := blob(rng, []float64{1, 2, 3}, 0.3, 100)

@@ -56,31 +56,3 @@ func TestClusterPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestClusterGaussianMatchesFlatOnSeparatedBlobs: both kernels find the
-// same partition when clusters are far apart relative to the bandwidth.
-func TestClusterGaussianMatchesFlatOnSeparatedBlobs(t *testing.T) {
-	var pts [][]float64
-	for i := 0; i < 20; i++ {
-		pts = append(pts, []float64{float64(i%5) * 0.01, 0})
-		pts = append(pts, []float64{100 + float64(i%5)*0.01, 0})
-	}
-	flat, err := Cluster(pts, Config{Bandwidth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gauss, err := Cluster(pts, Config{Bandwidth: 2, Kernel: Gaussian})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flat.Centers) != 2 || len(gauss.Centers) != 2 {
-		t.Fatalf("cluster counts: flat %d gauss %d", len(flat.Centers), len(gauss.Centers))
-	}
-	for i := range pts {
-		sameFlat := flat.Labels[i] == flat.Labels[0]
-		sameGauss := gauss.Labels[i] == gauss.Labels[0]
-		if sameFlat != sameGauss {
-			t.Fatalf("kernels disagree at point %d", i)
-		}
-	}
-}

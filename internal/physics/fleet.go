@@ -14,15 +14,8 @@ var PaperModelAssignment = []LifetimeModel{
 type FleetConfig struct {
 	// N is the number of pumps. Defaults to 12 (the paper's testbed).
 	N int
-	// Models assigns a lifetime model per pump; when shorter than N the
-	// assignment wraps. Nil uses PaperModelAssignment.
-	Models []LifetimeModel
 	// Seed drives all per-pump randomness.
 	Seed int64
-	// MaxInitialAgeDays bounds the uniformly drawn initial ages (the
-	// variance-on-initial-status assumption). Defaults to 60% of each
-	// pump's characteristic life.
-	MaxInitialAgeDays float64
 }
 
 // Fleet is a collection of simulated pumps under monitoring.
@@ -36,24 +29,21 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	if n <= 0 {
 		n = len(PaperModelAssignment)
 	}
-	models := cfg.Models
-	if len(models) == 0 {
-		models = PaperModelAssignment
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0xf1ee7))
 	pumps := make([]*Pump, n)
 	for i := 0; i < n; i++ {
-		model := models[i%len(models)]
+		// Lifetime models follow the paper's assignment, wrapping past
+		// its twelve pumps.
+		model := PaperModelAssignment[i%len(PaperModelAssignment)]
 		p := NewPump(PumpConfig{
 			ID:    i,
 			Model: model,
 			Seed:  cfg.Seed + int64(i)*1_000_003,
 		})
-		maxAge := cfg.MaxInitialAgeDays
-		if maxAge <= 0 {
-			maxAge = 0.6 * p.LifeDays()
-		}
-		age := rng.Float64() * maxAge
+		// Initial ages are uniform over the first 60% of each pump's
+		// characteristic life (the variance-on-initial-status
+		// assumption).
+		age := rng.Float64() * (0.6 * p.LifeDays())
 		pumps[i] = NewPump(PumpConfig{
 			ID:             i,
 			Model:          model,

@@ -201,33 +201,3 @@ func SmoothSeries(days, values []float64, windowDays float64) []float64 {
 	}
 	return out
 }
-
-// Matrix is the cleaned (X, Z) pair of the paper's §III-C: service
-// times and the corresponding feature values, invalid measurements
-// eliminated, ordered by service time.
-type Matrix struct {
-	PumpID int
-	// X holds service times in days.
-	X []float64
-	// Z holds the feature values aligned with X.
-	Z []float64
-}
-
-// BuildMatrix extracts a feature from each valid record of one pump and
-// assembles the regression matrix. extractor maps a record to its
-// scalar feature (e.g. the peak-harmonic distance from the Zone A
-// baseline).
-func BuildMatrix(pumpID int, recs []*store.Record, validIdx []int, extractor func(*store.Record) float64) Matrix {
-	m := Matrix{PumpID: pumpID}
-	sorted := append([]int(nil), validIdx...)
-	sort.Ints(sorted)
-	for _, i := range sorted {
-		if i < 0 || i >= len(recs) {
-			continue
-		}
-		rec := recs[i]
-		m.X = append(m.X, rec.ServiceDays)
-		m.Z = append(m.Z, extractor(rec))
-	}
-	return m
-}

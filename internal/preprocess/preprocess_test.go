@@ -178,26 +178,6 @@ func TestSmoothSeriesEdgeCases(t *testing.T) {
 	SmoothSeries([]float64{1, 2}, []float64{1}, 1)
 }
 
-func TestBuildMatrix(t *testing.T) {
-	pump := physics.NewPump(physics.PumpConfig{ID: 4, Seed: 9})
-	sensor, _ := mems.New(mems.Config{Seed: 10})
-	recs := capture(t, pump, sensor, []float64{3, 1, 2})
-	m := BuildMatrix(4, recs, []int{0, 2, 5}, func(r *store.Record) float64 {
-		return r.ServiceDays * 10
-	})
-	if m.PumpID != 4 {
-		t.Fatalf("pump id %d", m.PumpID)
-	}
-	if len(m.X) != 2 || len(m.Z) != 2 {
-		t.Fatalf("matrix %dx%d", len(m.X), len(m.Z))
-	}
-	// Index order preserved after sorting: indices {0,2} → records at
-	// days 3 and 2 in slice order.
-	if m.X[0] != 3 || m.Z[0] != 30 || m.X[1] != 2 {
-		t.Fatalf("matrix contents: %+v", m)
-	}
-}
-
 func sq(x float64) float64 { return x * x }
 
 func TestDetectOutliersLargeSeriesSubsampled(t *testing.T) {

@@ -41,12 +41,11 @@ type Config struct {
 	// MinInliers is the minimum support for an acceptable model
 	// (default 2).
 	MinInliers int
-	// MinSlope and MaxSlope bound acceptable model slopes. The paper's
-	// recursive procedure sets MinSlope > 0 ("the predefined positive
-	// slope threshold") so only ageing trends are extracted. Zero values
-	// leave the corresponding bound open.
+	// MinSlope is the least acceptable model slope. The paper's
+	// recursive procedure sets it > 0 ("the predefined positive slope
+	// threshold") so only ageing trends are extracted. Zero leaves the
+	// bound open.
 	MinSlope float64
-	MaxSlope float64
 	// Seed makes the run reproducible.
 	Seed int64
 }
@@ -157,14 +156,9 @@ func refine(x, y []float64, model Line, cfg Config) (Line, error) {
 	return model, nil
 }
 
+// slopeOK refuses only a slope known to be below MinSlope: a NaN passes.
 func slopeOK(slope float64, cfg Config) bool {
-	if cfg.MinSlope != 0 && slope < cfg.MinSlope {
-		return false
-	}
-	if cfg.MaxSlope != 0 && slope > cfg.MaxSlope {
-		return false
-	}
-	return true
+	return cfg.MinSlope == 0 || !(slope < cfg.MinSlope)
 }
 
 // Recursive runs the paper's Recursive RANSAC: fit a model, remove its

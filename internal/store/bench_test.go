@@ -305,9 +305,22 @@ func syntheticRecords(pumps, perPump, samples int, seed int64) []*store.Record {
 // BenchmarkRecovery100k replays a 100k-record multi-segment WAL into a
 // fresh store — the restart cost a node pays before serving — with
 // workers=0, so it fans out to GOMAXPROCS: BENCH.txt has a row at
-// -cpu 1 and one at -cpu 2.
+// -cpu 1 and one at -cpu 2. Its 64-sample records make scan and apply
+// dominate; the paper-shape case below prices the serving corpus.
 func BenchmarkRecovery100k(b *testing.B) {
-	recs := syntheticRecords(40, 2500, 64, 91)
+	benchmarkRecovery(b, syntheticRecords(40, 2500, 64, 91))
+}
+
+// paperShapeRecords is the corpus the serving workloads of the repo
+// benchmark run on: 12 pumps × 378 records × 1,024 samples per axis.
+func paperShapeRecords() []*store.Record { return syntheticRecords(12, 378, 1024, 94) }
+
+// BenchmarkRecoveryPaperShape is Recovery100k over paper-shape records,
+// where verifying and decoding 6 KB payloads is the compute-bound
+// stage the worker pool splits: rows at -cpu 1 and -cpu 2.
+func BenchmarkRecoveryPaperShape(b *testing.B) { benchmarkRecovery(b, paperShapeRecords()) }
+
+func benchmarkRecovery(b *testing.B, recs []*store.Record) {
 	dir := b.TempDir()
 	w, err := store.OpenWAL(dir, store.WALOptions{Policy: store.SyncNever})
 	if err != nil {
@@ -333,6 +346,30 @@ func BenchmarkRecovery100k(b *testing.B) {
 		}
 		if stats.Records != len(recs) {
 			b.Fatalf("replayed %d records, want %d", stats.Records, len(recs))
+		}
+	}
+}
+
+// BenchmarkSnapshotLoadPaperShape loads a snapshot of the paper-shape
+// corpus with workers=0 (GOMAXPROCS): rows at -cpu 1 and -cpu 2.
+func BenchmarkSnapshotLoadPaperShape(b *testing.B) {
+	recs := paperShapeRecords()
+	src := store.NewMeasurements()
+	for _, rec := range recs {
+		src.AddUnique(rec)
+	}
+	path := filepath.Join(b.TempDir(), "measurements.bin")
+	if err := src.SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		m := store.NewMeasurements()
+		if err := m.LoadFileWorkers(path, 0); err != nil {
+			b.Fatal(err)
+		}
+		if m.Len() != len(recs) {
+			b.Fatalf("loaded %d records, want %d", m.Len(), len(recs))
 		}
 	}
 }

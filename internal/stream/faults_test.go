@@ -77,13 +77,13 @@ func TestFaultSlotDetectorSwap(t *testing.T) {
 	if len(f.faults) != 2 {
 		t.Fatalf("%d fault slots after swap, want 2", len(f.faults))
 	}
-	if _, ok := f.faultFor(d1); ok {
+	if _, ok := f.faults.get(d1); ok {
 		t.Fatal("oldest detector slot not evicted")
 	}
-	if _, ok := f.faultFor(d2); !ok {
+	if _, ok := f.faults.get(d2); !ok {
 		t.Fatal("previous detector slot evicted too early")
 	}
-	if _, ok := f.faultFor(d3); !ok {
+	if _, ok := f.faults.get(d3); !ok {
 		t.Fatal("current detector slot missing")
 	}
 }

@@ -1,0 +1,264 @@
+package stream
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"vibepm/internal/feature"
+	"vibepm/internal/obs"
+	"vibepm/internal/store"
+	"vibepm/internal/transform"
+)
+
+// counters is a reading of the memo's three counters.
+type counters struct{ folds, hits, misses uint64 }
+
+func readCounters() counters {
+	return counters{metFolds.Value(), metHits.Value(), metMisses.Value()}
+}
+
+func (c counters) since(before counters) counters {
+	return counters{c.folds - before.folds, c.hits - before.hits, c.misses - before.misses}
+}
+
+// TestEveryEntryPointIsOneLookup drives each public entry point over a
+// record in each state the memo can hold it in and pins the protocol:
+// the value is the direct function's, the record folds at most once,
+// and the call counts exactly once — a miss iff it ran DSP.
+func TestEveryEntryPointIsOneLookup(t *testing.T) {
+	opt := feature.Options{}
+	base := trainBaseline(t, opt)
+	if base.Opt == opt {
+		t.Fatal("fixture: the baseline must pin options the raw fold does not extract")
+	}
+	det := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{MinSamples: 256})
+
+	states := []struct {
+		name                  string
+		folded                bool
+		lateBase, lateDetects bool // installed only after the fold
+	}{
+		{name: "never folded"},
+		{name: "folded before the baseline", folded: true, lateBase: true},
+		{name: "folded before the detector", folded: true, lateDetects: true},
+		{name: "folded with both", folded: true},
+	}
+	entries := []struct {
+		name string
+		// needs names the lazily filled value the entry point reads.
+		needsDa, needsFault, plants bool
+		call                        func(t *testing.T, ls *LiveState, rec *store.Record)
+	}{
+		{name: "Fold", plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
+			ls.Fold(rec)
+		}},
+		{name: "Ensure", plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
+			f := ls.Ensure(rec.PumpID, []*store.Record{rec})[0]
+			if f.Offsets != transform.Offsets(rec) || !eqF64(f.RMS, transform.RMS(rec)) {
+				t.Error("Ensure: scalars diverged from the transforms")
+			}
+		}},
+		{name: "Da", needsDa: true, plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
+			want, wantErr := base.Da(rec)
+			got, err := ls.Da(rec, base)
+			if !eqF64(got, want) || (err == nil) != (wantErr == nil) {
+				t.Errorf("Da = (%g, %v), want (%g, %v)", got, err, want, wantErr)
+			}
+		}},
+		{name: "DaSeries", needsDa: true, plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
+			want, _ := base.Da(rec)
+			days, das := ls.DaSeries([]*store.Record{rec}, []int{0}, base)
+			if len(das) != 1 || !eqF64(das[0], want) || days[0] != rec.ServiceDays {
+				t.Errorf("DaSeries = (%v, %v), want one point (%g, %g)", days, das, rec.ServiceDays, want)
+			}
+		}},
+		{name: "Harmonics", call: func(t *testing.T, ls *LiveState, rec *store.Record) {
+			got := ls.Harmonics([]*store.Record{rec}, opt)
+			if !reflect.DeepEqual(got[0], feature.HarmonicOfRecord(rec, opt)) {
+				t.Error("Harmonics diverged from HarmonicOfRecord")
+			}
+		}},
+		{name: "FaultReport", needsFault: true, plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
+			if got := ls.FaultReport(rec, det); !reflect.DeepEqual(got, det.Detect(rec)) {
+				t.Error("FaultReport diverged from Detect")
+			}
+		}},
+		{name: "MetricFunc", plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
+			vrms, _ := ls.MetricFunc("vrms")
+			if got := vrms(rec); !eqF64(got, transform.VelocityRMS(rec, transform.ISOBandLoHz, transform.ISOBandHiHz)) {
+				t.Errorf("vrms = %g", got)
+			}
+		}},
+	}
+
+	for _, st := range states {
+		for _, en := range entries {
+			t.Run(st.name+"/"+en.name, func(t *testing.T) {
+				ls := NewLiveState(Config{Harmonic: opt})
+				rec := mkRec(6, 42, 256)
+				if !st.lateBase {
+					ls.SetBaseline(base)
+				}
+				if !st.lateDetects {
+					ls.SetFaultDetector(det)
+				}
+				if st.folded {
+					ls.Fold(rec)
+				}
+				ls.SetBaseline(base)
+				ls.SetFaultDetector(det)
+
+				before := readCounters()
+				en.call(t, ls, rec)
+				got := readCounters().since(before)
+
+				ranDSP := !st.folded || (en.needsDa && st.lateBase) || (en.needsFault && st.lateDetects)
+				want := counters{hits: 1}
+				if ranDSP {
+					want = counters{misses: 1}
+				}
+				if !st.folded && en.plants {
+					want.folds = 1
+				}
+				if got != want {
+					t.Errorf("counters moved %+v, want %+v", got, want)
+				}
+
+				// Asking again is a hit and never a second fold — except
+				// for the one entry point that may not plant the record.
+				before = readCounters()
+				en.call(t, ls, rec)
+				again := counters{hits: 1}
+				if !st.folded && !en.plants {
+					again = counters{misses: 1}
+				}
+				if got := readCounters().since(before); got != again {
+					t.Errorf("second call moved %+v, want %+v", got, again)
+				}
+			})
+		}
+	}
+}
+
+// TestMissFoldsOnce pins the miss path: a lookup of a never-folded
+// record runs the fold and nothing after it. One FaultReport is one
+// Detect (the parent ran the fold's and then its own); one Da needs no
+// harmonic beyond the two the fold extracted from its one PSD.
+func TestMissFoldsOnce(t *testing.T) {
+	base := trainBaseline(t, feature.Options{})
+	det := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{MinSamples: 256})
+	detects := obs.Default.Histogram("vibepm_feature_detect_seconds", obs.StageBuckets)
+	ls := NewLiveState(Config{})
+	ls.SetBaseline(base)
+	ls.SetFaultDetector(det)
+
+	rec := mkRec(7, 1, 256)
+	want := det.Detect(rec)
+	d0, c0 := detects.Count(), readCounters()
+	if got := ls.FaultReport(rec, det); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FaultReport diverged:\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if d := detects.Count() - d0; d != 1 {
+		t.Errorf("one FaultReport on an unfolded record ran Detect %d times, want 1", d)
+	}
+	if got := readCounters().since(c0); got != (counters{folds: 1, misses: 1}) {
+		t.Errorf("counters moved %+v, want one fold and one miss", got)
+	}
+
+	rec = mkRec(7, 2, 256)
+	wantDa, _ := base.Da(rec)
+	c0 = readCounters()
+	if got, _ := ls.Da(rec, base); !eqF64(got, wantDa) {
+		t.Fatalf("Da = %g, want %g", got, wantDa)
+	}
+	if got := readCounters().since(c0); got != (counters{folds: 1, misses: 1}) {
+		t.Errorf("counters moved %+v, want one fold and one miss", got)
+	}
+	f := ls.feat(rec)
+	f.mu.Lock()
+	_, dsp := f.score(rec, base)
+	slots := len(f.harms)
+	f.mu.Unlock()
+	if dsp || slots != 2 {
+		t.Errorf("after Da: score needs DSP = %v, %d harmonic slots; the fold should have left the score and both variants", dsp, slots)
+	}
+}
+
+// TestHarmonicsLeavesUnfoldedRecordsOut pins the one stated exception:
+// the fit's corpus scan may meet cold-tier records that are not in the
+// hot store, and must not plant them in the memo.
+func TestHarmonicsLeavesUnfoldedRecordsOut(t *testing.T) {
+	ls := NewLiveState(Config{})
+	resident, cold := mkRec(2, 1, 256), mkRec(2, 2, 256)
+	ls.Fold(resident)
+	before := readCounters()
+	got := ls.Harmonics([]*store.Record{resident, cold}, feature.Options{})
+	for i, rec := range []*store.Record{resident, cold} {
+		if !reflect.DeepEqual(got[i], feature.HarmonicOfRecord(rec, feature.Options{})) {
+			t.Fatalf("record %d: harmonic diverged", i)
+		}
+	}
+	if d := readCounters().since(before); d != (counters{hits: 1, misses: 1}) {
+		t.Errorf("counters moved %+v, want one hit and one miss", d)
+	}
+	if ls.Size() != 1 || pumpCacheLen(ls, 2) != 1 {
+		t.Fatalf("Harmonics planted an unfolded record: size %d, pump memo %d", ls.Size(), pumpCacheLen(ls, 2))
+	}
+}
+
+// TestMissDoesNotBlockOtherRecords: while one record of a pump is
+// mid-miss — its lookup parked inside the lazy fill, where a slow
+// detector would hold it — every entry point still answers for another
+// record of the same pump, and a second lookup of the parked record
+// waits for the first instead of repeating it.
+func TestMissDoesNotBlockOtherRecords(t *testing.T) {
+	det := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{MinSamples: 256})
+	ls := NewLiveState(Config{})
+	ls.SetFaultDetector(det)
+	slow, other := mkRec(9, 1, 256), mkRec(9, 2, 256)
+	ls.Fold(other)
+
+	filling := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ls.lookup(slow, true, func(*Feat) bool {
+			close(filling)
+			<-release
+			return true
+		})
+	}()
+	<-filling
+
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		ls.FaultReport(other, det)
+		ls.Ensure(9, []*store.Record{other})
+		ls.Fold(mkRec(9, 3, 256))
+	}()
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Error("lookups of another record stalled behind a miss in flight")
+	}
+
+	waited := make(chan counters, 1)
+	go func() {
+		before := readCounters()
+		ls.Fold(slow)
+		waited <- readCounters().since(before)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("a second lookup of the record mid-miss did not wait for the first")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-done
+	if got := <-waited; got.folds != 0 || got.hits != 1 {
+		t.Errorf("the waiting lookup moved %+v, want a hit and no fold", got)
+	}
+}

@@ -1,31 +1,37 @@
 // Package stream is the incremental analysis engine: it folds each
 // ingested measurement into a per-record feature bundle — the per-axis
 // zero offsets, the RMS and velocity-RMS scalars, the DCT-PSD harmonic
-// peaks, and the peak-harmonic distance D_a — exactly once, at ingest
-// time, so every later analysis pass (trend cleaning, fleet reports,
-// the REST trend endpoints) reads cached scalars instead of
+// peaks, the peak-harmonic distance D_a and the fault report — once,
+// at ingest time, so every later analysis pass (trend cleaning, fleet
+// reports, the REST trend endpoints) reads cached scalars instead of
 // re-transforming raw waveforms.
 //
 // The load-bearing guarantee is batch equivalence: every cached value
 // is produced by the *same* function the batch engine calls
 // (transform.Offsets, transform.RMS, feature.HarmonicOfRecord,
-// Baseline.DaFromHarmonic), on the same record, so an analysis built
-// from the cache is bit-identical to one recomputed from scratch — not
-// merely close. The global-but-cheap steps (mean shift outlier
-// detection, moving-average smoothing) still run over the full scalar
-// series on every query; only the expensive per-record transforms
-// (three DCTs, peak search) are O(new data). The equivalence property
+// Baseline.DaFromHarmonic, FaultDetector.Detect), on the same record,
+// so an analysis built from the cache is bit-identical to one
+// recomputed from scratch — not merely close. The global-but-cheap
+// steps (mean shift outlier detection, moving-average smoothing) still
+// run over the full scalar series on every query; only the expensive
+// per-record transforms are O(new data). The equivalence property
 // harness (live_test.go at the repository root) ingests fleets in
 // randomized orders and asserts the incremental and batch pipelines
 // agree at every prefix.
+//
+// There is one memo protocol, LiveState.lookup: every entry point
+// (Fold, Ensure, Da, DaSeries, Harmonics, FaultReport, MetricFunc,
+// OffsetRows) is a thin caller of it, so a derived value is looked up,
+// computed on a miss and counted in exactly one place.
 //
 // Cache entries are keyed by record pointer — the store holds records
 // by reference and never mutates them — so out-of-order arrivals,
 // duplicate suppression, and mid-series inserts need no special
 // casing: the store's ordering is re-read on every assembly and the
 // cache is a pure memo. A store reload (snapshot restore, maintenance
-// reset) orphans the old pointers; assembly detects the bloat and
-// evicts entries no longer reachable from the store.
+// reset) orphans the old pointers; Ensure evicts entries no longer
+// reachable from the store once a pump's memo has grown past 1.5× the
+// live series (evictOrphans).
 package stream
 
 import (
@@ -50,30 +56,58 @@ type Config struct {
 	Harmonic feature.Options
 }
 
-// harmSlot caches one harmonic feature keyed by the exact (unfilled)
-// option value it was extracted with: the engine scans with its raw
-// options while a trained baseline pins the smoothing window in Hz, so
-// one record commonly holds two slots.
-type harmSlot struct {
-	opt feature.Options
-	h   feature.Harmonic
+// slots is a bounded keyed list, oldest first — the one container
+// behind every lazily filled per-record value. Keys are compared with
+// ==: an option set by value, a baseline or detector by pointer
+// identity (both are immutable once installed, so pointer identity is
+// value identity).
+type slots[K comparable, V any] []slot[K, V]
+
+type slot[K comparable, V any] struct {
+	key K
+	val V
 }
 
-// maxHarmSlots bounds the per-record harmonic variants retained. Two
-// covers the steady state (raw engine options + baseline options); a
-// third appears only transiently across a re-Fit with changed options.
-const maxHarmSlots = 3
+func (s slots[K, V]) get(key K) (val V, ok bool) {
+	for _, e := range s {
+		if e.key == key {
+			return e.val, true
+		}
+	}
+	return val, false
+}
 
-// daSlot caches the D_a score against one baseline identity.
-type daSlot struct {
-	base *feature.Baseline
-	val  float64
-	err  error
+// put appends an entry for a key get just missed, first dropping the
+// oldest one when the list already holds limit: it belongs to a
+// retired option set, baseline or detector.
+func (s *slots[K, V]) put(key K, val V, limit int) {
+	if len(*s) >= limit {
+		*s = append((*s)[:0], (*s)[1:]...)
+	}
+	*s = append(*s, slot[K, V]{key, val})
+}
+
+// Slot caps per record. Harmonics: the raw engine options plus the
+// baseline's resolution-pinned ones in steady state, a third only
+// across a re-Fit with changed options. D_a and fault reports: the
+// current baseline / detector plus the one a re-Fit / spec update is
+// replacing.
+const (
+	maxHarmSlots  = 3
+	maxDaSlots    = 2
+	maxFaultSlots = 2
+)
+
+// daScore is one D_a result, error included: an unscorable record is
+// remembered as such instead of re-scored on every trend rebuild.
+type daScore struct {
+	val float64
+	err error
 }
 
 // Feat is the per-record feature bundle. Offsets, RMS and VRMS are
-// immutable after the fold; the harmonic and D_a slots fill lazily
-// under the owning pump's lock as baselines and option sets appear.
+// immutable once lookup has returned the bundle; the keyed slots fill
+// lazily, under mu, as baselines, option sets and detectors appear.
 type Feat struct {
 	// Offsets is transform.Offsets(rec) — the mean-shift outlier
 	// detector's input point.
@@ -84,61 +118,53 @@ type Feat struct {
 	// REST trend endpoint serves.
 	VRMS float64
 
-	harms  []harmSlot
-	da     []daSlot
-	faults []faultSlot
+	// mu is this record's own lock: it is held across the fold and
+	// across a lazy slot fill, so each runs at most once per record /
+	// per (record, key) and a second caller waits for the first
+	// instead of repeating its DSP. No pump-wide lock is held with it.
+	mu     sync.Mutex
+	folded bool
+	harms  slots[feature.Options, feature.Harmonic]
+	da     slots[*feature.Baseline, daScore]
+	faults slots[*feature.FaultDetector, feature.FaultReport]
 }
 
-// harmonic returns the cached feature for opt, if present.
-func (f *Feat) harmonic(opt feature.Options) (feature.Harmonic, bool) {
-	for _, s := range f.harms {
-		if s.opt == opt {
-			return s.h, true
-		}
+// The three lazy accessors. Each is called with f.mu held, returns the
+// value for its key — identical to the pure function it memoizes — and
+// reports whether it had to run DSP to get it.
+
+// harmonic is feature.HarmonicOfRecord(rec, opt).
+func (f *Feat) harmonic(rec *store.Record, opt feature.Options) (feature.Harmonic, bool) {
+	if h, ok := f.harms.get(opt); ok {
+		return h, false
 	}
-	return feature.Harmonic{}, false
+	h := feature.HarmonicOfRecord(rec, opt)
+	f.harms.put(opt, h, maxHarmSlots)
+	return h, true
 }
 
-// putHarmonic inserts (or replaces) the slot for opt.
-func (f *Feat) putHarmonic(opt feature.Options, h feature.Harmonic) {
-	for i, s := range f.harms {
-		if s.opt == opt {
-			f.harms[i].h = h
-			return
-		}
+// score is base.Da(rec). With the baseline's harmonic already in its
+// slot (every fold after SetBaseline) only the distance is computed,
+// which is arithmetic over two peak lists, not DSP.
+func (f *Feat) score(rec *store.Record, base *feature.Baseline) (daScore, bool) {
+	if s, ok := f.da.get(base); ok {
+		return s, false
 	}
-	if len(f.harms) >= maxHarmSlots {
-		// Drop the oldest variant; it belongs to a retired option set.
-		copy(f.harms, f.harms[1:])
-		f.harms = f.harms[:maxHarmSlots-1]
-	}
-	f.harms = append(f.harms, harmSlot{opt: opt, h: h})
+	h, dsp := f.harmonic(rec, base.Opt)
+	var s daScore
+	s.val, s.err = base.DaFromHarmonic(h)
+	f.da.put(base, s, maxDaSlots)
+	return s, dsp
 }
 
-// daFor returns the cached D_a against base, if present.
-func (f *Feat) daFor(base *feature.Baseline) (float64, error, bool) {
-	for _, s := range f.da {
-		if s.base == base {
-			return s.val, s.err, true
-		}
+// fault is det.Detect(rec).
+func (f *Feat) fault(rec *store.Record, det *feature.FaultDetector) (feature.FaultReport, bool) {
+	if rep, ok := f.faults.get(det); ok {
+		return rep, false
 	}
-	return 0, nil, false
-}
-
-// putDa caches the D_a against base, keeping at most the two most
-// recent baseline identities (current + the one a re-Fit replaces).
-func (f *Feat) putDa(base *feature.Baseline, val float64, err error) {
-	for i, s := range f.da {
-		if s.base == base {
-			f.da[i] = daSlot{base: base, val: val, err: err}
-			return
-		}
-	}
-	if len(f.da) >= 2 {
-		copy(f.da, f.da[1:])
-		f.da = f.da[:1]
-	}
-	f.da = append(f.da, daSlot{base: base, val: val, err: err})
+	rep := det.Detect(rec)
+	f.faults.put(det, rep, maxFaultSlots)
+	return rep, true
 }
 
 // streamShardCount mirrors the store's sharding so per-pump lock
@@ -150,17 +176,20 @@ type liveShard struct {
 	pumps map[int]*pumpState
 }
 
-// pumpState is one pump's feature memo. Its mutex serializes cache
-// mutation; the expensive transforms always run outside it.
+// pumpState is one pump's feature memo. Its mutex guards the map
+// alone; every transform runs outside it, under the record's own lock.
 type pumpState struct {
 	mu    sync.Mutex
 	feats map[*store.Record]*Feat
 }
 
 // LiveState is the process-wide incremental feature cache, safe for
-// concurrent use. One instance is shared by the ingestion paths
-// (gateway, REST ingest, WAL recovery warm-up) and the analysis
-// readers (engine trend cleaning, fleet reports, trend endpoints).
+// concurrent use. One instance is shared by the write seam
+// (stream.Ingester behind REST ingest, and the WAL-recovery warm-up)
+// and the analysis readers (engine trend cleaning, fleet reports,
+// fault status, trend endpoints). The mote gateway stores through the
+// same seam but has never been handed a live state: its records fold
+// on first read.
 type LiveState struct {
 	cfg      Config
 	baseline atomic.Pointer[feature.Baseline]
@@ -183,6 +212,17 @@ func NewLiveState(cfg Config) *LiveState {
 // trend queries after new data stay pure cache reads.
 func (ls *LiveState) SetBaseline(b *feature.Baseline) { ls.baseline.Store(b) }
 
+// SetFaultDetector installs (or, with nil, removes) the fault detector:
+// subsequent folds classify at ingest, so fault queries after new data
+// are pure cache reads. Detectors are immutable (WithSpec is
+// copy-on-write); a new one orphans the old slots, which age out of
+// the two-slot window as records are re-queried.
+func (ls *LiveState) SetFaultDetector(d *feature.FaultDetector) { ls.detector.Store(d) }
+
+// FaultDetector returns the installed detector (nil when fault
+// classification is disabled).
+func (ls *LiveState) FaultDetector() *feature.FaultDetector { return ls.detector.Load() }
+
 // Size returns the number of cached records across every pump.
 func (ls *LiveState) Size() int { return int(ls.size.Load()) }
 
@@ -198,58 +238,95 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 	return ps
 }
 
-// computeFeat builds the full feature bundle of one record: the cheap
-// scalars, the harmonic variant(s) for the configured options and the
-// installed baseline, and — when a baseline is installed — the D_a
-// score. One PSD pass feeds every spectral product.
-func (ls *LiveState) computeFeat(rec *store.Record, base *feature.Baseline) *Feat {
-	start := time.Now()
-	f := &Feat{
-		Offsets: transform.Offsets(rec),
-		RMS:     transform.RMS(rec),
+// lookup is the live layer's one memo protocol: it returns rec's
+// bundle, folded, after running want (nil: the bundle alone) on it.
+//
+// The pump lock covers the map probe and, on a miss, the insert of an
+// empty bundle — nothing else. The fold and want run under the
+// bundle's own lock, so DSP on one record never stalls a lookup of
+// another, and two callers racing on one record compute it once. want
+// reads or lazily fills one keyed slot and reports whether that took
+// DSP. Each call counts exactly once: a miss if it ran DSP (the fold,
+// or want's fill), a hit otherwise.
+//
+// plant=false is Harmonics' exception: a record that is not resident
+// is left out of the memo; lookup counts the miss and returns nil, and
+// the caller computes the one value it wants.
+func (ls *LiveState) lookup(rec *store.Record, plant bool, want func(*Feat) (dsp bool)) *Feat {
+	ps := ls.pump(rec.PumpID)
+	ps.mu.Lock()
+	f := ps.feats[rec]
+	if f == nil && plant {
+		f = new(Feat)
+		ps.feats[rec] = f
+		ls.size.Add(1)
 	}
+	ps.mu.Unlock()
+	if f == nil {
+		metMisses.Inc()
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	dsp := !f.folded
+	if dsp {
+		ls.computeFeat(rec, f)
+	}
+	if want != nil && want(f) {
+		dsp = true
+	}
+	if dsp {
+		metMisses.Inc()
+	} else {
+		metHits.Inc()
+	}
+	return f
+}
+
+// computeFeat folds one record into f (f.mu held): the cheap scalars,
+// the harmonic for the configured options and — with a baseline
+// installed — the baseline's variant and the D_a score, all from one
+// PSD pass; with a detector installed, the fault report.
+func (ls *LiveState) computeFeat(rec *store.Record, f *Feat) {
+	start := time.Now()
+	f.Offsets = transform.Offsets(rec)
+	f.RMS = transform.RMS(rec)
+	base := ls.baseline.Load()
 	if base != nil {
 		// The raw-option variant plus the baseline's.
-		f.harms = make([]harmSlot, 0, 2)
+		f.harms = make(slots[feature.Options, feature.Harmonic], 0, 2)
 	}
 	freq, psd := transform.PSD(rec)
 	f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
 	// ExtractHarmonic over this PSD is exactly HarmonicOfRecord: both
 	// feed the same transform.PSDInto output into the same peak search.
-	f.putHarmonic(ls.cfg.Harmonic, feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic))
+	f.harms.put(ls.cfg.Harmonic, feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic), maxHarmSlots)
 	if base != nil {
-		h, ok := f.harmonic(base.Opt)
-		if !ok {
-			h = feature.ExtractHarmonic(freq, psd, base.Opt)
-			f.putHarmonic(base.Opt, h)
+		if base.Opt != ls.cfg.Harmonic {
+			f.harms.put(base.Opt, feature.ExtractHarmonic(freq, psd, base.Opt), maxHarmSlots)
 		}
-		da, err := base.DaFromHarmonic(h)
-		f.putDa(base, da, err)
+		f.score(rec, base)
 	}
 	if det := ls.detector.Load(); det != nil {
-		f.putFault(det, det.Detect(rec))
+		f.fault(rec, det)
 	}
+	f.folded = true
 	metFolds.Inc()
 	metFoldDur.Observe(time.Since(start).Seconds())
-	return f
 }
 
-// Fold computes and caches the feature bundle of one record — the
-// ingest-time entry point, called after the write is acknowledged
-// (post-WAL-ack on the durable path) so the cache never holds features
-// for records that were not accepted.
+// feat returns the folded bundle of one record.
+func (ls *LiveState) feat(rec *store.Record) *Feat { return ls.lookup(rec, true, nil) }
+
+// Fold caches the feature bundle of one record — the ingest-time entry
+// point, called after the write is acknowledged (post-WAL-ack on the
+// durable path) so the cache never holds features for records that
+// were not accepted. Folding a record that is already resident is a
+// hit: its bundle, lazily filled slots included, is kept.
 func (ls *LiveState) Fold(rec *store.Record) {
-	if rec == nil {
-		return
+	if rec != nil {
+		ls.feat(rec)
 	}
-	f := ls.computeFeat(rec, ls.baseline.Load())
-	ps := ls.pump(rec.PumpID)
-	ps.mu.Lock()
-	if _, ok := ps.feats[rec]; !ok {
-		ls.size.Add(1)
-	}
-	ps.feats[rec] = f
-	ps.mu.Unlock()
 }
 
 // Warm pre-folds every record already in the store — the recovery
@@ -258,9 +335,9 @@ func (ls *LiveState) Fold(rec *store.Record) {
 // O(new data). Pumps fan out across workers (<= 0 = GOMAXPROCS;
 // 1 = sequential); each pump's misses are computed inline on its
 // worker, so the fan-out is per pump, not nested. Warm is safe to run
-// concurrently with ingest: folds of fresh appends and warm-time
-// Ensure calls converge on identical feature values, and the cache
-// keeps whichever landed first. Returns the number of records folded.
+// concurrently with ingest: a fold of a fresh append and a warm-time
+// lookup of the same record compute it once. Returns the number of
+// records folded.
 func (ls *LiveState) Warm(m *store.Measurements, workers int) int {
 	if m == nil {
 		return 0
@@ -314,52 +391,20 @@ func (ls *LiveState) Reset() {
 }
 
 // Ensure returns the feature bundle of every record, aligned by index,
-// computing (in parallel) and caching the ones not folded yet. recs is
-// a store-order snapshot of one pump's series; Ensure also evicts
-// cache entries orphaned by a store reload when the cache has grown
-// past twice the live series.
+// folding (in parallel) the ones not folded yet. recs is a store-order
+// snapshot of one pump's series; Ensure also evicts cache entries
+// orphaned by a store reload (see evictOrphans).
 func (ls *LiveState) Ensure(pumpID int, recs []*store.Record) []*Feat {
 	return ls.ensure(pumpID, recs, 0)
 }
 
 // ensure implements Ensure with an explicit worker count for the
-// miss fan-out — Warm passes 1 so its per-pump workers compute misses
-// inline instead of nesting pools.
+// fan-out — Warm passes 1 so its per-pump workers fold inline instead
+// of nesting pools.
 func (ls *LiveState) ensure(pumpID int, recs []*store.Record, workers int) []*Feat {
-	ps := ls.pump(pumpID)
 	out := make([]*Feat, len(recs))
-	var missIdx []int
-	ps.mu.Lock()
-	for i, rec := range recs {
-		if f := ps.feats[rec]; f != nil {
-			out[i] = f
-		} else {
-			missIdx = append(missIdx, i)
-		}
-	}
-	ps.mu.Unlock()
-	if len(missIdx) > 0 {
-		metMisses.Add(uint64(len(missIdx)))
-		base := ls.baseline.Load()
-		feats := par.Map(len(missIdx), workers, func(j int) *Feat {
-			return ls.computeFeat(recs[missIdx[j]], base)
-		})
-		ps.mu.Lock()
-		for j, i := range missIdx {
-			if f := ps.feats[recs[i]]; f != nil {
-				// A concurrent fold won the race; both bundles carry
-				// identical values, keep the resident one.
-				out[i] = f
-				continue
-			}
-			ps.feats[recs[i]] = feats[j]
-			ls.size.Add(1)
-			out[i] = feats[j]
-		}
-		ps.mu.Unlock()
-	}
-	metHits.Add(uint64(len(recs) - len(missIdx)))
-	ls.evictOrphans(ps, recs)
+	par.ForEach(len(recs), workers, func(i int) { out[i] = ls.feat(recs[i]) })
+	ls.evictOrphans(ls.pump(pumpID), recs)
 	return out
 }
 
@@ -405,159 +450,58 @@ func OffsetRowsOf(feats []*Feat) [][]float64 {
 	return out
 }
 
-// Da returns the D_a score of one record against base, computing and
-// caching it on first request. The result is bit-identical to
-// base.Da(rec).
+// Da returns the D_a score of one record against base, bit-identical
+// to base.Da(rec). A fold under the same baseline already scored it.
 func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, error) {
-	ps := ls.pump(rec.PumpID)
-	ps.mu.Lock()
-	f := ps.feats[rec]
-	if f != nil {
-		if val, err, ok := f.daFor(base); ok {
-			ps.mu.Unlock()
-			metHits.Inc()
-			return val, err
-		}
-		if h, ok := f.harmonic(base.Opt); ok {
-			val, err := base.DaFromHarmonic(h)
-			f.putDa(base, val, err)
-			ps.mu.Unlock()
-			return val, err
-		}
-	}
-	ps.mu.Unlock()
-	metMisses.Inc()
-	// Slow path: the record was never folded (or folded before this
-	// baseline's options existed). Compute outside the lock, then memo.
-	var nf *Feat
-	if f == nil {
-		nf = ls.computeFeat(rec, base)
-	}
-	h := feature.HarmonicOfRecord(rec, base.Opt)
-	val, err := base.DaFromHarmonic(h)
-	ps.mu.Lock()
-	if cur := ps.feats[rec]; cur != nil {
-		f = cur
-	} else if nf != nil {
-		ps.feats[rec] = nf
-		ls.size.Add(1)
-		f = nf
-	}
-	if f != nil {
-		f.putHarmonic(base.Opt, h)
-		f.putDa(base, val, err)
-	}
-	ps.mu.Unlock()
-	return val, err
+	var s daScore
+	ls.lookup(rec, true, func(f *Feat) (dsp bool) { s, dsp = f.score(rec, base); return })
+	return s.val, s.err
 }
 
 // DaSeries scores the selected records of one pump against base and
 // assembles the (service day, D_a) series in index order, skipping
 // records whose score errors — the same selection the batch trend
-// pipeline makes. feats must come from Ensure over the same recs.
-func (ls *LiveState) DaSeries(pumpID int, recs []*store.Record, feats []*Feat, idx []int, base *feature.Baseline) (days, das []float64) {
-	ps := ls.pump(pumpID)
-	// First pass under the lock: collect cached scores and the misses.
-	type miss struct {
-		pos int // position in idx
-		h   feature.Harmonic
-		ok  bool // harmonic cached; only the distance is missing
-	}
-	vals := make([]float64, len(idx))
-	errs := make([]bool, len(idx))
-	var misses []miss
-	ps.mu.Lock()
-	for k, i := range idx {
-		f := feats[i]
-		if val, err, ok := f.daFor(base); ok {
-			vals[k], errs[k] = val, err != nil
-			continue
-		}
-		if h, ok := f.harmonic(base.Opt); ok {
-			misses = append(misses, miss{pos: k, h: h, ok: true})
-			continue
-		}
-		misses = append(misses, miss{pos: k})
-	}
-	ps.mu.Unlock()
-	if len(misses) > 0 {
-		type scored struct {
-			val float64
-			err error
-			h   feature.Harmonic
-		}
-		results := par.Map(len(misses), 0, func(j int) scored {
-			ms := misses[j]
-			h := ms.h
-			if !ms.ok {
-				h = feature.HarmonicOfRecord(recs[idx[ms.pos]], base.Opt)
-			}
-			val, err := base.DaFromHarmonic(h)
-			return scored{val: val, err: err, h: h}
-		})
-		ps.mu.Lock()
-		for j, ms := range misses {
-			r := results[j]
-			f := feats[idx[ms.pos]]
-			if !ms.ok {
-				f.putHarmonic(base.Opt, r.h)
-			}
-			f.putDa(base, r.val, r.err)
-			vals[ms.pos], errs[ms.pos] = r.val, r.err != nil
-		}
-		ps.mu.Unlock()
-	}
+// pipeline makes.
+func (ls *LiveState) DaSeries(recs []*store.Record, idx []int, base *feature.Baseline) (days, das []float64) {
+	scores := make([]daScore, len(idx))
+	par.ForEach(len(idx), 0, func(k int) {
+		scores[k].val, scores[k].err = ls.Da(recs[idx[k]], base)
+	})
 	days = make([]float64, 0, len(idx))
 	das = make([]float64, 0, len(idx))
-	for k, i := range idx {
-		if errs[k] {
-			continue
+	for k, s := range scores {
+		if s.err == nil {
+			days = append(days, recs[idx[k]].ServiceDays)
+			das = append(das, s.val)
 		}
-		days = append(days, recs[i].ServiceDays)
-		das = append(das, vals[k])
 	}
 	return days, das
 }
 
 // Harmonics returns the harmonic feature of every record for opt —
 // the engine's Fit-time corpus scan, cache-served after ingest folds.
-// Results are identical to feature.HarmonicOfRecord per record.
+// Results are identical to feature.HarmonicOfRecord per record. The
+// scan may meet records that are not in the hot store (labelled
+// measurements the compactor moved to the cold tier): a record that is
+// not resident is not planted in the memo, only its one harmonic is
+// extracted.
 func (ls *LiveState) Harmonics(recs []*store.Record, opt feature.Options) []feature.Harmonic {
-	// Group by pump so each lookup hits the owning memo.
-	out := make([]feature.Harmonic, len(recs))
-	var missIdx []int
-	for i, rec := range recs {
-		ps := ls.pump(rec.PumpID)
-		ps.mu.Lock()
-		if f := ps.feats[rec]; f != nil {
-			if h, ok := f.harmonic(opt); ok {
-				out[i] = h
-				ps.mu.Unlock()
-				metHits.Inc()
-				continue
-			}
-		}
-		ps.mu.Unlock()
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) == 0 {
-		return out
-	}
-	metMisses.Add(uint64(len(missIdx)))
-	hs := par.Map(len(missIdx), 0, func(j int) feature.Harmonic {
-		return feature.HarmonicOfRecord(recs[missIdx[j]], opt)
-	})
-	for j, i := range missIdx {
-		out[i] = hs[j]
+	return par.Map(len(recs), 0, func(i int) (h feature.Harmonic) {
 		rec := recs[i]
-		ps := ls.pump(rec.PumpID)
-		ps.mu.Lock()
-		if f := ps.feats[rec]; f != nil {
-			f.putHarmonic(opt, hs[j])
+		if ls.lookup(rec, false, func(f *Feat) (dsp bool) { h, dsp = f.harmonic(rec, opt); return }) == nil {
+			h = feature.HarmonicOfRecord(rec, opt)
 		}
-		ps.mu.Unlock()
-	}
-	return out
+		return h
+	})
+}
+
+// FaultReport classifies one record with det, identical to
+// det.Detect(rec) — the batch-equivalence harness pins this across
+// randomized ingestion orders. A fold under the same detector already
+// classified it.
+func (ls *LiveState) FaultReport(rec *store.Record, det *feature.FaultDetector) (rep feature.FaultReport) {
+	ls.lookup(rec, true, func(f *Feat) (dsp bool) { rep, dsp = f.fault(rec, det); return })
+	return rep
 }
 
 // MetricFunc adapts the cache to the store's series-extraction
@@ -572,27 +516,4 @@ func (ls *LiveState) MetricFunc(metric string) (func(*store.Record) float64, boo
 		return func(rec *store.Record) float64 { return ls.feat(rec).VRMS }, true
 	}
 	return nil, false
-}
-
-// feat returns the (folding if needed) bundle of one record.
-func (ls *LiveState) feat(rec *store.Record) *Feat {
-	ps := ls.pump(rec.PumpID)
-	ps.mu.Lock()
-	f := ps.feats[rec]
-	ps.mu.Unlock()
-	if f != nil {
-		metHits.Inc()
-		return f
-	}
-	metMisses.Inc()
-	nf := ls.computeFeat(rec, ls.baseline.Load())
-	ps.mu.Lock()
-	if cur := ps.feats[rec]; cur != nil {
-		nf = cur
-	} else {
-		ps.feats[rec] = nf
-		ls.size.Add(1)
-	}
-	ps.mu.Unlock()
-	return nf
 }

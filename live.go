@@ -7,14 +7,14 @@ import (
 )
 
 // LiveState re-exports the incremental feature cache so callers wiring
-// the gateway, the REST server and the engine to one shared cache do
-// not import the internal package path.
+// the REST server and the engine to one shared cache do not import the
+// internal package path.
 type LiveState = stream.LiveState
 
 // EnableLive switches the engine onto the incremental analysis path:
 // a fresh live state, configured from the engine's options, is
-// attached and returned so the ingestion layers (gateway, REST ingest)
-// can fold into the same cache. Analysis results are bit-identical to
+// attached and returned so the ingestion layer (REST ingest) can fold
+// into the same cache. Analysis results are bit-identical to
 // the batch path; only the cost model changes — per-record transforms
 // run once, at ingest or first touch, instead of on every trend
 // rebuild. If the engine is already fitted the baseline is installed

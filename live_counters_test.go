@@ -1,0 +1,83 @@
+package vibepm
+
+import (
+	"reflect"
+	"testing"
+
+	"vibepm/internal/obs"
+)
+
+// liveLookups reads the live memo's hit and miss counters.
+func liveLookups() (hits, misses uint64) {
+	return obs.Default.Counter("vibepm_stream_cache_hits_total").Value(),
+		obs.Default.Counter("vibepm_stream_cache_misses_total").Value()
+}
+
+// warmedLiveEngine is a fitted engine whose live state has folded every
+// stored record under the fitted baseline.
+func warmedLiveEngine(t *testing.T, seed int64) *Engine {
+	t.Helper()
+	eng, _ := fitEngine(t, seed)
+	eng.EnableLive()
+	if n := eng.WarmLive(); n != eng.Measurements().Len() {
+		t.Fatalf("warmed %d of %d records", n, eng.Measurements().Len())
+	}
+	return eng
+}
+
+// TestWarmedTrendRebuildIsAllHits: the hit ratio sees the main read
+// path. A trend rebuild over a warmed pump looks every record up for
+// its offsets and every surviving record for its D_a, runs no DSP, and
+// each of those lookups is counted as a hit.
+func TestWarmedTrendRebuildIsAllHits(t *testing.T) {
+	eng := warmedLiveEngine(t, 33)
+	const pump = 0
+	n := len(eng.Measurements().All(pump))
+	h0, m0 := liveLookups()
+	trend, err := eng.CleanTrend(pump, func(_ int, d float64) float64 { return d })
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, m1 := liveLookups()
+	if dm := m1 - m0; dm != 0 {
+		t.Errorf("rebuild over a warmed pump missed %d times", dm)
+	}
+	if dh, want := h1-h0, uint64(n+len(trend)); dh < want {
+		t.Errorf("rebuild counted %d hits, want >= %d (%d records + %d scored)", dh, want, n, len(trend))
+	}
+}
+
+// TestReportScoresOnce: Report and AnalyzeDegraded score D_a once per
+// pump and read the zone off that score; the report is what Classify
+// and Da say separately.
+func TestReportScoresOnce(t *testing.T) {
+	eng := warmedLiveEngine(t, 34)
+	lookups := func() uint64 { h, m := liveLookups(); return h + m }
+
+	before := lookups()
+	rep, err := eng.Report(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := lookups() - before; d != 1 {
+		t.Errorf("Report looked the record up %d times, want 1", d)
+	}
+	rec := eng.Measurements().Latest(0)
+	zone, probs, err := eng.Classify(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	da, _ := eng.Da(rec)
+	if rep.Da != da || rep.Zone != zone || !reflect.DeepEqual(rep.Probabilities, probs) {
+		t.Errorf("report (%g, %v, %v) diverged from Da/Classify (%g, %v, %v)", rep.Da, rep.Zone, rep.Probabilities, da, zone, probs)
+	}
+
+	before = lookups()
+	deg, err := eng.AnalyzeDegraded(DegradedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := lookups() - before; deg.Analyzed == 0 || d != uint64(deg.Analyzed) {
+		t.Errorf("AnalyzeDegraded made %d lookups for %d analyzed pumps", d, deg.Analyzed)
+	}
+}

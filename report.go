@@ -37,10 +37,8 @@ func (e *Engine) Report(pumpID int, ageOf AgeFunc) (*PumpReport, error) {
 	if rec == nil {
 		return nil, fmt.Errorf("%w: pump %d has no measurements", ErrNoData, pumpID)
 	}
-	zone, probs, err := e.Classify(rec)
-	if err != nil {
-		return nil, err
-	}
+	// Scored once; the zone and its posteriors are read off that score
+	// exactly as Classify does.
 	da, err := e.Da(rec)
 	if err != nil {
 		return nil, err
@@ -49,8 +47,8 @@ func (e *Engine) Report(pumpID int, ageOf AgeFunc) (*PumpReport, error) {
 		PumpID:        pumpID,
 		ServiceDays:   rec.ServiceDays,
 		Da:            da,
-		Zone:          zone,
-		Probabilities: probs,
+		Zone:          e.classifier.Predict(da),
+		Probabilities: e.classifier.Probabilities(da),
 	}
 	if e.models != nil && ageOf != nil {
 		if rul, modelIdx, err := e.PredictRUL(pumpID, ageOf); err == nil {
