@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race lines golden-faults bench bench-check experiments experiments-paper chaos crash-trials cover fuzz clean
+.PHONY: all build test vet race lines golden-faults bench bench-check experiments experiments-paper results results-check chaos crash-trials cover fuzz clean
 
 all: build vet test
 
@@ -68,9 +68,25 @@ bench-check:
 experiments:
 	$(GO) run ./cmd/vibebench
 
-# The full 155k-measurement reproduction (minutes).
+# The full 155k-measurement reproduction.
 experiments-paper:
 	$(GO) run ./cmd/vibebench -scale paper
+
+# The committed reproduction: the whole output of both scales, each
+# stamped with the machine it ran on (first line) and its wall clock
+# (last line), plus the medium run split per experiment under figures/.
+# EXPERIMENTS.md and ROADMAP quote these files.
+results:
+	$(GO) run ./cmd/vibebench -scale medium -out docs/results/figures > docs/results/medium-scale.txt
+	$(GO) run ./cmd/vibebench -scale paper > docs/results/paper-scale.txt
+
+# Re-run the medium scale (~10 s) against its committed file: only the
+# machine stamp and the timing lines may differ. CI's build-test job
+# runs it, so the committed output cannot go stale.
+results-check:
+	$(GO) run ./cmd/vibebench -scale medium | diff \
+	  -I '^# vibebench ' -I '^corpus ready in ' -I '^(.*s)$$' \
+	  docs/results/medium-scale.txt -
 
 # Soak the ingestion pipeline under the hostile fault plan and print the
 # reliability report. The golden-file run lives in docs/results/.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -28,6 +29,34 @@ type experiment struct {
 	description string
 	needsCorpus bool
 	run         func(c *experiments.Corpus, seed int64) (fmt.Stringer, error)
+}
+
+// text runs the experiment and renders what vibebench prints for it.
+func (e experiment) text(c *experiments.Corpus, seed int64) (string, error) {
+	res, err := e.run(c, seed)
+	if err != nil {
+		return "", err
+	}
+	text := res.String()
+	if c, ok := res.(experiments.Charter); ok {
+		text += c.Chart()
+	}
+	return text, nil
+}
+
+// machine stamps a run the way `go test -bench` stamps BENCH.txt:
+// platform, toolchain, processor counts, and the CPU model where
+// /proc/cpuinfo names one.
+func machine() string {
+	s := fmt.Sprintf("%s/%s %s NumCPU=%d GOMAXPROCS=%d",
+		runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	info, _ := os.ReadFile("/proc/cpuinfo") // absent off Linux: no cpu field
+	for _, line := range strings.Split(string(info), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return s + " cpu: " + strings.TrimSpace(v)
+		}
+	}
+	return s
 }
 
 var catalogue = []experiment{
@@ -114,6 +143,8 @@ func main() {
 		}
 	}
 
+	began := time.Now()
+	fmt.Printf("# vibebench -scale %s -seed %d on %s\n", scale, *seed, machine())
 	var corpus *experiments.Corpus
 	needCorpus := false
 	for _, e := range selected {
@@ -142,14 +173,10 @@ func main() {
 	for _, e := range selected {
 		fmt.Printf("=== %s — %s ===\n", e.id, e.description)
 		start := time.Now()
-		res, err := e.run(corpus, *seed)
+		text, err := e.text(corpus, *seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
 			os.Exit(1)
-		}
-		text := res.String()
-		if c, ok := res.(experiments.Charter); ok {
-			text += c.Chart()
 		}
 		fmt.Print(text)
 		if *outDir != "" {
@@ -161,4 +188,5 @@ func main() {
 		}
 		fmt.Printf("(%s)\n\n", time.Since(start).Round(time.Millisecond))
 	}
+	fmt.Printf("(total wall clock %s)\n", time.Since(began).Round(time.Millisecond))
 }

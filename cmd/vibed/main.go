@@ -127,9 +127,6 @@ func main() {
 		}
 		opts.Measurements = ds.Measurements
 		opts.Labels = ds.Labels
-		for _, lr := range ds.LabelledRecords {
-			opts.Measurements.Add(lr.Record)
-		}
 		opts.AgeOf = func(pumpID int, serviceDays float64) float64 {
 			return ds.Fleet.Pump(pumpID).UnitAgeDays(serviceDays)
 		}

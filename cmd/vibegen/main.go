@@ -50,11 +50,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "generate: %v\n", err)
 		os.Exit(1)
 	}
-	// Labelled records belong in the measurement store too, so loaders
-	// can pair them with the labels.
-	for _, lr := range ds.LabelledRecords {
-		ds.Measurements.Add(lr.Record)
-	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "mkdir: %v\n", err)
 		os.Exit(1)

@@ -135,14 +135,17 @@ func (e *Engine) AttachCold(c *ColdStore) { e.cold = c }
 // Cold returns the attached cold tier, or nil.
 func (e *Engine) Cold() *ColdStore { return e.cold }
 
-// Ingest adds one measurement. Trend-cache invalidation is implicit:
-// the store bumps the pump's series generation, which the cache keys
-// on.
-func (e *Engine) Ingest(rec *Record) {
-	e.measurements.Add(rec)
-	if e.live != nil {
-		e.live.Fold(rec)
-	}
+// Ingest adds one measurement through the same seam REST and the
+// gateway write through (stream.Ingester): rec is validated, its
+// SampleRateHz and ScaleG are rounded in place to the float32 the codec
+// keeps, and it is folded into the live state only if the store took it.
+// stored is false for a repeat of a held (pump, service time); err wraps
+// ErrInvalidRecord for a record that cannot be stored. Trend-cache
+// invalidation is implicit: the store bumps the pump's series
+// generation, which the cache keys on.
+func (e *Engine) Ingest(rec *Record) (stored bool, err error) {
+	in := stream.Ingester{Store: e.measurements, Live: e.live}
+	return in.Ingest(rec)
 }
 
 // AddLabel adds one expert label.
@@ -153,6 +156,8 @@ var (
 	ErrNotFitted  = errors.New("vibepm: engine not fitted — call Fit first")
 	ErrNoRULModel = errors.New("vibepm: lifetime models not learned — call LearnLifetimeModels first")
 	ErrNoData     = errors.New("vibepm: no data")
+	// ErrInvalidRecord is what Ingest wraps when it refuses a record.
+	ErrInvalidRecord = stream.ErrInvalidRecord
 )
 
 // labelledPair joins a label with the nearest stored measurement of the

@@ -1,11 +1,13 @@
 package vibepm
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"vibepm/internal/dataset"
 	"vibepm/internal/physics"
+	"vibepm/internal/store"
 )
 
 // fitEngine builds an engine over a small synthetic corpus and fits it.
@@ -26,11 +28,6 @@ func fitEngine(t *testing.T, seed int64) (*Engine, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	eng := NewWithStores(Options{}, ds.Measurements, ds.Labels)
-	// Labelled records also need to be in the measurement store so the
-	// engine can pair them.
-	for _, lr := range ds.LabelledRecords {
-		eng.Ingest(lr.Record)
-	}
 	if err := eng.Fit(); err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +265,69 @@ func TestCleanTrendCacheConsistency(t *testing.T) {
 	}
 	if len(fresh) <= len(first) {
 		t.Fatalf("new record not reflected: %d vs %d", len(fresh), len(first))
+	}
+}
+
+// TestEngineIngestIsTheSeam: Engine.Ingest is a third front end on
+// stream.Ingester, so it refuses what REST refuses, stores a key once,
+// and keeps the float32 metadata a restart would recover.
+func TestEngineIngestIsTheSeam(t *testing.T) {
+	eng, ds := fitEngine(t, 46)
+	eng.EnableLive()
+	m := eng.Measurements()
+	const pump, day = 0, 39.75
+
+	bad := ds.Capture(pump, day)
+	bad.Raw[2] = bad.Raw[2][:10]
+	n, total := m.Len(), m.GenerationTotal()
+	if stored, err := eng.Ingest(bad); stored || !errors.Is(err, ErrInvalidRecord) {
+		t.Fatalf("unequal axes: stored=%v err=%v, want ErrInvalidRecord", stored, err)
+	}
+	if m.Len() != n || m.GenerationTotal() != total {
+		t.Fatal("a refused record changed the store")
+	}
+
+	rec := ds.Capture(pump, day)
+	rec.ScaleG = 0.003 // not a float32: the codec would store 0.003000000026…
+	if stored, err := eng.Ingest(rec); !stored || err != nil {
+		t.Fatalf("fresh record: stored=%v err=%v", stored, err)
+	}
+	if want := float64(float32(0.003)); rec.ScaleG != want {
+		t.Fatalf("ScaleG = %v after Ingest, want the codec's %v", rec.ScaleG, want)
+	}
+	n, gen := m.Len(), m.Generation(pump)
+	if stored, err := eng.Ingest(ds.Capture(pump, day)); stored || err != nil {
+		t.Fatalf("repeat: stored=%v err=%v, want false, nil", stored, err)
+	}
+	if m.Len() != n || m.Generation(pump) != gen || m.Query(pump, day, day)[0] != rec {
+		t.Fatal("a repeat changed the store")
+	}
+
+	// What the engine scored in memory is what a restarted one scores.
+	var snap, model bytes.Buffer
+	if err := m.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveModel(&model); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewWithStores(Options{}, store.NewMeasurements(), nil)
+	if err := restored.Measurements().Load(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.LoadModel(&model); err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Da(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Da(restored.Measurements().Query(pump, day, day)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("Da after Save → Load = %v, in memory %v", got, want)
 	}
 }
 

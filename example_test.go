@@ -22,9 +22,6 @@ func exampleCorpus() (*vibepm.Engine, *dataset.Dataset) {
 		panic(err)
 	}
 	eng := vibepm.NewWithStores(vibepm.Options{}, ds.Measurements, ds.Labels)
-	for _, lr := range ds.LabelledRecords {
-		eng.Ingest(lr.Record)
-	}
 	if err := eng.Fit(); err != nil {
 		panic(err)
 	}

@@ -38,7 +38,9 @@ func main() {
 	}
 	trainer := vibepm.NewWithStores(vibepm.Options{}, nil, ds.Labels)
 	for _, lr := range ds.LabelledRecords {
-		trainer.Ingest(lr.Record)
+		if _, err := trainer.Ingest(lr.Record); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if err := trainer.Fit(); err != nil {
 		log.Fatal(err)

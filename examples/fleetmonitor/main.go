@@ -37,7 +37,9 @@ func main() {
 	}
 	eng := vibepm.NewWithStores(vibepm.Options{}, nil, ds.Labels)
 	for _, lr := range ds.LabelledRecords {
-		eng.Ingest(lr.Record)
+		if _, err := eng.Ingest(lr.Record); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if err := eng.Fit(); err != nil {
 		log.Fatal(err)

@@ -31,12 +31,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Build the engine over the stores and ingest the labelled
-	// measurements.
+	// 2. Build the engine over the stores: the measurement store holds
+	// every capture Generate made, trend and labelled alike.
 	eng := vibepm.NewWithStores(vibepm.Options{}, ds.Measurements, ds.Labels)
-	for _, lr := range ds.LabelledRecords {
-		eng.Ingest(lr.Record)
-	}
 
 	// 3. Fit the full pipeline: Zone A baseline, harmonic features,
 	// classifier, and the BC/D decision boundary.
@@ -47,9 +44,14 @@ func main() {
 	fmt.Printf("trained on %d labels; Zone BC/D boundary at Da = %.3f\n",
 		len(ds.LabelledRecords), boundary)
 
-	// 4. Classify a fresh measurement from each pump.
+	// 4. Ingest a fresh measurement from each pump and classify it.
+	// Ingest validates the record and reports whether the store took it
+	// (false for a repeat of a held pump and service time).
 	for _, pump := range ds.Fleet.Pumps[:4] {
 		rec := ds.Capture(pump.ID(), 39.9)
+		if _, err := eng.Ingest(rec); err != nil {
+			log.Fatal(err)
+		}
 		zone, probs, err := eng.Classify(rec)
 		if err != nil {
 			log.Fatal(err)

@@ -45,8 +45,9 @@ type Config struct {
 	// selects the paper's Table IV schedule (PM on pumps 4, 5, 8 and a
 	// BM on pump 7).
 	Events []Event
-	// SkipTrend disables the dense per-pump trend measurements (labels
-	// only) for experiments that do not need them.
+	// SkipTrend disables the dense per-pump trend measurements for
+	// experiments that do not need them; the store then holds the
+	// labelled captures only.
 	SkipTrend bool
 	// LabelMargin keeps labelled measurements away from the zone
 	// boundaries by this wear margin (default 0.05): the paper's expert
@@ -99,9 +100,12 @@ type Dataset struct {
 	Fleet  *physics.Fleet
 	// Sensors holds one sensor per pump (index == pump id).
 	Sensors []*mems.Sensor
-	// Measurements holds the dense trend captures.
+	// Measurements holds every capture Generate made: the dense trend
+	// and the labelled measurements, as the paper's one sensor database
+	// does.
 	Measurements *store.Measurements
-	// LabelledRecords pairs every label with its measurement.
+	// LabelledRecords pairs every label with its measurement (a record
+	// of Measurements).
 	LabelledRecords []LabelledRecord
 	// Labels is the label store (including the invalid ones).
 	Labels *store.Labels
@@ -379,6 +383,7 @@ func (d *Dataset) generateLabels() error {
 	})
 	// Append in draw order, exactly as the sequential loop did.
 	for i, p := range picks {
+		d.Measurements.Add(recs[i])
 		d.LabelledRecords = append(d.LabelledRecords, LabelledRecord{Record: recs[i], Zone: p.zone, Valid: p.valid})
 		if err := d.Labels.Add(store.Label{
 			PumpID:      p.id,
@@ -416,15 +421,4 @@ func (d *Dataset) ValidLabelled() []LabelledRecord {
 		}
 	}
 	return out
-}
-
-// ZoneACount returns how many valid Zone A labelled records exist.
-func (d *Dataset) ZoneACount() int {
-	n := 0
-	for _, lr := range d.ValidLabelled() {
-		if lr.Zone == physics.MergedA {
-			n++
-		}
-	}
-	return n
 }

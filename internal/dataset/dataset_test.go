@@ -73,8 +73,9 @@ func TestGenerateTrendDensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 12 pumps × 30 days × 0.5/day = 180 measurements.
-	if got := ds.Measurements.Len(); got != 12*15 {
+	// 12 pumps × 30 days × 0.5/day = 180 trend measurements, beside the
+	// labelled captures.
+	if got := ds.Measurements.Len() - len(ds.LabelledRecords); got != 12*15 {
 		t.Fatalf("trend measurements %d", got)
 	}
 	if got := len(ds.Measurements.Pumps()); got != 12 {
@@ -89,11 +90,35 @@ func TestGenerateSkipTrend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Measurements.Len() != 0 {
-		t.Fatalf("trend measurements generated despite SkipTrend: %d", ds.Measurements.Len())
-	}
 	if len(ds.LabelledRecords) == 0 {
 		t.Fatal("labels missing")
+	}
+	if got := ds.Measurements.Len() - len(ds.LabelledRecords); got != 0 {
+		t.Fatalf("trend measurements generated despite SkipTrend: %d", got)
+	}
+}
+
+// The store Generate returns is complete: every labelled capture is in
+// it, so every label pairs with a stored record at zero gap and no
+// caller has to add the labelled records back.
+func TestGenerateStoreHoldsLabelledCaptures(t *testing.T) {
+	ds, err := Generate(smallConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ds.Measurements.Len(), 12*15+len(ds.LabelledRecords); got != want {
+		t.Fatalf("store holds %d records, want trend + labelled = %d", got, want)
+	}
+	for _, lr := range ds.LabelledRecords {
+		day := lr.Record.ServiceDays
+		if got := ds.Measurements.Query(lr.Record.PumpID, day, day); len(got) != 1 || got[0] != lr.Record {
+			t.Fatalf("pump %d day %v: store holds %v, want the labelled record", lr.Record.PumpID, day, got)
+		}
+	}
+	for _, l := range ds.Labels.Valid() {
+		if got := ds.Measurements.Query(l.PumpID, l.ServiceDays, l.ServiceDays); len(got) != 1 {
+			t.Fatalf("label at pump %d day %v pairs with %d stored records", l.PumpID, l.ServiceDays, len(got))
+		}
 	}
 }
 
@@ -183,16 +208,6 @@ func TestPaperEventsApplied(t *testing.T) {
 	}
 	if got := ds.Fleet.Pump(0).Replacements(); len(got) != 0 {
 		t.Fatalf("pump 0 replacements %v", got)
-	}
-}
-
-func TestZoneACount(t *testing.T) {
-	ds, err := Generate(smallConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ds.ZoneACount(); got == 0 || got > 30 {
-		t.Fatalf("ZoneACount = %d", got)
 	}
 }
 

@@ -38,9 +38,6 @@ func AblationPeakParams(c *Corpus) (*PeakParamResult, error) {
 			eng := vibepm.NewWithStores(vibepm.Options{
 				Harmonic: vibepm.HarmonicOptions{NumPeaks: np, HannWindow: nh},
 			}, c.Dataset.Measurements, c.Dataset.Labels)
-			for _, lr := range c.Dataset.LabelledRecords {
-				eng.Ingest(lr.Record)
-			}
 			if err := eng.Fit(); err != nil {
 				return nil, fmt.Errorf("experiments: ablation np=%d nh=%d: %w", np, nh, err)
 			}

@@ -81,9 +81,6 @@ func NewCorpus(scale Scale, seed int64) (*Corpus, error) {
 		return nil, err
 	}
 	eng := vibepm.NewWithStores(vibepm.Options{}, ds.Measurements, ds.Labels)
-	for _, lr := range ds.LabelledRecords {
-		eng.Ingest(lr.Record)
-	}
 	if err := eng.Fit(); err != nil {
 		return nil, err
 	}

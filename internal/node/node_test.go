@@ -31,9 +31,6 @@ func corpusOptions(t *testing.T, dir string) Options {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lr := range ds.LabelledRecords {
-		ds.Measurements.Add(lr.Record)
-	}
 	return Options{
 		Dir:          dir,
 		Measurements: ds.Measurements,

@@ -10,7 +10,6 @@ package preprocess
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"vibepm/internal/dsp"
 	"vibepm/internal/meanshift"
@@ -151,20 +150,6 @@ func adaptiveBandwidth(points [][]float64) float64 {
 		bw = floor
 	}
 	return bw
-}
-
-// Filter returns the records selected by the given indices, preserving
-// order.
-func Filter(recs []*store.Record, indices []int) []*store.Record {
-	out := make([]*store.Record, 0, len(indices))
-	sorted := append([]int(nil), indices...)
-	sort.Ints(sorted)
-	for _, i := range sorted {
-		if i >= 0 && i < len(recs) {
-			out = append(out, recs[i])
-		}
-	}
-	return out
 }
 
 // SmoothSeries applies the paper's default noise reduction to a feature

@@ -114,19 +114,6 @@ func TestDetectOutliersEmpty(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	pump := physics.NewPump(physics.PumpConfig{ID: 3, Seed: 7})
-	sensor, _ := mems.New(mems.Config{Seed: 8})
-	recs := capture(t, pump, sensor, daysRange(5, 1))
-	got := Filter(recs, []int{3, 1, 99, -1})
-	if len(got) != 2 {
-		t.Fatalf("filtered = %d", len(got))
-	}
-	if got[0].ServiceDays != 1 || got[1].ServiceDays != 3 {
-		t.Fatalf("order: %g %g", got[0].ServiceDays, got[1].ServiceDays)
-	}
-}
-
 func TestSmoothSeriesReducesNoise(t *testing.T) {
 	days := daysRange(200, 0.1)
 	values := make([]float64, len(days))

@@ -182,26 +182,13 @@ func (d *Durable) WAL() *WAL { return d.wal }
 // disabled. Reads that want full history merge it with Store().
 func (d *Durable) Cold() *ColdStore { return d.cold }
 
-// Add logs and applies one record. A nil error acknowledges the write
-// as durable per the WAL's sync policy; on error the record was
-// neither acknowledged nor applied.
-//
-// A durable store holds only unique (PumpID, ServiceDays) keys:
-// recovery must replay the log idempotently (a crash between snapshot
-// and segment retirement leaves segments overlapping the snapshot), so
-// apply goes through the same AddUnique insert that replay uses. A
-// duplicate-keyed record is therefore logged but deduped at apply time
-// — exactly the state a post-crash recovery would reconstruct. Callers
-// that need to know whether the record landed use AddUnique.
-func (d *Durable) Add(rec *Record) error {
-	_, err := d.AddUnique(rec)
-	return err
-}
-
 // AddUnique logs and applies one record unless the pump already holds
-// a record at the same service time. The duplicate check happens at
-// apply time; a duplicate's log frame is harmless because recovery
-// replays idempotently.
+// a record at the same service time. A nil error acknowledges the write
+// as durable per the WAL's sync policy; on error the record was neither
+// acknowledged nor applied. The duplicate check happens at apply time;
+// a duplicate's log frame is harmless because recovery replays
+// idempotently (a crash between snapshot and segment retirement leaves
+// segments overlapping the snapshot anyway).
 func (d *Durable) AddUnique(rec *Record) (bool, error) {
 	d.ckptMu.RLock()
 	defer d.ckptMu.RUnlock()

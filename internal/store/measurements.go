@@ -38,11 +38,12 @@ type shard struct {
 	byPump map[int]*series
 }
 
-// Measurements is the embedded time-series store for vibration records,
-// indexed by pump and ordered by service time. It is safe for
-// concurrent use: the store is sharded by pump id with one RWMutex per
-// shard, and the aggregate counters are atomics, so Len and the
-// generation counters never serialize against writers in other shards.
+// Measurements is the embedded time-series store for vibration records:
+// a set keyed by (pump, service time), indexed by pump and ordered by
+// service time. It is safe for concurrent use: the store is sharded by
+// pump id with one RWMutex per shard, and the aggregate counters are
+// atomics, so Len and the generation counters never serialize against
+// writers in other shards.
 type Measurements struct {
 	shards [shardCount]shard
 	count  atomic.Int64
@@ -83,39 +84,17 @@ func (m *Measurements) bump(s *series) {
 	m.totalGen.Add(1)
 }
 
-// Add inserts a record, keeping the per-pump series ordered by service
-// time. The record is stored by reference; callers must not mutate it
-// afterwards.
-func (m *Measurements) Add(rec *Record) {
-	sh := m.shardFor(rec.PumpID)
-	sh.mu.Lock()
-	s := sh.seriesLocked(rec.PumpID)
-	recs := s.recs
-	if n := len(recs); n == 0 || recs[n-1].ServiceDays <= rec.ServiceDays {
-		// Ingestion is overwhelmingly time-ordered: append without the
-		// binary search.
-		s.recs = append(recs, rec)
-	} else {
-		i := sort.Search(len(recs), func(i int) bool {
-			return recs[i].ServiceDays > rec.ServiceDays
-		})
-		recs = append(recs, nil)
-		copy(recs[i+1:], recs[i:])
-		recs[i] = rec
-		s.recs = recs
-	}
-	m.bump(s)
-	sh.mu.Unlock()
-	m.count.Add(1)
-	metRecordsAdded.Inc()
-	metRecordBytes.Add(rawBytes(rec))
-}
+// Add is AddUnique with the result dropped.
+func (m *Measurements) Add(rec *Record) { m.AddUnique(rec) }
 
-// AddUnique inserts rec unless the pump already holds a record at the
-// same service time, reporting whether the insert happened. This is the
-// idempotent ingestion path: a transport layer that re-delivers a
-// measurement (duplicate transfer, retry racing a success) cannot
-// inflate the series.
+// AddUnique, the store's one insert, stores rec by reference (callers
+// must not mutate it afterwards) unless the pump already holds a record
+// at the same service time, reporting whether the insert happened. A
+// refused record leaves the held one in place and no generation moved,
+// so a transport layer that re-delivers a measurement (duplicate
+// transfer, retry racing a success) cannot inflate the series, and a
+// store in memory holds what Save → Load, WAL replay or a tiered reopen
+// of it would.
 func (m *Measurements) AddUnique(rec *Record) bool {
 	sh := m.shardFor(rec.PumpID)
 	sh.mu.Lock()

@@ -238,7 +238,7 @@ func TestParallelReplayRepairTruncation(t *testing.T) {
 			t.Fatalf("open durable: %v", err)
 		}
 		for _, rec := range recs {
-			if err := d.Add(rec); err != nil {
+			if _, err := d.AddUnique(rec); err != nil {
 				t.Fatalf("add: %v", err)
 			}
 		}

@@ -151,7 +151,8 @@ func TestSaveLoadRoundTripSharded(t *testing.T) {
 
 // TestGenerationSemantics pins the generation contract: 0 for an
 // unknown pump, moves on every Add/AddUnique insert, does not move on
-// a suppressed duplicate, and is independent across pumps.
+// a suppressed duplicate (through either name), and is independent
+// across pumps.
 func TestGenerationSemantics(t *testing.T) {
 	m := NewMeasurements()
 	if g := m.Generation(1); g != 0 {
@@ -179,6 +180,14 @@ func TestGenerationSemantics(t *testing.T) {
 	}
 	if m.Generation(1) != g2 {
 		t.Fatal("suppressed duplicate must not move the generation")
+	}
+	// Add is the same insert: a held key leaves the store as it was,
+	// first record in place.
+	held, n, total := m.Latest(1), m.Len(), m.GenerationTotal()
+	m.Add(rec(1, 1))
+	if m.Len() != n || m.Generation(1) != g2 || m.GenerationTotal() != total || m.Latest(1) != held {
+		t.Fatalf("Add of a held key changed the store: Len %d→%d, gen %d→%d, total %d→%d, same record %v",
+			n, m.Len(), g2, m.Generation(1), total, m.GenerationTotal(), m.Latest(1) == held)
 	}
 	if !m.AddUnique(rec(1, 2)) {
 		t.Fatal("unique AddUnique must insert")

@@ -182,8 +182,10 @@ func TestMeasurementsConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 50; i++ {
-				m.Add(randomRecord(rng, w%3, float64(i), 4))
-				m.Query(w%3, 0, float64(i))
+				// Workers share pumps but not keys: the store is a set.
+				day := float64(w*50 + i)
+				m.Add(randomRecord(rng, w%3, day, 4))
+				m.Query(w%3, 0, day)
 				m.Len()
 			}
 		}(w)

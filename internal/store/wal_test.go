@@ -393,7 +393,7 @@ func TestDurableConcurrentIngestDuringCheckpoint(t *testing.T) {
 				// pump ids stride the shard space; times are unique per
 				// writer so every Add lands.
 				rec := randomRecord(rng, w*3+i%16, float64(w*1000+i), 8)
-				if err := d.Add(rec); err != nil {
+				if _, err := d.AddUnique(rec); err != nil {
 					t.Errorf("writer %d add %d: %v", w, i, err)
 					return
 				}
@@ -469,7 +469,7 @@ func TestDurableRetiresSegments(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 50; i++ {
-		if err := d.Add(randomRecord(rng, i%4, float64(i), 32)); err != nil {
+		if _, err := d.AddUnique(randomRecord(rng, i%4, float64(i), 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -521,7 +521,7 @@ func TestOversizedRecordRejectedBeforeAck(t *testing.T) {
 	// and survive a crash.
 	rng := rand.New(rand.NewSource(77))
 	good := randomRecord(rng, 2, 3, 16)
-	if err := d.Add(good); err != nil {
+	if _, err := d.AddUnique(good); err != nil {
 		t.Fatalf("append after rejection: %v", err)
 	}
 	d.Abort()
@@ -537,9 +537,9 @@ func TestOversizedRecordRejectedBeforeAck(t *testing.T) {
 }
 
 // TestDurableAddDedupesSameKey: Durable stores only unique keys, and
-// Add must apply with the same idempotent insert recovery uses — a
-// duplicate-keyed Add may not create state that a crash would silently
-// collapse.
+// A durable write applies with the same idempotent insert recovery
+// uses — a duplicate-keyed write may not create state that a crash would
+// silently collapse.
 func TestDurableAddDedupesSameKey(t *testing.T) {
 	dir := t.TempDir()
 	d, _, err := OpenDurable(dir, DurableOptions{WAL: WALOptions{Policy: SyncNever}})
@@ -547,15 +547,15 @@ func TestDurableAddDedupesSameKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(21))
-	if err := d.Add(randomRecord(rng, 1, 5, 16)); err != nil {
+	if _, err := d.AddUnique(randomRecord(rng, 1, 5, 16)); err != nil {
 		t.Fatal(err)
 	}
 	// Same (pump, service-days) key, different samples.
-	if err := d.Add(randomRecord(rng, 1, 5, 16)); err != nil {
+	if _, err := d.AddUnique(randomRecord(rng, 1, 5, 16)); err != nil {
 		t.Fatal(err)
 	}
 	if d.Store().Len() != 1 {
-		t.Fatalf("duplicate-keyed Add applied twice: store holds %d records", d.Store().Len())
+		t.Fatalf("duplicate-keyed write applied twice: store holds %d records", d.Store().Len())
 	}
 	var want bytes.Buffer
 	if err := d.Store().Save(&want); err != nil {

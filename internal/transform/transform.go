@@ -71,17 +71,6 @@ func Offsets(rec *store.Record) (offsets [3]float64) {
 	return offsets
 }
 
-// DCTFrequencies returns the frequency (Hz) of every DCT-II bin for a
-// K-sample measurement at sampling rate fs: bin k corresponds to
-// k·fs/(2K).
-func DCTFrequencies(fs float64, k int) []float64 {
-	out := make([]float64, k)
-	for i := range out {
-		out[i] = float64(i) * fs / (2 * float64(k))
-	}
-	return out
-}
-
 // PSD computes the paper's combined PSD feature of a record:
 // s_mn = Σ_{l∈{x,y,z}} (âˡ·W_K)²/(2K), one value per DCT bin, plus the
 // matching frequency axis. This is the s_mn feature vector of §III-B.

@@ -56,23 +56,6 @@ func TestAccelerationRemovesGravity(t *testing.T) {
 	}
 }
 
-func TestDCTFrequencies(t *testing.T) {
-	f := DCTFrequencies(4096, 1024)
-	if len(f) != 1024 {
-		t.Fatalf("len = %d", len(f))
-	}
-	if f[0] != 0 {
-		t.Fatalf("f[0] = %g", f[0])
-	}
-	// Bin k → k·fs/(2K); the last bin approaches Nyquist.
-	if math.Abs(f[1]-2) > 1e-12 {
-		t.Fatalf("f[1] = %g, want 2", f[1])
-	}
-	if math.Abs(f[1023]-2046) > 1e-9 {
-		t.Fatalf("last bin %g", f[1023])
-	}
-}
-
 func TestPSDParsevalAcrossAxes(t *testing.T) {
 	// sum(s_mn) must equal Σ_l rms_l²/2 = RMS²/2 — the identity that
 	// lets the paper drop the separate RMS feature.

@@ -16,7 +16,8 @@ import (
 // measurements/day over 63 days (10,080 trend captures + 120 labelled
 // ones), one live engine with every record folded, and one batch engine
 // over the very same stores. Pools of fresh captures feed the
-// per-iteration ingests so no two iterations collide.
+// per-iteration ingests so no two iterations collide; a pool's position
+// outlives one benchmark run, so a -count rerun continues down it.
 type liveBench struct {
 	liveEng  *vibepm.Engine
 	batchEng *vibepm.Engine
@@ -28,6 +29,8 @@ type liveBench struct {
 	ingestPool []*store.Record // cycled by LiveIngest, never stored
 	livePool   []*store.Record // ingested by LiveTrend
 	batchPool  []*store.Record // ingested by CleanTrendBatch10k
+	liveNext   int             // first livePool record not yet ingested
+	batchNext  int             // the same for batchPool
 }
 
 var (
@@ -59,11 +62,6 @@ func newLiveBench() (*liveBench, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	// The labelled captures live outside the trend store; add them so
-	// Fit finds its (label, measurement) pairs.
-	for _, lr := range ds.LabelledRecords {
-		ds.Measurements.Add(lr.Record)
 	}
 	f := &liveBench{}
 	f.liveEng = vibepm.NewWithStores(vibepm.Options{}, ds.Measurements, ds.Labels)
@@ -101,7 +99,7 @@ func newLiveBench() (*liveBench, error) {
 		return out
 	}
 	f.ingestPool = pool(512, 0.11)
-	f.livePool = pool(2048, 0.17)
+	f.livePool = pool(4096, 0.17)
 	f.batchPool = pool(256, 0.23)
 	return f, nil
 }
@@ -131,21 +129,25 @@ func BenchmarkLiveIngest(b *testing.B) {
 // rebuild through the batch branch on the same store.
 func BenchmarkLiveTrend(b *testing.B) {
 	f := liveFixture(b)
-	benchmarkTrendAfterIngest(b, f.liveEng, f.livePool)
+	benchmarkTrendAfterIngest(b, f.liveEng, f.livePool, &f.liveNext)
 }
 
 func BenchmarkCleanTrendBatch10k(b *testing.B) {
 	f := liveFixture(b)
-	benchmarkTrendAfterIngest(b, f.batchEng, f.batchPool)
+	benchmarkTrendAfterIngest(b, f.batchEng, f.batchPool, &f.batchNext)
 }
 
-func benchmarkTrendAfterIngest(b *testing.B, eng *vibepm.Engine, pool []*store.Record) {
-	i := 0
+func benchmarkTrendAfterIngest(b *testing.B, eng *vibepm.Engine, pool []*store.Record, next *int) {
 	b.ReportAllocs()
 	for b.Loop() {
-		rec := pool[i%len(pool)]
-		i++
-		eng.Ingest(rec)
+		rec := pool[*next%len(pool)]
+		*next++
+		// A record the store already holds moves no generation, and the
+		// rebuild below would be a trend-cache hit: a pool that wraps
+		// must stop the run, not flatter it.
+		if stored, err := eng.Ingest(rec); err != nil || !stored {
+			b.Fatalf("pool of %d fresh captures spent after %d ingests (stored=%v, err=%v): shorten -benchtime or grow the pool", len(pool), *next, stored, err)
+		}
 		if _, err := eng.CleanTrend(rec.PumpID, serviceAge); err != nil {
 			b.Fatal(err)
 		}

@@ -71,6 +71,10 @@ func (e *Engine) LoadModel(r io.Reader) error {
 	e.classifier = classifier
 	e.boundary = state.Boundary
 	e.models = state.Models
+	if e.live != nil {
+		// As Fit does: folds score D_a against the installed baseline.
+		e.live.SetBaseline(e.baseline)
+	}
 	return nil
 }
 

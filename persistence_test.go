@@ -76,6 +76,42 @@ func TestSaveLoadModelRoundtrip(t *testing.T) {
 	}
 }
 
+// TestLoadModelInstallsLiveBaseline: a live engine restored from a
+// model file folds D_a at ingest, as one that ran Fit does — the first
+// read of a fresh record is a memo hit, not a PSD on the read path.
+func TestLoadModelInstallsLiveBaseline(t *testing.T) {
+	trained, ds := fitEngine(t, 22)
+	var buf bytes.Buffer
+	if err := trained.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Options{})
+	eng.EnableLive()
+	if err := eng.LoadModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rec := ds.Capture(0, 39.75)
+	if stored, err := eng.Ingest(rec); !stored || err != nil {
+		t.Fatalf("Ingest: stored=%v err=%v", stored, err)
+	}
+	h0, m0 := liveLookups()
+	got, err := eng.Da(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, m1 := liveLookups()
+	if h1-h0 != 1 || m1-m0 != 0 {
+		t.Errorf("Da of a just-ingested record: %d hits, %d misses, want 1, 0", h1-h0, m1-m0)
+	}
+	base, err := eng.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := base.Da(rec); err != nil || got != want {
+		t.Errorf("live Da = %v, baseline.Da = %v (err %v)", got, want, err)
+	}
+}
+
 func TestSaveModelFileRoundtrip(t *testing.T) {
 	eng, _ := fitEngine(t, 21)
 	path := filepath.Join(t.TempDir(), "model.json")

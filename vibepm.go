@@ -15,7 +15,7 @@
 // The Engine type is the main entry point:
 //
 //	eng := vibepm.New(vibepm.Options{})
-//	eng.Ingest(record)                      // raw measurements
+//	stored, err := eng.Ingest(record)       // raw measurements: validated, one per (pump, service time)
 //	eng.AddLabel(label)                     // expert zone labels
 //	if err := eng.Fit(); err != nil { ... } // train the full pipeline
 //	zone, probs, _ := eng.Classify(record)  // health classification
