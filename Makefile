@@ -104,7 +104,8 @@ cover:
 	$(GO) test -cover ./...
 
 # Short fuzz bursts over the binary codec, the WAL frame decoder, the
-# transport protocol, and the live ingest fold path.
+# transport protocol, the live ingest fold path, and the mean shift
+# index against its reference scan.
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=30s ./internal/store/
@@ -112,6 +113,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLiveIngest -fuzztime=30s ./internal/stream/
 	$(GO) test -fuzz=FuzzRingRoute -fuzztime=30s ./internal/cluster/
 	$(GO) test -fuzz=FuzzImportRecord -fuzztime=30s ./internal/dataset/
+	$(GO) test -fuzz=FuzzClusterEquivalence -fuzztime=30s ./internal/meanshift/
 
 clean:
 	$(GO) clean ./...

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"vibepm/internal/core"
@@ -386,7 +385,6 @@ func (e *Engine) CleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error) {
 		if err != nil {
 			return nil, tag, err
 		}
-		sort.Ints(validIdx)
 		days, das := e.live.DaSeries(recs, validIdx, base)
 		trend, err := e.smoothTrend(pumpID, days, das)
 		return trend, tag, err
@@ -415,7 +413,6 @@ func (e *Engine) batchTrend(pumpID int, recs []*Record, base *Baseline, workers 
 	if err != nil {
 		return nil, err
 	}
-	sort.Ints(validIdx)
 	type scored struct {
 		da float64
 		ok bool

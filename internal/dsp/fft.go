@@ -15,7 +15,6 @@ package dsp
 
 import (
 	"fmt"
-	"math/bits"
 )
 
 // FFT computes the in-place forward discrete Fourier transform of x.
@@ -81,14 +80,6 @@ func RealFFTInto(dst []complex128, x []float64) []complex128 {
 	copy(dst, buf.s[:half])
 	putCBuf(buf)
 	return dst
-}
-
-// NextPow2 returns the smallest power of two >= n (and 1 for n <= 0).
-func NextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << uint(bits.Len(uint(n-1)))
 }
 
 // checkLen panics with a descriptive message when two parallel slices

@@ -145,15 +145,6 @@ func TestRealFFTSinusoidBin(t *testing.T) {
 	}
 }
 
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
-	for in, want := range cases {
-		if got := NextPow2(in); got != want {
-			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestFFTRoundtripProperty(t *testing.T) {
 	f := func(re, im []float64) bool {
 		n := len(re)

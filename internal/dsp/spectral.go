@@ -158,21 +158,6 @@ func PeriodogramInto(freq, psd, x []float64, fs float64) ([]float64, []float64, 
 	return freq, psd, nil
 }
 
-// SpectralCentroid returns the amplitude-weighted mean frequency of a
-// spectrum. freq and mag must be the same length.
-func SpectralCentroid(freq, mag []float64) float64 {
-	checkLen("SpectralCentroid", len(freq), len(mag))
-	var num, den float64
-	for i := range freq {
-		num += freq[i] * mag[i]
-		den += mag[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // BandPower integrates psd (per-Hz density on the freq axis) between lo
 // and hi using the trapezoid rule.
 func BandPower(freq, psd []float64, lo, hi float64) float64 {

@@ -134,17 +134,6 @@ func TestBandPower(t *testing.T) {
 	}
 }
 
-func TestSpectralCentroid(t *testing.T) {
-	freq := []float64{0, 10, 20}
-	mag := []float64{0, 0, 5}
-	if got := SpectralCentroid(freq, mag); !almostEqual(got, 20, 1e-12) {
-		t.Fatalf("centroid %g", got)
-	}
-	if got := SpectralCentroid(freq, []float64{0, 0, 0}); got != 0 {
-		t.Fatalf("zero-mass centroid %g", got)
-	}
-}
-
 func TestVarianceStats(t *testing.T) {
 	x := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if !almostEqual(Variance(x), 4, 1e-12) {

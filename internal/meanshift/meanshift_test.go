@@ -92,12 +92,12 @@ func TestOutlierDetectionScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Outliers(res)
-	if len(out) != 8 {
-		t.Fatalf("flagged %d outliers, want 8: %v", len(out), out)
+	main := LargestCluster(res)
+	if got := len(pts) - res.Sizes[main]; got != 8 {
+		t.Fatalf("flagged %d outliers, want 8", got)
 	}
-	for _, idx := range out {
-		if idx < 200 {
+	for idx, l := range res.Labels[:200] {
+		if l != main {
 			t.Fatalf("valid measurement %d flagged as outlier", idx)
 		}
 	}
@@ -117,7 +117,7 @@ func TestClusterSinglePoint(t *testing.T) {
 	if len(res.Centers) != 1 || res.Labels[0] != 0 {
 		t.Fatalf("single point result: %+v", res)
 	}
-	if len(Outliers(res)) != 0 {
+	if LargestCluster(res) != 0 {
 		t.Fatal("single point cannot be an outlier")
 	}
 }

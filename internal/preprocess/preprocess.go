@@ -37,23 +37,25 @@ func Averages(recs []*store.Record) [][]float64 {
 // OutlierConfig controls invalid-measurement detection.
 type OutlierConfig struct {
 	// Bandwidth is the mean shift kernel radius in g. Non-positive
-	// selects an adaptive value (3× the median absolute deviation of
-	// the averages, floored at 0.05 g).
+	// selects an adaptive value (8× the median norm of the differences
+	// between consecutive averages, floored at 0.05 g).
 	Bandwidth float64
 }
 
 // ErrNoMeasurements is returned when there is nothing to analyse.
 var ErrNoMeasurements = errors.New("preprocess: no measurements")
 
-// maxClusterPoints bounds the O(n²) mean shift pass: longer series are
-// clustered on a deterministic subsample and the remaining points are
-// assigned to the nearest discovered mode.
+// maxClusterPoints caps the series mean shift runs on: a longer one is
+// clustered on a deterministic stride subsample and every point is
+// assigned to the nearest discovered mode. The cap is not there for
+// cost; removing it changes which measurements a pump of more than
+// 1,500 points has marked invalid.
 const maxClusterPoints = 1500
 
 // DetectOutliers clusters the 3-D acceleration averages with mean shift
 // and flags every measurement outside the dominant cluster as invalid —
 // the white-box markings of Fig. 8(b). It returns the indices of valid
-// and invalid records.
+// and invalid records, each ascending.
 func DetectOutliers(recs []*store.Record, cfg OutlierConfig) (valid, invalid []int, err error) {
 	if len(recs) == 0 {
 		return nil, nil, ErrNoMeasurements

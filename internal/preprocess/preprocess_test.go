@@ -3,6 +3,7 @@ package preprocess
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"vibepm/internal/mems"
@@ -213,6 +214,32 @@ func TestDetectOutliersLargeSeriesSubsampled(t *testing.T) {
 	for _, i := range invalid {
 		if i < 1900 {
 			t.Fatalf("clean measurement %d flagged", i)
+		}
+	}
+}
+
+// TestDetectOutliersIndicesAscending pins what Engine.CleanTrend and
+// batchTrend rely on without sorting: valid and invalid come back in
+// ascending order, on the plain path and past maxClusterPoints.
+func TestDetectOutliersIndicesAscending(t *testing.T) {
+	for _, n := range []int{300, 2*maxClusterPoints + 200} {
+		points := make([][]float64, n)
+		for i := range points {
+			wobble := 0.001 * float64(i%7)
+			points[i] = []float64{wobble, -wobble, 1 + wobble}
+			if i%11 == 3 { // a stepped offset, interleaved with the clean regime
+				points[i][0] += 1.5
+			}
+		}
+		valid, invalid, err := DetectOutliersPoints(points, OutlierConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(valid) == 0 || len(invalid) == 0 || len(valid)+len(invalid) != n {
+			t.Fatalf("n=%d: %d valid, %d invalid", n, len(valid), len(invalid))
+		}
+		if !slices.IsSorted(valid) || !slices.IsSorted(invalid) {
+			t.Fatalf("n=%d: indices not ascending", n)
 		}
 	}
 }
