@@ -81,36 +81,3 @@ func TopPeaks(freq, y []float64, np, nh int) []Peak {
 	slices.SortFunc(peaks, func(a, b Peak) int { return a.Index - b.Index })
 	return peaks
 }
-
-// Prominences computes, for each peak, how far it rises above the
-// higher of the two minima separating it from taller neighbours. Useful
-// for filtering spurious noise peaks in ablation experiments.
-func Prominences(y []float64, peaks []Peak) []float64 {
-	out := make([]float64, len(peaks))
-	for pi, p := range peaks {
-		leftMin := p.Value
-		for i := p.Index - 1; i >= 0; i-- {
-			if y[i] > p.Value {
-				break
-			}
-			if y[i] < leftMin {
-				leftMin = y[i]
-			}
-		}
-		rightMin := p.Value
-		for i := p.Index + 1; i < len(y); i++ {
-			if y[i] > p.Value {
-				break
-			}
-			if y[i] < rightMin {
-				rightMin = y[i]
-			}
-		}
-		base := leftMin
-		if rightMin > base {
-			base = rightMin
-		}
-		out[pi] = p.Value - base
-	}
-	return out
-}

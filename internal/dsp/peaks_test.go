@@ -102,26 +102,3 @@ func TestTopPeaksNoLimit(t *testing.T) {
 		t.Fatalf("np=0 should keep all peaks, got %d", len(peaks))
 	}
 }
-
-func TestProminences(t *testing.T) {
-	//            0  1  2  3  4  5  6
-	y := []float64{0, 5, 2, 3, 2, 8, 0}
-	peaks := FindPeaks(nil, y)
-	if len(peaks) != 3 {
-		t.Fatalf("peaks = %+v", peaks)
-	}
-	prom := Prominences(y, peaks)
-	// Peak at 5 (value 8) is the global max: prominence 8-0 = 8.
-	if !almostEqual(prom[2], 8, 1e-12) {
-		t.Fatalf("global peak prominence %g", prom[2])
-	}
-	// Peak at 3 (value 3) sits between minima 2 and 2: prominence 1.
-	if !almostEqual(prom[1], 1, 1e-12) {
-		t.Fatalf("middle peak prominence %g", prom[1])
-	}
-	// Peak at 1 (value 5): left min 0, right min down to 2 before taller
-	// peak 8 → base = max(0, 2) = 2 → prominence 3.
-	if !almostEqual(prom[0], 3, 1e-12) {
-		t.Fatalf("first peak prominence %g", prom[0])
-	}
-}

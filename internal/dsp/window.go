@@ -20,18 +20,6 @@ func HannWindow(n int) []float64 {
 	return w
 }
 
-// ApplyWindow multiplies x element-wise by window w into a new slice.
-// It panics if the lengths differ, since that is always a programming
-// error at the call sites inside this module.
-func ApplyWindow(x, w []float64) []float64 {
-	checkLen("ApplyWindow", len(x), len(w))
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] * w[i]
-	}
-	return out
-}
-
 // SmoothConvolve convolves x with kernel k using symmetric (reflected)
 // boundary handling and normalizes by the local kernel mass, so a
 // constant input stays constant near the edges. This is the "smooth PSD

@@ -35,18 +35,6 @@ func TestWindowEdgeCases(t *testing.T) {
 	}
 }
 
-func TestApplyWindow(t *testing.T) {
-	x := []float64{1, 2, 3}
-	w := []float64{0.5, 1, 2}
-	got := ApplyWindow(x, w)
-	want := []float64{0.5, 2, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ApplyWindow = %v", got)
-		}
-	}
-}
-
 func TestSmoothConvolvePreservesConstant(t *testing.T) {
 	// The kernel-mass normalization must leave a constant input intact,
 	// including near the edges.

@@ -71,29 +71,33 @@ func (o Options) fill() Options {
 	return o
 }
 
+// Resolved returns o as ExtractHarmonic applies it to one spectrum:
+// every default filled in and a SmoothingHz pin turned into the Hann
+// window it comes to, in bins, at this spectrum's resolution. Two
+// option sets that resolve equal are the same extraction of it.
+func (o Options) Resolved(freq, psd []float64) Options {
+	o = o.fill()
+	if o.SmoothingHz > 0 && len(freq) > 1 && freq[1] > freq[0] {
+		// At least 3 bins, and no more than the spectrum: a wider Hann
+		// window smooths nothing more, and the ratio is unbounded as
+		// the rate approaches zero.
+		o.HannWindow = min(max(int(o.SmoothingHz/(freq[1]-freq[0])+0.5), 3), len(psd))
+	}
+	o.SmoothingHz = 0
+	return o
+}
+
 // ExtractHarmonic computes the harmonic-peak feature of a PSD: smooth
 // with a Hann window of n_h bins, find first-derivative sign changes,
 // drop insignificant noise-floor peaks, keep the n_p largest, sorted by
 // frequency.
 func ExtractHarmonic(freq, psd []float64, opt Options) Harmonic {
-	opt = opt.fill()
+	opt = opt.Resolved(freq, psd)
 	var binHz float64
 	if len(freq) > 1 {
 		binHz = freq[1] - freq[0]
 	}
-	window := opt.HannWindow
-	if opt.SmoothingHz > 0 && binHz > 0 {
-		window = int(opt.SmoothingHz/binHz + 0.5)
-		if window < 3 {
-			window = 3
-		}
-		// A Hann window wider than the spectrum smooths nothing more,
-		// and the ratio is unbounded as the rate approaches zero.
-		if window > len(psd) {
-			window = len(psd)
-		}
-	}
-	peaks := dsp.TopPeaks(freq, psd, opt.NumPeaks, window)
+	peaks := dsp.TopPeaks(freq, psd, opt.NumPeaks, opt.HannWindow)
 	if opt.MinSignificance > 0 && len(peaks) > 0 {
 		var top float64
 		for _, p := range peaks {

@@ -295,17 +295,3 @@ func dist(a, b []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// LargestCluster returns the index of the most populated cluster of r,
-// or -1 when r holds no clusters. In the outlier-detection use case the
-// largest cluster is the valid-measurement regime and everything else is
-// discarded.
-func LargestCluster(r *Result) int {
-	best, bestSize := -1, -1
-	for i, s := range r.Sizes {
-		if s > bestSize {
-			best, bestSize = i, s
-		}
-	}
-	return best
-}

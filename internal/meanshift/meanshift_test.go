@@ -92,7 +92,8 @@ func TestOutlierDetectionScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	main := LargestCluster(res)
+	// The regime the first valid average landed in keeps all 200.
+	main := res.Labels[0]
 	if got := len(pts) - res.Sizes[main]; got != 8 {
 		t.Fatalf("flagged %d outliers, want 8", got)
 	}
@@ -100,12 +101,6 @@ func TestOutlierDetectionScenario(t *testing.T) {
 		if l != main {
 			t.Fatalf("valid measurement %d flagged as outlier", idx)
 		}
-	}
-}
-
-func TestLargestClusterEmpty(t *testing.T) {
-	if got := LargestCluster(&Result{}); got != -1 {
-		t.Fatalf("LargestCluster of empty result = %d", got)
 	}
 }
 
@@ -117,7 +112,7 @@ func TestClusterSinglePoint(t *testing.T) {
 	if len(res.Centers) != 1 || res.Labels[0] != 0 {
 		t.Fatalf("single point result: %+v", res)
 	}
-	if LargestCluster(res) != 0 {
+	if res.Sizes[0] != 1 {
 		t.Fatal("single point cannot be an outlier")
 	}
 }

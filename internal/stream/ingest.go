@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
+	"time"
 
 	"vibepm/internal/store"
 )
@@ -36,10 +38,18 @@ const (
 // Ingester is the one write seam every ingestion front-end (REST
 // ingest, the mote gateway) goes through. It owns the two rules they
 // share: a record is validated before anything is written, and the
-// live state folds a record only after its write was acknowledged —
-// on the durable path after the WAL frame is on disk per the fsync
-// policy — so the feature cache never holds a record a crash could
-// lose or the store refused.
+// live state holds a record's bundle only after its write was
+// acknowledged and stored — on the durable path after the WAL frame is
+// on disk per the fsync policy — so the feature cache never holds a
+// record a crash could lose or the store refused.
+//
+// Plant only after the ack; compute during it. The fold reads nothing
+// but the record, so on the durable path it runs on its own goroutine,
+// into a bundle the memo does not hold, while Durable.AddUnique waits
+// for the disk (and a cluster primary for its replica). The ack still
+// waits for the fold — the slower of the two, not their sum — so a
+// closed-loop client cannot outrun the CPU. Without a Durable there is
+// nothing to wait for, and the fold follows the insert.
 type Ingester struct {
 	// Store receives the records when Durable is nil.
 	Store *store.Measurements
@@ -83,15 +93,47 @@ func (in *Ingester) Ingest(rec *store.Record) (stored bool, err error) {
 	rec.SampleRateHz = float64(float32(rec.SampleRateHz))
 	rec.ScaleG = float64(float32(rec.ScaleG))
 	if in.Durable != nil {
-		stored, err = in.Durable.AddUnique(rec)
-		if err != nil {
-			return false, err
-		}
-	} else {
-		stored = in.Store.AddUnique(rec)
+		return in.addDurable(rec)
 	}
+	stored = in.Store.AddUnique(rec)
 	if stored && in.Live != nil {
 		in.Live.Fold(rec)
 	}
 	return stored, nil
+}
+
+// addDurable logs and stores rec while its fold runs.
+func (in *Ingester) addDurable(rec *store.Record) (stored bool, err error) {
+	// A re-send must not buy a fold. The check races the insert it
+	// guards: losing wastes one fold and never plants one.
+	if in.Live == nil || len(in.Durable.Store().Query(rec.PumpID, rec.ServiceDays, rec.ServiceDays)) > 0 {
+		return in.Durable.AddUnique(rec)
+	}
+	var (
+		f      *Feat
+		failed any
+		done   = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		// A panic here would end the process; on the caller it fails
+		// one request. Carry it over the join.
+		defer func() {
+			if p := recover(); p != nil {
+				failed = fmt.Sprintf("stream: fold panicked: %v\n%s", p, debug.Stack())
+			}
+		}()
+		f = in.Live.foldDetached(rec)
+	}()
+	stored, err = in.Durable.AddUnique(rec)
+	added := time.Now()
+	<-done
+	metFoldJoin.Observe(time.Since(added).Seconds())
+	if failed != nil {
+		panic(failed)
+	}
+	if stored {
+		in.Live.lookup(rec, true, f, nil)
+	}
+	return stored, err
 }

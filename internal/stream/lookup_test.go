@@ -224,7 +224,7 @@ func TestMissDoesNotBlockOtherRecords(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ls.lookup(slow, true, func(*Feat) bool {
+		ls.lookup(slow, true, nil, func(*Feat) bool {
 			close(filling)
 			<-release
 			return true

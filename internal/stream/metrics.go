@@ -14,6 +14,10 @@ var (
 	// detector installed, its fault classification (which
 	// vibepm_feature_detect_seconds times on its own).
 	metFoldDur = obs.Default.Histogram("vibepm_stream_fold_seconds", obs.StageBuckets)
+	// metFoldJoin is how long a durable ingest still waited for its
+	// fold after the add had returned: near zero while the disk is the
+	// slower of the two, the fold's excess once the CPU is.
+	metFoldJoin = obs.Default.Histogram("vibepm_stream_fold_join_seconds", obs.StageBuckets)
 	// metWarmDur is the recovery warm-up wall time — the third leg of
 	// the restart breakdown next to the store's snapshot-load and
 	// WAL-replay histograms.

@@ -21,8 +21,9 @@
 //
 // There is one memo protocol, LiveState.lookup: every entry point
 // (Fold, Ensure, Da, DaSeries, Harmonics, FaultReport, MetricFunc,
-// OffsetRows) is a thin caller of it, so a derived value is looked up,
-// computed on a miss and counted in exactly one place.
+// OffsetRows, and the durable Ingester planting the bundle it folded
+// during the append) is a thin caller of it, so a derived value is
+// looked up, computed on a miss and counted in exactly one place.
 //
 // Cache entries are keyed by record pointer — the store holds records
 // by reference and never mutates them — so out-of-order arrivals,
@@ -252,12 +253,19 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 // plant=false is Harmonics' exception: a record that is not resident
 // is left out of the memo; lookup counts the miss and returns nil, and
 // the caller computes the one value it wants.
-func (ls *LiveState) lookup(rec *store.Record, plant bool, want func(*Feat) (dsp bool)) *Feat {
+//
+// pre, when non-nil, is rec's bundle already folded off the memo
+// (foldDetached): a miss plants it and counts the miss its fold was; if
+// a reader made the record resident first, pre is dropped — a record
+// never has two bundles.
+func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *Feat, want func(*Feat) (dsp bool)) *Feat {
 	ps := ls.pump(rec.PumpID)
 	ps.mu.Lock()
 	f := ps.feats[rec]
 	if f == nil && plant {
-		f = new(Feat)
+		if f = pre; f == nil {
+			f = new(Feat)
+		}
 		ps.feats[rec] = f
 		ls.size.Add(1)
 	}
@@ -268,9 +276,10 @@ func (ls *LiveState) lookup(rec *store.Record, plant bool, want func(*Feat) (dsp
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	dsp := !f.folded
-	if dsp {
+	dsp := f == pre
+	if !f.folded {
 		ls.computeFeat(rec, f)
+		dsp = true
 	}
 	if want != nil && want(f) {
 		dsp = true
@@ -283,10 +292,10 @@ func (ls *LiveState) lookup(rec *store.Record, plant bool, want func(*Feat) (dsp
 	return f
 }
 
-// computeFeat folds one record into f (f.mu held): the cheap scalars,
-// the harmonic for the configured options and — with a baseline
-// installed — the baseline's variant and the D_a score, all from one
-// PSD pass; with a detector installed, the fault report.
+// computeFeat folds one record into f (f.mu held, or f detached): the
+// cheap scalars, the harmonic for the configured options and — with a
+// baseline installed — the baseline's variant and the D_a score, all
+// from one PSD pass; with a detector installed, the fault report.
 func (ls *LiveState) computeFeat(rec *store.Record, f *Feat) {
 	start := time.Now()
 	f.Offsets = transform.Offsets(rec)
@@ -300,10 +309,16 @@ func (ls *LiveState) computeFeat(rec *store.Record, f *Feat) {
 	f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
 	// ExtractHarmonic over this PSD is exactly HarmonicOfRecord: both
 	// feed the same transform.PSDInto output into the same peak search.
-	f.harms.put(ls.cfg.Harmonic, feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic), maxHarmSlots)
+	h := feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic)
+	f.harms.put(ls.cfg.Harmonic, h, maxHarmSlots)
 	if base != nil {
 		if base.Opt != ls.cfg.Harmonic {
-			f.harms.put(base.Opt, feature.ExtractHarmonic(freq, psd, base.Opt), maxHarmSlots)
+			// At the training rate the baseline's Hz-pinned window is the
+			// raw options' bin count again: one extraction serves both.
+			if base.Opt.Resolved(freq, psd) != ls.cfg.Harmonic.Resolved(freq, psd) {
+				h = feature.ExtractHarmonic(freq, psd, base.Opt)
+			}
+			f.harms.put(base.Opt, h, maxHarmSlots)
 		}
 		f.score(rec, base)
 	}
@@ -316,13 +331,22 @@ func (ls *LiveState) computeFeat(rec *store.Record, f *Feat) {
 }
 
 // feat returns the folded bundle of one record.
-func (ls *LiveState) feat(rec *store.Record) *Feat { return ls.lookup(rec, true, nil) }
+func (ls *LiveState) feat(rec *store.Record) *Feat { return ls.lookup(rec, true, nil, nil) }
 
-// Fold caches the feature bundle of one record — the ingest-time entry
-// point, called after the write is acknowledged (post-WAL-ack on the
-// durable path) so the cache never holds features for records that
-// were not accepted. Folding a record that is already resident is a
-// hit: its bundle, lazily filled slots included, is kept.
+// foldDetached folds rec into a bundle the memo does not hold, for a
+// caller that cannot know yet whether rec will be stored.
+func (ls *LiveState) foldDetached(rec *store.Record) *Feat {
+	f := new(Feat)
+	ls.computeFeat(rec, f)
+	return f
+}
+
+// Fold caches the feature bundle of one record — what an ingest with
+// no write-ahead log calls once the store took the record (a durable
+// one folds during the append and plants after it, see Ingester), so
+// the cache never holds features for records that were not accepted.
+// Folding a record that is already resident is a hit: its bundle,
+// lazily filled slots included, is kept.
 func (ls *LiveState) Fold(rec *store.Record) {
 	if rec != nil {
 		ls.feat(rec)
@@ -454,7 +478,7 @@ func OffsetRowsOf(feats []*Feat) [][]float64 {
 // to base.Da(rec). A fold under the same baseline already scored it.
 func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, error) {
 	var s daScore
-	ls.lookup(rec, true, func(f *Feat) (dsp bool) { s, dsp = f.score(rec, base); return })
+	ls.lookup(rec, true, nil, func(f *Feat) (dsp bool) { s, dsp = f.score(rec, base); return })
 	return s.val, s.err
 }
 
@@ -488,7 +512,7 @@ func (ls *LiveState) DaSeries(recs []*store.Record, idx []int, base *feature.Bas
 func (ls *LiveState) Harmonics(recs []*store.Record, opt feature.Options) []feature.Harmonic {
 	return par.Map(len(recs), 0, func(i int) (h feature.Harmonic) {
 		rec := recs[i]
-		if ls.lookup(rec, false, func(f *Feat) (dsp bool) { h, dsp = f.harmonic(rec, opt); return }) == nil {
+		if ls.lookup(rec, false, nil, func(f *Feat) (dsp bool) { h, dsp = f.harmonic(rec, opt); return }) == nil {
 			h = feature.HarmonicOfRecord(rec, opt)
 		}
 		return h
@@ -500,7 +524,7 @@ func (ls *LiveState) Harmonics(recs []*store.Record, opt feature.Options) []feat
 // randomized ingestion orders. A fold under the same detector already
 // classified it.
 func (ls *LiveState) FaultReport(rec *store.Record, det *feature.FaultDetector) (rep feature.FaultReport) {
-	ls.lookup(rec, true, func(f *Feat) (dsp bool) { rep, dsp = f.fault(rec, det); return })
+	ls.lookup(rec, true, nil, func(f *Feat) (dsp bool) { rep, dsp = f.fault(rec, det); return })
 	return rep
 }
 

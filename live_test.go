@@ -14,6 +14,7 @@ import (
 	"vibepm/internal/dataset"
 	"vibepm/internal/physics"
 	"vibepm/internal/store"
+	"vibepm/internal/stream"
 )
 
 // equivTol is the equivalence budget of the proof harness. The live
@@ -128,7 +129,10 @@ func compareTrend(t *testing.T, ctx string, liveEng, batchEng *vibepm.Engine, pu
 // pump's incremental trend must match the batch engine (and the
 // cache-free reference) within 1e-9. Mid-stream and final snapshots
 // extend the check to the whole fleet, zone classifications included;
-// the final snapshot also proves RUL equivalence.
+// the final snapshot also proves RUL equivalence. Every fourth trial
+// ingests through the durable wiring a vibed with a WAL has, where the
+// fold runs beside the append and is planted after it: the same
+// prefixes, compared after overlapped ingests.
 func TestLiveBatchEquivalenceProperty(t *testing.T) {
 	ds := liveCorpus(t)
 	canonical := streamRecords(ds)
@@ -145,6 +149,17 @@ func TestLiveBatchEquivalenceProperty(t *testing.T) {
 		rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 		batchSize := 1 + rng.Intn(8)
 		liveEng, batchEng := newEquivEngines(t, ds)
+		ingest := liveEng.Ingest
+		var durable *store.Durable
+		if trial%4 == 1 {
+			var err error
+			durable, _, err = store.OpenDurable(t.TempDir(), store.DurableOptions{Store: liveEng.Measurements()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := stream.Ingester{Store: liveEng.Measurements(), Durable: durable, Live: liveEng.Live()}
+			ingest = in.Ingest
+		}
 		snapshots := map[int]bool{
 			len(recs) / 3:     true,
 			2 * len(recs) / 3: true,
@@ -156,7 +171,9 @@ func TestLiveBatchEquivalenceProperty(t *testing.T) {
 				hi = len(recs)
 			}
 			for _, rec := range recs[lo:hi] {
-				liveEng.Ingest(rec)
+				if _, err := ingest(rec); err != nil {
+					t.Fatalf("trial %d: live ingest: %v", trial, err)
+				}
 				batchEng.Ingest(rec)
 			}
 			// Every prefix: the pump the batch last touched must agree.
@@ -208,6 +225,9 @@ func TestLiveBatchEquivalenceProperty(t *testing.T) {
 						trial, id, lr, lm, br, bm)
 				}
 			}
+		}
+		if durable != nil {
+			durable.Abort()
 		}
 	}
 }
