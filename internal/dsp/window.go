@@ -119,38 +119,6 @@ func smoothEdges(dst, x, kernel []float64, from, to int) {
 	}
 }
 
-// MovingAverage returns the centered moving average of x with the given
-// window width (clamped to >= 1). It is the "moving average with
-// user-defined time window" noise reduction of the preprocessing layer.
-func MovingAverage(x []float64, window int) []float64 {
-	if window < 1 {
-		window = 1
-	}
-	n := len(x)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	half := window / 2
-	// Prefix sums make each output O(1).
-	prefix := make([]float64, n+1)
-	for i, v := range x {
-		prefix[i+1] = prefix[i] + v
-	}
-	for i := 0; i < n; i++ {
-		lo := i - half
-		hi := i + (window - 1 - half)
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= n {
-			hi = n - 1
-		}
-		out[i] = (prefix[hi+1] - prefix[lo]) / float64(hi-lo+1)
-	}
-	return out
-}
-
 // EWMA returns the exponentially weighted moving average of x with
 // smoothing factor alpha in (0, 1]. The first output equals the first
 // input. EWMA backs the sequential trend tracker extension.

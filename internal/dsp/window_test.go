@@ -78,41 +78,6 @@ func TestSmoothConvolveEmpty(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	got := MovingAverage(x, 3)
-	want := []float64{1.5, 2, 3, 4, 4.5}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("MovingAverage = %v, want %v", got, want)
-		}
-	}
-	// window 1 is the identity.
-	id := MovingAverage(x, 1)
-	for i := range x {
-		if id[i] != x[i] {
-			t.Fatalf("window-1 MA should be identity: %v", id)
-		}
-	}
-	// window <= 0 is clamped to 1.
-	clamped := MovingAverage(x, 0)
-	for i := range x {
-		if clamped[i] != x[i] {
-			t.Fatalf("clamped MA should be identity: %v", clamped)
-		}
-	}
-}
-
-func TestMovingAverageWiderThanSignal(t *testing.T) {
-	x := []float64{2, 4, 6}
-	got := MovingAverage(x, 100)
-	for _, v := range got {
-		if !almostEqual(v, 4, 1e-12) {
-			t.Fatalf("wide MA should equal the global mean: %v", got)
-		}
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	x := []float64{1, 1, 1, 10}
 	y := EWMA(x, 0.5)

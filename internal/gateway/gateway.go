@@ -649,7 +649,7 @@ func encodePayload(rec *store.Record) ([]byte, error) {
 }
 
 func decodePayload(payload []byte) (*store.Record, error) {
-	rec, err := store.DecodeRecord(bytes.NewReader(payload))
+	rec, err := store.DecodeRecord(payload)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: decode: %w", err)
 	}

@@ -11,11 +11,12 @@ import (
 // yet: <final name>.tmp<random digits>.
 const tempInfix = ".tmp"
 
-// writeFileAtomic is the one way a store file other than a log segment
+// writeFileAtomic is the one way a file other than a log segment
 // reaches disk — the checkpoint snapshot, cold partitions, the corpus
-// and label files: fill writes the content into a temp file beside
-// path, which is fsynced, closed and only then renamed over path, and
-// the directory is fsynced so the new name survives too. A crash at any
+// and label files, the engine's model file: fill writes the content
+// into a temp file beside path, which is fsynced, closed and only then
+// renamed over path, and the directory is fsynced so the new name
+// survives too. A crash at any
 // byte therefore leaves the previous file (or none) intact plus a temp
 // the next open sweeps away. wrap, when non-nil, interposes on the temp
 // file exactly as WALOptions.WrapFile does on a segment.
@@ -50,6 +51,12 @@ func writeFileAtomic(path string, wrap func(path string, f *os.File) SegmentFile
 		df.Close()
 	}
 	return nil
+}
+
+// WriteFileAtomic is writeFileAtomic for a file outside the durable
+// store's fault-injection seam.
+func WriteFileAtomic(path string, fill func(io.Writer) error) error {
+	return writeFileAtomic(path, nil, fill)
 }
 
 // removeStaleTemps deletes the temps a writeFileAtomic that died before

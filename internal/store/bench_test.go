@@ -350,8 +350,9 @@ func benchmarkRecovery(b *testing.B, recs []*store.Record) {
 	}
 }
 
-// BenchmarkSnapshotLoadPaperShape loads a snapshot of the paper-shape
-// corpus with workers=0 (GOMAXPROCS): rows at -cpu 1 and -cpu 2.
+// BenchmarkSnapshotLoadPaperShape loads a store file of the paper-shape
+// corpus; LoadFile verifies across GOMAXPROCS workers: rows at -cpu 1
+// and -cpu 2.
 func BenchmarkSnapshotLoadPaperShape(b *testing.B) {
 	recs := paperShapeRecords()
 	src := store.NewMeasurements()
@@ -365,7 +366,7 @@ func BenchmarkSnapshotLoadPaperShape(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		m := store.NewMeasurements()
-		if err := m.LoadFileWorkers(path, 0); err != nil {
+		if err := m.LoadFile(path); err != nil {
 			b.Fatal(err)
 		}
 		if m.Len() != len(recs) {

@@ -27,9 +27,9 @@ type DurableOptions struct {
 	// partitions (and applies retention) instead of letting history be
 	// bounded by the snapshot.
 	Tiered *TieredOptions
-	// ReplayWorkers bounds recovery parallelism (snapshot decode and
-	// WAL frame verification). <= 0 means GOMAXPROCS; 1 forces the
-	// sequential recovery path.
+	// ReplayWorkers bounds recovery parallelism: the frame verification
+	// of the snapshot and of every WAL segment, both read by
+	// replayFrames. <= 0 means GOMAXPROCS; 1 forces the sequential path.
 	ReplayWorkers int
 }
 
@@ -126,7 +126,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, RecoveryStats, erro
 	snapPath := filepath.Join(dir, snapshotName)
 	if _, err := os.Stat(snapPath); err == nil {
 		start := time.Now()
-		if err := m.LoadFileWorkers(snapPath, opts.ReplayWorkers); err != nil {
+		if err := m.loadFile(snapPath, opts.ReplayWorkers); err != nil {
 			return nil, stats, fmt.Errorf("store: load snapshot: %w", err)
 		}
 		stats.SnapshotLoadDuration = time.Since(start)

@@ -30,7 +30,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeRecord(bytes.NewReader(data))
+		got, err := DecodeRecord(data)
 		if err != nil {
 			return
 		}
@@ -39,7 +39,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err := EncodeRecord(&out, got); err != nil {
 			t.Fatalf("re-encode of decoded record failed: %v", err)
 		}
-		again, err := DecodeRecord(&out)
+		again, err := DecodeRecord(out.Bytes())
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

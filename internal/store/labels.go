@@ -115,9 +115,9 @@ func (l *Labels) Load(r io.Reader) error {
 	return nil
 }
 
-// SaveFile writes the labels to path atomically (writeFileAtomic).
+// SaveFile writes the labels to path atomically (WriteFileAtomic).
 func (l *Labels) SaveFile(path string) error {
-	return writeFileAtomic(path, nil, l.Save)
+	return WriteFileAtomic(path, l.Save)
 }
 
 // LoadFile reads labels from path.

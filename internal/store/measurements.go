@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -282,8 +283,12 @@ func (m *Measurements) Latest(pumpID int) *Record {
 	return s.recs[len(s.recs)-1]
 }
 
-// File format constants.
-var storeHeader = []byte("VPMSTORE1\n")
+// A store file — the checkpoint's snapshot.bin, vibegen's
+// measurements.bin — is storeHeader, the record count as a
+// little-endian uint64, then one WAL frame (wal.go) per record: the
+// stream a log segment holds behind its own header, read back by the
+// same replayFrames. Format 1 held bare records with no checksum.
+var storeHeader = []byte("VPMSTORE2\n")
 
 // ErrBadHeader is returned when loading a file that is not a
 // measurement store.
@@ -314,7 +319,7 @@ func (m *Measurements) snapshot() (ids []int, byPump map[int][]*Record, total in
 	return ids, byPump, total
 }
 
-// Save writes the entire store to w in the binary store format. The
+// Save writes the entire store to w in the store file format. The
 // store is snapshotted under brief per-shard read locks; the encoding
 // and flushing happen outside every lock, so ingestion is never blocked
 // on I/O.
@@ -329,9 +334,16 @@ func (m *Measurements) Save(w io.Writer) error {
 	if _, err := bw.Write(count[:]); err != nil {
 		return err
 	}
+	buf := walBufPool.Get().(*bytes.Buffer)
+	defer walBufPool.Put(buf)
 	for _, id := range ids {
 		for _, rec := range byPump[id] {
-			if err := EncodeRecord(bw, rec); err != nil {
+			buf.Reset()
+			frame, err := frameRecord(buf, rec)
+			if err != nil {
+				return err
+			}
+			if _, err := bw.Write(frame); err != nil {
 				return err
 			}
 		}
@@ -340,80 +352,70 @@ func (m *Measurements) Save(w io.Writer) error {
 }
 
 // Load reads a store previously written by Save, replacing the
-// receiver's contents.
-func (m *Measurements) Load(r io.Reader) error {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, len(storeHeader))
+// receiver's contents. Unlike a log segment, whose torn tail was never
+// acknowledged and is cut off, a store file is written whole or not at
+// all (WriteFileAtomic): a frame that fails its CRC or a count that is
+// not met is an error, and the receiver stays as it was.
+func (m *Measurements) Load(r io.Reader) error { return m.load(r, 0) }
+
+// load is Load with the frame verification spread over workers (<= 0
+// means GOMAXPROCS); the result is the same at every count.
+func (m *Measurements) load(r io.Reader, workers int) error {
+	br := bufio.NewReaderSize(r, 1<<16)
+	hdr := make([]byte, len(storeHeader)+8)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return fmt.Errorf("store: read header: %w", err)
 	}
-	if string(hdr) != string(storeHeader) {
+	if !bytes.Equal(hdr[:len(storeHeader)], storeHeader) {
+		if bytes.HasPrefix(hdr, []byte("VPMSTORE1\n")) {
+			return fmt.Errorf("%w: format 1 (no checksums) is no longer read; write the file again", ErrBadHeader)
+		}
 		return ErrBadHeader
 	}
-	var countBuf [8]byte
-	if _, err := io.ReadFull(br, countBuf[:]); err != nil {
-		return fmt.Errorf("store: read count: %w", err)
+	n := binary.LittleEndian.Uint64(hdr[len(storeHeader):])
+	fresh := NewMeasurements()
+	// The error replayFrames can return is apply's, and this one has none.
+	_, records, truncated, _ := replayFrames(br, 0, func(rec *Record) error {
+		fresh.AddUnique(rec)
+		return nil
+	}, workers)
+	if truncated {
+		return fmt.Errorf("store: record %d of %d: torn or corrupt frame", records, n)
 	}
-	n := binary.LittleEndian.Uint64(countBuf[:])
-	fresh := make(map[int][]*Record)
-	var loaded int
-	for i := uint64(0); i < n; i++ {
-		rec, err := DecodeRecord(br)
-		if err != nil {
-			return fmt.Errorf("store: record %d: %w", i, err)
-		}
-		fresh[rec.PumpID] = append(fresh[rec.PumpID], rec)
-		loaded++
+	if uint64(records) != n {
+		return fmt.Errorf("store: file holds %d records, its header counts %d", records, n)
 	}
-	m.installLoaded(fresh, loaded)
-	return nil
-}
-
-// installLoaded replaces the store's contents with the decoded
-// series. Both the sequential Load and the parallel LoadFileWorkers
-// funnel through here — same sort, same shard replacement, same
-// generation bumps — which is what makes their results byte-identical
-// under a canonical Save. fresh must hold each pump's records in file
-// order.
-func (m *Measurements) installLoaded(fresh map[int][]*Record, loaded int) {
-	for id := range fresh {
-		recs := fresh[id]
-		sort.Slice(recs, func(a, b int) bool {
-			return recs[a].ServiceDays < recs[b].ServiceDays
-		})
-	}
-	// Replace shard by shard; every replaced series gets a fresh
-	// generation so caches built over the old contents invalidate.
+	// Swap the verified series in shard by shard. Each takes a generation
+	// from the receiver's own sequence, so caches built over the old
+	// contents invalidate.
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		sh.byPump = make(map[int]*series)
+		sh.byPump = fresh.shards[i].byPump
+		for _, s := range sh.byPump {
+			m.bump(s)
+		}
 		sh.mu.Unlock()
 	}
-	for id, recs := range fresh {
-		sh := m.shardFor(id)
-		sh.mu.Lock()
-		s := sh.seriesLocked(id)
-		s.recs = recs
-		m.bump(s)
-		sh.mu.Unlock()
-	}
-	m.count.Store(int64(loaded))
-	metRecordsLoad.Add(uint64(loaded))
+	m.count.Store(int64(fresh.Len()))
+	metRecordsLoad.Add(uint64(fresh.Len()))
+	return nil
 }
 
-// SaveFile writes the store to path atomically (writeFileAtomic): a
+// SaveFile writes the store to path atomically (WriteFileAtomic): a
 // crash mid-save can never truncate or corrupt an existing file.
 func (m *Measurements) SaveFile(path string) error {
-	return writeFileAtomic(path, nil, m.Save)
+	return WriteFileAtomic(path, m.Save)
 }
 
 // LoadFile reads a store from path.
-func (m *Measurements) LoadFile(path string) error {
+func (m *Measurements) LoadFile(path string) error { return m.loadFile(path, 0) }
+
+func (m *Measurements) loadFile(path string, workers int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return m.Load(f)
+	return m.load(f, workers)
 }

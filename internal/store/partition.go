@@ -192,7 +192,7 @@ type Partition struct {
 	ids      []int // sorted pump ids
 	records  int
 	fileSize int64
-	rawSize  int64 // canonical snapshot-encoding size of the content
+	rawSize  int64 // EncodeRecord size of the content
 }
 
 type partParser struct {
@@ -340,7 +340,7 @@ func OpenPartition(path string) (*Partition, error) {
 			}
 			pp.counts[i] = int(k)
 			cs = cs[n:]
-			part.rawSize += int64(30 + 6*int(k))
+			part.rawSize += int64(recordHeaderLen + 6*int(k))
 		}
 		pp.metrics = make([][]float64, len(part.metrics))
 		for mi := range part.metrics {
@@ -383,7 +383,7 @@ func (p *Partition) Len() int { return p.records }
 func (p *Partition) Pumps() []int { return p.ids }
 
 // CompressedBytes is the partition's on-disk size; RawBytes is what the
-// same records cost in the raw snapshot encoding (30-byte header plus
+// same records cost in the raw record encoding (30-byte header plus
 // 6 bytes per 3-axis sample group).
 func (p *Partition) CompressedBytes() int64 { return p.fileSize }
 func (p *Partition) RawBytes() int64        { return p.rawSize }

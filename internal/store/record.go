@@ -3,8 +3,10 @@
 // the paper's Fig. 1/7): an embedded, concurrency-safe time-series
 // store for raw vibration measurements, a label store for the human
 // expert annotations, and the analysis-period metadata that scopes
-// every query. Measurements persist in a compact binary format; labels
-// persist as JSON.
+// every query. A record has two encodings on disk: the CRC-framed
+// record stream (wal.go) that log segments, the checkpoint snapshot and
+// the corpus file all are, and the compressed cold partition
+// (partition.go). Labels persist as JSON.
 package store
 
 import (
@@ -48,6 +50,9 @@ func (r *Record) Samples() int { return len(r.Raw[0]) }
 const (
 	recordMagic   = uint32(0x56504d52) // "VPMR"
 	recordVersion = uint16(1)
+	// recordHeaderLen is the fixed part of an encoded record; 6 bytes
+	// per sample follow it.
+	recordHeaderLen = 30
 )
 
 // Codec errors.
@@ -73,7 +78,7 @@ func EncodeRecord(w io.Writer, r *Record) error {
 	if k := len(r.Raw[0]); k > MaxSamplesPerAxis {
 		return fmt.Errorf("%w: %d samples per axis (max %d)", ErrRecordTooLarge, k, MaxSamplesPerAxis)
 	}
-	var hdr [30]byte
+	var hdr [recordHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], recordMagic)
 	binary.LittleEndian.PutUint16(hdr[4:], recordVersion)
 	binary.LittleEndian.PutUint32(hdr[6:], uint32(r.PumpID))
@@ -100,38 +105,39 @@ func EncodeRecord(w io.Writer, r *Record) error {
 	return nil
 }
 
-// DecodeRecord reads one record in the binary record format.
-func DecodeRecord(r io.Reader) (*Record, error) {
-	var hdr [30]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF signals a clean end of stream
+// DecodeRecord decodes the record at the front of b, a payload in the
+// binary record format; bytes behind the record are ignored.
+func DecodeRecord(b []byte) (*Record, error) {
+	if len(b) < recordHeaderLen {
+		return nil, fmt.Errorf("store: record header: %w", io.ErrUnexpectedEOF)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != recordMagic {
+	if binary.LittleEndian.Uint32(b[0:]) != recordMagic {
 		return nil, ErrBadMagic
 	}
-	if binary.LittleEndian.Uint16(hdr[4:]) != recordVersion {
+	if binary.LittleEndian.Uint16(b[4:]) != recordVersion {
 		return nil, ErrBadVersion
 	}
 	rec := &Record{
-		PumpID:       int(int32(binary.LittleEndian.Uint32(hdr[6:]))),
-		ServiceDays:  math.Float64frombits(binary.LittleEndian.Uint64(hdr[10:])),
-		SampleRateHz: float64(math.Float32frombits(binary.LittleEndian.Uint32(hdr[18:]))),
-		ScaleG:       float64(math.Float32frombits(binary.LittleEndian.Uint32(hdr[22:]))),
+		PumpID:       int(int32(binary.LittleEndian.Uint32(b[6:]))),
+		ServiceDays:  math.Float64frombits(binary.LittleEndian.Uint64(b[10:])),
+		SampleRateHz: float64(math.Float32frombits(binary.LittleEndian.Uint32(b[18:]))),
+		ScaleG:       float64(math.Float32frombits(binary.LittleEndian.Uint32(b[22:]))),
 	}
-	k := int(binary.LittleEndian.Uint32(hdr[26:]))
+	k := int(binary.LittleEndian.Uint32(b[26:]))
 	if k < 0 || k > MaxSamplesPerAxis {
 		return nil, fmt.Errorf("%w: implausible sample count %d", ErrRecordTooLarge, k)
 	}
-	buf := make([]byte, 2*k)
+	b = b[recordHeaderLen:]
+	if len(b) < 6*k {
+		return nil, fmt.Errorf("store: record samples: %w", io.ErrUnexpectedEOF)
+	}
 	for axis := 0; axis < 3; axis++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("store: read axis %d: %w", axis, err)
-		}
 		samples := make([]int16, k)
 		for i := range samples {
-			samples[i] = int16(binary.LittleEndian.Uint16(buf[2*i:]))
+			samples[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
 		}
 		rec.Raw[axis] = samples
+		b = b[2*k:]
 	}
 	return rec, nil
 }

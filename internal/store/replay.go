@@ -1,19 +1,16 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"runtime"
 
 	"vibepm/internal/par"
 )
 
-// Parallel recovery replay.
+// The record-stream replayer: log segments, the checkpoint snapshot and
+// the corpus file are all chains of WAL frames (wal.go), and
+// replayFrames below is the only code that reads one back.
 //
 // Sequential replay pays three costs per frame: the byte scan (read
 // the header, read the payload), the verification (CRC32C + record
@@ -23,8 +20,8 @@ import (
 // so frame N+1 cannot be located before frame N's header is read. The
 // pipeline therefore splits the work:
 //
-//	scanner  —  reads frames sequentially, batches (payload, CRC,
-//	            end offset) triples; one goroutine, pure I/O
+//	scanner  —  reads frames sequentially, batches (payload, CRC)
+//	            pairs; one goroutine, pure I/O
 //	verifiers — CRC-check and decode every frame of a batch across
 //	            the worker pool, results landing by frame index
 //	applier  —  walks the batch IN FRAME ORDER, applying intact
@@ -46,8 +43,10 @@ import (
 // Truncation semantics are likewise unchanged: a torn header or short
 // payload stops the scanner; a CRC or decode failure stops the
 // applier at that frame's start offset; either way goodBytes is the
-// end of the last intact applied frame and the repair pass truncates
-// there, exactly as the sequential path would.
+// end of the last intact applied frame and truncated is set. What that
+// means is the caller's: a log segment is cut back to goodBytes (the
+// tail was never acked), a store file — written whole or not at all —
+// is refused.
 
 const (
 	// replayBatchFrames and replayBatchBytes bound one scanner→verifier
@@ -61,15 +60,11 @@ const (
 type replayFrame struct {
 	payload []byte
 	wantCRC uint32
-	// end is the byte offset just past this frame in the segment.
-	end int64
 }
 
 // replayBatch is one scanner→verifier→applier unit.
 type replayBatch struct {
 	frames []replayFrame
-	recs   []*Record // verification output, by frame index
-	bad    []bool    // CRC or decode failure, by frame index
 	// truncated reports that the scan hit a torn or corrupt header
 	// right after these frames (mutually exclusive with a clean EOF).
 	truncated bool
@@ -86,133 +81,106 @@ func ReplayWALWorkers(dir string, apply func(*Record) error, workers int) (Repla
 	return replayWAL(dir, apply, false, workers)
 }
 
-// replaySegmentWorkers is the parallel counterpart of replaySegment:
-// same inputs, same outputs, same truncation rules, with frame
-// verification fanned across workers.
-func replaySegmentWorkers(path string, apply func(*Record) error, workers int) (goodBytes int64, records int, truncated bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("store: wal replay: %w", err)
+// replayFrames is the one reader of a record stream — what follows a
+// segment's header or a store file's count: it applies every intact
+// frame of r in order. off is the stream's byte offset in its file;
+// goodBytes is the offset just past the last applied frame; truncated
+// is true when the stream ended at a torn or corrupt frame instead of
+// a clean EOF; err is reserved for apply failures. workers <= 0 means
+// GOMAXPROCS; one worker runs the sequential loop the equivalence
+// proofs compare against, more run the pipeline above. r is not read
+// after the call returns.
+func replayFrames(r io.Reader, off int64, apply func(*Record) error, workers int) (goodBytes int64, records int, truncated bool, err error) {
+	goodBytes = off
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	hdr := make([]byte, len(walSegHeader))
-	if _, err := io.ReadFull(br, hdr); err != nil || !bytes.Equal(hdr, walSegHeader) {
-		return 0, 0, true, nil
+	if workers <= 1 {
+		var buf []byte
+		for {
+			payload, ferr := readWALFrame(r, buf)
+			if ferr == io.EOF {
+				return goodBytes, records, false, nil
+			}
+			var rec *Record
+			if ferr == nil {
+				// A payload whose CRC holds but that is not a record is
+				// corruption that predates framing: truncate, do not guess.
+				rec, ferr = DecodeRecord(payload)
+			}
+			if ferr != nil {
+				return goodBytes, records, true, nil
+			}
+			if err := apply(rec); err != nil {
+				return goodBytes, records, false, err
+			}
+			records++
+			goodBytes += walHeaderLen + int64(len(payload))
+			buf = payload
+		}
 	}
-	goodBytes = int64(len(walSegHeader))
 
 	batches := make(chan *replayBatch, 1)
 	stop := make(chan struct{})
-	defer close(stop)
+	defer func() {
+		close(stop)
+		for range batches { // wait for the scanner to let go of r
+		}
+	}()
 
-	// Scanner: walk the frame chain, copying payloads out of the read
-	// buffer. Any header-level damage (bad magic, implausible length,
-	// short read) ends the segment as truncated — the same conditions
-	// readWALFrame treats as torn.
+	// Scanner: walk the frame chain, each payload in its own buffer.
 	go func() {
 		defer close(batches)
-		off := goodBytes
-		batch := &replayBatch{}
-		flush := func() bool {
-			if len(batch.frames) == 0 && !batch.truncated {
-				return true
-			}
-			select {
-			case batches <- batch:
-				batch = &replayBatch{}
-				return true
-			case <-stop:
-				return false
-			}
-		}
-		var batchBytes int
+		batch, batchBytes := &replayBatch{}, 0
 		for {
-			var fh [walHeaderLen]byte
-			if _, err := io.ReadFull(br, fh[:]); err != nil {
-				if err != io.EOF {
-					batch.truncated = true
+			payload, wantCRC, serr := scanWALFrame(r, nil)
+			if serr == nil {
+				batch.frames = append(batch.frames, replayFrame{payload, wantCRC})
+				batchBytes += len(payload)
+				if len(batch.frames) < replayBatchFrames && batchBytes < replayBatchBytes {
+					continue
 				}
-				flush()
-				return
 			}
-			if binary.LittleEndian.Uint32(fh[0:]) != walFrameMagic {
-				batch.truncated = true
-				flush()
-				return
-			}
-			n := binary.LittleEndian.Uint32(fh[4:])
-			if n > maxWALPayload {
-				batch.truncated = true
-				flush()
-				return
-			}
-			payload := make([]byte, n)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				batch.truncated = true
-				flush()
-				return
-			}
-			off += walHeaderLen + int64(n)
-			batch.frames = append(batch.frames, replayFrame{
-				payload: payload,
-				wantCRC: binary.LittleEndian.Uint32(fh[8:]),
-				end:     off,
-			})
-			batchBytes += int(n)
-			if len(batch.frames) >= replayBatchFrames || batchBytes >= replayBatchBytes {
-				if !flush() {
+			batch.truncated = serr != nil && serr != io.EOF
+			if len(batch.frames) > 0 || batch.truncated {
+				select {
+				case batches <- batch:
+				case <-stop:
 					return
 				}
-				batchBytes = 0
 			}
+			if serr != nil {
+				return
+			}
+			batch, batchBytes = &replayBatch{}, 0
 		}
 	}()
 
 	for batch := range batches {
 		// Verify the whole batch across the pool: CRC first, then the
 		// payload decode — per-frame pure work, safe at any interleaving.
-		n := len(batch.frames)
-		batch.recs = make([]*Record, n)
-		batch.bad = make([]bool, n)
-		par.ForEach(n, workers, func(i int) {
-			fr := batch.frames[i]
-			if crc32.Checksum(fr.payload, crcTable) != fr.wantCRC {
-				batch.bad[i] = true
-				return
+		// A frame that fails either leaves its record nil.
+		recs := make([]*Record, len(batch.frames))
+		par.ForEach(len(recs), workers, func(i int) {
+			if fr := batch.frames[i]; crc32.Checksum(fr.payload, crcTable) == fr.wantCRC {
+				recs[i], _ = DecodeRecord(fr.payload)
 			}
-			rec, derr := DecodeRecord(bytes.NewReader(fr.payload))
-			if derr != nil {
-				// CRC held but the payload is not a record — corruption
-				// that predates framing. Same truncation as sequential.
-				batch.bad[i] = true
-				return
-			}
-			batch.recs[i] = rec
 		})
 		// Apply in frame order, stopping at the first bad frame: frames
 		// behind it are untrusted even if their own CRCs verify.
-		for i := 0; i < n; i++ {
-			if batch.bad[i] {
+		for i, rec := range recs {
+			if rec == nil {
 				return goodBytes, records, true, nil
 			}
-			if err := apply(batch.recs[i]); err != nil {
+			if err := apply(rec); err != nil {
 				return goodBytes, records, false, err
 			}
 			records++
-			goodBytes = batch.frames[i].end
+			goodBytes += walHeaderLen + int64(len(batch.frames[i].payload))
 		}
 		if batch.truncated {
 			return goodBytes, records, true, nil
 		}
 	}
 	return goodBytes, records, false, nil
-}
-
-// resolveReplayWorkers maps the workers knob to an effective count.
-func resolveReplayWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
 }

@@ -3,9 +3,12 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -315,7 +318,7 @@ func TestParallelReplayRepairTruncation(t *testing.T) {
 	}
 }
 
-// TestLoadFileWorkersEquivalence proves the parallel snapshot loader
+// TestLoadFileWorkersEquivalence proves the store-file loader
 // reconstructs a byte-identical store at every worker count, for both
 // a fresh store and one with pre-existing contents to replace.
 func TestLoadFileWorkersEquivalence(t *testing.T) {
@@ -328,89 +331,200 @@ func TestLoadFileWorkersEquivalence(t *testing.T) {
 	if err := src.SaveFile(path); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-
-	seq := NewMeasurements()
-	if err := seq.LoadFile(path); err != nil {
-		t.Fatalf("sequential load: %v", err)
-	}
 	var want bytes.Buffer
-	if err := seq.Save(&want); err != nil {
-		t.Fatalf("save sequential: %v", err)
+	if err := src.Save(&want); err != nil {
+		t.Fatalf("save source: %v", err)
 	}
 
 	for _, workers := range replayWorkerCounts {
 		m := NewMeasurements()
-		// Pre-existing contents must be replaced, like Load replaces.
+		// Pre-existing contents must be replaced.
 		m.AddUnique(randomRecord(rng, 9999, 1, 8))
-		if err := m.LoadFileWorkers(path, workers); err != nil {
+		if err := m.loadFile(path, workers); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if m.Len() != seq.Len() {
-			t.Fatalf("workers=%d: %d records, want %d", workers, m.Len(), seq.Len())
+		if m.Len() != src.Len() {
+			t.Fatalf("workers=%d: %d records, want %d", workers, m.Len(), src.Len())
 		}
 		var got bytes.Buffer
 		if err := m.Save(&got); err != nil {
 			t.Fatalf("save: %v", err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("workers=%d: canonical Save differs from sequential LoadFile", workers)
+			t.Fatalf("workers=%d: canonical Save differs from the saved store's", workers)
 		}
 	}
 }
 
-// TestLoadFileWorkersErrors asserts the parallel loader rejects what
-// the sequential loader rejects, with matching error shapes.
+// TestLoadFileWorkersErrors asserts the loader refuses a damaged file
+// with the same error at every worker count, and that a refused file
+// leaves pre-existing contents in place.
 func TestLoadFileWorkersErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src := NewMeasurements()
 	for i := 0; i < 40; i++ {
 		src.AddUnique(randomRecord(rng, i%4, float64(i), 16))
 	}
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.bin")
-	if err := src.SaveFile(good); err != nil {
+	var saved bytes.Buffer
+	if err := src.Save(&saved); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	base, err := os.ReadFile(good)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
+	base := saved.Bytes()
+	frames := len(storeHeader) + 8
 
-	cases := map[string]func([]byte) []byte{
-		"bad header": func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[0] ^= 0xFF
-			return c
-		},
-		"truncated mid-record": func(b []byte) []byte {
-			return append([]byte(nil), b[:len(b)-11]...)
-		},
-		"bad record magic": func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			// Corrupt the magic of a record in the middle of the file.
-			c[len(storeHeader)+8+(len(c)-len(storeHeader)-8)/2/126*126] ^= 0xFF
-			return c
-		},
+	cases := map[string]struct {
+		mutate func([]byte) []byte
+		want   string
+	}{
+		"bad header": {func(b []byte) []byte {
+			b[0] ^= 0xFF
+			return b
+		}, ErrBadHeader.Error()},
+		"format 1 header": {func(b []byte) []byte {
+			b[len(storeHeader)-2] = '1'
+			return b
+		}, "format 1"},
+		"truncated mid-record": {func(b []byte) []byte {
+			return b[:len(b)-11]
+		}, "record 39 of 40"},
+		"a whole record short": {func(b []byte) []byte {
+			return b[:len(b)-(len(b)-frames)/40]
+		}, "holds 39 records"},
+		"count too small": {func(b []byte) []byte {
+			b[len(storeHeader)]--
+			return b
+		}, "holds 40 records"},
+		"bad record magic": {func(b []byte) []byte {
+			// The magic of the record in frame 20: its frame's CRC fails.
+			b[frames+20*(len(b)-frames)/40+walHeaderLen] ^= 0xFF
+			return b
+		}, "record 20 of 40"},
 	}
-	for label, mutate := range cases {
+	for label, c := range cases {
 		t.Run(label, func(t *testing.T) {
-			path := filepath.Join(dir, "bad.bin")
-			if err := os.WriteFile(path, mutate(base), 0o644); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			seqErr := NewMeasurements().LoadFile(path)
-			if seqErr == nil {
-				t.Fatal("sequential load unexpectedly succeeded")
-			}
-			for _, workers := range []int{2, 4, 0} {
-				parErr := NewMeasurements().LoadFileWorkers(path, workers)
-				if parErr == nil {
-					t.Fatalf("workers=%d: load unexpectedly succeeded", workers)
+			data := c.mutate(append([]byte(nil), base...))
+			var first string
+			for _, workers := range replayWorkerCounts {
+				m := NewMeasurements()
+				m.AddUnique(randomRecord(rng, 9999, 1, 8))
+				gen := m.GenerationTotal()
+				err := m.load(bytes.NewReader(data), workers)
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("workers=%d: err = %v, want one containing %q", workers, err, c.want)
 				}
-				if parErr.Error() != seqErr.Error() {
-					t.Fatalf("workers=%d: error %q, sequential %q", workers, parErr, seqErr)
+				if first == "" {
+					first = err.Error()
+				}
+				if err.Error() != first {
+					t.Fatalf("workers=%d: error %q, sequential %q", workers, err, first)
+				}
+				if m.Len() != 1 || m.GenerationTotal() != gen || len(m.All(9999)) != 1 {
+					t.Fatalf("workers=%d: a refused file changed the receiver (Len %d)", workers, m.Len())
 				}
 			}
 		})
+	}
+}
+
+// TestStoreFileEveryByteFlip is the property CRC framing buys a store
+// file: whichever single byte of it is damaged — header, count, frame
+// header, sample — Load refuses the file and leaves its receiver alone,
+// and OpenDurable refuses a snapshot.bin so damaged, naming the record,
+// before it has repaired (truncated) anything in the log.
+func TestStoreFileEveryByteFlip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dir := t.TempDir()
+	d, _, err := OpenDurable(dir, DurableOptions{WAL: WALOptions{Policy: SyncNever}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(pump int, day float64) {
+		t.Helper()
+		if _, err := d.AddUnique(randomRecord(rng, pump, day, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const records = 6
+	for i := 0; i < records; i++ {
+		add(i%2, float64(i))
+	}
+	if _, err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	add(0, 100) // the log holds something the snapshot does not
+	d.Abort()
+
+	snapPath := filepath.Join(dir, snapshotName)
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := len(storeHeader) + 8
+	frameLen := (len(snap) - frames) / records
+	walFiles := func() map[string]string {
+		out := map[string]string{}
+		segs, err := listSegments(walDir(dir))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("listSegments: %v (%d segments)", err, len(segs))
+		}
+		for _, seg := range segs {
+			b, err := os.ReadFile(segmentPath(walDir(dir), seg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[segmentPath(walDir(dir), seg)] = string(b)
+		}
+		return out
+	}
+	walBefore := walFiles()
+
+	m := NewMeasurements()
+	m.Add(randomRecord(rng, 9999, 1, 4))
+	gen := m.GenerationTotal()
+	for off := range snap {
+		for _, mask := range []byte{0x01, 0x80, 0xFF} {
+			snap[off] ^= mask
+			for _, workers := range []int{1, 2} {
+				if err := m.load(bytes.NewReader(snap), workers); err == nil {
+					t.Fatalf("offset %d ^ %#02x, workers=%d: a damaged file loaded", off, mask, workers)
+				}
+				if m.Len() != 1 || m.GenerationTotal() != gen {
+					t.Fatalf("offset %d ^ %#02x, workers=%d: a refused file changed the receiver", off, mask, workers)
+				}
+			}
+			snap[off] ^= mask
+		}
+
+		snap[off] ^= 0x10
+		if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap[off] ^= 0x10
+		re, _, err := OpenDurable(dir, DurableOptions{})
+		if err == nil {
+			re.Abort()
+			t.Fatalf("offset %d: OpenDurable accepted a damaged snapshot", off)
+		}
+		if off >= frames {
+			if want := fmt.Sprintf("record %d of %d", (off-frames)/frameLen, records); !strings.Contains(err.Error(), want) {
+				t.Fatalf("offset %d: err = %v, want one naming %s", off, err, want)
+			}
+		}
+	}
+	if after := walFiles(); !reflect.DeepEqual(after, walBefore) {
+		t.Fatal("refusing the snapshot changed the log segments")
+	}
+
+	// Undamaged, the same directory recovers: snapshot plus the log's record.
+	if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, stats, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Abort()
+	if stats.SnapshotRecords != records || re.Store().Len() != records+1 {
+		t.Fatalf("recovered %d snapshot records and %d in all, want %d and %d", stats.SnapshotRecords, re.Store().Len(), records, records+1)
 	}
 }

@@ -2,6 +2,8 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -12,9 +14,10 @@ import (
 // TestEveryWritePathHoldsTheSameSet: a store is a set keyed by (pump,
 // service time), so for a stream that repeats keys (out of order, with
 // different samples under the repeated key) the store built by Add, its
-// Save → Load copy, a durable store's WAL replay after a crash, and a
-// tiered store's hot ∪ cold after a checkpoint and reopen all hold the
-// first record of every key and nothing else, byte for byte.
+// Save → Load copy, the Load of a store file holding the stream as it
+// came, a durable store's WAL replay after a crash, and a tiered
+// store's hot ∪ cold after a checkpoint and reopen all hold the first
+// record of every key and nothing else, byte for byte.
 func TestEveryWritePathHoldsTheSameSet(t *testing.T) {
 	type key struct {
 		pump int
@@ -56,6 +59,26 @@ func TestEveryWritePathHoldsTheSameSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Save → Load", loaded)
+
+	// The stream itself as a store file, framed by hand as the format
+	// is documented: header, count, then magic + length + CRC32C +
+	// EncodeRecord payload per record.
+	file := binary.LittleEndian.AppendUint64([]byte("VPMSTORE2\n"), uint64(len(stream)))
+	for _, rec := range stream {
+		var payload bytes.Buffer
+		if err := store.EncodeRecord(&payload, rec); err != nil {
+			t.Fatal(err)
+		}
+		file = binary.LittleEndian.AppendUint32(file, 0x56574C46) // "VWLF"
+		file = binary.LittleEndian.AppendUint32(file, uint32(payload.Len()))
+		file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(payload.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+		file = append(file, payload.Bytes()...)
+	}
+	repeated := store.NewMeasurements()
+	if err := repeated.Load(bytes.NewReader(file)); err != nil {
+		t.Fatal(err)
+	}
+	check("Load of a file that repeats keys", repeated)
 
 	// writeAndCrash logs the stream through a durable store, optionally
 	// checkpoints, and abandons it; the reopened store is what recovery

@@ -22,7 +22,9 @@ import (
 // acked. The log is segmented — fixed-header files named
 // wal-NNNNNNNN.seg — and each frame is length-prefixed and protected by
 // CRC32C, so recovery can replay intact records and stop exactly at the
-// first torn or corrupt frame.
+// first torn or corrupt frame. The frame is also how a record sits in a
+// store file (Measurements.Save), and replayFrames (replay.go) reads
+// both streams back.
 //
 // Frame layout (little-endian):
 //
@@ -643,37 +645,46 @@ var (
 	errWALBadCRC    = errors.New("store: wal frame: crc mismatch")
 )
 
-// readWALFrame decodes one frame from r into (a possibly grown) buf.
-// io.EOF means a clean end at a frame boundary; every other error
-// marks a torn or corrupt frame. The returned payload aliases buf and
-// is only valid until the next call.
-func readWALFrame(r io.Reader, buf []byte) (payload []byte, reuse []byte, err error) {
+// scanWALFrame reads one frame's header and payload from r into (a
+// possibly grown) buf and returns the payload with the CRC its header
+// claims, unchecked. io.EOF means a clean end at a frame boundary; every
+// other error marks a torn or corrupt frame.
+func scanWALFrame(r io.Reader, buf []byte) (payload []byte, wantCRC uint32, err error) {
 	var hdr [walHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return nil, buf, io.EOF
+			return nil, 0, io.EOF
 		}
-		return nil, buf, io.ErrUnexpectedEOF
+		return nil, 0, io.ErrUnexpectedEOF
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != walFrameMagic {
-		return nil, buf, errWALBadMagic
+		return nil, 0, errWALBadMagic
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:])
 	if n > maxWALPayload {
-		return nil, buf, errWALBadLength
+		return nil, 0, errWALBadLength
 	}
-	want := binary.LittleEndian.Uint32(hdr[8:])
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, buf, io.ErrUnexpectedEOF
+		return nil, 0, io.ErrUnexpectedEOF
 	}
-	if crc32.Checksum(buf, crcTable) != want {
-		return nil, buf, errWALBadCRC
+	return buf, binary.LittleEndian.Uint32(hdr[8:]), nil
+}
+
+// readWALFrame is scanWALFrame plus the CRC check. The returned payload
+// aliases buf when it fit and is only valid until buf's next use.
+func readWALFrame(r io.Reader, buf []byte) ([]byte, error) {
+	payload, wantCRC, err := scanWALFrame(r, buf)
+	if err != nil {
+		return nil, err
 	}
-	return buf, buf, nil
+	if crc32.Checksum(payload, crcTable) != wantCRC {
+		return nil, errWALBadCRC
+	}
+	return payload, nil
 }
 
 // ReplayStats summarizes one recovery replay.
@@ -725,22 +736,10 @@ func replayWAL(dir string, apply func(*Record) error, repair bool, workers int) 
 		}
 		return stats, fmt.Errorf("store: wal replay: %w", err)
 	}
-	workers = resolveReplayWorkers(workers)
-	var buf []byte
 	for _, seg := range segs {
 		stats.Segments++
 		path := segmentPath(dir, seg)
-		var (
-			goodBytes int64
-			n         int
-			truncated bool
-			rerr      error
-		)
-		if workers > 1 {
-			goodBytes, n, truncated, rerr = replaySegmentWorkers(path, apply, workers)
-		} else {
-			goodBytes, n, truncated, rerr = replaySegment(path, &buf, apply)
-		}
+		goodBytes, n, truncated, rerr := replaySegment(path, apply, workers)
 		stats.Records += n
 		if rerr != nil {
 			return stats, rerr
@@ -762,11 +761,9 @@ func replayWAL(dir string, apply func(*Record) error, repair bool, workers int) 
 	return stats, nil
 }
 
-// replaySegment replays one segment file. goodBytes is the byte offset
-// of the end of the last intact frame; truncated is true when the
-// segment ended at a torn/corrupt frame instead of a clean EOF; err is
-// reserved for apply failures and unreadable files.
-func replaySegment(path string, buf *[]byte, apply func(*Record) error) (goodBytes int64, records int, truncated bool, err error) {
+// replaySegment replays one segment file through replayFrames, whose
+// results it returns; err also reports an unreadable file.
+func replaySegment(path string, apply func(*Record) error, workers int) (goodBytes int64, records int, truncated bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("store: wal replay: %w", err)
@@ -779,26 +776,5 @@ func replaySegment(path string, buf *[]byte, apply func(*Record) error) (goodByt
 		// creation, or a foreign file. Either way: truncate it all.
 		return 0, 0, true, nil
 	}
-	goodBytes = int64(len(walSegHeader))
-	for {
-		payload, reuse, ferr := readWALFrame(br, *buf)
-		*buf = reuse
-		if ferr == io.EOF {
-			return goodBytes, records, false, nil
-		}
-		if ferr != nil {
-			return goodBytes, records, true, nil
-		}
-		rec, derr := DecodeRecord(bytes.NewReader(payload))
-		if derr != nil {
-			// The CRC held but the payload is not a record — corruption
-			// that predates framing. Truncate, do not guess.
-			return goodBytes, records, true, nil
-		}
-		if err := apply(rec); err != nil {
-			return goodBytes, records, false, err
-		}
-		records++
-		goodBytes += walHeaderLen + int64(len(payload))
-	}
+	return replayFrames(br, int64(len(walSegHeader)), apply, workers)
 }

@@ -24,7 +24,10 @@ func walFrameBytes(tb testing.TB, rec *Record) []byte {
 // streams — truncations, bit flips, garbage — and holds it to two
 // invariants: it never panics, and it never returns a payload whose
 // CRC does not verify (a frame either authenticates or truncates the
-// stream, nothing in between).
+// stream, nothing in between). The same bytes then go to Load as the
+// record stream of a store file — the parser vibed -data hands outside
+// bytes to — which must accept exactly the streams that are intact to
+// their end and otherwise leave its receiver as it was.
 func FuzzWALDecode(f *testing.F) {
 	rec := &Record{
 		PumpID:       7,
@@ -51,18 +54,19 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(hugelen)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// records counts the frames that authenticate and decode; clean
+		// reports that nothing but such frames precedes the end of data.
+		records, clean := 0, false
 		r := bytes.NewReader(data)
 		var buf []byte
 		for {
 			frameStart := len(data) - r.Len()
-			payload, reuse, err := readWALFrame(r, buf)
-			buf = reuse
-			if err == io.EOF {
-				return // clean frame boundary
-			}
+			payload, err := readWALFrame(r, buf)
 			if err != nil {
-				return // torn/corrupt: replay would truncate here
+				clean = err == io.EOF // anything else: replay would truncate here
+				break
 			}
+			buf = payload
 			// Whatever the fuzzer fed us, a returned payload must stay
 			// within the allocation bound and authenticate against the
 			// CRC stored in its own header bytes.
@@ -73,10 +77,27 @@ func FuzzWALDecode(f *testing.F) {
 			if got := crc32.Checksum(payload, crcTable); got != want {
 				t.Fatalf("decoder returned a payload whose CRC %08x does not match the frame's %08x", got, want)
 			}
-			if _, derr := DecodeRecord(bytes.NewReader(payload)); derr != nil {
+			if _, derr := DecodeRecord(payload); derr != nil {
 				// Valid frame, non-record payload: replay truncates, but
 				// decoding must fail cleanly, which it just did.
-				return
+				break
+			}
+			records++
+		}
+
+		file := append([]byte(nil), storeHeader...)
+		file = binary.LittleEndian.AppendUint64(file, uint64(records))
+		file = append(file, data...)
+		for _, workers := range []int{1, 3} {
+			m := NewMeasurements()
+			m.Add(rec)
+			gen := m.GenerationTotal()
+			err := m.load(bytes.NewReader(file), workers)
+			if (err == nil) != clean {
+				t.Fatalf("workers=%d: Load err = %v for a stream of %d records, intact to its end: %v", workers, err, records, clean)
+			}
+			if err != nil && (m.Len() != 1 || m.GenerationTotal() != gen) {
+				t.Fatalf("workers=%d: a refused file changed the receiver: Len %d, generation %d → %d", workers, m.Len(), gen, m.GenerationTotal())
 			}
 		}
 	})

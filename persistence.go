@@ -9,6 +9,7 @@ import (
 
 	"vibepm/internal/core"
 	"vibepm/internal/feature"
+	"vibepm/internal/store"
 )
 
 // ModelState is the serializable form of a fitted engine: the Zone A
@@ -78,17 +79,11 @@ func (e *Engine) LoadModel(r io.Reader) error {
 	return nil
 }
 
-// SaveModelFile writes the fitted pipeline to path.
+// SaveModelFile writes the fitted pipeline to path atomically
+// (store.WriteFileAtomic): a save that fails, or a crash part-way,
+// leaves the model that was there.
 func (e *Engine) SaveModelFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := e.SaveModel(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return store.WriteFileAtomic(path, e.SaveModel)
 }
 
 // LoadModelFile restores a fitted pipeline from path.

@@ -3,6 +3,7 @@ package vibepm
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -127,6 +128,34 @@ func TestSaveModelFileRoundtrip(t *testing.T) {
 	}
 	if err := fresh.LoadModelFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("want error for missing file")
+	}
+}
+
+// TestSaveModelFileKeepsTheOldModelOnFailure: a save that cannot
+// produce a model must not have touched the one already at path.
+func TestSaveModelFileKeepsTheOldModelOnFailure(t *testing.T) {
+	eng, _ := fitEngine(t, 21)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
+	if err := eng.SaveModelFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(Options{}).SaveModelFile(path); !errors.Is(err, ErrNotFitted) {
+		t.Fatalf("err = %v, want ErrNotFitted", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("the failed save left %d bytes where the %d-byte model was", len(after), len(before))
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("the failed save left %d files behind (err %v), want the model alone", len(entries), err)
 	}
 }
 
