@@ -22,36 +22,32 @@ type Options struct {
 	// Harmonic tunes the peak extraction (defaults: n_p = 20,
 	// n_h = 24).
 	Harmonic HarmonicOptions
-	// OutlierBandwidth overrides the mean shift kernel radius used for
-	// invalid-measurement detection (0 = adaptive).
-	OutlierBandwidth float64
-	// SmoothingWindowDays is the moving-average window applied to the
-	// D_a trend before RUL fitting (default 1 day).
-	SmoothingWindowDays float64
-	// RUL controls lifetime-model discovery.
-	RUL LearnConfig
-	// LabelMatchToleranceDays is how far a label may sit from its
-	// measurement in time and still be paired with it (default 0.51 —
-	// the paper's measurements and labels share timestamps).
-	LabelMatchToleranceDays float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.SmoothingWindowDays <= 0 {
-		o.SmoothingWindowDays = 1
-	}
-	if o.LabelMatchToleranceDays <= 0 {
-		o.LabelMatchToleranceDays = 0.51
-	}
-	return o
-}
+// The pipeline's fixed settings. Mean shift outlier detection uses the
+// adaptive bandwidth (preprocess.OutlierConfig's zero value) and RANSAC
+// its calibrated defaults (core.LearnConfig's).
+const (
+	// smoothingWindowDays is the moving-average window applied to the
+	// D_a trend before RUL fitting.
+	smoothingWindowDays = 1
+	// labelMatchToleranceDays is how far a label may sit from its
+	// measurement in time and still be paired with it (the paper's
+	// measurements and labels share timestamps).
+	labelMatchToleranceDays = 0.51
+)
 
 // Engine is the end-to-end analysis pipeline of the paper's Fig. 7:
 // ingest measurements and labels, fit the Zone A baseline, the zone
 // classifier and the D_a decision boundary, learn fleet lifetime
-// models, and project per-pump RUL. Engine methods are not safe for
-// concurrent mutation; the underlying stores are safe for concurrent
-// reads.
+// models, and project per-pump RUL. There is one analysis path: every
+// per-record value (the offsets mean shift reads, the harmonic peaks,
+// D_a, the fault report) is read through the engine's live state, which
+// computes it once per record and memoizes it; the pure functions it
+// memoizes (BatchCleanTrend, Baseline.Da, FaultDetector.Detect) survive
+// as the references the equivalence proofs compare it against. Engine
+// methods are not safe for concurrent mutation; the underlying stores
+// are safe for concurrent reads.
 type Engine struct {
 	opts         Options
 	measurements *Measurements
@@ -77,11 +73,12 @@ type Engine struct {
 	// spec updates swap in a copy-on-write successor.
 	detector *feature.FaultDetector
 
-	// live, when non-nil, is the incremental feature cache: expensive
-	// per-record transforms (PSD, harmonic peaks, D_a) are folded once —
-	// at ingest on the live path, lazily on first analysis otherwise —
-	// and every later trend rebuild reads cached scalars. The results
-	// are bit-identical to the batch path (see internal/stream).
+	// live is the incremental feature cache, built with the engine:
+	// expensive per-record transforms (PSD, harmonic peaks, D_a) are
+	// folded once — at ingest, or on first analysis of a record the
+	// engine did not ingest — and every later read is a memo hit. The
+	// values are bit-identical to the pure functions (see
+	// internal/stream).
 	live *stream.LiveState
 
 	// cold, when non-nil, is the tiered store's compressed partition
@@ -115,8 +112,9 @@ func NewWithStores(opts Options, m *Measurements, l *Labels) *Engine {
 		l = store.NewLabels()
 	}
 	return &Engine{
-		opts: opts.withDefaults(), measurements: m, labels: l,
+		opts: opts, measurements: m, labels: l,
 		trends: gencache.New[int, trendTag, []TrendPoint](maxCachedTrends),
+		live:   stream.NewLiveState(stream.Config{Harmonic: opts.Harmonic}),
 	}
 }
 
@@ -168,7 +166,7 @@ type labelledPair struct {
 
 func (e *Engine) labelledPairs() []labelledPair {
 	var out []labelledPair
-	tol := e.opts.LabelMatchToleranceDays
+	const tol = labelMatchToleranceDays
 	// coldByPump lazily caches cold decompression per pump: only pumps
 	// whose label windows dip below the cold coverage bound pay it, and
 	// only once per fit.
@@ -245,28 +243,18 @@ func (e *Engine) Fit() error {
 	}
 	// Algorithm 1 normalizes by the dataset-global peak maxima, so scan
 	// the whole labelled corpus (worn spectra included) before scoring.
-	// Feature extraction dominates Fit's cost and is embarrassingly
-	// parallel; with a live state attached the scan is served from the
-	// ingest-time fold cache instead.
-	var features []feature.Harmonic
-	if e.live != nil {
-		labelled := make([]*Record, len(pairs))
-		for i, p := range pairs {
-			labelled[i] = p.rec
-		}
-		features = e.live.Harmonics(labelled, e.opts.Harmonic)
-	} else {
-		features = par.Map(len(pairs), 0, func(i int) feature.Harmonic {
-			return feature.HarmonicOfRecord(pairs[i].rec, e.opts.Harmonic)
-		})
+	// The scan is served from the fold memo where records were folded,
+	// and extracted in parallel where they were not.
+	labelled := make([]*Record, len(pairs))
+	for i, p := range pairs {
+		labelled[i] = p.rec
 	}
+	features := e.live.Harmonics(labelled, e.opts.Harmonic)
 	baseline.SetNormalizers(features...)
 	e.baseline = baseline
-	if e.live != nil {
-		// Install only once the normalizers are set: folds score D_a
-		// against the installed baseline at ingest time.
-		e.live.SetBaseline(baseline)
-	}
+	// Install only once the normalizers are set: folds score D_a
+	// against the installed baseline at ingest time.
+	e.live.SetBaseline(baseline)
 
 	samples := make([]core.Sample, 0, len(pairs))
 	for i, p := range pairs {
@@ -325,10 +313,7 @@ func (e *Engine) Da(rec *Record) (float64, error) {
 	if e.baseline == nil {
 		return 0, ErrNotFitted
 	}
-	if e.live != nil {
-		return e.live.Da(rec, e.baseline)
-	}
-	return e.baseline.Da(rec)
+	return e.live.Da(rec, e.baseline)
 }
 
 // Classify predicts the health zone of one measurement and returns the
@@ -351,7 +336,7 @@ type AgeFunc func(pumpID int, serviceDays float64) float64
 
 // CleanTrend extracts one pump's cleaned D_a trend: invalid
 // measurements removed by mean shift outlier detection, D_a computed
-// against the baseline, smoothed with the configured moving-average
+// against the baseline, smoothed with the one-day moving-average
 // window, and mapped to equipment age with ageOf.
 func (e *Engine) CleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error) {
 	base := e.baseline
@@ -372,16 +357,11 @@ func (e *Engine) CleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error) {
 		}
 		start := time.Now()
 		defer func() { metAnalyzeTrend.Observe(time.Since(start).Seconds()) }()
-		if e.live == nil {
-			trend, err := e.batchTrend(pumpID, recs, base, 0)
-			return trend, tag, err
-		}
-		// Incremental path: per-record transforms come from the live
-		// cache; only the cheap global passes (mean shift over the 3-D
-		// offsets, smoothing) run over the full series. Values are
-		// bit-identical to batchTrend.
+		// Per-record transforms come from the live memo; only the cheap
+		// global passes (mean shift over the 3-D offsets, smoothing) run
+		// over the full series. Values are bit-identical to batchTrend.
 		feats := e.live.Ensure(pumpID, recs)
-		validIdx, _, err := preprocess.DetectOutliersPoints(stream.OffsetRowsOf(feats), preprocess.OutlierConfig{Bandwidth: e.opts.OutlierBandwidth})
+		validIdx, _, err := preprocess.DetectOutliersPoints(stream.OffsetRowsOf(feats), preprocess.OutlierConfig{})
 		if err != nil {
 			return nil, tag, err
 		}
@@ -404,41 +384,13 @@ func (e *Engine) CleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error) {
 	return out, nil
 }
 
-// batchTrend recomputes one pump's cleaned trend from raw waveforms,
-// scoring D_a across workers goroutines (0 = GOMAXPROCS, 1 = inline —
-// the sequential reference BatchCleanTrend pins the live path against).
-// AgeDays holds the raw service day.
-func (e *Engine) batchTrend(pumpID int, recs []*Record, base *Baseline, workers int) ([]TrendPoint, error) {
-	validIdx, _, err := preprocess.DetectOutliers(recs, preprocess.OutlierConfig{Bandwidth: e.opts.OutlierBandwidth})
-	if err != nil {
-		return nil, err
-	}
-	type scored struct {
-		da float64
-		ok bool
-	}
-	results := par.Map(len(validIdx), workers, func(i int) scored {
-		da, err := base.Da(recs[validIdx[i]])
-		return scored{da: da, ok: err == nil}
-	})
-	days := make([]float64, 0, len(validIdx))
-	das := make([]float64, 0, len(validIdx))
-	for i, r := range results {
-		if r.ok {
-			days = append(days, recs[validIdx[i]].ServiceDays)
-			das = append(das, r.da)
-		}
-	}
-	return e.smoothTrend(pumpID, days, das)
-}
-
-// smoothTrend applies the configured moving-average window to a scored
+// smoothTrend applies the moving-average window to a scored
 // (service day, D_a) series.
 func (e *Engine) smoothTrend(pumpID int, days, das []float64) ([]TrendPoint, error) {
 	if len(days) == 0 {
 		return nil, fmt.Errorf("%w: pump %d has no valid measurements", ErrNoData, pumpID)
 	}
-	smoothed := preprocess.SmoothSeries(days, das, e.opts.SmoothingWindowDays)
+	smoothed := preprocess.SmoothSeries(days, das, smoothingWindowDays)
 	out := make([]TrendPoint, len(days))
 	for i := range days {
 		out[i] = TrendPoint{AgeDays: days[i], Da: smoothed[i]}
@@ -472,7 +424,7 @@ func (e *Engine) LearnLifetimeModels(ageOf AgeFunc) (*LifetimeModels, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("%w: no trend points", ErrNoData)
 	}
-	models, err := core.LearnLifetimeModels(points, e.boundary, e.opts.RUL)
+	models, err := core.LearnLifetimeModels(points, e.boundary, core.LearnConfig{})
 	if err != nil {
 		return nil, err
 	}

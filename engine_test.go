@@ -273,7 +273,6 @@ func TestCleanTrendCacheConsistency(t *testing.T) {
 // and keeps the float32 metadata a restart would recover.
 func TestEngineIngestIsTheSeam(t *testing.T) {
 	eng, ds := fitEngine(t, 46)
-	eng.EnableLive()
 	m := eng.Measurements()
 	const pump, day = 0, 39.75
 

@@ -36,16 +36,14 @@ const (
 )
 
 // EnableFaults switches fault classification on: every report gains a
-// FaultReport, FaultStatus starts answering, and — when a live state is
-// attached — measurements are classified once at ingest and served from
-// cache afterwards. def is the fleet-default machine spec (zero value:
-// estimate rotor speed from each spectrum, default bearing geometry);
-// opt's zero values select the calibrated thresholds.
+// FaultReport, FaultStatus starts answering, and measurements are
+// classified once — at ingest, or on first query — and served from the
+// live state afterwards. def is the fleet-default machine spec (zero
+// value: estimate rotor speed from each spectrum, default bearing
+// geometry); opt's zero values select the calibrated thresholds.
 func (e *Engine) EnableFaults(def MachineSpec, opt FaultOptions) {
 	e.detector = feature.NewFaultDetector(def, opt)
-	if e.live != nil {
-		e.live.SetFaultDetector(e.detector)
-	}
+	e.live.SetFaultDetector(e.detector)
 }
 
 // FaultsEnabled reports whether fault classification is on.
@@ -60,9 +58,7 @@ func (e *Engine) SetMachineSpec(pumpID int, spec MachineSpec) error {
 		return ErrFaultsDisabled
 	}
 	e.detector = e.detector.WithSpec(pumpID, spec)
-	if e.live != nil {
-		e.live.SetFaultDetector(e.detector)
-	}
+	e.live.SetFaultDetector(e.detector)
 	return nil
 }
 
@@ -78,9 +74,8 @@ type PumpFaultStatus struct {
 }
 
 // FaultStatus classifies the most recent stored measurement of one
-// pump. With a live state attached the report is a cache read after the
-// first query; either way the result is identical to running the
-// detector on the record directly.
+// pump. The report is a memo read after the first query, identical to
+// running the detector on the record directly.
 func (e *Engine) FaultStatus(pumpID int) (*PumpFaultStatus, error) {
 	det := e.detector
 	if det == nil {
@@ -97,11 +92,8 @@ func (e *Engine) FaultStatus(pumpID int) (*PumpFaultStatus, error) {
 	}, nil
 }
 
-// faultReport classifies one record through the live cache when
-// attached, directly otherwise. Callers must have checked e.detector.
+// faultReport classifies one record through the live memo. Callers
+// must have checked e.detector.
 func (e *Engine) faultReport(rec *Record) FaultReport {
-	if e.live != nil {
-		return e.live.FaultReport(rec, e.detector)
-	}
-	return e.detector.Detect(rec)
+	return e.live.FaultReport(rec, e.detector)
 }

@@ -6,110 +6,78 @@ import (
 	"testing"
 
 	"vibepm"
+	"vibepm/internal/feature"
 	"vibepm/internal/store"
 )
 
+// compareFaults checks every pump's FaultStatus — memo-served, folded
+// at ingest — against det.Detect on the pump's latest record, the pure
+// function the memo holds (reflect.DeepEqual on the full report,
+// evidence values included).
+func compareFaults(t *testing.T, ctx string, eng *vibepm.Engine, det *feature.FaultDetector) {
+	t.Helper()
+	for _, id := range eng.Measurements().Pumps() {
+		status, err := eng.FaultStatus(id)
+		if err != nil {
+			t.Fatalf("%s: pump %d: %v", ctx, id, err)
+		}
+		if want := det.Detect(eng.Measurements().Latest(id)); !reflect.DeepEqual(status.FaultReport, want) {
+			t.Fatalf("%s: pump %d fault report diverged:\nserved:    %#v\nreference: %#v", ctx, id, status.FaultReport, want)
+		}
+	}
+}
+
 // TestFaultReportLiveBatchEquivalence is the fault-taxonomy arm of the
-// batch-equivalence proof harness: the FaultStatus of every pump must
-// be identical (reflect.DeepEqual on the full report, evidence values
-// included) between a live engine that folded records incrementally —
-// in randomized ingestion order — and a batch engine that classifies on
-// demand. Detection is a pure function of the latest record, so no
-// ingestion order, fold timing, or cache state may leak into the
-// report.
+// equivalence proof harness: an engine that folded records (and so
+// classified them) at ingest, in randomized order, must serve exactly
+// what feature.NewFaultDetector(def, opt).Detect says of each pump's
+// latest record. Detection is a pure function of the record, so no
+// ingestion order, fold timing, or memo state may leak into the report.
 func TestFaultReportLiveBatchEquivalence(t *testing.T) {
 	ds := liveCorpus(t)
 	records := streamRecords(ds)
 	def := vibepm.MachineSpec{}
 	opt := vibepm.FaultOptions{MinSamples: 256}
-
-	batchEng := vibepm.NewWithStores(vibepm.Options{}, store.NewMeasurements(), ds.Labels)
-	batchEng.EnableFaults(def, opt)
-	for _, rec := range records {
-		batchEng.Ingest(rec)
-	}
+	ref := feature.NewFaultDetector(def, opt)
 
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(3000 + trial)))
 		shuffled := append([]*vibepm.Record(nil), records...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
-		liveEng := vibepm.NewWithStores(vibepm.Options{}, store.NewMeasurements(), ds.Labels)
-		liveEng.EnableFaults(def, opt)
-		liveEng.EnableLive()
+		eng := vibepm.NewWithStores(vibepm.Options{}, store.NewMeasurements(), ds.Labels)
+		eng.EnableFaults(def, opt)
 		for _, rec := range shuffled {
-			liveEng.Ingest(rec)
+			eng.Ingest(rec)
 		}
-
-		for _, id := range ds.Measurements.Pumps() {
-			liveStatus, liveErr := liveEng.FaultStatus(id)
-			batchStatus, batchErr := batchEng.FaultStatus(id)
-			if (liveErr == nil) != (batchErr == nil) {
-				t.Fatalf("trial %d pump %d: error parity broken: live %v, batch %v", trial, id, liveErr, batchErr)
-			}
-			if liveErr != nil {
-				continue
-			}
-			if !reflect.DeepEqual(liveStatus, batchStatus) {
-				t.Fatalf("trial %d pump %d: fault report diverged:\nlive:  %+v\nbatch: %+v",
-					trial, id, liveStatus, batchStatus)
-			}
-		}
+		compareFaults(t, "shuffled ingest", eng, ref)
 	}
 }
 
 // TestFaultReportSpecUpdateInvalidates proves the copy-on-write spec
-// path through the live cache: after SetMachineSpec the live engine
-// must serve reports computed against the new detector identity, again
-// matching batch exactly.
+// path through the live memo: after SetMachineSpec the engine must serve
+// reports of the new detector identity — the reference detector's
+// WithSpec successor — not the ones folded under the old.
 func TestFaultReportSpecUpdateInvalidates(t *testing.T) {
 	ds := liveCorpus(t)
-	records := streamRecords(ds)
 	def := vibepm.MachineSpec{}
 	opt := vibepm.FaultOptions{MinSamples: 256}
-
-	mk := func(live bool) *vibepm.Engine {
-		eng := vibepm.NewWithStores(vibepm.Options{}, store.NewMeasurements(), ds.Labels)
-		eng.EnableFaults(def, opt)
-		if live {
-			eng.EnableLive()
-		}
-		for _, rec := range records {
-			eng.Ingest(rec)
-		}
-		return eng
+	eng := vibepm.NewWithStores(vibepm.Options{}, store.NewMeasurements(), ds.Labels)
+	eng.EnableFaults(def, opt)
+	for _, rec := range streamRecords(ds) {
+		eng.Ingest(rec)
 	}
-	liveEng, batchEng := mk(true), mk(false)
 
-	pumps := ds.Measurements.Pumps()
-	target := pumps[0]
-	// Warm the live cache against the original detector.
-	if _, err := liveEng.FaultStatus(target); err != nil {
-		t.Fatal(err)
-	}
-	// Pin an implausible rotor speed for one pump: reports must change
-	// identically on both paths.
+	target := ds.Measurements.Pumps()[0]
+	// Warm the memo against the original detector.
+	compareFaults(t, "before the spec update", eng, feature.NewFaultDetector(def, opt))
+	// Pin an implausible rotor speed for one pump.
 	spec := vibepm.MachineSpec{RotorHz: 17}
-	if err := liveEng.SetMachineSpec(target, spec); err != nil {
+	if err := eng.SetMachineSpec(target, spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := batchEng.SetMachineSpec(target, spec); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range pumps {
-		liveStatus, err := liveEng.FaultStatus(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchStatus, err := batchEng.FaultStatus(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(liveStatus, batchStatus) {
-			t.Fatalf("pump %d after spec update: live %+v, batch %+v", id, liveStatus, batchStatus)
-		}
-		if id == target && liveStatus.RotorHz != 17 {
-			t.Fatalf("pump %d ignored the pinned rotor: %+v", id, liveStatus)
-		}
+	compareFaults(t, "after the spec update", eng, feature.NewFaultDetector(def, opt).WithSpec(target, spec))
+	if status, _ := eng.FaultStatus(target); status.RotorHz != 17 {
+		t.Fatalf("pump %d ignored the pinned rotor: %+v", target, status)
 	}
 }

@@ -89,58 +89,6 @@ func MahalanobisDiag(x, mu, varv []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// SolveLinear solves the n×n system A·x = b with partial-pivot Gaussian
-// elimination. A is given in row-major order and is not modified.
-func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
-	n := len(b)
-	if len(a) != n {
-		return nil, errors.New("dsp: dimension mismatch in SolveLinear")
-	}
-	// Work on copies.
-	m := make([][]float64, n)
-	for i := range m {
-		if len(a[i]) != n {
-			return nil, errors.New("dsp: non-square matrix in SolveLinear")
-		}
-		m[i] = append([]float64(nil), a[i]...)
-	}
-	x := append([]float64(nil), b...)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		p := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[p][col]) {
-				p = r
-			}
-		}
-		if math.Abs(m[p][col]) < 1e-12 {
-			return nil, ErrSingular
-		}
-		m[col], m[p] = m[p], m[col]
-		x[col], x[p] = x[p], x[col]
-		// Eliminate below.
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back-substitute.
-	for col := n - 1; col >= 0; col-- {
-		s := x[col]
-		for c := col + 1; c < n; c++ {
-			s -= m[col][c] * x[c]
-		}
-		x[col] = s / m[col][col]
-	}
-	return x, nil
-}
-
 // FitLine fits y = slope·x + intercept by least squares and reports the
 // coefficient of determination R². It returns ErrSingular when all x
 // values coincide.

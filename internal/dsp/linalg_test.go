@@ -61,66 +61,6 @@ func TestMahalanobisDiag(t *testing.T) {
 	}
 }
 
-func TestSolveLinearKnownSystem(t *testing.T) {
-	a := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	x, err := SolveLinear(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x[0], 1, 1e-10) || !almostEqual(x[1], 3, 1e-10) {
-		t.Fatalf("solution = %v", x)
-	}
-}
-
-func TestSolveLinearRandomRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(6)
-		a := make([][]float64, n)
-		xTrue := make([]float64, n)
-		for i := range a {
-			a[i] = make([]float64, n)
-			for j := range a[i] {
-				a[i][j] = rng.NormFloat64()
-			}
-			a[i][i] += float64(n) // diagonal dominance keeps it well-conditioned
-			xTrue[i] = rng.NormFloat64()
-		}
-		b := make([]float64, n)
-		for i := range b {
-			for j := range xTrue {
-				b[i] += a[i][j] * xTrue[j]
-			}
-		}
-		x, err := SolveLinear(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if !almostEqual(x[i], xTrue[i], 1e-8) {
-				t.Fatalf("trial %d: x[%d]=%g want %g", trial, i, x[i], xTrue[i])
-			}
-		}
-	}
-}
-
-func TestSolveLinearSingular(t *testing.T) {
-	a := [][]float64{{1, 2}, {2, 4}}
-	if _, err := SolveLinear(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-}
-
-func TestSolveLinearDimensionErrors(t *testing.T) {
-	if _, err := SolveLinear([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Fatal("want dimension error")
-	}
-	if _, err := SolveLinear([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Fatal("want non-square error")
-	}
-}
-
 func TestFitLineRecovers(t *testing.T) {
 	x := []float64{0, 1, 2, 3, 4}
 	y := make([]float64, len(x))

@@ -117,21 +117,11 @@ func ExtractHarmonic(freq, psd []float64, opt Options) Harmonic {
 	return Harmonic{Peaks: peaks, BinHz: binHz}
 }
 
-// psdScratch pools the (freq, psd) work arrays of HarmonicOfRecord.
-type psdScratch struct {
-	freq, psd []float64
-}
-
-var psdPool = sync.Pool{New: func() any { return &psdScratch{} }}
-
 // HarmonicOfRecord extracts the harmonic feature directly from a stored
 // measurement via the combined 3-axis DCT PSD. The PSD work arrays are
 // pooled; only the returned peak list is allocated.
-func HarmonicOfRecord(rec *store.Record, opt Options) Harmonic {
-	sc := psdPool.Get().(*psdScratch)
-	sc.freq, sc.psd = transform.PSDInto(sc.freq, sc.psd, rec)
-	h := ExtractHarmonic(sc.freq, sc.psd, opt)
-	psdPool.Put(sc)
+func HarmonicOfRecord(rec *store.Record, opt Options) (h Harmonic) {
+	transform.UsePSD(rec, func(freq, psd []float64) { h = ExtractHarmonic(freq, psd, opt) })
 	return h
 }
 

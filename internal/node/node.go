@@ -132,14 +132,14 @@ func Open(opts Options) (*Node, error) {
 	}
 	if opts.Faults {
 		// Fleet-default machine spec: rotor speed estimated per spectrum,
-		// default bearing geometry. Enabled before the live state so every
+		// default bearing geometry. Enabled before the warm-up so every
 		// warm-up fold classifies once, at fold time.
 		n.Engine.EnableFaults(vibepm.MachineSpec{}, vibepm.FaultOptions{})
 	}
-	// The incremental analysis path: fold every recovered measurement
-	// once up front (the warm-up), then keep the cache current from the
-	// ingest seam, so trend and fleet queries stay O(new data).
-	n.Live = n.Engine.EnableLive()
+	// The engine's live state: every recovered measurement is folded
+	// once up front (the warm-up), then the ingest seam keeps it current,
+	// so trend and fleet queries stay O(new data).
+	n.Live = n.Engine.Live()
 
 	// With labels, fit before the warm-up: the fit's scan touches only
 	// the labelled records, and once the baseline is installed every

@@ -4,19 +4,20 @@ import (
 	"net/http"
 
 	"vibepm/internal/store"
+	"vibepm/internal/transform"
 )
 
 // ColdMetrics returns the scalar metric set the trend endpoint serves,
 // in the form the compactor persists per partition. A vibed deployment
 // passes these as TieredOptions.Metrics so cold trend reads are
-// bit-identical to the hot path: the functions here are the very same
-// ones trendMetricFor resolves.
+// bit-identical to the hot path: these are the pure functions the live
+// state's MetricFunc memoizes.
 func ColdMetrics() []store.ColdMetric {
-	rms, _ := trendMetricFor("rms")
-	vrms, _ := trendMetricFor("vrms")
 	return []store.ColdMetric{
-		{Name: "rms", Fn: rms},
-		{Name: "vrms", Fn: vrms},
+		{Name: "rms", Fn: transform.RMS},
+		{Name: "vrms", Fn: func(r *store.Record) float64 {
+			return transform.VelocityRMS(r, transform.ISOBandLoHz, transform.ISOBandHiHz)
+		}},
 	}
 }
 

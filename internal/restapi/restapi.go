@@ -38,7 +38,8 @@ type Server struct {
 	metrics      *obs.Registry
 	maxBodyBytes int64
 	// ingester is the write seam: the plain or durable store every
-	// accepted POST lands in, and the live state it is folded into.
+	// accepted POST lands in, and the live state it is folded into —
+	// the one the trend endpoint reads.
 	ingester stream.Ingester
 	cold     *store.ColdStore
 	faults   *vibepm.Engine
@@ -95,21 +96,21 @@ func WithDurable(d *store.Durable) Option {
 	}
 }
 
-// WithLive attaches the incremental feature cache: each accepted
-// ingest folds its record's features right after the ack, and the
-// trend endpoint reads per-record metrics from the cache instead of
-// re-transforming raw waveforms on every pyramid rebuild. Values are
-// bit-identical to the uncached path.
+// WithLive shares a live state — the engine's, Engine.Live — in place
+// of the one New gives the server, so a record folded at ingest is the
+// one the analysis routes read and the two never fold it twice.
 func WithLive(ls *stream.LiveState) Option {
 	return func(s *Server) { s.ingester.Live = ls }
 }
 
 // New builds the API server. labels and periods may be nil, disabling
-// the corresponding endpoints.
+// the corresponding endpoints. The server has a live state of its own
+// unless WithLive shares one: each accepted ingest folds its record into
+// it, and the trend endpoint reads its per-record metrics from it.
 func New(m *store.Measurements, l *store.Labels, p *store.PeriodManager, opts ...Option) *Server {
 	s := &Server{
 		measurements: m, labels: l, periods: p,
-		ingester:     stream.Ingester{Store: m},
+		ingester:     stream.Ingester{Store: m, Live: stream.NewLiveState(stream.Config{})},
 		mux:          http.NewServeMux(),
 		metrics:      obs.Default,
 		maxBodyBytes: DefaultMaxBodyBytes,

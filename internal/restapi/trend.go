@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"vibepm/internal/store"
-	"vibepm/internal/transform"
 )
 
 // Trend point budgets. The default fits a dashboard panel; the cap
@@ -26,20 +25,6 @@ const (
 	maxCachedTrendBodies = 1024
 	maxCachedPumpViews   = 4096
 )
-
-// trendMetricFor maps the metric query parameter to the scalar
-// extracted from each record.
-func trendMetricFor(name string) (func(*store.Record) float64, bool) {
-	switch name {
-	case "rms":
-		return transform.RMS, true
-	case "vrms":
-		return func(r *store.Record) float64 {
-			return transform.VelocityRMS(r, transform.ISOBandLoHz, transform.ISOBandHiHz)
-		}, true
-	}
-	return nil, false
-}
 
 // respKey identifies one serialized trend response: pump, metric, and
 // point budget.
@@ -131,16 +116,10 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 	if metric == "" {
 		metric = "rms"
 	}
-	var fn func(*store.Record) float64
-	var ok bool
-	if live := s.ingester.Live; live != nil {
-		// Cache-served metrics: a pyramid rebuild after a warm-up reads
-		// precomputed scalars instead of re-running the per-record
-		// transforms. Values match trendMetricFor exactly.
-		fn, ok = live.MetricFunc(metric)
-	} else {
-		fn, ok = trendMetricFor(metric)
-	}
+	// Memo-served metrics: a pyramid rebuild after a warm-up reads
+	// folded scalars instead of re-running the per-record transforms.
+	// Values match ColdMetrics' functions exactly.
+	fn, ok := s.ingester.Live.MetricFunc(metric)
 	if !ok {
 		writeErr(w, http.StatusBadRequest, "unknown metric %q (want rms or vrms)", metric)
 		return

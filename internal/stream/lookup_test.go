@@ -59,14 +59,14 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 				t.Error("Ensure: scalars diverged from the transforms")
 			}
 		}},
-		{name: "Da", needsDa: true, plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
+		{name: "Da", needsDa: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
 			want, wantErr := base.Da(rec)
 			got, err := ls.Da(rec, base)
 			if !eqF64(got, want) || (err == nil) != (wantErr == nil) {
 				t.Errorf("Da = (%g, %v), want (%g, %v)", got, err, want, wantErr)
 			}
 		}},
-		{name: "DaSeries", needsDa: true, plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
+		{name: "DaSeries", needsDa: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
 			want, _ := base.Da(rec)
 			days, das := ls.DaSeries([]*store.Record{rec}, []int{0}, base)
 			if len(das) != 1 || !eqF64(das[0], want) || days[0] != rec.ServiceDays {
@@ -126,7 +126,7 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 				}
 
 				// Asking again is a hit and never a second fold — except
-				// for the one entry point that may not plant the record.
+				// for the entry points that may not plant the record.
 				before = readCounters()
 				en.call(t, ls, rec)
 				again := counters{hits: 1}
@@ -143,8 +143,9 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 
 // TestMissFoldsOnce pins the miss path: a lookup of a never-folded
 // record runs the fold and nothing after it. One FaultReport is one
-// Detect (the parent ran the fold's and then its own); one Da needs no
-// harmonic beyond the two the fold extracted from its one PSD.
+// Detect (the parent ran the fold's and then its own); the Da of a
+// folded record is a hit, scored by the fold from the two harmonic
+// variants of its one PSD.
 func TestMissFoldsOnce(t *testing.T) {
 	base := trainBaseline(t, feature.Options{})
 	det := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{MinSamples: 256})
@@ -168,12 +169,13 @@ func TestMissFoldsOnce(t *testing.T) {
 
 	rec = mkRec(7, 2, 256)
 	wantDa, _ := base.Da(rec)
+	ls.Fold(rec)
 	c0 = readCounters()
 	if got, _ := ls.Da(rec, base); !eqF64(got, wantDa) {
 		t.Fatalf("Da = %g, want %g", got, wantDa)
 	}
-	if got := readCounters().since(c0); got != (counters{folds: 1, misses: 1}) {
-		t.Errorf("counters moved %+v, want one fold and one miss", got)
+	if got := readCounters().since(c0); got != (counters{hits: 1}) {
+		t.Errorf("counters moved %+v, want one hit", got)
 	}
 	f := ls.feat(rec)
 	f.mu.Lock()
@@ -185,7 +187,7 @@ func TestMissFoldsOnce(t *testing.T) {
 	}
 }
 
-// TestHarmonicsLeavesUnfoldedRecordsOut pins the one stated exception:
+// TestHarmonicsLeavesUnfoldedRecordsOut pins one stated exception:
 // the fit's corpus scan may meet cold-tier records that are not in the
 // hot store, and must not plant them in the memo.
 func TestHarmonicsLeavesUnfoldedRecordsOut(t *testing.T) {
@@ -204,6 +206,30 @@ func TestHarmonicsLeavesUnfoldedRecordsOut(t *testing.T) {
 	}
 	if ls.Size() != 1 || pumpCacheLen(ls, 2) != 1 {
 		t.Fatalf("Harmonics planted an unfolded record: size %d, pump memo %d", ls.Size(), pumpCacheLen(ls, 2))
+	}
+}
+
+// TestMemoHarmonicsHoldOnlyWhatTheyKeep: a harmonic the memo keeps for
+// the life of a record owns an array of exactly its peaks, not the one
+// FindPeaks grew to every local maximum of the spectrum.
+func TestMemoHarmonicsHoldOnlyWhatTheyKeep(t *testing.T) {
+	base := trainBaseline(t, feature.Options{})
+	ls := NewLiveState(Config{})
+	ls.SetBaseline(base)
+	rec := simRec(t, 1, 90, 1024)
+	if h := feature.HarmonicOfRecord(rec, feature.Options{}); cap(h.Peaks) == len(h.Peaks) {
+		t.Fatalf("fixture: the extraction kept all %d local maxima it found; want a truncated one", cap(h.Peaks))
+	}
+	f := ls.feat(rec)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.harms) != 2 {
+		t.Fatalf("%d harmonic slots, want the raw and the baseline's", len(f.harms))
+	}
+	for _, s := range f.harms {
+		if len(s.val.Peaks) == 0 || cap(s.val.Peaks) != len(s.val.Peaks) {
+			t.Errorf("options %+v: %d peaks in an array of %d", s.key, len(s.val.Peaks), cap(s.val.Peaks))
+		}
 	}
 }
 

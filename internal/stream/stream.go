@@ -14,10 +14,12 @@
 // recomputed from scratch — not merely close. The global-but-cheap
 // steps (mean shift outlier detection, moving-average smoothing) still
 // run over the full scalar series on every query; only the expensive
-// per-record transforms are O(new data). The equivalence property
+// per-record transforms are O(new data). There is no batch mode beside
+// it: every engine reads through a LiveState. The equivalence property
 // harness (live_test.go at the repository root) ingests fleets in
-// randomized orders and asserts the incremental and batch pipelines
-// agree at every prefix.
+// randomized orders and asserts, at every prefix, that the engine's
+// trends, scores and fault reports equal the pure functions' —
+// Engine.BatchCleanTrend, Baseline.Da, FaultDetector.Detect.
 //
 // There is one memo protocol, LiveState.lookup: every entry point
 // (Fold, Ensure, Da, DaSeries, Harmonics, FaultReport, MetricFunc,
@@ -36,6 +38,7 @@
 package stream
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,9 +142,18 @@ func (f *Feat) harmonic(rec *store.Record, opt feature.Options) (feature.Harmoni
 	if h, ok := f.harms.get(opt); ok {
 		return h, false
 	}
-	h := feature.HarmonicOfRecord(rec, opt)
+	h := own(feature.HarmonicOfRecord(rec, opt))
 	f.harms.put(opt, h, maxHarmSlots)
 	return h, true
+}
+
+// own gives h a peak list of its own, exactly as long as it is: the
+// memo keeps a harmonic for the life of its record, and the list
+// ExtractHarmonic returns sits in FindPeaks' array of every local
+// maximum.
+func own(h feature.Harmonic) feature.Harmonic {
+	h.Peaks = slices.Clip(slices.Clone(h.Peaks))
+	return h
 }
 
 // score is base.Da(rec). With the baseline's harmonic already in its
@@ -184,13 +196,15 @@ type pumpState struct {
 	feats map[*store.Record]*Feat
 }
 
-// LiveState is the process-wide incremental feature cache, safe for
-// concurrent use. One instance is shared by the write seam
-// (stream.Ingester behind REST ingest, and the WAL-recovery warm-up)
-// and the analysis readers (engine trend cleaning, fleet reports,
-// fault status, trend endpoints). The mote gateway stores through the
-// same seam but has never been handed a live state: its records fold
-// on first read.
+// LiveState is the incremental feature cache, safe for concurrent use:
+// the one analysis path. Every vibepm.Engine builds one with itself and
+// reads every per-record value through it (trend cleaning, fit, scores,
+// fleet reports, fault status); a restapi.Server has its own for the
+// trend endpoint unless WithLive hands it the engine's, which is how a
+// node shares one instance between the write seam (stream.Ingester
+// behind REST ingest, and the WAL-recovery warm-up) and the readers.
+// The mote gateway stores through the same seam but has never been
+// handed a live state: its records fold on first read.
 type LiveState struct {
 	cfg      Config
 	baseline atomic.Pointer[feature.Baseline]
@@ -250,9 +264,10 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 // DSP. Each call counts exactly once: a miss if it ran DSP (the fold,
 // or want's fill), a hit otherwise.
 //
-// plant=false is Harmonics' exception: a record that is not resident
-// is left out of the memo; lookup counts the miss and returns nil, and
-// the caller computes the one value it wants.
+// plant=false is the exception of Harmonics and Da, which may be asked
+// about records no store holds: a record that is not resident is left
+// out of the memo; lookup counts the miss and returns nil, and the
+// caller computes the one value it wants.
 //
 // pre, when non-nil, is rec's bundle already folded off the memo
 // (foldDetached): a miss plants it and counts the miss its fold was; if
@@ -305,21 +320,24 @@ func (ls *LiveState) computeFeat(rec *store.Record, f *Feat) {
 		// The raw-option variant plus the baseline's.
 		f.harms = make(slots[feature.Options, feature.Harmonic], 0, 2)
 	}
-	freq, psd := transform.PSD(rec)
-	f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
-	// ExtractHarmonic over this PSD is exactly HarmonicOfRecord: both
-	// feed the same transform.PSDInto output into the same peak search.
-	h := feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic)
-	f.harms.put(ls.cfg.Harmonic, h, maxHarmSlots)
-	if base != nil {
-		if base.Opt != ls.cfg.Harmonic {
+	// The spectrum lives in pooled scratch: the bundle keeps only what
+	// is derived from it.
+	transform.UsePSD(rec, func(freq, psd []float64) {
+		f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
+		// ExtractHarmonic over this PSD is exactly HarmonicOfRecord: both
+		// feed the same transform.PSDInto output into the same peak search.
+		h := own(feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic))
+		f.harms.put(ls.cfg.Harmonic, h, maxHarmSlots)
+		if base != nil && base.Opt != ls.cfg.Harmonic {
 			// At the training rate the baseline's Hz-pinned window is the
 			// raw options' bin count again: one extraction serves both.
 			if base.Opt.Resolved(freq, psd) != ls.cfg.Harmonic.Resolved(freq, psd) {
-				h = feature.ExtractHarmonic(freq, psd, base.Opt)
+				h = own(feature.ExtractHarmonic(freq, psd, base.Opt))
 			}
 			f.harms.put(base.Opt, h, maxHarmSlots)
 		}
+	})
+	if base != nil {
 		f.score(rec, base)
 	}
 	if det := ls.detector.Load(); det != nil {
@@ -475,17 +493,23 @@ func OffsetRowsOf(feats []*Feat) [][]float64 {
 }
 
 // Da returns the D_a score of one record against base, bit-identical
-// to base.Da(rec). A fold under the same baseline already scored it.
+// to base.Da(rec). A fold under the same baseline already scored it. A
+// record that is not resident is scored and left out of the memo: an
+// engine classifying fresh captures it never stores (an edge device
+// with a loaded model) must not keep each one's waveform alive.
 func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, error) {
 	var s daScore
-	ls.lookup(rec, true, nil, func(f *Feat) (dsp bool) { s, dsp = f.score(rec, base); return })
+	if ls.lookup(rec, false, nil, func(f *Feat) (dsp bool) { s, dsp = f.score(rec, base); return }) == nil {
+		return base.Da(rec)
+	}
 	return s.val, s.err
 }
 
 // DaSeries scores the selected records of one pump against base and
 // assembles the (service day, D_a) series in index order, skipping
 // records whose score errors — the same selection the batch trend
-// pipeline makes.
+// pipeline makes. recs is the series Ensure just made resident, so
+// every score is a memo read.
 func (ls *LiveState) DaSeries(recs []*store.Record, idx []int, base *feature.Baseline) (days, das []float64) {
 	scores := make([]daScore, len(idx))
 	par.ForEach(len(idx), 0, func(k int) {

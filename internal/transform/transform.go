@@ -120,6 +120,21 @@ func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64) {
 	return freq, psd
 }
 
+// psdScratch holds the (freq, psd) arrays UsePSD lends out.
+type psdScratch struct{ freq, psd []float64 }
+
+var psdPool = sync.Pool{New: func() any { return new(psdScratch) }}
+
+// UsePSD computes rec's PSD into pooled arrays and hands them to use,
+// which must not keep them: the allocation-free PSD for callers that
+// derive scalars and peak lists from the spectrum and keep only those.
+func UsePSD(rec *store.Record, use func(freq, psd []float64)) {
+	sc := psdPool.Get().(*psdScratch)
+	sc.freq, sc.psd = PSDInto(sc.freq, sc.psd, rec)
+	use(sc.freq, sc.psd)
+	psdPool.Put(sc)
+}
+
 // RMS computes the paper's combined RMS feature of a record:
 // r_mn = sqrt(Σ_l (rˡ_mn)²) with rˡ = ‖âˡ‖/√K, i.e. the root of the
 // summed per-axis vibration variances. It runs directly over the raw
@@ -191,15 +206,17 @@ const (
 // VelocityRMS returns the broadband vibration velocity of a record in
 // mm/s RMS, integrated over the band [loHz, hiHz] (pass 0, 0 for the
 // ISO band).
-func VelocityRMS(rec *store.Record, loHz, hiHz float64) float64 {
-	freq, psd := PSD(rec)
-	return VelocityRMSFromPSD(freq, psd, loHz, hiHz)
+func VelocityRMS(rec *store.Record, loHz, hiHz float64) (v float64) {
+	UsePSD(rec, func(freq, psd []float64) { v = VelocityRMSFromPSD(freq, psd, loHz, hiHz) })
+	return v
 }
 
 // VelocityRMSFromPSD is VelocityRMS over an already-computed
 // acceleration PSD — the entry point for callers (such as the
 // incremental analysis path) that extract the PSD once per record and
-// derive every spectral feature from it.
+// derive every spectral feature from it. It integrates in place:
+// VelocityPSD's per-bin value, summed in bin order over the band, with
+// no velocity spectrum materialised.
 func VelocityRMSFromPSD(freq, psd []float64, loHz, hiHz float64) float64 {
 	if loHz <= 0 {
 		loHz = ISOBandLoHz
@@ -207,11 +224,13 @@ func VelocityRMSFromPSD(freq, psd []float64, loHz, hiHz float64) float64 {
 	if hiHz <= 0 {
 		hiHz = ISOBandHiHz
 	}
-	vel := VelocityPSD(freq, psd)
 	var sum float64
-	for i := range vel {
-		if freq[i] >= loHz && freq[i] <= hiHz {
-			sum += vel[i]
+	for i := range psd {
+		// loHz > 0, so a bin in the band is never the DC bin VelocityPSD
+		// zeroes.
+		if f := freq[i]; f >= loHz && f <= hiHz {
+			w := 2 * math.Pi * f
+			sum += psd[i] * gToMMS2 * gToMMS2 / (w * w)
 		}
 	}
 	// The DCT PSD feature is per-bin power (already summed per bin), so

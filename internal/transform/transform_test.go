@@ -2,6 +2,7 @@ package transform
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"vibepm/internal/dsp"
@@ -145,6 +146,48 @@ func TestVelocityRMSKnownTone(t *testing.T) {
 	want := amp * 9806.65 / (2 * math.Pi * f0) / math.Sqrt2
 	if math.Abs(got-want) > 0.15*want {
 		t.Fatalf("velocity RMS %.3f mm/s, want ≈%.3f", got, want)
+	}
+}
+
+// TestVelocityRMSFromPSDInPlaceIsTheTwoStepIntegral: the in-place band
+// integral is bit-identical to the formulation it replaced —
+// materialise VelocityPSD, then sum its in-band bins in order — over
+// random spectra, sampling rates and bands (0 selects the ISO band).
+func TestVelocityRMSFromPSDInPlaceIsTheTwoStepIntegral(t *testing.T) {
+	twoStep := func(freq, psd []float64, loHz, hiHz float64) float64 {
+		if loHz <= 0 {
+			loHz = ISOBandLoHz
+		}
+		if hiHz <= 0 {
+			hiHz = ISOBandHiHz
+		}
+		vel := VelocityPSD(freq, psd)
+		var sum float64
+		for i := range vel {
+			if freq[i] >= loHz && freq[i] <= hiHz {
+				sum += vel[i]
+			}
+		}
+		return math.Sqrt(2 * sum)
+	}
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 500; trial++ {
+		k := 1 + rng.Intn(4096)
+		fs := []float64{150, 3200, 4000, 22050, 1 + rng.Float64()*1e5}[rng.Intn(5)]
+		freq, psd := make([]float64, k), make([]float64, k)
+		for i := range psd {
+			freq[i] = float64(i) * fs / (2 * float64(k))
+			psd[i] = rng.ExpFloat64() * math.Pow(10, -12+10*rng.Float64())
+		}
+		lo, hi := 0.0, 0.0
+		if trial%2 == 1 {
+			lo = rng.Float64() * fs / 4
+			hi = lo + rng.Float64()*fs/2
+		}
+		got, want := VelocityRMSFromPSD(freq, psd, lo, hi), twoStep(freq, psd, lo, hi)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (k=%d, fs=%g, band [%g, %g]): in place %v, two-step %v", trial, k, fs, lo, hi, got, want)
+		}
 	}
 }
 

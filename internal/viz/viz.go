@@ -162,95 +162,3 @@ func Plot(series []Series, cfg Config) string {
 	}
 	return b.String()
 }
-
-// Histogram renders values as a horizontal-bar histogram with the given
-// number of bins.
-func Histogram(values []float64, bins, width int) string {
-	if len(values) == 0 {
-		return "(no values)\n"
-	}
-	if bins <= 0 {
-		bins = 10
-	}
-	if width <= 0 {
-		width = 50
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts := make([]int, bins)
-	for _, v := range values {
-		b := int((v - lo) / (hi - lo) * float64(bins))
-		if b >= bins {
-			b = bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		left := lo + (hi-lo)*float64(i)/float64(bins)
-		barLen := 0
-		if maxCount > 0 {
-			barLen = c * width / maxCount
-		}
-		fmt.Fprintf(&b, "%10.4g |%s %d\n", left, strings.Repeat("#", barLen), c)
-	}
-	return b.String()
-}
-
-// Sparkline compresses a series into one line of block glyphs.
-func Sparkline(y []float64) string {
-	if len(y) == 0 {
-		return ""
-	}
-	glyphs := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := y[0], y[0]
-	for _, v := range y {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	var b strings.Builder
-	for _, v := range y {
-		idx := int((v - lo) / (hi - lo) * float64(len(glyphs)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(glyphs) {
-			idx = len(glyphs) - 1
-		}
-		b.WriteRune(glyphs[idx])
-	}
-	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

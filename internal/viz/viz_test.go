@@ -86,50 +86,3 @@ func TestPlotConstantSeries(t *testing.T) {
 		t.Fatal("constant point not plotted")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	values := []float64{0, 0.1, 0.1, 0.2, 0.9}
-	out := Histogram(values, 5, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("bins %d:\n%s", len(lines), out)
-	}
-	if !strings.Contains(out, "#") {
-		t.Fatal("no bars")
-	}
-	// The densest bin carries the longest bar.
-	longest, longestIdx := 0, -1
-	for i, l := range lines {
-		n := strings.Count(l, "#")
-		if n > longest {
-			longest, longestIdx = n, i
-		}
-	}
-	if longestIdx != 0 {
-		t.Fatalf("densest bin should be the first:\n%s", out)
-	}
-	if got := Histogram(nil, 5, 20); !strings.Contains(got, "no values") {
-		t.Fatal("empty histogram notice missing")
-	}
-	// Constant input occupies a single bin without dividing by zero.
-	if got := Histogram([]float64{2, 2, 2}, 4, 10); !strings.Contains(got, "#") {
-		t.Fatalf("constant histogram:\n%s", got)
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	out := Sparkline([]float64{0, 1, 2, 3})
-	if len([]rune(out)) != 4 {
-		t.Fatalf("sparkline length %d", len([]rune(out)))
-	}
-	runes := []rune(out)
-	if runes[0] == runes[3] {
-		t.Fatal("sparkline flat despite rising data")
-	}
-	if Sparkline(nil) != "" {
-		t.Fatal("empty sparkline should be empty")
-	}
-	if got := Sparkline([]float64{7, 7}); len([]rune(got)) != 2 {
-		t.Fatal("constant sparkline length")
-	}
-}

@@ -14,13 +14,12 @@ import (
 // liveBench is the warm 10k-measurement deployment the streaming
 // benchmarks run against: a 40-pump fleet at the default 4
 // measurements/day over 63 days (10,080 trend captures + 120 labelled
-// ones), one live engine with every record folded, and one batch engine
-// over the very same stores. Pools of fresh captures feed the
-// per-iteration ingests so no two iterations collide; a pool's position
-// outlives one benchmark run, so a -count rerun continues down it.
+// ones) and one fitted engine with every record folded. Pools of fresh
+// captures feed the per-iteration ingests so no two iterations collide;
+// a pool's position outlives one benchmark run, so a -count rerun
+// continues down it.
 type liveBench struct {
-	liveEng  *vibepm.Engine
-	batchEng *vibepm.Engine
+	eng *vibepm.Engine
 
 	// ingestLS is a dedicated live state (baseline installed) for the
 	// pure fold-cost case, isolated from the trend engines' caches.
@@ -64,20 +63,15 @@ func newLiveBench() (*liveBench, error) {
 		return nil, err
 	}
 	f := &liveBench{}
-	f.liveEng = vibepm.NewWithStores(vibepm.Options{}, ds.Measurements, ds.Labels)
-	f.liveEng.EnableLive()
-	if err := f.liveEng.Fit(); err != nil {
+	f.eng = vibepm.NewWithStores(vibepm.Options{}, ds.Measurements, ds.Labels)
+	if err := f.eng.Fit(); err != nil {
 		return nil, err
 	}
 	// Warm after Fit so every fold carries the baseline's harmonic
 	// variant and D_a — the steady state of a deployment that ingested
 	// its history through the live path.
-	f.liveEng.WarmLive()
-	f.batchEng = vibepm.NewWithStores(vibepm.Options{}, ds.Measurements, ds.Labels)
-	if err := f.batchEng.Fit(); err != nil {
-		return nil, err
-	}
-	base, err := f.liveEng.Baseline()
+	f.eng.WarmLive()
+	base, err := f.eng.Baseline()
 	if err != nil {
 		return nil, err
 	}
@@ -127,22 +121,23 @@ func BenchmarkLiveIngest(b *testing.B) {
 }
 
 // BenchmarkLiveTrend is the trend rebuild after one new measurement
-// through the incremental path; BenchmarkCleanTrendBatch10k is the same
-// rebuild through the batch branch on the same store. The batch case is
-// declared, and so runs, first: its few dozen ingests leave the store
-// as good as new, while LiveTrend's thousands lengthen every series the
-// batch branch would then have to score.
+// through the live memo; BenchmarkCleanTrendBatch10k is the same
+// rebuild recomputed from raw waveforms by the sequential reference,
+// BatchCleanTrend, on the same store. The reference case is declared,
+// and so runs, first: its few dozen ingests leave the store as good as
+// new, while LiveTrend's thousands lengthen every series the reference
+// would then have to score.
 func BenchmarkCleanTrendBatch10k(b *testing.B) {
 	f := liveFixture(b)
-	benchmarkTrendAfterIngest(b, f.batchEng, f.batchPool, &f.batchNext)
+	benchmarkTrendAfterIngest(b, f.eng, f.eng.BatchCleanTrend, f.batchPool, &f.batchNext)
 }
 
 func BenchmarkLiveTrend(b *testing.B) {
 	f := liveFixture(b)
-	benchmarkTrendAfterIngest(b, f.liveEng, f.livePool, &f.liveNext)
+	benchmarkTrendAfterIngest(b, f.eng, f.eng.CleanTrend, f.livePool, &f.liveNext)
 }
 
-func benchmarkTrendAfterIngest(b *testing.B, eng *vibepm.Engine, pool []*store.Record, next *int) {
+func benchmarkTrendAfterIngest(b *testing.B, eng *vibepm.Engine, trend func(int, vibepm.AgeFunc) ([]vibepm.TrendPoint, error), pool []*store.Record, next *int) {
 	b.ReportAllocs()
 	for b.Loop() {
 		rec := pool[*next%len(pool)]
@@ -153,7 +148,7 @@ func benchmarkTrendAfterIngest(b *testing.B, eng *vibepm.Engine, pool []*store.R
 		if stored, err := eng.Ingest(rec); err != nil || !stored {
 			b.Fatalf("pool of %d fresh captures spent after %d ingests (stored=%v, err=%v): shorten -benchtime or grow the pool", len(pool), *next, stored, err)
 		}
-		if _, err := eng.CleanTrend(rec.PumpID, serviceAge); err != nil {
+		if _, err := trend(rec.PumpID, serviceAge); err != nil {
 			b.Fatal(err)
 		}
 	}

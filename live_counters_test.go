@@ -18,7 +18,6 @@ func liveLookups() (hits, misses uint64) {
 func warmedLiveEngine(t *testing.T, seed int64) *Engine {
 	t.Helper()
 	eng, _ := fitEngine(t, seed)
-	eng.EnableLive()
 	if n := eng.WarmLive(); n != eng.Measurements().Len() {
 		t.Fatalf("warmed %d of %d records", n, eng.Measurements().Len())
 	}

@@ -1,16 +1,19 @@
 package vibepm_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"vibepm"
+	"vibepm/internal/core"
 	"vibepm/internal/dataset"
 	"vibepm/internal/physics"
 	"vibepm/internal/store"
@@ -64,26 +67,20 @@ func streamRecords(ds *dataset.Dataset) []*vibepm.Record {
 	return out
 }
 
-// newEquivEngines builds the live engine and the batch reference
-// engine over separate stores holding only the labelled records, fits
-// both, and returns them. Both see identical store contents at fit
-// time, so their trained baselines are value-identical.
-func newEquivEngines(t *testing.T, ds *dataset.Dataset) (liveEng, batchEng *vibepm.Engine) {
+// newLiveEngine builds an engine over a store holding only the
+// labelled records and fits it. Every proof below compares what this
+// engine serves through its live state with a pure function of the same
+// records: BatchCleanTrend, Baseline.Da, FaultDetector.Detect.
+func newLiveEngine(t *testing.T, ds *dataset.Dataset) *vibepm.Engine {
 	t.Helper()
-	liveEng = vibepm.NewWithStores(vibepm.Options{}, store.NewMeasurements(), ds.Labels)
-	liveEng.EnableLive()
-	batchEng = vibepm.NewWithStores(vibepm.Options{}, store.NewMeasurements(), ds.Labels)
+	eng := vibepm.NewWithStores(vibepm.Options{}, store.NewMeasurements(), ds.Labels)
 	for _, lr := range ds.LabelledRecords {
-		liveEng.Ingest(lr.Record)
-		batchEng.Ingest(lr.Record)
+		eng.Ingest(lr.Record)
 	}
-	if err := liveEng.Fit(); err != nil {
+	if err := eng.Fit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := batchEng.Fit(); err != nil {
-		t.Fatal(err)
-	}
-	return liveEng, batchEng
+	return eng
 }
 
 func identityAge(_ int, serviceDays float64) float64 { return serviceDays }
@@ -92,47 +89,132 @@ func identityAge(_ int, serviceDays float64) float64 { return serviceDays }
 func diffTrends(t *testing.T, ctx string, got, want []vibepm.TrendPoint) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: live trend has %d points, batch %d", ctx, len(got), len(want))
+		t.Fatalf("%s: trend has %d points, reference %d", ctx, len(got), len(want))
 	}
 	for i := range got {
 		if math.Abs(got[i].AgeDays-want[i].AgeDays) > equivTol ||
 			math.Abs(got[i].Da-want[i].Da) > equivTol {
-			t.Fatalf("%s: point %d diverged: live (%.12g, %.12g) batch (%.12g, %.12g)",
+			t.Fatalf("%s: point %d diverged: served (%.12g, %.12g) reference (%.12g, %.12g)",
 				ctx, i, got[i].AgeDays, got[i].Da, want[i].AgeDays, want[i].Da)
 		}
 	}
 }
 
-// compareTrend checks one pump's live CleanTrend against the batch
-// engine's CleanTrend AND the cache-free reference recomputation.
-func compareTrend(t *testing.T, ctx string, liveEng, batchEng *vibepm.Engine, pumpID int) {
+// compareTrend checks one pump's CleanTrend — memo-served, cached —
+// against the sequential, cache-free BatchCleanTrend.
+func compareTrend(t *testing.T, ctx string, eng *vibepm.Engine, pumpID int) {
 	t.Helper()
-	liveTrend, liveErr := liveEng.CleanTrend(pumpID, identityAge)
-	batchTrend, batchErr := batchEng.CleanTrend(pumpID, identityAge)
-	if (liveErr == nil) != (batchErr == nil) {
-		t.Fatalf("%s: pump %d error parity broken: live %v, batch %v", ctx, pumpID, liveErr, batchErr)
+	got, gotErr := eng.CleanTrend(pumpID, identityAge)
+	want, wantErr := eng.BatchCleanTrend(pumpID, identityAge)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: pump %d error parity broken: served %v, reference %v", ctx, pumpID, gotErr, wantErr)
 	}
-	if liveErr != nil {
-		return
+	if gotErr == nil {
+		diffTrends(t, ctx, got, want)
 	}
-	diffTrends(t, ctx, liveTrend, batchTrend)
-	refTrend, refErr := liveEng.BatchCleanTrend(pumpID, identityAge)
-	if refErr != nil {
-		t.Fatalf("%s: pump %d reference recompute: %v", ctx, pumpID, refErr)
-	}
-	diffTrends(t, ctx+" (vs reference)", liveTrend, refTrend)
 }
 
-// TestLiveBatchEquivalenceProperty is the batch-equivalence proof
-// harness: the same dataset is streamed into a live-path engine in 50+
-// randomized orders and batch sizes, and at every prefix the touched
-// pump's incremental trend must match the batch engine (and the
-// cache-free reference) within 1e-9. Mid-stream and final snapshots
-// extend the check to the whole fleet, zone classifications included;
-// the final snapshot also proves RUL equivalence. Every fourth trial
-// ingests through the durable wiring a vibed with a WAL has, where the
-// fold runs beside the append and is planted after it: the same
-// prefixes, compared after overlapped ingests.
+// referenceClassifier rebuilds the engine's fitted zone classifier from
+// its saved model — the zones' reference, computed off the engine.
+func referenceClassifier(t *testing.T, eng *vibepm.Engine) *core.GaussianClassifier {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := eng.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var st vibepm.ModelState
+	if err := json.Unmarshal(buf.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	clf, err := core.NewGaussianFromState(st.Classifier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clf
+}
+
+// compareZone checks one record's served D_a bitwise against
+// Baseline().Da(rec), and its zone and posteriors against the reference
+// classifier applied to that score.
+func compareZone(t *testing.T, ctx string, eng *vibepm.Engine, clf *core.GaussianClassifier, rec *vibepm.Record) {
+	t.Helper()
+	base, err := eng.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantErr := base.Da(rec)
+	got, gotErr := eng.Da(rec)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: pump %d D_a error parity: served %v, reference %v", ctx, rec.PumpID, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: pump %d D_a %v, reference %v", ctx, rec.PumpID, got, want)
+	}
+	zone, probs, err := eng.Classify(rec)
+	if err != nil {
+		t.Fatalf("%s: pump %d classify: %v", ctx, rec.PumpID, err)
+	}
+	if wz, wp := clf.Predict(want), clf.Probabilities(want); zone != wz || !reflect.DeepEqual(probs, wp) {
+		t.Fatalf("%s: pump %d zone %v %v, reference %v %v", ctx, rec.PumpID, zone, probs, wz, wp)
+	}
+}
+
+// compareRUL learns the lifetime models through the engine and checks
+// them, and every pump's RUL, against the pure pipeline: RANSAC over the
+// concatenated BatchCleanTrends, and the learned models' projection of
+// each pump's BatchCleanTrend.
+func compareRUL(t *testing.T, ctx string, eng *vibepm.Engine) {
+	t.Helper()
+	models, err := eng.LearnLifetimeModels(identityAge)
+	if err != nil {
+		t.Fatalf("%s: LearnLifetimeModels: %v", ctx, err)
+	}
+	var points []vibepm.TrendPoint
+	pumps := eng.Measurements().Pumps()
+	for _, id := range pumps {
+		trend, err := eng.BatchCleanTrend(id, identityAge)
+		if err == nil {
+			points = append(points, trend...)
+		}
+	}
+	boundary, _ := eng.Boundary()
+	want, err := core.LearnLifetimeModels(points, boundary, core.LearnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(models, want) {
+		t.Fatalf("%s: lifetime models %+v, reference %+v", ctx, models, want)
+	}
+	for _, id := range pumps {
+		rul, model, err := eng.PredictRUL(id, identityAge)
+		trend, trendErr := eng.BatchCleanTrend(id, identityAge)
+		var wantRUL float64
+		var wantModel int
+		if trendErr == nil {
+			wantRUL, wantModel, trendErr = models.PredictRULForTrend(trend)
+		}
+		if (err == nil) != (trendErr == nil) {
+			t.Fatalf("%s: pump %d RUL error parity: served %v, reference %v", ctx, id, err, trendErr)
+		}
+		if err == nil && (model != wantModel || math.Abs(rul-wantRUL) > equivTol) {
+			t.Fatalf("%s: pump %d RUL (%.12g, model %d), reference (%.12g, model %d)", ctx, id, rul, model, wantRUL, wantModel)
+		}
+	}
+}
+
+// TestLiveBatchEquivalenceProperty is the equivalence proof harness:
+// the same dataset is streamed into an engine in 50+ randomized orders
+// and batch sizes, and at every prefix the touched pump's memo-served
+// trend must match BatchCleanTrend within 1e-9. Mid-stream and final
+// snapshots extend the check to the whole fleet — every latest record's
+// D_a bitwise against Baseline.Da, its zone against the reference
+// classifier — and every tenth trial's final snapshot proves the
+// lifetime models and RULs against the pure pipeline. Every fourth
+// trial ingests through the durable wiring a vibed with a WAL has,
+// where the fold runs beside the append and is planted after it.
 func TestLiveBatchEquivalenceProperty(t *testing.T) {
 	ds := liveCorpus(t)
 	canonical := streamRecords(ds)
@@ -148,16 +230,17 @@ func TestLiveBatchEquivalenceProperty(t *testing.T) {
 		recs := append([]*vibepm.Record(nil), canonical...)
 		rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 		batchSize := 1 + rng.Intn(8)
-		liveEng, batchEng := newEquivEngines(t, ds)
-		ingest := liveEng.Ingest
+		eng := newLiveEngine(t, ds)
+		clf := referenceClassifier(t, eng)
+		ingest := eng.Ingest
 		var durable *store.Durable
 		if trial%4 == 1 {
 			var err error
-			durable, _, err = store.OpenDurable(t.TempDir(), store.DurableOptions{Store: liveEng.Measurements()})
+			durable, _, err = store.OpenDurable(t.TempDir(), store.DurableOptions{Store: eng.Measurements()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			in := stream.Ingester{Store: liveEng.Measurements(), Durable: durable, Live: liveEng.Live()}
+			in := stream.Ingester{Store: eng.Measurements(), Durable: durable, Live: eng.Live()}
 			ingest = in.Ingest
 		}
 		snapshots := map[int]bool{
@@ -166,65 +249,24 @@ func TestLiveBatchEquivalenceProperty(t *testing.T) {
 			len(recs):         true,
 		}
 		for lo := 0; lo < len(recs); lo += batchSize {
-			hi := lo + batchSize
-			if hi > len(recs) {
-				hi = len(recs)
-			}
+			hi := min(lo+batchSize, len(recs))
 			for _, rec := range recs[lo:hi] {
 				if _, err := ingest(rec); err != nil {
-					t.Fatalf("trial %d: live ingest: %v", trial, err)
+					t.Fatalf("trial %d: ingest: %v", trial, err)
 				}
-				batchEng.Ingest(rec)
 			}
 			// Every prefix: the pump the batch last touched must agree.
-			compareTrend(t, "prefix", liveEng, batchEng, recs[hi-1].PumpID)
+			compareTrend(t, fmt.Sprintf("trial %d prefix", trial), eng, recs[hi-1].PumpID)
 			if snapshots[hi] {
-				// Mid-stream snapshot: the whole fleet agrees, zones
-				// included.
-				for _, id := range liveEng.Measurements().Pumps() {
-					compareTrend(t, "snapshot", liveEng, batchEng, id)
-					latest := liveEng.Measurements().Latest(id)
-					lz, lp, lerr := liveEng.Classify(latest)
-					bz, bp, berr := batchEng.Classify(latest)
-					if (lerr == nil) != (berr == nil) {
-						t.Fatalf("trial %d: pump %d classify error parity: %v vs %v", trial, id, lerr, berr)
-					}
-					if lerr != nil {
-						continue
-					}
-					if lz != bz {
-						t.Fatalf("trial %d: pump %d zone %v != %v", trial, id, lz, bz)
-					}
-					for zone, p := range bp {
-						if math.Abs(lp[zone]-p) > equivTol {
-							t.Fatalf("trial %d: pump %d P(%v) %.12g != %.12g", trial, id, zone, lp[zone], p)
-						}
-					}
+				ctx := fmt.Sprintf("trial %d snapshot %d", trial, hi)
+				for _, id := range eng.Measurements().Pumps() {
+					compareTrend(t, ctx, eng, id)
+					compareZone(t, ctx, eng, clf, eng.Measurements().Latest(id))
 				}
 			}
 		}
-		// Final snapshot: RUL equivalence over the fully-streamed store.
 		if trial%10 == 0 {
-			if _, err := liveEng.LearnLifetimeModels(identityAge); err != nil {
-				t.Fatalf("trial %d: live LearnLifetimeModels: %v", trial, err)
-			}
-			if _, err := batchEng.LearnLifetimeModels(identityAge); err != nil {
-				t.Fatalf("trial %d: batch LearnLifetimeModels: %v", trial, err)
-			}
-			for _, id := range liveEng.Measurements().Pumps() {
-				lr, lm, lerr := liveEng.PredictRUL(id, identityAge)
-				br, bm, berr := batchEng.PredictRUL(id, identityAge)
-				if (lerr == nil) != (berr == nil) {
-					t.Fatalf("trial %d: pump %d RUL error parity: %v vs %v", trial, id, lerr, berr)
-				}
-				if lerr != nil {
-					continue
-				}
-				if lm != bm || math.Abs(lr-br) > equivTol {
-					t.Fatalf("trial %d: pump %d RUL (%.12g, model %d) != (%.12g, model %d)",
-						trial, id, lr, lm, br, bm)
-				}
-			}
+			compareRUL(t, fmt.Sprintf("trial %d final", trial), eng)
 		}
 		if durable != nil {
 			durable.Abort()
@@ -249,7 +291,7 @@ type liveGolden struct {
 // guarantee forbids.
 func TestLiveGoldenFleet(t *testing.T) {
 	ds := liveCorpus(t)
-	liveEng, _ := newEquivEngines(t, ds)
+	liveEng := newLiveEngine(t, ds)
 	for _, rec := range streamRecords(ds) {
 		liveEng.Ingest(rec)
 	}
@@ -301,85 +343,91 @@ func TestLiveGoldenFleet(t *testing.T) {
 func keyOf(id int) string { return fmt.Sprintf("pump-%02d", id) }
 
 // TestLiveTrendEdgeCases table-drives the trend-path edge cases the
-// incremental cache must invalidate through: an empty series, a single
-// point, a maintenance-event reset (live cache dropped, history
-// replaced), and a dead-sensor gap. In every case the live result must
-// carry the exact error/trend parity of the batch reference.
+// live memo must invalidate through: an empty series, a single point, a
+// maintenance-event reset (memo dropped, history replaced), a
+// dead-sensor gap, and a baseline swap (every D_a the memo holds scored
+// against a baseline no longer in force). In every case the served
+// trend must carry the exact error/trend parity of BatchCleanTrend.
 func TestLiveTrendEdgeCases(t *testing.T) {
 	ds := liveCorpus(t)
+	ingestDays := func(eng *vibepm.Engine, pump int, days ...float64) {
+		for _, day := range days {
+			eng.Ingest(ds.Capture(pump, day))
+		}
+	}
 	cases := []struct {
 		name string
-		run  func(t *testing.T, liveEng, batchEng *vibepm.Engine)
+		run  func(t *testing.T, eng *vibepm.Engine)
 	}{
 		{
 			name: "empty series",
-			run: func(t *testing.T, liveEng, batchEng *vibepm.Engine) {
-				// Pump 999 has no measurements: both paths must agree on
-				// the error.
-				compareTrend(t, "empty", liveEng, batchEng, 999)
+			run: func(t *testing.T, eng *vibepm.Engine) {
+				// Pump 999 has no measurements: both must agree on the error.
+				compareTrend(t, "empty", eng, 999)
 			},
 		},
 		{
 			name: "single point",
-			run: func(t *testing.T, liveEng, batchEng *vibepm.Engine) {
+			run: func(t *testing.T, eng *vibepm.Engine) {
 				rec := ds.Capture(0, 3.25)
-				one := &vibepm.Record{
+				eng.Ingest(&vibepm.Record{
 					PumpID:       999,
 					ServiceDays:  rec.ServiceDays,
 					SampleRateHz: rec.SampleRateHz,
 					ScaleG:       rec.ScaleG,
 					Raw:          rec.Raw,
-				}
-				liveEng.Ingest(one)
-				batchEng.Ingest(one)
-				compareTrend(t, "single", liveEng, batchEng, 999)
+				})
+				compareTrend(t, "single", eng, 999)
 			},
 		},
 		{
 			name: "maintenance-event reset",
-			run: func(t *testing.T, liveEng, batchEng *vibepm.Engine) {
-				for day := 1; day <= 10; day++ {
-					rec := ds.Capture(3, float64(day))
-					liveEng.Ingest(rec)
-					batchEng.Ingest(rec)
-				}
-				compareTrend(t, "pre-maintenance", liveEng, batchEng, 3)
-				// The overhaul: the live cache for the pump is dropped and
+			run: func(t *testing.T, eng *vibepm.Engine) {
+				ingestDays(eng, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+				compareTrend(t, "pre-maintenance", eng, 3)
+				// The overhaul: the pump's memo is dropped and
 				// post-maintenance captures stream in. The next query must
-				// rebuild cleanly from the cache-free state and still match
-				// batch.
-				liveEng.Live().ResetPump(3)
-				for day := 11; day <= 16; day++ {
-					rec := ds.Capture(3, float64(day))
-					liveEng.Ingest(rec)
-					batchEng.Ingest(rec)
-				}
-				compareTrend(t, "post-maintenance", liveEng, batchEng, 3)
+				// rebuild cleanly from the empty memo.
+				eng.Live().ResetPump(3)
+				ingestDays(eng, 3, 11, 12, 13, 14, 15, 16)
+				compareTrend(t, "post-maintenance", eng, 3)
 			},
 		},
 		{
 			name: "dead-sensor gap",
-			run: func(t *testing.T, liveEng, batchEng *vibepm.Engine) {
+			run: func(t *testing.T, eng *vibepm.Engine) {
 				// Ten days of data, ten days of silence, then two late
 				// captures: the smoothing windows straddle the gap.
-				for day := 1; day <= 10; day++ {
-					rec := ds.Capture(6, float64(day))
-					liveEng.Ingest(rec)
-					batchEng.Ingest(rec)
+				ingestDays(eng, 6, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 19.5, 19.9)
+				compareTrend(t, "gap", eng, 6)
+			},
+		},
+		{
+			name: "baseline swap",
+			run: func(t *testing.T, eng *vibepm.Engine) {
+				ingestDays(eng, 5, 1, 2, 3, 4, 5, 6, 7, 8)
+				compareTrend(t, "first baseline", eng, 5)
+				// A model trained with other extraction options replaces the
+				// baseline the memo scored every record against.
+				other := vibepm.NewWithStores(vibepm.Options{Harmonic: vibepm.HarmonicOptions{NumPeaks: 10}}, eng.Measurements(), ds.Labels)
+				if err := other.Fit(); err != nil {
+					t.Fatal(err)
 				}
-				for _, day := range []float64{19.5, 19.9} {
-					rec := ds.Capture(6, day)
-					liveEng.Ingest(rec)
-					batchEng.Ingest(rec)
+				var model bytes.Buffer
+				if err := other.SaveModel(&model); err != nil {
+					t.Fatal(err)
 				}
-				compareTrend(t, "gap", liveEng, batchEng, 6)
+				if err := eng.LoadModel(&model); err != nil {
+					t.Fatal(err)
+				}
+				compareTrend(t, "second baseline", eng, 5)
+				compareZone(t, "second baseline", eng, referenceClassifier(t, eng), eng.Measurements().Latest(5))
 			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			liveEng, batchEng := newEquivEngines(t, ds)
-			tc.run(t, liveEng, batchEng)
+			tc.run(t, newLiveEngine(t, ds))
 		})
 	}
 }

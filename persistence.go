@@ -17,7 +17,9 @@ import (
 // learned) the lifetime models. It lets a trained pipeline be shipped
 // to the plant floor without the training corpus.
 type ModelState struct {
-	Version    int                  `json:"version"`
+	Version int `json:"version"`
+	// Options records the saving engine's options; LoadModel does not
+	// adopt them (the baseline carries what scoring needs).
 	Options    Options              `json:"options"`
 	Baseline   *feature.Baseline    `json:"baseline"`
 	Classifier core.ClassifierState `json:"classifier"`
@@ -51,7 +53,11 @@ func (e *Engine) SaveModel(w io.Writer) error {
 }
 
 // LoadModel restores a fitted pipeline previously written by SaveModel.
-// The stores are untouched; only the trained state is replaced.
+// The stores are untouched; only the trained state is replaced. The
+// engine keeps the Options it was built with: its live state folds with
+// them and a later Fit trains with them, while the loaded baseline
+// carries the extraction options it scores with. The model's own
+// Options field is not read.
 func (e *Engine) LoadModel(r io.Reader) error {
 	var state ModelState
 	if err := json.NewDecoder(r).Decode(&state); err != nil {
@@ -67,15 +73,12 @@ func (e *Engine) LoadModel(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("vibepm: restore classifier: %w", err)
 	}
-	e.opts = state.Options.withDefaults()
 	e.baseline = state.Baseline
 	e.classifier = classifier
 	e.boundary = state.Boundary
 	e.models = state.Models
-	if e.live != nil {
-		// As Fit does: folds score D_a against the installed baseline.
-		e.live.SetBaseline(e.baseline)
-	}
+	// As Fit does: folds score D_a against the installed baseline.
+	e.live.SetBaseline(e.baseline)
 	return nil
 }
 

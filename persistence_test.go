@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -77,9 +78,9 @@ func TestSaveLoadModelRoundtrip(t *testing.T) {
 	}
 }
 
-// TestLoadModelInstallsLiveBaseline: a live engine restored from a
-// model file folds D_a at ingest, as one that ran Fit does — the first
-// read of a fresh record is a memo hit, not a PSD on the read path.
+// TestLoadModelInstallsLiveBaseline: an engine restored from a model
+// file folds D_a at ingest, as one that ran Fit does — the first read
+// of a fresh record is a memo hit, not a PSD on the read path.
 func TestLoadModelInstallsLiveBaseline(t *testing.T) {
 	trained, ds := fitEngine(t, 22)
 	var buf bytes.Buffer
@@ -87,7 +88,6 @@ func TestLoadModelInstallsLiveBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(Options{})
-	eng.EnableLive()
 	if err := eng.LoadModel(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +110,96 @@ func TestLoadModelInstallsLiveBaseline(t *testing.T) {
 	}
 	if want, err := base.Da(rec); err != nil || got != want {
 		t.Errorf("live Da = %v, baseline.Da = %v (err %v)", got, want, err)
+	}
+}
+
+// TestLoadedModelClassifiesWithoutKeeping: an edge engine — empty
+// store, loaded model — classifying a stream of fresh captures it never
+// stores keeps none of them: the memo holds only stored records.
+func TestLoadedModelClassifiesWithoutKeeping(t *testing.T) {
+	trained, ds := fitEngine(t, 23)
+	var buf bytes.Buffer
+	if err := trained.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	edge := New(Options{})
+	if err := edge.LoadModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	base, _ := edge.Baseline()
+	for i := range 1000 {
+		rec := ds.Capture(i%2, 0.5+float64(i)*0.039)
+		if _, _, err := edge.Classify(rec); err != nil {
+			t.Fatal(err)
+		}
+		got, err := edge.Da(rec)
+		want, wantErr := base.Da(rec)
+		if got != want || (err == nil) != (wantErr == nil) {
+			t.Fatalf("capture %d: Da (%g, %v), baseline.Da (%g, %v)", i, got, err, want, wantErr)
+		}
+	}
+	if n := edge.Live().Size(); n != 0 {
+		t.Fatalf("the memo holds %d captures the engine never stored", n)
+	}
+}
+
+// TestLoadModelKeepsEngineOptions: the engine's options are what its
+// live state folds with, so loading a model fitted with others leaves
+// them — the fold would otherwise extract a raw variant nothing reads.
+func TestLoadModelKeepsEngineOptions(t *testing.T) {
+	trained, _ := fitEngine(t, 24)
+	var buf bytes.Buffer
+	if err := trained.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Harmonic: HarmonicOptions{NumPeaks: 12}}
+	eng := New(opts)
+	if err := eng.LoadModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if eng.opts != opts {
+		t.Fatalf("options after LoadModel = %+v, want the engine's %+v", eng.opts, opts)
+	}
+}
+
+// TestLoadModelFromBeforeOptionsShrank: testdata/model_pr24.json was
+// written by the PR 24 engine (fitEngine(t, 47), lifetime models
+// learned), whose Options still carried OutlierBandwidth,
+// SmoothingWindowDays, RUL and LabelMatchToleranceDays. It loads, and
+// scores and classifies every labelled record exactly as today's engine
+// fitted on the same corpus does.
+func TestLoadModelFromBeforeOptionsShrank(t *testing.T) {
+	path := filepath.Join("testdata", "model_pr24.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"OutlierBandwidth", "SmoothingWindowDays", "RUL", "LabelMatchToleranceDays"} {
+		if !bytes.Contains(raw, []byte(`"`+key+`":`)) {
+			t.Fatalf("%s does not carry the retired option %s", path, key)
+		}
+	}
+	old := New(Options{})
+	if err := old.LoadModelFile(path); err != nil {
+		t.Fatal(err)
+	}
+	eng, ds := fitEngine(t, 47)
+	b1, _ := eng.Boundary()
+	if b2, err := old.Boundary(); err != nil || b1 != b2 {
+		t.Fatalf("boundary %v (err %v), fitted today %v", b2, err, b1)
+	}
+	for _, lr := range ds.ValidLabelled() {
+		z1, p1, err1 := eng.Classify(lr.Record)
+		z2, p2, err2 := old.Classify(lr.Record)
+		d1, _ := eng.Da(lr.Record)
+		d2, _ := old.Da(lr.Record)
+		if err1 != nil || err2 != nil || z1 != z2 || !reflect.DeepEqual(p1, p2) || d1 != d2 {
+			t.Fatalf("pump %d day %g: loaded (%v, %v, %g, %v), fitted today (%v, %v, %g, %v)",
+				lr.Record.PumpID, lr.Record.ServiceDays, z2, p2, d2, err2, z1, p1, d1, err1)
+		}
+	}
+	if m, err := old.Models(); err != nil || len(m.Models) == 0 {
+		t.Fatalf("lifetime models lost: %v, %v", m, err)
 	}
 }
 

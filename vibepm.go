@@ -98,9 +98,6 @@ type TrendPoint = core.TrendPoint
 // RANSAC.
 type LifetimeModels = core.LifetimeModels
 
-// LearnConfig controls lifetime-model discovery.
-type LearnConfig = core.LearnConfig
-
 // Confusion is a 3-class confusion matrix over zones.
 type Confusion = core.Confusion
 
