@@ -16,12 +16,12 @@ type DegradedConfig struct {
 	// from the store are reported with zero completeness rather than
 	// omitted.
 	ExpectedPerPump map[int]int
-	// MinCompleteness is the fraction of expected measurements a pump
-	// needs before its latest record is classified; below it the pump
-	// is reported but skipped (default 0.5). Classification also
-	// requires a fitted engine.
-	MinCompleteness float64
 }
+
+// minCompleteness is the fraction of expected measurements a pump needs
+// before its latest record is classified; below it the pump is reported
+// but skipped. Classification also requires a fitted engine.
+const minCompleteness = 0.5
 
 // PumpHealth is one pump's row of a degraded-mode fleet report.
 type PumpHealth struct {
@@ -31,7 +31,7 @@ type PumpHealth struct {
 	Received     int     `json:"received"`
 	Expected     int     `json:"expected"`
 	Completeness float64 `json:"completeness"`
-	// Analyzed reports whether the pump cleared MinCompleteness and the
+	// Analyzed reports whether the pump cleared minCompleteness and the
 	// engine was fitted; Zone and Da are only meaningful when true.
 	Analyzed bool    `json:"analyzed"`
 	Zone     string  `json:"zone,omitempty"`
@@ -54,9 +54,6 @@ type DegradedReport struct {
 // when the engine is fitted. Unlike Fit/Classify, this path never fails
 // because data is missing — missing data is the result.
 func (e *Engine) AnalyzeDegraded(cfg DegradedConfig) (*DegradedReport, error) {
-	if cfg.MinCompleteness <= 0 {
-		cfg.MinCompleteness = 0.5
-	}
 	ids := map[int]bool{}
 	for _, id := range e.measurements.Pumps() {
 		ids[id] = true
@@ -92,7 +89,7 @@ func (e *Engine) AnalyzeDegraded(cfg DegradedConfig) (*DegradedReport, error) {
 		}
 		totalReceived += received
 		totalExpected += expected
-		if received > 0 && ph.Completeness >= cfg.MinCompleteness && e.Fitted() {
+		if received > 0 && ph.Completeness >= minCompleteness && e.Fitted() {
 			if rec := e.measurements.Latest(id); rec != nil {
 				if da, err := e.Da(rec); err == nil {
 					ph.Analyzed = true

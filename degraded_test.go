@@ -79,7 +79,6 @@ func TestAnalyzeDegradedMinCompletenessGate(t *testing.T) {
 	// gate must skip classification even on a fitted engine.
 	rep, err := eng.AnalyzeDegraded(DegradedConfig{
 		ExpectedPerPump: map[int]int{id: received * 10},
-		MinCompleteness: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +93,23 @@ func TestAnalyzeDegradedMinCompletenessGate(t *testing.T) {
 		t.Fatal("pump row missing")
 	}
 	if row.Analyzed {
-		t.Fatalf("pump at %.2f completeness classified despite 0.5 gate", row.Completeness)
+		t.Fatalf("pump at %.2f completeness classified despite the %g gate", row.Completeness, minCompleteness)
 	}
 	// Raising the expectation only for one pump must not gate the others.
 	if rep.Analyzed == 0 {
 		t.Fatal("whole fleet gated by one starved pump")
+	}
+	// Exactly at the gate the pump is classified.
+	rep, err = eng.AnalyzeDegraded(DegradedConfig{
+		ExpectedPerPump: map[int]int{id: received * 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ph := range rep.Pumps {
+		if ph.PumpID == id && (ph.Completeness != minCompleteness || !ph.Analyzed) {
+			t.Fatalf("pump at the gate: %+v", ph)
+		}
 	}
 }
 

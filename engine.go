@@ -24,9 +24,10 @@ type Options struct {
 	Harmonic HarmonicOptions
 }
 
-// The pipeline's fixed settings. Mean shift outlier detection uses the
-// adaptive bandwidth (preprocess.OutlierConfig's zero value) and RANSAC
-// its calibrated defaults (core.LearnConfig's).
+// The pipeline's fixed settings. The rest of its calibration is fixed
+// one layer down, where it is read: mean shift's adaptive bandwidth in
+// internal/preprocess, the RANSAC settings in internal/core, the peak
+// significance cutoff and the fault thresholds in internal/feature.
 const (
 	// smoothingWindowDays is the moving-average window applied to the
 	// D_a trend before RUL fitting.
@@ -424,7 +425,7 @@ func (e *Engine) LearnLifetimeModels(ageOf AgeFunc) (*LifetimeModels, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("%w: no trend points", ErrNoData)
 	}
-	models, err := core.LearnLifetimeModels(points, e.boundary, core.LearnConfig{})
+	models, err := core.LearnLifetimeModels(points, e.boundary)
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,6 @@ type (
 	BearingGeometry = physics.BearingGeometry
 	// MachineSpec is the per-pump knowledge the fault detectors use.
 	MachineSpec = feature.MachineSpec
-	// FaultOptions tunes the detector thresholds.
-	FaultOptions = feature.FaultOptions
 	// FaultReport is the classification of one measurement.
 	FaultReport = feature.FaultReport
 	// FaultEvidence is one named statistic behind a fault decision.
@@ -35,14 +33,20 @@ const (
 	FaultLooseness    = physics.FaultLooseness
 )
 
+// FaultOptions has no fields: the detector thresholds are the
+// calibrated constants of internal/feature. The type and EnableFaults'
+// second parameter stay only because the frozen benchmark/ passes
+// FaultOptions{} to it.
+type FaultOptions struct{}
+
 // EnableFaults switches fault classification on: every report gains a
 // FaultReport, FaultStatus starts answering, and measurements are
 // classified once — at ingest, or on first query — and served from the
 // live state afterwards. def is the fleet-default machine spec (zero
 // value: estimate rotor speed from each spectrum, default bearing
-// geometry); opt's zero values select the calibrated thresholds.
-func (e *Engine) EnableFaults(def MachineSpec, opt FaultOptions) {
-	e.detector = feature.NewFaultDetector(def, opt)
+// geometry). The FaultOptions argument is ignored.
+func (e *Engine) EnableFaults(def MachineSpec, _ FaultOptions) {
+	e.detector = feature.NewFaultDetector(def)
 	e.live.SetFaultDetector(e.detector)
 }
 

@@ -85,7 +85,7 @@ func goldenFaultCorpus(t *testing.T) []goldenFaultCase {
 	for _, seed := range goldenHealthySeeds {
 		for _, wear := range goldenHealthyWears {
 			rec, pump := goldenCapture(t, seed, wear, physics.FaultConfig{})
-			rep := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: pump.RotorHz()}, feature.FaultOptions{})
+			rep := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: pump.RotorHz()})
 			cases = append(cases, goldenFaultCase{
 				Name:   fmt.Sprintf("healthy/seed=%d/wear=%.2f", seed, wear),
 				Seed:   seed,
@@ -101,7 +101,7 @@ func goldenFaultCorpus(t *testing.T) []goldenFaultCase {
 				cfg := kind.Cfg
 				cfg.Severity = sev
 				rec, pump := goldenCapture(t, seed, 0.15, cfg)
-				rep := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: pump.RotorHz()}, feature.FaultOptions{})
+				rep := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: pump.RotorHz()})
 				cases = append(cases, goldenFaultCase{
 					Name:     fmt.Sprintf("%s/sev=%.2f/seed=%d", kind.Name, sev, seed),
 					Seed:     seed,
@@ -250,7 +250,7 @@ func TestFaultGoldenDeterminism(t *testing.T) {
 	run := func() []byte {
 		cfg := physics.FaultConfig{Class: physics.FaultBearing, Defect: physics.DefectInnerRace, Severity: 0.5}
 		rec, pump := goldenCapture(t, 11, 0.15, cfg)
-		rep := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: pump.RotorHz()}, feature.FaultOptions{})
+		rep := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: pump.RotorHz()})
 		buf, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)

@@ -30,15 +30,14 @@ func compareFaults(t *testing.T, ctx string, eng *vibepm.Engine, det *feature.Fa
 // TestFaultReportLiveBatchEquivalence is the fault-taxonomy arm of the
 // equivalence proof harness: an engine that folded records (and so
 // classified them) at ingest, in randomized order, must serve exactly
-// what feature.NewFaultDetector(def, opt).Detect says of each pump's
+// what feature.NewFaultDetector(def).Detect says of each pump's
 // latest record. Detection is a pure function of the record, so no
 // ingestion order, fold timing, or memo state may leak into the report.
 func TestFaultReportLiveBatchEquivalence(t *testing.T) {
 	ds := liveCorpus(t)
 	records := streamRecords(ds)
 	def := vibepm.MachineSpec{}
-	opt := vibepm.FaultOptions{MinSamples: 256}
-	ref := feature.NewFaultDetector(def, opt)
+	ref := feature.NewFaultDetector(def)
 
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(3000 + trial)))
@@ -46,7 +45,7 @@ func TestFaultReportLiveBatchEquivalence(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
 		eng := vibepm.NewWithStores(vibepm.Options{}, store.NewMeasurements(), ds.Labels)
-		eng.EnableFaults(def, opt)
+		eng.EnableFaults(def, vibepm.FaultOptions{})
 		for _, rec := range shuffled {
 			eng.Ingest(rec)
 		}
@@ -61,22 +60,21 @@ func TestFaultReportLiveBatchEquivalence(t *testing.T) {
 func TestFaultReportSpecUpdateInvalidates(t *testing.T) {
 	ds := liveCorpus(t)
 	def := vibepm.MachineSpec{}
-	opt := vibepm.FaultOptions{MinSamples: 256}
 	eng := vibepm.NewWithStores(vibepm.Options{}, store.NewMeasurements(), ds.Labels)
-	eng.EnableFaults(def, opt)
+	eng.EnableFaults(def, vibepm.FaultOptions{})
 	for _, rec := range streamRecords(ds) {
 		eng.Ingest(rec)
 	}
 
 	target := ds.Measurements.Pumps()[0]
 	// Warm the memo against the original detector.
-	compareFaults(t, "before the spec update", eng, feature.NewFaultDetector(def, opt))
+	compareFaults(t, "before the spec update", eng, feature.NewFaultDetector(def))
 	// Pin an implausible rotor speed for one pump.
 	spec := vibepm.MachineSpec{RotorHz: 17}
 	if err := eng.SetMachineSpec(target, spec); err != nil {
 		t.Fatal(err)
 	}
-	compareFaults(t, "after the spec update", eng, feature.NewFaultDetector(def, opt).WithSpec(target, spec))
+	compareFaults(t, "after the spec update", eng, feature.NewFaultDetector(def).WithSpec(target, spec))
 	if status, _ := eng.FaultStatus(target); status.RotorHz != 17 {
 		t.Fatalf("pump %d ignored the pinned rotor: %+v", target, status)
 	}

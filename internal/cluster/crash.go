@@ -239,7 +239,7 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 func liveEqualsBatch(c *Cluster) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	det := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{})
+	det := feature.NewFaultDetector(feature.MachineSpec{})
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, name := range c.order {
 		n := c.nodes[name]

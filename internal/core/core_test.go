@@ -196,7 +196,7 @@ func TestLearnLifetimeModelsTwoPopulations(t *testing.T) {
 	// Model I: slope 0.0004 (long-term); Model II: slope 0.0012.
 	points = append(points, makeTrend(rng, 0.0004, 0.01, 0.005, agesUniform(rng, 600, 500))...)
 	points = append(points, makeTrend(rng, 0.0012, 0.01, 0.005, agesUniform(rng, 600, 170))...)
-	models, err := LearnLifetimeModels(points, 0.21, LearnConfig{Seed: 6, MinInliers: 150})
+	models, err := LearnLifetimeModels(points, 0.21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestTrendRUL(t *testing.T) {
 }
 
 func TestLearnLifetimeModelsErrors(t *testing.T) {
-	if _, err := LearnLifetimeModels(nil, 0.21, LearnConfig{}); !errors.Is(err, ErrNoPoints) {
+	if _, err := LearnLifetimeModels(nil, 0.21); !errors.Is(err, ErrNoPoints) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -30,48 +30,32 @@ type LifetimeModels struct {
 	ThresholdDa float64
 }
 
-// LearnConfig controls lifetime-model discovery. Zero values select
-// defaults matched to the D_a scale.
-type LearnConfig struct {
-	// InlierThreshold is RANSAC's residual tolerance (default 0.03 —
-	// wide enough to absorb the step texture D_a shows as individual
-	// defect tones emerge, narrow enough to split the two ageing
-	// populations).
-	InlierThreshold float64
-	// MinInliers is the minimum support per model (default 10% of the
-	// points, at least 20).
-	MinInliers int
-	// MinSlope rejects non-ageing models (default 1e-5 per day).
-	MinSlope float64
-	// Iterations per RANSAC fit (default 2000).
-	Iterations int
-	// Seed fixes the random sampling.
-	Seed int64
-}
+// Lifetime-model discovery settings, matched to the D_a scale.
+const (
+	// lifetimeInlierThreshold is RANSAC's residual tolerance: wide
+	// enough to absorb the step texture D_a shows as individual defect
+	// tones emerge, narrow enough to split the two ageing populations.
+	lifetimeInlierThreshold = 0.03
+	// lifetimeMinInliers is the floor of the minimum support per model,
+	// which is otherwise 10% of the points.
+	lifetimeMinInliers = 20
+	// lifetimeMinSlope rejects non-ageing models (the paper's
+	// "predefined positive slope threshold"), per day.
+	lifetimeMinSlope = 1e-5
+	// lifetimeIterations is the number of samples per RANSAC fit.
+	lifetimeIterations = 2000
+	// lifetimeSeed fixes the random sampling.
+	lifetimeSeed = 0
+)
 
 // ErrNoPoints is returned when learning with no observations.
 var ErrNoPoints = errors.New("core: no trend points")
 
 // LearnLifetimeModels pools the fleet's trend points and recursively
 // extracts monotonically increasing linear models until none remains.
-func LearnLifetimeModels(points []TrendPoint, thresholdDa float64, cfg LearnConfig) (*LifetimeModels, error) {
+func LearnLifetimeModels(points []TrendPoint, thresholdDa float64) (*LifetimeModels, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints
-	}
-	if cfg.InlierThreshold <= 0 {
-		cfg.InlierThreshold = 0.03
-	}
-	if cfg.MinInliers <= 0 {
-		cfg.MinInliers = len(points) / 10
-		if cfg.MinInliers < 20 {
-			cfg.MinInliers = 20
-		}
-	}
-	if cfg.MinSlope <= 0 {
-		cfg.MinSlope = 1e-5
-	}
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = 2000
 	}
 	x := make([]float64, len(points))
 	y := make([]float64, len(points))
@@ -80,11 +64,11 @@ func LearnLifetimeModels(points []TrendPoint, thresholdDa float64, cfg LearnConf
 		y[i] = p.Da
 	}
 	models, err := ransac.Recursive(x, y, ransac.Config{
-		InlierThreshold: cfg.InlierThreshold,
-		MinInliers:      cfg.MinInliers,
-		MinSlope:        cfg.MinSlope,
-		Iterations:      cfg.Iterations,
-		Seed:            cfg.Seed,
+		InlierThreshold: lifetimeInlierThreshold,
+		MinInliers:      max(len(points)/10, lifetimeMinInliers),
+		MinSlope:        lifetimeMinSlope,
+		Iterations:      lifetimeIterations,
+		Seed:            lifetimeSeed,
 	}, 0) // unbounded: recurse until no acceptable model remains
 	if err != nil {
 		return nil, err

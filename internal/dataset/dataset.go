@@ -38,28 +38,29 @@ type Config struct {
 	// LabelCounts sets how many labelled measurements to synthesize per
 	// zone. Nil selects the paper's 700/1400/700.
 	LabelCounts map[physics.MergedZone]int
-	// InvalidLabelFraction simulates human labelling mistakes (default
-	// 0.01); invalid labels are stored but flagged.
-	InvalidLabelFraction float64
-	// Events schedules maintenance events (pump id → event); nil
-	// selects the paper's Table IV schedule (PM on pumps 4, 5, 8 and a
-	// BM on pump 7).
-	Events []Event
 	// SkipTrend disables the dense per-pump trend measurements for
 	// experiments that do not need them; the store then holds the
 	// labelled captures only.
 	SkipTrend bool
-	// LabelMargin keeps labelled measurements away from the zone
-	// boundaries by this wear margin (default 0.05): the paper's expert
-	// labels come from physical inspection of clearly distinguishable
-	// conditions, not from borderline cases. Negative disables.
-	LabelMargin float64
 	// Workers caps the capture fan-out of trend and label generation
 	// (0 = one worker per CPU). The output is byte-identical at any
 	// worker count: every random decision is drawn sequentially and
 	// captures are deterministic in (pump, day).
 	Workers int
 }
+
+// The corpus's fixed labelling. Every corpus also gets the paper's
+// Table IV maintenance schedule, PaperEventsFor its window.
+const (
+	// invalidLabelFraction simulates human labelling mistakes: this
+	// fraction of the labels is stored but flagged invalid.
+	invalidLabelFraction = 0.01
+	// labelMargin keeps labelled measurements this wear margin away from
+	// the zone boundaries: the paper's expert labels come from physical
+	// inspection of clearly distinguishable conditions, not from
+	// borderline cases.
+	labelMargin = 0.08
+)
 
 // Event is one maintenance action during the window.
 type Event struct {
@@ -147,19 +148,6 @@ func (c Config) withDefaults() Config {
 			physics.MergedD:  700,
 		}
 	}
-	if c.InvalidLabelFraction < 0 {
-		c.InvalidLabelFraction = 0
-	} else if c.InvalidLabelFraction == 0 {
-		c.InvalidLabelFraction = 0.01
-	}
-	if c.Events == nil {
-		c.Events = PaperEventsFor(c.DurationDays)
-	}
-	if c.LabelMargin == 0 {
-		c.LabelMargin = 0.08
-	} else if c.LabelMargin < 0 {
-		c.LabelMargin = 0
-	}
 	return c
 }
 
@@ -214,7 +202,7 @@ func labelFleet(cfg Config) *physics.Fleet {
 	// labelable.
 	covered := false
 	for _, p := range pumps {
-		if pumpCoversZone(p, physics.MergedBC, cfg.DurationDays, cfg.LabelMargin) {
+		if pumpCoversZone(p, physics.MergedBC, cfg.DurationDays, labelMargin) {
 			covered = true
 			break
 		}
@@ -247,10 +235,10 @@ func Generate(cfg Config) (*Dataset, error) {
 		Fleet:        fleet,
 		Measurements: store.NewMeasurements(),
 		Labels:       store.NewLabels(),
-		Events:       cfg.Events,
+		Events:       PaperEventsFor(cfg.DurationDays),
 	}
 	// Apply the maintenance schedule to the physical fleet.
-	for _, ev := range cfg.Events {
+	for _, ev := range ds.Events {
 		if p := fleet.Pump(ev.PumpID); p != nil {
 			p.Replace(ev.AtDays)
 		}
@@ -351,7 +339,7 @@ func (d *Dataset) generateLabels() error {
 		var candidates []int
 		for id := 0; id < cfg.Pumps; id++ {
 			pump := d.Fleet.Pump(id)
-			if pumpCoversZone(pump, zone, cfg.DurationDays, cfg.LabelMargin) {
+			if pumpCoversZone(pump, zone, cfg.DurationDays, labelMargin) {
 				candidates = append(candidates, id)
 			}
 		}
@@ -366,11 +354,11 @@ func (d *Dataset) generateLabels() error {
 			id := candidates[rng.Intn(len(candidates))]
 			day := rng.Float64() * cfg.DurationDays
 			pump := d.Fleet.Pump(id)
-			z, confident := confidentZone(pump.DegradationAt(day), cfg.LabelMargin)
+			z, confident := confidentZone(pump.DegradationAt(day), labelMargin)
 			if !confident || z != zone {
 				continue
 			}
-			valid := rng.Float64() >= cfg.InvalidLabelFraction
+			valid := rng.Float64() >= invalidLabelFraction
 			picks = append(picks, labelPick{id: id, day: day, zone: zone, valid: valid})
 			got++
 		}

@@ -187,7 +187,7 @@ func TestImportRoundTripDetectsFault(t *testing.T) {
 	if math.Abs(rec.SampleRateHz-fs) > 1 {
 		t.Fatalf("inferred fs %g", rec.SampleRateHz)
 	}
-	rep := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: base.RotorHz()}, feature.FaultOptions{})
+	rep := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: base.RotorHz()})
 	if rep.Class != physics.FaultImbalance {
 		t.Fatalf("imported waveform classified %v (confidence %g), want imbalance", rep.Class, rep.Confidence)
 	}

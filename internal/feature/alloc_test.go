@@ -16,7 +16,7 @@ func TestDetectRecordAllocCeiling(t *testing.T) {
 	for name, specs := range map[string][]MachineSpec{"estimated": make([]MachineSpec, len(recs)), "given": given} {
 		i := 0
 		n := testing.AllocsPerRun(100, func() {
-			DetectRecord(recs[i], specs[i], FaultOptions{})
+			DetectRecord(recs[i], specs[i])
 			i = (i + 1) % len(recs)
 		})
 		if n > 6 {

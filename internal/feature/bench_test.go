@@ -119,7 +119,7 @@ func BenchmarkDetectRecord(b *testing.B) {
 				b.ReportAllocs()
 				i := 0
 				for b.Loop() {
-					if rep := DetectRecord(recs[i], mode.specs[i], FaultOptions{}); rep.RotorHz <= 0 {
+					if rep := DetectRecord(recs[i], mode.specs[i]); rep.RotorHz <= 0 {
 						b.Fatalf("rotor unresolved: %+v", rep)
 					}
 					i = (i + 1) % len(recs)

@@ -49,39 +49,28 @@ type MachineSpec struct {
 	Bearing physics.BearingGeometry `json:"bearing,omitempty"`
 }
 
-// FaultOptions tunes the detector thresholds; zero values select
-// calibrated defaults. The defaults are set empirically against the
-// synthesis model so that healthy pumps at wear ≤ 0.5 never cross a
-// threshold while every injected fault at severity 1.0 does (the golden
-// classification gate).
-type FaultOptions struct {
-	// FreqTolFrac is the half-width of every matching band as a
-	// fraction of the target frequency (floored at 2 spectral bins).
-	FreqTolFrac float64
-	// ImbalanceExcess is the 1× excess-over-comb threshold.
-	ImbalanceExcess float64
-	// MisalignExcess is the 2× excess-over-comb threshold.
-	MisalignExcess float64
-	// LoosenessSNR is the half-order subharmonic SNR threshold.
-	LoosenessSNR float64
-	// BearingSNR is the envelope-spectrum defect-frequency SNR
-	// threshold.
-	BearingSNR float64
-	// MinRotorHz bounds the rotor-speed search from below.
-	MinRotorHz float64
-	// MinSamples is the shortest capture the detector will classify.
-	MinSamples int
-}
-
-// Calibrated defaults; see TestFaultDetectorCalibration for the score
-// distributions they separate.
+// The detector's calibrated thresholds. They are set empirically
+// against the synthesis model so that healthy pumps at wear ≤ 0.5 never
+// cross a threshold while every injected fault at severity 1.0 does (the
+// golden classification gate); see TestFaultDetectorCalibration for the
+// score distributions they separate.
 const (
-	DefaultFreqTolFrac     = 0.015
+	// DefaultFreqTolFrac is the half-width of every matching band as a
+	// fraction of the target frequency (floored at 2 spectral bins).
+	DefaultFreqTolFrac = 0.015
+	// DefaultImbalanceExcess is the 1× excess-over-comb threshold.
 	DefaultImbalanceExcess = 3.0
-	DefaultMisalignExcess  = 3.0
-	DefaultLoosenessSNR    = 12.0
-	DefaultBearingSNR      = 12.0
-	DefaultMinRotorHz      = 5.0
+	// DefaultMisalignExcess is the 2× excess-over-comb threshold.
+	DefaultMisalignExcess = 3.0
+	// DefaultLoosenessSNR is the half-order subharmonic SNR threshold.
+	DefaultLoosenessSNR = 12.0
+	// DefaultBearingSNR is the envelope-spectrum defect-frequency SNR
+	// threshold.
+	DefaultBearingSNR = 12.0
+	// DefaultMinRotorHz bounds the rotor-speed search from below.
+	DefaultMinRotorHz = 5.0
+	// DefaultMinFaultSamples is the shortest capture the detector will
+	// classify.
 	DefaultMinFaultSamples = 256
 	// halfCombRise gates the octave promotion in estimateRotorHz: the
 	// comb-scan winner is read as a half-rate comb when the position-5
@@ -91,31 +80,6 @@ const (
 	// winners ≥ 1.10.
 	halfCombRise = 1.05
 )
-
-func (o FaultOptions) fill() FaultOptions {
-	if o.FreqTolFrac <= 0 {
-		o.FreqTolFrac = DefaultFreqTolFrac
-	}
-	if o.ImbalanceExcess <= 0 {
-		o.ImbalanceExcess = DefaultImbalanceExcess
-	}
-	if o.MisalignExcess <= 0 {
-		o.MisalignExcess = DefaultMisalignExcess
-	}
-	if o.LoosenessSNR <= 0 {
-		o.LoosenessSNR = DefaultLoosenessSNR
-	}
-	if o.BearingSNR <= 0 {
-		o.BearingSNR = DefaultBearingSNR
-	}
-	if o.MinRotorHz <= 0 {
-		o.MinRotorHz = DefaultMinRotorHz
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = DefaultMinFaultSamples
-	}
-	return o
-}
 
 // Evidence is one named spectral statistic behind a fault decision.
 type Evidence struct {
@@ -150,13 +114,11 @@ type FaultReport struct {
 }
 
 // DetectRecord classifies one stored measurement. It is a pure
-// function of (record, spec, opt): repeated calls return identical
-// reports, which is what the live-vs-batch equivalence and golden
-// harnesses pin.
-func DetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultReport {
-	opt = opt.fill()
+// function of (record, spec): repeated calls return identical reports,
+// which is what the live-vs-batch equivalence and golden harnesses pin.
+func DetectRecord(rec *store.Record, spec MachineSpec) FaultReport {
 	k := rec.Samples()
-	if k < opt.MinSamples || rec.SampleRateHz <= 0 {
+	if k < DefaultMinFaultSamples || rec.SampleRateHz <= 0 {
 		return FaultReport{Class: physics.FaultNone, Evidence: []Evidence{
 			{Name: "insufficient-data", Value: float64(k)},
 		}}
@@ -191,20 +153,20 @@ func DetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultRe
 	rotor := spec.RotorHz
 	estimated := false
 	if rotor <= 0 {
-		rotor = estimateRotorHz(sc.freq, rp, opt, &sc.floor)
+		rotor = estimateRotorHz(sc.freq, rp, &sc.floor)
 		estimated = true
 	}
-	if rotor <= 0 || rotor < opt.MinRotorHz || 6*rotor >= fs/2 {
+	if rotor <= 0 || rotor < DefaultMinRotorHz || 6*rotor >= fs/2 {
 		return FaultReport{Class: physics.FaultNone, Evidence: []Evidence{
 			{Name: "rotor-unresolved", Freq: rotor},
 		}}
 	}
 
 	band := func(psd []float64, f0 float64) float64 {
-		return bandEnergy(psd, f0, binHz, opt.FreqTolFrac)
+		return bandEnergy(psd, f0, binHz, DefaultFreqTolFrac)
 	}
 	snr := func(psd []float64, f0 float64) float64 {
-		_, s := bandStat(psd, f0, binHz, opt.FreqTolFrac, &sc.floor)
+		_, s := bandStat(psd, f0, binHz, DefaultFreqTolFrac, &sc.floor)
 		return s
 	}
 
@@ -262,7 +224,7 @@ func DetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultRe
 			// A defect frequency too close to an integer rotor multiple
 			// is indistinguishable from ordinary harmonic beating in the
 			// envelope; skip it rather than risk a false positive.
-			if nearInteger(fd, rotor, bandHalfWidth(fd, binHz, opt.FreqTolFrac)) {
+			if nearInteger(fd, rotor, bandHalfWidth(fd, binHz, DefaultFreqTolFrac)) {
 				continue
 			}
 			envSNR[i] = snr(pe, fd)
@@ -281,10 +243,10 @@ func DetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultRe
 		class physics.FaultClass
 		q     float64
 	}{
-		{physics.FaultBearing, bearSNR / opt.BearingSNR},
-		{physics.FaultImbalance, imbExcess / opt.ImbalanceExcess},
-		{physics.FaultMisalignment, misExcess / opt.MisalignExcess},
-		{physics.FaultLooseness, looseSNR / opt.LoosenessSNR},
+		{physics.FaultBearing, bearSNR / DefaultBearingSNR},
+		{physics.FaultImbalance, imbExcess / DefaultImbalanceExcess},
+		{physics.FaultMisalignment, misExcess / DefaultMisalignExcess},
+		{physics.FaultLooseness, looseSNR / DefaultLoosenessSNR},
 	}
 	best := qs[0]
 	for _, c := range qs[1:] {
@@ -537,7 +499,7 @@ func nearInteger(f, base, tol float64) bool {
 
 // estimateRotorHz recovers the shaft speed from a radial spectrum when
 // the machine spec does not provide one (imported recordings). Every
-// candidate fundamental in [MinRotorHz, fs/8] is scored against the
+// candidate fundamental in [DefaultMinRotorHz, fs/8] is scored against the
 // integer harmonic comb (Σ log(1+SNR) over h = 1..6); anchoring on the
 // single strongest line is not safe because on worn machines a defect
 // tone (3.58×) or a subharmonic (2.5×) can out-power the 1× line, and
@@ -549,8 +511,8 @@ func nearInteger(f, base, tol float64) bool {
 // to position 5 (the structural signature of a half-order comb; a
 // genuine rotor comb always decays there — see halfCombRise). The
 // result is refined to sub-bin accuracy from the highest-SNR harmonic
-// line. opt must be filled; the floor medians are selected in *work.
-func estimateRotorHz(freq, psd []float64, opt FaultOptions, work *[]float64) float64 {
+// line. The floor medians are selected in *work.
+func estimateRotorHz(freq, psd []float64, work *[]float64) float64 {
 	if len(freq) < 4 {
 		return 0
 	}
@@ -562,12 +524,12 @@ func estimateRotorHz(freq, psd []float64, opt FaultOptions, work *[]float64) flo
 	hiHz := fs2 / 4 // fs/8
 
 	combScore := func(f0 float64) float64 {
-		if f0 < opt.MinRotorHz || 6*f0 > fs2 {
+		if f0 < DefaultMinRotorHz || 6*f0 > fs2 {
 			return math.Inf(-1)
 		}
 		var s float64
 		for h := 1; h <= 6; h++ {
-			_, sn := bandStat(psd, float64(h)*f0, binHz, opt.FreqTolFrac, work)
+			_, sn := bandStat(psd, float64(h)*f0, binHz, DefaultFreqTolFrac, work)
 			s += math.Log1p(sn)
 		}
 		return s
@@ -578,12 +540,12 @@ func estimateRotorHz(freq, psd []float64, opt FaultOptions, work *[]float64) flo
 	// than the bin width (the PSD cannot resolve below it).
 	best := math.Inf(-1)
 	bestF := 0.0
-	for f0 := math.Max(opt.MinRotorHz, binHz); f0 <= hiHz; {
+	for f0 := math.Max(DefaultMinRotorHz, binHz); f0 <= hiHz; {
 		if s := combScore(f0); s > best {
 			best = s
 			bestF = f0
 		}
-		f0 += math.Max(binHz, f0*opt.FreqTolFrac/2)
+		f0 += math.Max(binHz, f0*DefaultFreqTolFrac/2)
 	}
 	if bestF <= 0 || math.IsInf(best, -1) {
 		return 0
@@ -605,11 +567,11 @@ func estimateRotorHz(freq, psd []float64, opt FaultOptions, work *[]float64) flo
 	if 12*bestF <= fs2 {
 		var s [3]float64
 		for i, k := range [3]float64{1, 3, 5} {
-			_, s[i] = bandStat(psd, k*bestF, binHz, opt.FreqTolFrac, work)
+			_, s[i] = bandStat(psd, k*bestF, binHz, DefaultFreqTolFrac, work)
 		}
-		e4 := bandEnergy(psd, 4*bestF, binHz, opt.FreqTolFrac)
-		e5 := bandEnergy(psd, 5*bestF, binHz, opt.FreqTolFrac)
-		if median3(s) >= opt.LoosenessSNR && e5 > halfCombRise*e4 {
+		e4 := bandEnergy(psd, 4*bestF, binHz, DefaultFreqTolFrac)
+		e5 := bandEnergy(psd, 5*bestF, binHz, DefaultFreqTolFrac)
+		if median3(s) >= DefaultLoosenessSNR && e5 > halfCombRise*e4 {
 			bestF *= 2
 		}
 	}
@@ -617,14 +579,14 @@ func estimateRotorHz(freq, psd []float64, opt FaultOptions, work *[]float64) flo
 	// Sub-bin refinement from the sharpest line of the winning comb.
 	refH, refSNR := 0, 0.0
 	for h := 1; h <= 6; h++ {
-		if _, sn := bandStat(psd, float64(h)*bestF, binHz, opt.FreqTolFrac, work); sn > refSNR {
+		if _, sn := bandStat(psd, float64(h)*bestF, binHz, DefaultFreqTolFrac, work); sn > refSNR {
 			refSNR = sn
 			refH = h
 		}
 	}
 	if refH > 0 {
 		fh := float64(refH) * bestF
-		hw := bandHalfWidth(fh, binHz, opt.FreqTolFrac)
+		hw := bandHalfWidth(fh, binHz, DefaultFreqTolFrac)
 		lo := int(math.Ceil((fh - hw) / binHz))
 		hi := int(math.Floor((fh + hw) / binHz))
 		if lo < 0 {
@@ -640,7 +602,7 @@ func estimateRotorHz(freq, psd []float64, opt FaultOptions, work *[]float64) flo
 			}
 		}
 		if peak > 0 {
-			if f := refinePeakHz(freq, psd, peak) / float64(refH); f >= opt.MinRotorHz {
+			if f := refinePeakHz(freq, psd, peak) / float64(refH); f >= DefaultMinRotorHz {
 				bestF = f
 			}
 		}
@@ -673,28 +635,27 @@ func refinePeakHz(freq, psd []float64, i int) float64 {
 	return freq[i] + delta*(freq[1]-freq[0])
 }
 
-// FaultDetector binds detector options and per-pump machine specs into
-// an immutable value: Detect never mutates the receiver, so a single
-// detector pointer can be shared across the batch engine and every
-// stream fold goroutine, and pointer identity keys the stream's
-// memoization slots (like the baseline pointer keys the distance slot).
-// WithSpec returns a modified copy, copy-on-write.
+// FaultDetector binds a fleet-default machine spec and per-pump
+// overrides into an immutable value — the thresholds are constants, so
+// the specs are a detector's whole identity. Detect never mutates the
+// receiver, so a single detector pointer can be shared across the
+// engine and every stream fold goroutine, and pointer identity keys the
+// stream's memoization slots (like the baseline pointer keys the
+// distance slot). WithSpec returns a modified copy, copy-on-write.
 type FaultDetector struct {
 	def   MachineSpec
-	opt   FaultOptions
 	specs map[int]MachineSpec
 }
 
-// NewFaultDetector builds a detector with a fleet-default machine spec
-// and threshold options (zero values select calibrated defaults).
-func NewFaultDetector(def MachineSpec, opt FaultOptions) *FaultDetector {
-	return &FaultDetector{def: def, opt: opt.fill()}
+// NewFaultDetector builds a detector with a fleet-default machine spec.
+func NewFaultDetector(def MachineSpec) *FaultDetector {
+	return &FaultDetector{def: def}
 }
 
 // WithSpec returns a copy of the detector with a per-pump machine spec
 // override. The receiver is unchanged.
 func (d *FaultDetector) WithSpec(pumpID int, spec MachineSpec) *FaultDetector {
-	nd := &FaultDetector{def: d.def, opt: d.opt, specs: make(map[int]MachineSpec, len(d.specs)+1)}
+	nd := &FaultDetector{def: d.def, specs: make(map[int]MachineSpec, len(d.specs)+1)}
 	for id, s := range d.specs {
 		nd.specs[id] = s
 	}
@@ -717,7 +678,7 @@ var metDetectDur = obs.Default.Histogram("vibepm_feature_detect_seconds", obs.St
 // Detect classifies one measurement using the pump's machine spec.
 func (d *FaultDetector) Detect(rec *store.Record) FaultReport {
 	start := time.Now()
-	rep := DetectRecord(rec, d.SpecFor(rec.PumpID), d.opt)
+	rep := DetectRecord(rec, d.SpecFor(rec.PumpID))
 	metDetectDur.Observe(time.Since(start).Seconds())
 	return rep
 }

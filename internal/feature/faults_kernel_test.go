@@ -103,8 +103,8 @@ func TestDetectRecordMatchesSortReference(t *testing.T) {
 		recs, given := goldenCorpus(t, k)
 		for i, rec := range recs {
 			for _, spec := range []MachineSpec{given[i], {}} {
-				got := DetectRecord(rec, spec, FaultOptions{})
-				want := refDetectRecord(rec, spec, FaultOptions{})
+				got := DetectRecord(rec, spec)
+				want := refDetectRecord(rec, spec)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("k=%d record %d spec %+v:\ngot  %+v\nwant %+v", k, i, spec, got, want)
 				}
@@ -119,7 +119,7 @@ func TestDetectRecordMatchesSortReference(t *testing.T) {
 // spectrum (and trip the race detector; see make race-faults).
 func TestFaultDetectorSharedScratch(t *testing.T) {
 	recs, _ := goldenCorpus(t, 1024)
-	det := NewFaultDetector(MachineSpec{}, FaultOptions{})
+	det := NewFaultDetector(MachineSpec{})
 	want := make([]FaultReport, len(recs))
 	for i, rec := range recs {
 		want[i] = det.Detect(rec)
@@ -144,16 +144,15 @@ func TestFaultDetectorSharedScratch(t *testing.T) {
 }
 
 // The classifier as it stood before the selection median and the
-// pooled scratch, verbatim but for the ref prefix: every floor median
-// is a fresh slice fully sorted, every spectrum a fresh allocation from
-// the non-Into transforms. It is the reference
-// TestDetectRecordMatchesSortReference compares against and has no
-// other caller.
+// pooled scratch, verbatim but for the ref prefix and the thresholds
+// read as the package constants: every floor median is a fresh slice
+// fully sorted, every spectrum a fresh allocation from the non-Into
+// transforms. It is the reference TestDetectRecordMatchesSortReference
+// compares against and has no other caller.
 
-func refDetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) FaultReport {
-	opt = opt.fill()
+func refDetectRecord(rec *store.Record, spec MachineSpec) FaultReport {
 	k := rec.Samples()
-	if k < opt.MinSamples || rec.SampleRateHz <= 0 {
+	if k < DefaultMinFaultSamples || rec.SampleRateHz <= 0 {
 		return FaultReport{Class: physics.FaultNone, Evidence: []Evidence{
 			{Name: "insufficient-data", Value: float64(k)},
 		}}
@@ -181,21 +180,21 @@ func refDetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) Faul
 	rotor := spec.RotorHz
 	estimated := false
 	if rotor <= 0 {
-		rotor = refEstimateRotorHz(freq, rp, opt)
+		rotor = refEstimateRotorHz(freq, rp)
 		estimated = true
 	}
-	if rotor <= 0 || rotor < opt.MinRotorHz || 6*rotor >= fs/2 {
+	if rotor <= 0 || rotor < DefaultMinRotorHz || 6*rotor >= fs/2 {
 		return FaultReport{Class: physics.FaultNone, Evidence: []Evidence{
 			{Name: "rotor-unresolved", Freq: rotor},
 		}}
 	}
 
 	band := func(psd []float64, f0 float64) float64 {
-		e, _ := refBandStat(psd, f0, binHz, opt.FreqTolFrac)
+		e, _ := refBandStat(psd, f0, binHz, DefaultFreqTolFrac)
 		return e
 	}
 	snr := func(psd []float64, f0 float64) float64 {
-		_, s := refBandStat(psd, f0, binHz, opt.FreqTolFrac)
+		_, s := refBandStat(psd, f0, binHz, DefaultFreqTolFrac)
 		return s
 	}
 
@@ -252,7 +251,7 @@ func refDetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) Faul
 			// A defect frequency too close to an integer rotor multiple
 			// is indistinguishable from ordinary harmonic beating in the
 			// envelope; skip it rather than risk a false positive.
-			if nearInteger(fd, rotor, bandHalfWidth(fd, binHz, opt.FreqTolFrac)) {
+			if nearInteger(fd, rotor, bandHalfWidth(fd, binHz, DefaultFreqTolFrac)) {
 				continue
 			}
 			envSNR[i] = snr(pe, fd)
@@ -271,10 +270,10 @@ func refDetectRecord(rec *store.Record, spec MachineSpec, opt FaultOptions) Faul
 		class physics.FaultClass
 		q     float64
 	}{
-		{physics.FaultBearing, bearSNR / opt.BearingSNR},
-		{physics.FaultImbalance, imbExcess / opt.ImbalanceExcess},
-		{physics.FaultMisalignment, misExcess / opt.MisalignExcess},
-		{physics.FaultLooseness, looseSNR / opt.LoosenessSNR},
+		{physics.FaultBearing, bearSNR / DefaultBearingSNR},
+		{physics.FaultImbalance, imbExcess / DefaultImbalanceExcess},
+		{physics.FaultMisalignment, misExcess / DefaultMisalignExcess},
+		{physics.FaultLooseness, looseSNR / DefaultLoosenessSNR},
 	}
 	best := qs[0]
 	for _, c := range qs[1:] {
@@ -365,8 +364,7 @@ func refBandStat(psd []float64, f0, binHz, tolFrac float64) (energy, snr float64
 	return energy, energy / denom
 }
 
-func refEstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
-	opt = opt.fill()
+func refEstimateRotorHz(freq, psd []float64) float64 {
 	if len(freq) < 4 {
 		return 0
 	}
@@ -378,12 +376,12 @@ func refEstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
 	hiHz := fs2 / 4 // fs/8
 
 	combScore := func(f0 float64) float64 {
-		if f0 < opt.MinRotorHz || 6*f0 > fs2 {
+		if f0 < DefaultMinRotorHz || 6*f0 > fs2 {
 			return math.Inf(-1)
 		}
 		var s float64
 		for h := 1; h <= 6; h++ {
-			_, sn := refBandStat(psd, float64(h)*f0, binHz, opt.FreqTolFrac)
+			_, sn := refBandStat(psd, float64(h)*f0, binHz, DefaultFreqTolFrac)
 			s += math.Log1p(sn)
 		}
 		return s
@@ -394,12 +392,12 @@ func refEstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
 	// than the bin width (the PSD cannot resolve below it).
 	best := math.Inf(-1)
 	bestF := 0.0
-	for f0 := math.Max(opt.MinRotorHz, binHz); f0 <= hiHz; {
+	for f0 := math.Max(DefaultMinRotorHz, binHz); f0 <= hiHz; {
 		if s := combScore(f0); s > best {
 			best = s
 			bestF = f0
 		}
-		f0 += math.Max(binHz, f0*opt.FreqTolFrac/2)
+		f0 += math.Max(binHz, f0*DefaultFreqTolFrac/2)
 	}
 	if bestF <= 0 || math.IsInf(best, -1) {
 		return 0
@@ -421,11 +419,11 @@ func refEstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
 	if 12*bestF <= fs2 {
 		var s [3]float64
 		for i, k := range [3]float64{1, 3, 5} {
-			_, s[i] = refBandStat(psd, k*bestF, binHz, opt.FreqTolFrac)
+			_, s[i] = refBandStat(psd, k*bestF, binHz, DefaultFreqTolFrac)
 		}
-		e4, _ := refBandStat(psd, 4*bestF, binHz, opt.FreqTolFrac)
-		e5, _ := refBandStat(psd, 5*bestF, binHz, opt.FreqTolFrac)
-		if median3(s) >= opt.LoosenessSNR && e5 > halfCombRise*e4 {
+		e4, _ := refBandStat(psd, 4*bestF, binHz, DefaultFreqTolFrac)
+		e5, _ := refBandStat(psd, 5*bestF, binHz, DefaultFreqTolFrac)
+		if median3(s) >= DefaultLoosenessSNR && e5 > halfCombRise*e4 {
 			bestF *= 2
 		}
 	}
@@ -433,14 +431,14 @@ func refEstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
 	// Sub-bin refinement from the sharpest line of the winning comb.
 	refH, refSNR := 0, 0.0
 	for h := 1; h <= 6; h++ {
-		if _, sn := refBandStat(psd, float64(h)*bestF, binHz, opt.FreqTolFrac); sn > refSNR {
+		if _, sn := refBandStat(psd, float64(h)*bestF, binHz, DefaultFreqTolFrac); sn > refSNR {
 			refSNR = sn
 			refH = h
 		}
 	}
 	if refH > 0 {
 		fh := float64(refH) * bestF
-		hw := bandHalfWidth(fh, binHz, opt.FreqTolFrac)
+		hw := bandHalfWidth(fh, binHz, DefaultFreqTolFrac)
 		lo := int(math.Ceil((fh - hw) / binHz))
 		hi := int(math.Floor((fh + hw) / binHz))
 		if lo < 0 {
@@ -456,7 +454,7 @@ func refEstimateRotorHz(freq, psd []float64, opt FaultOptions) float64 {
 			}
 		}
 		if peak > 0 {
-			if f := refinePeakHz(freq, psd, peak) / float64(refH); f >= opt.MinRotorHz {
+			if f := refinePeakHz(freq, psd, peak) / float64(refH); f >= DefaultMinRotorHz {
 				bestF = f
 			}
 		}

@@ -59,7 +59,7 @@ func TestFaultDetectorCalibration(t *testing.T) {
 	for _, seed := range seeds {
 		for _, wear := range wears {
 			rec, pump := captureFault(t, seed, wear, physics.FaultConfig{}, 1024)
-			r := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: pump.RotorHz()}, feature.FaultOptions{})
+			r := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: pump.RotorHz()})
 			t.Logf("healthy seed=%d wear=%.2f: class=%v 1x=%.2f 2x=%.2f half=%.2f env=[%.2f %.2f %.2f]",
 				seed, wear, r.Class, score(r, "1x-excess"), score(r, "2x-excess"), score(r, "half-order-snr"),
 				score(r, "env-BPFO"), score(r, "env-BPFI"), score(r, "env-BSF"))
@@ -88,7 +88,7 @@ func TestFaultDetectorCalibration(t *testing.T) {
 			cfg.Severity = sev
 			for _, seed := range seeds {
 				rec, pump := captureFault(t, seed, 0.15, cfg, 1024)
-				r := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: pump.RotorHz()}, feature.FaultOptions{})
+				r := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: pump.RotorHz()})
 				t.Logf("%s sev=%.2f seed=%d: class=%v conf=%.2f defect=%s 1x=%.2f 2x=%.2f half=%.2f env=[%.2f %.2f %.2f]",
 					f.name, sev, seed, r.Class, r.Confidence, r.Defect,
 					score(r, "1x-excess"), score(r, "2x-excess"), score(r, "half-order-snr"),
@@ -106,8 +106,8 @@ func TestFaultDetectorCalibration(t *testing.T) {
 func TestDetectRecordDeterminism(t *testing.T) {
 	rec, pump := captureFault(t, 21, 0.2, physics.FaultConfig{Class: physics.FaultBearing, Severity: 0.8}, 1024)
 	spec := feature.MachineSpec{RotorHz: pump.RotorHz()}
-	a := feature.DetectRecord(rec, spec, feature.FaultOptions{})
-	b := feature.DetectRecord(rec, spec, feature.FaultOptions{})
+	a := feature.DetectRecord(rec, spec)
+	b := feature.DetectRecord(rec, spec)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("repeated detection diverged:\n%+v\n%+v", a, b)
 	}
@@ -123,7 +123,7 @@ func TestDetectRecordInsufficientData(t *testing.T) {
 		{SampleRateHz: 4000, Raw: [3][]int16{make([]int16, 16), make([]int16, 16), make([]int16, 16)}},
 		{ScaleG: 1, Raw: [3][]int16{make([]int16, 1024), make([]int16, 1024), make([]int16, 1024)}},
 	} {
-		r := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: 119}, feature.FaultOptions{})
+		r := feature.DetectRecord(rec, feature.MachineSpec{RotorHz: 119})
 		if r.Class != physics.FaultNone {
 			t.Errorf("degenerate record classified as %v", r.Class)
 		}
@@ -148,7 +148,7 @@ func TestEstimateRotorHz(t *testing.T) {
 	}
 	for _, c := range cases {
 		rec, pump := captureFault(t, 31, 0.2, c.cfg, 2048)
-		r := feature.DetectRecord(rec, feature.MachineSpec{}, feature.FaultOptions{})
+		r := feature.DetectRecord(rec, feature.MachineSpec{})
 		got := r.RotorHz
 		want := pump.RotorHz()
 		if math.Abs(got-want) > 0.02*want {
@@ -160,7 +160,7 @@ func TestEstimateRotorHz(t *testing.T) {
 // TestFaultDetectorWithSpec pins the copy-on-write contract: WithSpec
 // never mutates the receiver, so a shared detector pointer is safe.
 func TestFaultDetectorWithSpec(t *testing.T) {
-	d := feature.NewFaultDetector(feature.MachineSpec{RotorHz: 100}, feature.FaultOptions{})
+	d := feature.NewFaultDetector(feature.MachineSpec{RotorHz: 100})
 	d2 := d.WithSpec(7, feature.MachineSpec{RotorHz: 50})
 	if got := d.SpecFor(7).RotorHz; got != 100 {
 		t.Errorf("receiver mutated: SpecFor(7) = %.0f, want default 100", got)

@@ -36,21 +36,17 @@ type Harmonic struct {
 	BinHz float64
 }
 
-// DefaultMinSignificance is the default peak-significance cutoff: peaks
-// below this fraction of the strongest peak are treated as noise-floor
-// bumps and excluded from the feature. Empirically the simulated
-// harmonics sit above 2% of the fundamental while noise-floor peaks
-// stay under 0.2%, so 0.5% separates them cleanly; it is exposed as an
-// option for the sensitivity ablation.
+// DefaultMinSignificance is the peak-significance cutoff: peaks below
+// this fraction of the strongest peak are treated as noise-floor bumps
+// and excluded from the feature. Empirically the simulated harmonics
+// sit above 2% of the fundamental while noise-floor peaks stay under
+// 0.2%, so 0.5% separates them cleanly.
 const DefaultMinSignificance = 0.005
 
 // Options tunes the extraction; zero values select the paper defaults.
 type Options struct {
 	NumPeaks   int
 	HannWindow int
-	// MinSignificance drops peaks below this fraction of the largest
-	// peak (default DefaultMinSignificance; negative disables).
-	MinSignificance float64
 	// SmoothingHz, when positive, pins the Hann smoothing window to a
 	// physical width in Hz instead of HannWindow bins, so measurements
 	// captured at different sampling rates are smoothed identically.
@@ -64,9 +60,6 @@ func (o Options) fill() Options {
 	}
 	if o.HannWindow <= 0 {
 		o.HannWindow = DefaultHannWindow
-	}
-	if o.MinSignificance == 0 {
-		o.MinSignificance = DefaultMinSignificance
 	}
 	return o
 }
@@ -98,23 +91,20 @@ func ExtractHarmonic(freq, psd []float64, opt Options) Harmonic {
 		binHz = freq[1] - freq[0]
 	}
 	peaks := dsp.TopPeaks(freq, psd, opt.NumPeaks, opt.HannWindow)
-	if opt.MinSignificance > 0 && len(peaks) > 0 {
-		var top float64
-		for _, p := range peaks {
-			if p.Value > top {
-				top = p.Value
-			}
+	var top float64
+	for _, p := range peaks {
+		if p.Value > top {
+			top = p.Value
 		}
-		cut := top * opt.MinSignificance
-		kept := peaks[:0]
-		for _, p := range peaks {
-			if p.Value >= cut {
-				kept = append(kept, p)
-			}
-		}
-		peaks = kept
 	}
-	return Harmonic{Peaks: peaks, BinHz: binHz}
+	cut := top * DefaultMinSignificance
+	kept := peaks[:0]
+	for _, p := range peaks {
+		if p.Value >= cut {
+			kept = append(kept, p)
+		}
+	}
+	return Harmonic{Peaks: kept, BinHz: binHz}
 }
 
 // HarmonicOfRecord extracts the harmonic feature directly from a stored

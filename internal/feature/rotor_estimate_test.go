@@ -28,7 +28,7 @@ func TestRotorEstimateSeverityGrid(t *testing.T) {
 	}
 	check := func(label string, rec *store.Record, trueHz float64) {
 		t.Helper()
-		r := feature.DetectRecord(rec, feature.MachineSpec{}, feature.FaultOptions{})
+		r := feature.DetectRecord(rec, feature.MachineSpec{})
 		if math.Abs(r.RotorHz-trueHz) <= 0.02*trueHz {
 			return
 		}

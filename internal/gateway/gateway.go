@@ -37,60 +37,46 @@ import (
 )
 
 // RetryConfig bounds the gateway's transfer and store-write retries.
-// The zero value selects the defaults noted per field. Backoff time is
-// simulated (the network clock is the caller's nowDays), so the delays
-// are accounted in IngestReport.BackoffSeconds rather than slept.
+// Backoff time is simulated (the network clock is the caller's nowDays),
+// so the delays are accounted in IngestReport.BackoffSeconds rather than
+// slept: the first retry waits retryBaseDelaySeconds, each further one
+// doubles it up to retryMaxDelaySeconds, and every delay is spread by
+// ±retryJitterFrac of itself.
 type RetryConfig struct {
 	// MaxAttempts is the total number of delivery attempts per
 	// measurement, first try included (default 3, minimum 1).
 	MaxAttempts int
-	// BaseDelaySeconds is the backoff before the first retry
-	// (default 5 s); each further retry doubles it.
-	BaseDelaySeconds float64
-	// MaxDelaySeconds caps the exponential growth (default 60 s).
-	MaxDelaySeconds float64
-	// JitterFrac spreads each delay by ±frac·delay to decorrelate
-	// retries across motes (default 0.2).
-	JitterFrac float64
 	// Seed fixes the jitter streams (per-mote streams are derived).
 	Seed int64
 }
 
+// The gateway's fixed timing: retry backoff, the per-mote circuit
+// breaker, and the registration stagger.
+const (
+	// retryBaseDelaySeconds is the backoff before the first retry.
+	retryBaseDelaySeconds = 5.0
+	// retryMaxDelaySeconds caps the exponential growth.
+	retryMaxDelaySeconds = 60.0
+	// retryJitterFrac spreads each delay by ±frac·delay to decorrelate
+	// retries across motes.
+	retryJitterFrac = 0.2
+	// breakerFailureThreshold is how many consecutive lost measurements
+	// open a mote's circuit breaker: the mote is then quarantined
+	// instead of burning the channel on retries that keep failing.
+	breakerFailureThreshold = 5
+	// breakerCooldownDays is how long an open breaker quarantines the
+	// mote; after the cooldown the next measurement probes the channel
+	// half-open.
+	breakerCooldownDays = 0.5
+	// slotSpacingHours staggers the wakeup slots assigned at
+	// registration so motes do not collide on the channel (unless
+	// Config.Slots assigns them).
+	slotSpacingHours = 0.1
+)
+
 func (c RetryConfig) withDefaults() RetryConfig {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.BaseDelaySeconds <= 0 {
-		c.BaseDelaySeconds = 5
-	}
-	if c.MaxDelaySeconds <= 0 {
-		c.MaxDelaySeconds = 60
-	}
-	if c.JitterFrac <= 0 {
-		c.JitterFrac = 0.2
-	}
-	return c
-}
-
-// BreakerConfig parameterizes the per-mote circuit breaker: a mote
-// whose measurements keep getting lost is quarantined for a cooldown
-// instead of burning the channel on retries that keep failing.
-type BreakerConfig struct {
-	// FailureThreshold is how many consecutive lost measurements open
-	// the breaker (default 5).
-	FailureThreshold int
-	// CooldownDays is how long an open breaker quarantines the mote;
-	// after the cooldown the next measurement probes the channel
-	// half-open (default 0.5 days).
-	CooldownDays float64
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.CooldownDays <= 0 {
-		c.CooldownDays = 0.5
 	}
 	return c
 }
@@ -145,21 +131,12 @@ type Config struct {
 	// Link configures the lossy radio channel between each mote and the
 	// base station (per-mote links are derived with distinct seeds).
 	Link flush.LinkConfig
-	// HeartbeatTimeoutDays is how long the server waits past a missed
-	// wakeup before declaring a mote dead (default: 2 report periods).
-	HeartbeatTimeoutDays float64
-	// SlotSpacingHours staggers the wakeup slots assigned at
-	// registration so motes do not collide on the channel (default
-	// 0.1 h). Ignored when Slots is set.
-	SlotSpacingHours float64
 	// Slots, when non-nil, assigns each mote the offset and period of a
 	// precomputed TDMA schedule (see internal/sched) instead of the
 	// naive stagger.
 	Slots *sched.Schedule
 	// Retry bounds per-measurement delivery retries.
 	Retry RetryConfig
-	// Breaker parameterizes the per-mote circuit breaker.
-	Breaker BreakerConfig
 	// Faults, when non-nil, injects faults at the named points.
 	Faults Faults
 	// Workers caps the goroutines Advance fans out across motes
@@ -285,11 +262,7 @@ func New(cfg Config) *Server {
 	} else {
 		st = store.NewMeasurements()
 	}
-	if cfg.SlotSpacingHours <= 0 {
-		cfg.SlotSpacingHours = 0.1
-	}
 	cfg.Retry = cfg.Retry.withDefaults()
-	cfg.Breaker = cfg.Breaker.withDefaults()
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default
@@ -320,7 +293,7 @@ func (s *Server) Register(m *mote.Mote, startDays float64) error {
 	if _, ok := s.motes[id]; ok {
 		return ErrDuplicateMote
 	}
-	slot := startDays + float64(len(s.motes))*s.cfg.SlotSpacingHours/24
+	slot := startDays + float64(len(s.motes))*slotSpacingHours/24
 	if s.cfg.Slots != nil {
 		for _, a := range s.cfg.Slots.Assignments {
 			if a.MoteID == id {
@@ -463,8 +436,8 @@ func (s *Server) advanceEntry(e *entry, nowDays float64) IngestReport {
 			rep.TransferFailures++
 			e.failures++
 			e.consecFailures++
-			if e.consecFailures >= s.cfg.Breaker.FailureThreshold {
-				e.quarantinedUntil = w.AtDays + s.cfg.Breaker.CooldownDays
+			if e.consecFailures >= breakerFailureThreshold {
+				e.quarantinedUntil = w.AtDays + breakerCooldownDays
 				e.consecFailures = 0
 				e.breakerTrips++
 				rep.BreakerTrips++
@@ -495,12 +468,9 @@ func (s *Server) advanceEntry(e *entry, nowDays float64) IngestReport {
 			}
 		}
 	}
-	// Liveness: if the mote missed its heartbeat for longer than the
-	// timeout, mark it dead.
-	timeout := s.cfg.HeartbeatTimeoutDays
-	if timeout <= 0 {
-		timeout = 2 * e.m.ReportPeriodHours() / 24
-	}
+	// Liveness: a mote whose last heartbeat is more than two report
+	// periods old is marked dead.
+	timeout := 2 * e.m.ReportPeriodHours() / 24
 	if !e.dead && nowDays-e.lastHeartbeat > timeout {
 		e.dead = true
 		rep.NewlyDead = append(rep.NewlyDead, e.id)
@@ -514,7 +484,7 @@ func (s *Server) advanceEntry(e *entry, nowDays float64) IngestReport {
 // catch it, and a caught corruption costs a retry like any loss.
 func (s *Server) transferWithRetry(e *entry, payload []byte, corrupt func([]byte), rep *IngestReport) (*store.Record, int, bool) {
 	cfg := s.cfg.Retry
-	delay := cfg.BaseDelaySeconds
+	delay := retryBaseDelaySeconds
 	for attempt := 1; ; attempt++ {
 		delivered, stats, err := flush.Transfer(payload, e.forward, e.reverse)
 		rep.PacketsSent += stats.PacketsSent
@@ -534,10 +504,10 @@ func (s *Server) transferWithRetry(e *entry, payload []byte, corrupt func([]byte
 			return nil, attempt, false
 		}
 		rep.Retries++
-		rep.BackoffSeconds += jittered(delay, cfg.JitterFrac, e.jitter)
+		rep.BackoffSeconds += jittered(delay, e.jitter)
 		delay *= 2
-		if delay > cfg.MaxDelaySeconds {
-			delay = cfg.MaxDelaySeconds
+		if delay > retryMaxDelaySeconds {
+			delay = retryMaxDelaySeconds
 		}
 	}
 }
@@ -549,7 +519,7 @@ func (s *Server) transferWithRetry(e *entry, payload []byte, corrupt func([]byte
 // disk per the configured fsync policy.
 func (s *Server) storeWithRetry(e *entry, rec *store.Record, rep *IngestReport) bool {
 	cfg := s.cfg.Retry
-	delay := cfg.BaseDelaySeconds
+	delay := retryBaseDelaySeconds
 	for attempt := 1; ; attempt++ {
 		var err error
 		if s.cfg.Faults != nil {
@@ -578,16 +548,16 @@ func (s *Server) storeWithRetry(e *entry, rec *store.Record, rep *IngestReport) 
 			return false
 		}
 		rep.Retries++
-		rep.BackoffSeconds += jittered(delay, cfg.JitterFrac, e.jitter)
+		rep.BackoffSeconds += jittered(delay, e.jitter)
 		delay *= 2
-		if delay > cfg.MaxDelaySeconds {
-			delay = cfg.MaxDelaySeconds
+		if delay > retryMaxDelaySeconds {
+			delay = retryMaxDelaySeconds
 		}
 	}
 }
 
-func jittered(delay, frac float64, rng *rand.Rand) float64 {
-	return delay * (1 + frac*(2*rng.Float64()-1))
+func jittered(delay float64, rng *rand.Rand) float64 {
+	return delay * (1 + retryJitterFrac*(2*rng.Float64()-1))
 }
 
 // drainDelayedLocked stores every chaos-delayed record of e. Caller

@@ -100,12 +100,12 @@ func TestSlotStaggering(t *testing.T) {
 
 func TestHeartbeatDeathDetection(t *testing.T) {
 	// A mote with a tiny battery dies; the server must notice once the
-	// heartbeat timeout elapses.
-	srv := New(Config{HeartbeatTimeoutDays: 1})
+	// heartbeat timeout — two 12 h report periods — elapses.
+	srv := New(Config{})
 	pump := physics.NewPump(physics.PumpConfig{ID: 0, Seed: 50})
 	sensor, _ := mems.New(mems.Config{Seed: 51})
 	tiny := mote.EnergyModel{BatteryJ: 0.08, SleepW: 1e-6, ActiveW: 0.066, RadioJ: 0.034, SamplesPerMeasurement: 1024}
-	m, err := mote.New(mote.Config{ID: 0, ReportPeriodHours: 6, Energy: tiny, SamplesPerMeasurement: 64}, sensor, pump)
+	m, err := mote.New(mote.Config{ID: 0, ReportPeriodHours: 12, Energy: tiny, SamplesPerMeasurement: 64}, sensor, pump)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,16 +121,23 @@ func TestBreakerQuarantinesDeadRadio(t *testing.T) {
 		},
 	}
 	srv, _ := newTestServer(t, 1, Config{
-		Faults:  faults,
-		Retry:   RetryConfig{MaxAttempts: 2},
-		Breaker: BreakerConfig{FailureThreshold: 1, CooldownDays: 2},
-	}, 6) // 4 wakeups/day
+		Faults: faults,
+		Retry:  RetryConfig{MaxAttempts: 2},
+	}, 6) // 4 wakeups/day, the first at day 0
+	// The wakeups at days 0 … 1.0 are the breakerFailureThreshold
+	// consecutive losses that open the breaker; the next wakeup (1.25)
+	// falls inside the cooldown.
+	first := srv.Advance(1.1)
+	if first.TransferFailures != breakerFailureThreshold || first.BreakerTrips != 1 {
+		t.Fatalf("want the breaker open after %d losses: %+v", breakerFailureThreshold, first)
+	}
+	if !srv.Status()[0].Quarantined {
+		t.Fatal("status must report the open breaker")
+	}
 	rep := srv.Advance(5)
+	rep.merge(first)
 	if rep.Stored != 0 {
 		t.Fatalf("stored over a dead radio: %+v", rep)
-	}
-	if rep.BreakerTrips == 0 {
-		t.Fatal("breaker never tripped on a dead radio")
 	}
 	if rep.Quarantined == 0 {
 		t.Fatal("no measurements quarantined after the breaker opened")
@@ -141,34 +148,38 @@ func TestBreakerQuarantinesDeadRadio(t *testing.T) {
 		t.Fatalf("accounting: failures %d + quarantined %d != produced %d",
 			rep.TransferFailures, rep.Quarantined, st.Produced)
 	}
-	if !st.Quarantined {
-		t.Fatal("status must report the open breaker")
-	}
-	// The breaker bounds attempts: with threshold 3 and a 2-day
-	// cooldown, far fewer transfers than wakeups hit the channel.
+	// The breaker bounds attempts: fewer transfers than wakeups hit the
+	// channel.
 	if st.Transfers >= st.Produced {
 		t.Fatalf("breaker did not shed load: %d transfers for %d produced", st.Transfers, st.Produced)
 	}
 }
 
 func TestBreakerHalfOpenRecovers(t *testing.T) {
-	// Radio is dead for day 1, then heals. After the cooldown the
-	// half-open probe must succeed and ingestion resumes.
-	var ch *flakyChannel
+	// Every delivery is corrupted past the CRC until day 1.1: the first
+	// breakerFailureThreshold measurements are lost and open the
+	// breaker. After the cooldown the half-open probe must succeed and
+	// ingestion resumes.
 	faults := &fakeFaults{
-		wrap: func(id int, fwd, rev flush.Channel) (flush.Channel, flush.Channel) {
-			ch = &flakyChannel{base: fwd, dead: flush.MaxRounds * 10 * 2 * 4} // ≈ first day of attempts
-			return ch, rev
+		wakeup: func(id int, at float64) WakeupFaults {
+			if at >= 1.1 {
+				return WakeupFaults{}
+			}
+			return WakeupFaults{Corrupt: func(p []byte) { p[0] ^= 0xFF }}
 		},
 	}
 	srv, _ := newTestServer(t, 1, Config{
-		Faults:  faults,
-		Retry:   RetryConfig{MaxAttempts: 2},
-		Breaker: BreakerConfig{FailureThreshold: 2, CooldownDays: 0.5},
+		Faults: faults,
+		Retry:  RetryConfig{MaxAttempts: 2},
 	}, 6)
-	srv.Advance(1)
+	if rep := srv.Advance(1.1); rep.BreakerTrips != 1 || rep.TransferFailures != breakerFailureThreshold {
+		t.Fatalf("want the breaker open after %d losses: %+v", breakerFailureThreshold, rep)
+	}
 	rep := srv.Advance(4)
-	if rep.Stored == 0 {
+	if rep.Quarantined == 0 {
+		t.Fatalf("no measurement waited out the cooldown: %+v", rep)
+	}
+	if rep.Stored == 0 || rep.BreakerTrips != 0 {
 		t.Fatalf("ingestion never resumed after the channel healed: %+v", rep)
 	}
 }
@@ -308,16 +319,14 @@ func TestKillMoteAccountsRemainingBatch(t *testing.T) {
 
 func TestHeartbeatGapRevival(t *testing.T) {
 	// Suppress heartbeats for two days: the server declares the mote
-	// dead, then revives it when heartbeats return.
+	// dead once two 12 h report periods pass without one, then revives
+	// it when heartbeats return.
 	faults := &fakeFaults{
 		wakeup: func(id int, at float64) WakeupFaults {
 			return WakeupFaults{SuppressHeartbeat: at < 2}
 		},
 	}
-	srv, _ := newTestServer(t, 1, Config{
-		Faults:               faults,
-		HeartbeatTimeoutDays: 1,
-	}, 6)
+	srv, _ := newTestServer(t, 1, Config{Faults: faults}, 12)
 	rep := srv.Advance(1.9)
 	if len(rep.NewlyDead) != 1 {
 		t.Fatalf("heartbeat gap must trigger a death verdict: %+v", rep)

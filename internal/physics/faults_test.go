@@ -36,6 +36,30 @@ func TestBearingDefectFrequencies(t *testing.T) {
 	}
 }
 
+// TestBearingMatchesCWRUDriveEnd6205 pins DefaultBearing to figures the
+// repository did not compute: the defect multiples of shaft speed that
+// the Case Western Reserve University Bearing Data Center publishes for
+// the drive-end bearing of its test rig, a 6205-2RS JEM SKF. The centre
+// quotes the rolling-element frequency as twice the ball spin
+// frequency, 2 × BSF.
+func TestBearingMatchesCWRUDriveEnd6205(t *testing.T) {
+	g := DefaultBearing
+	cases := []struct {
+		name      string
+		got, want float64
+	}{
+		{"BPFI", g.BPFI(1), 5.4152},
+		{"BPFO", g.BPFO(1), 3.5848},
+		{"FTF", g.FTF(1), 0.39828},
+		{"rolling element (2 × BSF)", 2 * g.BSF(1), 4.7135},
+	}
+	for _, c := range cases {
+		if rel := math.Abs(c.got-c.want) / c.want; rel > 1e-4 {
+			t.Errorf("%s multiple = %.5f, CWRU publishes %.5f (relative error %.1e)", c.name, c.got, c.want, rel)
+		}
+	}
+}
+
 // TestFaultClassText pins the wire names and the roundtrip.
 func TestFaultClassText(t *testing.T) {
 	want := map[FaultClass]string{

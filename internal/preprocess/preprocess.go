@@ -34,13 +34,11 @@ func Averages(recs []*store.Record) [][]float64 {
 	return out
 }
 
-// OutlierConfig controls invalid-measurement detection.
-type OutlierConfig struct {
-	// Bandwidth is the mean shift kernel radius in g. Non-positive
-	// selects an adaptive value (8× the median norm of the differences
-	// between consecutive averages, floored at 0.05 g).
-	Bandwidth float64
-}
+// OutlierConfig has no fields: the mean shift kernel radius is always
+// adaptiveBandwidth's. The type stays only because the frozen
+// benchmark/ passes OutlierConfig{} to DetectOutliers and
+// DetectOutliersPoints, which ignore it.
+type OutlierConfig struct{}
 
 // ErrNoMeasurements is returned when there is nothing to analyse.
 var ErrNoMeasurements = errors.New("preprocess: no measurements")
@@ -56,11 +54,11 @@ const maxClusterPoints = 1500
 // and flags every measurement outside the dominant cluster as invalid —
 // the white-box markings of Fig. 8(b). It returns the indices of valid
 // and invalid records, each ascending.
-func DetectOutliers(recs []*store.Record, cfg OutlierConfig) (valid, invalid []int, err error) {
+func DetectOutliers(recs []*store.Record, _ OutlierConfig) (valid, invalid []int, err error) {
 	if len(recs) == 0 {
 		return nil, nil, ErrNoMeasurements
 	}
-	return DetectOutliersPoints(Averages(recs), cfg)
+	return DetectOutliersPoints(Averages(recs), OutlierConfig{})
 }
 
 // DetectOutliersPoints is DetectOutliers over already-extracted
@@ -68,14 +66,11 @@ func DetectOutliers(recs []*store.Record, cfg OutlierConfig) (valid, invalid []i
 // analysis path, which serves the averages from its per-record feature
 // cache instead of re-touching raw waveforms. The clustering is
 // identical to DetectOutliers over the records the points came from.
-func DetectOutliersPoints(points [][]float64, cfg OutlierConfig) (valid, invalid []int, err error) {
+func DetectOutliersPoints(points [][]float64, _ OutlierConfig) (valid, invalid []int, err error) {
 	if len(points) == 0 {
 		return nil, nil, ErrNoMeasurements
 	}
-	bw := cfg.Bandwidth
-	if bw <= 0 {
-		bw = adaptiveBandwidth(points)
-	}
+	bw := adaptiveBandwidth(points)
 	clusterInput := points
 	var stride int
 	if len(points) > maxClusterPoints {
@@ -128,11 +123,12 @@ func DetectOutliersPoints(points [][]float64, cfg OutlierConfig) (valid, invalid
 	return valid, invalid, nil
 }
 
-// adaptiveBandwidth derives a kernel radius from the within-regime
-// noise of the offset trace: the median norm of consecutive
-// differences, which is robust to the level shifts (drift, offset
-// steps) we are trying to detect — a deviation statistic around the
-// global median would be inflated by exactly those shifts.
+// adaptiveBandwidth derives the mean shift kernel radius in g from the
+// within-regime noise of the offset trace: 8× the median norm of
+// consecutive differences, floored at 0.05 g. The median is robust to
+// the level shifts (drift, offset steps) we are trying to detect — a
+// deviation statistic around the global median would be inflated by
+// exactly those shifts.
 func adaptiveBandwidth(points [][]float64) float64 {
 	const floor = 0.05
 	if len(points) < 2 {

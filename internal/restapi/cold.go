@@ -67,15 +67,10 @@ type mergedKey struct {
 // TrendCache.
 func (s *Server) mergedPyramid(id int, metric string, fn func(*store.Record) float64, hotGen, coldGen uint64) *store.Pyramid {
 	tag := respTag{gen: hotGen, coldGen: coldGen}
-	pyr, hit, _ := s.mergedPyrs.Get(mergedKey{pumpID: id, metric: metric}, tag, func() (*store.Pyramid, respTag, error) {
+	pyr, _, _ := s.mergedPyrs.Get(mergedKey{pumpID: id, metric: metric}, tag, func() (*store.Pyramid, respTag, error) {
 		hot := store.ExtractSeries(s.measurements.All(id), fn)
 		return store.NewPyramid(mergeSeries(s.cold.TrendSeries(id, metric), hot)), tag, nil
 	})
-	if hit {
-		s.trendCacheHits.Inc()
-	} else {
-		s.trendCacheMisses.Inc()
-	}
 	return pyr
 }
 

@@ -54,9 +54,9 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		return &cachedResp{etag: fmt.Sprintf("\"faults-%d-%d\"", id, gen), body: body}, respTag{gen: gen}, nil
 	})
 	if hit {
-		s.trendCacheHits.Inc()
+		s.faultCacheHits.Inc()
 	} else {
-		s.trendCacheMisses.Inc()
+		s.faultCacheMisses.Inc()
 	}
 	if err != nil {
 		writeErr(w, code, "%v", err)

@@ -9,6 +9,7 @@ import (
 
 	"vibepm"
 	"vibepm/internal/mems"
+	"vibepm/internal/obs"
 	"vibepm/internal/physics"
 	"vibepm/internal/store"
 )
@@ -171,5 +172,53 @@ func TestFaultsMissDoesNotStallOtherPumps(t *testing.T) {
 	<-done
 	if rec, _ := get(t, s, "/api/v1/pumps/3/faults"); rec.Code != http.StatusOK {
 		t.Fatalf("pump 3 after the abandoned rebuild: status %d", rec.Code)
+	}
+}
+
+// TestCacheCountersCountBodies pins what the vibepm_api_*_cache_*
+// counters count: one hit or one miss per serialized body the trend and
+// fault caches serve, each cache in its own pair. A fault read moves
+// only the fault pair, and on a tiered server a trend body built over a
+// merged pyramid that was already cached is still a body miss.
+func TestCacheCountersCountBodies(t *testing.T) {
+	counts := func(reg *obs.Registry, cache string) [2]uint64 {
+		return [2]uint64{
+			reg.Counter("vibepm_api_" + cache + "_cache_hits_total").Value(),
+			reg.Counter("vibepm_api_" + cache + "_cache_misses_total").Value(),
+		}
+	}
+
+	reg := obs.NewRegistry()
+	m := seedStore(t)
+	eng := vibepm.NewWithStores(vibepm.Options{}, m, store.NewLabels())
+	eng.EnableFaults(vibepm.MachineSpec{}, vibepm.FaultOptions{})
+	s := New(m, nil, nil, WithFaults(eng), WithMetrics(reg))
+	for i := 0; i < 2; i++ {
+		if rec, body := get(t, s, "/api/v1/pumps/3/faults"); rec.Code != http.StatusOK {
+			t.Fatalf("faults status %d: %v", rec.Code, body)
+		}
+	}
+	if got := counts(reg, "fault"); got != [2]uint64{1, 1} {
+		t.Fatalf("fault cache hits/misses = %v after two reads, want [1 1]", got)
+	}
+	if got := counts(reg, "trend"); got != [2]uint64{0, 0} {
+		t.Fatalf("fault reads moved the trend counters: %v", got)
+	}
+
+	reg = obs.NewRegistry()
+	_, d := openTieredServer(t, t.TempDir(), tieredCorpus(t))
+	defer d.Abort()
+	tiered := New(d.Store(), nil, nil, WithDurable(d), WithMetrics(reg))
+	for _, path := range []string{
+		"/api/v1/pumps/1/trend?points=512", // body miss, merged pyramid built
+		"/api/v1/pumps/1/trend?points=16",  // body miss over the cached pyramid
+		"/api/v1/pumps/1/trend?points=16",  // body hit
+	} {
+		if rec := getTrend(t, tiered, path, ""); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+	}
+	if got := counts(reg, "trend"); got != [2]uint64{1, 2} {
+		t.Fatalf("tiered trend cache hits/misses = %v, want [1 2]", got)
 	}
 }

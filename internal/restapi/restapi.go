@@ -57,8 +57,12 @@ type Server struct {
 	ingestAccepted   *obs.Counter
 	ingestDuplicates *obs.Counter
 	ingestRejected   *obs.Counter
+	// The body caches' hit counters: one per serialized response
+	// served from trendResp / faultResp, one miss per body built.
 	trendCacheHits   *obs.Counter
 	trendCacheMisses *obs.Counter
+	faultCacheHits   *obs.Counter
+	faultCacheMisses *obs.Counter
 }
 
 // Option customizes a Server.
@@ -127,6 +131,8 @@ func New(m *store.Measurements, l *store.Labels, p *store.PeriodManager, opts ..
 	s.ingestRejected = s.metrics.Counter("vibepm_ingest_rejected_total")
 	s.trendCacheHits = s.metrics.Counter("vibepm_api_trend_cache_hits_total")
 	s.trendCacheMisses = s.metrics.Counter("vibepm_api_trend_cache_misses_total")
+	s.faultCacheHits = s.metrics.Counter("vibepm_api_fault_cache_hits_total")
+	s.faultCacheMisses = s.metrics.Counter("vibepm_api_fault_cache_misses_total")
 	s.handle("GET /api/v1/pumps", s.handlePumps)
 	s.handle("GET /api/v1/pumps/{id}/measurements", s.handleMeasurements)
 	s.handle("GET /api/v1/pumps/{id}/trend", s.handleTrend)

@@ -155,7 +155,6 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 			// resident metric streams, never from decompressed waveforms.
 			pyr = s.mergedPyramid(id, metric, fn, gen, coldGen)
 		} else {
-			s.trendCacheMisses.Inc()
 			// The pyramid cache reads the generation itself (before the
 			// records), so pgen is the generation the response truly
 			// reflects — it may differ from gen by an in-flight append,
@@ -181,12 +180,14 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 			body: body,
 		}, respTag{gen: pgen, coldGen: coldGen}, nil
 	})
+	if hit {
+		s.trendCacheHits.Inc()
+	} else {
+		s.trendCacheMisses.Inc()
+	}
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "encode trend: %v", err)
 		return
-	}
-	if hit {
-		s.trendCacheHits.Inc()
 	}
 	serveCached(w, r, ent)
 }

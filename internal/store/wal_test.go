@@ -176,9 +176,9 @@ func TestWALReplayArbitraryDirContents(t *testing.T) {
 	t.Run("garbage segments", func(t *testing.T) {
 		dir := t.TempDir()
 		cases := map[string][]byte{
-			"wal-00000001.seg": nil,                          // empty file
-			"wal-00000002.seg": []byte("VPMWAL"),             // short header
-			"wal-00000003.seg": []byte("XXXXXXXXgarbage..."), // wrong header
+			"wal-00000001.seg": nil,                                                         // empty file
+			"wal-00000002.seg": []byte("VPMWAL"),                                            // short header
+			"wal-00000003.seg": []byte("XXXXXXXXgarbage..."),                                // wrong header
 			"wal-00000004.seg": append(append([]byte{}, walSegHeader...), 0xde, 0xad, 0xbe), // torn first frame
 			"notes.txt":        []byte("not a segment"),
 		}

@@ -50,7 +50,7 @@ func servingState(tb testing.TB, faults bool) *LiveState {
 	ls := NewLiveState(Config{})
 	ls.SetBaseline(base)
 	if faults {
-		ls.SetFaultDetector(feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{}))
+		ls.SetFaultDetector(feature.NewFaultDetector(feature.MachineSpec{}))
 	}
 	return ls
 }

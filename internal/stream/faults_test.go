@@ -13,7 +13,7 @@ import (
 // folded with the detector installed (classified at ingest) and records
 // queried cold (classified on first request).
 func TestFaultFoldMatchesDirect(t *testing.T) {
-	det := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{MinSamples: 256})
+	det := feature.NewFaultDetector(feature.MachineSpec{})
 	ls := NewLiveState(Config{})
 	ls.SetFaultDetector(det)
 	if ls.FaultDetector() != det {
@@ -41,7 +41,7 @@ func TestFaultFoldMatchesDirect(t *testing.T) {
 // the current and previous detector identities are both served, and a
 // third identity evicts the oldest.
 func TestFaultSlotDetectorSwap(t *testing.T) {
-	d1 := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{MinSamples: 256})
+	d1 := feature.NewFaultDetector(feature.MachineSpec{})
 	d2 := d1.WithSpec(1, feature.MachineSpec{RotorHz: 17})
 	d3 := d2.WithSpec(1, feature.MachineSpec{RotorHz: 23})
 	if d1 == d2 || d2 == d3 {

@@ -32,7 +32,7 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 	if base.Opt == opt {
 		t.Fatal("fixture: the baseline must pin options the raw fold does not extract")
 	}
-	det := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{MinSamples: 256})
+	det := feature.NewFaultDetector(feature.MachineSpec{})
 
 	states := []struct {
 		name                  string
@@ -148,7 +148,7 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 // variants of its one PSD.
 func TestMissFoldsOnce(t *testing.T) {
 	base := trainBaseline(t, feature.Options{})
-	det := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{MinSamples: 256})
+	det := feature.NewFaultDetector(feature.MachineSpec{})
 	detects := obs.Default.Histogram("vibepm_feature_detect_seconds", obs.StageBuckets)
 	ls := NewLiveState(Config{})
 	ls.SetBaseline(base)
@@ -239,7 +239,7 @@ func TestMemoHarmonicsHoldOnlyWhatTheyKeep(t *testing.T) {
 // record of the same pump, and a second lookup of the parked record
 // waits for the first instead of repeating it.
 func TestMissDoesNotBlockOtherRecords(t *testing.T) {
-	det := feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{MinSamples: 256})
+	det := feature.NewFaultDetector(feature.MachineSpec{})
 	ls := NewLiveState(Config{})
 	ls.SetFaultDetector(det)
 	slow, other := mkRec(9, 1, 256), mkRec(9, 2, 256)

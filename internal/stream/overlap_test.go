@@ -53,7 +53,7 @@ func durableIngester(t *testing.T, live *LiveState, wrap func(string, *os.File) 
 // ingest counted one fold and one miss.
 func TestFoldRunsDuringTheSync(t *testing.T) {
 	live := NewLiveState(Config{})
-	live.SetFaultDetector(feature.NewFaultDetector(feature.MachineSpec{}, feature.FaultOptions{MinSamples: 256}))
+	live.SetFaultDetector(feature.NewFaultDetector(feature.MachineSpec{}))
 	var armed atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
 	in := durableIngester(t, live, func(_ string, f *os.File) store.SegmentFile {

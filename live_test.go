@@ -181,7 +181,7 @@ func compareRUL(t *testing.T, ctx string, eng *vibepm.Engine) {
 		}
 	}
 	boundary, _ := eng.Boundary()
-	want, err := core.LearnLifetimeModels(points, boundary, core.LearnConfig{})
+	want, err := core.LearnLifetimeModels(points, boundary)
 	if err != nil {
 		t.Fatal(err)
 	}

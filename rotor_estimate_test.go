@@ -41,7 +41,7 @@ func TestRotorEstimateSimulateFleet(t *testing.T) {
 			t.Fatalf("pump %d: missing fleet entry or records", id)
 		}
 		rec := recs[len(recs)-1]
-		rep := feature.DetectRecord(rec, feature.MachineSpec{}, feature.FaultOptions{})
+		rep := feature.DetectRecord(rec, feature.MachineSpec{})
 		want := pump.RotorHz()
 		if math.Abs(rep.RotorHz-want) > 0.02*want {
 			t.Errorf("pump %d: estimated rotor %.2f Hz, want %.2f ± 2%%", id, rep.RotorHz, want)
