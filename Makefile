@@ -104,8 +104,9 @@ cover:
 	$(GO) test -cover ./...
 
 # Short fuzz bursts over the binary codec, the WAL frame decoder, the
-# transport protocol, the live ingest fold path, and the mean shift
-# index against its reference scan.
+# transport protocol, the live ingest fold path, the mean shift index
+# against its reference scan, and the rotor scan's rank index against
+# selection.
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=30s ./internal/store/
@@ -114,6 +115,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRingRoute -fuzztime=30s ./internal/cluster/
 	$(GO) test -fuzz=FuzzImportRecord -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzClusterEquivalence -fuzztime=30s ./internal/meanshift/
+	$(GO) test -fuzz=FuzzFloorIndex -fuzztime=30s ./internal/feature/
 
 clean:
 	$(GO) clean ./...

@@ -55,3 +55,23 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedScratchStaysFreeAfterCap: once a client has walked the
+// scratch pools past their cap, a length cached before it still
+// round-trips without allocating.
+func TestCachedScratchStaysFreeAfterCap(t *testing.T) {
+	resetPlanRegistries()
+	t.Cleanup(resetPlanRegistries)
+	putFBuf(getFBuf(1024))
+	putCBuf(getCBuf(1024))
+	for n := 1; n <= 4*maxCachedPlans; n++ {
+		putFBuf(getFBuf(n))
+		putCBuf(getCBuf(n))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		putFBuf(getFBuf(1024))
+		putCBuf(getCBuf(1024))
+	}); n != 0 {
+		t.Errorf("cached length 1024: %.0f allocs/op, want 0", n)
+	}
+}

@@ -251,21 +251,31 @@ type planRegistry[T any] struct {
 }
 
 func (r *planRegistry[T]) get(n int, build func(int) T) T {
-	if v, ok := r.plans.Load(n); ok {
-		return v.(T)
+	if v, ok := r.cached(n, build); ok {
+		return v
 	}
-	plan := build(n)
+	return build(n)
+}
+
+// cached returns n's entry, building and keeping it on a miss while
+// the registry has a free slot; ok is false when the registry is full
+// and n is not in it.
+func (r *planRegistry[T]) cached(n int, build func(int) T) (T, bool) {
+	if v, ok := r.plans.Load(n); ok {
+		return v.(T), true
+	}
 	// Reserve a slot before storing, so concurrent misses cannot carry
 	// the registry past the cap.
 	if r.slots.Add(1) > maxCachedPlans {
 		r.slots.Add(-1)
-		return plan
+		var none T
+		return none, false
 	}
-	v, loaded := r.plans.LoadOrStore(n, plan)
+	v, loaded := r.plans.LoadOrStore(n, build(n))
 	if loaded {
 		r.slots.Add(-1)
 	}
-	return v.(T)
+	return v.(T), true
 }
 
 var (

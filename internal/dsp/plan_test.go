@@ -117,11 +117,15 @@ func (r *planRegistry[T]) len() int {
 	return n
 }
 
+// resetPlanRegistries empties every length-keyed registry: the plans
+// and the scratch pools.
 func resetPlanRegistries() {
 	fftPlans.reset()
 	bluesteinPlans.reset()
 	dctPlans.reset()
 	hannPlans.reset()
+	cbufPools.reset()
+	fbufPools.reset()
 }
 
 // TestPlanRegistryReturnsSharedPlans verifies the registries converge
@@ -351,5 +355,31 @@ func TestPlanRegistriesAreBounded(t *testing.T) {
 	// One past the cap is served by a one-off plan.
 	if p1, p2 := planBluestein(2*(4*maxCachedPlans-1)+35), planBluestein(2*(4*maxCachedPlans-1)+35); p1 == p2 {
 		t.Error("a length past the cap must not have been stored")
+	}
+}
+
+// TestScratchPoolsAreBounded walks 1,000 distinct lengths through the
+// scratch pools, as a client varying its sample count does. Each pool
+// map must stop at the cap, and a length past it must still get a
+// buffer of its size, with the put dropping it rather than keeping a
+// pool for it.
+func TestScratchPoolsAreBounded(t *testing.T) {
+	resetPlanRegistries()
+	t.Cleanup(resetPlanRegistries)
+	for n := 1; n <= 1000; n++ {
+		c, f := getCBuf(n), getFBuf(n)
+		if len(c.s) != n || len(f.s) != n {
+			t.Fatalf("length %d: buffers of %d and %d", n, len(c.s), len(f.s))
+		}
+		putCBuf(c)
+		putFBuf(f)
+	}
+	for name, size := range map[string]int{"complex": cbufPools.len(), "float": fbufPools.len()} {
+		if size != maxCachedPlans {
+			t.Errorf("%s scratch pools hold %d lengths after 1,000, want the cap %d", name, size, maxCachedPlans)
+		}
+	}
+	if _, ok := cbufPools.plans.Load(1000); ok {
+		t.Error("a length past the cap must not get a pool")
 	}
 }

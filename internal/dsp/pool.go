@@ -19,24 +19,21 @@ type cbuf struct{ s []complex128 }
 
 type fbuf struct{ s []float64 }
 
-var (
-	cbufPools sync.Map // int -> *sync.Pool of *cbuf
-	fbufPools sync.Map // int -> *sync.Pool of *fbuf
-)
+// The pools are keyed by length, which is the client's per-axis sample
+// count, so they follow the plan registries' rule: the first
+// maxCachedPlans lengths get a pool, and past that a get allocates and
+// a put drops the buffer.
+var cbufPools, fbufPools planRegistry[*sync.Pool]
 
-func poolFor(m *sync.Map, n int) *sync.Pool {
-	if v, ok := m.Load(n); ok {
-		return v.(*sync.Pool)
-	}
-	v, _ := m.LoadOrStore(n, &sync.Pool{})
-	return v.(*sync.Pool)
-}
+func newPool(int) *sync.Pool { return new(sync.Pool) }
 
 // getCBuf returns a complex scratch buffer of exactly n elements. The
 // contents are unspecified; callers must fully overwrite (or zero) it.
 func getCBuf(n int) *cbuf {
-	if v := poolFor(&cbufPools, n).Get(); v != nil {
-		return v.(*cbuf)
+	if p, ok := cbufPools.cached(n, newPool); ok {
+		if v := p.Get(); v != nil {
+			return v.(*cbuf)
+		}
 	}
 	return &cbuf{s: make([]complex128, n)}
 }
@@ -45,14 +42,18 @@ func putCBuf(b *cbuf) {
 	if b == nil || len(b.s) == 0 {
 		return
 	}
-	poolFor(&cbufPools, len(b.s)).Put(b)
+	if p, ok := cbufPools.cached(len(b.s), newPool); ok {
+		p.Put(b)
+	}
 }
 
 // getFBuf returns a float64 scratch buffer of exactly n elements with
 // unspecified contents.
 func getFBuf(n int) *fbuf {
-	if v := poolFor(&fbufPools, n).Get(); v != nil {
-		return v.(*fbuf)
+	if p, ok := fbufPools.cached(n, newPool); ok {
+		if v := p.Get(); v != nil {
+			return v.(*fbuf)
+		}
 	}
 	return &fbuf{s: make([]float64, n)}
 }
@@ -61,5 +62,7 @@ func putFBuf(b *fbuf) {
 	if b == nil || len(b.s) == 0 {
 		return
 	}
-	poolFor(&fbufPools, len(b.s)).Put(b)
+	if p, ok := fbufPools.cached(len(b.s), newPool); ok {
+		p.Put(b)
+	}
 }

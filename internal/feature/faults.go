@@ -143,7 +143,7 @@ func DetectRecord(rec *store.Record, spec MachineSpec) FaultReport {
 
 	// Radial spectrum: the two radial axes carry the same recipe, so
 	// summing their periodograms halves the estimator variance.
-	sc.rp = resizeFloats(sc.rp, len(px))
+	sc.rp = resize(sc.rp, len(px))
 	rp := sc.rp
 	for i := range rp {
 		rp[i] = px[i] + py[i]
@@ -153,7 +153,7 @@ func DetectRecord(rec *store.Record, spec MachineSpec) FaultReport {
 	rotor := spec.RotorHz
 	estimated := false
 	if rotor <= 0 {
-		rotor = estimateRotorHz(sc.freq, rp, &sc.floor)
+		rotor = estimateRotorHz(sc.freq, rp, &sc.rank)
 		estimated = true
 	}
 	if rotor <= 0 || rotor < DefaultMinRotorHz || 6*rotor >= fs/2 {
@@ -165,9 +165,12 @@ func DetectRecord(rec *store.Record, spec MachineSpec) FaultReport {
 	band := func(psd []float64, f0 float64) float64 {
 		return bandEnergy(psd, f0, binHz, DefaultFreqTolFrac)
 	}
+	// These six floor medians (three half-order lines on rp, three
+	// defect lines on pe) select in place: a rank index like the rotor
+	// scan's costs ~20 µs to build on 513 bins and pays for itself only
+	// over hundreds of queries.
 	snr := func(psd []float64, f0 float64) float64 {
-		_, s := bandStat(psd, f0, binHz, DefaultFreqTolFrac, &sc.floor)
-		return s
+		return bandStat(psd, f0, binHz, DefaultFreqTolFrac, &sc.floor)
 	}
 
 	// Rolloff-corrected comb reference: healthy harmonic energies obey
@@ -300,14 +303,16 @@ var envEvidence = [3]string{"env-BPFO", "env-BPFI", "env-BSF"}
 
 // detectScratch pools every transient array of one DetectRecord call —
 // the three axes in g, the frequency axis, the five spectra with their
-// radial sum, and the floor-median work area — so the only steady-state
-// allocation of a classification is the Evidence slice it returns.
+// radial sum, the floor-median work area and the rotor scan's rank
+// index — so the only steady-state allocation of a classification is
+// the Evidence slice it returns.
 type detectScratch struct {
 	axis           [3][]float64
 	freq           []float64
 	px, py, pz, rp []float64
 	pe, pe2        []float64
 	floor          []float64
+	rank           floorIndex
 }
 
 var detectPool = sync.Pool{New: func() any { return new(detectScratch) }}
@@ -358,41 +363,58 @@ func bandEnergy(psd []float64, f0, binHz, tolFrac float64) (energy float64) {
 	return energy
 }
 
-// bandStat is bandEnergy plus the band's rating against the local
-// floor — the median bin level of the surrounding ±8 half-widths,
-// excluding the band itself (SNR). The floor bins are copied into
-// *work (grown as needed) and the median is selected there.
-func bandStat(psd []float64, f0, binHz, tolFrac float64, work *[]float64) (energy, snr float64) {
-	lo, hi, hw, ok := bandBins(len(psd), f0, binHz, tolFrac)
+// bandFloor is the matching band around f0 as an inclusive bin range
+// [lo, hi] with its floor window [flo, fhi] — the band widened to ±8
+// half-widths, both clamped to the spectrum (ok false when the band is
+// empty). flo <= lo and hi <= fhi.
+func bandFloor(n int, f0, binHz, tolFrac float64) (flo, lo, hi, fhi int, ok bool) {
+	lo, hi, hw, ok := bandBins(n, f0, binHz, tolFrac)
 	if !ok {
-		return 0, 0
+		return 0, 0, 0, 0, false
 	}
-	for _, p := range psd[lo : hi+1] {
-		energy += p
-	}
-	flo := int(math.Ceil((f0 - 8*hw) / binHz))
-	fhi := int(math.Floor((f0 + 8*hw) / binHz))
+	flo = int(math.Ceil((f0 - 8*hw) / binHz))
+	fhi = int(math.Floor((f0 + 8*hw) / binHz))
 	if flo < 0 {
 		flo = 0
 	}
-	if fhi > len(psd)-1 {
-		fhi = len(psd) - 1
+	if fhi > n-1 {
+		fhi = n - 1
 	}
-	// flo <= lo and hi <= fhi: the floor window is the band widened.
-	floorBins := append(append((*work)[:0], psd[flo:lo]...), psd[hi+1:fhi+1]...)
-	*work = floorBins
-	if len(floorBins) == 0 {
-		return energy, 0
+	return flo, lo, hi, fhi, true
+}
+
+// bandSNR rates the band psd[lo:hi+1] against a floor bin level: its
+// energy over what the floor would put in as many bins.
+func bandSNR(psd []float64, lo, hi int, floor float64) float64 {
+	var energy float64
+	for _, p := range psd[lo : hi+1] {
+		energy += p
 	}
-	floor := upperMedian(floorBins)
 	denom := floor * float64(hi-lo+1)
 	if denom <= 0 {
 		if energy <= 0 {
-			return energy, 0
+			return 0
 		}
-		return energy, math.Inf(1)
+		return math.Inf(1)
 	}
-	return energy, energy / denom
+	return energy / denom
+}
+
+// bandStat is the band's rating against the local floor — the median
+// bin level of the floor window, excluding the band itself (SNR). The
+// floor bins are copied into *work (grown as needed) and the median is
+// selected there.
+func bandStat(psd []float64, f0, binHz, tolFrac float64, work *[]float64) (snr float64) {
+	flo, lo, hi, fhi, ok := bandFloor(len(psd), f0, binHz, tolFrac)
+	if !ok {
+		return 0
+	}
+	floorBins := append(append((*work)[:0], psd[flo:lo]...), psd[hi+1:fhi+1]...)
+	*work = floorBins
+	if len(floorBins) == 0 {
+		return 0
+	}
+	return bandSNR(psd, lo, hi, upperMedian(floorBins))
 }
 
 // upperMedian returns the element sort.Float64s would leave at
@@ -511,8 +533,8 @@ func nearInteger(f, base, tol float64) bool {
 // to position 5 (the structural signature of a half-order comb; a
 // genuine rotor comb always decays there — see halfCombRise). The
 // result is refined to sub-bin accuracy from the highest-SNR harmonic
-// line. The floor medians are selected in *work.
-func estimateRotorHz(freq, psd []float64, work *[]float64) float64 {
+// line. Every floor median is read from ix, rebuilt here over psd.
+func estimateRotorHz(freq, psd []float64, ix *floorIndex) float64 {
 	if len(freq) < 4 {
 		return 0
 	}
@@ -522,6 +544,7 @@ func estimateRotorHz(freq, psd []float64, work *[]float64) float64 {
 	}
 	fs2 := freq[len(freq)-1]
 	hiHz := fs2 / 4 // fs/8
+	ix.build(psd)
 
 	combScore := func(f0 float64) float64 {
 		if f0 < DefaultMinRotorHz || 6*f0 > fs2 {
@@ -529,7 +552,7 @@ func estimateRotorHz(freq, psd []float64, work *[]float64) float64 {
 		}
 		var s float64
 		for h := 1; h <= 6; h++ {
-			_, sn := bandStat(psd, float64(h)*f0, binHz, DefaultFreqTolFrac, work)
+			sn := ix.bandStat(psd, float64(h)*f0, binHz, DefaultFreqTolFrac)
 			s += math.Log1p(sn)
 		}
 		return s
@@ -567,7 +590,7 @@ func estimateRotorHz(freq, psd []float64, work *[]float64) float64 {
 	if 12*bestF <= fs2 {
 		var s [3]float64
 		for i, k := range [3]float64{1, 3, 5} {
-			_, s[i] = bandStat(psd, k*bestF, binHz, DefaultFreqTolFrac, work)
+			s[i] = ix.bandStat(psd, k*bestF, binHz, DefaultFreqTolFrac)
 		}
 		e4 := bandEnergy(psd, 4*bestF, binHz, DefaultFreqTolFrac)
 		e5 := bandEnergy(psd, 5*bestF, binHz, DefaultFreqTolFrac)
@@ -579,7 +602,7 @@ func estimateRotorHz(freq, psd []float64, work *[]float64) float64 {
 	// Sub-bin refinement from the sharpest line of the winning comb.
 	refH, refSNR := 0, 0.0
 	for h := 1; h <= 6; h++ {
-		if _, sn := bandStat(psd, float64(h)*bestF, binHz, DefaultFreqTolFrac, work); sn > refSNR {
+		if sn := ix.bandStat(psd, float64(h)*bestF, binHz, DefaultFreqTolFrac); sn > refSNR {
 			refSNR = sn
 			refH = h
 		}

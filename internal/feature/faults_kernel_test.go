@@ -19,7 +19,6 @@ import (
 // first there).
 func TestUpperMedianMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	same := func(a, b float64) bool { return a == b || (a != a && b != b) }
 	// Each generator draws one element of a length-n input.
 	gens := map[string]func(n int) float64{
 		"continuous": func(int) float64 { return rng.ExpFloat64() },
@@ -56,6 +55,10 @@ func TestUpperMedianMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// same is equality of selected elements: any two NaNs match, and so do
+// -0 and +0, which sort.Float64s treats as equal.
+func same(a, b float64) bool { return a == b || (a != a && b != b) }
 
 // goldenCorpus is the labelled corpus of the golden harness — healthy
 // controls across the wear range plus every fault kind × severity ×

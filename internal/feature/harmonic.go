@@ -185,8 +185,8 @@ func PeakDistance(a, b Harmonic, pmax, fmax float64, opt Options) (float64, erro
 	// Working copies of b's queue, ascending in frequency (pooled: the
 	// distance runs once per measurement on the scoring hot path).
 	sc := pdPool.Get().(*pdScratch)
-	bf := resizeFloats(sc.bf, len(b.Peaks))
-	bp := resizeFloats(sc.bp, len(b.Peaks))
+	bf := resize(sc.bf, len(b.Peaks))
+	bp := resize(sc.bp, len(b.Peaks))
 	used := sc.used
 	if cap(used) < len(b.Peaks) {
 		used = make([]bool, len(b.Peaks))
@@ -239,11 +239,11 @@ type pdScratch struct {
 
 var pdPool = sync.Pool{New: func() any { return &pdScratch{} }}
 
-// resizeFloats reslices s to length n, allocating only when the
-// capacity is short.
-func resizeFloats(s []float64, n int) []float64 {
+// resize reslices s to length n, allocating only when the capacity is
+// short.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
