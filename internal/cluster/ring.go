@@ -188,28 +188,3 @@ func (r *Ring) ownerLocked(h uint64) string {
 	}
 	return r.points[i].node
 }
-
-// Successors returns up to n distinct nodes starting at pump's owner
-// and walking clockwise — owner first, then the nodes that would
-// inherit the key as owners die. Fewer than n are returned when the
-// ring has fewer members.
-func (r *Ring) Successors(pump int, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	h := keyHash(pump)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
-	for scanned := 0; scanned < len(r.points) && len(out) < n; scanned++ {
-		p := r.points[(i+scanned)%len(r.points)]
-		if _, dup := seen[p.node]; dup {
-			continue
-		}
-		seen[p.node] = struct{}{}
-		out = append(out, p.node)
-	}
-	return out
-}

@@ -156,38 +156,6 @@ func TestRingMembershipChurnMinimalMovement(t *testing.T) {
 	}
 }
 
-// TestRingSuccessors: the successor list starts at the owner, never
-// repeats a node, and covers the membership when asked for everyone.
-func TestRingSuccessors(t *testing.T) {
-	r := NewRing(16)
-	nodes := []string{"n1", "n2", "n3", "n4"}
-	for _, n := range nodes {
-		r.Add(n)
-	}
-	for pump := 0; pump < 256; pump++ {
-		succ := r.Successors(pump, len(nodes))
-		if len(succ) != len(nodes) {
-			t.Fatalf("pump %d: got %d successors, want %d", pump, len(succ), len(nodes))
-		}
-		if succ[0] != r.Route(pump) {
-			t.Fatalf("pump %d: successor[0]=%q, owner=%q", pump, succ[0], r.Route(pump))
-		}
-		seen := map[string]bool{}
-		for _, s := range succ {
-			if seen[s] {
-				t.Fatalf("pump %d: duplicate successor %q", pump, s)
-			}
-			seen[s] = true
-		}
-	}
-	if got := r.Successors(1, 2); len(got) != 2 {
-		t.Fatalf("n=2: got %d successors", len(got))
-	}
-	if got := NewRing(8).Successors(1, 3); got != nil {
-		t.Fatalf("empty ring: got %v", got)
-	}
-}
-
 // TestRingEmptyAndSingle covers the degenerate memberships.
 func TestRingEmptyAndSingle(t *testing.T) {
 	r := NewRing(8)

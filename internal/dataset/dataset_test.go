@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"vibepm/internal/physics"
@@ -205,14 +206,20 @@ func TestPaperEventsApplied(t *testing.T) {
 	if len(ds.Events) != 4 {
 		t.Fatalf("events %d", len(ds.Events))
 	}
-	// Pumps 4, 5, 7, 8 carry replacements.
-	for _, id := range []int{4, 5, 7, 8} {
-		if got := ds.Fleet.Pump(id).Replacements(); len(got) != 1 {
-			t.Fatalf("pump %d replacements %v", id, got)
+	// Pumps 4, 5, 7, 8 carry replacements: a new unit from each event
+	// on. Pump 0's unit is never replaced, so it ages with service time.
+	for i, id := range []int{4, 5, 7, 8} {
+		ev := ds.Events[i]
+		if ev.PumpID != id {
+			t.Fatalf("event %d is for pump %d, want %d", i, ev.PumpID, id)
+		}
+		if got := ds.Fleet.Pump(id).UnitAgeDays(ev.AtDays + 1); math.Abs(got-1) > 1e-9 {
+			t.Fatalf("pump %d unit age a day after its replacement = %g", id, got)
 		}
 	}
-	if got := ds.Fleet.Pump(0).Replacements(); len(got) != 0 {
-		t.Fatalf("pump 0 replacements %v", got)
+	p0 := ds.Fleet.Pump(0)
+	if got := p0.UnitAgeDays(10) - p0.UnitAgeDays(0); math.Abs(got-10) > 1e-9 {
+		t.Fatalf("pump 0 unit aged %g days over 10 days of service", got)
 	}
 }
 

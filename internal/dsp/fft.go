@@ -51,37 +51,6 @@ func IFFT(x []complex128) {
 	}
 }
 
-// RealFFT computes the DFT of a real-valued signal and returns the
-// complex half-spectrum of length len(x)/2+1 (bins 0..N/2). The input
-// slice is not modified.
-func RealFFT(x []float64) []complex128 {
-	return RealFFTInto(make([]complex128, len(x)/2+1), x)
-}
-
-// RealFFTInto is RealFFT writing the half-spectrum into dst, which is
-// grown if its capacity is short and returned resliced to len(x)/2+1.
-// Steady-state calls with an adequate dst do not allocate.
-func RealFFTInto(dst []complex128, x []float64) []complex128 {
-	n := len(x)
-	half := n/2 + 1
-	if cap(dst) < half {
-		dst = make([]complex128, half)
-	}
-	dst = dst[:half]
-	if n == 0 {
-		dst[0] = 0
-		return dst
-	}
-	buf := getCBuf(n)
-	for i, v := range x {
-		buf.s[i] = complex(v, 0)
-	}
-	FFT(buf.s)
-	copy(dst, buf.s[:half])
-	putCBuf(buf)
-	return dst
-}
-
 // checkLen panics with a descriptive message when two parallel slices
 // disagree in length. It is used by internal kernels whose contracts
 // require matched lengths; public entry points validate and return

@@ -9,16 +9,6 @@ import (
 // singular matrix.
 var ErrSingular = errors.New("dsp: singular matrix")
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	checkLen("Dot", len(a), len(b))
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // EuclideanDistance returns ‖a − b‖₂.
 func EuclideanDistance(a, b []float64) float64 {
 	checkLen("EuclideanDistance", len(a), len(b))

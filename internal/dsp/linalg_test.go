@@ -9,12 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestDotAndNorm(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %g", got)
-	}
-}
-
 func TestEuclideanDistance(t *testing.T) {
 	if got := EuclideanDistance([]float64{0, 0}, []float64{3, 4}); !almostEqual(got, 5, 1e-12) {
 		t.Fatalf("distance = %g", got)

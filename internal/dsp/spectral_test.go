@@ -164,7 +164,7 @@ func TestRMSNonNegativeProperty(t *testing.T) {
 
 // TestPeriodogramIntoMatchesComposition pins PeriodogramInto, which
 // demeans straight into the transform buffer, bit for bit to the
-// composition it replaced (Demean, RealFFT, one-sided scaling) across
+// composition it replaced (Demean, a real FFT, one-sided scaling) across
 // power-of-two, Bluestein, odd and tiny lengths — and pins buffer
 // reuse: oversized outputs are resliced, short ones grown, stale
 // contents never leak.
@@ -177,7 +177,7 @@ func TestPeriodogramIntoMatchesComposition(t *testing.T) {
 		for i := range x {
 			x[i] = 3 + rng.NormFloat64()
 		}
-		spec := RealFFT(Demean(x))
+		spec := realFFT(Demean(x))
 		scale := 1 / (fs * float64(n))
 		wantPSD := make([]float64, len(spec))
 		for k, m := range spec {

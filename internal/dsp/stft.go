@@ -114,35 +114,3 @@ func resizeFloats(s []float64, n int) []float64 {
 	}
 	return s[:n]
 }
-
-// BinAt returns the index of the frequency bin closest to f.
-func (s *Spectrogram) BinAt(f float64) int {
-	best, bestGap := 0, -1.0
-	for k, fk := range s.Freqs {
-		gap := fk - f
-		if gap < 0 {
-			gap = -gap
-		}
-		if bestGap < 0 || gap < bestGap {
-			best, bestGap = k, gap
-		}
-	}
-	return best
-}
-
-// BandEnergyOverTime returns, per frame, the total power between lo and
-// hi Hz — a compact trace of how a band's activity evolves within one
-// measurement.
-func (s *Spectrogram) BandEnergyOverTime(lo, hi float64) []float64 {
-	out := make([]float64, len(s.Power))
-	for t, row := range s.Power {
-		var sum float64
-		for k, f := range s.Freqs {
-			if f >= lo && f <= hi {
-				sum += row[k]
-			}
-		}
-		out[t] = sum
-	}
-	return out
-}

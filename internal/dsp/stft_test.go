@@ -5,6 +5,31 @@ import (
 	"testing"
 )
 
+// binAt returns the index of sg's frequency bin closest to f.
+func binAt(sg *Spectrogram, f float64) int {
+	best := 0
+	for k, fk := range sg.Freqs {
+		if math.Abs(fk-f) < math.Abs(sg.Freqs[best]-f) {
+			best = k
+		}
+	}
+	return best
+}
+
+// bandEnergyOverTime returns, per frame, sg's total power between lo
+// and hi Hz.
+func bandEnergyOverTime(sg *Spectrogram, lo, hi float64) []float64 {
+	out := make([]float64, len(sg.Power))
+	for t, row := range sg.Power {
+		for k, f := range sg.Freqs {
+			if f >= lo && f <= hi {
+				out[t] += row[k]
+			}
+		}
+	}
+	return out
+}
+
 func TestSTFTStationaryTone(t *testing.T) {
 	fs := 2048.0
 	n := 4096
@@ -20,7 +45,7 @@ func TestSTFTStationaryTone(t *testing.T) {
 	if len(sg.Power) < 10 {
 		t.Fatalf("frames %d", len(sg.Power))
 	}
-	bin := sg.BinAt(f0)
+	bin := binAt(sg, f0)
 	if math.Abs(sg.Freqs[bin]-f0) > fs/256 {
 		t.Fatalf("bin frequency %.1f", sg.Freqs[bin])
 	}
@@ -62,7 +87,7 @@ func TestSTFTDetectsTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	energy := sg.BandEnergyOverTime(f0-20, f0+20)
+	energy := bandEnergyOverTime(sg, f0-20, f0+20)
 	mid := float64(n) / 2 / fs
 	var early, late float64
 	var earlyN, lateN int

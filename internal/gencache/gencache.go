@@ -1,9 +1,9 @@
 // Package gencache is the one generation-keyed cache behind the serving
 // path: a value per key, tagged with the generation(s) it was built
 // from, served while the caller's current tag still equals the stored
-// one and rebuilt otherwise. The engine's cleaned trends, the store's
-// downsample pyramids and the REST layer's serialized bodies all use
-// it; only the key, tag and value types differ.
+// one and rebuilt otherwise. The engine's cleaned trends and the REST
+// layer's serialized bodies use it (and store.TrendCache, which only
+// the benchmark holds); only the key, tag and value types differ.
 package gencache
 
 import "sync"

@@ -63,13 +63,3 @@ func (f *Fleet) Pump(id int) *Pump {
 	}
 	return f.Pumps[id]
 }
-
-// ZoneCounts tallies the fleet's ground-truth merged zones at the given
-// service time.
-func (f *Fleet) ZoneCounts(serviceDays float64) map[MergedZone]int {
-	out := make(map[MergedZone]int)
-	for _, p := range f.Pumps {
-		out[p.ZoneAt(serviceDays).Merged()]++
-	}
-	return out
-}

@@ -123,11 +123,6 @@ func (p *Pump) Replace(atServiceDays float64) {
 	sort.Float64s(p.resets)
 }
 
-// Replacements returns a copy of the recorded replacement times.
-func (p *Pump) Replacements() []float64 {
-	return append([]float64(nil), p.resets...)
-}
-
 // unitAge returns the age in days of the physical unit installed at the
 // given service time.
 func (p *Pump) unitAge(serviceDays float64) float64 {

@@ -98,7 +98,7 @@ func TestReplaceResetsDegradation(t *testing.T) {
 	if got := p.DegradationAt(120); !almostEqual(got, before, 1e-12) {
 		t.Fatal("replacement rewrote history")
 	}
-	if got := p.Replacements(); len(got) != 1 || got[0] != 121 {
+	if got := p.resets; len(got) != 1 || got[0] != 121 {
 		t.Fatalf("replacements = %v", got)
 	}
 }
@@ -234,7 +234,10 @@ func TestFleetInitialAgesVary(t *testing.T) {
 
 func TestFleetZoneCounts(t *testing.T) {
 	f := NewFleet(FleetConfig{Seed: 79})
-	counts := f.ZoneCounts(0)
+	counts := make(map[MergedZone]int)
+	for _, p := range f.Pumps {
+		counts[p.ZoneAt(0).Merged()]++
+	}
 	total := 0
 	for _, c := range counts {
 		total += c

@@ -55,25 +55,6 @@ func mergeSeries(cold, hot []store.SeriesPoint) []store.SeriesPoint {
 	return out
 }
 
-// mergedKey identifies one cached merged (cold+hot) pyramid.
-type mergedKey struct {
-	pumpID int
-	metric string
-}
-
-// mergedPyramid returns the pyramid over pump id's metric series across
-// both tiers, rebuilding only when the hot series or the partition list
-// changed — the same generation-keyed discipline as the hot-only
-// TrendCache.
-func (s *Server) mergedPyramid(id int, metric string, fn func(*store.Record) float64, hotGen, coldGen uint64) *store.Pyramid {
-	tag := respTag{gen: hotGen, coldGen: coldGen}
-	pyr, _, _ := s.mergedPyrs.Get(mergedKey{pumpID: id, metric: metric}, tag, func() (*store.Pyramid, respTag, error) {
-		hot := store.ExtractSeries(s.measurements.All(id), fn)
-		return store.NewPyramid(mergeSeries(s.cold.TrendSeries(id, metric), hot)), tag, nil
-	})
-	return pyr
-}
-
 // StorageStatus is the GET /api/v1/storage/status payload: the hot
 // store's footprint plus, when tiering is enabled, the cold tier's
 // partition inventory.

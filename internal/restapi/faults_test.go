@@ -178,8 +178,8 @@ func TestFaultsMissDoesNotStallOtherPumps(t *testing.T) {
 // TestCacheCountersCountBodies pins what the vibepm_api_*_cache_*
 // counters count: one hit or one miss per serialized body the trend and
 // fault caches serve, each cache in its own pair. A fault read moves
-// only the fault pair, and on a tiered server a trend body built over a
-// merged pyramid that was already cached is still a body miss.
+// only the fault pair, and on a tiered server each point budget of one
+// series is its own body miss.
 func TestCacheCountersCountBodies(t *testing.T) {
 	counts := func(reg *obs.Registry, cache string) [2]uint64 {
 		return [2]uint64{
@@ -210,8 +210,8 @@ func TestCacheCountersCountBodies(t *testing.T) {
 	defer d.Abort()
 	tiered := New(d.Store(), nil, nil, WithDurable(d), WithMetrics(reg))
 	for _, path := range []string{
-		"/api/v1/pumps/1/trend?points=512", // body miss, merged pyramid built
-		"/api/v1/pumps/1/trend?points=16",  // body miss over the cached pyramid
+		"/api/v1/pumps/1/trend?points=512", // body miss
+		"/api/v1/pumps/1/trend?points=16",  // body miss: another budget
 		"/api/v1/pumps/1/trend?points=16",  // body hit
 	} {
 		if rec := getTrend(t, tiered, path, ""); rec.Code != http.StatusOK {

@@ -44,15 +44,11 @@ type Server struct {
 	cold     *store.ColdStore
 	faults   *vibepm.Engine
 
-	// pyramids caches the per-series downsample pyramid; trendResp and
-	// faultResp hold fully serialized responses, all keyed on the
-	// series generation so an append invalidates exactly the touched
-	// pump. mergedPyrs is the tiered counterpart of pyramids: pyramids
-	// over the cold+hot merged series, keyed on both tiers' generations.
-	pyramids   *store.TrendCache
-	mergedPyrs *gencache.Cache[mergedKey, respTag, *store.Pyramid]
-	trendResp  *gencache.Cache[respKey, respTag, *cachedResp]
-	faultResp  *gencache.Cache[int, respTag, *cachedResp]
+	// trendResp and faultResp hold fully serialized responses keyed on
+	// the series generation (and, tiered, the partition list's), so an
+	// append invalidates exactly the touched pump.
+	trendResp *gencache.Cache[respKey, respTag, *cachedResp]
+	faultResp *gencache.Cache[int, respTag, *cachedResp]
 
 	ingestAccepted   *obs.Counter
 	ingestDuplicates *obs.Counter
@@ -118,8 +114,6 @@ func New(m *store.Measurements, l *store.Labels, p *store.PeriodManager, opts ..
 		mux:          http.NewServeMux(),
 		metrics:      obs.Default,
 		maxBodyBytes: DefaultMaxBodyBytes,
-		pyramids:     store.NewTrendCache(),
-		mergedPyrs:   gencache.New[mergedKey, respTag, *store.Pyramid](maxCachedPumpViews),
 		trendResp:    gencache.New[respKey, respTag, *cachedResp](maxCachedTrendBodies),
 		faultResp:    gencache.New[int, respTag, *cachedResp](maxCachedPumpViews),
 	}

@@ -19,25 +19,34 @@ func tieredCorpus(t *testing.T) []*store.Record {
 	t.Helper()
 	var recs []*store.Record
 	for _, id := range []int{1, 2} {
-		pump := physics.NewPump(physics.PumpConfig{ID: id, Seed: int64(id)})
-		sensor, err := mems.New(mems.Config{Seed: int64(10 + id)})
-		if err != nil {
-			t.Fatal(err)
+		recs = append(recs, pumpCaptures(t, id, int64(id), 0, 48)...)
+	}
+	return recs
+}
+
+// pumpCaptures synthesizes n 256-sample captures of pump id, a quarter
+// day apart from firstDay on, from a pump and sensor seeded by seed.
+func pumpCaptures(t *testing.T, id int, seed int64, firstDay float64, n int) []*store.Record {
+	t.Helper()
+	pump := physics.NewPump(physics.PumpConfig{ID: id, Seed: seed})
+	sensor, err := mems.New(mems.Config{Seed: 10 + seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*store.Record, n)
+	for i := range recs {
+		day := firstDay + float64(i)*0.25
+		cap := sensor.Measure(pump, day, 256)
+		rec := &store.Record{
+			PumpID:       id,
+			ServiceDays:  day,
+			SampleRateHz: cap.SampleRateHz,
+			ScaleG:       cap.ScaleG,
 		}
-		for i := 0; i < 48; i++ {
-			day := float64(i) * 0.25
-			cap := sensor.Measure(pump, day, 256)
-			rec := &store.Record{
-				PumpID:       id,
-				ServiceDays:  day,
-				SampleRateHz: cap.SampleRateHz,
-				ScaleG:       cap.ScaleG,
-			}
-			for axis := 0; axis < 3; axis++ {
-				rec.Raw[axis] = cap.Raw[axis]
-			}
-			recs = append(recs, rec)
+		for axis := 0; axis < 3; axis++ {
+			rec.Raw[axis] = cap.Raw[axis]
 		}
+		recs[i] = rec
 	}
 	return recs
 }
@@ -77,7 +86,10 @@ func openTieredServer(t *testing.T, dir string, recs []*store.Record) (*Server, 
 
 // TestTrendHotColdEquivalence pins the acceptance bound: a trend query
 // over a range the compactor moved cold returns byte-identical JSON to
-// the same query served entirely from the hot store.
+// the same query served entirely from the hot store — after the first
+// compaction, after a hot ingest on top of it, and after a second
+// checkpoint that moves more of the series cold. Each step also retires
+// the ETag the step before served.
 func TestTrendHotColdEquivalence(t *testing.T) {
 	recs := tieredCorpus(t)
 
@@ -93,20 +105,36 @@ func TestTrendHotColdEquivalence(t *testing.T) {
 		t.Fatal("no cold coverage after checkpoint")
 	}
 
-	for _, metric := range []string{"rms", "vrms"} {
-		for _, points := range []int{512, 16, 4096} {
-			path := fmt.Sprintf("/api/v1/pumps/1/trend?metric=%s&points=%d", metric, points)
-			a := getTrend(t, hotSrv, path, "")
-			b := getTrend(t, tieredSrv, path, "")
-			if a.Code != http.StatusOK || b.Code != http.StatusOK {
-				t.Fatalf("%s: status hot=%d tiered=%d", path, a.Code, b.Code)
-			}
-			if !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
-				t.Fatalf("%s: tiered trend JSON differs from hot\nhot:    %s\ntiered: %s",
-					path, a.Body.String(), b.Body.String())
+	equivalent := func(step string) {
+		t.Helper()
+		for _, id := range []int{1, 2} {
+			for _, metric := range []string{"rms", "vrms"} {
+				for _, points := range []int{512, 16, 4096} {
+					path := fmt.Sprintf("/api/v1/pumps/%d/trend?metric=%s&points=%d", id, metric, points)
+					a := getTrend(t, hotSrv, path, "")
+					b := getTrend(t, tieredSrv, path, "")
+					if a.Code != http.StatusOK || b.Code != http.StatusOK {
+						t.Fatalf("%s: %s: status hot=%d tiered=%d", step, path, a.Code, b.Code)
+					}
+					if !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+						t.Fatalf("%s: %s: tiered trend JSON differs from hot\nhot:    %s\ntiered: %s",
+							step, path, a.Body.String(), b.Body.String())
+					}
+				}
 			}
 		}
 	}
+	// etagRetired checks that the ETag served before a step no longer
+	// revalidates, and returns the one served now.
+	etagRetired := func(step, etag string) string {
+		t.Helper()
+		if cond := getTrend(t, tieredSrv, "/api/v1/pumps/1/trend", etag); cond.Code != http.StatusOK {
+			t.Fatalf("%s: revalidation with the previous ETag = %d, want 200", step, cond.Code)
+		}
+		return getTrend(t, tieredSrv, "/api/v1/pumps/1/trend", "").Header().Get("ETag")
+	}
+
+	equivalent("first compaction")
 
 	// The tiered response is cached and revalidatable: repeat request
 	// with the ETag is a bodyless 304 until a tier changes.
@@ -118,6 +146,33 @@ func TestTrendHotColdEquivalence(t *testing.T) {
 	if cond := getTrend(t, tieredSrv, "/api/v1/pumps/1/trend", etag); cond.Code != http.StatusNotModified {
 		t.Fatalf("revalidation = %d, want 304", cond.Code)
 	}
+
+	// A hot ingest on top of the cold range: days [12, 17) of pump 1.
+	coldGen := d.Cold().Generation()
+	for _, rec := range pumpCaptures(t, 1, 3, 12, 20) {
+		hot.Add(rec)
+		if _, err := d.AddUnique(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.Cold().Generation() != coldGen {
+		t.Fatal("an ingest moved the partition list")
+	}
+	equivalent("hot ingest")
+	etag = etagRetired("hot ingest", etag)
+
+	// A second checkpoint: the cutoff follows the new data, so more of
+	// pump 1's and pump 2's series moves cold.
+	upTo := d.Cold().UpTo()
+	stats, err := d.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Compaction.PartitionsWritten == 0 || d.Cold().UpTo() <= upTo {
+		t.Fatalf("second checkpoint compacted nothing (cold bound %g -> %g)", upTo, d.Cold().UpTo())
+	}
+	equivalent("second compaction")
+	etagRetired("second compaction", etag)
 }
 
 // TestTrendFullyColdPump serves a pump whose every record lives in cold

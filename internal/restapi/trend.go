@@ -19,8 +19,8 @@ const (
 
 // Cache bounds. The trend body cache is keyed on the client-chosen
 // point budget, so without a bound one poller sweeping points=1..4096
-// would pin that many bodies per (pump, metric); the per-pump caches
-// are bounded against pump-id cardinality.
+// would pin that many bodies per (pump, metric); the per-pump fault
+// body cache is bounded against pump-id cardinality.
 const (
 	maxCachedTrendBodies = 1024
 	maxCachedPumpViews   = 4096
@@ -34,11 +34,11 @@ type respKey struct {
 	points int
 }
 
-// respTag is the state a cached pyramid or serialized response
-// reflects. coldGen is 0 when the server has no cold tier; with tiering
-// it is the partition list's generation, so a compaction or retention
-// drop invalidates the entry exactly like a hot append does. ready is
-// the fleet view's model readiness and false everywhere else.
+// respTag is the state a cached serialized response reflects. coldGen
+// is 0 when the server has no cold tier; with tiering it is the
+// partition list's generation, so a compaction or retention drop
+// invalidates the entry exactly like a hot append does. ready is the
+// fleet view's model readiness and false everywhere else.
 type respTag struct {
 	gen     uint64
 	coldGen uint64
@@ -102,10 +102,10 @@ func serveCached(w http.ResponseWriter, r *http.Request, ent *cachedResp) {
 }
 
 // handleTrend serves GET /api/v1/pumps/{id}/trend?metric=rms&points=N:
-// the pump's metric trend, min-max downsampled to at most N points via
-// the cached pyramid. Responses are serialized once per series
-// generation; repeat requests are a map lookup plus one Write, and
-// conditional requests with a current ETag cost no body at all.
+// the pump's metric trend, min-max downsampled to at most N points in
+// one pass. Responses are serialized once per series generation;
+// repeat requests are a map lookup plus one Write, and conditional
+// requests with a current ETag cost no body at all.
 func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 	id, err := pumpID(r)
 	if err != nil {
@@ -116,9 +116,8 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 	if metric == "" {
 		metric = "rms"
 	}
-	// Memo-served metrics: a pyramid rebuild after a warm-up reads
-	// folded scalars instead of re-running the per-record transforms.
-	// Values match ColdMetrics' functions exactly.
+	// Memo-served metrics: a rebuild reads folded scalars, equal to
+	// ColdMetrics' functions, instead of re-running the transforms.
 	fn, ok := s.ingester.Live.MetricFunc(metric)
 	if !ok {
 		writeErr(w, http.StatusBadRequest, "unknown metric %q (want rms or vrms)", metric)
@@ -146,26 +145,21 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 		coldGen = s.cold.Generation()
 	}
 	key := respKey{pumpID: id, metric: metric, points: points}
-	ent, hit, err := s.trendResp.Get(key, respTag{gen: gen, coldGen: coldGen}, func() (*cachedResp, respTag, error) {
-		var pyr *store.Pyramid
-		pgen := gen
+	// The generations were read before the records: an append in between
+	// leaves the entry tagged older than its body, one extra rebuild.
+	tag := respTag{gen: gen, coldGen: coldGen}
+	ent, hit, err := s.trendResp.Get(key, tag, func() (*cachedResp, respTag, error) {
+		series := store.ExtractSeries(s.measurements.All(id), fn)
 		if coldPump {
-			// Tiered read: the pyramid spans the cold scalar series
-			// merged under the hot series — built from the partitions'
-			// resident metric streams, never from decompressed waveforms.
-			pyr = s.mergedPyramid(id, metric, fn, gen, coldGen)
-		} else {
-			// The pyramid cache reads the generation itself (before the
-			// records), so pgen is the generation the response truly
-			// reflects — it may differ from gen by an in-flight append,
-			// which only means one extra rebuild on the next request.
-			pyr, pgen = s.pyramids.Pyramid(s.measurements, id, metric, fn)
+			// Tiered read: the partitions' resident metric streams,
+			// never decompressed waveforms, merged under the hot series.
+			series = mergeSeries(s.cold.TrendSeries(id, metric), series)
 		}
-		down := pyr.Downsample(points)
+		down := store.DownsampleMinMax(series, points)
 		resp := TrendResponse{
 			PumpID:      id,
 			Metric:      metric,
-			TotalPoints: pyr.Len(),
+			TotalPoints: len(series),
 			Points:      make([]TrendPointJSON, len(down)),
 		}
 		for i, p := range down {
@@ -176,9 +170,9 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 			return nil, respTag{}, err
 		}
 		return &cachedResp{
-			etag: fmt.Sprintf("\"trend-%d-%s-%d-%d-%d\"", id, metric, points, pgen, coldGen),
+			etag: fmt.Sprintf("\"trend-%d-%s-%d-%d-%d\"", id, metric, points, gen, coldGen),
 			body: body,
-		}, respTag{gen: pgen, coldGen: coldGen}, nil
+		}, tag, nil
 	})
 	if hit {
 		s.trendCacheHits.Inc()

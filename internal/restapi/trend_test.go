@@ -143,7 +143,7 @@ func TestTrendValidation(t *testing.T) {
 }
 
 // TestTrendDownsampleBudget checks the points parameter actually caps
-// the payload via the pyramid.
+// the payload.
 func TestTrendDownsampleBudget(t *testing.T) {
 	m := store.NewMeasurements()
 	for i := 0; i < 200; i++ {
@@ -216,7 +216,7 @@ func TestTrendPointsSweepIsBounded(t *testing.T) {
 }
 
 // BenchmarkHTTPTrend10k is a 512-point trend request over a 10k-record
-// pump, served from the pyramid and response caches.
+// pump, served from the response cache.
 func BenchmarkHTTPTrend10k(b *testing.B) {
 	m := store.NewMeasurements()
 	for i := 0; i < 10000; i++ {

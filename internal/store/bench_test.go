@@ -104,17 +104,28 @@ func BenchmarkDurableAddUnique16(b *testing.B) {
 }
 
 // BenchmarkSegmentShip is what the follower guarantee costs per record:
-// the mirror-side append in isolation.
+// the mirror-side append of the frame the primary's WAL ships.
 func BenchmarkSegmentShip(b *testing.B) {
+	var frame []byte
+	w, err := store.OpenWAL(b.TempDir(), store.WALOptions{
+		Policy:  store.SyncNever,
+		OnFrame: func(_ int, f []byte) error { frame = append([]byte(nil), f...); return nil },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Append(smallRecord(rand.New(rand.NewSource(9)), 3, 1.5)); err != nil {
+		b.Fatal(err)
+	}
+	w.Close()
 	m, err := store.NewSegmentMirror(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer m.Close()
-	rec := smallRecord(rand.New(rand.NewSource(9)), 3, 1.5)
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := m.AppendRecord(1, rec); err != nil {
+		if err := m.AppendFrame(1, frame); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,8 +216,7 @@ func BenchmarkColdTrendScan(b *testing.B) {
 	for b.Loop() {
 		for id := 1; id <= 4; id++ {
 			series := cold.TrendSeries(id, "rms")
-			pyr := store.NewPyramid(series)
-			if pts := pyr.Downsample(512); len(pts) == 0 {
+			if pts := store.DownsampleMinMax(series, 512); len(pts) == 0 {
 				b.Fatal("empty cold trend")
 			}
 		}

@@ -16,7 +16,7 @@ import (
 // bound UpTo is the highest ToDays present. Safe for concurrent use:
 // reads take a snapshot of the partition list under an RWMutex, and a
 // generation counter advances whenever the list changes so read-side
-// caches (merged trend pyramids, serialized responses, ETags) can key
+// caches (serialized responses and their ETags) can key
 // on it exactly like the hot store's generations.
 type ColdStore struct {
 	dir string

@@ -23,8 +23,8 @@ const (
 )
 
 // series is one pump's ordered record slice plus its generation — a
-// counter bumped on every mutation so read-side caches (downsample
-// pyramids, serialized HTTP responses) can invalidate precisely on
+// counter bumped on every mutation so read-side caches (cleaned
+// trends, serialized HTTP responses) can invalidate precisely on
 // append instead of re-checking contents.
 type series struct {
 	recs []*Record

@@ -13,9 +13,6 @@ var (
 	metDupSuppress  = obs.Default.Counter("vibepm_store_duplicates_suppressed_total")
 	metRecordsLoad  = obs.Default.Counter("vibepm_store_records_loaded_total")
 
-	metPyramidHits   = obs.Default.Counter("vibepm_store_pyramid_cache_hits_total")
-	metPyramidMisses = obs.Default.Counter("vibepm_store_pyramid_cache_misses_total")
-
 	// Durability-layer metrics: WAL write path, recovery replay, and
 	// checkpointing.
 	metWALAppends     = obs.Default.Counter("vibepm_store_wal_appends_total")

@@ -110,36 +110,20 @@ func (m *SegmentMirror) AppendFrame(seg int, frame []byte) error {
 	return nil
 }
 
-// AppendRecord encodes rec as one WAL frame and appends it to segment
-// seg — the bootstrap path: when a primary retargets to a fresh
-// follower, its current store contents are seeded into the new mirror
-// as synthetic frames, indistinguishable at replay from shipped ones.
-func (m *SegmentMirror) AppendRecord(seg int, rec *Record) error {
-	buf := walBufPool.Get().(*bytes.Buffer)
-	defer walBufPool.Put(buf)
-	buf.Reset()
-	frame, err := frameRecord(buf, rec)
-	if err != nil {
-		return err
-	}
-	return m.AppendFrame(seg, frame)
-}
-
 // mirrorBatchBytes bounds one bootstrap write: frames accumulate in a
 // batch buffer and hit the file in ~1 MiB writes instead of one
 // syscall per record.
 const mirrorBatchBytes = 1 << 20
 
-// AppendRecords encodes recs as WAL frames and appends them to
-// segment seg in batched writes — the bulk bootstrap path: when a
-// primary retargets to a fresh follower it seeds its whole store into
-// the new mirror, and doing that one AppendRecord (one lock
-// round-trip, one Write) per record costs a syscall per 6 KB frame.
-// The frames are byte-identical to per-record AppendRecord output; a
-// replay cannot tell them apart. Returns how many records were
-// appended — on error, every appended frame is already in the file,
-// so the mirror is exactly as replayable as a primary that crashed at
-// the same point.
+// AppendRecords encodes recs as WAL frames and appends them to segment
+// seg in batched writes — the bootstrap path: when a primary retargets
+// to a fresh follower it seeds its whole store into the new mirror as
+// synthetic frames, and one Write per record would cost a syscall per
+// 6 KB frame. The frames are byte-identical to the ones the WAL ships
+// through AppendFrame; a replay cannot tell them apart. Returns how
+// many records were appended — on error, every appended frame is
+// already in the file, so the mirror is exactly as replayable as a
+// primary that crashed at the same point.
 func (m *SegmentMirror) AppendRecords(seg int, recs []*Record) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil

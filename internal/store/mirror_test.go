@@ -280,10 +280,8 @@ func TestMirrorAppendRecordMatchesShippedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if err := boot.AppendRecord(seg, rec); err != nil {
-			t.Fatal(err)
-		}
+	if n, err := boot.AppendRecords(seg, recs); err != nil || n != len(recs) {
+		t.Fatalf("AppendRecords appended %d of %d: %v", n, len(recs), err)
 	}
 	w.Close()
 	m.Close()
@@ -302,8 +300,8 @@ func TestMirrorAppendRecordMatchesShippedFrames(t *testing.T) {
 }
 
 // TestMirrorAppendRecordsMatchesPerRecord proves the batched
-// bootstrap writes byte-identical segment files to the per-record
-// path — the failover batching is a syscall optimization, invisible
+// bootstrap writes byte-identical segment files to one AppendFrame per
+// record — the failover batching is a syscall optimization, invisible
 // to replay — including across the internal ~1 MiB flush boundary.
 func TestMirrorAppendRecordsMatchesPerRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
@@ -319,8 +317,14 @@ func TestMirrorAppendRecordsMatchesPerRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
 	for _, rec := range recs {
-		if err := one.AppendRecord(seg, rec); err != nil {
+		buf.Reset()
+		frame, err := frameRecord(&buf, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := one.AppendFrame(seg, frame); err != nil {
 			t.Fatal(err)
 		}
 	}

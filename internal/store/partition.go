@@ -31,8 +31,8 @@ import (
 //	u32 CRC32C (Castagnoli) of everything before it
 //
 // where stream := u32 byteLen + bytes. The scalar streams (times,
-// metric values) are the partition's persistent downsample pyramid
-// base: OpenPartition keeps them decompressed in memory, so cold trend
+// metric values) are what a cold trend read downsamples:
+// OpenPartition keeps them decompressed in memory, so cold trend
 // queries never touch the waveform streams, which stay on disk and are
 // only decompressed by Records.
 const (

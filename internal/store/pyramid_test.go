@@ -5,67 +5,6 @@ import (
 	"testing"
 )
 
-func randomSeries(rng *rand.Rand, n int) []SeriesPoint {
-	out := make([]SeriesPoint, n)
-	for i := range out {
-		v := rng.NormFloat64()
-		if rng.Intn(4) == 0 && i > 0 {
-			// Inject exact duplicates so tie-breaking is exercised.
-			v = out[rng.Intn(i)].Value
-		}
-		out[i] = SeriesPoint{ServiceDays: float64(i), Value: v}
-	}
-	return out
-}
-
-// TestPyramidMatchesDirectDownsample pins Pyramid.Downsample to
-// DownsampleMinMax on random series (with duplicated values, so the
-// first-occurrence tie-breaks must agree) across a sweep of series
-// lengths and point budgets, including every edge case branch.
-func TestPyramidMatchesDirectDownsample(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	lengths := []int{0, 1, 2, 3, 5, 17, 64, 100, 1000, 4097}
-	budgets := []int{-1, 0, 1, 2, 3, 7, 10, 64, 99, 128, 5000}
-	for _, n := range lengths {
-		series := randomSeries(rng, n)
-		pyr := NewPyramid(series)
-		for _, maxPoints := range budgets {
-			want := DownsampleMinMax(series, maxPoints)
-			got := pyr.Downsample(maxPoints)
-			if len(want) != len(got) {
-				t.Fatalf("n=%d maxPoints=%d: len %d vs %d", n, maxPoints, len(got), len(want))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("n=%d maxPoints=%d point %d: %+v vs %+v", n, maxPoints, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestPyramidConstantSeries checks an all-equal series, where every
-// comparison is a tie.
-func TestPyramidConstantSeries(t *testing.T) {
-	series := make([]SeriesPoint, 300)
-	for i := range series {
-		series[i] = SeriesPoint{ServiceDays: float64(i), Value: 1.5}
-	}
-	pyr := NewPyramid(series)
-	for _, maxPoints := range []int{1, 2, 9, 50} {
-		want := DownsampleMinMax(series, maxPoints)
-		got := pyr.Downsample(maxPoints)
-		if len(want) != len(got) {
-			t.Fatalf("maxPoints=%d: len %d vs %d", maxPoints, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("maxPoints=%d point %d: %+v vs %+v", maxPoints, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func trendTestRecord(pumpID int, day, value float64) *Record {
 	return &Record{
 		PumpID:      pumpID,
@@ -76,7 +15,7 @@ func trendTestRecord(pumpID int, day, value float64) *Record {
 }
 
 // TestTrendCacheInvalidatesOnAppend checks the cache serves the same
-// pyramid until the series generation moves, then rebuilds.
+// extracted series until the series generation moves, then re-extracts.
 func TestTrendCacheInvalidatesOnAppend(t *testing.T) {
 	m := NewMeasurements()
 	for i := 0; i < 50; i++ {
@@ -113,19 +52,8 @@ func TestTrendCacheInvalidatesOnAppend(t *testing.T) {
 	}
 }
 
-func BenchmarkPyramidDownsample10k(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	series := make([]SeriesPoint, 10000)
-	for i := range series {
-		series[i] = SeriesPoint{ServiceDays: float64(i), Value: rng.NormFloat64()}
-	}
-	pyr := NewPyramid(series)
-	b.ReportAllocs()
-	for b.Loop() {
-		pyr.Downsample(256)
-	}
-}
-
+// BenchmarkDirectDownsample10k is the trend endpoint's body-miss
+// downsample: one min-max pass over a 10k-point series.
 func BenchmarkDirectDownsample10k(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	series := make([]SeriesPoint, 10000)

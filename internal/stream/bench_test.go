@@ -55,6 +55,15 @@ func servingState(tb testing.TB, faults bool) *LiveState {
 	return ls
 }
 
+// sameFit returns a fresh live state with ls's config, baseline and
+// detector: an empty memo, so folding any pointer is a miss.
+func sameFit(ls *LiveState) *LiveState {
+	fresh := NewLiveState(ls.cfg)
+	fresh.baseline.Store(ls.baseline.Load())
+	fresh.detector.Store(ls.detector.Load())
+	return fresh
+}
+
 // freshCopies returns n shallow copies of rec: same waveform, distinct
 // pointers, so each is a record the memo has not seen.
 func freshCopies(rec *store.Record, n int) []*store.Record {
@@ -71,7 +80,7 @@ func freshCopies(rec *store.Record, n int) []*store.Record {
 // on by default.
 func BenchmarkFold1k(b *testing.B) {
 	// Folding a resident record is a hit, so the loop cycles a pool of
-	// distinct pointers and empties the memo each time round.
+	// distinct pointers and takes a fresh memo each time round.
 	pool := freshCopies(simRec(b, 1, 90, 1024), 64)
 	for _, c := range []struct {
 		name   string
@@ -83,7 +92,7 @@ func BenchmarkFold1k(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				if i == len(pool) {
-					ls.Reset()
+					ls = sameFit(ls)
 					i = 0
 				}
 				ls.Fold(pool[i])

@@ -399,39 +399,6 @@ func (ls *LiveState) Warm(m *store.Measurements, workers int) int {
 	return int(total.Load())
 }
 
-// ResetPump drops one pump's cached features — the maintenance-event
-// reset: after a physical overhaul invalidates a pump's history, the
-// next assembly rebuilds from whatever the store then holds.
-func (ls *LiveState) ResetPump(pumpID int) {
-	sh := &ls.shards[uint(pumpID)%streamShardCount]
-	sh.mu.Lock()
-	ps := sh.pumps[pumpID]
-	delete(sh.pumps, pumpID)
-	sh.mu.Unlock()
-	if ps != nil {
-		ps.mu.Lock()
-		ls.size.Add(-int64(len(ps.feats)))
-		ps.feats = make(map[*store.Record]*Feat)
-		ps.mu.Unlock()
-	}
-}
-
-// Reset drops every cached feature.
-func (ls *LiveState) Reset() {
-	for i := range ls.shards {
-		sh := &ls.shards[i]
-		sh.mu.Lock()
-		for id, ps := range sh.pumps {
-			ps.mu.Lock()
-			ls.size.Add(-int64(len(ps.feats)))
-			ps.feats = make(map[*store.Record]*Feat)
-			ps.mu.Unlock()
-			delete(sh.pumps, id)
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // Ensure returns the feature bundle of every record, aligned by index,
 // folding (in parallel) the ones not folded yet. recs is a store-order
 // snapshot of one pump's series; Ensure also evicts cache entries

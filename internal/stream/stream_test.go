@@ -186,26 +186,6 @@ func TestMetricFuncMatchesTransforms(t *testing.T) {
 	}
 }
 
-// TestResetPump drops exactly one pump's cache.
-func TestResetPump(t *testing.T) {
-	ls := NewLiveState(Config{})
-	for i := 0; i < 5; i++ {
-		ls.Fold(mkRec(1, float64(i), 64))
-		ls.Fold(mkRec(2, float64(i), 64))
-	}
-	if ls.Size() != 10 {
-		t.Fatalf("size %d", ls.Size())
-	}
-	ls.ResetPump(1)
-	if ls.Size() != 5 {
-		t.Fatalf("size after ResetPump %d, want 5", ls.Size())
-	}
-	ls.Reset()
-	if ls.Size() != 0 {
-		t.Fatalf("size after Reset %d", ls.Size())
-	}
-}
-
 // TestEvictOrphans simulates a store reload: the replaced record
 // pointers orphan the old cache entries, and assembly compacts the memo
 // back to the live series.

@@ -22,8 +22,10 @@ type liveBench struct {
 	eng *vibepm.Engine
 
 	// ingestLS is a dedicated live state (baseline installed) for the
-	// pure fold-cost case, isolated from the trend engines' caches.
+	// pure fold-cost case, isolated from the trend engines' caches;
+	// base is its baseline, installed again in each fresh one.
 	ingestLS *vibepm.LiveState
+	base     *vibepm.Baseline
 
 	ingestPool []*store.Record // cycled by LiveIngest, never stored
 	livePool   []*store.Record // ingested by LiveTrend
@@ -71,12 +73,11 @@ func newLiveBench() (*liveBench, error) {
 	// variant and D_a — the steady state of a deployment that ingested
 	// its history through the live path.
 	f.eng.WarmLive()
-	base, err := f.eng.Baseline()
-	if err != nil {
+	if f.base, err = f.eng.Baseline(); err != nil {
 		return nil, err
 	}
 	f.ingestLS = stream.NewLiveState(stream.Config{})
-	f.ingestLS.SetBaseline(base)
+	f.ingestLS.SetBaseline(f.base)
 
 	// Pool captures stay inside the experiment window (interleaved
 	// with the stored trend days) so the per-iteration ingests extend
@@ -110,9 +111,10 @@ func BenchmarkLiveIngest(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if i == len(f.ingestPool) {
-			// A resident record is a hit: empty the memo each time
-			// round the pool so every iteration is a real fold.
-			f.ingestLS.Reset()
+			// A resident record is a hit: start a fresh memo each
+			// time round the pool so every iteration is a real fold.
+			f.ingestLS = stream.NewLiveState(stream.Config{})
+			f.ingestLS.SetBaseline(f.base)
 			i = 0
 		}
 		f.ingestLS.Fold(f.ingestPool[i])

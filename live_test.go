@@ -344,10 +344,11 @@ func keyOf(id int) string { return fmt.Sprintf("pump-%02d", id) }
 
 // TestLiveTrendEdgeCases table-drives the trend-path edge cases the
 // live memo must invalidate through: an empty series, a single point, a
-// maintenance-event reset (memo dropped, history replaced), a
-// dead-sensor gap, and a baseline swap (every D_a the memo holds scored
-// against a baseline no longer in force). In every case the served
-// trend must carry the exact error/trend parity of BatchCleanTrend.
+// maintenance-event reset (post-overhaul captures on top of the memo
+// the old history filled), a dead-sensor gap, and a baseline swap
+// (every D_a the memo holds scored against a baseline no longer in
+// force). In every case the served trend must carry the exact
+// error/trend parity of BatchCleanTrend.
 func TestLiveTrendEdgeCases(t *testing.T) {
 	ds := liveCorpus(t)
 	ingestDays := func(eng *vibepm.Engine, pump int, days ...float64) {
@@ -385,10 +386,9 @@ func TestLiveTrendEdgeCases(t *testing.T) {
 			run: func(t *testing.T, eng *vibepm.Engine) {
 				ingestDays(eng, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 				compareTrend(t, "pre-maintenance", eng, 3)
-				// The overhaul: the pump's memo is dropped and
-				// post-maintenance captures stream in. The next query must
-				// rebuild cleanly from the empty memo.
-				eng.Live().ResetPump(3)
+				// The overhaul: post-maintenance captures stream in on top
+				// of the memo the old history filled. The next query must
+				// rebuild cleanly from it.
 				ingestDays(eng, 3, 11, 12, 13, 14, 15, 16)
 				compareTrend(t, "post-maintenance", eng, 3)
 			},

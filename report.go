@@ -3,9 +3,6 @@ package vibepm
 import (
 	"fmt"
 	"sort"
-	"strings"
-
-	"vibepm/internal/core"
 )
 
 // PumpReport is the live health summary of one pump: the latest
@@ -87,32 +84,4 @@ func (e *Engine) FleetReport(ageOf AgeFunc) ([]PumpReport, error) {
 		return a.Da > b.Da
 	})
 	return out, nil
-}
-
-// FormatFleetReport renders a fleet report as an aligned table with a
-// suggested action per pump.
-func FormatFleetReport(reports []PumpReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %-9s %-9s %-10s %-10s %s\n", "pump", "Da", "zone", "RUL (d)", "diagnosis", "action")
-	for _, r := range reports {
-		rul := "-"
-		diag := "-"
-		action := "monitor"
-		if r.HasRUL {
-			rul = fmt.Sprintf("%.0f", r.RULDays)
-			diag = core.FormatRUL(r.RULDays)
-			switch {
-			case r.RULDays < 0:
-				action = "replace now"
-			case r.RULDays < 30:
-				action = "schedule replacement"
-			case r.RULDays < 90:
-				action = "order spare"
-			}
-		} else if r.Zone == ZoneD {
-			action = "inspect immediately"
-		}
-		fmt.Fprintf(&b, "%-6d %-9.3f %-9s %-10s %-10s %s\n", r.PumpID, r.Da, r.Zone, rul, diag, action)
-	}
-	return b.String()
 }
