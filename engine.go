@@ -361,8 +361,7 @@ func (e *Engine) CleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error) {
 		// Per-record transforms come from the live memo; only the cheap
 		// global passes (mean shift over the 3-D offsets, smoothing) run
 		// over the full series. Values are bit-identical to batchTrend.
-		feats := e.live.Ensure(pumpID, recs)
-		validIdx, _, err := preprocess.DetectOutliersPoints(stream.OffsetRowsOf(feats), preprocess.OutlierConfig{})
+		validIdx, _, err := preprocess.DetectOutliersPoints(e.live.OffsetRows(pumpID, recs), preprocess.OutlierConfig{})
 		if err != nil {
 			return nil, tag, err
 		}

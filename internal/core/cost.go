@@ -109,7 +109,8 @@ var ErrNoOutcomes = errors.New("core: no pump outcomes")
 // Each pump's true useful life is reconstructed from its outcome:
 // a PM event wasted w > 0 days (life = period + w), a BM event ran
 // w < 0 days past failure (life = period + w), and an event-free pump
-// has at least its diagnosed RUL left (life ≥ period + max(diag, 0)).
+// lives out its diagnosed RUL (life = period + diag, which a negative
+// diag shortens). Every life is floored at a 30-day cycle.
 // Costs are amortized per day: the conventional policy pays one pump
 // per period plus the breakdown penalty whenever the true life falls
 // short of the period; the RUL policy pays one pump per (life − margin)
@@ -159,10 +160,8 @@ func (c CostModel) Summarize(outcomes []PumpOutcome, fixedPeriodDays, marginDays
 		rulPerDaySum += c.PumpPriceUSD / rulLife
 		rulLifeSum += rulLife
 	}
-	n := float64(len(outcomes))
 	rep.LifetimeGain = rulLifeSum / convLifeSum
 	rep.SavingsFraction = (convPerDaySum - rulPerDaySum) / convPerDaySum
-	_ = n
 	return rep, nil
 }
 

@@ -289,8 +289,8 @@ func TestFig15AndTable4(t *testing.T) {
 	if t4.WastedUSD <= 0 {
 		t.Fatal("no wasted value computed")
 	}
-	if t4.LifetimeGain <= 1 {
-		t.Fatalf("lifetime gain %.2f", t4.LifetimeGain)
+	if t4.Fleet.LifetimeGain <= 1 {
+		t.Fatalf("lifetime gain %.2f", t4.Fleet.LifetimeGain)
 	}
 	if !strings.Contains(t4.String(), "paper 22%") {
 		t.Fatal("render broken")
@@ -312,6 +312,15 @@ func TestHeadline(t *testing.T) {
 	}
 	if r.Breakdowns != 1 {
 		t.Fatalf("breakdowns %d (pump 7 should be the only BM)", r.Breakdowns)
+	}
+	// One run prints one lifetime gain: the headline is Table IV's.
+	t4, err := Table4(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.LifetimeGain != t4.Fleet.LifetimeGain || r.SavingsFraction != t4.Fleet.SavingsFraction {
+		t.Errorf("headline (%.4fx, %.4f) disagrees with Table IV's fleet (%.4fx, %.4f)",
+			r.LifetimeGain, r.SavingsFraction, t4.Fleet.LifetimeGain, t4.Fleet.SavingsFraction)
 	}
 }
 

@@ -121,9 +121,10 @@ type Table4Result struct {
 	// fractions per population (paper: 22% and 7.4%).
 	SavingsModelI  float64
 	SavingsModelII float64
-	// LifetimeGain is the fleet-average achieved/conventional life
-	// ratio (paper: ≈1.2×).
-	LifetimeGain float64
+	// Fleet is the economics of every pump under one replacement
+	// policy (the paper's headline: ≈1.2× lifetime, ≈20 % savings);
+	// zero when no pump has a prediction.
+	Fleet vibepm.SavingsReport
 	// CorrectModelAssignments counts pumps whose RANSAC model matches
 	// the latent population.
 	CorrectModelAssignments int
@@ -217,7 +218,7 @@ func Table4(c *Corpus) (*Table4Result, error) {
 		res.SavingsModelII = rep.SavingsFraction
 	}
 	if rep, err := cost.Summarize(outcomes, 182, 30); err == nil {
-		res.LifetimeGain = rep.LifetimeGain
+		res.Fleet = *rep
 	}
 	return res, nil
 }
@@ -240,7 +241,7 @@ func (r *Table4Result) String() string {
 	fmt.Fprintf(&b, "savings: Model I %.1f%% (paper 22%%), Model II %.1f%% (paper 7.4%%)\n",
 		100*r.SavingsModelI, 100*r.SavingsModelII)
 	fmt.Fprintf(&b, "fleet lifetime gain: %.2fx (paper ~1.2x); model assignment correct for %d/%d pumps\n",
-		r.LifetimeGain, r.CorrectModelAssignments, len(r.Rows))
+		r.Fleet.LifetimeGain, r.CorrectModelAssignments, len(r.Rows))
 	return b.String()
 }
 
@@ -248,35 +249,20 @@ func (r *Table4Result) String() string {
 // RUL-driven policy prolongs average pump lifetime by ≈1.2× and cuts
 // replacement cost by ≈20%.
 type HeadlineResult struct {
-	LifetimeGain    float64
-	SavingsFraction float64
-	Breakdowns      int
+	vibepm.SavingsReport
 }
 
-// Headline summarizes the fleet economics from the Table IV pipeline.
+// Headline summarizes the fleet economics from the Table IV pipeline:
+// Table IV's own fleet report, so the two print one lifetime gain.
 func Headline(c *Corpus) (*HeadlineResult, error) {
 	t4, err := Table4(c)
 	if err != nil {
 		return nil, err
 	}
-	var outcomes []vibepm.PumpOutcome
-	for _, row := range t4.Rows {
-		outcomes = append(outcomes, vibepm.PumpOutcome{
-			PumpID:        row.PumpID,
-			ModelIdx:      row.ModelIdx,
-			Event:         row.Event,
-			WastedRULDays: row.WastedRULDays,
-		})
+	if len(t4.Rows) == 0 {
+		return nil, core.ErrNoOutcomes
 	}
-	rep, err := vibepm.DefaultCostModel().Summarize(outcomes, 182, 30)
-	if err != nil {
-		return nil, err
-	}
-	return &HeadlineResult{
-		LifetimeGain:    rep.LifetimeGain,
-		SavingsFraction: rep.SavingsFraction,
-		Breakdowns:      rep.Breakdowns,
-	}, nil
+	return &HeadlineResult{t4.Fleet}, nil
 }
 
 // String renders the headline numbers.

@@ -40,7 +40,7 @@ func TestEvictOrphansThresholdExact(t *testing.T) {
 	}
 
 	before := metEvictions.Value()
-	ls.Ensure(1, recs)
+	ls.ensure(1, recs, 0)
 	if d := metEvictions.Value() - before; d != 0 {
 		t.Fatalf("memo at the bound evicted %d entries; on-bound must be free", d)
 	}
@@ -53,7 +53,7 @@ func TestEvictOrphansThresholdExact(t *testing.T) {
 	// repeated partial scans.
 	ls.Fold(mkRec(1, day, 64))
 	before = metEvictions.Value()
-	ls.Ensure(1, recs)
+	ls.ensure(1, recs, 0)
 	if d := metEvictions.Value() - before; d != uint64(slack+1) {
 		t.Fatalf("compaction evicted %d entries, want every orphan (%d)", d, slack+1)
 	}
@@ -105,7 +105,7 @@ func TestEvictOrphansMassReset(t *testing.T) {
 	// eviction scans — there is nothing to compact.
 	before := metEvictions.Value()
 	for p := 2; p < pumps; p++ {
-		ls.Ensure(p, snapshot[p])
+		ls.ensure(p, snapshot[p], 0)
 		if got := pumpCacheLen(ls, p); got != perPump {
 			t.Fatalf("reset pump %d memo holds %d, want %d", p, got, perPump)
 		}
@@ -118,7 +118,7 @@ func TestEvictOrphansMassReset(t *testing.T) {
 	// exactly those.
 	for _, p := range survivors {
 		before := metEvictions.Value()
-		ls.Ensure(p, snapshot[p])
+		ls.ensure(p, snapshot[p], 0)
 		if d := metEvictions.Value() - before; d != perPump {
 			t.Fatalf("survivor %d evicted %d entries, want one per orphan (%d)", p, d, perPump)
 		}
@@ -133,7 +133,7 @@ func TestEvictOrphansMassReset(t *testing.T) {
 	evBefore, missBefore := metEvictions.Value(), metMisses.Value()
 	sizeBefore := ls.Size()
 	for p := 0; p < pumps; p++ {
-		ls.Ensure(p, snapshot[p])
+		ls.ensure(p, snapshot[p], 0)
 	}
 	if d := metEvictions.Value() - evBefore; d != 0 {
 		t.Fatalf("steady-state assembly evicted %d entries", d)

@@ -122,7 +122,7 @@ func FuzzLiveIngest(f *testing.F) {
 		}
 		for _, id := range st.Pumps() {
 			survived := st.All(id)
-			feats := ls.Ensure(id, survived)
+			feats := ls.ensure(id, survived, 0)
 			if len(feats) != len(survived) {
 				t.Fatalf("pump %d: %d feats for %d records", id, len(feats), len(survived))
 			}

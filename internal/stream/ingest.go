@@ -110,7 +110,7 @@ func (in *Ingester) addDurable(rec *store.Record) (stored bool, err error) {
 		return in.Durable.AddUnique(rec)
 	}
 	var (
-		f      *Feat
+		f      *feat
 		failed any
 		done   = make(chan struct{})
 	)

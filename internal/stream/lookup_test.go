@@ -54,7 +54,7 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 			ls.Fold(rec)
 		}},
 		{name: "Ensure", plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
-			f := ls.Ensure(rec.PumpID, []*store.Record{rec})[0]
+			f := ls.ensure(rec.PumpID, []*store.Record{rec}, 0)[0]
 			if f.Offsets != transform.Offsets(rec) || !eqF64(f.RMS, transform.RMS(rec)) {
 				t.Error("Ensure: scalars diverged from the transforms")
 			}
@@ -144,8 +144,8 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 // TestMissFoldsOnce pins the miss path: a lookup of a never-folded
 // record runs the fold and nothing after it. One FaultReport is one
 // Detect (the parent ran the fold's and then its own); the Da of a
-// folded record is a hit, scored by the fold from the two harmonic
-// variants of its one PSD.
+// folded record is a hit, scored by the fold from the baseline's
+// harmonic variant of its one PSD.
 func TestMissFoldsOnce(t *testing.T) {
 	base := trainBaseline(t, feature.Options{})
 	det := feature.NewFaultDetector(feature.MachineSpec{})
@@ -179,11 +179,13 @@ func TestMissFoldsOnce(t *testing.T) {
 	}
 	f := ls.feat(rec)
 	f.mu.Lock()
-	_, dsp := f.score(rec, base)
-	slots := len(f.harms)
+	daFor, da, harm := f.daFor, f.da, f.harm
 	f.mu.Unlock()
-	if dsp || slots != 2 {
-		t.Errorf("after Da: score needs DSP = %v, %d harmonic slots; the fold should have left the score and both variants", dsp, slots)
+	if daFor != base || !eqF64(da.val, wantDa) {
+		t.Errorf("after Da: the bundle holds %g for baseline %p; the fold should have left %g for %p", da.val, daFor, wantDa, base)
+	}
+	if !reflect.DeepEqual(harm, feature.HarmonicOfRecord(rec, feature.Options{})) {
+		t.Error("after Da: the fold left no raw-option harmonic, or a wrong one")
 	}
 }
 
@@ -209,9 +211,10 @@ func TestHarmonicsLeavesUnfoldedRecordsOut(t *testing.T) {
 	}
 }
 
-// TestMemoHarmonicsHoldOnlyWhatTheyKeep: a harmonic the memo keeps for
-// the life of a record owns an array of exactly its peaks, not the one
-// FindPeaks grew to every local maximum of the spectrum.
+// TestMemoHarmonicsHoldOnlyWhatTheyKeep: the harmonic the memo keeps
+// for the life of a record owns an array of exactly its peaks, not the
+// one FindPeaks grew to every local maximum of the spectrum. The
+// baseline's variant scores D_a during the fold and is not kept.
 func TestMemoHarmonicsHoldOnlyWhatTheyKeep(t *testing.T) {
 	base := trainBaseline(t, feature.Options{})
 	ls := NewLiveState(Config{})
@@ -223,14 +226,122 @@ func TestMemoHarmonicsHoldOnlyWhatTheyKeep(t *testing.T) {
 	f := ls.feat(rec)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.harms) != 2 {
-		t.Fatalf("%d harmonic slots, want the raw and the baseline's", len(f.harms))
+	if f.daFor != base {
+		t.Fatal("the fold did not score D_a against the installed baseline")
 	}
-	for _, s := range f.harms {
-		if len(s.val.Peaks) == 0 || cap(s.val.Peaks) != len(s.val.Peaks) {
-			t.Errorf("options %+v: %d peaks in an array of %d", s.key, len(s.val.Peaks), cap(s.val.Peaks))
+	if len(f.harm.Peaks) == 0 || cap(f.harm.Peaks) != len(f.harm.Peaks) {
+		t.Errorf("%d peaks in an array of %d", len(f.harm.Peaks), cap(f.harm.Peaks))
+	}
+}
+
+// kept is what a bundle holds for the fit, copied out so a test can
+// tell whether a query touched it.
+type kept struct {
+	harm     feature.Harmonic
+	daFor    *feature.Baseline
+	da       daScore
+	faultFor *feature.FaultDetector
+	fault    feature.FaultReport
+}
+
+func keptBy(ls *LiveState, rec *store.Record) kept {
+	ps := ls.pump(rec.PumpID)
+	ps.mu.Lock()
+	f := ps.feats[rec]
+	ps.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return kept{f.harm, f.daFor, f.da, f.faultFor, f.fault}
+}
+
+// TestMemoAnswersForTheInstalledFit: a bundle keeps one harmonic, one
+// D_a and one fault report — for the configured options, the installed
+// baseline and the installed detector. A query with another option
+// set, baseline or detector is the pure function's value, bitwise, and
+// leaves the memo's size and every bundle as they were. Installing a
+// new baseline or detector re-scores each record once, in place (a
+// miss: DSP ran), and every later query is a hit.
+func TestMemoAnswersForTheInstalledFit(t *testing.T) {
+	opt := feature.Options{}
+	base1, base2 := trainBaseline(t, opt), trainBaseline(t, feature.Options{HannWindow: 8})
+	det1 := feature.NewFaultDetector(feature.MachineSpec{})
+	det2 := det1.WithSpec(1, feature.MachineSpec{RotorHz: 17})
+	other := feature.Options{NumPeaks: 8, SmoothingHz: 31.25}
+
+	ls := NewLiveState(Config{Harmonic: opt})
+	ls.SetBaseline(base1)
+	ls.SetFaultDetector(det1)
+	resident := []*store.Record{mkRec(1, 1, 256), mkRec(1, 2, 256), mkRec(1, 3, 512)}
+	for _, rec := range resident {
+		ls.Fold(rec)
+	}
+	cold := mkRec(1, 4, 256)
+	da1, _ := base1.Da(cold)
+	da2, _ := base2.Da(cold)
+	if eqF64(da1, da2) || reflect.DeepEqual(det1.Detect(cold), det2.Detect(cold)) {
+		t.Fatal("fixture: the two fits must score and classify differently")
+	}
+
+	notInstalled := func(base *feature.Baseline, det *feature.FaultDetector) {
+		t.Helper()
+		for i, rec := range append([]*store.Record{cold}, resident...) {
+			var before kept
+			if rec != cold {
+				before = keptBy(ls, rec)
+			}
+			size := ls.Size()
+			wantDa, wantErr := base.Da(rec)
+			if got, err := ls.Da(rec, base); !eqF64(got, wantDa) || (err == nil) != (wantErr == nil) {
+				t.Errorf("record %d: Da = (%g, %v), want (%g, %v)", i, got, err, wantDa, wantErr)
+			}
+			if got := ls.FaultReport(rec, det); !reflect.DeepEqual(got, det.Detect(rec)) {
+				t.Errorf("record %d: FaultReport diverged from Detect", i)
+			}
+			if got := ls.Harmonics([]*store.Record{rec}, other)[0]; !reflect.DeepEqual(got, feature.HarmonicOfRecord(rec, other)) {
+				t.Errorf("record %d: Harmonics diverged from HarmonicOfRecord", i)
+			}
+			if ls.Size() != size {
+				t.Errorf("record %d: memo size %d -> %d", i, size, ls.Size())
+			}
+			if rec != cold && !reflect.DeepEqual(keptBy(ls, rec), before) {
+				t.Errorf("record %d: a query outside the installed fit changed the bundle", i)
+			}
 		}
 	}
+	notInstalled(base2, det2)
+
+	ls.SetBaseline(base2)
+	ls.SetFaultDetector(det2)
+	for i, rec := range resident {
+		wantDa, _ := base2.Da(rec)
+		wantRep := det2.Detect(rec)
+		for round, want := range []counters{{misses: 1}, {hits: 1}} {
+			c0 := readCounters()
+			if got, _ := ls.Da(rec, base2); !eqF64(got, wantDa) {
+				t.Errorf("record %d round %d: Da = %g, want %g", i, round, got, wantDa)
+			}
+			if got := readCounters().since(c0); got != want {
+				t.Errorf("record %d round %d: Da moved %+v, want %+v", i, round, got, want)
+			}
+			c0 = readCounters()
+			if got := ls.FaultReport(rec, det2); !reflect.DeepEqual(got, wantRep) {
+				t.Errorf("record %d round %d: FaultReport diverged from Detect", i, round)
+			}
+			if got := readCounters().since(c0); got != want {
+				t.Errorf("record %d round %d: FaultReport moved %+v, want %+v", i, round, got, want)
+			}
+		}
+		if k := keptBy(ls, rec); k.daFor != base2 || k.faultFor != det2 {
+			t.Errorf("record %d: the bundle was not re-tagged for the installed fit", i)
+		}
+	}
+	c0 := readCounters()
+	ls.Harmonics(resident, opt)
+	if got := readCounters().since(c0); got != (counters{hits: uint64(len(resident))}) {
+		t.Errorf("Harmonics with the configured options moved %+v, want %d hits", got, len(resident))
+	}
+	// The retired fit is now the one the memo does not answer for.
+	notInstalled(base1, det1)
 }
 
 // TestMissDoesNotBlockOtherRecords: while one record of a pump is
@@ -250,7 +361,7 @@ func TestMissDoesNotBlockOtherRecords(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ls.lookup(slow, true, nil, func(*Feat) bool {
+		ls.lookup(slow, true, nil, func(*feat) bool {
 			close(filling)
 			<-release
 			return true
@@ -262,7 +373,7 @@ func TestMissDoesNotBlockOtherRecords(t *testing.T) {
 	go func() {
 		defer close(served)
 		ls.FaultReport(other, det)
-		ls.Ensure(9, []*store.Record{other})
+		ls.ensure(9, []*store.Record{other}, 0)
 		ls.Fold(mkRec(9, 3, 256))
 	}()
 	select {

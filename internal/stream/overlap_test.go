@@ -12,6 +12,7 @@ import (
 
 	"vibepm/internal/feature"
 	"vibepm/internal/store"
+	"vibepm/internal/transform"
 )
 
 // gatedSegment parks an armed Sync until the test releases it: the one
@@ -253,9 +254,9 @@ func TestReadersRaceThePlant(t *testing.T) {
 	const pumps, perPump = 4, 24
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
-	seen := make([]map[*store.Record]*Feat, pumps)
+	seen := make([]map[*store.Record]*feat, pumps)
 	for p := 0; p < pumps; p++ {
-		seen[p] = make(map[*store.Record]*Feat)
+		seen[p] = make(map[*store.Record]*feat)
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
@@ -270,7 +271,7 @@ func TestReadersRaceThePlant(t *testing.T) {
 			defer readers.Done()
 			for {
 				recs := in.Store.All(p)
-				for i, f := range live.Ensure(p, recs) {
+				for i, f := range live.ensure(p, recs, 0) {
 					if was := seen[p][recs[i]]; was != nil && was != f {
 						t.Errorf("pump %d: a record changed bundles", p)
 					}
@@ -289,7 +290,7 @@ func TestReadersRaceThePlant(t *testing.T) {
 	readers.Wait()
 	for p := 0; p < pumps; p++ {
 		recs := in.Store.All(p)
-		for i, f := range live.Ensure(p, recs) {
+		for i, f := range live.ensure(p, recs, 0) {
 			if was := seen[p][recs[i]]; was != nil && was != f {
 				t.Errorf("pump %d: a record's bundle was replaced after a reader held it", p)
 			}
@@ -302,9 +303,10 @@ func TestReadersRaceThePlant(t *testing.T) {
 
 // TestFoldSharesOneExtraction: at the baseline's training resolution
 // the baseline's Hz-pinned options and the raw ones are one extraction,
-// run once and held under both keys; at another rate or length they
-// differ and each is extracted. Either way both slots hold exactly
-// what HarmonicOfRecord returns for their option set.
+// run once and used for both; at another rate or length they differ
+// and each is extracted. Either way each variant is exactly what
+// HarmonicOfRecord returns for its option set, and the fold keeps the
+// raw one and the D_a the baseline's scores.
 func TestFoldSharesOneExtraction(t *testing.T) {
 	opt := feature.Options{}
 	base := trainBaseline(t, opt)
@@ -322,14 +324,8 @@ func TestFoldSharesOneExtraction(t *testing.T) {
 		{"half the rate", slower, false},
 		{"twice the length", mkRec(6, 3, 512), false},
 	} {
-		f := ls.feat(tc.rec)
-		f.mu.Lock()
-		raw, okRaw := f.harms.get(opt)
-		pinned, okPinned := f.harms.get(base.Opt)
-		f.mu.Unlock()
-		if !okRaw || !okPinned {
-			t.Fatalf("%s: the fold left a variant out (raw %v, baseline's %v)", tc.name, okRaw, okPinned)
-		}
+		var raw, pinned feature.Harmonic
+		transform.UsePSD(tc.rec, func(freq, psd []float64) { raw, pinned = ls.extract(freq, psd, base) })
 		if !reflect.DeepEqual(raw, feature.HarmonicOfRecord(tc.rec, opt)) {
 			t.Errorf("%s: raw variant diverged from HarmonicOfRecord", tc.name)
 		}
@@ -341,6 +337,16 @@ func TestFoldSharesOneExtraction(t *testing.T) {
 		}
 		if shared := &raw.Peaks[0] == &pinned.Peaks[0]; shared != tc.shared {
 			t.Errorf("%s: one extraction for both variants = %v, want %v", tc.name, shared, tc.shared)
+		}
+
+		f := ls.feat(tc.rec)
+		f.mu.Lock()
+		harm, daFor, da := f.harm, f.daFor, f.da
+		f.mu.Unlock()
+		wantDa, _ := base.Da(tc.rec)
+		if !reflect.DeepEqual(harm, raw) || daFor != base || !eqF64(da.val, wantDa) {
+			t.Errorf("%s: the fold kept (%d peaks, D_a %g for %p), want (%d peaks, %g for %p)",
+				tc.name, len(harm.Peaks), da.val, daFor, len(raw.Peaks), wantDa, base)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestLiveConcurrentIngestTrendCheckpoint(t *testing.T) {
 				}
 				id := rng.Intn(pumps)
 				recs := d.Store().All(id)
-				feats := ls.Ensure(id, recs)
+				feats := ls.ensure(id, recs, 0)
 				if len(feats) != len(recs) {
 					t.Errorf("pump %d: %d feats for %d recs", id, len(feats), len(recs))
 					return
@@ -127,7 +127,7 @@ func TestLiveConcurrentIngestTrendCheckpoint(t *testing.T) {
 	// record's direct recomputation implies matching each other.
 	for _, id := range re.Store().Pumps() {
 		recs := re.Store().All(id)
-		feats := rebuilt.Ensure(id, recs)
+		feats := rebuilt.ensure(id, recs, 0)
 		for i, rec := range recs {
 			ref := NewLiveState(Config{}).feat(rec)
 			if !eqF64(feats[i].RMS, ref.RMS) || !eqF64(feats[i].VRMS, ref.VRMS) || feats[i].Offsets != ref.Offsets {

@@ -21,18 +21,26 @@
 // trends, scores and fault reports equal the pure functions' —
 // Engine.BatchCleanTrend, Baseline.Da, FaultDetector.Detect.
 //
+// The memo answers for one fit. A bundle holds one value per feature:
+// the harmonic for the configured options, the D_a of the installed
+// baseline and the report of the installed detector. A resident record
+// asked about with the installed fit is served from its bundle (a value
+// left by an earlier baseline or detector is recomputed in place);
+// anything else — another baseline, detector or option set, or a record
+// no store holds — is computed by the pure function and not kept.
+//
 // There is one memo protocol, LiveState.lookup: every entry point
-// (Fold, Ensure, Da, DaSeries, Harmonics, FaultReport, MetricFunc,
-// OffsetRows, and the durable Ingester planting the bundle it folded
-// during the append) is a thin caller of it, so a derived value is
-// looked up, computed on a miss and counted in exactly one place.
+// (Fold, Da, DaSeries, Harmonics, FaultReport, MetricFunc, OffsetRows,
+// and the durable Ingester planting the bundle it folded during the
+// append) is a thin caller of it, so a derived value is looked up,
+// computed on a miss and counted in exactly one place.
 //
 // Cache entries are keyed by record pointer — the store holds records
 // by reference and never mutates them — so out-of-order arrivals,
 // duplicate suppression, and mid-series inserts need no special
 // casing: the store's ordering is re-read on every assembly and the
 // cache is a pure memo. A store reload (snapshot restore, maintenance
-// reset) orphans the old pointers; Ensure evicts entries no longer
+// reset) orphans the old pointers; OffsetRows evicts entries no longer
 // reachable from the store once a pump's memo has grown past 1.5× the
 // live series (evictOrphans).
 package stream
@@ -52,55 +60,13 @@ import (
 // Config parameterizes a LiveState. The zero value selects the
 // engine's defaults.
 type Config struct {
-	// Harmonic is the harmonic-extraction option set folded at ingest
-	// *before* a baseline is installed — the same raw options the
-	// engine's Fit scans the corpus with, so a later Fit finds its
-	// features precomputed. After SetBaseline, folds also extract with
-	// the baseline's (resolution-pinned) options and score D_a.
+	// Harmonic is the harmonic-extraction option set every fold keeps —
+	// the same raw options the engine's Fit scans the corpus with, so a
+	// later Fit finds its features precomputed. After SetBaseline, folds
+	// also extract with the baseline's (resolution-pinned) options to
+	// score D_a, and keep only the score.
 	Harmonic feature.Options
 }
-
-// slots is a bounded keyed list, oldest first — the one container
-// behind every lazily filled per-record value. Keys are compared with
-// ==: an option set by value, a baseline or detector by pointer
-// identity (both are immutable once installed, so pointer identity is
-// value identity).
-type slots[K comparable, V any] []slot[K, V]
-
-type slot[K comparable, V any] struct {
-	key K
-	val V
-}
-
-func (s slots[K, V]) get(key K) (val V, ok bool) {
-	for _, e := range s {
-		if e.key == key {
-			return e.val, true
-		}
-	}
-	return val, false
-}
-
-// put appends an entry for a key get just missed, first dropping the
-// oldest one when the list already holds limit: it belongs to a
-// retired option set, baseline or detector.
-func (s *slots[K, V]) put(key K, val V, limit int) {
-	if len(*s) >= limit {
-		*s = append((*s)[:0], (*s)[1:]...)
-	}
-	*s = append(*s, slot[K, V]{key, val})
-}
-
-// Slot caps per record. Harmonics: the raw engine options plus the
-// baseline's resolution-pinned ones in steady state, a third only
-// across a re-Fit with changed options. D_a and fault reports: the
-// current baseline / detector plus the one a re-Fit / spec update is
-// replacing.
-const (
-	maxHarmSlots  = 3
-	maxDaSlots    = 2
-	maxFaultSlots = 2
-)
 
 // daScore is one D_a result, error included: an unscorable record is
 // remembered as such instead of re-scored on every trend rebuild.
@@ -109,10 +75,13 @@ type daScore struct {
 	err error
 }
 
-// Feat is the per-record feature bundle. Offsets, RMS and VRMS are
-// immutable once lookup has returned the bundle; the keyed slots fill
-// lazily, under mu, as baselines, option sets and detectors appear.
-type Feat struct {
+// feat is the per-record feature bundle: one value per feature, for the
+// installed fit. Offsets, RMS, VRMS and harm are immutable once lookup
+// has returned the bundle. The D_a score and the fault report are each
+// tagged with the baseline / detector they were computed for; a stale
+// tag (a re-Fit, a loaded model, a spec update) is recomputed in place
+// under mu the first time the installed one is asked about.
+type feat struct {
 	// Offsets is transform.Offsets(rec) — the mean-shift outlier
 	// detector's input point.
 	Offsets [3]float64
@@ -123,28 +92,19 @@ type Feat struct {
 	VRMS float64
 
 	// mu is this record's own lock: it is held across the fold and
-	// across a lazy slot fill, so each runs at most once per record /
-	// per (record, key) and a second caller waits for the first
-	// instead of repeating its DSP. No pump-wide lock is held with it.
+	// across a stale value's refresh, so each runs at most once per
+	// record and fit, and a second caller waits for the first instead
+	// of repeating its DSP. No pump-wide lock is held with it.
 	mu     sync.Mutex
 	folded bool
-	harms  slots[feature.Options, feature.Harmonic]
-	da     slots[*feature.Baseline, daScore]
-	faults slots[*feature.FaultDetector, feature.FaultReport]
-}
-
-// The three lazy accessors. Each is called with f.mu held, returns the
-// value for its key — identical to the pure function it memoizes — and
-// reports whether it had to run DSP to get it.
-
-// harmonic is feature.HarmonicOfRecord(rec, opt).
-func (f *Feat) harmonic(rec *store.Record, opt feature.Options) (feature.Harmonic, bool) {
-	if h, ok := f.harms.get(opt); ok {
-		return h, false
-	}
-	h := own(feature.HarmonicOfRecord(rec, opt))
-	f.harms.put(opt, h, maxHarmSlots)
-	return h, true
+	// harm is feature.HarmonicOfRecord(rec, Config.Harmonic).
+	harm feature.Harmonic
+	// da is daFor.Da(rec); daFor is nil until a baseline scored it.
+	daFor *feature.Baseline
+	da    daScore
+	// fault is faultFor.Detect(rec); faultFor is nil until classified.
+	faultFor *feature.FaultDetector
+	fault    feature.FaultReport
 }
 
 // own gives h a peak list of its own, exactly as long as it is: the
@@ -154,30 +114,6 @@ func (f *Feat) harmonic(rec *store.Record, opt feature.Options) (feature.Harmoni
 func own(h feature.Harmonic) feature.Harmonic {
 	h.Peaks = slices.Clip(slices.Clone(h.Peaks))
 	return h
-}
-
-// score is base.Da(rec). With the baseline's harmonic already in its
-// slot (every fold after SetBaseline) only the distance is computed,
-// which is arithmetic over two peak lists, not DSP.
-func (f *Feat) score(rec *store.Record, base *feature.Baseline) (daScore, bool) {
-	if s, ok := f.da.get(base); ok {
-		return s, false
-	}
-	h, dsp := f.harmonic(rec, base.Opt)
-	var s daScore
-	s.val, s.err = base.DaFromHarmonic(h)
-	f.da.put(base, s, maxDaSlots)
-	return s, dsp
-}
-
-// fault is det.Detect(rec).
-func (f *Feat) fault(rec *store.Record, det *feature.FaultDetector) (feature.FaultReport, bool) {
-	if rep, ok := f.faults.get(det); ok {
-		return rep, false
-	}
-	rep := det.Detect(rec)
-	f.faults.put(det, rep, maxFaultSlots)
-	return rep, true
 }
 
 // streamShardCount mirrors the store's sharding so per-pump lock
@@ -193,7 +129,7 @@ type liveShard struct {
 // alone; every transform runs outside it, under the record's own lock.
 type pumpState struct {
 	mu    sync.Mutex
-	feats map[*store.Record]*Feat
+	feats map[*store.Record]*feat
 }
 
 // LiveState is the incremental feature cache, safe for concurrent use:
@@ -223,15 +159,16 @@ func NewLiveState(cfg Config) *LiveState {
 }
 
 // SetBaseline installs the trained Zone A baseline: subsequent folds
-// extract the baseline's harmonic variant and score D_a at ingest, so
-// trend queries after new data stay pure cache reads.
+// score D_a at ingest, so trend queries after new data stay pure cache
+// reads. A record scored against an earlier baseline is re-scored in
+// place the first time it is asked about.
 func (ls *LiveState) SetBaseline(b *feature.Baseline) { ls.baseline.Store(b) }
 
 // SetFaultDetector installs (or, with nil, removes) the fault detector:
 // subsequent folds classify at ingest, so fault queries after new data
 // are pure cache reads. Detectors are immutable (WithSpec is
-// copy-on-write); a new one orphans the old slots, which age out of
-// the two-slot window as records are re-queried.
+// copy-on-write); a record classified by an earlier one is
+// re-classified in place the first time it is asked about.
 func (ls *LiveState) SetFaultDetector(d *feature.FaultDetector) { ls.detector.Store(d) }
 
 // FaultDetector returns the installed detector (nil when fault
@@ -246,7 +183,7 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 	sh.mu.Lock()
 	ps := sh.pumps[pumpID]
 	if ps == nil {
-		ps = &pumpState{feats: make(map[*store.Record]*Feat)}
+		ps = &pumpState{feats: make(map[*store.Record]*feat)}
 		sh.pumps[pumpID] = ps
 	}
 	sh.mu.Unlock()
@@ -260,26 +197,28 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 // empty bundle — nothing else. The fold and want run under the
 // bundle's own lock, so DSP on one record never stalls a lookup of
 // another, and two callers racing on one record compute it once. want
-// reads or lazily fills one keyed slot and reports whether that took
-// DSP. Each call counts exactly once: a miss if it ran DSP (the fold,
-// or want's fill), a hit otherwise.
+// reads the bundle's value, refreshes it in place when its tag is
+// stale, or computes one the bundle does not keep, and reports whether
+// that took DSP. Each call counts exactly once: a miss if it ran DSP
+// (the fold, or want), a hit otherwise.
 //
-// plant=false is the exception of Harmonics and Da, which may be asked
-// about records no store holds: a record that is not resident is left
-// out of the memo; lookup counts the miss and returns nil, and the
-// caller computes the one value it wants.
+// plant=false is for a query that may meet a record no store holds
+// (Harmonics, Da) or asks about a detector that is not installed
+// (FaultReport): a record that is not resident is left out of the
+// memo; lookup counts the miss and returns nil, and the caller computes
+// the one value it wants.
 //
 // pre, when non-nil, is rec's bundle already folded off the memo
 // (foldDetached): a miss plants it and counts the miss its fold was; if
 // a reader made the record resident first, pre is dropped — a record
 // never has two bundles.
-func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *Feat, want func(*Feat) (dsp bool)) *Feat {
+func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, want func(*feat) (dsp bool)) *feat {
 	ps := ls.pump(rec.PumpID)
 	ps.mu.Lock()
 	f := ps.feats[rec]
 	if f == nil && plant {
 		if f = pre; f == nil {
-			f = new(Feat)
+			f = new(feat)
 		}
 		ps.feats[rec] = f
 		ls.size.Add(1)
@@ -309,52 +248,55 @@ func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *Feat, want func(
 
 // computeFeat folds one record into f (f.mu held, or f detached): the
 // cheap scalars, the harmonic for the configured options and — with a
-// baseline installed — the baseline's variant and the D_a score, all
-// from one PSD pass; with a detector installed, the fault report.
-func (ls *LiveState) computeFeat(rec *store.Record, f *Feat) {
+// baseline installed — the D_a score, all from one PSD pass; with a
+// detector installed, the fault report.
+func (ls *LiveState) computeFeat(rec *store.Record, f *feat) {
 	start := time.Now()
 	f.Offsets = transform.Offsets(rec)
 	f.RMS = transform.RMS(rec)
 	base := ls.baseline.Load()
-	if base != nil {
-		// The raw-option variant plus the baseline's.
-		f.harms = make(slots[feature.Options, feature.Harmonic], 0, 2)
-	}
 	// The spectrum lives in pooled scratch: the bundle keeps only what
 	// is derived from it.
 	transform.UsePSD(rec, func(freq, psd []float64) {
 		f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
-		// ExtractHarmonic over this PSD is exactly HarmonicOfRecord: both
-		// feed the same transform.PSDInto output into the same peak search.
-		h := own(feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic))
-		f.harms.put(ls.cfg.Harmonic, h, maxHarmSlots)
-		if base != nil && base.Opt != ls.cfg.Harmonic {
-			// At the training rate the baseline's Hz-pinned window is the
-			// raw options' bin count again: one extraction serves both.
-			if base.Opt.Resolved(freq, psd) != ls.cfg.Harmonic.Resolved(freq, psd) {
-				h = own(feature.ExtractHarmonic(freq, psd, base.Opt))
-			}
-			f.harms.put(base.Opt, h, maxHarmSlots)
+		raw, pinned := ls.extract(freq, psd, base)
+		f.harm = own(raw)
+		if base != nil {
+			f.daFor = base
+			f.da.val, f.da.err = base.DaFromHarmonic(pinned)
 		}
 	})
-	if base != nil {
-		f.score(rec, base)
-	}
 	if det := ls.detector.Load(); det != nil {
-		f.fault(rec, det)
+		f.faultFor, f.fault = det, det.Detect(rec)
 	}
 	f.folded = true
 	metFolds.Inc()
 	metFoldDur.Observe(time.Since(start).Seconds())
 }
 
+// extract runs the fold's harmonic extractions over one PSD: raw for
+// the configured options and, with base non-nil, pinned for the
+// baseline's. ExtractHarmonic over this PSD is exactly
+// HarmonicOfRecord: both feed the same transform.PSDInto output into
+// the same peak search. At the training rate the baseline's Hz-pinned
+// window is the raw options' bin count again, so one extraction serves
+// both and pinned is raw.
+func (ls *LiveState) extract(freq, psd []float64, base *feature.Baseline) (raw, pinned feature.Harmonic) {
+	raw = feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic)
+	pinned = raw
+	if base != nil && base.Opt.Resolved(freq, psd) != ls.cfg.Harmonic.Resolved(freq, psd) {
+		pinned = feature.ExtractHarmonic(freq, psd, base.Opt)
+	}
+	return raw, pinned
+}
+
 // feat returns the folded bundle of one record.
-func (ls *LiveState) feat(rec *store.Record) *Feat { return ls.lookup(rec, true, nil, nil) }
+func (ls *LiveState) feat(rec *store.Record) *feat { return ls.lookup(rec, true, nil, nil) }
 
 // foldDetached folds rec into a bundle the memo does not hold, for a
 // caller that cannot know yet whether rec will be stored.
-func (ls *LiveState) foldDetached(rec *store.Record) *Feat {
-	f := new(Feat)
+func (ls *LiveState) foldDetached(rec *store.Record) *feat {
+	f := new(feat)
 	ls.computeFeat(rec, f)
 	return f
 }
@@ -363,8 +305,8 @@ func (ls *LiveState) foldDetached(rec *store.Record) *Feat {
 // no write-ahead log calls once the store took the record (a durable
 // one folds during the append and plants after it, see Ingester), so
 // the cache never holds features for records that were not accepted.
-// Folding a record that is already resident is a hit: its bundle,
-// lazily filled slots included, is kept.
+// Folding a record that is already resident is a hit: its bundle is
+// kept.
 func (ls *LiveState) Fold(rec *store.Record) {
 	if rec != nil {
 		ls.feat(rec)
@@ -399,19 +341,12 @@ func (ls *LiveState) Warm(m *store.Measurements, workers int) int {
 	return int(total.Load())
 }
 
-// Ensure returns the feature bundle of every record, aligned by index,
-// folding (in parallel) the ones not folded yet. recs is a store-order
-// snapshot of one pump's series; Ensure also evicts cache entries
-// orphaned by a store reload (see evictOrphans).
-func (ls *LiveState) Ensure(pumpID int, recs []*store.Record) []*Feat {
-	return ls.ensure(pumpID, recs, 0)
-}
-
-// ensure implements Ensure with an explicit worker count for the
-// fan-out — Warm passes 1 so its per-pump workers fold inline instead
-// of nesting pools.
-func (ls *LiveState) ensure(pumpID int, recs []*store.Record, workers int) []*Feat {
-	out := make([]*Feat, len(recs))
+// ensure returns the feature bundle of every record, aligned by index,
+// folding the ones not folded yet across workers (<= 0 = GOMAXPROCS).
+// recs is a store-order snapshot of one pump's series; ensure also
+// evicts cache entries orphaned by a store reload (see evictOrphans).
+func (ls *LiveState) ensure(pumpID int, recs []*store.Record, workers int) []*feat {
+	out := make([]*feat, len(recs))
 	par.ForEach(len(recs), workers, func(i int) { out[i] = ls.feat(recs[i]) })
 	ls.evictOrphans(ls.pump(pumpID), recs)
 	return out
@@ -428,7 +363,7 @@ func (ls *LiveState) evictOrphans(ps *pumpState, recs []*store.Record) {
 	if len(ps.feats) <= len(recs)*3/2+8 {
 		return
 	}
-	fresh := make(map[*store.Record]*Feat, len(recs))
+	fresh := make(map[*store.Record]*feat, len(recs))
 	for _, rec := range recs {
 		if f := ps.feats[rec]; f != nil {
 			fresh[rec] = f
@@ -439,16 +374,12 @@ func (ls *LiveState) evictOrphans(ps *pumpState, recs []*store.Record) {
 	ps.feats = fresh
 }
 
-// OffsetRows assembles the mean-shift input points of one pump's
-// series — value-identical to preprocess.Averages over the same
-// records, with the expensive per-record transforms served from cache.
+// OffsetRows folds one pump's series (recs, in store order) and
+// assembles its mean-shift input points — value-identical to
+// preprocess.Averages over the same records, with the expensive
+// per-record transforms served from cache.
 func (ls *LiveState) OffsetRows(pumpID int, recs []*store.Record) [][]float64 {
-	return OffsetRowsOf(ls.Ensure(pumpID, recs))
-}
-
-// OffsetRowsOf assembles the mean-shift input points from bundles
-// already fetched with Ensure, avoiding a second cache pass.
-func OffsetRowsOf(feats []*Feat) [][]float64 {
+	feats := ls.ensure(pumpID, recs, 0)
 	out := make([][]float64, len(feats))
 	flat := make([]float64, 3*len(feats))
 	for i, f := range feats {
@@ -460,13 +391,25 @@ func OffsetRowsOf(feats []*Feat) [][]float64 {
 }
 
 // Da returns the D_a score of one record against base, bit-identical
-// to base.Da(rec). A fold under the same baseline already scored it. A
-// record that is not resident is scored and left out of the memo: an
-// engine classifying fresh captures it never stores (an edge device
-// with a loaded model) must not keep each one's waveform alive.
+// to base.Da(rec). A fold under the same baseline already scored it.
+// Only the installed baseline's score is kept; another is computed and
+// the bundle left as it is. A record that is not resident is scored and
+// left out of the memo: an engine classifying fresh captures it never
+// stores (an edge device with a loaded model) must not keep each one's
+// waveform alive.
 func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, error) {
 	var s daScore
-	if ls.lookup(rec, false, nil, func(f *Feat) (dsp bool) { s, dsp = f.score(rec, base); return }) == nil {
+	if ls.lookup(rec, false, nil, func(f *feat) bool {
+		if f.daFor == base {
+			s = f.da
+			return false
+		}
+		s.val, s.err = base.Da(rec)
+		if base == ls.baseline.Load() {
+			f.daFor, f.da = base, s
+		}
+		return true
+	}) == nil {
 		return base.Da(rec)
 	}
 	return s.val, s.err
@@ -475,8 +418,8 @@ func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, err
 // DaSeries scores the selected records of one pump against base and
 // assembles the (service day, D_a) series in index order, skipping
 // records whose score errors — the same selection the batch trend
-// pipeline makes. recs is the series Ensure just made resident, so
-// every score is a memo read.
+// pipeline makes. recs is the series OffsetRows just made resident, so
+// every score against the installed baseline is a memo read.
 func (ls *LiveState) DaSeries(recs []*store.Record, idx []int, base *feature.Baseline) (days, das []float64) {
 	scores := make([]daScore, len(idx))
 	par.ForEach(len(idx), 0, func(k int) {
@@ -494,16 +437,24 @@ func (ls *LiveState) DaSeries(recs []*store.Record, idx []int, base *feature.Bas
 }
 
 // Harmonics returns the harmonic feature of every record for opt —
-// the engine's Fit-time corpus scan, cache-served after ingest folds.
-// Results are identical to feature.HarmonicOfRecord per record. The
-// scan may meet records that are not in the hot store (labelled
-// measurements the compactor moved to the cold tier): a record that is
-// not resident is not planted in the memo, only its one harmonic is
-// extracted.
+// the engine's Fit-time corpus scan, cache-served after ingest folds
+// when opt is the configured option set; another option set is
+// extracted and not kept. Results are identical to
+// feature.HarmonicOfRecord per record. The scan may meet records that
+// are not in the hot store (labelled measurements the compactor moved
+// to the cold tier): a record that is not resident is not planted in
+// the memo, only its one harmonic is extracted.
 func (ls *LiveState) Harmonics(recs []*store.Record, opt feature.Options) []feature.Harmonic {
 	return par.Map(len(recs), 0, func(i int) (h feature.Harmonic) {
 		rec := recs[i]
-		if ls.lookup(rec, false, nil, func(f *Feat) (dsp bool) { h, dsp = f.harmonic(rec, opt); return }) == nil {
+		if ls.lookup(rec, false, nil, func(f *feat) bool {
+			if opt == ls.cfg.Harmonic {
+				h = f.harm
+				return false
+			}
+			h = feature.HarmonicOfRecord(rec, opt)
+			return true
+		}) == nil {
 			h = feature.HarmonicOfRecord(rec, opt)
 		}
 		return h
@@ -513,9 +464,23 @@ func (ls *LiveState) Harmonics(recs []*store.Record, opt feature.Options) []feat
 // FaultReport classifies one record with det, identical to
 // det.Detect(rec) — the batch-equivalence harness pins this across
 // randomized ingestion orders. A fold under the same detector already
-// classified it.
+// classified it. Only the installed detector's report is kept: another
+// is computed, and neither plants the record nor touches its bundle.
 func (ls *LiveState) FaultReport(rec *store.Record, det *feature.FaultDetector) (rep feature.FaultReport) {
-	ls.lookup(rec, true, nil, func(f *Feat) (dsp bool) { rep, dsp = f.fault(rec, det); return })
+	installed := det == ls.detector.Load()
+	if ls.lookup(rec, installed, nil, func(f *feat) bool {
+		if f.faultFor == det {
+			rep = f.fault
+			return false
+		}
+		rep = det.Detect(rec)
+		if installed {
+			f.faultFor, f.fault = det, rep
+		}
+		return true
+	}) == nil {
+		rep = det.Detect(rec)
+	}
 	return rep
 }
 

@@ -70,7 +70,7 @@ func TestFoldMatchesDirect(t *testing.T) {
 	if ls.Size() != len(recs) {
 		t.Fatalf("size %d, want %d", ls.Size(), len(recs))
 	}
-	feats := ls.Ensure(3, recs)
+	feats := ls.ensure(3, recs, 0)
 	for i, f := range feats {
 		rec := recs[i]
 		if f.Offsets != transform.Offsets(rec) {
@@ -128,7 +128,7 @@ func TestDaMatchesBaseline(t *testing.T) {
 	}
 	// A re-Fit produces a new baseline identity: the cache must score
 	// against it afresh, not serve the old baseline's value.
-	base2 := trainBaseline(t, feature.Options{NumPeaks: 10})
+	base2 := trainBaseline(t, feature.Options{HannWindow: 8})
 	want2, _ := base2.Da(folded)
 	got2, _ := ls.Da(folded, base2)
 	if !eqF64(got2, want2) {
@@ -136,8 +136,9 @@ func TestDaMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestHarmonicsMultiOption proves per-option slots: the raw engine
-// options and a baseline's pinned options coexist on one record.
+// TestHarmonicsMultiOption: Harmonics answers for any option set —
+// the configured one from the memo, another extracted on the spot —
+// and both equal HarmonicOfRecord.
 func TestHarmonicsMultiOption(t *testing.T) {
 	optA := feature.Options{}
 	optB := feature.Options{NumPeaks: 8, SmoothingHz: 31.25}
@@ -202,7 +203,7 @@ func TestEvictOrphans(t *testing.T) {
 	for i := range fresh {
 		fresh[i] = mkRec(4, float64(i), 64)
 	}
-	feats := ls.Ensure(4, fresh)
+	feats := ls.ensure(4, fresh, 0)
 	for i, f := range feats {
 		if !eqF64(f.RMS, transform.RMS(fresh[i])) {
 			t.Fatalf("post-reload record %d RMS diverged", i)
@@ -273,7 +274,7 @@ func TestWarmFromWALReplay(t *testing.T) {
 	}
 	for _, id := range re.Store().Pumps() {
 		recs := re.Store().All(id)
-		feats := after.Ensure(id, recs)
+		feats := after.ensure(id, recs, 0)
 		for i, rec := range recs {
 			s, ok := byKey[[2]float64{float64(id), rec.ServiceDays}]
 			if !ok {

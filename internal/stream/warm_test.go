@@ -44,7 +44,7 @@ func TestWarmWorkerInvariance(t *testing.T) {
 		got := make(map[int][]snap)
 		for _, pumpID := range m.Pumps() {
 			recs := m.All(pumpID)
-			for _, f := range ls.Ensure(pumpID, recs) {
+			for _, f := range ls.ensure(pumpID, recs, 0) {
 				got[pumpID] = append(got[pumpID], snap{f.Offsets, f.RMS, f.VRMS})
 			}
 		}
