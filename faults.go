@@ -40,11 +40,12 @@ const (
 type FaultOptions struct{}
 
 // EnableFaults switches fault classification on: every report gains a
-// FaultReport, FaultStatus starts answering, and measurements are
-// classified once — at ingest, or on first query — and served from the
-// live state afterwards. def is the fleet-default machine spec (zero
-// value: estimate rotor speed from each spectrum, default bearing
-// geometry). The FaultOptions argument is ignored.
+// FaultReport and FaultStatus starts answering. A measurement is
+// classified once — at ingest, by WarmLive if it is its pump's latest,
+// or on first query — and served from the live state afterwards. def
+// is the fleet-default machine spec (zero value: estimate rotor speed
+// from each spectrum, default bearing geometry). The FaultOptions
+// argument is ignored.
 func (e *Engine) EnableFaults(def MachineSpec, _ FaultOptions) {
 	e.detector = feature.NewFaultDetector(def)
 	e.live.SetFaultDetector(e.detector)

@@ -662,9 +662,10 @@ func refinePeakHz(freq, psd []float64, i int) float64 {
 // overrides into an immutable value — the thresholds are constants, so
 // the specs are a detector's whole identity. Detect never mutates the
 // receiver, so a single detector pointer can be shared across the
-// engine and every stream fold goroutine, and pointer identity keys the
-// stream's memoization slots (like the baseline pointer keys the
-// distance slot). WithSpec returns a modified copy, copy-on-write.
+// engine and every stream goroutine, and the pointer is the tag the
+// stream's memo keeps beside each record's report: a report tagged
+// with another detector is stale. WithSpec returns a modified copy,
+// copy-on-write.
 type FaultDetector struct {
 	def   MachineSpec
 	specs map[int]MachineSpec
@@ -695,7 +696,8 @@ func (d *FaultDetector) SpecFor(pumpID int) MachineSpec {
 }
 
 // metDetectDur times one classification through a detector — the
-// "fault classify" stage of the ingest and warm-up paths.
+// "fault classify" stage of ingest, of the warm-up (one per pump) and
+// of a fault query the memo could not answer.
 var metDetectDur = obs.Default.Histogram("vibepm_feature_detect_seconds", obs.StageBuckets)
 
 // Detect classifies one measurement using the pump's machine spec.

@@ -132,8 +132,9 @@ func Open(opts Options) (*Node, error) {
 	}
 	if opts.Faults {
 		// Fleet-default machine spec: rotor speed estimated per spectrum,
-		// default bearing geometry. Enabled before the warm-up so every
-		// warm-up fold classifies once, at fold time.
+		// default bearing geometry. Enabled before the warm-up so it
+		// classifies each pump's latest record, the one a fault view
+		// reads; an earlier record is classified when first asked for.
 		n.Engine.EnableFaults(vibepm.MachineSpec{}, vibepm.FaultOptions{})
 	}
 	// The engine's live state: every recovered measurement is folded

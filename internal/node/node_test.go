@@ -188,6 +188,31 @@ func TestNodeOpenScoresDaAtWarmUp(t *testing.T) {
 	}
 }
 
+// TestNodeOpenClassifiesEachPumpsLatest: a restart with labels and
+// Faults runs the fault detector once per pump, on the latest record
+// FaultStatus reads, so every pump's status is then a memo hit.
+func TestNodeOpenClassifiesEachPumpsLatest(t *testing.T) {
+	opts := corpusOptions(t, t.TempDir())
+	detects := obs.Default.Histogram("vibepm_feature_detect_seconds", obs.StageBuckets)
+	d0 := detects.Count()
+	n := mustOpen(t, opts)
+	pumps := n.Store.Pumps()
+	if d := detects.Count() - d0; d != uint64(len(pumps)) {
+		t.Fatalf("Open ran the detector %d times over %d records, want %d (one per pump)", d, n.Store.Len(), len(pumps))
+	}
+	hits := obs.Default.Counter("vibepm_stream_cache_hits_total")
+	misses := obs.Default.Counter("vibepm_stream_cache_misses_total")
+	h0, m0, d0 := hits.Value(), misses.Value(), detects.Count()
+	for _, id := range pumps {
+		if _, err := n.Engine.FaultStatus(id); err != nil {
+			t.Fatalf("pump %d: %v", id, err)
+		}
+	}
+	if dh, dm, dd := hits.Value()-h0, misses.Value()-m0, detects.Count()-d0; dh != uint64(len(pumps)) || dm != 0 || dd != 0 {
+		t.Fatalf("fault status of %d pumps: %d hits, %d misses, %d detects; want all hits", len(pumps), dh, dm, dd)
+	}
+}
+
 // TestNodeWithoutLabels: a node opened with no labels (a cluster
 // member) skips the fit; everything that needs no fitted engine serves
 // and the analysis routes say so with 503.

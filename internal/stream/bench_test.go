@@ -132,3 +132,25 @@ func BenchmarkWarmLive40x10k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWarmServing warms a fresh live state over 12 pumps × 100
+// simulated 1,024-sample records with the fit vibed serves with: a
+// trained baseline and the fault detector installed, workers=0. It is
+// the restart warm-up's shape, where BenchmarkWarmLive40x10k (no fit)
+// prices the fold alone.
+func BenchmarkWarmServing(b *testing.B) {
+	warm := store.NewMeasurements()
+	for p := 0; p < 12; p++ {
+		for i := 0; i < 100; i++ {
+			warm.AddUnique(simRec(b, p, float64(i), 1024))
+		}
+	}
+	want := warm.Len()
+	ls := servingState(b, true)
+	b.ReportAllocs()
+	for b.Loop() {
+		if total := sameFit(ls).Warm(warm, 0); total != want {
+			b.Fatalf("warmed %d records, want %d", total, want)
+		}
+	}
+}

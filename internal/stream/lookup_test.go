@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"vibepm/internal/feature"
-	"vibepm/internal/obs"
 	"vibepm/internal/store"
 	"vibepm/internal/transform"
 )
@@ -149,7 +148,6 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 func TestMissFoldsOnce(t *testing.T) {
 	base := trainBaseline(t, feature.Options{})
 	det := feature.NewFaultDetector(feature.MachineSpec{})
-	detects := obs.Default.Histogram("vibepm_feature_detect_seconds", obs.StageBuckets)
 	ls := NewLiveState(Config{})
 	ls.SetBaseline(base)
 	ls.SetFaultDetector(det)
@@ -361,7 +359,7 @@ func TestMissDoesNotBlockOtherRecords(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ls.lookup(slow, true, nil, func(*feat) bool {
+		ls.lookup(slow, true, nil, func(*feat, bool) bool {
 			close(filling)
 			<-release
 			return true

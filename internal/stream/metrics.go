@@ -10,9 +10,9 @@ var (
 	metHits      = obs.Default.Counter("vibepm_stream_cache_hits_total")
 	metMisses    = obs.Default.Counter("vibepm_stream_cache_misses_total")
 	metEvictions = obs.Default.Counter("vibepm_stream_evictions_total")
-	// metFoldDur times one record's fold — every transform and, with a
-	// detector installed, its fault classification (which
-	// vibepm_feature_detect_seconds times on its own).
+	// metFoldDur times one record's fold — every transform. The fault
+	// classification that follows a fold at ingest, and the one per
+	// pump at the end of a warm-up, is vibepm_feature_detect_seconds.
 	metFoldDur = obs.Default.Histogram("vibepm_stream_fold_seconds", obs.StageBuckets)
 	// metFoldJoin is how long a durable ingest still waited for its
 	// fold after the add had returned: near zero while the disk is the

@@ -1,10 +1,14 @@
 // Package stream is the incremental analysis engine: it folds each
 // ingested measurement into a per-record feature bundle — the per-axis
 // zero offsets, the RMS and velocity-RMS scalars, the DCT-PSD harmonic
-// peaks, the peak-harmonic distance D_a and the fault report — once,
-// at ingest time, so every later analysis pass (trend cleaning, fleet
-// reports, the REST trend endpoints) reads cached scalars instead of
-// re-transforming raw waveforms.
+// peaks and the peak-harmonic distance D_a — once, at ingest time, so
+// every later analysis pass (trend cleaning, fleet reports, the REST
+// trend endpoints) reads cached scalars instead of re-transforming raw
+// waveforms. The fault report is kept in the same bundle but computed
+// only where a reader asks for it: at ingest (a fresh record is its
+// pump's latest, the one FaultStatus and Report classify), for each
+// pump's latest record at the end of a warm-up, and on first query for
+// any other record.
 //
 // The load-bearing guarantee is batch equivalence: every cached value
 // is produced by the *same* function the batch engine calls
@@ -102,7 +106,8 @@ type feat struct {
 	// da is daFor.Da(rec); daFor is nil until a baseline scored it.
 	daFor *feature.Baseline
 	da    daScore
-	// fault is faultFor.Detect(rec); faultFor is nil until classified.
+	// fault is faultFor.Detect(rec); faultFor is nil until a reader
+	// asked for the record's report (or the ingest seam classified it).
 	faultFor *feature.FaultDetector
 	fault    feature.FaultReport
 }
@@ -165,8 +170,10 @@ func NewLiveState(cfg Config) *LiveState {
 func (ls *LiveState) SetBaseline(b *feature.Baseline) { ls.baseline.Store(b) }
 
 // SetFaultDetector installs (or, with nil, removes) the fault detector:
-// subsequent folds classify at ingest, so fault queries after new data
-// are pure cache reads. Detectors are immutable (WithSpec is
+// subsequent ingests classify the record they fold and Warm classifies
+// each pump's latest record, so the fault status of every pump is a
+// pure cache read; any other record is classified the first time it is
+// asked about and kept. Detectors are immutable (WithSpec is
 // copy-on-write); a record classified by an earlier one is
 // re-classified in place the first time it is asked about.
 func (ls *LiveState) SetFaultDetector(d *feature.FaultDetector) { ls.detector.Store(d) }
@@ -199,8 +206,9 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 // another, and two callers racing on one record compute it once. want
 // reads the bundle's value, refreshes it in place when its tag is
 // stale, or computes one the bundle does not keep, and reports whether
-// that took DSP. Each call counts exactly once: a miss if it ran DSP
-// (the fold, or want), a hit otherwise.
+// that took DSP; folded tells it whether this call folded the bundle.
+// Each call counts exactly once: a miss if it ran DSP (the fold, or
+// want), a hit otherwise.
 //
 // plant=false is for a query that may meet a record no store holds
 // (Harmonics, Da) or asks about a detector that is not installed
@@ -212,7 +220,7 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 // (foldDetached): a miss plants it and counts the miss its fold was; if
 // a reader made the record resident first, pre is dropped — a record
 // never has two bundles.
-func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, want func(*feat) (dsp bool)) *feat {
+func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, want func(f *feat, folded bool) (dsp bool)) *feat {
 	ps := ls.pump(rec.PumpID)
 	ps.mu.Lock()
 	f := ps.feats[rec]
@@ -235,7 +243,7 @@ func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, want func(
 		ls.computeFeat(rec, f)
 		dsp = true
 	}
-	if want != nil && want(f) {
+	if want != nil && want(f, dsp) {
 		dsp = true
 	}
 	if dsp {
@@ -248,8 +256,8 @@ func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, want func(
 
 // computeFeat folds one record into f (f.mu held, or f detached): the
 // cheap scalars, the harmonic for the configured options and — with a
-// baseline installed — the D_a score, all from one PSD pass; with a
-// detector installed, the fault report.
+// baseline installed — the D_a score, all from one PSD pass. It does
+// not classify: the callers that need the fault report ask for it.
 func (ls *LiveState) computeFeat(rec *store.Record, f *feat) {
 	start := time.Now()
 	f.Offsets = transform.Offsets(rec)
@@ -266,9 +274,6 @@ func (ls *LiveState) computeFeat(rec *store.Record, f *feat) {
 			f.da.val, f.da.err = base.DaFromHarmonic(pinned)
 		}
 	})
-	if det := ls.detector.Load(); det != nil {
-		f.faultFor, f.fault = det, det.Detect(rec)
-	}
 	f.folded = true
 	metFolds.Inc()
 	metFoldDur.Observe(time.Since(start).Seconds())
@@ -290,14 +295,26 @@ func (ls *LiveState) extract(freq, psd []float64, base *feature.Baseline) (raw, 
 	return raw, pinned
 }
 
+// classify fills f's fault report for the installed detector (f.mu
+// held, or f detached) and reports whether one is installed.
+func (ls *LiveState) classify(rec *store.Record, f *feat) bool {
+	det := ls.detector.Load()
+	if det == nil {
+		return false
+	}
+	f.faultFor, f.fault = det, det.Detect(rec)
+	return true
+}
+
 // feat returns the folded bundle of one record.
 func (ls *LiveState) feat(rec *store.Record) *feat { return ls.lookup(rec, true, nil, nil) }
 
-// foldDetached folds rec into a bundle the memo does not hold, for a
-// caller that cannot know yet whether rec will be stored.
+// foldDetached folds and classifies rec into a bundle the memo does not
+// hold, for a caller that cannot know yet whether rec will be stored.
 func (ls *LiveState) foldDetached(rec *store.Record) *feat {
 	f := new(feat)
 	ls.computeFeat(rec, f)
+	ls.classify(rec, f)
 	return f
 }
 
@@ -305,29 +322,36 @@ func (ls *LiveState) foldDetached(rec *store.Record) *feat {
 // no write-ahead log calls once the store took the record (a durable
 // one folds during the append and plants after it, see Ingester), so
 // the cache never holds features for records that were not accepted.
-// Folding a record that is already resident is a hit: its bundle is
-// kept.
+// A fresh record is its pump's new latest, the one a fault view reads
+// next, so the call that folds it also classifies it when a detector
+// is installed. Folding a record that is already resident is a hit:
+// its bundle is kept.
 func (ls *LiveState) Fold(rec *store.Record) {
 	if rec != nil {
-		ls.feat(rec)
+		ls.lookup(rec, true, nil, func(f *feat, folded bool) bool {
+			return folded && ls.classify(rec, f)
+		})
 	}
 }
 
 // Warm pre-folds every record already in the store — the recovery
 // path: after a snapshot load plus WAL replay rebuilds the measurement
 // store, Warm rebuilds the live state so the first queries are already
-// O(new data). Pumps fan out across workers (<= 0 = GOMAXPROCS;
-// 1 = sequential); each pump's misses are computed inline on its
-// worker, so the fan-out is per pump, not nested. Warm is safe to run
-// concurrently with ingest: a fold of a fresh append and a warm-time
-// lookup of the same record compute it once. Returns the number of
-// records folded.
+// O(new data). With a detector installed it then classifies each
+// pump's latest record, the only one a fault status or report reads;
+// an earlier record is classified when a reader first asks for it.
+// Pumps fan out across workers (<= 0 = GOMAXPROCS; 1 = sequential);
+// each pump's misses are computed inline on its worker, so the fan-out
+// is per pump, not nested. Warm is safe to run concurrently with
+// ingest: a fold of a fresh append and a warm-time lookup of the same
+// record compute it once. Returns the number of records folded.
 func (ls *LiveState) Warm(m *store.Measurements, workers int) int {
 	if m == nil {
 		return 0
 	}
 	start := time.Now()
 	pumps := m.Pumps()
+	det := ls.detector.Load()
 	var total atomic.Int64
 	par.ForEach(len(pumps), workers, func(i int) {
 		recs := m.All(pumps[i])
@@ -335,6 +359,9 @@ func (ls *LiveState) Warm(m *store.Measurements, workers int) int {
 		// already owns the parallelism, and nesting pools would
 		// oversubscribe the cores recovery is trying to saturate.
 		ls.ensure(pumps[i], recs, 1)
+		if det != nil && len(recs) > 0 {
+			ls.FaultReport(recs[len(recs)-1], det)
+		}
 		total.Add(int64(len(recs)))
 	})
 	metWarmDur.Observe(time.Since(start).Seconds())
@@ -399,7 +426,7 @@ func (ls *LiveState) OffsetRows(pumpID int, recs []*store.Record) [][]float64 {
 // waveform alive.
 func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, error) {
 	var s daScore
-	if ls.lookup(rec, false, nil, func(f *feat) bool {
+	if ls.lookup(rec, false, nil, func(f *feat, _ bool) bool {
 		if f.daFor == base {
 			s = f.da
 			return false
@@ -447,7 +474,7 @@ func (ls *LiveState) DaSeries(recs []*store.Record, idx []int, base *feature.Bas
 func (ls *LiveState) Harmonics(recs []*store.Record, opt feature.Options) []feature.Harmonic {
 	return par.Map(len(recs), 0, func(i int) (h feature.Harmonic) {
 		rec := recs[i]
-		if ls.lookup(rec, false, nil, func(f *feat) bool {
+		if ls.lookup(rec, false, nil, func(f *feat, _ bool) bool {
 			if opt == ls.cfg.Harmonic {
 				h = f.harm
 				return false
@@ -463,12 +490,14 @@ func (ls *LiveState) Harmonics(recs []*store.Record, opt feature.Options) []feat
 
 // FaultReport classifies one record with det, identical to
 // det.Detect(rec) — the batch-equivalence harness pins this across
-// randomized ingestion orders. A fold under the same detector already
-// classified it. Only the installed detector's report is kept: another
-// is computed, and neither plants the record nor touches its bundle.
+// randomized ingestion orders. An ingest or warm-up under the same
+// detector may already have classified it; otherwise the first call
+// does, and the installed detector's report is kept for the next. A
+// report for another detector is computed, and neither plants the
+// record nor touches its bundle.
 func (ls *LiveState) FaultReport(rec *store.Record, det *feature.FaultDetector) (rep feature.FaultReport) {
 	installed := det == ls.detector.Load()
-	if ls.lookup(rec, installed, nil, func(f *feat) bool {
+	if ls.lookup(rec, installed, nil, func(f *feat, _ bool) bool {
 		if f.faultFor == det {
 			rep = f.fault
 			return false

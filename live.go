@@ -28,7 +28,9 @@ func (e *Engine) EnableLive() *LiveState { return e.live }
 // the recovery entry point: after OpenDurable rebuilds the measurement
 // store from snapshot + WAL replay, WarmLive rebuilds the feature
 // cache so the first post-restart queries are already O(new data).
-// Returns the number of records folded.
+// With faults enabled it classifies each pump's latest measurement, the
+// one FaultStatus and Report read. Returns the number of records
+// folded.
 func (e *Engine) WarmLive() int { return e.live.Warm(e.measurements, 0) }
 
 // BatchCleanTrend is the reference implementation of CleanTrend: a
