@@ -47,6 +47,37 @@ func BenchmarkEngineFitSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperPassSmall prices one pass of the paper's evaluation the
+// way the repo benchmark's paper_batch workload runs it: a fresh engine
+// fitted over the shared small-scale stores, then Fig. 11, the
+// Fig. 12–14 sweep, Table III and Fig. 15 on it. A change to how often
+// the pass transforms a labelled record shows here.
+func BenchmarkPaperPassSmall(b *testing.B) {
+	c := corpus(b)
+	ds := c.Dataset
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		eng := vibepm.NewWithStores(vibepm.Options{}, ds.Measurements, ds.Labels)
+		if err := eng.Fit(); err != nil {
+			b.Fatal(err)
+		}
+		pass := &experiments.Corpus{Scale: c.Scale, Seed: c.Seed, Dataset: ds, Engine: eng}
+		if _, err := experiments.Fig11(pass); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.Sweep(pass); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.Table3(pass); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.Fig15(pass); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTable1SensorSpecs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Table1(int64(i)); err != nil {

@@ -163,6 +163,9 @@ var (
 type labelledPair struct {
 	rec  *Record
 	zone Zone
+	// hot says rec came from the hot store, not the cold tier: only a
+	// hot record may be planted in the live memo.
+	hot bool
 }
 
 func (e *Engine) labelledPairs() []labelledPair {
@@ -174,6 +177,7 @@ func (e *Engine) labelledPairs() []labelledPair {
 	var coldByPump map[int][]*Record
 	for _, lab := range e.labels.Valid() {
 		recs := e.measurements.Query(lab.PumpID, lab.ServiceDays-tol, lab.ServiceDays+tol)
+		hot := len(recs) // recs[hot:] are cold
 		if e.cold != nil && lab.ServiceDays-tol < e.cold.UpTo() {
 			if coldByPump == nil {
 				coldByPump = make(map[int][]*Record)
@@ -207,14 +211,14 @@ func (e *Engine) labelledPairs() []labelledPair {
 		if len(recs) == 0 {
 			continue
 		}
-		best := recs[0]
-		bestGap := math.Abs(best.ServiceDays - lab.ServiceDays)
-		for _, r := range recs[1:] {
+		best := 0
+		bestGap := math.Abs(recs[0].ServiceDays - lab.ServiceDays)
+		for i, r := range recs[1:] {
 			if gap := math.Abs(r.ServiceDays - lab.ServiceDays); gap < bestGap {
-				best, bestGap = r, gap
+				best, bestGap = i+1, gap
 			}
 		}
-		out = append(out, labelledPair{rec: best, zone: lab.Zone})
+		out = append(out, labelledPair{rec: recs[best], zone: lab.Zone, hot: best < hot})
 	}
 	return out
 }
@@ -244,18 +248,28 @@ func (e *Engine) Fit() error {
 	}
 	// Algorithm 1 normalizes by the dataset-global peak maxima, so scan
 	// the whole labelled corpus (worn spectra included) before scoring.
-	// The scan is served from the fold memo where records were folded,
-	// and extracted in parallel where they were not.
+	// The scan is the one transform of each hot labelled record: it
+	// folds and plants it, as a warm-up would, and reads the harmonic
+	// the bundle keeps. A cold record is extracted and not kept.
 	labelled := make([]*Record, len(pairs))
+	hot := make([]bool, len(pairs))
 	for i, p := range pairs {
-		labelled[i] = p.rec
+		labelled[i], hot[i] = p.rec, p.hot
 	}
-	features := e.live.Harmonics(labelled, e.opts.Harmonic)
+	features := e.live.Harmonics(labelled, hot, e.opts.Harmonic)
 	baseline.SetNormalizers(features...)
 	e.baseline = baseline
 	// Install only once the normalizers are set: folds score D_a
 	// against the installed baseline at ingest time.
 	e.live.SetBaseline(baseline)
+	// The scan folded before there was a baseline to score against, so
+	// score the hot pairs now, from their kept harmonics: every later
+	// reader of their D_a (Fig. 11, the metric sweep, the trends) hits.
+	par.ForEach(len(pairs), 0, func(i int) {
+		if hot[i] {
+			e.live.Da(labelled[i], baseline)
+		}
+	})
 
 	samples := make([]core.Sample, 0, len(pairs))
 	for i, p := range pairs {
@@ -469,7 +483,9 @@ func (e *Engine) EvaluateMetric(m Metric, nTrain int, temp TemperatureSource, se
 // EvaluateMetricSweep scores the labelled corpus once with the given
 // metric and evaluates a classifier at every requested training size —
 // the whole Fig. 12–14 column for one metric, without rescoring per
-// point. The split at each size is deterministic in (seed, size).
+// point. The peak-harmonic scores are the memo's D_a, which the fit
+// left for every hot labelled record. The split at each size is
+// deterministic in (seed, size).
 func (e *Engine) EvaluateMetricSweep(m Metric, sizes []int, temp TemperatureSource, seed int64) (map[int]*Confusion, error) {
 	if e.baseline == nil {
 		return nil, ErrNotFitted
@@ -480,7 +496,14 @@ func (e *Engine) EvaluateMetricSweep(m Metric, sizes []int, temp TemperatureSour
 		ok     bool
 	}
 	results := par.Map(len(pairs), 0, func(i int) scored {
-		score, err := e.baseline.Score(m, pairs[i].rec, temp)
+		var score float64
+		var err error
+		if m == MetricPeakHarmonic {
+			// D_a is Score's peak-harmonic case, read through the memo.
+			score, err = e.live.Da(pairs[i].rec, e.baseline)
+		} else {
+			score, err = e.baseline.Score(m, pairs[i].rec, temp)
+		}
 		if err != nil {
 			return scored{}
 		}

@@ -9,12 +9,11 @@ import (
 	"vibepm/internal/store"
 )
 
-// TestEngineFitFromColdTier pins the tiered-fit guarantee: after the
-// compactor moves the labelled measurements into cold partitions, an
-// engine with the cold tier attached fits to the bit-identical boundary
-// an all-hot engine reaches — the exact float64 round trip of the
-// partition codec carried all the way through training.
-func TestEngineFitFromColdTier(t *testing.T) {
+// tieredCorpus generates a labelled corpus, fits an all-hot engine on
+// it, and writes the same records through a tiered durable store whose
+// compactor has moved some labelled measurements into cold partitions.
+func tieredCorpus(t *testing.T) (hot *Engine, d *store.Durable, ds *dataset.Dataset) {
+	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{
 		Seed:               11,
 		DurationDays:       40,
@@ -44,16 +43,12 @@ func TestEngineFitFromColdTier(t *testing.T) {
 	for _, rec := range all {
 		hotM.AddUnique(rec)
 	}
-	engHot := NewWithStores(Options{}, hotM, ds.Labels)
-	if err := engHot.Fit(); err != nil {
-		t.Fatal(err)
-	}
-	wantBoundary, err := engHot.Boundary()
-	if err != nil {
+	hot = NewWithStores(Options{}, hotM, ds.Labels)
+	if err := hot.Fit(); err != nil {
 		t.Fatal(err)
 	}
 
-	d, _, err := store.OpenDurable(t.TempDir(), store.DurableOptions{
+	d, _, err = store.OpenDurable(t.TempDir(), store.DurableOptions{
 		WAL: store.WALOptions{Policy: store.SyncNever},
 		Tiered: &store.TieredOptions{
 			HotWindowDays: 5,
@@ -63,7 +58,7 @@ func TestEngineFitFromColdTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Abort()
+	t.Cleanup(d.Abort)
 	for _, rec := range all {
 		if _, err := d.AddUnique(rec); err != nil {
 			t.Fatal(err)
@@ -86,7 +81,20 @@ func TestEngineFitFromColdTier(t *testing.T) {
 	if coldLabelled == 0 {
 		t.Fatal("no labelled measurement went cold; lower the hot window")
 	}
+	return hot, d, ds
+}
 
+// TestEngineFitFromColdTier pins the tiered-fit guarantee: after the
+// compactor moves the labelled measurements into cold partitions, an
+// engine with the cold tier attached fits to the bit-identical boundary
+// an all-hot engine reaches — the exact float64 round trip of the
+// partition codec carried all the way through training.
+func TestEngineFitFromColdTier(t *testing.T) {
+	engHot, d, ds := tieredCorpus(t)
+	wantBoundary, err := engHot.Boundary()
+	if err != nil {
+		t.Fatal(err)
+	}
 	engCold := NewWithStores(Options{}, d.Store(), ds.Labels)
 	engCold.AttachCold(d.Cold())
 	if err := engCold.Fit(); err != nil {
@@ -98,5 +106,30 @@ func TestEngineFitFromColdTier(t *testing.T) {
 	}
 	if math.Float64bits(got) != math.Float64bits(wantBoundary) {
 		t.Fatalf("tiered boundary %v != hot boundary %v", got, wantBoundary)
+	}
+}
+
+// TestFitPlantsNoColdLabelledRecord: the fit's scan plants the labelled
+// records the hot store holds and only those. A labelled record read
+// back from a cold partition is a fresh decode no store keeps; planting
+// it would hold its waveform for the life of the engine.
+func TestFitPlantsNoColdLabelledRecord(t *testing.T) {
+	_, d, ds := tieredCorpus(t)
+	hotLabelled := map[*store.Record]bool{}
+	for _, lab := range ds.Labels.Valid() {
+		for _, rec := range d.Store().Query(lab.PumpID, lab.ServiceDays, lab.ServiceDays) {
+			hotLabelled[rec] = true
+		}
+	}
+	eng := NewWithStores(Options{}, d.Store(), ds.Labels)
+	eng.AttachCold(d.Cold())
+	if err := eng.Fit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(hotLabelled) == 0 {
+		t.Fatal("fixture: no labelled measurement stayed hot")
+	}
+	if got := eng.Live().Size(); got != len(hotLabelled) {
+		t.Fatalf("the fit planted %d records; the hot store holds %d labelled ones", got, len(hotLabelled))
 	}
 }

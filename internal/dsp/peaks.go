@@ -14,12 +14,17 @@ type Peak struct {
 // difference changes from positive to negative, exactly the paper's
 // step 2 of the harmonic-peak search. Plateaus report their first bin.
 // freq may be nil, in which case Peak.Freq is the bin index.
-func FindPeaks(freq, y []float64) []Peak {
+func FindPeaks(freq, y []float64) []Peak { return FindPeaksInto(nil, freq, y) }
+
+// FindPeaksInto is FindPeaks appending to dst[:0]: the result shares
+// dst's array while it fits, so a caller that keeps a pooled dst finds
+// peaks without growing a list per spectrum.
+func FindPeaksInto(dst []Peak, freq, y []float64) []Peak {
 	n := len(y)
 	if freq != nil {
 		checkLen("FindPeaks", len(freq), n)
 	}
-	var peaks []Peak
+	peaks := dst[:0]
 	if n < 3 {
 		return peaks
 	}
@@ -54,14 +59,18 @@ func FindPeaks(freq, y []float64) []Peak {
 // derivative test; nh <= 1 disables smoothing. This is the full
 // harmonic-peak extraction procedure of §IV-B with the paper's defaults
 // np = 20, nh = 24.
-func TopPeaks(freq, y []float64, np, nh int) []Peak {
+func TopPeaks(freq, y []float64, np, nh int) []Peak { return TopPeaksInto(nil, freq, y, np, nh) }
+
+// TopPeaksInto is TopPeaks with FindPeaksInto's dst: the peaks are
+// found, ranked and cut in dst's array.
+func TopPeaksInto(dst []Peak, freq, y []float64, np, nh int) []Peak {
 	smoothed := y
 	var buf *fbuf
 	if nh > 1 {
 		buf = getFBuf(len(y))
 		smoothed = SmoothConvolveInto(buf.s, y, hannCached(nh))
 	}
-	peaks := FindPeaks(freq, smoothed)
+	peaks := FindPeaksInto(dst, freq, smoothed)
 	if buf != nil {
 		putFBuf(buf)
 	}

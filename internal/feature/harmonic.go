@@ -69,15 +69,31 @@ func (o Options) fill() Options {
 // window it comes to, in bins, at this spectrum's resolution. Two
 // option sets that resolve equal are the same extraction of it.
 func (o Options) Resolved(freq, psd []float64) Options {
+	return o.ResolvedAt(binWidth(freq), len(psd))
+}
+
+// ResolvedAt is Resolved for a spectrum of bins bins, binHz apart —
+// what a kept Harmonic (its BinHz) and its record (Samples) still tell
+// once the spectrum itself is gone.
+func (o Options) ResolvedAt(binHz float64, bins int) Options {
 	o = o.fill()
-	if o.SmoothingHz > 0 && len(freq) > 1 && freq[1] > freq[0] {
+	if o.SmoothingHz > 0 && binHz > 0 {
 		// At least 3 bins, and no more than the spectrum: a wider Hann
 		// window smooths nothing more, and the ratio is unbounded as
 		// the rate approaches zero.
-		o.HannWindow = min(max(int(o.SmoothingHz/(freq[1]-freq[0])+0.5), 3), len(psd))
+		o.HannWindow = min(max(int(o.SmoothingHz/binHz+0.5), 3), bins)
 	}
 	o.SmoothingHz = 0
 	return o
+}
+
+// binWidth is the spectral resolution of a frequency axis (0 for an
+// axis of fewer than two bins).
+func binWidth(freq []float64) float64 {
+	if len(freq) > 1 {
+		return freq[1] - freq[0]
+	}
+	return 0
 }
 
 // ExtractHarmonic computes the harmonic-peak feature of a PSD: smooth
@@ -85,12 +101,16 @@ func (o Options) Resolved(freq, psd []float64) Options {
 // drop insignificant noise-floor peaks, keep the n_p largest, sorted by
 // frequency.
 func ExtractHarmonic(freq, psd []float64, opt Options) Harmonic {
-	opt = opt.Resolved(freq, psd)
-	var binHz float64
-	if len(freq) > 1 {
-		binHz = freq[1] - freq[0]
-	}
-	peaks := dsp.TopPeaks(freq, psd, opt.NumPeaks, opt.HannWindow)
+	return ExtractHarmonicInto(nil, freq, psd, opt)
+}
+
+// ExtractHarmonicInto is ExtractHarmonic searching for peaks in dst's
+// array (dsp.TopPeaksInto): the result's Peaks share it, so a caller
+// that pools dst copies out what it keeps.
+func ExtractHarmonicInto(dst []dsp.Peak, freq, psd []float64, opt Options) Harmonic {
+	binHz := binWidth(freq)
+	opt = opt.ResolvedAt(binHz, len(psd))
+	peaks := dsp.TopPeaksInto(dst, freq, psd, opt.NumPeaks, opt.HannWindow)
 	var top float64
 	for _, p := range peaks {
 		if p.Value > top {

@@ -153,6 +153,10 @@ func (b *Baseline) SetNormalizers(features ...Harmonic) {
 	}
 }
 
+// errPSDLength is a vector metric's answer for a record whose spectrum
+// is not as long as the baseline's.
+var errPSDLength = errors.New("feature: PSD length mismatch with baseline")
+
 // TemperatureSource provides the FICS temperature channel of the
 // factory information and control system, addressed by equipment id.
 type TemperatureSource interface {
@@ -172,18 +176,21 @@ func (b *Baseline) Score(m Metric, rec *store.Record, temp TemperatureSource) (f
 		// the paper wants.
 		h := HarmonicOfRecord(rec, b.Opt)
 		return PeakDistance(h, b.Harmonic, b.PMax, b.FMax, b.Opt)
-	case MetricEuclidean:
-		_, psd := transform.PSD(rec)
-		if len(psd) != len(b.PSDMean) {
-			return 0, errors.New("feature: PSD length mismatch with baseline")
-		}
-		return dsp.EuclideanDistance(psd, b.PSDMean), nil
-	case MetricMahalanobis:
-		_, psd := transform.PSD(rec)
-		if len(psd) != len(b.PSDMean) {
-			return 0, errors.New("feature: PSD length mismatch with baseline")
-		}
-		return dsp.MahalanobisDiag(psd, b.PSDMean, b.PSDVar), nil
+	case MetricEuclidean, MetricMahalanobis:
+		// The spectrum is pooled scratch: a score keeps one number.
+		var d float64
+		var err error
+		transform.UsePSD(rec, func(_, psd []float64) {
+			switch {
+			case len(psd) != len(b.PSDMean):
+				err = errPSDLength
+			case m == MetricEuclidean:
+				d = dsp.EuclideanDistance(psd, b.PSDMean)
+			default:
+				d = dsp.MahalanobisDiag(psd, b.PSDMean, b.PSDVar)
+			}
+		})
+		return d, err
 	case MetricTemperature:
 		if temp == nil {
 			return 0, errors.New("feature: temperature source required")

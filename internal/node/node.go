@@ -142,11 +142,12 @@ func Open(opts Options) (*Node, error) {
 	// so trend and fleet queries stay O(new data).
 	n.Live = n.Engine.Live()
 
-	// With labels, fit before the warm-up: the fit's scan touches only
-	// the labelled records, and once the baseline is installed every
-	// warm-up fold extracts both harmonic variants from its one PSD and
-	// scores D_a, so the first analysis request is pure cache reads
-	// instead of a second DSP pass over the whole store.
+	// With labels, fit before the warm-up: the fit's scan folds the
+	// labelled records (and scores them once the baseline is trained),
+	// which the warm-up then finds folded, and every other warm-up fold
+	// extracts both harmonic variants from its one PSD and scores D_a,
+	// so the first analysis request is pure cache reads instead of a
+	// second DSP pass over the whole store.
 	var fitErr error
 	if opts.Labels != nil {
 		if fitErr = n.Engine.Fit(); fitErr == nil {

@@ -188,6 +188,26 @@ func TestNodeOpenScoresDaAtWarmUp(t *testing.T) {
 	}
 }
 
+// TestNodeOpenTransformsEachRecordOnce: a restart with labels computes
+// each stored record's spectrum once. The fit's scan folds the labelled
+// records and the warm-up finds them folded; the only other spectra
+// are the ones TrainBaseline averages, one per Zone A pair.
+func TestNodeOpenTransformsEachRecordOnce(t *testing.T) {
+	opts := corpusOptions(t, t.TempDir())
+	zoneA := 0
+	for _, lab := range opts.Labels.Valid() {
+		if lab.Zone == physics.MergedA {
+			zoneA++
+		}
+	}
+	psds := obs.Default.Counter("vibepm_transform_psd_total")
+	p0 := psds.Value()
+	n := mustOpen(t, opts)
+	if d, want := psds.Value()-p0, uint64(n.Store.Len()+zoneA); d != want {
+		t.Fatalf("Open computed %d spectra, want %d: %d stored records + %d Zone A pairs", d, want, n.Store.Len(), zoneA)
+	}
+}
+
 // TestNodeOpenClassifiesEachPumpsLatest: a restart with labels and
 // Faults runs the fault detector once per pump, on the latest record
 // FaultStatus reads, so every pump's status is then a memo hit.

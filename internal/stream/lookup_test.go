@@ -1,11 +1,13 @@
 package stream
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"vibepm/internal/feature"
+	"vibepm/internal/obs"
 	"vibepm/internal/store"
 	"vibepm/internal/transform"
 )
@@ -73,7 +75,7 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 			}
 		}},
 		{name: "Harmonics", call: func(t *testing.T, ls *LiveState, rec *store.Record) {
-			got := ls.Harmonics([]*store.Record{rec}, opt)
+			got := ls.Harmonics([]*store.Record{rec}, nil, opt)
 			if !reflect.DeepEqual(got[0], feature.HarmonicOfRecord(rec, opt)) {
 				t.Error("Harmonics diverged from HarmonicOfRecord")
 			}
@@ -195,7 +197,7 @@ func TestHarmonicsLeavesUnfoldedRecordsOut(t *testing.T) {
 	resident, cold := mkRec(2, 1, 256), mkRec(2, 2, 256)
 	ls.Fold(resident)
 	before := readCounters()
-	got := ls.Harmonics([]*store.Record{resident, cold}, feature.Options{})
+	got := ls.Harmonics([]*store.Record{resident, cold}, nil, feature.Options{})
 	for i, rec := range []*store.Record{resident, cold} {
 		if !reflect.DeepEqual(got[i], feature.HarmonicOfRecord(rec, feature.Options{})) {
 			t.Fatalf("record %d: harmonic diverged", i)
@@ -295,7 +297,7 @@ func TestMemoAnswersForTheInstalledFit(t *testing.T) {
 			if got := ls.FaultReport(rec, det); !reflect.DeepEqual(got, det.Detect(rec)) {
 				t.Errorf("record %d: FaultReport diverged from Detect", i)
 			}
-			if got := ls.Harmonics([]*store.Record{rec}, other)[0]; !reflect.DeepEqual(got, feature.HarmonicOfRecord(rec, other)) {
+			if got := ls.Harmonics([]*store.Record{rec}, nil, other)[0]; !reflect.DeepEqual(got, feature.HarmonicOfRecord(rec, other)) {
 				t.Errorf("record %d: Harmonics diverged from HarmonicOfRecord", i)
 			}
 			if ls.Size() != size {
@@ -334,12 +336,63 @@ func TestMemoAnswersForTheInstalledFit(t *testing.T) {
 		}
 	}
 	c0 := readCounters()
-	ls.Harmonics(resident, opt)
+	ls.Harmonics(resident, nil, opt)
 	if got := readCounters().since(c0); got != (counters{hits: uint64(len(resident))}) {
 		t.Errorf("Harmonics with the configured options moved %+v, want %d hits", got, len(resident))
 	}
 	// The retired fit is now the one the memo does not answer for.
 	notInstalled(base1, det1)
+}
+
+// TestStaleDaRescoresFromTheKeptHarmonic: a record folded before the
+// baseline was installed — the fit's scan folds the labelled records,
+// then trains — is scored on first ask from the harmonic its bundle
+// keeps, with no spectrum, where the baseline's Hz-pinned options
+// resolve to the configured ones at its resolution. At a rate where the
+// pin resolves to another Hann window the kept harmonic is not the one
+// base.Da extracts, and the rescore takes one fresh spectrum. Either
+// way the score is base.Da's bitwise, the call is one miss and the
+// score is kept.
+func TestStaleDaRescoresFromTheKeptHarmonic(t *testing.T) {
+	opt := feature.Options{}
+	base := trainBaseline(t, opt)
+	ls := NewLiveState(Config{Harmonic: opt})
+	slower := mkRec(5, 2, 256)
+	slower.SampleRateHz = 2000
+	cases := []struct {
+		name string
+		rec  *store.Record
+		psds uint64
+	}{
+		{"training rate", mkRec(5, 1, 256), 0},
+		{"half the rate", slower, 1},
+	}
+	for _, tc := range cases {
+		ls.Fold(tc.rec)
+	}
+	ls.SetBaseline(base)
+	psds := obs.Default.Counter("vibepm_transform_psd_total")
+	for _, tc := range cases {
+		want, wantErr := base.Da(tc.rec)
+		kept, _ := base.DaFromHarmonic(feature.HarmonicOfRecord(tc.rec, opt))
+		if shared := eqF64(kept, want); shared != (tc.psds == 0) {
+			t.Fatalf("%s: fixture: the raw harmonic scores %g, base.Da %g; want them equal only at the training rate", tc.name, kept, want)
+		}
+		p0, c0 := psds.Value(), readCounters()
+		got, err := ls.Da(tc.rec, base)
+		if math.Float64bits(got) != math.Float64bits(want) || (err == nil) != (wantErr == nil) {
+			t.Errorf("%s: Da = (%g, %v), want (%g, %v)", tc.name, got, err, want, wantErr)
+		}
+		if d := psds.Value() - p0; d != tc.psds {
+			t.Errorf("%s: the rescore computed %d spectra, want %d", tc.name, d, tc.psds)
+		}
+		if d := readCounters().since(c0); d != (counters{misses: 1}) {
+			t.Errorf("%s: the rescore moved %+v, want one miss", tc.name, d)
+		}
+		if k := keptBy(ls, tc.rec); k.daFor != base || math.Float64bits(k.da.val) != math.Float64bits(want) {
+			t.Errorf("%s: the bundle kept %g for %p, want %g for %p", tc.name, k.da.val, k.daFor, want, base)
+		}
+	}
 }
 
 // TestMissDoesNotBlockOtherRecords: while one record of a pump is

@@ -325,7 +325,7 @@ func TestFoldSharesOneExtraction(t *testing.T) {
 		{"twice the length", mkRec(6, 3, 512), false},
 	} {
 		var raw, pinned feature.Harmonic
-		transform.UsePSD(tc.rec, func(freq, psd []float64) { raw, pinned = ls.extract(freq, psd, base) })
+		transform.UsePSD(tc.rec, func(freq, psd []float64) { raw, pinned = ls.extract(new(peakScratch), freq, psd, base) })
 		if !reflect.DeepEqual(raw, feature.HarmonicOfRecord(tc.rec, opt)) {
 			t.Errorf("%s: raw variant diverged from HarmonicOfRecord", tc.name)
 		}

@@ -55,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vibepm/internal/dsp"
 	"vibepm/internal/feature"
 	"vibepm/internal/par"
 	"vibepm/internal/store"
@@ -112,12 +113,16 @@ type feat struct {
 	fault    feature.FaultReport
 }
 
-// own gives h a peak list of its own, exactly as long as it is: the
-// memo keeps a harmonic for the life of its record, and the list
-// ExtractHarmonic returns sits in FindPeaks' array of every local
+// own gives h a peak list of its own, exactly as long as it is (nil
+// when empty): the memo keeps a harmonic for the life of its record,
+// and the list the fold extracts sits in a pooled array of every local
 // maximum.
 func own(h feature.Harmonic) feature.Harmonic {
-	h.Peaks = slices.Clip(slices.Clone(h.Peaks))
+	if len(h.Peaks) == 0 {
+		h.Peaks = nil
+	} else {
+		h.Peaks = slices.Clip(slices.Clone(h.Peaks))
+	}
 	return h
 }
 
@@ -211,10 +216,11 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 // want), a hit otherwise.
 //
 // plant=false is for a query that may meet a record no store holds
-// (Harmonics, Da) or asks about a detector that is not installed
-// (FaultReport): a record that is not resident is left out of the
-// memo; lookup counts the miss and returns nil, and the caller computes
-// the one value it wants.
+// (Da; Harmonics for a record its caller does not know to be in the hot
+// store) or asks about a detector that is not installed (FaultReport):
+// a record that is not resident is left out of the memo; lookup counts
+// the miss and returns nil, and the caller computes the one value it
+// wants.
 //
 // pre, when non-nil, is rec's bundle already folded off the memo
 // (foldDetached): a miss plants it and counts the miss its fold was; if
@@ -267,32 +273,51 @@ func (ls *LiveState) computeFeat(rec *store.Record, f *feat) {
 	// is derived from it.
 	transform.UsePSD(rec, func(freq, psd []float64) {
 		f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
-		raw, pinned := ls.extract(freq, psd, base)
+		sc := peakPool.Get().(*peakScratch)
+		raw, pinned := ls.extract(sc, freq, psd, base)
 		f.harm = own(raw)
 		if base != nil {
 			f.daFor = base
 			f.da.val, f.da.err = base.DaFromHarmonic(pinned)
 		}
+		peakPool.Put(sc)
 	})
 	f.folded = true
 	metFolds.Inc()
 	metFoldDur.Observe(time.Since(start).Seconds())
 }
 
-// extract runs the fold's harmonic extractions over one PSD: raw for
-// the configured options and, with base non-nil, pinned for the
-// baseline's. ExtractHarmonic over this PSD is exactly
+// peakScratch holds the peak lists one fold searches in: the bundle
+// keeps a copy of the raw harmonic's peaks (own), and the pinned one
+// only scores D_a.
+type peakScratch struct{ raw, pinned []dsp.Peak }
+
+var peakPool = sync.Pool{New: func() any { return new(peakScratch) }}
+
+// extract runs the fold's harmonic extractions over one PSD, in sc's
+// lists: raw for the configured options and, with base non-nil, pinned
+// for the baseline's. ExtractHarmonic over this PSD is exactly
 // HarmonicOfRecord: both feed the same transform.PSDInto output into
 // the same peak search. At the training rate the baseline's Hz-pinned
 // window is the raw options' bin count again, so one extraction serves
 // both and pinned is raw.
-func (ls *LiveState) extract(freq, psd []float64, base *feature.Baseline) (raw, pinned feature.Harmonic) {
-	raw = feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic)
+func (ls *LiveState) extract(sc *peakScratch, freq, psd []float64, base *feature.Baseline) (raw, pinned feature.Harmonic) {
+	raw = feature.ExtractHarmonicInto(sc.raw, freq, psd, ls.cfg.Harmonic)
+	sc.raw = raw.Peaks
 	pinned = raw
-	if base != nil && base.Opt.Resolved(freq, psd) != ls.cfg.Harmonic.Resolved(freq, psd) {
-		pinned = feature.ExtractHarmonic(freq, psd, base.Opt)
+	if base != nil && !ls.sharesHarmonic(base, raw.BinHz, len(psd)) {
+		pinned = feature.ExtractHarmonicInto(sc.pinned, freq, psd, base.Opt)
+		sc.pinned = pinned.Peaks
 	}
 	return raw, pinned
+}
+
+// sharesHarmonic reports whether base's options and the configured ones
+// are one extraction of a spectrum of bins bins, binHz apart — they
+// resolve to the same options there. Then the harmonic the fold keeps
+// is the one base.Da would extract, and scores it without a spectrum.
+func (ls *LiveState) sharesHarmonic(base *feature.Baseline, binHz float64, bins int) bool {
+	return base.Opt.ResolvedAt(binHz, bins) == ls.cfg.Harmonic.ResolvedAt(binHz, bins)
 }
 
 // classify fills f's fault report for the installed detector (f.mu
@@ -419,11 +444,14 @@ func (ls *LiveState) OffsetRows(pumpID int, recs []*store.Record) [][]float64 {
 
 // Da returns the D_a score of one record against base, bit-identical
 // to base.Da(rec). A fold under the same baseline already scored it.
-// Only the installed baseline's score is kept; another is computed and
-// the bundle left as it is. A record that is not resident is scored and
-// left out of the memo: an engine classifying fresh captures it never
-// stores (an edge device with a loaded model) must not keep each one's
-// waveform alive.
+// A resident record scored against another baseline (or none: folded
+// before the fit) is rescored from its kept harmonic when base extracts
+// that same harmonic at the record's resolution — no spectrum — and
+// from a fresh one otherwise; either is one miss. Only the installed
+// baseline's score is kept; another is computed and the bundle left as
+// it is. A record that is not resident is scored and left out of the
+// memo: an engine classifying fresh captures it never stores (an edge
+// device with a loaded model) must not keep each one's waveform alive.
 func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, error) {
 	var s daScore
 	if ls.lookup(rec, false, nil, func(f *feat, _ bool) bool {
@@ -431,7 +459,11 @@ func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, err
 			s = f.da
 			return false
 		}
-		s.val, s.err = base.Da(rec)
+		if ls.sharesHarmonic(base, f.harm.BinHz, rec.Samples()) {
+			s.val, s.err = base.DaFromHarmonic(f.harm)
+		} else {
+			s.val, s.err = base.Da(rec)
+		}
 		if base == ls.baseline.Load() {
 			f.daFor, f.da = base, s
 		}
@@ -464,17 +496,19 @@ func (ls *LiveState) DaSeries(recs []*store.Record, idx []int, base *feature.Bas
 }
 
 // Harmonics returns the harmonic feature of every record for opt —
-// the engine's Fit-time corpus scan, cache-served after ingest folds
-// when opt is the configured option set; another option set is
-// extracted and not kept. Results are identical to
-// feature.HarmonicOfRecord per record. The scan may meet records that
-// are not in the hot store (labelled measurements the compactor moved
-// to the cold tier): a record that is not resident is not planted in
-// the memo, only its one harmonic is extracted.
-func (ls *LiveState) Harmonics(recs []*store.Record, opt feature.Options) []feature.Harmonic {
+// the engine's Fit-time corpus scan. Results are identical to
+// feature.HarmonicOfRecord per record. hot[i] (nil: false for every
+// record) says recs[i] is held by the hot store: it is folded and
+// planted, the fold Warm would run, and its harmonic for the configured
+// options is the one the bundle keeps; another option set is extracted
+// and not kept. A record that is not hot — a labelled measurement the
+// compactor moved to the cold tier — is served from the memo if it is
+// resident and otherwise has its one harmonic extracted and is left
+// out of the memo.
+func (ls *LiveState) Harmonics(recs []*store.Record, hot []bool, opt feature.Options) []feature.Harmonic {
 	return par.Map(len(recs), 0, func(i int) (h feature.Harmonic) {
 		rec := recs[i]
-		if ls.lookup(rec, false, nil, func(f *feat, _ bool) bool {
+		if ls.lookup(rec, hot != nil && hot[i], nil, func(f *feat, _ bool) bool {
 			if opt == ls.cfg.Harmonic {
 				h = f.harm
 				return false

@@ -148,7 +148,7 @@ func TestHarmonicsMultiOption(t *testing.T) {
 		ls.Fold(rec)
 	}
 	for _, opt := range []feature.Options{optA, optB} {
-		got := ls.Harmonics(recs, opt)
+		got := ls.Harmonics(recs, nil, opt)
 		for i, rec := range recs {
 			want := feature.HarmonicOfRecord(rec, opt)
 			if len(got[i].Peaks) != len(want.Peaks) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"vibepm/internal/dsp"
+	"vibepm/internal/obs"
 	"vibepm/internal/store"
 )
 
@@ -79,11 +80,17 @@ func PSD(rec *store.Record) (freq, psd []float64) {
 	return PSDInto(make([]float64, k), make([]float64, k), rec)
 }
 
+// metPSDs counts record spectra. Every one — the live fold, a metric
+// score, baseline training, a PSD view — is one PSDInto call, so the
+// counter is how many times a process transformed a record.
+var metPSDs = obs.Default.Counter("vibepm_transform_psd_total")
+
 // PSDInto is PSD writing into caller-owned freq and psd slices (grown
 // if their capacity is short, returned resliced to rec.Samples()). All
 // per-axis work arrays are pooled and the DCT runs on a cached plan, so
 // steady-state calls with adequate slices are allocation-free.
 func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64) {
+	metPSDs.Inc()
 	k := rec.Samples()
 	if cap(freq) < k {
 		freq = make([]float64, k)

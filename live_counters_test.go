@@ -1,6 +1,7 @@
 package vibepm
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -78,5 +79,44 @@ func TestReportScoresOnce(t *testing.T) {
 	}
 	if d := lookups() - before; deg.Analyzed == 0 || d != uint64(deg.Analyzed) {
 		t.Errorf("AnalyzeDegraded made %d lookups for %d analyzed pumps", d, deg.Analyzed)
+	}
+}
+
+// psdCount reads how many record spectra the process has computed.
+func psdCount() uint64 { return obs.Default.Counter("vibepm_transform_psd_total").Value() }
+
+// TestFitTransformsEachLabelledRecordOnce: the fit's scan is the one
+// spectrum of each hot labelled record. It plants the fold and, once
+// the baseline is trained, scores the record from the harmonic it kept,
+// so every later reader of the peak-harmonic feature — D_a over the
+// labelled corpus (Fig. 11), the metric sweep's peak-harmonic column —
+// is a memo hit and computes no spectrum. The values are the pure
+// function's.
+func TestFitTransformsEachLabelledRecordOnce(t *testing.T) {
+	eng, ds := fitEngine(t, 35)
+	base, _ := eng.Baseline()
+	labelled := ds.ValidLabelled()
+	got := make([]float64, len(labelled))
+	errs := make([]error, len(labelled))
+	p0 := psdCount()
+	_, m0 := liveLookups()
+	for i, lr := range labelled {
+		got[i], errs[i] = eng.Da(lr.Record)
+	}
+	if _, err := eng.EvaluateMetric(MetricPeakHarmonic, 15, nil, 7); err != nil {
+		t.Fatal(err)
+	}
+	_, m1 := liveLookups()
+	if d := psdCount() - p0; d != 0 {
+		t.Errorf("D_a over %d labelled records and the peak-harmonic sweep computed %d spectra after Fit, want 0", len(labelled), d)
+	}
+	if dm := m1 - m0; dm != 0 {
+		t.Errorf("they missed the memo %d times, want all hits", dm)
+	}
+	for i, lr := range labelled {
+		want, wantErr := base.Da(lr.Record)
+		if math.Float64bits(got[i]) != math.Float64bits(want) || (errs[i] == nil) != (wantErr == nil) {
+			t.Fatalf("labelled record %d: Da (%v, %v), baseline.Da (%v, %v)", i, got[i], errs[i], want, wantErr)
+		}
 	}
 }
