@@ -54,7 +54,6 @@ type Engine struct {
 	measurements *Measurements
 	labels       *Labels
 
-	baseline   *Baseline
 	classifier *core.GaussianClassifier
 	densities  *core.ZoneDensities
 	boundary   float64
@@ -69,17 +68,14 @@ type Engine struct {
 	// caller's ageOf is applied per call.
 	trends *gencache.Cache[int, trendTag, []TrendPoint]
 
-	// detector, when non-nil, classifies measurements into the
-	// rotating-machine fault taxonomy (EnableFaults). Immutable value;
-	// spec updates swap in a copy-on-write successor.
-	detector *feature.FaultDetector
-
 	// live is the incremental feature cache, built with the engine:
 	// expensive per-record transforms (PSD, harmonic peaks, D_a) are
 	// folded once — at ingest, or on first analysis of a record the
 	// engine did not ingest — and every later read is a memo hit. The
 	// values are bit-identical to the pure functions (see
-	// internal/stream).
+	// internal/stream). It is the one holder of the installed fit: the
+	// Zone A baseline (Fit, LoadModel) and the fault detector
+	// (EnableFaults, SetMachineSpec) live there and nowhere else.
 	live *stream.LiveState
 
 	// cold, when non-nil, is the tiered store's compressed partition
@@ -256,9 +252,8 @@ func (e *Engine) Fit() error {
 	for i, p := range pairs {
 		labelled[i], hot[i] = p.rec, p.hot
 	}
-	features := e.live.Harmonics(labelled, hot, e.opts.Harmonic)
+	features := e.live.Harmonics(labelled, hot)
 	baseline.SetNormalizers(features...)
-	e.baseline = baseline
 	// Install only once the normalizers are set: folds score D_a
 	// against the installed baseline at ingest time.
 	e.live.SetBaseline(baseline)
@@ -267,7 +262,7 @@ func (e *Engine) Fit() error {
 	// reader of their D_a (Fig. 11, the metric sweep, the trends) hits.
 	par.ForEach(len(pairs), 0, func(i int) {
 		if hot[i] {
-			e.live.Da(labelled[i], baseline)
+			e.live.Da(labelled[i])
 		}
 	})
 
@@ -295,22 +290,23 @@ func (e *Engine) Fit() error {
 	if b, err := densities.BoundaryBCD(); err == nil {
 		e.boundary = b
 	} else {
-		// Fall back to the midpoint between the top two class means
-		// when one class is missing; classification still works.
+		// Fall back to a boundary of 0 when a class is missing;
+		// classification still works.
 		e.boundary = 0
 	}
 	return nil
 }
 
 // Fitted reports whether Fit has completed.
-func (e *Engine) Fitted() bool { return e.baseline != nil && e.classifier != nil }
+func (e *Engine) Fitted() bool { return e.live.Baseline() != nil && e.classifier != nil }
 
-// Baseline returns the trained Zone A baseline.
+// Baseline returns the Zone A baseline installed in the live state.
 func (e *Engine) Baseline() (*Baseline, error) {
-	if e.baseline == nil {
+	b := e.live.Baseline()
+	if b == nil {
 		return nil, ErrNotFitted
 	}
-	return e.baseline, nil
+	return b, nil
 }
 
 // Boundary returns the learned BC/D decision boundary on D_a (the
@@ -325,10 +321,10 @@ func (e *Engine) Boundary() (float64, error) {
 // Da scores one measurement with the peak-harmonic distance from the
 // Zone A baseline.
 func (e *Engine) Da(rec *Record) (float64, error) {
-	if e.baseline == nil {
+	if e.live.Baseline() == nil {
 		return 0, ErrNotFitted
 	}
-	return e.live.Da(rec, e.baseline)
+	return e.live.Da(rec)
 }
 
 // Classify predicts the health zone of one measurement and returns the
@@ -354,7 +350,7 @@ type AgeFunc func(pumpID int, serviceDays float64) float64
 // against the baseline, smoothed with the one-day moving-average
 // window, and mapped to equipment age with ageOf.
 func (e *Engine) CleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error) {
-	base := e.baseline
+	base := e.live.Baseline()
 	if base == nil {
 		return nil, ErrNotFitted
 	}
@@ -379,9 +375,11 @@ func (e *Engine) CleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error) {
 		if err != nil {
 			return nil, tag, err
 		}
-		days, das := e.live.DaSeries(recs, validIdx, base)
+		// The entry is tagged with the baseline DaSeries scored against,
+		// which a concurrent install may have made newer than base.
+		days, das, scored := e.live.DaSeries(recs, validIdx)
 		trend, err := e.smoothTrend(pumpID, days, das)
-		return trend, tag, err
+		return trend, trendTag{gen: gen, baseline: scored}, err
 	})
 	if hit {
 		metTrendCacheHits.Inc()
@@ -487,7 +485,8 @@ func (e *Engine) EvaluateMetric(m Metric, nTrain int, temp TemperatureSource, se
 // left for every hot labelled record. The split at each size is
 // deterministic in (seed, size).
 func (e *Engine) EvaluateMetricSweep(m Metric, sizes []int, temp TemperatureSource, seed int64) (map[int]*Confusion, error) {
-	if e.baseline == nil {
+	base := e.live.Baseline()
+	if base == nil {
 		return nil, ErrNotFitted
 	}
 	pairs := e.labelledPairs()
@@ -500,9 +499,9 @@ func (e *Engine) EvaluateMetricSweep(m Metric, sizes []int, temp TemperatureSour
 		var err error
 		if m == MetricPeakHarmonic {
 			// D_a is Score's peak-harmonic case, read through the memo.
-			score, err = e.live.Da(pairs[i].rec, e.baseline)
+			score, err = e.live.Da(pairs[i].rec)
 		} else {
-			score, err = e.baseline.Score(m, pairs[i].rec, temp)
+			score, err = base.Score(m, pairs[i].rec, temp)
 		}
 		if err != nil {
 			return scored{}
@@ -569,23 +568,4 @@ func splitStratified(samples []core.Sample, nTrain int, seed int64) (train, test
 		}
 	}
 	return train, test
-}
-
-// FusedTrend extracts and fuses the cleaned D_a trends of several
-// sensors monitoring the same equipment — the multi-sensor deployment
-// of the paper's §III-B future work. Each sensor id must have its own
-// measurement series in the store.
-func (e *Engine) FusedTrend(sensorIDs []int, ageOf AgeFunc, toleranceDays float64) ([]TrendPoint, error) {
-	var trends [][]TrendPoint
-	for _, id := range sensorIDs {
-		trend, err := e.CleanTrend(id, ageOf)
-		if err != nil {
-			continue // a dead or empty sensor must not sink the fusion
-		}
-		trends = append(trends, trend)
-	}
-	if len(trends) == 0 {
-		return nil, fmt.Errorf("%w: no usable sensor trends", ErrNoData)
-	}
-	return core.FuseTrends(trends, toleranceDays)
 }

@@ -2,10 +2,13 @@ package vibepm
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"vibepm/internal/dataset"
+	"vibepm/internal/feature"
 	"vibepm/internal/physics"
 	"vibepm/internal/store"
 )
@@ -396,33 +399,51 @@ func TestEngineBoundaryFallbackWithoutZoneD(t *testing.T) {
 	}
 }
 
-func TestFusedTrend(t *testing.T) {
-	eng, ds := fitEngine(t, 50)
-	age := ageFuncFor(ds)
-	// Pumps 0 and 3 both start young Model I — treat them as two
-	// sensors on one machine for the fusion API's sake.
-	fused, err := eng.FusedTrend([]int{0, 3}, age, 1)
+// TestEngineAnswersWithTheLiveStatesFit: the live state is the one
+// holder of the installed fit, so a baseline and a detector installed
+// through Live() are what the engine's reads answer with — it keeps no
+// copy of its own to prefer.
+func TestEngineAnswersWithTheLiveStatesFit(t *testing.T) {
+	eng, _ := fitEngine(t, 29)
+	other, _ := fitEngine(t, 31)
+	base, _ := other.Baseline()
+	det := feature.NewFaultDetector(MachineSpec{})
+	eng.Live().SetBaseline(base)
+	eng.Live().SetFaultDetector(det)
+
+	if got, err := eng.Baseline(); err != nil || got != base {
+		t.Fatalf("Baseline() = (%p, %v), want the installed %p", got, err, base)
+	}
+	rec := eng.Measurements().Latest(0)
+	want, err := base.Da(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fused) == 0 {
-		t.Fatal("empty fused trend")
+	if got, err := eng.Da(rec); err != nil || got != want {
+		t.Fatalf("Da = (%g, %v), want the installed baseline's %g", got, err, want)
 	}
-	for i := 1; i < len(fused); i++ {
-		if fused[i].AgeDays < fused[i-1].AgeDays {
-			t.Fatal("fused trend not age-ordered")
-		}
+	zone, probs, err := eng.Classify(rec)
+	if err != nil || zone != eng.classifier.Predict(want) || !reflect.DeepEqual(probs, eng.classifier.Probabilities(want)) {
+		t.Fatalf("Classify = (%v, %v, %v), want the zone of D_a %g", zone, probs, err, want)
 	}
-	// Unknown sensors are skipped, not fatal, as long as one works.
-	partial, err := eng.FusedTrend([]int{0, 999}, age, 1)
+	st, err := eng.FaultStatus(0)
 	if err != nil {
+		t.Fatalf("FaultStatus with a detector installed through Live(): %v", err)
+	}
+	if !reflect.DeepEqual(st.FaultReport, det.Detect(rec)) {
+		t.Fatal("FaultStatus diverged from the installed detector's report")
+	}
+	var buf bytes.Buffer
+	if err := eng.SaveModel(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(partial) == 0 {
-		t.Fatal("partial fusion empty")
+	var state ModelState
+	if err := json.Unmarshal(buf.Bytes(), &state); err != nil {
+		t.Fatal(err)
 	}
-	// All-unknown errors.
-	if _, err := eng.FusedTrend([]int{998, 999}, age, 1); !errors.Is(err, ErrNoData) {
-		t.Fatalf("err = %v", err)
+	saved, _ := json.Marshal(state.Baseline)
+	installed, _ := json.Marshal(base)
+	if !bytes.Equal(saved, installed) {
+		t.Fatal("SaveModel wrote a baseline other than the installed one")
 	}
 }

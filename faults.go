@@ -47,23 +47,23 @@ type FaultOptions struct{}
 // from each spectrum, default bearing geometry). The FaultOptions
 // argument is ignored.
 func (e *Engine) EnableFaults(def MachineSpec, _ FaultOptions) {
-	e.detector = feature.NewFaultDetector(def)
-	e.live.SetFaultDetector(e.detector)
+	e.live.SetFaultDetector(feature.NewFaultDetector(def))
 }
 
-// FaultsEnabled reports whether fault classification is on.
-func (e *Engine) FaultsEnabled() bool { return e.detector != nil }
+// FaultsEnabled reports whether fault classification is on: whether the
+// live state holds a detector.
+func (e *Engine) FaultsEnabled() bool { return e.live.FaultDetector() != nil }
 
 // SetMachineSpec overrides the machine spec of one pump (its true rotor
 // speed, its bearing geometry). Detectors are immutable, so the update
 // installs a copy-on-write successor; cached reports against the old
 // detector identity are recomputed lazily.
 func (e *Engine) SetMachineSpec(pumpID int, spec MachineSpec) error {
-	if e.detector == nil {
+	det := e.live.FaultDetector()
+	if det == nil {
 		return ErrFaultsDisabled
 	}
-	e.detector = e.detector.WithSpec(pumpID, spec)
-	e.live.SetFaultDetector(e.detector)
+	e.live.SetFaultDetector(det.WithSpec(pumpID, spec))
 	return nil
 }
 
@@ -82,8 +82,7 @@ type PumpFaultStatus struct {
 // pump. The report is a memo read after the first query, identical to
 // running the detector on the record directly.
 func (e *Engine) FaultStatus(pumpID int) (*PumpFaultStatus, error) {
-	det := e.detector
-	if det == nil {
+	if !e.FaultsEnabled() {
 		return nil, ErrFaultsDisabled
 	}
 	rec := e.measurements.Latest(pumpID)
@@ -93,12 +92,6 @@ func (e *Engine) FaultStatus(pumpID int) (*PumpFaultStatus, error) {
 	return &PumpFaultStatus{
 		PumpID:      pumpID,
 		ServiceDays: rec.ServiceDays,
-		FaultReport: e.faultReport(rec),
+		FaultReport: e.live.FaultReport(rec),
 	}, nil
-}
-
-// faultReport classifies one record through the live memo. Callers
-// must have checked e.detector.
-func (e *Engine) faultReport(rec *Record) FaultReport {
-	return e.live.FaultReport(rec, e.detector)
 }

@@ -55,20 +55,29 @@ func EncodeAxis(samples []int16) string {
 	return base64.StdEncoding.EncodeToString(raw)
 }
 
+// decodeBounded decodes r's JSON body into v, reading at most limit
+// bytes: a client cannot make the server buffer an unbounded payload.
+// A body past the cap is answered 413, one that does not decode 400
+// ("bad <what>"); it reports whether v was filled.
+func decodeBounded(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(r.Body).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	default:
+		writeErr(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	}
+	return false
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// Bound the body before decoding: a client cannot make the server
-	// buffer an unbounded JSON/base64 payload.
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
 	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.ingestRejected.Inc()
-			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
+	if !decodeBounded(w, r, s.maxBodyBytes, "measurement", &req) {
 		s.ingestRejected.Inc()
-		writeErr(w, http.StatusBadRequest, "bad measurement: %v", err)
 		return
 	}
 	if req.SampleRateHz <= 0 || req.ScaleG <= 0 {

@@ -260,14 +260,13 @@ func (s *Server) handleMeasurements(w http.ResponseWriter, r *http.Request) {
 	recs := s.measurements.Query(id, from, to)
 	out := make([]MeasurementMeta, 0, len(recs))
 	for _, rec := range recs {
-		_, offsets := transform.Acceleration(rec)
 		meta := MeasurementMeta{
 			PumpID:       rec.PumpID,
 			ServiceDays:  rec.ServiceDays,
 			SampleRateHz: rec.SampleRateHz,
 			Samples:      rec.Samples(),
 			RMS:          transform.RMS(rec),
-			Offsets:      offsets,
+			Offsets:      transform.Offsets(rec),
 		}
 		if includeRaw {
 			meta.Raw = [][]int16{rec.Raw[0], rec.Raw[1], rec.Raw[2]}
@@ -322,14 +321,17 @@ func (s *Server) handleGetPeriod(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.periods.Current())
 }
 
+// maxPeriodBodyBytes caps a PUT /api/v1/period body: a period is two
+// numbers, tens of bytes of JSON.
+const maxPeriodBodyBytes = 4 << 10
+
 func (s *Server) handlePutPeriod(w http.ResponseWriter, r *http.Request) {
 	if s.periods == nil {
 		writeErr(w, http.StatusNotFound, "period manager not configured")
 		return
 	}
 	var p store.AnalysisPeriod
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad period: %v", err)
+	if !decodeBounded(w, r, maxPeriodBodyBytes, "period", &p) {
 		return
 	}
 	if err := s.periods.Pin(p); err != nil {

@@ -3,6 +3,7 @@ package restapi
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"vibepm/internal/mems"
 	"vibepm/internal/physics"
 	"vibepm/internal/store"
+	"vibepm/internal/transform"
 )
 
 func seedStore(t *testing.T) *store.Measurements {
@@ -102,6 +104,17 @@ func TestMeasurementsEndpoint(t *testing.T) {
 	}
 	if _, ok := first["raw"]; ok {
 		t.Fatal("raw samples must be omitted by default")
+	}
+	// offsets_g is transform.Offsets of the stored record, bit for bit.
+	for _, m := range ms {
+		meta := m.(map[string]any)
+		day := meta["service_days"].(float64)
+		want := transform.Offsets(s.measurements.Query(3, day, day)[0])
+		for axis, v := range meta["offsets_g"].([]any) {
+			if math.Float64bits(v.(float64)) != math.Float64bits(want[axis]) {
+				t.Fatalf("day %g axis %d: offsets_g %v, want %v", day, axis, v, want[axis])
+			}
+		}
 	}
 	// With raw=1 the samples ride along.
 	_, body = get(t, s, "/api/v1/pumps/3/measurements?from=1&to=1&raw=1")
@@ -195,6 +208,19 @@ func TestPeriodEndpoints(t *testing.T) {
 	s.ServeHTTP(w, req)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("garbage body status %d", w.Code)
+	}
+	// An oversized body is refused before it is decoded, and the pinned
+	// period stays.
+	padded := `{"start_days":20,"end_days":30,"pad":"` + strings.Repeat("x", maxPeriodBodyBytes) + `"}`
+	req = httptest.NewRequest(http.MethodPut, "/api/v1/period", strings.NewReader(padded))
+	w = httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status %d", w.Code)
+	}
+	_, body = get(t, s, "/api/v1/period")
+	if body["start_days"].(float64) != 5 || body["end_days"].(float64) != 10 {
+		t.Fatalf("an oversized body moved the pinned period: %v", body)
 	}
 }
 

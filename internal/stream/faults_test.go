@@ -26,12 +26,12 @@ func TestFaultFoldMatchesDirect(t *testing.T) {
 
 	for name, rec := range map[string]*store.Record{"folded": folded, "cold": cold} {
 		want := det.Detect(rec)
-		got := ls.FaultReport(rec, det)
+		got := ls.FaultReport(rec)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: cached report diverged:\ngot:  %+v\nwant: %+v", name, got, want)
 		}
 		// Second read must serve the memo and stay identical.
-		if again := ls.FaultReport(rec, det); !reflect.DeepEqual(again, want) {
+		if again := ls.FaultReport(rec); !reflect.DeepEqual(again, want) {
 			t.Fatalf("%s: memoized report diverged: %+v", name, again)
 		}
 	}

@@ -62,26 +62,26 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 		}},
 		{name: "Da", needsDa: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
 			want, wantErr := base.Da(rec)
-			got, err := ls.Da(rec, base)
+			got, err := ls.Da(rec)
 			if !eqF64(got, want) || (err == nil) != (wantErr == nil) {
 				t.Errorf("Da = (%g, %v), want (%g, %v)", got, err, want, wantErr)
 			}
 		}},
 		{name: "DaSeries", needsDa: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
 			want, _ := base.Da(rec)
-			days, das := ls.DaSeries([]*store.Record{rec}, []int{0}, base)
+			days, das, _ := ls.DaSeries([]*store.Record{rec}, []int{0})
 			if len(das) != 1 || !eqF64(das[0], want) || days[0] != rec.ServiceDays {
 				t.Errorf("DaSeries = (%v, %v), want one point (%g, %g)", days, das, rec.ServiceDays, want)
 			}
 		}},
 		{name: "Harmonics", call: func(t *testing.T, ls *LiveState, rec *store.Record) {
-			got := ls.Harmonics([]*store.Record{rec}, nil, opt)
+			got := ls.Harmonics([]*store.Record{rec}, nil)
 			if !reflect.DeepEqual(got[0], feature.HarmonicOfRecord(rec, opt)) {
 				t.Error("Harmonics diverged from HarmonicOfRecord")
 			}
 		}},
 		{name: "FaultReport", needsFault: true, plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
-			if got := ls.FaultReport(rec, det); !reflect.DeepEqual(got, det.Detect(rec)) {
+			if got := ls.FaultReport(rec); !reflect.DeepEqual(got, det.Detect(rec)) {
 				t.Error("FaultReport diverged from Detect")
 			}
 		}},
@@ -157,7 +157,7 @@ func TestMissFoldsOnce(t *testing.T) {
 	rec := mkRec(7, 1, 256)
 	want := det.Detect(rec)
 	d0, c0 := detects.Count(), readCounters()
-	if got := ls.FaultReport(rec, det); !reflect.DeepEqual(got, want) {
+	if got := ls.FaultReport(rec); !reflect.DeepEqual(got, want) {
 		t.Fatalf("FaultReport diverged:\ngot:  %+v\nwant: %+v", got, want)
 	}
 	if d := detects.Count() - d0; d != 1 {
@@ -171,7 +171,7 @@ func TestMissFoldsOnce(t *testing.T) {
 	wantDa, _ := base.Da(rec)
 	ls.Fold(rec)
 	c0 = readCounters()
-	if got, _ := ls.Da(rec, base); !eqF64(got, wantDa) {
+	if got, _ := ls.Da(rec); !eqF64(got, wantDa) {
 		t.Fatalf("Da = %g, want %g", got, wantDa)
 	}
 	if got := readCounters().since(c0); got != (counters{hits: 1}) {
@@ -197,7 +197,7 @@ func TestHarmonicsLeavesUnfoldedRecordsOut(t *testing.T) {
 	resident, cold := mkRec(2, 1, 256), mkRec(2, 2, 256)
 	ls.Fold(resident)
 	before := readCounters()
-	got := ls.Harmonics([]*store.Record{resident, cold}, nil, feature.Options{})
+	got := ls.Harmonics([]*store.Record{resident, cold}, nil)
 	for i, rec := range []*store.Record{resident, cold} {
 		if !reflect.DeepEqual(got[i], feature.HarmonicOfRecord(rec, feature.Options{})) {
 			t.Fatalf("record %d: harmonic diverged", i)
@@ -256,17 +256,14 @@ func keptBy(ls *LiveState, rec *store.Record) kept {
 
 // TestMemoAnswersForTheInstalledFit: a bundle keeps one harmonic, one
 // D_a and one fault report — for the configured options, the installed
-// baseline and the installed detector. A query with another option
-// set, baseline or detector is the pure function's value, bitwise, and
-// leaves the memo's size and every bundle as they were. Installing a
-// new baseline or detector re-scores each record once, in place (a
-// miss: DSP ran), and every later query is a hit.
+// baseline and the installed detector, the only fit the reads can ask
+// about. Installing a new baseline or detector re-scores each record
+// once, in place (a miss: DSP ran), and every later query is a hit.
 func TestMemoAnswersForTheInstalledFit(t *testing.T) {
 	opt := feature.Options{}
 	base1, base2 := trainBaseline(t, opt), trainBaseline(t, feature.Options{HannWindow: 8})
 	det1 := feature.NewFaultDetector(feature.MachineSpec{})
 	det2 := det1.WithSpec(1, feature.MachineSpec{RotorHz: 17})
-	other := feature.Options{NumPeaks: 8, SmoothingHz: 31.25}
 
 	ls := NewLiveState(Config{Harmonic: opt})
 	ls.SetBaseline(base1)
@@ -275,40 +272,11 @@ func TestMemoAnswersForTheInstalledFit(t *testing.T) {
 	for _, rec := range resident {
 		ls.Fold(rec)
 	}
-	cold := mkRec(1, 4, 256)
-	da1, _ := base1.Da(cold)
-	da2, _ := base2.Da(cold)
-	if eqF64(da1, da2) || reflect.DeepEqual(det1.Detect(cold), det2.Detect(cold)) {
+	da1, _ := base1.Da(resident[0])
+	da2, _ := base2.Da(resident[0])
+	if eqF64(da1, da2) || reflect.DeepEqual(det1.Detect(resident[0]), det2.Detect(resident[0])) {
 		t.Fatal("fixture: the two fits must score and classify differently")
 	}
-
-	notInstalled := func(base *feature.Baseline, det *feature.FaultDetector) {
-		t.Helper()
-		for i, rec := range append([]*store.Record{cold}, resident...) {
-			var before kept
-			if rec != cold {
-				before = keptBy(ls, rec)
-			}
-			size := ls.Size()
-			wantDa, wantErr := base.Da(rec)
-			if got, err := ls.Da(rec, base); !eqF64(got, wantDa) || (err == nil) != (wantErr == nil) {
-				t.Errorf("record %d: Da = (%g, %v), want (%g, %v)", i, got, err, wantDa, wantErr)
-			}
-			if got := ls.FaultReport(rec, det); !reflect.DeepEqual(got, det.Detect(rec)) {
-				t.Errorf("record %d: FaultReport diverged from Detect", i)
-			}
-			if got := ls.Harmonics([]*store.Record{rec}, nil, other)[0]; !reflect.DeepEqual(got, feature.HarmonicOfRecord(rec, other)) {
-				t.Errorf("record %d: Harmonics diverged from HarmonicOfRecord", i)
-			}
-			if ls.Size() != size {
-				t.Errorf("record %d: memo size %d -> %d", i, size, ls.Size())
-			}
-			if rec != cold && !reflect.DeepEqual(keptBy(ls, rec), before) {
-				t.Errorf("record %d: a query outside the installed fit changed the bundle", i)
-			}
-		}
-	}
-	notInstalled(base2, det2)
 
 	ls.SetBaseline(base2)
 	ls.SetFaultDetector(det2)
@@ -317,14 +285,14 @@ func TestMemoAnswersForTheInstalledFit(t *testing.T) {
 		wantRep := det2.Detect(rec)
 		for round, want := range []counters{{misses: 1}, {hits: 1}} {
 			c0 := readCounters()
-			if got, _ := ls.Da(rec, base2); !eqF64(got, wantDa) {
+			if got, _ := ls.Da(rec); !eqF64(got, wantDa) {
 				t.Errorf("record %d round %d: Da = %g, want %g", i, round, got, wantDa)
 			}
 			if got := readCounters().since(c0); got != want {
 				t.Errorf("record %d round %d: Da moved %+v, want %+v", i, round, got, want)
 			}
 			c0 = readCounters()
-			if got := ls.FaultReport(rec, det2); !reflect.DeepEqual(got, wantRep) {
+			if got := ls.FaultReport(rec); !reflect.DeepEqual(got, wantRep) {
 				t.Errorf("record %d round %d: FaultReport diverged from Detect", i, round)
 			}
 			if got := readCounters().since(c0); got != want {
@@ -336,12 +304,10 @@ func TestMemoAnswersForTheInstalledFit(t *testing.T) {
 		}
 	}
 	c0 := readCounters()
-	ls.Harmonics(resident, nil, opt)
+	ls.Harmonics(resident, nil)
 	if got := readCounters().since(c0); got != (counters{hits: uint64(len(resident))}) {
 		t.Errorf("Harmonics with the configured options moved %+v, want %d hits", got, len(resident))
 	}
-	// The retired fit is now the one the memo does not answer for.
-	notInstalled(base1, det1)
 }
 
 // TestStaleDaRescoresFromTheKeptHarmonic: a record folded before the
@@ -379,7 +345,7 @@ func TestStaleDaRescoresFromTheKeptHarmonic(t *testing.T) {
 			t.Fatalf("%s: fixture: the raw harmonic scores %g, base.Da %g; want them equal only at the training rate", tc.name, kept, want)
 		}
 		p0, c0 := psds.Value(), readCounters()
-		got, err := ls.Da(tc.rec, base)
+		got, err := ls.Da(tc.rec)
 		if math.Float64bits(got) != math.Float64bits(want) || (err == nil) != (wantErr == nil) {
 			t.Errorf("%s: Da = (%g, %v), want (%g, %v)", tc.name, got, err, want, wantErr)
 		}
@@ -423,7 +389,7 @@ func TestMissDoesNotBlockOtherRecords(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		ls.FaultReport(other, det)
+		ls.FaultReport(other)
 		ls.ensure(9, []*store.Record{other}, 0)
 		ls.Fold(mkRec(9, 3, 256))
 	}()

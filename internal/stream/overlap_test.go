@@ -117,7 +117,7 @@ func TestFoldRunsDuringTheSync(t *testing.T) {
 	// the direct functions return.
 	before = readCounters()
 	det := live.FaultDetector()
-	if got := live.FaultReport(rec, det); !reflect.DeepEqual(got, det.Detect(rec)) {
+	if got := live.FaultReport(rec); !reflect.DeepEqual(got, det.Detect(rec)) {
 		t.Error("the planted bundle's fault report diverged from Detect")
 	}
 	if got := readCounters().since(before); got != (counters{hits: 1}) {

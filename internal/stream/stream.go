@@ -25,13 +25,12 @@
 // trends, scores and fault reports equal the pure functions' —
 // Engine.BatchCleanTrend, Baseline.Da, FaultDetector.Detect.
 //
-// The memo answers for one fit. A bundle holds one value per feature:
-// the harmonic for the configured options, the D_a of the installed
-// baseline and the report of the installed detector. A resident record
-// asked about with the installed fit is served from its bundle (a value
-// left by an earlier baseline or detector is recomputed in place);
-// anything else — another baseline, detector or option set, or a record
-// no store holds — is computed by the pure function and not kept.
+// The memo answers for one fit, and is its one holder: Da, DaSeries,
+// FaultReport and Harmonics read the installed baseline, detector and
+// Config.Harmonic themselves. A bundle holds one value per feature for
+// that fit; a value left by an earlier baseline or detector is
+// recomputed in place when next read. The only value not kept is a
+// non-resident record's (one no store holds): the pure function's.
 //
 // There is one memo protocol, LiveState.lookup: every entry point
 // (Fold, Da, DaSeries, Harmonics, FaultReport, MetricFunc, OffsetRows,
@@ -50,6 +49,7 @@
 package stream
 
 import (
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -174,6 +174,9 @@ func NewLiveState(cfg Config) *LiveState {
 // place the first time it is asked about.
 func (ls *LiveState) SetBaseline(b *feature.Baseline) { ls.baseline.Store(b) }
 
+// Baseline returns the installed baseline (nil before SetBaseline).
+func (ls *LiveState) Baseline() *feature.Baseline { return ls.baseline.Load() }
+
 // SetFaultDetector installs (or, with nil, removes) the fault detector:
 // subsequent ingests classify the record they fold and Warm classifies
 // each pump's latest record, so the fault status of every pump is a
@@ -217,10 +220,9 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 //
 // plant=false is for a query that may meet a record no store holds
 // (Da; Harmonics for a record its caller does not know to be in the hot
-// store) or asks about a detector that is not installed (FaultReport):
-// a record that is not resident is left out of the memo; lookup counts
-// the miss and returns nil, and the caller computes the one value it
-// wants.
+// store): a record that is not resident is left out of the memo; lookup
+// counts the miss and returns nil, and the caller computes the one
+// value it wants.
 //
 // pre, when non-nil, is rec's bundle already folded off the memo
 // (foldDetached): a miss plants it and counts the miss its fold was; if
@@ -376,7 +378,6 @@ func (ls *LiveState) Warm(m *store.Measurements, workers int) int {
 	}
 	start := time.Now()
 	pumps := m.Pumps()
-	det := ls.detector.Load()
 	var total atomic.Int64
 	par.ForEach(len(pumps), workers, func(i int) {
 		recs := m.All(pumps[i])
@@ -384,8 +385,8 @@ func (ls *LiveState) Warm(m *store.Measurements, workers int) int {
 		// already owns the parallelism, and nesting pools would
 		// oversubscribe the cores recovery is trying to saturate.
 		ls.ensure(pumps[i], recs, 1)
-		if det != nil && len(recs) > 0 {
-			ls.FaultReport(recs[len(recs)-1], det)
+		if len(recs) > 0 {
+			ls.FaultReport(recs[len(recs)-1])
 		}
 		total.Add(int64(len(recs)))
 	})
@@ -442,17 +443,26 @@ func (ls *LiveState) OffsetRows(pumpID int, recs []*store.Record) [][]float64 {
 	return out
 }
 
-// Da returns the D_a score of one record against base, bit-identical
-// to base.Da(rec). A fold under the same baseline already scored it.
-// A resident record scored against another baseline (or none: folded
-// before the fit) is rescored from its kept harmonic when base extracts
-// that same harmonic at the record's resolution — no spectrum — and
-// from a fresh one otherwise; either is one miss. Only the installed
-// baseline's score is kept; another is computed and the bundle left as
-// it is. A record that is not resident is scored and left out of the
-// memo: an engine classifying fresh captures it never stores (an edge
-// device with a loaded model) must not keep each one's waveform alive.
-func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, error) {
+// Da returns the D_a score of one record against the installed
+// baseline, bit-identical to Baseline().Da(rec). A fold under that
+// baseline already scored it. A resident record scored against an
+// earlier baseline (or none: folded before the fit) is rescored from
+// its kept harmonic when the baseline extracts that same harmonic at
+// the record's resolution — no spectrum — and from a fresh one
+// otherwise; either is one miss, and the score is kept. A record that
+// is not resident is scored and left out of the memo: an engine
+// classifying fresh captures it never stores (an edge device with a
+// loaded model) must not keep each one's waveform alive.
+func (ls *LiveState) Da(rec *store.Record) (float64, error) {
+	return ls.da(rec, ls.baseline.Load())
+}
+
+// da is Da against base, loaded once by its caller: a concurrent
+// SetBaseline leaves the score it keeps tagged stale.
+func (ls *LiveState) da(rec *store.Record, base *feature.Baseline) (float64, error) {
+	if base == nil {
+		return 0, errors.New("stream: no baseline installed")
+	}
 	var s daScore
 	if ls.lookup(rec, false, nil, func(f *feat, _ bool) bool {
 		if f.daFor == base {
@@ -464,9 +474,7 @@ func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, err
 		} else {
 			s.val, s.err = base.Da(rec)
 		}
-		if base == ls.baseline.Load() {
-			f.daFor, f.da = base, s
-		}
+		f.daFor, f.da = base, s
 		return true
 	}) == nil {
 		return base.Da(rec)
@@ -474,15 +482,16 @@ func (ls *LiveState) Da(rec *store.Record, base *feature.Baseline) (float64, err
 	return s.val, s.err
 }
 
-// DaSeries scores the selected records of one pump against base and
-// assembles the (service day, D_a) series in index order, skipping
-// records whose score errors — the same selection the batch trend
-// pipeline makes. recs is the series OffsetRows just made resident, so
-// every score against the installed baseline is a memo read.
-func (ls *LiveState) DaSeries(recs []*store.Record, idx []int, base *feature.Baseline) (days, das []float64) {
+// DaSeries scores the selected records of one pump against the
+// installed baseline, returned as base, and assembles the (service day,
+// D_a) series in index order, skipping records whose score errors — the
+// same selection the batch trend pipeline makes. recs is the series
+// OffsetRows just made resident, so every score is a memo read.
+func (ls *LiveState) DaSeries(recs []*store.Record, idx []int) (days, das []float64, base *feature.Baseline) {
+	base = ls.baseline.Load()
 	scores := make([]daScore, len(idx))
 	par.ForEach(len(idx), 0, func(k int) {
-		scores[k].val, scores[k].err = ls.Da(recs[idx[k]], base)
+		scores[k].val, scores[k].err = ls.da(recs[idx[k]], base)
 	})
 	days = make([]float64, 0, len(idx))
 	das = make([]float64, 0, len(idx))
@@ -492,58 +501,48 @@ func (ls *LiveState) DaSeries(recs []*store.Record, idx []int, base *feature.Bas
 			das = append(das, s.val)
 		}
 	}
-	return days, das
+	return days, das, base
 }
 
-// Harmonics returns the harmonic feature of every record for opt —
-// the engine's Fit-time corpus scan. Results are identical to
-// feature.HarmonicOfRecord per record. hot[i] (nil: false for every
-// record) says recs[i] is held by the hot store: it is folded and
-// planted, the fold Warm would run, and its harmonic for the configured
-// options is the one the bundle keeps; another option set is extracted
-// and not kept. A record that is not hot — a labelled measurement the
+// Harmonics returns the harmonic feature of every record for
+// Config.Harmonic — the engine's Fit-time corpus scan. Results are
+// identical to feature.HarmonicOfRecord per record. hot[i] (nil: false
+// for every record) says recs[i] is held by the hot store: it is folded
+// and planted, the fold Warm would run, and the harmonic is the one its
+// bundle keeps. A record that is not hot — a labelled measurement the
 // compactor moved to the cold tier — is served from the memo if it is
-// resident and otherwise has its one harmonic extracted and is left
-// out of the memo.
-func (ls *LiveState) Harmonics(recs []*store.Record, hot []bool, opt feature.Options) []feature.Harmonic {
-	return par.Map(len(recs), 0, func(i int) (h feature.Harmonic) {
-		rec := recs[i]
-		if ls.lookup(rec, hot != nil && hot[i], nil, func(f *feat, _ bool) bool {
-			if opt == ls.cfg.Harmonic {
-				h = f.harm
-				return false
-			}
-			h = feature.HarmonicOfRecord(rec, opt)
-			return true
-		}) == nil {
-			h = feature.HarmonicOfRecord(rec, opt)
+// resident and otherwise has its harmonic extracted and is left out of
+// the memo.
+func (ls *LiveState) Harmonics(recs []*store.Record, hot []bool) []feature.Harmonic {
+	return par.Map(len(recs), 0, func(i int) feature.Harmonic {
+		if f := ls.lookup(recs[i], hot != nil && hot[i], nil, nil); f != nil {
+			return f.harm
 		}
-		return h
+		return feature.HarmonicOfRecord(recs[i], ls.cfg.Harmonic)
 	})
 }
 
-// FaultReport classifies one record with det, identical to
-// det.Detect(rec) — the batch-equivalence harness pins this across
-// randomized ingestion orders. An ingest or warm-up under the same
-// detector may already have classified it; otherwise the first call
-// does, and the installed detector's report is kept for the next. A
-// report for another detector is computed, and neither plants the
-// record nor touches its bundle.
-func (ls *LiveState) FaultReport(rec *store.Record, det *feature.FaultDetector) (rep feature.FaultReport) {
-	installed := det == ls.detector.Load()
-	if ls.lookup(rec, installed, nil, func(f *feat, _ bool) bool {
+// FaultReport classifies one record with the installed detector,
+// identical to FaultDetector().Detect(rec) — the batch-equivalence
+// harness pins this across randomized ingestion orders — and is the
+// zero report when none is installed. An ingest or warm-up under the
+// same detector may already have classified it; otherwise the first
+// call folds the record if it must and classifies it, and the report is
+// kept for the next.
+func (ls *LiveState) FaultReport(rec *store.Record) (rep feature.FaultReport) {
+	det := ls.detector.Load()
+	if det == nil {
+		return rep
+	}
+	ls.lookup(rec, true, nil, func(f *feat, _ bool) bool {
 		if f.faultFor == det {
 			rep = f.fault
 			return false
 		}
-		rep = det.Detect(rec)
-		if installed {
-			f.faultFor, f.fault = det, rep
-		}
+		f.faultFor, f.fault = det, det.Detect(rec)
+		rep = f.fault
 		return true
-	}) == nil {
-		rep = det.Detect(rec)
-	}
+	})
 	return rep
 }
 

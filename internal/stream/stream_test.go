@@ -116,39 +116,39 @@ func TestDaMatchesBaseline(t *testing.T) {
 	cold := mkRec(2, 11, 256) // never folded: the slow path
 	for _, rec := range []*store.Record{folded, cold} {
 		want, wantErr := base.Da(rec)
-		got, gotErr := ls.Da(rec, base)
+		got, gotErr := ls.Da(rec)
 		if (gotErr == nil) != (wantErr == nil) || !eqF64(got, want) {
 			t.Fatalf("Da(%g) = (%g, %v), want (%g, %v)", rec.ServiceDays, got, gotErr, want, wantErr)
 		}
 		// Second call is a pure cache hit and must not drift.
-		again, _ := ls.Da(rec, base)
+		again, _ := ls.Da(rec)
 		if !eqF64(again, want) {
 			t.Fatalf("cached Da drifted: %g != %g", again, want)
 		}
 	}
-	// A re-Fit produces a new baseline identity: the cache must score
+	// A re-Fit installs a new baseline identity: the cache must score
 	// against it afresh, not serve the old baseline's value.
 	base2 := trainBaseline(t, feature.Options{HannWindow: 8})
+	ls.SetBaseline(base2)
 	want2, _ := base2.Da(folded)
-	got2, _ := ls.Da(folded, base2)
+	got2, _ := ls.Da(folded)
 	if !eqF64(got2, want2) {
 		t.Fatalf("rebaselined Da %g != %g", got2, want2)
 	}
 }
 
-// TestHarmonicsMultiOption: Harmonics answers for any option set —
-// the configured one from the memo, another extracted on the spot —
-// and both equal HarmonicOfRecord.
+// TestHarmonicsMultiOption: a live state's Harmonics answers for its
+// configured option set, whichever that is, and equals HarmonicOfRecord.
 func TestHarmonicsMultiOption(t *testing.T) {
 	optA := feature.Options{}
 	optB := feature.Options{NumPeaks: 8, SmoothingHz: 31.25}
-	ls := NewLiveState(Config{Harmonic: optA})
-	recs := []*store.Record{mkRec(0, 1, 256), mkRec(0, 2, 256)}
-	for _, rec := range recs {
-		ls.Fold(rec)
-	}
 	for _, opt := range []feature.Options{optA, optB} {
-		got := ls.Harmonics(recs, nil, opt)
+		ls := NewLiveState(Config{Harmonic: opt})
+		recs := []*store.Record{mkRec(0, 1, 256), mkRec(0, 2, 256)}
+		for _, rec := range recs {
+			ls.Fold(rec)
+		}
+		got := ls.Harmonics(recs, nil)
 		for i, rec := range recs {
 			want := feature.HarmonicOfRecord(rec, opt)
 			if len(got[i].Peaks) != len(want.Peaks) {

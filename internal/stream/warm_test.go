@@ -94,7 +94,7 @@ func TestWarmClassifiesEachPumpsLatest(t *testing.T) {
 	for _, id := range m.Pumps() {
 		latest := m.Latest(id)
 		c0 := readCounters()
-		got := ls.FaultReport(latest, det)
+		got := ls.FaultReport(latest)
 		if d := readCounters().since(c0); d != (counters{hits: 1}) {
 			t.Errorf("pump %d: the latest report moved %+v, want one hit", id, d)
 		}
@@ -121,7 +121,7 @@ func TestFaultReportClassifiesAnEarlierRecordOnce(t *testing.T) {
 	size := ls.Size()
 	for round, moved := range []counters{{misses: 1}, {hits: 1}, {hits: 1}} {
 		d0, c0 := detects.Count(), readCounters()
-		if got := ls.FaultReport(rec, det); !reflect.DeepEqual(got, want) {
+		if got := ls.FaultReport(rec); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: FaultReport diverged from Detect", round)
 		}
 		if d := readCounters().since(c0); d != moved {
@@ -192,7 +192,7 @@ func TestWarmConcurrentIngest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rec := range asked {
-				ls.FaultReport(rec, det)
+				ls.FaultReport(rec)
 			}
 		}()
 	}
@@ -222,7 +222,7 @@ func TestWarmConcurrentIngest(t *testing.T) {
 		t.Errorf("the detector ran %d times for %d classified records", d, classified)
 	}
 	for rec := range asked {
-		if !reflect.DeepEqual(ls.FaultReport(rec, det), det.Detect(rec)) {
+		if !reflect.DeepEqual(ls.FaultReport(rec), det.Detect(rec)) {
 			t.Fatalf("pump %d day %g: report diverged from Detect", rec.PumpID, rec.ServiceDays)
 		}
 	}

@@ -16,7 +16,9 @@ type LiveState = stream.LiveState
 // options: hand it to the ingestion layer (restapi.WithLive, a
 // stream.Ingester) so records folded at ingest are the ones the engine
 // reads. After Fit or LoadModel it carries the baseline, after
-// EnableFaults the detector.
+// EnableFaults the detector — the engine keeps no copy of either, so a
+// baseline or detector installed here is the one every engine read
+// answers with.
 func (e *Engine) Live() *LiveState { return e.live }
 
 // EnableLive is Live under its old name, kept because the frozen
@@ -40,14 +42,15 @@ func (e *Engine) WarmLive() int { return e.live.Warm(e.measurements, 0) }
 // documentation of what the incremental path computes. It is
 // O(history) per call; production code should call CleanTrend.
 func (e *Engine) BatchCleanTrend(pumpID int, ageOf AgeFunc) ([]TrendPoint, error) {
-	if e.baseline == nil {
+	base := e.live.Baseline()
+	if base == nil {
 		return nil, ErrNotFitted
 	}
 	recs := e.measurements.All(pumpID)
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("%w: pump %d has no measurements", ErrNoData, pumpID)
 	}
-	trend, err := e.batchTrend(pumpID, recs, e.baseline)
+	trend, err := e.batchTrend(pumpID, recs, base)
 	if err != nil {
 		return nil, err
 	}

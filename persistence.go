@@ -43,7 +43,7 @@ func (e *Engine) SaveModel(w io.Writer) error {
 	state := ModelState{
 		Version:    modelStateVersion,
 		Options:    e.opts,
-		Baseline:   e.baseline,
+		Baseline:   e.live.Baseline(),
 		Classifier: e.classifier.State(),
 		Boundary:   e.boundary,
 		Models:     e.models,
@@ -73,12 +73,11 @@ func (e *Engine) LoadModel(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("vibepm: restore classifier: %w", err)
 	}
-	e.baseline = state.Baseline
 	e.classifier = classifier
 	e.boundary = state.Boundary
 	e.models = state.Models
 	// As Fit does: folds score D_a against the installed baseline.
-	e.live.SetBaseline(e.baseline)
+	e.live.SetBaseline(state.Baseline)
 	return nil
 }
 

@@ -54,8 +54,8 @@ func (e *Engine) Report(pumpID int, ageOf AgeFunc) (*PumpReport, error) {
 			rep.ModelIdx = modelIdx
 		}
 	}
-	if e.detector != nil {
-		fr := e.faultReport(rec)
+	if e.FaultsEnabled() {
+		fr := e.live.FaultReport(rec)
 		rep.Faults = &fr
 	}
 	return rep, nil

@@ -125,10 +125,3 @@ type SavingsReport = core.SavingsReport
 // DefaultCostModel returns the paper's economics: US$100/day of wasted
 // RUL, US$55,000 per pump.
 func DefaultCostModel() CostModel { return core.DefaultCostModel() }
-
-// FuseTrends combines D_a trends from multiple sensors on the same
-// equipment (the multi-sensor extension the paper's §III-B defers to
-// future work): points within toleranceDays are fused with the median.
-func FuseTrends(trends [][]TrendPoint, toleranceDays float64) ([]TrendPoint, error) {
-	return core.FuseTrends(trends, toleranceDays)
-}
