@@ -482,8 +482,10 @@ func (e *Engine) EvaluateMetric(m Metric, nTrain int, temp TemperatureSource, se
 // metric and evaluates a classifier at every requested training size —
 // the whole Fig. 12–14 column for one metric, without rescoring per
 // point. The peak-harmonic scores are the memo's D_a, which the fit
-// left for every hot labelled record. The split at each size is
-// deterministic in (seed, size).
+// left for every hot labelled record; the Euclidean and Mahalanobis
+// scores are the memo's vector scores, which the first of the two
+// columns computes from one spectrum per record and every later one
+// reads. The split at each size is deterministic in (seed, size).
 func (e *Engine) EvaluateMetricSweep(m Metric, sizes []int, temp TemperatureSource, seed int64) (map[int]*Confusion, error) {
 	base := e.live.Baseline()
 	if base == nil {
@@ -497,10 +499,16 @@ func (e *Engine) EvaluateMetricSweep(m Metric, sizes []int, temp TemperatureSour
 	results := par.Map(len(pairs), 0, func(i int) scored {
 		var score float64
 		var err error
-		if m == MetricPeakHarmonic {
-			// D_a is Score's peak-harmonic case, read through the memo.
+		// D_a and the two vector scores are Score's cases, read through
+		// the memo.
+		switch m {
+		case MetricPeakHarmonic:
 			score, err = e.live.Da(pairs[i].rec)
-		} else {
+		case MetricEuclidean:
+			score, _, err = e.live.VectorScores(pairs[i].rec)
+		case MetricMahalanobis:
+			_, score, err = e.live.VectorScores(pairs[i].rec)
+		default:
 			score, err = base.Score(m, pairs[i].rec, temp)
 		}
 		if err != nil {

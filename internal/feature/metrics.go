@@ -153,9 +153,21 @@ func (b *Baseline) SetNormalizers(features ...Harmonic) {
 	}
 }
 
-// errPSDLength is a vector metric's answer for a record whose spectrum
+// ErrPSDLength is a vector metric's answer for a record whose spectrum
 // is not as long as the baseline's.
-var errPSDLength = errors.New("feature: PSD length mismatch with baseline")
+var ErrPSDLength = errors.New("feature: PSD length mismatch with baseline")
+
+// VectorScores returns both vector metrics of one record's spectrum:
+// its Euclidean distance from the Zone A centroid and its (diagonal)
+// Mahalanobis distance to the Zone A distribution. Score's two vector
+// cases are this function over transform.PSD, so a caller holding the
+// spectrum scores both without a second transform.
+func (b *Baseline) VectorScores(psd []float64) (euc, mah float64, err error) {
+	if len(psd) != len(b.PSDMean) {
+		return 0, 0, ErrPSDLength
+	}
+	return dsp.EuclideanDistance(psd, b.PSDMean), dsp.MahalanobisDiag(psd, b.PSDMean, b.PSDVar), nil
+}
 
 // TemperatureSource provides the FICS temperature channel of the
 // factory information and control system, addressed by equipment id.
@@ -178,19 +190,16 @@ func (b *Baseline) Score(m Metric, rec *store.Record, temp TemperatureSource) (f
 		return PeakDistance(h, b.Harmonic, b.PMax, b.FMax, b.Opt)
 	case MetricEuclidean, MetricMahalanobis:
 		// The spectrum is pooled scratch: a score keeps one number.
-		var d float64
+		if rec.Samples() != len(b.PSDMean) {
+			return 0, ErrPSDLength
+		}
+		var euc, mah float64
 		var err error
-		transform.UsePSD(rec, func(_, psd []float64) {
-			switch {
-			case len(psd) != len(b.PSDMean):
-				err = errPSDLength
-			case m == MetricEuclidean:
-				d = dsp.EuclideanDistance(psd, b.PSDMean)
-			default:
-				d = dsp.MahalanobisDiag(psd, b.PSDMean, b.PSDVar)
-			}
-		})
-		return d, err
+		transform.UsePSD(rec, func(_, psd []float64) { euc, mah, err = b.VectorScores(psd) })
+		if m == MetricEuclidean {
+			return euc, err
+		}
+		return mah, err
 	case MetricTemperature:
 		if temp == nil {
 			return 0, errors.New("feature: temperature source required")

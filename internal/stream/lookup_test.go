@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -47,9 +48,10 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 	}
 	entries := []struct {
 		name string
-		// needs names the lazily filled value the entry point reads.
-		needsDa, needsFault, plants bool
-		call                        func(t *testing.T, ls *LiveState, rec *store.Record)
+		// needs names the lazily filled value the entry point reads;
+		// needsVec's is filled by no fold, so its first call is DSP.
+		needsDa, needsFault, needsVec, plants bool
+		call                                  func(t *testing.T, ls *LiveState, rec *store.Record)
 	}{
 		{name: "Fold", plants: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
 			ls.Fold(rec)
@@ -72,6 +74,14 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 			days, das, _ := ls.DaSeries([]*store.Record{rec}, []int{0})
 			if len(das) != 1 || !eqF64(das[0], want) || days[0] != rec.ServiceDays {
 				t.Errorf("DaSeries = (%v, %v), want one point (%g, %g)", days, das, rec.ServiceDays, want)
+			}
+		}},
+		{name: "VectorScores", needsVec: true, call: func(t *testing.T, ls *LiveState, rec *store.Record) {
+			wantEuc, _ := base.Score(feature.MetricEuclidean, rec, nil)
+			wantMah, _ := base.Score(feature.MetricMahalanobis, rec, nil)
+			euc, mah, err := ls.VectorScores(rec)
+			if err != nil || !eqF64(euc, wantEuc) || !eqF64(mah, wantMah) {
+				t.Errorf("VectorScores = (%g, %g, %v), want (%g, %g)", euc, mah, err, wantEuc, wantMah)
 			}
 		}},
 		{name: "Harmonics", call: func(t *testing.T, ls *LiveState, rec *store.Record) {
@@ -114,7 +124,7 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 				en.call(t, ls, rec)
 				got := readCounters().since(before)
 
-				ranDSP := !st.folded || (en.needsDa && st.lateBase) || (en.needsFault && st.lateDetects)
+				ranDSP := !st.folded || en.needsVec || (en.needsDa && st.lateBase) || (en.needsFault && st.lateDetects)
 				want := counters{hits: 1}
 				if ranDSP {
 					want = counters{misses: 1}
@@ -358,6 +368,70 @@ func TestStaleDaRescoresFromTheKeptHarmonic(t *testing.T) {
 		if k := keptBy(ls, tc.rec); k.daFor != base || math.Float64bits(k.da.val) != math.Float64bits(want) {
 			t.Errorf("%s: the bundle kept %g for %p, want %g for %p", tc.name, k.da.val, k.daFor, want, base)
 		}
+	}
+}
+
+// TestVectorScoresAreTheBaselines: the memo's Euclidean and Mahalanobis
+// scores are Baseline.Score's, bit for bit, in every state a record can
+// be asked in. A resident record's first ask takes one spectrum for
+// both (a miss) and keeps them; the next is a hit with no spectrum. A
+// re-installed baseline rescores the record once, in place. A record
+// no store holds is scored and not planted. A record whose spectrum is
+// not the baseline's length gets Score's error, with no spectrum and no
+// lookup.
+func TestVectorScoresAreTheBaselines(t *testing.T) {
+	base1 := trainBaseline(t, feature.Options{})
+	// A second Zone A set: the vector metrics read the PSD statistics.
+	base2, err := feature.TrainBaseline([]*store.Record{mkRec(0, 20, 256), mkRec(0, 23, 256)}, feature.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	psds := obs.Default.Counter("vibepm_transform_psd_total")
+	ls := NewLiveState(Config{})
+	ls.SetBaseline(base1)
+	resident, loose, long := mkRec(3, 1, 256), mkRec(3, 2, 256), mkRec(3, 3, 512)
+	ls.Fold(resident)
+	ls.Fold(long)
+
+	ask := func(name string, base *feature.Baseline, rec *store.Record, wantSpectra uint64, wantCounters counters) {
+		t.Helper()
+		wantEuc, errEuc := base.Score(feature.MetricEuclidean, rec, nil)
+		wantMah, errMah := base.Score(feature.MetricMahalanobis, rec, nil)
+		p0, c0 := psds.Value(), readCounters()
+		euc, mah, err := ls.VectorScores(rec)
+		if d := psds.Value() - p0; d != wantSpectra {
+			t.Errorf("%s: %d spectra, want %d", name, d, wantSpectra)
+		}
+		if d := readCounters().since(c0); d != wantCounters {
+			t.Errorf("%s: counters moved %+v, want %+v", name, d, wantCounters)
+		}
+		if err != errEuc || err != errMah {
+			t.Errorf("%s: err %v, Score's (%v, %v)", name, err, errEuc, errMah)
+		}
+		if math.Float64bits(euc) != math.Float64bits(wantEuc) || math.Float64bits(mah) != math.Float64bits(wantMah) {
+			t.Errorf("%s: (%v, %v), Score's (%v, %v)", name, euc, mah, wantEuc, wantMah)
+		}
+	}
+	ask("resident, first ask", base1, resident, 1, counters{misses: 1})
+	ask("resident, second ask", base1, resident, 0, counters{hits: 1})
+
+	ls.SetBaseline(base2)
+	e1, _ := base1.Score(feature.MetricEuclidean, resident, nil)
+	if e2, _ := base2.Score(feature.MetricEuclidean, resident, nil); eqF64(e1, e2) {
+		t.Fatal("fixture: the two baselines must score the record differently")
+	}
+	ask("re-installed baseline", base2, resident, 1, counters{misses: 1})
+	ask("re-installed baseline, again", base2, resident, 0, counters{hits: 1})
+
+	size := ls.Size()
+	ask("not resident", base2, loose, 1, counters{misses: 1})
+	if ls.Size() != size {
+		t.Errorf("a record no store holds was planted: size %d -> %d", size, ls.Size())
+	}
+
+	ask("length mismatch", base2, long, 0, counters{})
+	if _, _, err := ls.VectorScores(long); !errors.Is(err, feature.ErrPSDLength) {
+		t.Errorf("length mismatch: err %v, want ErrPSDLength", err)
 	}
 }
 

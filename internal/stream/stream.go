@@ -8,14 +8,17 @@
 // only where a reader asks for it: at ingest (a fresh record is its
 // pump's latest, the one FaultStatus and Report classify), for each
 // pump's latest record at the end of a warm-up, and on first query for
-// any other record.
+// any other record. So are the two vector metrics (the Euclidean and
+// Mahalanobis distances of the record's spectrum from the Zone A
+// baseline), which only the metric sweep reads: its first query takes
+// one spectrum for both, and every later one is a read.
 //
 // The load-bearing guarantee is batch equivalence: every cached value
 // is produced by the *same* function the batch engine calls
 // (transform.Offsets, transform.RMS, feature.HarmonicOfRecord,
-// Baseline.DaFromHarmonic, FaultDetector.Detect), on the same record,
-// so an analysis built from the cache is bit-identical to one
-// recomputed from scratch — not merely close. The global-but-cheap
+// Baseline.DaFromHarmonic, Baseline.VectorScores, FaultDetector.Detect),
+// on the same record, so an analysis built from the cache is
+// bit-identical to one recomputed from scratch — not merely close. The global-but-cheap
 // steps (mean shift outlier detection, moving-average smoothing) still
 // run over the full scalar series on every query; only the expensive
 // per-record transforms are O(new data). There is no batch mode beside
@@ -26,16 +29,16 @@
 // Engine.BatchCleanTrend, Baseline.Da, FaultDetector.Detect.
 //
 // The memo answers for one fit, and is its one holder: Da, DaSeries,
-// FaultReport and Harmonics read the installed baseline, detector and
-// Config.Harmonic themselves. A bundle holds one value per feature for
-// that fit; a value left by an earlier baseline or detector is
-// recomputed in place when next read. The only value not kept is a
+// VectorScores, FaultReport and Harmonics read the installed baseline,
+// detector and Config.Harmonic themselves. A bundle holds one value per
+// feature for that fit; a value left by an earlier baseline or detector
+// is recomputed in place when next read. The only value not kept is a
 // non-resident record's (one no store holds): the pure function's.
 //
 // There is one memo protocol, LiveState.lookup: every entry point
-// (Fold, Da, DaSeries, Harmonics, FaultReport, MetricFunc, OffsetRows,
-// and the durable Ingester planting the bundle it folded during the
-// append) is a thin caller of it, so a derived value is looked up,
+// (Fold, Da, DaSeries, VectorScores, Harmonics, FaultReport,
+// MetricFunc, OffsetRows, and the durable Ingester planting the bundle
+// it folded during the append) is a thin caller of it, so a derived value is looked up,
 // computed on a miss and counted in exactly one place.
 //
 // Cache entries are keyed by record pointer — the store holds records
@@ -82,10 +85,11 @@ type daScore struct {
 
 // feat is the per-record feature bundle: one value per feature, for the
 // installed fit. Offsets, RMS, VRMS and harm are immutable once lookup
-// has returned the bundle. The D_a score and the fault report are each
-// tagged with the baseline / detector they were computed for; a stale
-// tag (a re-Fit, a loaded model, a spec update) is recomputed in place
-// under mu the first time the installed one is asked about.
+// has returned the bundle. The D_a score, the two vector scores and the
+// fault report are each tagged with the baseline / detector they were
+// computed for; a stale tag (a re-Fit, a loaded model, a spec update)
+// is recomputed in place under mu the first time the installed one is
+// asked about.
 type feat struct {
 	// Offsets is transform.Offsets(rec) — the mean-shift outlier
 	// detector's input point.
@@ -107,6 +111,11 @@ type feat struct {
 	// da is daFor.Da(rec); daFor is nil until a baseline scored it.
 	daFor *feature.Baseline
 	da    daScore
+	// euc and mah are vecFor.VectorScores of the record's spectrum;
+	// vecFor is nil until a reader asked for them. A record they cannot
+	// score is never asked (see VectorScores), so no error is kept.
+	vecFor   *feature.Baseline
+	euc, mah float64
 	// fault is faultFor.Detect(rec); faultFor is nil until a reader
 	// asked for the record's report (or the ingest seam classified it).
 	faultFor *feature.FaultDetector
@@ -457,11 +466,13 @@ func (ls *LiveState) Da(rec *store.Record) (float64, error) {
 	return ls.da(rec, ls.baseline.Load())
 }
 
+var errNoBaseline = errors.New("stream: no baseline installed")
+
 // da is Da against base, loaded once by its caller: a concurrent
 // SetBaseline leaves the score it keeps tagged stale.
 func (ls *LiveState) da(rec *store.Record, base *feature.Baseline) (float64, error) {
 	if base == nil {
-		return 0, errors.New("stream: no baseline installed")
+		return 0, errNoBaseline
 	}
 	var s daScore
 	if ls.lookup(rec, false, nil, func(f *feat, _ bool) bool {
@@ -480,6 +491,43 @@ func (ls *LiveState) da(rec *store.Record, base *feature.Baseline) (float64, err
 		return base.Da(rec)
 	}
 	return s.val, s.err
+}
+
+// VectorScores returns the Euclidean and Mahalanobis distances of one
+// record from the installed baseline, bit-identical to Baseline().Score
+// of either metric: both come from one spectrum, through the function
+// Score calls. The fold does not compute them, so a resident record's
+// first call takes that spectrum (a miss) and keeps both, tagged with
+// the baseline; later calls are hits. A non-resident record is scored
+// and left out of the memo, as in Da. A record whose spectrum would not
+// be the baseline's length gets Score's error, with no spectrum.
+func (ls *LiveState) VectorScores(rec *store.Record) (euc, mah float64, err error) {
+	base := ls.baseline.Load()
+	switch {
+	case base == nil:
+		return 0, 0, errNoBaseline
+	case rec.Samples() != len(base.PSDMean):
+		return 0, 0, feature.ErrPSDLength
+	}
+	if ls.lookup(rec, false, nil, func(f *feat, _ bool) bool {
+		if f.vecFor == base {
+			euc, mah = f.euc, f.mah
+			return false
+		}
+		euc, mah = vectorScores(base, rec)
+		f.vecFor, f.euc, f.mah = base, euc, mah
+		return true
+	}) == nil {
+		euc, mah = vectorScores(base, rec)
+	}
+	return euc, mah, nil
+}
+
+// vectorScores is base.VectorScores of rec's spectrum, which the caller
+// has checked is base's length.
+func vectorScores(base *feature.Baseline, rec *store.Record) (euc, mah float64) {
+	transform.UsePSD(rec, func(_, psd []float64) { euc, mah, _ = base.VectorScores(psd) })
+	return euc, mah
 }
 
 // DaSeries scores the selected records of one pump against the

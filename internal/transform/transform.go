@@ -40,20 +40,6 @@ type axisScratch struct {
 
 var axisPool = sync.Pool{New: func() any { return &axisScratch{} }}
 
-// Acceleration converts a stored record into normalized (demeaned)
-// per-axis acceleration in g, also returning the per-axis means — the
-// zero offsets whose stability the preprocessing layer monitors
-// (Fig. 8). Demeaning implements the paper's normalization
-// â = a − 1·ā, which removes the gravity bias and any sensor offset.
-func Acceleration(rec *store.Record) (axes [3][]float64, offsets [3]float64) {
-	for axis := 0; axis < 3; axis++ {
-		g := CountsToG(rec.Raw[axis], rec.ScaleG)
-		offsets[axis] = dsp.Mean(g)
-		axes[axis] = dsp.DemeanInto(g, g)
-	}
-	return axes, offsets
-}
-
 // Offsets returns the per-axis mean acceleration (the zero offsets of
 // Fig. 8) without materializing the demeaned series — the cheap path
 // the preprocessing layer's measurement-integrity scan uses.

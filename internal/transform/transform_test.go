@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"vibepm/internal/dsp"
 	"vibepm/internal/mems"
 	"vibepm/internal/physics"
 	"vibepm/internal/store"
@@ -40,17 +39,15 @@ func TestCountsToG(t *testing.T) {
 	}
 }
 
-func TestAccelerationRemovesGravity(t *testing.T) {
+// TestOffsetsCarryGravity: the per-axis zero offsets are the bias the
+// PSD's demeaning (â = a − 1·ā) removes — the z offset carries the 1 g
+// of gravity, x carries none.
+func TestOffsetsCarryGravity(t *testing.T) {
 	pump := physics.NewPump(physics.PumpConfig{ID: 0, Seed: 1})
 	rec := captureRecord(t, pump, 1)
-	axes, offsets := Acceleration(rec)
-	// The z offset carries the 1 g bias; the demeaned z axis has zero
-	// mean.
+	offsets := Offsets(rec)
 	if math.Abs(offsets[2]-1) > 0.05 {
 		t.Fatalf("z offset %.3f", offsets[2])
-	}
-	if math.Abs(dsp.Mean(axes[2])) > 1e-9 {
-		t.Fatalf("demeaned z mean %g", dsp.Mean(axes[2]))
 	}
 	if math.Abs(offsets[0]) > 0.05 {
 		t.Fatalf("x offset %.3f", offsets[0])

@@ -120,3 +120,49 @@ func TestFitTransformsEachLabelledRecordOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepTransformsEachLabelledRecordOnce: the Euclidean and
+// Mahalanobis columns of the Fig. 12–14 sweep read one spectrum per
+// labelled record between them — the first column computes both scores
+// from it and keeps them, the second reads them — and Table III, which
+// asks the same four metrics again, computes none. The scores are
+// Baseline.Score's, bit for bit.
+func TestSweepTransformsEachLabelledRecordOnce(t *testing.T) {
+	eng, ds := fitEngine(t, 36)
+	base, _ := eng.Baseline()
+	temp := tempSource{ds: ds}
+	hot := map[*Record]bool{}
+	for _, p := range eng.labelledPairs() {
+		if p.hot {
+			hot[p.rec] = true
+		}
+	}
+	metrics := []Metric{MetricPeakHarmonic, MetricEuclidean, MetricMahalanobis, MetricTemperature}
+	p0 := psdCount()
+	for _, m := range metrics {
+		if _, err := eng.EvaluateMetricSweep(m, []int{5, 15, 25}, temp, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := psdCount() - p0; d != uint64(len(hot)) {
+		t.Errorf("the four-metric sweep computed %d spectra, want one per hot labelled record (%d)", d, len(hot))
+	}
+	p0 = psdCount()
+	for _, m := range metrics {
+		if _, err := eng.EvaluateMetric(m, 15, temp, 22); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := psdCount() - p0; d != 0 {
+		t.Errorf("Table III's four metrics computed %d spectra after the sweep, want 0", d)
+	}
+	for rec := range hot {
+		euc, mah, err := eng.Live().VectorScores(rec)
+		wantEuc, errEuc := base.Score(MetricEuclidean, rec, nil)
+		wantMah, errMah := base.Score(MetricMahalanobis, rec, nil)
+		if err != errEuc || err != errMah || math.Float64bits(euc) != math.Float64bits(wantEuc) || math.Float64bits(mah) != math.Float64bits(wantMah) {
+			t.Fatalf("record (pump %d, day %g): memo (%v, %v, %v), Score (%v, %v, %v / %v)",
+				rec.PumpID, rec.ServiceDays, euc, mah, err, wantEuc, wantMah, errEuc, errMah)
+		}
+	}
+}
