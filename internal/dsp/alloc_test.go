@@ -15,6 +15,10 @@ import "testing"
 func TestKernelsDoNotAllocate(t *testing.T) {
 	resetPlanRegistries()
 	x1k, x4k, x16k := benchSignal(1024), benchSignal(4096), benchSignal(16384)
+	counts1k := make([]int16, 1024)
+	for i, v := range x1k {
+		counts1k[i] = int16(v * 4096)
+	}
 	cbuf := make([]complex128, 1024)
 	dst1k, dst4k := make([]float64, 1024), make([]float64, 4096)
 	freq, psd := make([]float64, 1024/2+1), make([]float64, 1024/2+1)
@@ -37,6 +41,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		}},
 		{"DCTInto", func() { DCTInto(dst1k, x1k) }},
 		{"PSDDCTInto", func() { PSDDCTInto(dst1k, x1k) }},
+		{"AddAxisPower", func() { AddAxisPower(dst1k, counts1k, 0.0039) }},
 		{"WelchInto", func() {
 			if err := WelchInto(freq, psd, x16k, 1000, WelchConfig{SegmentLength: 1024, Overlap: 0.5}); err != nil {
 				t.Fatal(err)

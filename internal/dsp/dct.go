@@ -14,8 +14,9 @@ func DCT(x []float64) []float64 {
 // DCTInto is DCT writing the coefficients into dst, which is grown if
 // its capacity is short and returned resliced to len(x). dst and x may
 // not alias. The transform is evaluated in O(K log K) via Makhoul's
-// even-odd permutation: a single length-K FFT followed by a cached
-// cos/sin recombination, supporting arbitrary K. Steady-state calls with
+// even-odd permutation: a single length-K FFT, its input written
+// straight to the plan's slots, followed by a cached cos/sin
+// recombination, supporting arbitrary K. Steady-state calls with
 // an adequate dst are allocation-free.
 func DCTInto(dst, x []float64) []float64 {
 	n := len(x)
@@ -33,14 +34,11 @@ func DCTInto(dst, x []float64) []float64 {
 	p := planDCT(n)
 	buf := getCBuf(n)
 	v := buf.s
-	// Even-odd permutation: v = [x0, x2, x4, ..., x5, x3, x1].
-	for i := 0; i < (n+1)/2; i++ {
-		v[i] = complex(x[2*i], 0)
+	slot := p.slot[:n]
+	for j, xj := range x {
+		v[slot[j]] = complex(xj, 0)
 	}
-	for i := 0; i < n/2; i++ {
-		v[n-1-i] = complex(x[2*i+1], 0)
-	}
-	FFT(v)
+	p.transform(v)
 	// Raw DCT-II coefficient: C[k] = Re(e^{-iπk/(2n)} · V[k]).
 	dst[0] = real(v[0]) * p.scale0
 	for k := 1; k < n; k++ {

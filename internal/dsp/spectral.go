@@ -108,6 +108,57 @@ func PSDDCTInto(dst, x []float64) []float64 {
 	return dst
 }
 
+// AddAxisPower is one axis of the paper's combined PSD feature, read
+// straight from its raw ADC counts: with g = counts·scale it adds
+// PSDDCT(g) into psd — the first len(psd) bins only, so a malformed
+// record's longer axis is clipped to the combined grid — and returns
+// the axis mean and Σ(g−mean)², the moments the zero offset and the RMS
+// feature are made of. It reads the counts twice (the mean, then the
+// demeaned samples written straight to their FFT slots) and the
+// spectrum once, allocation-free once the plan and scratch are warm.
+//
+// Every value is bit-identical to the chain it fuses — g stored, Mean,
+// DemeanInto, DCTInto, the square, the sum into psd — and to the
+// two-pass RMS: each expression and each sum's order is that chain's,
+// and every intermediate the chain stored to memory is rounded by an
+// explicit float64 conversion, which stops a compiler from fusing a
+// multiply into the add that follows it.
+func AddAxisPower(psd []float64, counts []int16, scale float64) (mean, sumSq float64) {
+	n := len(counts)
+	if n == 0 {
+		return 0, 0
+	}
+	var sum float64
+	for _, c := range counts {
+		sum += float64(float64(c) * scale)
+	}
+	mean = sum / float64(n)
+	p := planDCT(n)
+	buf := getCBuf(n)
+	v := buf.s
+	slot := p.slot[:n]
+	for j, c := range counts {
+		d := float64(float64(c)*scale) - mean
+		sumSq += float64(d * d)
+		v[slot[j]] = complex(d, 0)
+	}
+	p.transform(v)
+	m := min(n, len(psd))
+	inv := 1 / (2 * float64(n))
+	if m > 0 {
+		c := float64(real(v[0]) * p.scale0)
+		psd[0] += float64(c * c * inv)
+	}
+	psd, v = psd[:m], v[:m]
+	cosT, sinT := p.cosT[:m], p.sinT[:m]
+	for k := 1; k < m; k++ {
+		c := float64((real(v[k])*cosT[k] + imag(v[k])*sinT[k]) * p.scaleK)
+		psd[k] += float64(c * c * inv)
+	}
+	putCBuf(buf)
+	return mean, sumSq
+}
+
 // Periodogram computes the one-sided FFT periodogram of x sampled at
 // rate fs (Hz), returning the frequency axis and PSD estimate in
 // (unit²/Hz). The input is demeaned internally. The one-sided estimate

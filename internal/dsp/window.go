@@ -64,18 +64,20 @@ func SmoothConvolveInto(dst, x, kernel []float64) []float64 {
 	if total != 0 {
 		inv := 1 / total
 		for i := lo; i < hi; i++ {
-			base := x[i-half : i-half+m : i-half+m]
-			// Four accumulators break the serial dependency on the sum.
+			// Four accumulators break the serial dependency on the sum;
+			// re-slicing both operands by four lets the compiler drop
+			// every bounds check of the inner loop.
+			b, k := x[i-half:i-half+m], kernel
 			var s0, s1, s2, s3 float64
-			j := 0
-			for ; j+4 <= m; j += 4 {
-				s0 += base[j] * kernel[j]
-				s1 += base[j+1] * kernel[j+1]
-				s2 += base[j+2] * kernel[j+2]
-				s3 += base[j+3] * kernel[j+3]
+			for len(b) >= 4 && len(k) >= 4 {
+				s0 += b[0] * k[0]
+				s1 += b[1] * k[1]
+				s2 += b[2] * k[2]
+				s3 += b[3] * k[3]
+				b, k = b[4:], k[4:]
 			}
-			for ; j < m; j++ {
-				s0 += base[j] * kernel[j]
+			for j, kj := range k {
+				s0 += b[j] * kj
 			}
 			dst[i] = (s0 + s1 + s2 + s3) * inv
 		}

@@ -98,3 +98,62 @@ func TestEWMA(t *testing.T) {
 		t.Fatal("EWMA(nil) should be empty")
 	}
 }
+
+// indexedSmooth is SmoothConvolveInto as it was before its inner loop
+// re-sliced its operands: the same four accumulators, indexed.
+func indexedSmooth(x, kernel []float64) []float64 {
+	n, m := len(x), len(kernel)
+	dst := make([]float64, n)
+	half := m / 2
+	var total float64
+	for _, k := range kernel {
+		total += k
+	}
+	lo, hi := half, n-(m-1-half)
+	if lo > n {
+		lo = n
+	}
+	if hi < lo {
+		hi = lo
+	}
+	inv := 1 / total
+	for i := lo; i < hi; i++ {
+		base := x[i-half : i-half+m : i-half+m]
+		var s0, s1, s2, s3 float64
+		j := 0
+		for ; j+4 <= m; j += 4 {
+			s0 += base[j] * kernel[j]
+			s1 += base[j+1] * kernel[j+1]
+			s2 += base[j+2] * kernel[j+2]
+			s3 += base[j+3] * kernel[j+3]
+		}
+		for ; j < m; j++ {
+			s0 += base[j] * kernel[j]
+		}
+		dst[i] = (s0 + s1 + s2 + s3) * inv
+	}
+	smoothEdges(dst, x, kernel, 0, lo)
+	smoothEdges(dst, x, kernel, hi, n)
+	return dst
+}
+
+// TestSmoothConvolveEqualsIndexedLoop: the bounds-check-free loop sums
+// every accumulator's taps in the old order, bit for bit, for every
+// window length the harmonic search can ask for up to 33.
+func TestSmoothConvolveEqualsIndexedLoop(t *testing.T) {
+	x := benchSignal(300)
+	for m := 1; m <= 33; m++ {
+		k := HannWindow(m)
+		if m <= 2 {
+			k = []float64{0.25, 0.75}[:m] // a length-2 Hann window is all zeros
+		}
+		for _, n := range []int{300, m, 5} {
+			got, want := SmoothConvolve(x[:n], k), indexedSmooth(x[:n], k)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("window %d, n=%d, point %d: %v, indexed %v", m, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

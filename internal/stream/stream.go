@@ -15,10 +15,13 @@
 //
 // The load-bearing guarantee is batch equivalence: every cached value
 // is produced by the *same* function the batch engine calls
-// (transform.Offsets, transform.RMS, feature.HarmonicOfRecord,
-// Baseline.DaFromHarmonic, Baseline.VectorScores, FaultDetector.Detect),
-// on the same record, so an analysis built from the cache is
-// bit-identical to one recomputed from scratch — not merely close. The global-but-cheap
+// (feature.HarmonicOfRecord, Baseline.DaFromHarmonic,
+// Baseline.VectorScores, FaultDetector.Detect), on the same record, so
+// an analysis built from the cache is bit-identical to one recomputed
+// from scratch — not merely close. The offsets and the RMS come from
+// the spectrum's own pass over the counts (transform.UsePSD's Moments),
+// and a test in internal/transform proves them bitwise equal to
+// transform.Offsets and transform.RMS. The global-but-cheap
 // steps (mean shift outlier detection, moving-average smoothing) still
 // run over the full scalar series on every query; only the expensive
 // per-record transforms are O(new data). There is no batch mode beside
@@ -91,10 +94,10 @@ type daScore struct {
 // is recomputed in place under mu the first time the installed one is
 // asked about.
 type feat struct {
-	// Offsets is transform.Offsets(rec) — the mean-shift outlier
-	// detector's input point.
+	// Offsets is transform.Offsets(rec), as the spectrum's pass reads
+	// it — the mean-shift outlier detector's input point.
 	Offsets [3]float64
-	// RMS is transform.RMS(rec), the r_mn feature.
+	// RMS is transform.RMS(rec), the r_mn feature, from the same pass.
 	RMS float64
 	// VRMS is transform.VelocityRMS(rec, lo, hi) over the ISO band the
 	// REST trend endpoint serves.
@@ -272,17 +275,16 @@ func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, want func(
 }
 
 // computeFeat folds one record into f (f.mu held, or f detached): the
-// cheap scalars, the harmonic for the configured options and — with a
-// baseline installed — the D_a score, all from one PSD pass. It does
-// not classify: the callers that need the fault report ask for it.
+// scalars, the harmonic for the configured options and — with a
+// baseline installed — the D_a score, all from one PSD pass, which
+// reads each axis's counts twice. It does not classify: the callers
+// that need the fault report ask for it.
 func (ls *LiveState) computeFeat(rec *store.Record, f *feat) {
 	start := time.Now()
-	f.Offsets = transform.Offsets(rec)
-	f.RMS = transform.RMS(rec)
 	base := ls.baseline.Load()
 	// The spectrum lives in pooled scratch: the bundle keeps only what
-	// is derived from it.
-	transform.UsePSD(rec, func(freq, psd []float64) {
+	// is derived from it, and the offsets and RMS its pass read.
+	m := transform.UsePSD(rec, func(freq, psd []float64) {
 		f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
 		sc := peakPool.Get().(*peakScratch)
 		raw, pinned := ls.extract(sc, freq, psd, base)
@@ -293,6 +295,7 @@ func (ls *LiveState) computeFeat(rec *store.Record, f *feat) {
 		}
 		peakPool.Put(sc)
 	})
+	f.Offsets, f.RMS = m.Offsets, m.RMS
 	f.folded = true
 	metFolds.Inc()
 	metFoldDur.Observe(time.Since(start).Seconds())

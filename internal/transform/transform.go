@@ -32,14 +32,6 @@ func CountsToGInto(dst []float64, raw []int16, scaleG float64) []float64 {
 	return dst
 }
 
-// axisScratch pools the per-axis work arrays of the PSD hot path so
-// steady-state feature extraction does not allocate.
-type axisScratch struct {
-	g, s []float64
-}
-
-var axisPool = sync.Pool{New: func() any { return &axisScratch{} }}
-
 // Offsets returns the per-axis mean acceleration (the zero offsets of
 // Fig. 8) without materializing the demeaned series — the cheap path
 // the preprocessing layer's measurement-integrity scan uses.
@@ -51,7 +43,9 @@ func Offsets(rec *store.Record) (offsets [3]float64) {
 		}
 		var sum float64
 		for _, v := range raw {
-			sum += float64(v) * rec.ScaleG
+			// The conversion rounds the product before the add, as a
+			// stored acceleration would be (see dsp.AddAxisPower).
+			sum += float64(float64(v) * rec.ScaleG)
 		}
 		offsets[axis] = sum / float64(len(raw))
 	}
@@ -63,7 +57,16 @@ func Offsets(rec *store.Record) (offsets [3]float64) {
 // matching frequency axis. This is the s_mn feature vector of §III-B.
 func PSD(rec *store.Record) (freq, psd []float64) {
 	k := rec.Samples()
-	return PSDInto(make([]float64, k), make([]float64, k), rec)
+	freq, psd, _ = PSDInto(make([]float64, k), make([]float64, k), rec)
+	return freq, psd
+}
+
+// Moments are what a spectrum pass reads from the counts beside the
+// spectrum: the per-axis zero offsets and the combined RMS, bit for bit
+// Offsets(rec) and RMS(rec).
+type Moments struct {
+	Offsets [3]float64
+	RMS     float64
 }
 
 // metPSDs counts record spectra. Every one — the live fold, a metric
@@ -72,10 +75,11 @@ func PSD(rec *store.Record) (freq, psd []float64) {
 var metPSDs = obs.Default.Counter("vibepm_transform_psd_total")
 
 // PSDInto is PSD writing into caller-owned freq and psd slices (grown
-// if their capacity is short, returned resliced to rec.Samples()). All
-// per-axis work arrays are pooled and the DCT runs on a cached plan, so
+// if their capacity is short, returned resliced to rec.Samples()), plus
+// the record's Moments from the same reads: one dsp.AddAxisPower pass
+// per axis. The DCT runs on a cached plan over pooled scratch, so
 // steady-state calls with adequate slices are allocation-free.
-func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64) {
+func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64, Moments) {
 	metPSDs.Inc()
 	k := rec.Samples()
 	if cap(freq) < k {
@@ -89,28 +93,24 @@ func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64) {
 	for i := range psd {
 		psd[i] = 0
 	}
-	sc := axisPool.Get().(*axisScratch)
-	for axis := 0; axis < 3; axis++ {
-		// PSDDCT demeans internally, so the raw (gravity-biased)
-		// acceleration can feed it directly.
-		sc.g = CountsToGInto(sc.g, rec.Raw[axis], rec.ScaleG)
-		sc.s = dsp.PSDDCTInto(sc.s, sc.g)
-		// A malformed record can carry unequal axis lengths; fold only
-		// the bins that exist on the combined grid instead of indexing
-		// past it. Well-formed records are unaffected.
-		n := len(sc.s)
-		if n > k {
-			n = k
+	var m Moments
+	var sum float64
+	for axis, raw := range rec.Raw {
+		if len(raw) == 0 {
+			continue
 		}
-		for i, v := range sc.s[:n] {
-			psd[i] += v
-		}
+		// A malformed record can carry unequal axis lengths; the kernel
+		// folds only the bins that exist on the combined grid instead of
+		// indexing past it. Well-formed records are unaffected.
+		mean, sq := dsp.AddAxisPower(psd, raw, rec.ScaleG)
+		m.Offsets[axis] = mean
+		sum += sq / float64(len(raw))
 	}
-	axisPool.Put(sc)
+	m.RMS = math.Sqrt(sum)
 	for i := range freq {
 		freq[i] = float64(i) * rec.SampleRateHz / (2 * float64(k))
 	}
-	return freq, psd
+	return freq, psd, m
 }
 
 // psdScratch holds the (freq, psd) arrays UsePSD lends out.
@@ -121,11 +121,14 @@ var psdPool = sync.Pool{New: func() any { return new(psdScratch) }}
 // UsePSD computes rec's PSD into pooled arrays and hands them to use,
 // which must not keep them: the allocation-free PSD for callers that
 // derive scalars and peak lists from the spectrum and keep only those.
-func UsePSD(rec *store.Record, use func(freq, psd []float64)) {
+// It returns the Moments the same pass read.
+func UsePSD(rec *store.Record, use func(freq, psd []float64)) Moments {
 	sc := psdPool.Get().(*psdScratch)
-	sc.freq, sc.psd = PSDInto(sc.freq, sc.psd, rec)
+	var m Moments
+	sc.freq, sc.psd, m = PSDInto(sc.freq, sc.psd, rec)
 	use(sc.freq, sc.psd)
 	psdPool.Put(sc)
+	return m
 }
 
 // RMS computes the paper's combined RMS feature of a record:
@@ -139,15 +142,18 @@ func RMS(rec *store.Record) float64 {
 		if len(raw) == 0 {
 			continue
 		}
+		// Each conversion rounds a product before the add that follows
+		// it, so the sums are the ones dsp.AddAxisPower makes on every
+		// target.
 		var mean float64
 		for _, v := range raw {
-			mean += float64(v) * rec.ScaleG
+			mean += float64(float64(v) * rec.ScaleG)
 		}
 		mean /= float64(len(raw))
 		var sq float64
 		for _, v := range raw {
-			d := float64(v)*rec.ScaleG - mean
-			sq += d * d
+			d := float64(float64(v)*rec.ScaleG) - mean
+			sq += float64(d * d)
 		}
 		sum += sq / float64(len(raw))
 	}
