@@ -384,7 +384,7 @@ type NodeStatus struct {
 	MirrorsHosted []string `json:"mirrors_hosted,omitempty"`
 }
 
-// Status is the cluster-wide report behind `vibectl cluster status`.
+// Status is the cluster-wide report GET /api/v1/cluster/status serves.
 type Status struct {
 	Nodes     []NodeStatus `json:"nodes"`
 	RingNodes []string     `json:"ring_nodes"`

@@ -32,7 +32,7 @@ type Router struct {
 }
 
 // Router returns the routing tier over the cluster's members. It also
-// serves GET /api/v1/cluster/status (vibectl's `cluster status`).
+// serves GET /api/v1/cluster/status.
 func (c *Cluster) Router() *Router {
 	maxBody := c.opts.Node.MaxBodyBytes
 	if maxBody <= 0 {

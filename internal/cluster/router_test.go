@@ -265,7 +265,7 @@ func TestRouterBodyCapFollowsMembers(t *testing.T) {
 	}
 }
 
-// TestRouterClusterStatusEndpoint: the status JSON vibectl consumes.
+// TestRouterClusterStatusEndpoint: the status JSON the router serves.
 func TestRouterClusterStatusEndpoint(t *testing.T) {
 	c, rt := newTestRouter(t)
 	w := httptest.NewRecorder()

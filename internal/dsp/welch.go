@@ -7,8 +7,8 @@ import "errors"
 type WelchConfig struct {
 	// SegmentLength is the per-segment FFT length (default 256).
 	SegmentLength int
-	// Overlap is the fraction of segment overlap in [0, 0.95]
-	// (default 0.5).
+	// Overlap is the fraction of segment overlap, clamped to
+	// [0, 0.95]; the zero value is no overlap (disjoint segments).
 	Overlap float64
 }
 

@@ -107,3 +107,50 @@ func TestWelchErrorsAndClamps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWelchZeroOverlapIsDisjoint pins the zero value of Overlap: no
+// overlap, so 1,024 samples in 256-sample segments are exactly four
+// disjoint Hann-windowed periodograms of the demeaned signal, averaged.
+func TestWelchZeroOverlapIsDisjoint(t *testing.T) {
+	const n, seg, fs = 1024, 256, 1000.0
+	rng := rand.New(rand.NewSource(7))
+	x := make([]float64, n)
+	var mean float64
+	for i := range x {
+		x[i] = 0.3 + rng.NormFloat64()
+		mean += x[i]
+	}
+	mean /= n
+	_, psd, err := Welch(x, fs, WelchConfig{SegmentLength: seg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := HannWindow(seg)
+	var wp float64
+	for _, v := range w {
+		wp += v * v
+	}
+	want := make([]float64, seg/2+1)
+	buf := make([]complex128, seg)
+	for start := 0; start < n; start += seg {
+		for i := range buf {
+			buf[i] = complex((x[start+i]-mean)*w[i], 0)
+		}
+		FFT(buf)
+		for k := range want {
+			p := (real(buf[k])*real(buf[k]) + imag(buf[k])*imag(buf[k])) / (fs * wp)
+			if k != 0 && k != seg/2 {
+				p *= 2
+			}
+			want[k] += p / (n / seg)
+		}
+	}
+	if len(psd) != len(want) {
+		t.Fatalf("%d bins, want %d", len(psd), len(want))
+	}
+	for k := range want {
+		if math.Abs(psd[k]-want[k]) > 1e-12*math.Abs(want[k]) {
+			t.Fatalf("bin %d: %g, want %g (four disjoint segments)", k, psd[k], want[k])
+		}
+	}
+}

@@ -64,17 +64,12 @@ func (o Options) fill() Options {
 	return o
 }
 
-// Resolved returns o as ExtractHarmonic applies it to one spectrum:
-// every default filled in and a SmoothingHz pin turned into the Hann
-// window it comes to, in bins, at this spectrum's resolution. Two
-// option sets that resolve equal are the same extraction of it.
-func (o Options) Resolved(freq, psd []float64) Options {
-	return o.ResolvedAt(binWidth(freq), len(psd))
-}
-
-// ResolvedAt is Resolved for a spectrum of bins bins, binHz apart —
-// what a kept Harmonic (its BinHz) and its record (Samples) still tell
-// once the spectrum itself is gone.
+// ResolvedAt returns o as ExtractHarmonic applies it to a spectrum of
+// bins bins, binHz apart: every default filled in and a SmoothingHz pin
+// turned into the Hann window it comes to, in bins, at that resolution.
+// Two option sets that resolve equal are the same extraction of it.
+// A kept Harmonic (its BinHz) and its record (Samples) still tell both
+// arguments once the spectrum itself is gone.
 func (o Options) ResolvedAt(binHz float64, bins int) Options {
 	o = o.fill()
 	if o.SmoothingHz > 0 && binHz > 0 {

@@ -9,7 +9,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -46,15 +45,15 @@ type Schedule struct {
 // Errors from the scheduler.
 var (
 	ErrNoRequests = errors.New("sched: no requests")
-	ErrInfeasible = errors.New("sched: slots do not fit in any feasible frame")
 	ErrBadRequest = errors.New("sched: request needs positive slot and period")
 )
 
 // Build computes a common-frame schedule: the frame length is the
 // largest minimum period among the motes (so every mote's battery
 // constraint is satisfied — a longer period never hurts the battery)
-// and slots are packed back to back. It fails only when the combined
-// slot time exceeds the frame, i.e. the channel itself is saturated.
+// and slots are packed back to back. When the combined slot time
+// exceeds that frame the frame stretches to it, so Build fails only on
+// an empty or malformed request list.
 func Build(reqs []Request) (*Schedule, error) {
 	if len(reqs) == 0 {
 		return nil, ErrNoRequests
@@ -98,115 +97,6 @@ func Build(reqs []Request) (*Schedule, error) {
 		return s.Assignments[i].MoteID < s.Assignments[j].MoteID
 	})
 	return s, nil
-}
-
-// BuildHarmonic computes a harmonic schedule: each mote gets a period
-// that is the frame times a power of two, chosen as the smallest
-// multiple satisfying its minimum period. Motes with short minimum
-// periods report more often than the common-frame schedule allows, so
-// more information is collected from exactly the equipment that can
-// afford it — the paper's "maximize the information collected"
-// objective.
-//
-// Slot packing uses the standard harmonic trick: a mote with period
-// 2^k·frame occupies its slot in one of 2^k interleaved frames, so
-// collisions are checked per (offset, phase) pair.
-func BuildHarmonic(reqs []Request) (*Schedule, error) {
-	if len(reqs) == 0 {
-		return nil, ErrNoRequests
-	}
-	// The base frame is the smallest minimum period.
-	base := math.Inf(1)
-	for _, r := range reqs {
-		if r.SlotSeconds <= 0 || r.MinPeriodSeconds <= 0 {
-			return nil, fmt.Errorf("%w: mote %d", ErrBadRequest, r.MoteID)
-		}
-		if r.MinPeriodSeconds < base {
-			base = r.MinPeriodSeconds
-		}
-	}
-	// Effective channel demand per base frame: slot / 2^k.
-	type harmonicReq struct {
-		Request
-		k      int // period multiplier exponent
-		demand float64
-	}
-	hreqs := make([]harmonicReq, 0, len(reqs))
-	var demand float64
-	for _, r := range reqs {
-		k := 0
-		for base*math.Pow(2, float64(k)) < r.MinPeriodSeconds-1e-9 {
-			k++
-		}
-		h := harmonicReq{Request: r, k: k, demand: r.SlotSeconds / math.Pow(2, float64(k))}
-		demand += h.demand
-		hreqs = append(hreqs, h)
-	}
-	if demand > base {
-		return nil, fmt.Errorf("%w: demand %.1fs exceeds base frame %.1fs", ErrInfeasible, demand, base)
-	}
-	sort.Slice(hreqs, func(i, j int) bool {
-		if hreqs[i].k != hreqs[j].k {
-			return hreqs[i].k < hreqs[j].k // frequent reporters first
-		}
-		return hreqs[i].MoteID < hreqs[j].MoteID
-	})
-	s := &Schedule{FrameSeconds: base}
-	cursor := 0.0
-	for _, h := range hreqs {
-		s.Assignments = append(s.Assignments, Assignment{
-			MoteID:        h.MoteID,
-			OffsetSeconds: cursor,
-			PeriodSeconds: base * math.Pow(2, float64(h.k)),
-		})
-		// Reserve the averaged channel share. Back-to-back reservation
-		// of the *full* slot keeps every occurrence collision-free even
-		// though longer-period motes idle through most frames.
-		cursor += h.SlotSeconds
-	}
-	if cursor > base {
-		return nil, fmt.Errorf("%w: packed %.1fs into %.1fs frame", ErrInfeasible, cursor, base)
-	}
-	s.Utilization = cursor / base
-	sort.Slice(s.Assignments, func(i, j int) bool {
-		return s.Assignments[i].MoteID < s.Assignments[j].MoteID
-	})
-	return s, nil
-}
-
-// Collisions counts pairs of assignments whose slot occupancies overlap
-// within the hyperperiod, given each mote's slot duration. A correct
-// schedule returns 0.
-func Collisions(s *Schedule, slotSeconds map[int]float64) int {
-	// Hyperperiod = max period.
-	hyper := s.FrameSeconds
-	for _, a := range s.Assignments {
-		if a.PeriodSeconds > hyper {
-			hyper = a.PeriodSeconds
-		}
-	}
-	type interval struct{ lo, hi float64 }
-	var all []interval
-	var owners []int
-	for _, a := range s.Assignments {
-		dur := slotSeconds[a.MoteID]
-		for t := a.OffsetSeconds; t < hyper-1e-9; t += a.PeriodSeconds {
-			all = append(all, interval{t, t + dur})
-			owners = append(owners, a.MoteID)
-		}
-	}
-	count := 0
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			if owners[i] == owners[j] {
-				continue
-			}
-			if all[i].lo < all[j].hi-1e-9 && all[j].lo < all[i].hi-1e-9 {
-				count++
-			}
-		}
-	}
-	return count
 }
 
 // MeasurementsPerDay returns the total fleet measurement rate the

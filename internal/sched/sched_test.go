@@ -23,6 +23,41 @@ func slotMap(rs []Request) map[int]float64 {
 	return m
 }
 
+// collisions counts pairs of assignments whose slot occupancies overlap
+// within the hyperperiod, given each mote's slot duration. A correct
+// schedule returns 0.
+func collisions(s *Schedule, slotSeconds map[int]float64) int {
+	// Hyperperiod = max period.
+	hyper := s.FrameSeconds
+	for _, a := range s.Assignments {
+		if a.PeriodSeconds > hyper {
+			hyper = a.PeriodSeconds
+		}
+	}
+	type interval struct{ lo, hi float64 }
+	var all []interval
+	var owners []int
+	for _, a := range s.Assignments {
+		dur := slotSeconds[a.MoteID]
+		for t := a.OffsetSeconds; t < hyper-1e-9; t += a.PeriodSeconds {
+			all = append(all, interval{t, t + dur})
+			owners = append(owners, a.MoteID)
+		}
+	}
+	count := 0
+	for i := 0; i < len(all); i++ {
+		for j := i + 1; j < len(all); j++ {
+			if owners[i] == owners[j] {
+				continue
+			}
+			if all[i].lo < all[j].hi-1e-9 && all[j].lo < all[i].hi-1e-9 {
+				count++
+			}
+		}
+	}
+	return count
+}
+
 func TestBuildBasic(t *testing.T) {
 	rs := reqs(5, 10, 3600)
 	s, err := Build(rs)
@@ -35,7 +70,7 @@ func TestBuildBasic(t *testing.T) {
 	if len(s.Assignments) != 5 {
 		t.Fatalf("assignments %d", len(s.Assignments))
 	}
-	if got := Collisions(s, slotMap(rs)); got != 0 {
+	if got := collisions(s, slotMap(rs)); got != 0 {
 		t.Fatalf("collisions %d", got)
 	}
 	if s.Utilization <= 0 || s.Utilization > 1 {
@@ -61,7 +96,7 @@ func TestBuildStretchesSaturatedFrame(t *testing.T) {
 	if s.FrameSeconds < 6000 {
 		t.Fatalf("frame %g did not stretch", s.FrameSeconds)
 	}
-	if got := Collisions(s, slotMap(rs)); got != 0 {
+	if got := collisions(s, slotMap(rs)); got != 0 {
 		t.Fatalf("collisions %d", got)
 	}
 }
@@ -71,66 +106,6 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := Build([]Request{{MoteID: 0, SlotSeconds: 0, MinPeriodSeconds: 10}}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestBuildHarmonicMixedPeriods(t *testing.T) {
-	// One fast mote (1 h minimum) and three slow ones (≥7 h): the
-	// harmonic schedule reports the fast mote every hour and the slow
-	// ones every 8 h, beating the common-frame schedule's information
-	// rate.
-	rs := []Request{
-		{MoteID: 0, SlotSeconds: 30, MinPeriodSeconds: 3600},
-		{MoteID: 1, SlotSeconds: 30, MinPeriodSeconds: 7 * 3600},
-		{MoteID: 2, SlotSeconds: 30, MinPeriodSeconds: 7 * 3600},
-		{MoteID: 3, SlotSeconds: 30, MinPeriodSeconds: 7 * 3600},
-	}
-	harmonic, err := BuildHarmonic(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	common, err := Build(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Collisions(harmonic, slotMap(rs)); got != 0 {
-		t.Fatalf("harmonic collisions %d", got)
-	}
-	if MeasurementsPerDay(harmonic) <= MeasurementsPerDay(common) {
-		t.Fatalf("harmonic %.1f/day should beat common %.1f/day",
-			MeasurementsPerDay(harmonic), MeasurementsPerDay(common))
-	}
-	// Period structure: mote 0 at the base frame, others at 8× (the
-	// smallest power of two ≥ 7 h / 1 h).
-	for _, a := range harmonic.Assignments {
-		want := 3600.0
-		if a.MoteID != 0 {
-			want = 8 * 3600
-		}
-		if math.Abs(a.PeriodSeconds-want) > 1e-9 {
-			t.Fatalf("mote %d period %g, want %g", a.MoteID, a.PeriodSeconds, want)
-		}
-		if a.PeriodSeconds < rs[a.MoteID].MinPeriodSeconds {
-			t.Fatalf("mote %d below its minimum period", a.MoteID)
-		}
-	}
-}
-
-func TestBuildHarmonicInfeasible(t *testing.T) {
-	// Demand beyond the base frame must be rejected, not silently
-	// collide.
-	rs := []Request{
-		{MoteID: 0, SlotSeconds: 50, MinPeriodSeconds: 60},
-		{MoteID: 1, SlotSeconds: 50, MinPeriodSeconds: 60},
-	}
-	if _, err := BuildHarmonic(rs); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := BuildHarmonic(nil); !errors.Is(err, ErrNoRequests) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := BuildHarmonic([]Request{{MoteID: 0}}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -148,24 +123,7 @@ func TestSchedulePropertyNoCollisions(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if Collisions(s, slotMap(rs)) != 0 {
-			return false
-		}
-		// Harmonic may be infeasible for dense inputs; when it builds,
-		// it must also be collision-free and honor minimum periods.
-		h, err := BuildHarmonic(rs)
-		if err != nil {
-			return errors.Is(err, ErrInfeasible)
-		}
-		if Collisions(h, slotMap(rs)) != 0 {
-			return false
-		}
-		for _, a := range h.Assignments {
-			if a.PeriodSeconds < rs[a.MoteID].MinPeriodSeconds-1e-9 {
-				return false
-			}
-		}
-		return true
+		return collisions(s, slotMap(rs)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ var (
 
 	// Cold-tier metrics: the compactor's partition writes, hot-side
 	// evictions, and retention drops. The byte counters are what the
-	// `vibectl storage status` compression ratio is derived from when
+	// /api/v1/storage/status compression ratio is derived from when
 	// scraping rather than querying.
 	metColdPartitionsWritten = obs.Default.Counter("vibepm_store_cold_partitions_written_total")
 	metColdPartitionsDropped = obs.Default.Counter("vibepm_store_cold_partitions_dropped_total")
