@@ -55,7 +55,6 @@ type Engine struct {
 	labels       *Labels
 
 	classifier *core.GaussianClassifier
-	densities  *core.ZoneDensities
 	boundary   float64
 	models     *LifetimeModels
 
@@ -286,7 +285,6 @@ func (e *Engine) Fit() error {
 	if err != nil {
 		return fmt.Errorf("vibepm: densities: %w", err)
 	}
-	e.densities = densities
 	if b, err := densities.BoundaryBCD(); err == nil {
 		e.boundary = b
 	} else {

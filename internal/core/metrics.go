@@ -36,9 +36,6 @@ func (c *Confusion) Count(truth, predicted physics.MergedZone) int {
 	return c.counts[truth][predicted]
 }
 
-// Total returns the number of recorded pairs.
-func (c *Confusion) Total() int { return c.total }
-
 // Precision returns TP / (TP + FP) for a zone (1 when the zone is never
 // predicted, following the convention that an unused prediction makes
 // no false claims).

@@ -21,7 +21,7 @@ func TestConfusionInvariantsProperty(t *testing.T) {
 			pred := zones[int(p/16)%len(zones)]
 			c.Add(truth, pred)
 		}
-		if c.Total() != len(pairs) {
+		if countPairs(c) != len(pairs) {
 			return false
 		}
 		acc := c.Accuracy()

@@ -3,6 +3,7 @@ package dsp
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrSingular is returned when a linear solve encounters a (numerically)
@@ -84,7 +85,6 @@ func MahalanobisDiag(x, mu, varv []float64) float64 {
 // values coincide.
 func FitLine(x, y []float64) (slope, intercept, r2 float64, err error) {
 	checkLen("FitLine", len(x), len(y))
-	n := float64(len(x))
 	if len(x) < 2 {
 		return 0, 0, 0, errors.New("dsp: need at least two points to fit a line")
 	}
@@ -106,7 +106,6 @@ func FitLine(x, y []float64) (slope, intercept, r2 float64, err error) {
 	} else {
 		r2 = (sxy * sxy) / (sxx * syy)
 	}
-	_ = n
 	return slope, intercept, r2, nil
 }
 
@@ -118,7 +117,7 @@ func Percentile(x []float64, p float64) float64 {
 		return 0
 	}
 	s := append([]float64(nil), x...)
-	insertionSort(s)
+	slices.Sort(s)
 	if p <= 0 {
 		return s[0]
 	}
@@ -132,50 +131,4 @@ func Percentile(x []float64, p float64) float64 {
 		return s[n-1]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-func insertionSort(s []float64) {
-	// Small inputs dominate Percentile's call sites; for large slices
-	// fall back to a simple heapsort to keep worst-case O(n log n).
-	if len(s) > 64 {
-		heapSort(s)
-		return
-	}
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-}
-
-func heapSort(s []float64) {
-	n := len(s)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(s, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		s[0], s[end] = s[end], s[0]
-		siftDown(s, 0, end)
-	}
-}
-
-func siftDown(s []float64, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && s[child+1] > s[child] {
-			child++
-		}
-		if s[root] >= s[child] {
-			return
-		}
-		s[root], s[child] = s[child], s[root]
-		root = child
-	}
 }

@@ -75,7 +75,7 @@ const (
 	// halfCombRise gates the octave promotion in estimateRotorHz: the
 	// comb-scan winner is read as a half-rate comb when the position-5
 	// band energy exceeds halfCombRise × the position-4 band energy.
-	// Calibrated against the synthesis model (see DESIGN §17): genuine
+	// Calibrated against the synthesis model (see DESIGN §15): genuine
 	// rotor combs measure E(5×)/E(4×) ≤ 0.88 everywhere, half-rate
 	// winners ≥ 1.10.
 	halfCombRise = 1.05

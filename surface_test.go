@@ -52,7 +52,6 @@ var surfaceAllowed = map[string]string{
 	"physics.FaultClasses":        "canonical class order the fault confusion tests iterate",
 	"physics.ZoneForVelocity":     "ISO 10816 zones the VelocityPSD and pump tests check against",
 	"sched.MeasurementsPerDay":    "the paper's information-collected objective (§II) the scheduler tests assert",
-	"core.Confusion.Total":        "pair count the confusion matrix's accounting tests check",
 	"store.PeriodManager.Refresh": "rolling analysis period the store tests step",
 }
 
