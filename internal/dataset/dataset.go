@@ -9,6 +9,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"vibepm/internal/core"
@@ -226,8 +227,30 @@ func labelFleet(cfg Config) *physics.Fleet {
 	return &physics.Fleet{Pumps: pumps}
 }
 
+// checkFinite refuses a non-finite window, density or rate before
+// withDefaults sees it: NaN fails every `<= 0` default check, and a
+// corpus generated from it is silently empty or wrong.
+func (c Config) checkFinite() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"DurationDays", c.DurationDays},
+		{"MeasurementsPerDay", c.MeasurementsPerDay},
+		{"SampleRateHz", c.SampleRateHz},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("dataset: %s is %v, want a finite number", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Generate synthesizes the corpus.
 func Generate(cfg Config) (*Dataset, error) {
+	if err := cfg.checkFinite(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	fleet := labelFleet(cfg)
 	ds := &Dataset{

@@ -2,8 +2,11 @@ package dataset
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"vibepm/internal/physics"
@@ -223,6 +226,32 @@ func TestPaperEventsApplied(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsNonFinite: a NaN or infinite window, trend
+// density or sample rate is refused with an error naming the field,
+// instead of a corpus with no trend or a misleading zone error.
+func TestGenerateRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config, float64)
+	}{
+		{"DurationDays", func(c *Config, v float64) { c.DurationDays = v }},
+		{"MeasurementsPerDay", func(c *Config, v float64) { c.MeasurementsPerDay = v }},
+		{"SampleRateHz", func(c *Config, v float64) { c.SampleRateHz = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := smallConfig(1)
+			tc.set(&cfg, v)
+			ds, err := Generate(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %v: err %v, want one naming %s", tc.field, v, err, tc.field)
+			}
+			if ds != nil {
+				t.Errorf("%s = %v: returned a corpus", tc.field, v)
+			}
+		}
+	}
+}
+
 func TestDefaultsPaperScale(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.Pumps != 12 || cfg.DurationDays != 90 || cfg.Samples != 1024 || cfg.SampleRateHz != 4000 {
@@ -230,5 +259,24 @@ func TestDefaultsPaperScale(t *testing.T) {
 	}
 	if cfg.LabelCounts[physics.MergedA] != 700 || cfg.LabelCounts[physics.MergedBC] != 1400 || cfg.LabelCounts[physics.MergedD] != 700 {
 		t.Fatalf("label defaults: %v", cfg.LabelCounts)
+	}
+}
+
+// corpusDigest is the SHA-256 of serializeDataset(Generate(smallConfig(11))).
+// A change to synthesis, the sensor model or the label draw moves it;
+// a faster kernel must not.
+const corpusDigest = "3a66bee75aec76a55a495d89e0708d15b900584b4270df0fd7c73084279bfa1d"
+
+// TestCorpusDigest pins the corpus bytes to a value, not just to a
+// second run of the same build: every raw count, label and service
+// time of a small corpus must hash to corpusDigest.
+func TestCorpusDigest(t *testing.T) {
+	ds, err := Generate(smallConfig(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(serializeDataset(t, ds))
+	if got := hex.EncodeToString(sum[:]); got != corpusDigest {
+		t.Fatalf("corpus digest %s, want %s", got, corpusDigest)
 	}
 }

@@ -26,8 +26,10 @@ type Table1Result struct {
 // noise.
 type stillSource struct{}
 
-func (stillSource) Acceleration(_, _ float64, k int) (x, y, z []float64) {
-	return make([]float64, k), make([]float64, k), make([]float64, k)
+func (stillSource) AccelerationInto(x, y, z []float64, _, _ float64) {
+	clear(x)
+	clear(y)
+	clear(z)
 }
 
 // Table1 regenerates the sensor comparison: the datasheet rows plus the

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Spec captures the datasheet comparison of the paper's Table I.
@@ -73,11 +74,12 @@ const (
 const MeasurementBytes = SamplesPerMeasurement * Axes * BytesPerSample
 
 // Source produces ground-truth physical acceleration. *physics.Pump
-// satisfies it.
+// and *physics.FaultyPump satisfy it.
 type Source interface {
-	// Acceleration returns k samples per axis (in g) at sampling rate
-	// fs for the measurement taken at the given service time.
-	Acceleration(serviceDays, fs float64, k int) (x, y, z []float64)
+	// AccelerationInto overwrites x, y and z (one per axis, all of the
+	// same length k) with the k samples (in g) at sampling rate fs of
+	// the measurement taken at the given service time.
+	AccelerationInto(x, y, z []float64, serviceDays, fs float64)
 }
 
 // Config describes one sensor instance.
@@ -118,8 +120,8 @@ type step struct {
 	size float64
 }
 
-// ErrBadRate is returned when the requested sampling rate is not
-// positive.
+// ErrBadRate is returned when the requested sampling rate is negative
+// or NaN.
 var ErrBadRate = errors.New("mems: sampling rate must be positive")
 
 // New builds a sensor from cfg.
@@ -130,7 +132,7 @@ func New(cfg Config) (*Sensor, error) {
 	if cfg.SampleRateHz == 0 {
 		cfg.SampleRateHz = 4000
 	}
-	if cfg.SampleRateHz < 0 {
+	if cfg.SampleRateHz < 0 || math.IsNaN(cfg.SampleRateHz) {
 		return nil, ErrBadRate
 	}
 	if cfg.SampleRateHz < MinSampleRateHz {
@@ -231,6 +233,21 @@ func (m *Measurement) Bytes() int {
 	return n
 }
 
+// measureScratch is what one Measure call needs beyond its result: the
+// physical acceleration of each axis and a reseedable noise RNG.
+// Pooled so a capture allocates only the Measurement and its raw
+// readings.
+type measureScratch struct {
+	axes [Axes][]float64
+	rng  *rand.Rand
+}
+
+var measurePool = sync.Pool{
+	New: func() any {
+		return &measureScratch{rng: rand.New(rand.NewSource(1))}
+	},
+}
+
 // Measure captures k samples per axis from src at the given service
 // time, applying sensor noise, offset error, clipping, and 16-bit
 // quantization.
@@ -239,20 +256,30 @@ func (s *Sensor) Measure(src Source, serviceDays float64, k int) *Measurement {
 		k = SamplesPerMeasurement
 	}
 	fs := s.cfg.SampleRateHz
-	x, y, z := src.Acceleration(serviceDays, fs, k)
-	axes := [Axes][]float64{x, y, z}
+	sc := measurePool.Get().(*measureScratch)
+	defer measurePool.Put(sc)
+	for axis := range sc.axes {
+		if cap(sc.axes[axis]) < k {
+			sc.axes[axis] = make([]float64, k)
+		}
+		sc.axes[axis] = sc.axes[axis][:k]
+	}
+	src.AccelerationInto(sc.axes[0], sc.axes[1], sc.axes[2], serviceDays, fs)
 	m := &Measurement{
 		ServiceDays:  serviceDays,
 		SampleRateHz: fs,
 		ScaleG:       s.scaleG,
 	}
 	noise := s.cfg.Spec.NoiseRMSMicroG * 1e-6
-	rng := rand.New(rand.NewSource(s.cfg.Seed*31 + int64(math.Float64bits(serviceDays))))
+	// Reseeding in place gives the stream a fresh
+	// rand.New(rand.NewSource(seed)) would.
+	rng := sc.rng
+	rng.Seed(s.cfg.Seed*31 + int64(math.Float64bits(serviceDays)))
 	limit := s.cfg.Spec.RangeG
 	for axis := 0; axis < Axes; axis++ {
 		off := s.OffsetAt(axis, serviceDays)
 		raw := make([]int16, k)
-		for i, v := range axes[axis] {
+		for i, v := range sc.axes[axis] {
 			g := v + off + noise*rng.NormFloat64()
 			if g > limit {
 				g = limit

@@ -1,6 +1,7 @@
 package mems
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -184,16 +185,41 @@ func TestClippingCounts(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadRate: a negative or NaN rate is refused with
+// ErrBadRate; zero takes the default and an infinite one clamps. NaN
+// fails every comparison, so only an explicit check refuses it.
+func TestNewRejectsBadRate(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		want float64 // effective rate; 0 = ErrBadRate
+	}{
+		{-5, 0},
+		{math.Inf(-1), 0},
+		{math.NaN(), 0},
+		{0, 4000},
+		{math.Inf(1), MaxSampleRateHz},
+	} {
+		s, err := New(Config{SampleRateHz: tc.rate})
+		if tc.want == 0 {
+			if !errors.Is(err, ErrBadRate) {
+				t.Errorf("rate %v: err %v, want ErrBadRate", tc.rate, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("rate %v: %v", tc.rate, err)
+		} else if s.SampleRateHz() != tc.want {
+			t.Errorf("rate %v: effective %v, want %v", tc.rate, s.SampleRateHz(), tc.want)
+		}
+	}
+}
+
 type constSource struct{ value float64 }
 
-func (c constSource) Acceleration(_, _ float64, k int) (x, y, z []float64) {
-	x = make([]float64, k)
-	y = make([]float64, k)
-	z = make([]float64, k)
-	for i := 0; i < k; i++ {
+func (c constSource) AccelerationInto(x, y, z []float64, _, _ float64) {
+	for i := range x {
 		x[i], y[i], z[i] = c.value, c.value, c.value
 	}
-	return x, y, z
 }
 
 func almostEqual(a, b, eps float64) bool {

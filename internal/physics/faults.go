@@ -92,18 +92,10 @@ func NewFaultyPump(base *Pump, fault FaultConfig) *FaultyPump {
 	return &FaultyPump{Pump: base, fault: fault}
 }
 
-// Acceleration synthesizes one faulty measurement; see
-// Pump.Acceleration for the contract.
-func (f *FaultyPump) Acceleration(serviceDays, fs float64, k int) (ax, ay, az []float64) {
-	ax = make([]float64, k)
-	ay = make([]float64, k)
-	az = make([]float64, k)
-	f.AccelerationInto(ax, ay, az, serviceDays, fs)
-	return ax, ay, az
-}
-
-// AccelerationInto is the zero-alloc variant of Acceleration. With a
-// zero fault it produces output bit-identical to the base pump's.
+// AccelerationInto synthesizes one faulty measurement into
+// caller-provided buffers; see Pump.AccelerationInto for the contract.
+// With a zero fault it produces output bit-identical to the base
+// pump's.
 func (f *FaultyPump) AccelerationInto(ax, ay, az []float64, serviceDays, fs float64) {
 	sc := synthPool.Get().(*synthScratch)
 	defer synthPool.Put(sc)

@@ -122,7 +122,7 @@ func TestFaultyPumpZeroFaultIdentity(t *testing.T) {
 	} {
 		fp := NewFaultyPump(base, fault)
 		bx, by, bz := base.Acceleration(12.5, 4000, 512)
-		fx, fy, fz := fp.Acceleration(12.5, 4000, 512)
+		fx, fy, fz := capture(fp, 12.5, 4000, 512)
 		for i := range bx {
 			if bx[i] != fx[i] || by[i] != fy[i] || bz[i] != fz[i] {
 				t.Fatalf("fault %+v: sample %d diverged", fault, i)
@@ -137,8 +137,8 @@ func TestFaultyPumpDeterminism(t *testing.T) {
 	base := NewPump(PumpConfig{ID: 5, Seed: 1234})
 	for _, class := range FaultClasses[1:] {
 		fp := NewFaultyPump(base, FaultConfig{Class: class, Severity: 0.7})
-		ax1, ay1, az1 := fp.Acceleration(7.75, 4000, 1024)
-		ax2, ay2, az2 := fp.Acceleration(7.75, 4000, 1024)
+		ax1, ay1, az1 := capture(fp, 7.75, 4000, 1024)
+		ax2, ay2, az2 := capture(fp, 7.75, 4000, 1024)
 		for i := range ax1 {
 			if ax1[i] != ax2[i] || ay1[i] != ay2[i] || az1[i] != az2[i] {
 				t.Fatalf("%v: repeat capture diverged at sample %d", class, i)
@@ -208,15 +208,28 @@ func TestFaultyPumpSpecSignatures(t *testing.T) {
 	})
 }
 
-// TestFaultyPumpIntoMatchesAlloc pins the pooled AccelerationInto to
-// the allocating Acceleration.
+// capture synthesizes one measurement of f into freshly allocated
+// buffers. A FaultyPump has no allocating Acceleration of its own: the
+// one it inherits renders its base pump.
+func capture(f *FaultyPump, serviceDays, fs float64, k int) (ax, ay, az []float64) {
+	ax, ay, az = make([]float64, k), make([]float64, k), make([]float64, k)
+	f.AccelerationInto(ax, ay, az, serviceDays, fs)
+	return ax, ay, az
+}
+
+// TestFaultyPumpIntoMatchesAlloc pins AccelerationInto into dirty,
+// reused buffers to the same capture into freshly allocated ones:
+// every sample is overwritten, none accumulated.
 func TestFaultyPumpIntoMatchesAlloc(t *testing.T) {
 	base := NewPump(PumpConfig{ID: 9, Seed: 77})
 	fp := NewFaultyPump(base, FaultConfig{Class: FaultBearing, Severity: 0.5, Defect: DefectInnerRace})
-	ax, ay, az := fp.Acceleration(2.25, 4000, 768)
+	ax, ay, az := capture(fp, 2.25, 4000, 768)
 	bx := make([]float64, 768)
 	by := make([]float64, 768)
 	bz := make([]float64, 768)
+	for i := range bx {
+		bx[i], by[i], bz[i] = 1e9, -1e9, math.NaN()
+	}
 	fp.AccelerationInto(bx, by, bz, 2.25, 4000)
 	for i := range ax {
 		if ax[i] != bx[i] || ay[i] != by[i] || az[i] != bz[i] {

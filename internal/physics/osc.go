@@ -38,6 +38,65 @@ func synthTone(buf []float64, amp, w, phase float64) {
 	}
 }
 
+// synthPair is synthTone for two tones in one pass over buf. Each
+// rotor advances by synthTone's own expressions, the shared counter
+// renormalizes both at the same samples synthTone does, and each
+// sample adds the first tone's term before the second's, so buf ends
+// bit-identical to synthTone(buf, a0, w0, p0) followed by
+// synthTone(buf, a1, w1, p1) — with half the passes over the buffer.
+func synthPair(buf []float64, a0, w0, p0, a1, w1, p1 float64) {
+	sw0, cw0 := math.Sincos(w0)
+	s0, c0 := math.Sincos(p0)
+	sw1, cw1 := math.Sincos(w1)
+	s1, c1 := math.Sincos(p1)
+	j := 0
+	for i := range buf {
+		v := buf[i]
+		v += a0 * s0
+		v += a1 * s1
+		buf[i] = v
+		s0, c0 = s0*cw0+c0*sw0, c0*cw0-s0*sw0
+		s1, c1 = s1*cw1+c1*sw1, c1*cw1-s1*sw1
+		j++
+		if j == renormEvery {
+			j = 0
+			inv0 := 1 / math.Sqrt(s0*s0+c0*c0)
+			s0 *= inv0
+			c0 *= inv0
+			inv1 := 1 / math.Sqrt(s1*s1+c1*c1)
+			s1 *= inv1
+			c1 *= inv1
+		}
+	}
+}
+
+// synthTones adds every tone below the Nyquist frequency of fs to buf,
+// in order: tones above it are not representable, and the real
+// sensor's anti-aliasing behaviour is approximated by dropping them.
+// Kept tones go through synthPair two at a time and a leftover through
+// synthTone, bit-identical to one synthTone call per kept tone.
+func synthTones(buf []float64, tones []Tone, fs float64) {
+	var held *Tone
+	for k := range tones {
+		tone := &tones[k]
+		if tone.Freq >= fs/2 {
+			continue
+		}
+		if held == nil {
+			held = tone
+			continue
+		}
+		w0 := 2 * math.Pi * held.Freq / fs
+		w1 := 2 * math.Pi * tone.Freq / fs
+		synthPair(buf, held.Amp, w0, held.Phase, tone.Amp, w1, tone.Phase)
+		held = nil
+	}
+	if held != nil {
+		w := 2 * math.Pi * held.Freq / fs
+		synthTone(buf, held.Amp, w, held.Phase)
+	}
+}
+
 // synthScratch bundles the reusable state one AccelerationInto call
 // needs: the tone recipe slices and a reseedable RNG. Pooled so the
 // steady-state synthesis path allocates nothing.
@@ -72,7 +131,7 @@ func (p *Pump) AccelerationInto(ax, ay, az []float64, serviceDays, fs float64) {
 }
 
 // renderInto synthesizes a spectral recipe into the axis buffers: the
-// tone sum via the phase-recurrence oscillator, the gain-scaled
+// tone sum via the interleaved phase-recurrence oscillators, the gain-scaled
 // broadband noise, and the axial gravity bias. It is the second half
 // of AccelerationInto, split out so the fault-injection layer
 // (FaultyPump) can append defect tones to the spec and still share the
@@ -86,16 +145,7 @@ func (p *Pump) renderInto(ax, ay, az []float64, spec *VibrationSpec, serviceDays
 		for i := range buf {
 			buf[i] = 0
 		}
-		for _, tone := range spec.Tones[axis] {
-			// Tones above Nyquist are not representable; the real
-			// sensor's anti-aliasing behaviour is approximated by
-			// dropping them.
-			if tone.Freq >= fs/2 {
-				continue
-			}
-			w := 2 * math.Pi * tone.Freq / fs
-			synthTone(buf, tone.Amp, w, tone.Phase)
-		}
+		synthTones(buf, spec.Tones[axis], fs)
 		noise := spec.NoiseStd[axis]
 		gain := spec.Gain
 		for i := range buf {

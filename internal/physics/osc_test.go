@@ -2,6 +2,7 @@ package physics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -97,6 +98,81 @@ func TestAccelerationIntoMatchesAcceleration(t *testing.T) {
 				i, ax[i], ay[i], az[i], bx[i], by[i], bz[i])
 		}
 	}
+}
+
+// sequentialTones is synthTones without the interleaving: one
+// synthTone pass per tone below Nyquist, in order. The interleaved
+// kernel must equal it bit for bit.
+func sequentialTones(buf []float64, tones []Tone, fs float64) {
+	for _, tone := range tones {
+		if tone.Freq >= fs/2 {
+			continue
+		}
+		w := 2 * math.Pi * tone.Freq / fs
+		synthTone(buf, tone.Amp, w, tone.Phase)
+	}
+}
+
+// checkInterleaved runs synthTones and sequentialTones over copies of
+// the same starting buffer and fails on the first sample whose bits
+// differ (two NaNs count as equal).
+func checkInterleaved(t *testing.T, start []float64, tones []Tone, fs float64) {
+	t.Helper()
+	got := append([]float64(nil), start...)
+	want := append([]float64(nil), start...)
+	synthTones(got, tones, fs)
+	sequentialTones(want, tones, fs)
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%d tones, %d samples: sample %d = %v, sequential %v", len(tones), len(start), i, g, w)
+		}
+	}
+}
+
+// TestSynthInterleavedMatchesSequential: the two-rotor kernel behind
+// renderInto is bitwise the sequential synthTone sum for 0–30 tones
+// (odd counts end on the synthTone leftover), lengths from 1 to 4,096
+// on both sides of every 256-sample renormalization, and tones at and
+// above Nyquist mixed in to be dropped. Buffers start non-zero, so the
+// order each sample's terms are added in is checked too.
+func TestSynthInterleavedMatchesSequential(t *testing.T) {
+	const fs = 4000
+	rng := rand.New(rand.NewSource(38))
+	lengths := []int{1, 2, 3, 7, 255, 256, 257, 511, 512, 513, 1000, 1023, 1024, 1025, 2048, 4095, 4096}
+	for n := 0; n <= 30; n++ {
+		for _, k := range lengths {
+			tones := make([]Tone, n)
+			for i := range tones {
+				freq := rng.Float64() * 0.6 * fs
+				if i%9 == 4 {
+					freq = fs / 2
+				}
+				tones[i] = Tone{Freq: freq, Amp: rng.Float64() * 0.1, Phase: 2 * math.Pi * rng.Float64()}
+			}
+			start := make([]float64, k)
+			for i := range start {
+				start[i] = rng.NormFloat64()
+			}
+			checkInterleaved(t, start, tones, fs)
+		}
+	}
+}
+
+// FuzzSynthInterleaved extends the table to random amplitudes,
+// frequencies (so w, and Nyquist drops), phases and lengths over three
+// tones: one interleaved pair and one leftover.
+func FuzzSynthInterleaved(f *testing.F) {
+	f.Add(0.035, 119.0, 1.0, 0.02, 238.0, 2.0, 0.01, 357.0, 3.0, uint16(1024))
+	f.Add(1.0, 2000.0, 0.0, 1.0, 1999.9, 0.5, 1.0, 0.0, -1.0, uint16(257))
+	f.Add(-3.0, 1e-9, 1e6, 1e300, 1500.0, -7.0, 0.0, 4000.0, 0.0, uint16(4096))
+	f.Fuzz(func(t *testing.T, a0, f0, p0, a1, f1, p1, a2, f2, p2 float64, n uint16) {
+		start := make([]float64, int(n)%4097)
+		for i := range start {
+			start[i] = float64(i%7) - 3
+		}
+		checkInterleaved(t, start, []Tone{{f0, a0, p0}, {f1, a1, p1}, {f2, a2, p2}}, 4000)
+	})
 }
 
 func BenchmarkAcceleration(b *testing.B) {

@@ -235,7 +235,8 @@ func (p *Pump) spec(serviceDays float64) VibrationSpec {
 // sampling rate fs (Hz), returning true physical acceleration in g for
 // the x, y, z axes. The z axis carries the 1 g gravity bias the
 // analysis pipeline must normalize away. The result is deterministic in
-// (pump seed, serviceDays, fs, k).
+// (pump seed, serviceDays, fs, k). A FaultyPump inherits this method
+// and so renders its base pump: capture a fault with AccelerationInto.
 func (p *Pump) Acceleration(serviceDays, fs float64, k int) (ax, ay, az []float64) {
 	ax = make([]float64, k)
 	ay = make([]float64, k)

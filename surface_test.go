@@ -23,15 +23,16 @@ var surfaceAllowed = map[string]string{
 	"transform.VelocityPSD": "reference for the in-place velocity integral",
 
 	// Allocating forms of Into kernels.
-	"dsp.DCT":              "allocating DCTInto",
-	"dsp.Envelope":         "allocating EnvelopeInto",
-	"dsp.EnvelopeSpectrum": "allocating EnvelopeSpectrumInto",
-	"dsp.FindPeaks":        "allocating FindPeaksInto",
-	"dsp.Periodogram":      "allocating PeriodogramInto",
-	"dsp.SmoothConvolve":   "allocating SmoothConvolveInto",
-	"dsp.TopPeaks":         "allocating TopPeaksInto",
-	"dsp.STFT":             "allocating STFTInto; BenchmarkSTFT16k is a gated BENCH.txt row",
-	"store.ReplayWAL":      "ReplayWALWorkers at GOMAXPROCS, how the mirror and cluster tests read a WAL",
+	"dsp.DCT":                   "allocating DCTInto",
+	"dsp.Envelope":              "allocating EnvelopeInto",
+	"dsp.EnvelopeSpectrum":      "allocating EnvelopeSpectrumInto",
+	"dsp.FindPeaks":             "allocating FindPeaksInto",
+	"dsp.Periodogram":           "allocating PeriodogramInto",
+	"dsp.SmoothConvolve":        "allocating SmoothConvolveInto",
+	"dsp.TopPeaks":              "allocating TopPeaksInto",
+	"physics.Pump.Acceleration": "allocating AccelerationInto; BenchmarkAcceleration is a gated BENCH.txt row",
+	"dsp.STFT":                  "allocating STFTInto; BenchmarkSTFT16k is a gated BENCH.txt row",
+	"store.ReplayWAL":           "ReplayWALWorkers at GOMAXPROCS, how the mirror and cluster tests read a WAL",
 
 	// Entry points of test harnesses.
 	"cluster.RunClusterCrashTrial": "the cluster crash sweep's harness",
