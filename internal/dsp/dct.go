@@ -14,10 +14,12 @@ func DCT(x []float64) []float64 {
 // DCTInto is DCT writing the coefficients into dst, which is grown if
 // its capacity is short and returned resliced to len(x). dst and x may
 // not alias. The transform is evaluated in O(K log K) via Makhoul's
-// even-odd permutation: a single length-K FFT, its input written
-// straight to the plan's slots, followed by a cached cos/sin
-// recombination, supporting arbitrary K. Steady-state calls with
-// an adequate dst are allocation-free.
+// even-odd permutation, supporting arbitrary K: for an even K its
+// samples are written in pairs straight to their slots of a K/2-point
+// complex FFT, whose split pass yields the coefficients (see realPlan);
+// an odd K runs a K-point complex FFT of the permuted input and a
+// cos/sin recombination. Steady-state calls with an adequate dst are
+// allocation-free.
 func DCTInto(dst, x []float64) []float64 {
 	n := len(x)
 	if cap(dst) < n {
@@ -31,21 +33,53 @@ func DCTInto(dst, x []float64) []float64 {
 		dst[0] = x[0]
 		return dst
 	}
+	if n%2 == 1 {
+		oddDCT(dst, x)
+		return dst
+	}
+	p := planReal(n)
+	buf := getCBuf(p.m)
+	z := buf.s
+	slot := p.slot[:p.m]
+	for b := 0; b < n/4; b++ {
+		q := x[4*b : 4*b+4 : 4*b+4]
+		z[slot[2*b]] = complex(q[0], q[2])
+		z[slot[2*b+1]] = complex(q[3], q[1])
+	}
+	if n%4 == 2 {
+		z[slot[p.m-1]] = complex(x[n-2], x[n-1])
+	}
+	p.dctFromSlots(dst, z)
+	putCBuf(buf)
+	return dst
+}
+
+// oddDCT is DCTInto's odd-length path: the even-odd permuted input
+// v = [x0, x2, …, x3, x1] through Bluestein's n-point FFT, then
+// C[k] = Re(e^{-iπk/(2n)} · V[k]), scaled.
+func oddDCT(dst, x []float64) {
+	n := len(x)
 	p := planDCT(n)
 	buf := getCBuf(n)
 	v := buf.s
-	slot := p.slot[:n]
 	for j, xj := range x {
-		v[slot[j]] = complex(xj, 0)
+		v[makhoulIndex(j, n)] = complex(xj, 0)
 	}
-	p.transform(v)
-	// Raw DCT-II coefficient: C[k] = Re(e^{-iπk/(2n)} · V[k]).
+	planBluestein(n).transform(v, false)
 	dst[0] = real(v[0]) * p.scale0
 	for k := 1; k < n; k++ {
 		dst[k] = (real(v[k])*p.cosT[k] + imag(v[k])*p.sinT[k]) * p.scaleK
 	}
 	putCBuf(buf)
-	return dst
+}
+
+// makhoulIndex is where sample j of n sits in Makhoul's even-odd
+// permutation [x0, x2, x4, ..., x5, x3, x1].
+func makhoulIndex(j, n int) int {
+	if j&1 == 1 {
+		return n - 1 - j/2
+	}
+	return j / 2
 }
 
 // IDCT computes the inverse of DCT (the orthonormal DCT-III), so that

@@ -139,49 +139,3 @@ func TestDCTParsevalProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// swapPassDCT is DCTInto as it was before the plan's slot table: the
-// even-odd permutation written in index order, then the FFT with its
-// bit-reversal swap pass, then the same recombination.
-func swapPassDCT(x []float64) []float64 {
-	n := len(x)
-	p := newDCTPlan(n)
-	v := make([]complex128, n)
-	for i := 0; i < (n+1)/2; i++ {
-		v[i] = complex(x[2*i], 0)
-	}
-	for i := 0; i < n/2; i++ {
-		v[n-1-i] = complex(x[2*i+1], 0)
-	}
-	FFT(v)
-	out := make([]float64, n)
-	out[0] = real(v[0]) * p.scale0
-	for k := 1; k < n; k++ {
-		out[k] = (real(v[k])*p.cosT[k] + imag(v[k])*p.sinT[k]) * p.scaleK
-	}
-	return out
-}
-
-// TestDCTSlotTableEqualsSwapPass: writing each sample straight to its
-// slot and running the butterflies alone is the swap-pass DCT bit for
-// bit, at every power of two to 4096 (odd and even stage counts) and at
-// Bluestein lengths, whose slots are the even-odd permutation alone.
-func TestDCTSlotTableEqualsSwapPass(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	lengths := []int{3, 5, 35, 100, 1000}
-	for n := 2; n <= 4096; n <<= 1 {
-		lengths = append(lengths, n)
-	}
-	for _, n := range lengths {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		got, want := DCT(x), swapPassDCT(x)
-		for k := range want {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("n=%d bin %d: %v, swap pass %v", n, k, got[k], want[k])
-			}
-		}
-	}
-}

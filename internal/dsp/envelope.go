@@ -14,8 +14,10 @@ func Envelope(x []float64) []float64 {
 
 // EnvelopeInto is Envelope writing into dst (grown if needed, returned
 // resliced to len(x)). The analytic-signal transform runs on cached
-// plans with pooled scratch, so steady-state calls with an adequate dst
-// are allocation-free.
+// plans with pooled scratch — its forward half on the real-input FFT
+// for an even length, its inverse on the complex one, since the
+// analytic signal is complex — so steady-state calls with an adequate
+// dst are allocation-free.
 func EnvelopeInto(dst, x []float64) []float64 {
 	n := len(x)
 	if cap(dst) < n {
@@ -31,10 +33,14 @@ func EnvelopeInto(dst, x []float64) []float64 {
 	}
 	cb := getCBuf(n)
 	buf := cb.s
-	for i, v := range x {
-		buf[i] = complex(v, 0)
+	if n%2 == 0 {
+		realFFT(buf, x, 0)
+	} else {
+		for i, v := range x {
+			buf[i] = complex(v, 0)
+		}
+		FFT(buf)
 	}
-	FFT(buf)
 	// Analytic signal: zero the negative frequencies, double the
 	// positive ones, keep DC (and Nyquist for even n) unscaled.
 	half := n / 2

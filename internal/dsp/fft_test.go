@@ -108,9 +108,10 @@ func TestFFTParseval(t *testing.T) {
 	}
 }
 
-// realFFT returns the half-spectrum (bins 0..N/2) of the real signal
-// x: the FFT of x embedded in the complex plane.
-func realFFT(x []float64) []complex128 {
+// complexHalfSpectrum returns the half-spectrum (bins 0..N/2) of the
+// real signal x the complex path computes: the FFT of x embedded in the
+// complex plane. It is the reference of the real-input FFT.
+func complexHalfSpectrum(x []float64) []complex128 {
 	buf := make([]complex128, len(x))
 	for i, v := range x {
 		buf[i] = complex(v, 0)
@@ -123,7 +124,7 @@ func TestRealFFTImpulse(t *testing.T) {
 	// The DFT of a unit impulse is flat with magnitude 1 everywhere.
 	x := make([]float64, 16)
 	x[0] = 1
-	spec := realFFT(x)
+	spec := halfSpectrum(x)
 	if len(spec) != 9 {
 		t.Fatalf("half spectrum length = %d, want 9", len(spec))
 	}
@@ -141,7 +142,7 @@ func TestRealFFTSinusoidBin(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * float64(bin) * float64(i) / float64(n))
 	}
-	spec := realFFT(x)
+	spec := halfSpectrum(x)
 	best, bestMag := 0, 0.0
 	for k, v := range spec {
 		if m := cmplx.Abs(v); m > bestMag {

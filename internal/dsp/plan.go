@@ -59,7 +59,7 @@ func (p *fftPlan) transform(x []complex128, inverse bool) {
 
 // butterflies runs the transform's stages over x already in
 // bit-reversed order — what a caller that wrote each sample straight to
-// its reversed slot (dctPlan.slot) skips the swap pass with. Stages are
+// its reversed slot (realPlan.slot) skips the swap pass with. Stages are
 // executed in fused pairs (a radix-4-style kernel): each 4-point group
 // stays in registers across two butterfly levels and the upper stage's
 // second-half twiddle is derived from the first by an exact ∓i
@@ -214,16 +214,10 @@ func (p *bluesteinPlan) transform(x []complex128, inverse bool) {
 	putCBuf(buf)
 }
 
-// dctPlan caches the input permutation and the post-FFT recombination
-// tables of the orthonormal DCT-II of one length (Makhoul's even-odd
-// permutation method).
+// dctPlan caches the post-FFT recombination tables of the orthonormal
+// DCT-II of one odd length (Makhoul's even-odd permutation method); an
+// even length runs on its realPlan.
 type dctPlan struct {
-	n int
-	// slot[j] is where sample j sits in the FFT input: the even-odd
-	// permutation [x0, x2, x4, ..., x5, x3, x1] and, for a power-of-two
-	// n, the FFT's bit reversal after it, so transform runs the
-	// butterflies alone.
-	slot       []int32
 	cosT, sinT []float64 // cos/sin(πk/(2n))
 	scale0     float64   // √(1/n)
 	scaleK     float64   // √(2/n)
@@ -231,24 +225,10 @@ type dctPlan struct {
 
 func newDCTPlan(n int) *dctPlan {
 	p := &dctPlan{
-		n:      n,
-		slot:   make([]int32, n),
 		cosT:   make([]float64, n),
 		sinT:   make([]float64, n),
 		scale0: math.Sqrt(1 / float64(n)),
 		scaleK: math.Sqrt(2 / float64(n)),
-	}
-	pow2 := n&(n-1) == 0
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for j := 0; j < n; j++ {
-		q := j / 2
-		if j&1 == 1 {
-			q = n - 1 - j/2
-		}
-		if pow2 {
-			q = int(bits.Reverse64(uint64(q)) >> shift)
-		}
-		p.slot[j] = int32(q)
 	}
 	for k := 0; k < n; k++ {
 		ang := math.Pi * float64(k) / (2 * float64(n))
@@ -256,17 +236,6 @@ func newDCTPlan(n int) *dctPlan {
 		p.sinT[k] = math.Sin(ang)
 	}
 	return p
-}
-
-// transform runs the forward FFT of v, whose samples sit at their
-// slots: the butterflies alone for a power-of-two length, Bluestein's
-// transform of the even-odd permuted input otherwise.
-func (p *dctPlan) transform(v []complex128) {
-	if p.n&(p.n-1) == 0 {
-		planFFT(p.n).butterflies(v, false)
-		return
-	}
-	planBluestein(p.n).transform(v, false)
 }
 
 // maxCachedPlans caps how many distinct lengths each registry keeps.
@@ -321,6 +290,7 @@ var (
 	fftPlans       planRegistry[*fftPlan]
 	bluesteinPlans planRegistry[*bluesteinPlan]
 	dctPlans       planRegistry[*dctPlan]
+	realPlans      planRegistry[*realPlan]
 	hannPlans      planRegistry[[]float64] // shared, read-only
 )
 
@@ -329,6 +299,8 @@ func planFFT(n int) *fftPlan { return fftPlans.get(n, newFFTPlan) }
 func planBluestein(n int) *bluesteinPlan { return bluesteinPlans.get(n, newBluesteinPlan) }
 
 func planDCT(n int) *dctPlan { return dctPlans.get(n, newDCTPlan) }
+
+func planReal(n int) *realPlan { return realPlans.get(n, newRealPlan) }
 
 // hannCached returns a shared, read-only Hann window of length n.
 // Callers must not modify it; use HannWindow for a private copy.

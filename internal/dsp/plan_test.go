@@ -123,6 +123,7 @@ func resetPlanRegistries() {
 	fftPlans.reset()
 	bluesteinPlans.reset()
 	dctPlans.reset()
+	realPlans.reset()
 	hannPlans.reset()
 	cbufPools.reset()
 	fbufPools.reset()
@@ -311,11 +312,14 @@ func TestPlanRegistriesAreBounded(t *testing.T) {
 		}
 
 		// DCTInto has no entry point taking a plan: pin it to the
-		// O(n²) reference instead.
-		got, ref := DCT(x), naiveDCT2(x)
-		for k := range got {
-			if !almostEqual(got[k], ref[k], 1e-9) {
-				t.Fatalf("DCT n=%d coefficient %d: %g, naive %g", n, k, got[k], ref[k])
+		// O(n²) reference instead, at this odd length (the complex
+		// path) and the even one after it (the real plan).
+		for _, x := range [][]float64{x, append(x, 0.5)} {
+			got, ref := DCT(x), naiveDCT2(x)
+			for k := range got {
+				if !almostEqual(got[k], ref[k], 1e-9) {
+					t.Fatalf("DCT n=%d coefficient %d: %g, naive %g", len(x), k, got[k], ref[k])
+				}
 			}
 		}
 
@@ -327,7 +331,7 @@ func TestPlanRegistriesAreBounded(t *testing.T) {
 		}
 	}
 	for name, size := range map[string]int{
-		"fft": fftPlans.len(), "bluestein": bluesteinPlans.len(), "dct": dctPlans.len(), "hann": hannPlans.len(),
+		"fft": fftPlans.len(), "bluestein": bluesteinPlans.len(), "dct": dctPlans.len(), "real": realPlans.len(), "hann": hannPlans.len(),
 	} {
 		if size > maxCachedPlans {
 			t.Errorf("%s registry holds %d plans, cap %d", name, size, maxCachedPlans)

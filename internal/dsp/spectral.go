@@ -110,53 +110,85 @@ func PSDDCTInto(dst, x []float64) []float64 {
 
 // AddAxisPower is one axis of the paper's combined PSD feature, read
 // straight from its raw ADC counts: with g = counts·scale it adds
-// PSDDCT(g) into psd — the first len(psd) bins only, so a malformed
-// record's longer axis is clipped to the combined grid — and returns
-// the axis mean and Σ(g−mean)², the moments the zero offset and the RMS
-// feature are made of. It reads the counts twice (the mean, then the
-// demeaned samples written straight to their FFT slots) and the
-// spectrum once, allocation-free once the plan and scratch are warm.
+// PSDDCT(g) into psd[:len(counts)], which must exist, and returns the
+// axis mean and Σ(g−mean)², the moments the zero offset and the RMS
+// feature are made of. It reads the counts twice (the mean; then each
+// demeaned sample, summed squared and written straight to its slot of
+// the DCT's FFT, realPlan.slot) and its spectrum once, allocation-free
+// once the plan and scratch are warm.
 //
-// Every value is bit-identical to the chain it fuses — g stored, Mean,
-// DemeanInto, DCTInto, the square, the sum into psd — and to the
-// two-pass RMS: each expression and each sum's order is that chain's,
-// and every intermediate the chain stored to memory is rounded by an
-// explicit float64 conversion, which stops a compiler from fusing a
-// multiply into the add that follows it.
+// The moments are bit for bit the two-pass transform.Offsets and
+// transform.RMS: the counts are summed in sample order and every
+// product is rounded by an explicit float64 conversion before its add,
+// which stops a compiler from fusing the multiply into it.
 func AddAxisPower(psd []float64, counts []int16, scale float64) (mean, sumSq float64) {
 	n := len(counts)
 	if n == 0 {
 		return 0, 0
 	}
-	var sum float64
 	for _, c := range counts {
-		sum += float64(float64(c) * scale)
+		mean += float64(float64(c) * scale)
 	}
-	mean = sum / float64(n)
+	mean /= float64(n)
+	inv := 1 / (2 * float64(n))
+	if n%2 == 1 {
+		return mean, addOddAxisPower(psd, counts, scale, mean, inv)
+	}
+	p := planReal(n)
+	buf := getCBuf(p.m)
+	z := buf.s
+	slot := p.slot[:p.m]
+	for b := 0; b < n/4; b++ {
+		q := (*[4]int16)(counts[4*b:])
+		d0, d1, sq := demean2(q[0], q[1], scale, mean, sumSq)
+		d2, d3, sq := demean2(q[2], q[3], scale, mean, sq)
+		z[slot[2*b]], z[slot[2*b+1]], sumSq = complex(d0, d2), complex(d3, d1), sq
+	}
+	if n%4 == 2 {
+		d0, d1, sq := demean2(counts[n-2], counts[n-1], scale, mean, sumSq)
+		z[slot[p.m-1]], sumSq = complex(d0, d1), sq
+	}
+	p.addPowerFromSlots(psd, z, inv)
+	putCBuf(buf)
+	return mean, sumSq
+}
+
+// demean2 returns a·scale − mean and b·scale − mean, with their squares
+// added to sumSq in that order. The four samples of a block go to the
+// DCT's FFT as the pairs (d0, d2) and (d3, d1), realPlan.slot's order.
+func demean2(a, b int16, scale, mean, sumSq float64) (da, db, sq float64) {
+	da = float64(float64(a)*scale) - mean
+	sumSq += float64(da * da)
+	db = float64(float64(b)*scale) - mean
+	sumSq += float64(db * db)
+	return da, db, sumSq
+}
+
+// addOddAxisPower is AddAxisPower's odd-length path: the demeaned
+// samples at their even-odd permuted slots of an n-point complex FFT,
+// then the cos/sin recombination, squared into psd. It returns
+// Σ(g−mean)².
+func addOddAxisPower(psd []float64, counts []int16, scale, mean, inv float64) (sumSq float64) {
+	n := len(counts)
 	p := planDCT(n)
 	buf := getCBuf(n)
 	v := buf.s
-	slot := p.slot[:n]
 	for j, c := range counts {
 		d := float64(float64(c)*scale) - mean
 		sumSq += float64(d * d)
-		v[slot[j]] = complex(d, 0)
+		v[makhoulIndex(j, n)] = complex(d, 0)
 	}
-	p.transform(v)
-	m := min(n, len(psd))
-	inv := 1 / (2 * float64(n))
-	if m > 0 {
-		c := float64(real(v[0]) * p.scale0)
-		psd[0] += float64(c * c * inv)
-	}
-	psd, v = psd[:m], v[:m]
-	cosT, sinT := p.cosT[:m], p.sinT[:m]
-	for k := 1; k < m; k++ {
-		c := float64((real(v[k])*cosT[k] + imag(v[k])*sinT[k]) * p.scaleK)
-		psd[k] += float64(c * c * inv)
+	planBluestein(n).transform(v, false)
+	c := real(v[0]) * p.scale0
+	psd[0] += c * c * inv
+	psd, v = psd[:n], v[:n]
+	cosT, sinT := p.cosT[:n], p.sinT[:n]
+	for k := 1; k < n; k++ {
+		c := (real(v[k])*cosT[k] + imag(v[k])*sinT[k]) * p.scaleK
+		psd[k] += c * c * inv
 	}
 	putCBuf(buf)
-	return mean, sumSq
+	return sumSq
 }
 
 // Periodogram computes the one-sided FFT periodogram of x sampled at
@@ -169,16 +201,17 @@ func Periodogram(x []float64, fs float64) (freq, psd []float64, err error) {
 }
 
 // PeriodogramInto is Periodogram writing into freq and psd (each grown
-// if needed, returned resliced to len(x)/2+1). The transform runs on a
-// cached plan over pooled scratch, so steady-state calls with adequate
-// outputs are allocation-free.
+// if needed, returned resliced to len(x)/2+1). An even length runs the
+// real-input FFT (realFFT), an odd one the complex FFT, each on a cached
+// plan over pooled scratch, so steady-state calls with adequate outputs
+// are allocation-free.
 func PeriodogramInto(freq, psd, x []float64, fs float64) ([]float64, []float64, error) {
 	n := len(x)
 	if n == 0 {
 		return nil, nil, ErrEmptySignal
 	}
-	if fs <= 0 {
-		return nil, nil, errors.New("dsp: sampling rate must be positive")
+	if !validRate(fs) {
+		return nil, nil, errBadRate
 	}
 	half := n/2 + 1
 	if cap(freq) < half {
@@ -188,17 +221,22 @@ func PeriodogramInto(freq, psd, x []float64, fs float64) ([]float64, []float64, 
 		psd = make([]float64, half)
 	}
 	freq, psd = freq[:half], psd[:half]
-	cb := getCBuf(n)
-	spec := cb.s
 	mu := Mean(x)
-	for i, v := range x {
-		spec[i] = complex(v-mu, 0)
+	var cb *cbuf
+	if n%2 == 0 {
+		cb = getCBuf(half)
+		realFFT(cb.s, x, mu)
+	} else {
+		cb = getCBuf(n)
+		for i, v := range x {
+			cb.s[i] = complex(v-mu, 0)
+		}
+		FFT(cb.s)
 	}
-	FFT(spec)
+	spec := cb.s[:half]
 	scale := 1 / (fs * float64(n))
-	for k := 0; k < half; k++ {
+	for k, m := range spec {
 		freq[k] = float64(k) * fs / float64(n)
-		m := spec[k]
 		p := (real(m)*real(m) + imag(m)*imag(m)) * scale
 		if k != 0 && !(n%2 == 0 && k == half-1) {
 			p *= 2 // fold the negative-frequency half in
@@ -208,6 +246,14 @@ func PeriodogramInto(freq, psd, x []float64, fs float64) ([]float64, []float64, 
 	putCBuf(cb)
 	return freq, psd, nil
 }
+
+// errBadRate is the spectral estimators' refusal of a sampling rate
+// that is not a positive finite number.
+var errBadRate = errors.New("dsp: sampling rate must be positive and finite")
+
+// validRate reports whether fs is a usable sampling rate: NaN and +Inf
+// are refused with the non-positive rates.
+func validRate(fs float64) bool { return fs > 0 && !math.IsInf(fs, 1) }
 
 // BandPower integrates psd (per-Hz density on the freq axis) between lo
 // and hi using the trapezoid rule.

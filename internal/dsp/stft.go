@@ -1,7 +1,5 @@
 package dsp
 
-import "errors"
-
 // Spectrogram is a time-frequency power map from the short-time Fourier
 // transform: Power[t][k] is the one-sided PSD of frame t at frequency
 // bin k.
@@ -63,8 +61,8 @@ func STFTInto(sg *Spectrogram, x []float64, fs float64, cfg STFTConfig) error {
 	if len(x) == 0 {
 		return ErrEmptySignal
 	}
-	if fs <= 0 {
-		return errors.New("dsp: sampling rate must be positive")
+	if !validRate(fs) {
+		return errBadRate
 	}
 	frame, hop, window := cfg.params(len(x))
 	var wp float64

@@ -69,8 +69,8 @@ func WelchInto(freq, psd []float64, x []float64, fs float64, cfg WelchConfig) er
 	if len(x) == 0 {
 		return ErrEmptySignal
 	}
-	if fs <= 0 {
-		return errors.New("dsp: sampling rate must be positive")
+	if !validRate(fs) {
+		return errBadRate
 	}
 	seg, step, window := cfg.params(len(x))
 	half := seg/2 + 1

@@ -86,10 +86,14 @@ func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64, Mome
 		freq = make([]float64, k)
 	}
 	freq = freq[:k]
-	if cap(psd) < k {
-		psd = make([]float64, k)
+	// A malformed record can carry an axis longer than the combined
+	// grid: its spectrum is summed in full and the bins past the grid
+	// are cut off. Well-formed records are unaffected.
+	n := max(len(rec.Raw[0]), len(rec.Raw[1]), len(rec.Raw[2]))
+	if cap(psd) < n {
+		psd = make([]float64, n)
 	}
-	psd = psd[:k]
+	psd = psd[:n]
 	for i := range psd {
 		psd[i] = 0
 	}
@@ -99,9 +103,6 @@ func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64, Mome
 		if len(raw) == 0 {
 			continue
 		}
-		// A malformed record can carry unequal axis lengths; the kernel
-		// folds only the bins that exist on the combined grid instead of
-		// indexing past it. Well-formed records are unaffected.
 		mean, sq := dsp.AddAxisPower(psd, raw, rec.ScaleG)
 		m.Offsets[axis] = mean
 		sum += sq / float64(len(raw))
@@ -110,7 +111,7 @@ func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64, Mome
 	for i := range freq {
 		freq[i] = float64(i) * rec.SampleRateHz / (2 * float64(k))
 	}
-	return freq, psd, m
+	return freq, psd[:k], m
 }
 
 // psdScratch holds the (freq, psd) arrays UsePSD lends out.

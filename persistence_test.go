@@ -163,11 +163,14 @@ func TestLoadModelKeepsEngineOptions(t *testing.T) {
 }
 
 // TestLoadModelFromBeforeOptionsShrank: testdata/model_pr24.json was
-// written by the PR 24 engine (fitEngine(t, 47), lifetime models
+// written by an older engine (fitEngine(t, 47), lifetime models
 // learned), whose Options still carried OutlierBandwidth,
-// SmoothingWindowDays, RUL and LabelMatchToleranceDays. It loads, and
-// scores and classifies every labelled record exactly as today's engine
-// fitted on the same corpus does.
+// SmoothingWindowDays, RUL and LabelMatchToleranceDays. Its numeric
+// fields follow today's fit: they were rewritten once when the record
+// spectrum moved to the real-input transform and its rounding moved,
+// and every retired key was kept. It loads, and scores and classifies
+// every labelled record exactly as today's engine fitted on the same
+// corpus does.
 func TestLoadModelFromBeforeOptionsShrank(t *testing.T) {
 	path := filepath.Join("testdata", "model_pr24.json")
 	raw, err := os.ReadFile(path)

@@ -18,7 +18,6 @@ import (
 // for a method.
 var surfaceAllowed = map[string]string{
 	// References the equivalence tests name.
-	"dsp.PSDDCT":            "the axis pass's reference chain (transform/pass_test.go)",
 	"dsp.IDCT":              "inverse of DCT for the round-trip test",
 	"transform.VelocityPSD": "reference for the in-place velocity integral",
 
@@ -28,6 +27,7 @@ var surfaceAllowed = map[string]string{
 	"dsp.EnvelopeSpectrum":      "allocating EnvelopeSpectrumInto",
 	"dsp.FindPeaks":             "allocating FindPeaksInto",
 	"dsp.Periodogram":           "allocating PeriodogramInto",
+	"dsp.PSDDCT":                "allocating PSDDCTInto",
 	"dsp.SmoothConvolve":        "allocating SmoothConvolveInto",
 	"dsp.TopPeaks":              "allocating TopPeaksInto",
 	"physics.Pump.Acceleration": "allocating AccelerationInto; BenchmarkAcceleration is a gated BENCH.txt row",
