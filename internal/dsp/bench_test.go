@@ -38,44 +38,27 @@ func BenchmarkFFTBluestein1000(b *testing.B) {
 	}
 }
 
-func BenchmarkDCT1024(b *testing.B) {
-	x := benchSignal(1024)
-	dst := make([]float64, 1024)
-	b.ReportAllocs()
-	for b.Loop() {
-		DCTInto(dst, x)
+// BenchmarkAxisPower1024 is the record spectrum's own kernel: one
+// 1,024-count axis to its DCT power and moments.
+func BenchmarkAxisPower1024(b *testing.B) {
+	counts := make([]int16, 1024)
+	for i, v := range benchSignal(1024) {
+		counts[i] = int16(v * 900)
 	}
-}
-
-func BenchmarkPSDDCT1024(b *testing.B) {
-	x := benchSignal(1024)
-	dst := make([]float64, 1024)
+	psd := make([]float64, 1024)
 	b.ReportAllocs()
 	for b.Loop() {
-		PSDDCTInto(dst, x)
+		AddAxisPower(psd, counts, 0.0039)
 	}
 }
 
 func BenchmarkWelch16k(b *testing.B) {
 	x := benchSignal(16384)
-	cfg := WelchConfig{SegmentLength: 1024, Overlap: 0.5}
 	freq := make([]float64, 1024/2+1)
 	psd := make([]float64, 1024/2+1)
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := WelchInto(freq, psd, x, 1000, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSTFT16k(b *testing.B) {
-	x := benchSignal(16384)
-	cfg := STFTConfig{FrameLength: 1024, HopLength: 512}
-	var sg Spectrogram
-	b.ReportAllocs()
-	for b.Loop() {
-		if err := STFTInto(&sg, x, 1000, cfg); err != nil {
+		if err := WelchInto(freq, psd, x, 1000, 1024); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ func EnvelopeInto(dst, x []float64) []float64 {
 	cb := getCBuf(n)
 	buf := cb.s
 	if n%2 == 0 {
-		realFFT(buf, x, 0)
+		realFFT(buf, x, nil, 0)
 	} else {
 		for i, v := range x {
 			buf[i] = complex(v, 0)

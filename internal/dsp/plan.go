@@ -215,8 +215,8 @@ func (p *bluesteinPlan) transform(x []complex128, inverse bool) {
 }
 
 // dctPlan caches the post-FFT recombination tables of the orthonormal
-// DCT-II of one odd length (Makhoul's even-odd permutation method); an
-// even length runs on its realPlan.
+// DCT-II of one odd length (Makhoul's even-odd permutation method), the
+// tables addOddAxisPower reads; an even length runs on its realPlan.
 type dctPlan struct {
 	cosT, sinT []float64 // cos/sin(πk/(2n))
 	scale0     float64   // √(1/n)

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -43,22 +44,14 @@ func TestPlannedFFTMatchesNaiveAllLengthClasses(t *testing.T) {
 }
 
 // TestPlannedDCTMatchesNaiveAllLengthClasses does the same for the
-// Makhoul-permuted plan-cached DCT-II.
+// plan-cached DCT power, AddAxisPower: Makhoul's permutation on the
+// real plan (even lengths) or Bluestein's (odd ones).
 func TestPlannedDCTMatchesNaiveAllLengthClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, n := range planLengths {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := naiveDCT2(x)
+		counts := randomCounts(rng, n)
 		for pass := 0; pass < 2; pass++ {
-			got := DCT(x)
-			for k := range want {
-				if !almostEqual(got[k], want[k], 1e-8) {
-					t.Fatalf("n=%d pass=%d bin %d: got %.12f want %.12f", n, pass, k, got[k], want[k])
-				}
-			}
+			checkNaivePower(t, fmt.Sprintf("n=%d pass=%d", n, pass), counts)
 		}
 	}
 }
@@ -66,18 +59,15 @@ func TestPlannedDCTMatchesNaiveAllLengthClasses(t *testing.T) {
 // TestPlannedParsevalAllLengthClasses checks the Parseval identity for
 // both transforms over every length class: the FFT preserves energy up
 // to the 1/n normalization and the orthonormal DCT preserves it
-// exactly.
+// exactly, so 2K times the DCT power's bins is the axis's Σ(g−mean)².
 func TestPlannedParsevalAllLengthClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range planLengths {
 		x := make([]complex128, n)
-		r := make([]float64, n)
-		var te, re float64
+		var te float64
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			r[i] = rng.NormFloat64()
 			te += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
-			re += r[i] * r[i]
 		}
 		FFT(x)
 		var fe float64
@@ -88,13 +78,7 @@ func TestPlannedParsevalAllLengthClasses(t *testing.T) {
 		if !almostEqual(te, fe, 1e-9) {
 			t.Fatalf("FFT n=%d Parseval: time %.12f freq %.12f", n, te, fe)
 		}
-		var ce float64
-		for _, v := range DCT(r) {
-			ce += v * v
-		}
-		if !almostEqual(re, ce, 1e-9) {
-			t.Fatalf("DCT n=%d Parseval: time %.12f coef %.12f", n, re, ce)
-		}
+		checkParseval(t, fmt.Sprintf("DCT power n=%d", n), randomCounts(rng, n))
 	}
 }
 
@@ -144,7 +128,7 @@ func TestPlanRegistryReturnsSharedPlans(t *testing.T) {
 			t.Fatalf("planBluestein(%d) returned distinct plans", n)
 		}
 	}
-	for _, n := range []int{5, 33, 1024} {
+	for _, n := range []int{5, 33, 1023} {
 		if p1, p2 := planDCT(n), planDCT(n); p1 != p2 {
 			t.Fatalf("planDCT(%d) returned distinct plans", n)
 		}
@@ -165,14 +149,16 @@ func TestPlanRegistryConcurrentAccess(t *testing.T) {
 	lengths := []int{37, 74, 148, 296, 592, 61, 122, 244}
 	rng := rand.New(rand.NewSource(24))
 	inputs := make([][]float64, len(lengths))
-	wantDCT := make([][]float64, len(lengths))
+	counts := make([][]int16, len(lengths))
+	wantPower := make([][]float64, len(lengths))
 	wantFFT := make([][]complex128, len(lengths))
 	for i, n := range lengths {
 		inputs[i] = make([]float64, n)
 		for j := range inputs[i] {
 			inputs[i][j] = rng.NormFloat64()
 		}
-		wantDCT[i] = naiveDCT2(inputs[i])
+		counts[i] = randomCounts(rng, n)
+		wantPower[i] = naivePower(counts[i], adcScale)
 		c := make([]complex128, n)
 		for j, v := range inputs[i] {
 			c[j] = complex(v, 0)
@@ -202,28 +188,18 @@ func TestPlanRegistryConcurrentAccess(t *testing.T) {
 						return
 					}
 				}
-				d := DCT(inputs[i])
-				for k := range d {
-					if !almostEqual(d[k], wantDCT[i][k], 1e-8) {
-						errs <- "concurrent DCT diverged from sequential reference"
+				// The DCT power shares the same registries and scratch
+				// pools.
+				p, _, sumSq := axisPower(counts[i], adcScale)
+				total := sum(wantPower[i])
+				for k := range p {
+					if math.Abs(p[k]-wantPower[i][k]) > naiveBound*total {
+						errs <- "concurrent DCT power diverged from the naive reference"
 						return
 					}
 				}
-				// Pooled spectral paths share the same registries and
-				// scratch pools.
-				p := PSDDCT(inputs[i])
-				var pe, xe float64
-				for _, v := range p {
-					pe += v
-				}
-				mean := Mean(inputs[i])
-				for _, v := range inputs[i] {
-					xe += (v - mean) * (v - mean)
-				}
-				// PSDDCT bins are c_k²/(2k): total power is rms²/2 of the
-				// demeaned signal by Parseval.
-				if !almostEqual(pe, xe/float64(n)/2, 1e-6) {
-					errs <- "concurrent PSDDCT power mismatch"
+				if e := 2 * float64(n) * sum(p); math.Abs(e-sumSq) > 1e-12*sumSq {
+					errs <- "concurrent DCT power breaks Parseval"
 					return
 				}
 			}
@@ -233,37 +209,6 @@ func TestPlanRegistryConcurrentAccess(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
-	}
-}
-
-// TestIntoVariantsReuseBuffers verifies the Into entry points honour
-// caller-owned buffers: adequate capacity is reused in place, short
-// capacity grows, and the returned slice always holds the right answer.
-func TestIntoVariantsReuseBuffers(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	x := make([]float64, 128)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := DCT(x)
-	buf := make([]float64, 0, 128)
-	got := DCTInto(buf, x)
-	if &got[0] != &buf[:1][0] {
-		t.Fatal("DCTInto did not reuse an adequate buffer")
-	}
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("DCTInto bin %d: %g want %g", k, got[k], want[k])
-		}
-	}
-	grown := DCTInto(make([]float64, 0, 4), x)
-	if len(grown) != len(want) {
-		t.Fatalf("DCTInto grew to %d, want %d", len(grown), len(want))
-	}
-	for k := range want {
-		if grown[k] != want[k] {
-			t.Fatalf("grown DCTInto bin %d: %g want %g", k, grown[k], want[k])
-		}
 	}
 }
 
@@ -311,16 +256,12 @@ func TestPlanRegistriesAreBounded(t *testing.T) {
 			}
 		}
 
-		// DCTInto has no entry point taking a plan: pin it to the
-		// O(n²) reference instead, at this odd length (the complex
+		// AddAxisPower has no entry point taking a plan: pin it to
+		// the O(n²) reference instead, at this odd length (the complex
 		// path) and the even one after it (the real plan).
-		for _, x := range [][]float64{x, append(x, 0.5)} {
-			got, ref := DCT(x), naiveDCT2(x)
-			for k := range got {
-				if !almostEqual(got[k], ref[k], 1e-9) {
-					t.Fatalf("DCT n=%d coefficient %d: %g, naive %g", len(x), k, got[k], ref[k])
-				}
-			}
+		counts := randomCounts(rng, n+1)
+		for _, c := range [][]int16{counts[:n], counts} {
+			checkNaivePower(t, fmt.Sprintf("DCT power n=%d", len(c)), c)
 		}
 
 		w, fresh := hannCached(n), HannWindow(n)

@@ -2,8 +2,8 @@ package dsp
 
 import "sync"
 
-// Scratch-buffer pools. The spectral hot path (Welch segments, STFT
-// frames, envelope demodulation, per-measurement DCTs) needs short-lived
+// Scratch-buffer pools. The spectral hot path (per-measurement DCT
+// power, periodograms, envelope demodulation, Welch segments) needs short-lived
 // float64 and complex128 work arrays of a handful of recurring lengths.
 // Pooling them per exact length keeps steady-state feature extraction
 // allocation-free: a Get after warm-up returns a previously released

@@ -103,13 +103,20 @@ func split(a, b, w complex128) (xk, xj complex128) {
 	return complex(er+gr, ei+gi), complex(er-gr, gi-ei)
 }
 
-// realFFT writes bins 0…n/2 of the DFT of x − mu, for an even len(x) =
-// n ≥ 2, into z[:n/2+1]; z must hold at least that many.
-func realFFT(z []complex128, x []float64, mu float64) {
+// realFFT writes bins 0…n/2 of the DFT of (x − mu)·w, for an even
+// len(x) = n ≥ 2, into z[:n/2+1]; z must hold at least that many. A
+// nil w is no taper.
+func realFFT(z []complex128, x, w []float64, mu float64) {
 	p := planReal(len(x))
 	m := p.m
-	for j := 0; j < m; j++ {
-		z[j] = complex(x[2*j]-mu, x[2*j+1]-mu)
+	if w == nil {
+		for j := 0; j < m; j++ {
+			z[j] = complex(x[2*j]-mu, x[2*j+1]-mu)
+		}
+	} else {
+		for j := 0; j < m; j++ {
+			z[j] = complex((x[2*j]-mu)*w[2*j], (x[2*j+1]-mu)*w[2*j+1])
+		}
 	}
 	p.transform(z[:m], false)
 	z0 := z[0]
@@ -124,33 +131,10 @@ func realFFT(z []complex128, x []float64, mu float64) {
 	}
 }
 
-// dctFromSlots finishes the DCT-II of a sequence whose pairs sit at
-// their slots in z: the transform, then the split, writing the
-// orthonormal coefficients to c[:n].
-func (p *realPlan) dctFromSlots(c []float64, z []complex128) {
-	n, m := p.n, p.m
-	z = z[:m]
-	p.transform(z, true)
-	c = c[:n]
-	c[0] = (real(z[0]) + imag(z[0])) * p.scale0
-	c[m] = (real(z[0]) - imag(z[0])) * p.scale0
-	tw, rot := p.twiddle, p.rot[:m]
-	for k := 1; k < (m+1)/2; k++ {
-		j := m - k
-		xk, xj := split(z[k], z[j], tw[k])
-		wk, wj := rot[k]*xk, rot[j]*xj
-		c[k], c[n-k] = real(wk), -imag(wk)
-		c[j], c[n-j] = real(wj), -imag(wj)
-	}
-	if k := m / 2; m%2 == 0 && k > 0 {
-		xk, _ := split(z[k], z[k], tw[k])
-		wk := rot[k] * xk
-		c[k], c[n-k] = real(wk), -imag(wk)
-	}
-}
-
-// addPowerFromSlots is dctFromSlots adding c²·inv into psd[:n] instead
-// of storing c. One split serves four bins: k, n−k, m−k and n−m+k.
+// addPowerFromSlots finishes the orthonormal DCT-II of a sequence whose
+// pairs sit at their slots in z — the transform, then the split and the
+// rotation — adding each coefficient's c²·inv into psd[:n]. One split
+// serves four bins: k, n−k, m−k and n−m+k.
 func (p *realPlan) addPowerFromSlots(psd []float64, z []complex128, inv float64) {
 	n, m := p.n, p.m
 	z = z[:m]

@@ -18,11 +18,11 @@ const realBound = 1e-12
 // halfSpectrum is realFFT into a fresh buffer: bins 0…n/2 of x.
 func halfSpectrum(x []float64) []complex128 {
 	z := make([]complex128, len(x)/2+1)
-	realFFT(z, x, 0)
+	realFFT(z, x, nil, 0)
 	return z
 }
 
-// complexDCT is the orthonormal DCT-II the complex path computes:
+// complexDCT is the orthonormal DCT-II on the complex path:
 // Makhoul's even-odd permutation written in index order, the n-point
 // complex FFT with its swap pass, then the cos/sin recombination.
 func complexDCT(x []float64) []float64 {
@@ -59,6 +59,52 @@ func complexPeriodogram(x []float64, fs float64) []float64 {
 	return psd
 }
 
+// complexWelch is WelchInto on the complex path: the average of the
+// one-sided periodograms of x's disjoint seg-sample segments, each
+// (x − mean)·Hann through the seg-point complex FFT.
+func complexWelch(x []float64, fs float64, seg int) []float64 {
+	w := HannWindow(seg)
+	var wp float64
+	for _, v := range w {
+		wp += v * v
+	}
+	mu, segs := Mean(x), len(x)/seg
+	out := make([]float64, seg/2+1)
+	y := make([]float64, seg)
+	for s := 0; s < segs; s++ {
+		for i := range y {
+			y[i] = (x[s*seg+i] - mu) * w[i]
+		}
+		for k, m := range complexHalfSpectrum(y) {
+			p := (real(m)*real(m) + imag(m)*imag(m)) / (fs * wp)
+			if k != 0 && !(seg%2 == 0 && k == seg/2) {
+				p *= 2
+			}
+			out[k] += p / float64(segs)
+		}
+	}
+	return out
+}
+
+// complexAxisPower is AddAxisPower on the complex path: complexDCT of
+// the demeaned counts·scale, squared and scaled by 1/(2K).
+func complexAxisPower(counts []int16, scale float64) []float64 {
+	c := complexDCT(Demean(countsG(counts, scale)))
+	for k, v := range c {
+		c[k] = v * v / (2 * float64(len(c)))
+	}
+	return c
+}
+
+// toCounts rounds x to ADC counts, saturating at the int16 range.
+func toCounts(x []float64) []int16 {
+	c := make([]int16, len(x))
+	for i, v := range x {
+		c[i] = int16(math.Max(math.MinInt16, math.Min(math.MaxInt16, math.Round(v))))
+	}
+	return c
+}
+
 // complexEnvelope is EnvelopeInto on the complex path.
 func complexEnvelope(x []float64) []float64 {
 	n := len(x)
@@ -81,16 +127,16 @@ func complexEnvelope(x []float64) []float64 {
 	return out
 }
 
-// checkBound fails t unless every got[k] is within realBound·total of
+// checkBound fails t unless every got[k] is within bound·total of
 // want[k].
-func checkBound(t *testing.T, name string, got, want []float64, total float64) {
+func checkBound(t *testing.T, name string, got, want []float64, total, bound float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d values, reference %d", name, len(got), len(want))
 	}
 	for k := range want {
-		if d := math.Abs(got[k] - want[k]); !(d <= realBound*total) {
-			t.Fatalf("%s: bin %d: %v, reference %v (|Δ| %.3g of a %.3g bound)", name, k, got[k], want[k], d, realBound*total)
+		if d := math.Abs(got[k] - want[k]); !(d <= bound*total) {
+			t.Fatalf("%s: bin %d: %v, reference %v (|Δ| %.3g of a %.3g bound)", name, k, got[k], want[k], d, bound*total)
 		}
 	}
 }
@@ -110,14 +156,24 @@ func norm(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// checkRealFFT compares realFFT with the complex half spectrum of x,
-// real and imaginary parts alike, within realBound of the full
-// spectrum's L2 norm.
-func checkRealFFT(t *testing.T, x []float64) {
+// checkRealFFT compares realFFT of x with taper w (nil: none) and
+// offset mu with the complex half spectrum of (x − mu)·w, real and
+// imaginary parts alike, within realBound of the full spectrum's L2
+// norm.
+func checkRealFFT(t *testing.T, x, w []float64, mu float64) {
 	t.Helper()
-	got, want := halfSpectrum(x), complexHalfSpectrum(x)
+	y := make([]float64, len(x))
+	for i, v := range x {
+		y[i] = v - mu
+		if w != nil {
+			y[i] *= w[i]
+		}
+	}
+	got := make([]complex128, len(x)/2+1)
+	realFFT(got, x, w, mu)
+	want := complexHalfSpectrum(y)
 	var e float64
-	for _, v := range x {
+	for _, v := range y {
 		e += v * v
 	}
 	total := math.Sqrt(float64(len(x)) * e) // Parseval: ‖X‖₂
@@ -140,7 +196,8 @@ func checkRealFFT(t *testing.T, x []float64) {
 var evenLengths = []int{2, 4, 6, 8, 10, 12, 18, 20, 34, 96, 998, 1000, 1022, 1024, 2048, 4096}
 
 // TestRealFFTMatchesComplex pins realFFT to the complex FFT of the same
-// samples at every even length class.
+// samples at every even length class, untapered and under a Hann taper
+// about the mean (a Welch segment).
 func TestRealFFTMatchesComplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	for _, n := range evenLengths {
@@ -148,15 +205,17 @@ func TestRealFFTMatchesComplex(t *testing.T) {
 		for i := range x {
 			x[i] = 2 + rng.NormFloat64()
 		}
-		checkRealFFT(t, x)
+		checkRealFFT(t, x, nil, 0)
+		checkRealFFT(t, x, HannWindow(n), Mean(x))
 	}
 }
 
 // TestRealKernelsMatchComplexChain bounds every caller of the real
-// plan against its complex-path reference: DCTInto and PSDDCTInto
-// (Makhoul over the n-point complex FFT), PeriodogramInto,
-// EnvelopeInto and EnvelopeSpectrumInto, at every even length class
-// and, for the odd lengths that keep the complex path, a few of those.
+// plan against its complex-path reference: AddAxisPower (Makhoul over
+// the n-point complex FFT), PeriodogramInto, EnvelopeInto,
+// EnvelopeSpectrumInto and WelchInto (n-sample segments of a 4.5n-sample
+// signal, the tail dropped), at every even length class and, for the
+// odd lengths that keep the complex path, a few of those.
 func TestRealKernelsMatchComplexChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	const fs = 4000.0
@@ -167,36 +226,55 @@ func TestRealKernelsMatchComplexChain(t *testing.T) {
 		}
 		name := "n=" + strconv.Itoa(n)
 
-		want := complexDCT(x)
-		checkBound(t, name+" DCT", DCT(x), want, norm(want))
-		wantPSD := complexDCT(Demean(x))
-		for k, c := range wantPSD {
-			wantPSD[k] = c * c / (2 * float64(n))
+		counts := make([]int16, n)
+		for i, v := range x {
+			counts[i] = int16(300 * v)
 		}
-		checkBound(t, name+" PSDDCT", PSDDCT(x), wantPSD, sum(wantPSD))
+		got, _, _ := axisPower(counts, adcScale)
+		want := complexAxisPower(counts, adcScale)
+		checkBound(t, name+" axis power", got, want, sum(want), realBound)
 
 		_, psd, err := Periodogram(x, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = complexPeriodogram(x, fs)
-		checkBound(t, name+" periodogram", psd, want, sum(want))
+		checkBound(t, name+" periodogram", psd, want, sum(want), realBound)
 
 		env := complexEnvelope(x)
-		checkBound(t, name+" envelope", Envelope(x), env, norm(env))
+		checkBound(t, name+" envelope", Envelope(x), env, norm(env), realBound)
 		_, psd, err = EnvelopeSpectrum(x, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = complexPeriodogram(env, fs)
-		checkBound(t, name+" envelope spectrum", psd, want, sum(want))
+		checkBound(t, name+" envelope spectrum", psd, want, sum(want), realBound)
+
+		long := make([]float64, 4*n+n/2)
+		for i := range long {
+			long[i] = 0.5 + rng.NormFloat64() + math.Sin(float64(i)/5)
+		}
+		_, psd, err = Welch(long, fs, n)
+		if n == 2 {
+			// A 2-sample Hann window is all zero.
+			if err == nil {
+				t.Fatal("Welch with 2-sample segments: want an error")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = complexWelch(long, fs, n)
+		checkBound(t, name+" Welch", psd, want, sum(want), realBound)
 	}
 }
 
 // FuzzRealFFT checks realFFT against the complex FFT at random even
 // lengths to 4,096 — powers of two and Bluestein lengths alike — on
-// samples drawn from seed at a random offset and scale, and the DCT the
-// real plan computes against the complex Makhoul chain.
+// samples drawn from seed at a random offset and scale, untapered and
+// under a random taper about the mean, and AddAxisPower of the samples
+// rounded to ADC counts against the complex Makhoul chain.
 func FuzzRealFFT(f *testing.F) {
 	f.Add(int64(1), uint16(512), 1.0, 0.0)
 	f.Add(int64(2), uint16(500), 1e-3, 5.0)
@@ -211,11 +289,16 @@ func FuzzRealFFT(f *testing.F) {
 		n := 2 * (1 + int(half)%2048)
 		rng := rand.New(rand.NewSource(seed))
 		x := make([]float64, n)
+		w := make([]float64, n)
 		for i := range x {
 			x[i] = offset + scale*rng.NormFloat64()
+			w[i] = rng.Float64()
 		}
-		checkRealFFT(t, x)
-		want := complexDCT(x)
-		checkBound(t, "n="+strconv.Itoa(n)+" DCT", DCT(x), want, norm(want))
+		checkRealFFT(t, x, nil, 0)
+		checkRealFFT(t, x, w, Mean(x))
+		counts := toCounts(x)
+		got, _, _ := axisPower(counts, adcScale)
+		want := complexAxisPower(counts, adcScale)
+		checkBound(t, "n="+strconv.Itoa(n)+" axis power", got, want, sum(want), realBound)
 	})
 }

@@ -73,49 +73,15 @@ func Variance(x []float64) float64 {
 // Std returns the population standard deviation of x.
 func Std(x []float64) float64 { return math.Sqrt(Variance(x)) }
 
-// PSDDCT computes the paper's PSD feature: sˡ = (âˡ·W_K)² / (2K) per
-// frequency bin, using the orthonormal DCT-II as W_K. The input is
-// demeaned internally. By Parseval, sum(PSDDCT(x)) == RMS(x)² / 2·…
-// more precisely sum_k s_k == ‖â‖²/(2K) · 2 = rms²/2 with the paper's
-// 1/(2K) scaling; the exact identity verified in tests is
-// 2·K·sum(s) == ‖â‖² · (1/K) · K, i.e. sum over bins of (dct)²/(2K)
-// equals rms²/2.
-func PSDDCT(x []float64) []float64 {
-	return PSDDCTInto(make([]float64, len(x)), x)
-}
-
-// PSDDCTInto is PSDDCT writing into dst (grown if needed, returned
-// resliced to len(x)). Steady-state calls with an adequate dst are
-// allocation-free: the demeaned copy comes from the scratch pool and the
-// DCT runs on a cached plan.
-func PSDDCTInto(dst, x []float64) []float64 {
-	k := len(x)
-	if cap(dst) < k {
-		dst = make([]float64, k)
-	}
-	dst = dst[:k]
-	if k == 0 {
-		return dst
-	}
-	buf := getFBuf(k)
-	DemeanInto(buf.s, x)
-	DCTInto(dst, buf.s)
-	putFBuf(buf)
-	inv := 1 / (2 * float64(k))
-	for i, v := range dst {
-		dst[i] = v * v * inv
-	}
-	return dst
-}
-
-// AddAxisPower is one axis of the paper's combined PSD feature, read
-// straight from its raw ADC counts: with g = counts·scale it adds
-// PSDDCT(g) into psd[:len(counts)], which must exist, and returns the
-// axis mean and Σ(g−mean)², the moments the zero offset and the RMS
-// feature are made of. It reads the counts twice (the mean; then each
-// demeaned sample, summed squared and written straight to its slot of
-// the DCT's FFT, realPlan.slot) and its spectrum once, allocation-free
-// once the plan and scratch are warm.
+// AddAxisPower is one axis of the paper's PSD feature
+// sˡ = (âˡ·W_K)²/(2K), W_K the orthonormal DCT-II, read straight from
+// its raw ADC counts: with g = counts·scale and â = g − mean it adds sˡ
+// into psd[:len(counts)], which must exist, and returns the axis mean
+// and Σ(g−mean)², the moments the zero offset and the RMS feature are
+// made of (by Parseval, 2K·Σ sˡ is that Σ(g−mean)²). It reads the
+// counts twice (the mean; then each demeaned sample, summed squared and
+// written straight to its slot of the DCT's FFT, realPlan.slot) and its
+// spectrum once, allocation-free once the plan and scratch are warm.
 //
 // The moments are bit for bit the two-pass transform.Offsets and
 // transform.RMS: the counts are summed in sample order and every
@@ -191,6 +157,15 @@ func addOddAxisPower(psd []float64, counts []int16, scale, mean, inv float64) (s
 	return sumSq
 }
 
+// makhoulIndex is where sample j of n sits in Makhoul's even-odd
+// permutation [x0, x2, x4, ..., x5, x3, x1].
+func makhoulIndex(j, n int) int {
+	if j&1 == 1 {
+		return n - 1 - j/2
+	}
+	return j / 2
+}
+
 // Periodogram computes the one-sided FFT periodogram of x sampled at
 // rate fs (Hz), returning the frequency axis and PSD estimate in
 // (unit²/Hz). The input is demeaned internally. The one-sided estimate
@@ -201,10 +176,9 @@ func Periodogram(x []float64, fs float64) (freq, psd []float64, err error) {
 }
 
 // PeriodogramInto is Periodogram writing into freq and psd (each grown
-// if needed, returned resliced to len(x)/2+1). An even length runs the
-// real-input FFT (realFFT), an odd one the complex FFT, each on a cached
-// plan over pooled scratch, so steady-state calls with adequate outputs
-// are allocation-free.
+// if needed, returned resliced to len(x)/2+1). The spectrum is
+// oneSided's, so steady-state calls with adequate outputs are
+// allocation-free.
 func PeriodogramInto(freq, psd, x []float64, fs float64) ([]float64, []float64, error) {
 	n := len(x)
 	if n == 0 {
@@ -221,30 +195,45 @@ func PeriodogramInto(freq, psd, x []float64, fs float64) ([]float64, []float64, 
 		psd = make([]float64, half)
 	}
 	freq, psd = freq[:half], psd[:half]
-	mu := Mean(x)
+	for k := range freq {
+		freq[k] = float64(k) * fs / float64(n)
+	}
+	clear(psd)
+	oneSided(psd, x, nil, Mean(x), 1/(fs*float64(n)))
+	return freq, psd, nil
+}
+
+// oneSided adds the one-sided power spectrum of (x − mu)·w, |X[k]|²·scale
+// with the interior bins doubled to fold the negative frequencies in,
+// into acc[:len(x)/2+1]; w nil is no taper. An even length runs the
+// real-input FFT (realFFT), an odd one the complex FFT, each on a
+// cached plan over pooled scratch.
+func oneSided(acc, x, w []float64, mu, scale float64) {
+	n := len(x)
+	half := n/2 + 1
 	var cb *cbuf
 	if n%2 == 0 {
 		cb = getCBuf(half)
-		realFFT(cb.s, x, mu)
+		realFFT(cb.s, x, w, mu)
 	} else {
 		cb = getCBuf(n)
 		for i, v := range x {
-			cb.s[i] = complex(v-mu, 0)
+			v -= mu
+			if w != nil {
+				v *= w[i]
+			}
+			cb.s[i] = complex(v, 0)
 		}
 		FFT(cb.s)
 	}
-	spec := cb.s[:half]
-	scale := 1 / (fs * float64(n))
-	for k, m := range spec {
-		freq[k] = float64(k) * fs / float64(n)
+	for k, m := range cb.s[:half] {
 		p := (real(m)*real(m) + imag(m)*imag(m)) * scale
 		if k != 0 && !(n%2 == 0 && k == half-1) {
-			p *= 2 // fold the negative-frequency half in
+			p *= 2
 		}
-		psd[k] = p
+		acc[k] += p
 	}
 	putCBuf(cb)
-	return freq, psd, nil
 }
 
 // errBadRate is the spectral estimators' refusal of a sampling rate

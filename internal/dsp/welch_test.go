@@ -14,7 +14,7 @@ func TestWelchPeakFrequency(t *testing.T) {
 	for i := range x {
 		x[i] = 2 * math.Sin(2*math.Pi*f0*float64(i)/fs)
 	}
-	freq, psd, err := Welch(x, fs, WelchConfig{SegmentLength: 512})
+	freq, psd, err := Welch(x, fs, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestWelchIntegratesToVariance(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	freq, psd, err := Welch(x, fs, WelchConfig{SegmentLength: 256, Overlap: 0.5})
+	freq, psd, err := Welch(x, fs, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestWelchReducesVarianceVsPeriodogram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, wel, err := Welch(x, fs, WelchConfig{SegmentLength: 256})
+		_, wel, err := Welch(x, fs, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,38 +79,47 @@ func TestWelchReducesVarianceVsPeriodogram(t *testing.T) {
 	}
 }
 
+// TestWelchErrorsAndClamps: an empty signal, a bad rate and a segment
+// length that is not positive are refused, and so are 2-sample
+// segments, whose Hann window is all zero; a segment longer than the
+// signal is clamped to one segment.
 func TestWelchErrorsAndClamps(t *testing.T) {
-	if _, _, err := Welch(nil, 100, WelchConfig{}); err == nil {
+	if _, _, err := Welch(nil, 100, 16); err == nil {
 		t.Fatal("want empty-signal error")
 	}
-	if _, _, err := Welch([]float64{1, 2}, 0, WelchConfig{}); err == nil {
+	if _, _, err := Welch([]float64{1, 2}, 0, 16); err == nil {
 		t.Fatal("want bad-rate error")
 	}
-	// Segment longer than the signal is clamped to one segment.
 	x := make([]float64, 100)
 	for i := range x {
 		x[i] = math.Sin(float64(i))
 	}
-	freq, psd, err := Welch(x, 100, WelchConfig{SegmentLength: 1024})
+	if _, _, err := Welch(x[:2], 100, 16); err == nil {
+		t.Fatal("2-sample signal: want an error, not a NaN spectrum")
+	}
+	for _, seg := range []int{0, -1, 2} {
+		if _, _, err := Welch(x, 100, seg); err == nil {
+			t.Fatalf("segment length %d: want an error", seg)
+		}
+		if err := WelchInto(make([]float64, 51), make([]float64, 51), x, 100, seg); err == nil {
+			t.Fatalf("WelchInto segment length %d: want an error", seg)
+		}
+	}
+	freq, psd, err := Welch(x, 100, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(freq) != 51 || len(psd) != 51 {
 		t.Fatalf("clamped lengths %d %d", len(freq), len(psd))
 	}
-	// Extreme overlap is clamped, not looping forever.
-	if _, _, err := Welch(x, 100, WelchConfig{SegmentLength: 50, Overlap: 0.999}); err != nil {
-		t.Fatal(err)
-	}
-	// Negative overlap treated as 0.
-	if _, _, err := Welch(x, 100, WelchConfig{SegmentLength: 50, Overlap: -1}); err != nil {
-		t.Fatal(err)
+	if err := WelchInto(make([]float64, 50), make([]float64, 51), x, 100, 1024); err == nil {
+		t.Fatal("short freq: want an error")
 	}
 }
 
-// TestWelchZeroOverlapIsDisjoint pins the zero value of Overlap: no
-// overlap, so 1,024 samples in 256-sample segments are exactly four
-// disjoint Hann-windowed periodograms of the demeaned signal, averaged.
+// TestWelchZeroOverlapIsDisjoint: the segments do not overlap, so
+// 1,024 samples in 256-sample segments are four disjoint Hann-windowed
+// periodograms of the demeaned signal, averaged.
 func TestWelchZeroOverlapIsDisjoint(t *testing.T) {
 	const n, seg, fs = 1024, 256, 1000.0
 	rng := rand.New(rand.NewSource(7))
@@ -121,7 +130,7 @@ func TestWelchZeroOverlapIsDisjoint(t *testing.T) {
 		mean += x[i]
 	}
 	mean /= n
-	_, psd, err := Welch(x, fs, WelchConfig{SegmentLength: seg})
+	_, psd, err := Welch(x, fs, seg)
 	if err != nil {
 		t.Fatal(err)
 	}

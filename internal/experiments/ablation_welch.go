@@ -23,16 +23,14 @@ type WelchResult struct {
 	SegmentLength int
 }
 
-// welchHarmonic extracts the harmonic feature from a Welch PSD of the
-// record's three axes combined.
-func welchHarmonic(rec *store.Record, seg int, opt feature.Options) (feature.Harmonic, error) {
-	var combined []float64
-	var freq []float64
+// welchPSD is the Welch front end: each axis's counts in g through
+// dsp.Welch with seg-sample segments, the three spectra summed.
+func welchPSD(rec *store.Record, seg int) (freq, combined []float64, err error) {
 	for axis := 0; axis < 3; axis++ {
 		g := transform.CountsToG(rec.Raw[axis], rec.ScaleG)
-		f, psd, err := dsp.Welch(g, rec.SampleRateHz, dsp.WelchConfig{SegmentLength: seg})
+		f, psd, err := dsp.Welch(g, rec.SampleRateHz, seg)
 		if err != nil {
-			return feature.Harmonic{}, err
+			return nil, nil, err
 		}
 		if combined == nil {
 			combined = make([]float64, len(psd))
@@ -41,6 +39,16 @@ func welchHarmonic(rec *store.Record, seg int, opt feature.Options) (feature.Har
 		for i, v := range psd {
 			combined[i] += v
 		}
+	}
+	return freq, combined, nil
+}
+
+// welchHarmonic extracts the harmonic feature from a Welch PSD of the
+// record's three axes combined.
+func welchHarmonic(rec *store.Record, seg int, opt feature.Options) (feature.Harmonic, error) {
+	freq, combined, err := welchPSD(rec, seg)
+	if err != nil {
+		return feature.Harmonic{}, err
 	}
 	return feature.ExtractHarmonic(freq, combined, opt), nil
 }
@@ -75,21 +83,11 @@ func AblationWelch(c *Corpus) (*WelchResult, error) {
 		if lr.Zone != physics.MergedA {
 			continue
 		}
-		var combined []float64
-		for axis := 0; axis < 3; axis++ {
-			g := transform.CountsToG(lr.Record.Raw[axis], lr.Record.ScaleG)
-			f, psd, err := dsp.Welch(g, lr.Record.SampleRateHz, dsp.WelchConfig{SegmentLength: seg})
-			if err != nil {
-				return nil, err
-			}
-			if combined == nil {
-				combined = make([]float64, len(psd))
-				freq = f
-			}
-			for i, v := range psd {
-				combined[i] += v
-			}
+		f, combined, err := welchPSD(lr.Record, seg)
+		if err != nil {
+			return nil, err
 		}
+		freq = f
 		if healthyMean == nil {
 			healthyMean = make([]float64, len(combined))
 		}

@@ -11,8 +11,8 @@ import (
 	"vibepm/internal/store"
 )
 
-// complexPSDDCT is dsp.PSDDCT on the complex path, the reference the
-// real-input transform is bounded against: the demeaned samples in
+// complexPSDDCT is one axis's DCT power on the complex path, the
+// reference dsp.AddAxisPower's real-input transform is bounded against: the demeaned samples in
 // Makhoul's even-odd order through the len(x)-point complex dsp.FFT,
 // the cos/sin recombination, squared and scaled by 1/(2K).
 func complexPSDDCT(x []float64) []float64 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"vibepm/internal/core"
@@ -66,8 +67,19 @@ func (e *Engine) LoadModel(r io.Reader) error {
 	if state.Version != modelStateVersion {
 		return fmt.Errorf("%w: %d", ErrModelVersion, state.Version)
 	}
-	if state.Baseline == nil || len(state.Baseline.Harmonic.Peaks) == 0 {
+	b := state.Baseline
+	if b == nil || len(b.Harmonic.Peaks) == 0 {
 		return errors.New("vibepm: model state has no baseline")
+	}
+	// The Mahalanobis score divides by PSDVar bin for bin
+	// (dsp.MahalanobisDiag): one positive finite variance per PSDMean bin.
+	if len(b.PSDVar) != len(b.PSDMean) {
+		return fmt.Errorf("vibepm: model baseline PSDVar has %d bins, PSDMean %d", len(b.PSDVar), len(b.PSDMean))
+	}
+	for i, v := range b.PSDVar {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("vibepm: model baseline PSDVar[%d] = %v, want a positive finite variance", i, v)
+		}
 	}
 	classifier, err := core.NewGaussianFromState(state.Classifier)
 	if err != nil {
@@ -77,7 +89,7 @@ func (e *Engine) LoadModel(r io.Reader) error {
 	e.boundary = state.Boundary
 	e.models = state.Models
 	// As Fit does: folds score D_a against the installed baseline.
-	e.live.SetBaseline(state.Baseline)
+	e.live.SetBaseline(b)
 	return nil
 }
 

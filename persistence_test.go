@@ -2,6 +2,7 @@ package vibepm
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -260,20 +261,56 @@ func TestSaveModelUnfitted(t *testing.T) {
 	}
 }
 
+// TestLoadModelErrors: a model that cannot be served is refused, with
+// an error naming what is wrong, and nothing is installed. The baseline
+// rows start from testdata/model_pr24.json, which loads, and break one
+// field: a baseline whose PSDVar does not match PSDMean would panic in
+// dsp.MahalanobisDiag on the first vector score.
 func TestLoadModelErrors(t *testing.T) {
-	eng := New(Options{})
-	if err := eng.LoadModel(strings.NewReader("{garbage")); err == nil {
-		t.Fatal("want decode error")
+	raw, err := os.ReadFile(filepath.Join("testdata", "model_pr24.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := eng.LoadModel(strings.NewReader(`{"version":99}`)); !errors.Is(err, ErrModelVersion) {
-		t.Fatalf("err = %v", err)
+	// broken is the saved model with mutate applied.
+	broken := func(mutate func(*ModelState)) string {
+		var state ModelState
+		if err := json.Unmarshal(raw, &state); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&state)
+		out, err := json.Marshal(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
 	}
-	if err := eng.LoadModel(strings.NewReader(`{"version":1}`)); err == nil {
-		t.Fatal("want missing-baseline error")
-	}
-	// Inconsistent classifier state.
-	bad := `{"version":1,"baseline":{"Harmonic":{"Peaks":[{"Index":1,"Freq":100,"Value":1}],"BinHz":2},"PMax":1,"FMax":1000,"PSDMean":[1],"PSDVar":[1],"Opt":{}},"classifier":{"zones":[1],"mean":{},"std":{},"prior":{}}}`
-	if err := eng.LoadModel(strings.NewReader(bad)); err == nil {
-		t.Fatal("want classifier state error")
+	for _, tc := range []struct {
+		name, model string
+		want        string // a substring of the error; "" is any error
+		is          error
+	}{
+		{name: "decode", model: "{garbage", want: "decode model"},
+		{name: "version", model: `{"version":99}`, is: ErrModelVersion},
+		{name: "no baseline", model: `{"version":1}`, want: "no baseline"},
+		{name: "classifier state", model: `{"version":1,"baseline":{"Harmonic":{"Peaks":[{"Index":1,"Freq":100,"Value":1}],"BinHz":2},"PMax":1,"FMax":1000,"PSDMean":[1],"PSDVar":[1],"Opt":{}},"classifier":{"zones":[1],"mean":{},"std":{},"prior":{}}}`, want: "classifier"},
+		{name: "PSDVar shorter than PSDMean", model: broken(func(s *ModelState) { s.Baseline.PSDVar = s.Baseline.PSDVar[:10] }), want: "PSDVar has 10 bins, PSDMean 1024"},
+		{name: "zero variance", model: broken(func(s *ModelState) { s.Baseline.PSDVar[7] = 0 }), want: "PSDVar[7] = 0"},
+		{name: "negative variance", model: broken(func(s *ModelState) { s.Baseline.PSDVar[0] = -1e-9 }), want: "PSDVar[0] = -1e-09"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(Options{})
+			err := eng.LoadModel(strings.NewReader(tc.model))
+			switch {
+			case err == nil:
+				t.Fatal("loaded, want an error")
+			case tc.is != nil && !errors.Is(err, tc.is):
+				t.Fatalf("err = %v, want %v", err, tc.is)
+			case !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("err = %v, want it to name %q", err, tc.want)
+			}
+			if eng.Fitted() {
+				t.Fatal("a refused model left the engine fitted")
+			}
+		})
 	}
 }

@@ -18,20 +18,16 @@ import (
 // for a method.
 var surfaceAllowed = map[string]string{
 	// References the equivalence tests name.
-	"dsp.IDCT":              "inverse of DCT for the round-trip test",
 	"transform.VelocityPSD": "reference for the in-place velocity integral",
 
 	// Allocating forms of Into kernels.
-	"dsp.DCT":                   "allocating DCTInto",
 	"dsp.Envelope":              "allocating EnvelopeInto",
 	"dsp.EnvelopeSpectrum":      "allocating EnvelopeSpectrumInto",
 	"dsp.FindPeaks":             "allocating FindPeaksInto",
 	"dsp.Periodogram":           "allocating PeriodogramInto",
-	"dsp.PSDDCT":                "allocating PSDDCTInto",
 	"dsp.SmoothConvolve":        "allocating SmoothConvolveInto",
 	"dsp.TopPeaks":              "allocating TopPeaksInto",
 	"physics.Pump.Acceleration": "allocating AccelerationInto; BenchmarkAcceleration is a gated BENCH.txt row",
-	"dsp.STFT":                  "allocating STFTInto; BenchmarkSTFT16k is a gated BENCH.txt row",
 	"store.ReplayWAL":           "ReplayWALWorkers at GOMAXPROCS, how the mirror and cluster tests read a WAL",
 
 	// Entry points of test harnesses.
