@@ -245,13 +245,17 @@ func (e *Engine) Fit() error {
 	// the whole labelled corpus (worn spectra included) before scoring.
 	// The scan is the one transform of each hot labelled record: it
 	// folds and plants it, as a warm-up would, and reads the harmonic
-	// the bundle keeps. A cold record is extracted and not kept.
+	// the bundle keeps. From the same spectrum the fold keeps the
+	// record's Euclidean and Mahalanobis scores against baseline, whose
+	// PSD statistics SetNormalizers leaves as they are, so the metric
+	// sweep's vector columns read them. A cold record is extracted and
+	// not kept.
 	labelled := make([]*Record, len(pairs))
 	hot := make([]bool, len(pairs))
 	for i, p := range pairs {
 		labelled[i], hot[i] = p.rec, p.hot
 	}
-	features := e.live.Harmonics(labelled, hot)
+	features := e.live.Harmonics(labelled, hot, baseline)
 	baseline.SetNormalizers(features...)
 	// Install only once the normalizers are set: folds score D_a
 	// against the installed baseline at ingest time.
@@ -479,11 +483,11 @@ func (e *Engine) EvaluateMetric(m Metric, nTrain int, temp TemperatureSource, se
 // EvaluateMetricSweep scores the labelled corpus once with the given
 // metric and evaluates a classifier at every requested training size —
 // the whole Fig. 12–14 column for one metric, without rescoring per
-// point. The peak-harmonic scores are the memo's D_a, which the fit
-// left for every hot labelled record; the Euclidean and Mahalanobis
-// scores are the memo's vector scores, which the first of the two
-// columns computes from one spectrum per record and every later one
-// reads. The split at each size is deterministic in (seed, size).
+// point. The peak-harmonic scores are the memo's D_a, and the Euclidean
+// and Mahalanobis scores the memo's vector scores: the fit's scan left
+// all three for every hot labelled record, so a column computes no
+// spectrum for them. The split at each size is deterministic in
+// (seed, size).
 func (e *Engine) EvaluateMetricSweep(m Metric, sizes []int, temp TemperatureSource, seed int64) (map[int]*Confusion, error) {
 	base := e.live.Baseline()
 	if base == nil {

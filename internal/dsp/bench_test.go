@@ -86,9 +86,10 @@ func BenchmarkEnvelopeSpectrum4096(b *testing.B) {
 func BenchmarkSmoothConvolveHann24(b *testing.B) {
 	x := benchSignal(1024)
 	k := HannWindow(24)
+	dst := make([]float64, len(x))
 	b.ReportAllocs()
 	for b.Loop() {
-		SmoothConvolve(x, k)
+		SmoothConvolveInto(dst, x, k)
 	}
 }
 
@@ -98,8 +99,9 @@ func BenchmarkTopPeaks(b *testing.B) {
 	for i := range freq {
 		freq[i] = float64(i) * 2
 	}
+	var dst []Peak
 	b.ReportAllocs()
 	for b.Loop() {
-		TopPeaks(freq, x, 20, 24)
+		dst = TopPeaksInto(dst, freq, x, 20, 24)
 	}
 }

@@ -53,16 +53,13 @@ func FindPeaksInto(dst []Peak, freq, y []float64) []Peak {
 	return peaks
 }
 
-// TopPeaks returns the np largest peaks (by value) of the smoothed
+// TopPeaksInto returns the np largest peaks (by value) of the smoothed
 // signal, re-sorted in ascending frequency order as Algorithm 1
 // requires. It smooths y with a Hann window of size nh before the
 // derivative test; nh <= 1 disables smoothing. This is the full
 // harmonic-peak extraction procedure of §IV-B with the paper's defaults
-// np = 20, nh = 24.
-func TopPeaks(freq, y []float64, np, nh int) []Peak { return TopPeaksInto(nil, freq, y, np, nh) }
-
-// TopPeaksInto is TopPeaks with FindPeaksInto's dst: the peaks are
-// found, ranked and cut in dst's array.
+// np = 20, nh = 24. dst is FindPeaksInto's: the peaks are found, ranked
+// and cut in its array.
 func TopPeaksInto(dst []Peak, freq, y []float64, np, nh int) []Peak {
 	smoothed := y
 	var buf *fbuf

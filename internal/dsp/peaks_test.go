@@ -59,7 +59,7 @@ func TestTopPeaksSelectsLargestAndSortsByFrequency(t *testing.T) {
 	}
 	// Peaks at 10 (value 3), 50 (value 9), 80 (value 6).
 	y[10], y[50], y[80] = 3, 9, 6
-	peaks := TopPeaks(freq, y, 2, 0)
+	peaks := TopPeaksInto(nil, freq, y, 2, 0)
 	if len(peaks) != 2 {
 		t.Fatalf("got %d peaks", len(peaks))
 	}
@@ -86,7 +86,7 @@ func TestTopPeaksSmoothingSuppressesNoiseSpikes(t *testing.T) {
 		d := float64(i - 500)
 		y[i] += 5 * math.Exp(-d*d/50)
 	}
-	peaks := TopPeaks(freq, y, 1, 24)
+	peaks := TopPeaksInto(nil, freq, y, 1, 24)
 	if len(peaks) != 1 {
 		t.Fatalf("got %d peaks", len(peaks))
 	}
@@ -97,7 +97,7 @@ func TestTopPeaksSmoothingSuppressesNoiseSpikes(t *testing.T) {
 
 func TestTopPeaksNoLimit(t *testing.T) {
 	y := []float64{0, 1, 0, 1, 0}
-	peaks := TopPeaks(nil, y, 0, 0)
+	peaks := TopPeaksInto(nil, nil, y, 0, 0)
 	if len(peaks) != 2 {
 		t.Fatalf("np=0 should keep all peaks, got %d", len(peaks))
 	}

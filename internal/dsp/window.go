@@ -20,20 +20,15 @@ func HannWindow(n int) []float64 {
 	return w
 }
 
-// SmoothConvolve convolves x with kernel k using symmetric (reflected)
-// boundary handling and normalizes by the local kernel mass, so a
-// constant input stays constant near the edges. This is the "smooth PSD
-// over adjacent frequencies by convolutions using a Hann window" step of
-// the paper's harmonic-peak search (§IV-B step 1).
-func SmoothConvolve(x, kernel []float64) []float64 {
-	return SmoothConvolveInto(make([]float64, len(x)), x, kernel)
-}
-
-// SmoothConvolveInto is SmoothConvolve writing into dst (grown if
-// needed, returned resliced to len(x)). dst may not alias x. Interior
-// points — where the kernel never crosses a boundary — run a
-// branch-free inner loop with the precomputed total kernel mass; only
-// the two edge bands pay for reflection handling.
+// SmoothConvolveInto convolves x with kernel k using symmetric
+// (reflected) boundary handling and normalizes by the local kernel
+// mass, so a constant input stays constant near the edges. This is the
+// "smooth PSD over adjacent frequencies by convolutions using a Hann
+// window" step of the paper's harmonic-peak search (§IV-B step 1). It
+// writes into dst (grown if needed, returned resliced to len(x)); dst
+// may not alias x. Interior points — where the kernel never crosses a
+// boundary — run a branch-free inner loop with the precomputed total
+// kernel mass; only the two edge bands pay for reflection handling.
 func SmoothConvolveInto(dst, x, kernel []float64) []float64 {
 	n := len(x)
 	m := len(kernel)
@@ -63,23 +58,36 @@ func SmoothConvolveInto(dst, x, kernel []float64) []float64 {
 	}
 	if total != 0 {
 		inv := 1 / total
-		for i := lo; i < hi; i++ {
-			// Four accumulators break the serial dependency on the sum;
-			// re-slicing both operands by four lets the compiler drop
-			// every bounds check of the inner loop.
-			b, k := x[i-half:i-half+m], kernel
-			var s0, s1, s2, s3 float64
-			for len(b) >= 4 && len(k) >= 4 {
+		i := lo
+		// Two outputs per pass share each kernel tap and all but one
+		// signal load. Each output keeps its own four accumulators, fed
+		// in the one-output loop's order, so both are its bits.
+		for ; i+1 < hi; i += 2 {
+			// b covers both outputs' windows: output i reads b[j] and
+			// output i+1 reads b[j+1]. Re-slicing both operands by four
+			// lets the compiler drop every bounds check of the inner loop.
+			b, k := x[i-half:i-half+m+1], kernel
+			var s0, s1, s2, s3, t0, t1, t2, t3 float64
+			for len(b) >= 5 && len(k) >= 4 {
 				s0 += b[0] * k[0]
+				t0 += b[1] * k[0]
 				s1 += b[1] * k[1]
+				t1 += b[2] * k[1]
 				s2 += b[2] * k[2]
+				t2 += b[3] * k[2]
 				s3 += b[3] * k[3]
+				t3 += b[4] * k[3]
 				b, k = b[4:], k[4:]
 			}
 			for j, kj := range k {
 				s0 += b[j] * kj
+				t0 += b[j+1] * kj
 			}
 			dst[i] = (s0 + s1 + s2 + s3) * inv
+			dst[i+1] = (t0 + t1 + t2 + t3) * inv
+		}
+		if i < hi {
+			dst[i] = dot4(x[i-half:i-half+m], kernel) * inv // the last of an odd count
 		}
 	} else {
 		for i := lo; i < hi; i++ {
@@ -89,6 +97,26 @@ func SmoothConvolveInto(dst, x, kernel []float64) []float64 {
 	smoothEdges(dst, x, kernel, 0, lo)
 	smoothEdges(dst, x, kernel, hi, n)
 	return dst
+}
+
+// dot4 is the dot product of b and k (len(b) >= len(k)) over four
+// accumulators, the one-output form of the interior loop: tap j feeds
+// accumulator j mod 4, and the tail past the last full four feeds the
+// first. Re-slicing both operands by four lets the compiler drop every
+// bounds check of the loop.
+func dot4(b, k []float64) float64 {
+	var s0, s1, s2, s3 float64
+	for len(b) >= 4 && len(k) >= 4 {
+		s0 += b[0] * k[0]
+		s1 += b[1] * k[1]
+		s2 += b[2] * k[2]
+		s3 += b[3] * k[3]
+		b, k = b[4:], k[4:]
+	}
+	for j, kj := range k {
+		s0 += b[j] * kj
+	}
+	return s0 + s1 + s2 + s3
 }
 
 // smoothEdges runs the reflecting-boundary convolution over [from, to).

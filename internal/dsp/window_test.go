@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -42,7 +43,7 @@ func TestSmoothConvolvePreservesConstant(t *testing.T) {
 	for i := range x {
 		x[i] = 7
 	}
-	y := SmoothConvolve(x, HannWindow(9))
+	y := SmoothConvolveInto(nil, x, HannWindow(9))
 	for i, v := range y {
 		if !almostEqual(v, 7, 1e-12) {
 			t.Fatalf("sample %d: %g", i, v)
@@ -59,18 +60,18 @@ func TestSmoothConvolveReducesVariance(t *testing.T) {
 			x[i] = -1
 		}
 	}
-	y := SmoothConvolve(x, HannWindow(9))
+	y := SmoothConvolveInto(nil, x, HannWindow(9))
 	if Variance(y) >= Variance(x)/2 {
 		t.Fatalf("smoothing did not reduce variance: %g vs %g", Variance(y), Variance(x))
 	}
 }
 
 func TestSmoothConvolveEmpty(t *testing.T) {
-	if got := SmoothConvolve(nil, HannWindow(5)); len(got) != 0 {
+	if got := SmoothConvolveInto(nil, nil, HannWindow(5)); len(got) != 0 {
 		t.Fatal("empty signal should stay empty")
 	}
 	x := []float64{1, 2, 3}
-	got := SmoothConvolve(x, nil)
+	got := SmoothConvolveInto(nil, x, nil)
 	for i := range x {
 		if got[i] != x[i] {
 			t.Fatalf("empty kernel should copy input, got %v", got)
@@ -137,23 +138,72 @@ func indexedSmooth(x, kernel []float64) []float64 {
 	return dst
 }
 
-// TestSmoothConvolveEqualsIndexedLoop: the bounds-check-free loop sums
-// every accumulator's taps in the old order, bit for bit, for every
-// window length the harmonic search can ask for up to 33.
-func TestSmoothConvolveEqualsIndexedLoop(t *testing.T) {
-	x := benchSignal(300)
-	for m := 1; m <= 33; m++ {
-		k := HannWindow(m)
-		if m <= 2 {
-			k = []float64{0.25, 0.75}[:m] // a length-2 Hann window is all zeros
-		}
-		for _, n := range []int{300, m, 5} {
-			got, want := SmoothConvolve(x[:n], k), indexedSmooth(x[:n], k)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("window %d, n=%d, point %d: %v, indexed %v", m, n, i, got[i], want[i])
-				}
-			}
+// smoothKernel is a length-m kernel with a non-zero sum: the Hann
+// window, or for m <= 2 (where it is all zeros) a lopsided pair.
+func smoothKernel(m int) []float64 {
+	if m <= 2 {
+		return []float64{0.25, 0.75}[:m]
+	}
+	return HannWindow(m)
+}
+
+// sameSmooth fails t unless SmoothConvolveInto of x by k is the indexed
+// one-output loop's, bit for bit.
+func sameSmooth(t *testing.T, x, k []float64) {
+	t.Helper()
+	got, want := SmoothConvolveInto(nil, x, k), indexedSmooth(x, k)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("window %d, n=%d, point %d: %v, indexed %v", len(k), len(x), i, got[i], want[i])
 		}
 	}
+}
+
+// TestSmoothConvolveEqualsIndexedLoop: the two-outputs-per-pass loop
+// sums every output's taps in the indexed one-output loop's order, bit
+// for bit, at odd and even interior counts and every kernel length from
+// 1 to n+2 — wider than the signal, where there is no interior.
+func TestSmoothConvolveEqualsIndexedLoop(t *testing.T) {
+	x := benchSignal(300)
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64, 65} {
+		for m := 1; m <= n+2; m++ {
+			sameSmooth(t, x[:n], smoothKernel(m))
+		}
+	}
+	for m := 1; m <= 33; m++ {
+		for _, n := range []int{300, 299} {
+			sameSmooth(t, x[:n], smoothKernel(m))
+		}
+	}
+}
+
+// FuzzSmoothConvolve: the interior loop equals the indexed one-output
+// loop bit for bit for any signal, kernel length and kernel values.
+func FuzzSmoothConvolve(f *testing.F) {
+	f.Add(int64(1), uint16(1024), uint8(24), false)
+	f.Add(int64(2), uint16(5), uint8(7), true)
+	f.Add(int64(3), uint16(63), uint8(4), true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, m uint8, signed bool) {
+		rng := rand.New(rand.NewSource(seed))
+		x := make([]float64, int(n)%4097)
+		for i := range x {
+			x[i] = rng.ExpFloat64()
+			if signed {
+				x[i] = rng.NormFloat64()
+			}
+		}
+		k := make([]float64, 1+int(m)%64)
+		var total float64
+		for j := range k {
+			k[j] = rng.Float64()
+			if signed {
+				k[j] -= 0.25
+			}
+			total += k[j]
+		}
+		if total == 0 {
+			return // the interior is zeros; the reference divides by zero
+		}
+		sameSmooth(t, x, k)
+	})
 }

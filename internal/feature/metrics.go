@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"vibepm/internal/dsp"
+	"vibepm/internal/par"
 	"vibepm/internal/store"
 	"vibepm/internal/transform"
 )
@@ -85,22 +86,24 @@ func TrainBaseline(healthy []*store.Record, opt Options) (*Baseline, error) {
 		return nil, ErrNoTraining
 	}
 	opt = opt.fill()
-	var freq []float64
-	var mean []float64
+	// The spectra are taken across cores and summed in record order, so
+	// the mean is the sequential loop's, bit for bit.
+	type spectrum struct{ freq, psd []float64 }
+	spectra := par.Map(len(healthy), 0, func(i int) spectrum {
+		f, psd := transform.PSD(healthy[i])
+		return spectrum{f, psd}
+	})
+	freq := spectra[0].freq
+	mean := make([]float64, len(spectra[0].psd))
 	rows := make([][]float64, 0, len(healthy))
-	for _, rec := range healthy {
-		f, psd := transform.PSD(rec)
-		if mean == nil {
-			freq = f
-			mean = make([]float64, len(psd))
-		}
-		if len(psd) != len(mean) {
+	for _, sp := range spectra {
+		if len(sp.psd) != len(mean) {
 			return nil, errors.New("feature: training measurements disagree in length")
 		}
-		for i, v := range psd {
+		for i, v := range sp.psd {
 			mean[i] += v
 		}
-		rows = append(rows, psd)
+		rows = append(rows, sp.psd)
 	}
 	inv := 1 / float64(len(healthy))
 	for i := range mean {

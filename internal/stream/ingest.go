@@ -133,7 +133,7 @@ func (in *Ingester) addDurable(rec *store.Record) (stored bool, err error) {
 		panic(failed)
 	}
 	if stored {
-		in.Live.lookup(rec, true, f, nil)
+		in.Live.lookup(rec, true, f, nil, nil)
 	}
 	return stored, err
 }

@@ -85,7 +85,7 @@ func TestEveryEntryPointIsOneLookup(t *testing.T) {
 			}
 		}},
 		{name: "Harmonics", call: func(t *testing.T, ls *LiveState, rec *store.Record) {
-			got := ls.Harmonics([]*store.Record{rec}, nil)
+			got := ls.Harmonics([]*store.Record{rec}, nil, nil)
 			if !reflect.DeepEqual(got[0], feature.HarmonicOfRecord(rec, opt)) {
 				t.Error("Harmonics diverged from HarmonicOfRecord")
 			}
@@ -207,7 +207,7 @@ func TestHarmonicsLeavesUnfoldedRecordsOut(t *testing.T) {
 	resident, cold := mkRec(2, 1, 256), mkRec(2, 2, 256)
 	ls.Fold(resident)
 	before := readCounters()
-	got := ls.Harmonics([]*store.Record{resident, cold}, nil)
+	got := ls.Harmonics([]*store.Record{resident, cold}, nil, nil)
 	for i, rec := range []*store.Record{resident, cold} {
 		if !reflect.DeepEqual(got[i], feature.HarmonicOfRecord(rec, feature.Options{})) {
 			t.Fatalf("record %d: harmonic diverged", i)
@@ -314,7 +314,7 @@ func TestMemoAnswersForTheInstalledFit(t *testing.T) {
 		}
 	}
 	c0 := readCounters()
-	ls.Harmonics(resident, nil)
+	ls.Harmonics(resident, nil, nil)
 	if got := readCounters().since(c0); got != (counters{hits: uint64(len(resident))}) {
 		t.Errorf("Harmonics with the configured options moved %+v, want %d hits", got, len(resident))
 	}
@@ -435,6 +435,52 @@ func TestVectorScoresAreTheBaselines(t *testing.T) {
 	}
 }
 
+// TestScanKeepsTheTrainedVectorScores: a Harmonics scan handed the
+// baseline being trained keeps each hot record's vector scores from the
+// spectrum its fold takes, tagged with that baseline; once it is
+// installed — after SetNormalizers, which the scores do not read —
+// VectorScores of those records is a hit with no spectrum, and the
+// scores are Score's bit for bit. A record the scan did not fold (one
+// already resident, or one not hot) keeps none, and its first ask
+// takes its spectrum.
+func TestScanKeepsTheTrainedVectorScores(t *testing.T) {
+	opt := feature.Options{}
+	base := trainBaseline(t, opt)
+	ls := NewLiveState(Config{Harmonic: opt})
+	folded, cold := mkRec(5, 1, 256), mkRec(5, 2, 256)
+	scanned := []*store.Record{mkRec(5, 3, 256), mkRec(5, 4, 256), folded, cold}
+	ls.Fold(folded)
+
+	psds := obs.Default.Counter("vibepm_transform_psd_total")
+	p0 := psds.Value()
+	hs := ls.Harmonics(scanned, []bool{true, true, true, false}, base)
+	if d := psds.Value() - p0; d != 3 {
+		t.Errorf("the scan computed %d spectra, want 3 (two folds, one cold extraction)", d)
+	}
+	base.SetNormalizers(hs...)
+	ls.SetBaseline(base)
+
+	for i, rec := range scanned {
+		wantEuc, _ := base.Score(feature.MetricEuclidean, rec, nil)
+		wantMah, _ := base.Score(feature.MetricMahalanobis, rec, nil)
+		wantSpectra := uint64(0)
+		if rec == folded || rec == cold {
+			wantSpectra = 1
+		}
+		p0, c0 := psds.Value(), readCounters()
+		euc, mah, err := ls.VectorScores(rec)
+		if d := psds.Value() - p0; d != wantSpectra {
+			t.Errorf("record %d: VectorScores computed %d spectra, want %d", i, d, wantSpectra)
+		}
+		if wantSpectra == 0 && readCounters().since(c0) != (counters{hits: 1}) {
+			t.Errorf("record %d: VectorScores moved %+v, want one hit", i, readCounters().since(c0))
+		}
+		if err != nil || !eqF64(euc, wantEuc) || !eqF64(mah, wantMah) {
+			t.Errorf("record %d: VectorScores (%v, %v, %v), Score's (%v, %v)", i, euc, mah, err, wantEuc, wantMah)
+		}
+	}
+}
+
 // TestMissDoesNotBlockOtherRecords: while one record of a pump is
 // mid-miss — its lookup parked inside the lazy fill, where a slow
 // detector would hold it — every entry point still answers for another
@@ -452,7 +498,7 @@ func TestMissDoesNotBlockOtherRecords(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ls.lookup(slow, true, nil, func(*feat, bool) bool {
+		ls.lookup(slow, true, nil, nil, func(*feat, bool) bool {
 			close(filling)
 			<-release
 			return true

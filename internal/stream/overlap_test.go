@@ -220,7 +220,7 @@ func TestOneBundlePerRecord(t *testing.T) {
 	}
 	readers := ls.feat(rec)
 	before := readCounters()
-	if got := ls.lookup(rec, true, pre, nil); got != readers {
+	if got := ls.lookup(rec, true, pre, nil, nil); got != readers {
 		t.Error("planting after a reader replaced the reader's bundle")
 	}
 	if got := readCounters().since(before); got != (counters{hits: 1}) {
@@ -230,7 +230,7 @@ func TestOneBundlePerRecord(t *testing.T) {
 	rec = mkRec(8, 2, 256)
 	pre = ls.foldDetached(rec)
 	before = readCounters()
-	if got := ls.lookup(rec, true, pre, nil); got != pre {
+	if got := ls.lookup(rec, true, pre, nil, nil); got != pre {
 		t.Error("a miss did not plant the detached bundle")
 	}
 	if got := readCounters().since(before); got != (counters{misses: 1}) {

@@ -8,10 +8,13 @@
 // only where a reader asks for it: at ingest (a fresh record is its
 // pump's latest, the one FaultStatus and Report classify), for each
 // pump's latest record at the end of a warm-up, and on first query for
-// any other record. So are the two vector metrics (the Euclidean and
+// any other record. The two vector metrics (the Euclidean and
 // Mahalanobis distances of the record's spectrum from the Zone A
-// baseline), which only the metric sweep reads: its first query takes
-// one spectrum for both, and every later one is a read.
+// baseline), which only the metric sweep reads, are computed by the
+// fit's scan: it folds each labelled record against the baseline being
+// trained and scores both from the spectrum it holds, so the sweep's
+// queries are reads. Any other record's first query takes one spectrum
+// for both.
 //
 // The load-bearing guarantee is batch equivalence: every cached value
 // is produced by the *same* function the batch engine calls
@@ -115,8 +118,9 @@ type feat struct {
 	daFor *feature.Baseline
 	da    daScore
 	// euc and mah are vecFor.VectorScores of the record's spectrum;
-	// vecFor is nil until a reader asked for them. A record they cannot
-	// score is never asked (see VectorScores), so no error is kept.
+	// vecFor is nil until the fit's scan folded the record or a reader
+	// asked for them. A record they cannot score is never asked (see
+	// VectorScores), so no error is kept.
 	vecFor   *feature.Baseline
 	euc, mah float64
 	// fault is faultFor.Detect(rec); faultFor is nil until a reader
@@ -239,8 +243,9 @@ func (ls *LiveState) pump(pumpID int) *pumpState {
 // pre, when non-nil, is rec's bundle already folded off the memo
 // (foldDetached): a miss plants it and counts the miss its fold was; if
 // a reader made the record resident first, pre is dropped — a record
-// never has two bundles.
-func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, want func(f *feat, folded bool) (dsp bool)) *feat {
+// never has two bundles. vec, when non-nil, is passed to the fold this
+// call runs (see computeFeat).
+func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, vec *feature.Baseline, want func(f *feat, folded bool) (dsp bool)) *feat {
 	ps := ls.pump(rec.PumpID)
 	ps.mu.Lock()
 	f := ps.feats[rec]
@@ -260,7 +265,7 @@ func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, want func(
 	defer f.mu.Unlock()
 	dsp := f == pre
 	if !f.folded {
-		ls.computeFeat(rec, f)
+		ls.computeFeat(rec, f, vec)
 		dsp = true
 	}
 	if want != nil && want(f, dsp) {
@@ -275,11 +280,14 @@ func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, want func(
 }
 
 // computeFeat folds one record into f (f.mu held, or f detached): the
-// scalars, the harmonic for the configured options and — with a
-// baseline installed — the D_a score, all from one PSD pass, which
-// reads each axis's counts twice. It does not classify: the callers
-// that need the fault report ask for it.
-func (ls *LiveState) computeFeat(rec *store.Record, f *feat) {
+// scalars, the harmonic for the configured options, the D_a score
+// (with a baseline installed) and the two vector scores against vec
+// (when non-nil), all from one PSD pass, which reads each axis's
+// counts twice. vec is the baseline the fit is training (see
+// Harmonics): its PSD statistics are final before it is installed, so
+// the scores are kept tagged with it. It does not classify: the
+// callers that need the fault report ask for it.
+func (ls *LiveState) computeFeat(rec *store.Record, f *feat, vec *feature.Baseline) {
 	start := time.Now()
 	base := ls.baseline.Load()
 	// The spectrum lives in pooled scratch: the bundle keeps only what
@@ -294,6 +302,11 @@ func (ls *LiveState) computeFeat(rec *store.Record, f *feat) {
 			f.da.val, f.da.err = base.DaFromHarmonic(pinned)
 		}
 		peakPool.Put(sc)
+		if vec != nil {
+			if euc, mah, err := vec.VectorScores(psd); err == nil {
+				f.vecFor, f.euc, f.mah = vec, euc, mah
+			}
+		}
 	})
 	f.Offsets, f.RMS = m.Offsets, m.RMS
 	f.folded = true
@@ -346,13 +359,13 @@ func (ls *LiveState) classify(rec *store.Record, f *feat) bool {
 }
 
 // feat returns the folded bundle of one record.
-func (ls *LiveState) feat(rec *store.Record) *feat { return ls.lookup(rec, true, nil, nil) }
+func (ls *LiveState) feat(rec *store.Record) *feat { return ls.lookup(rec, true, nil, nil, nil) }
 
 // foldDetached folds and classifies rec into a bundle the memo does not
 // hold, for a caller that cannot know yet whether rec will be stored.
 func (ls *LiveState) foldDetached(rec *store.Record) *feat {
 	f := new(feat)
-	ls.computeFeat(rec, f)
+	ls.computeFeat(rec, f, nil)
 	ls.classify(rec, f)
 	return f
 }
@@ -367,7 +380,7 @@ func (ls *LiveState) foldDetached(rec *store.Record) *feat {
 // its bundle is kept.
 func (ls *LiveState) Fold(rec *store.Record) {
 	if rec != nil {
-		ls.lookup(rec, true, nil, func(f *feat, folded bool) bool {
+		ls.lookup(rec, true, nil, nil, func(f *feat, folded bool) bool {
 			return folded && ls.classify(rec, f)
 		})
 	}
@@ -478,7 +491,7 @@ func (ls *LiveState) da(rec *store.Record, base *feature.Baseline) (float64, err
 		return 0, errNoBaseline
 	}
 	var s daScore
-	if ls.lookup(rec, false, nil, func(f *feat, _ bool) bool {
+	if ls.lookup(rec, false, nil, nil, func(f *feat, _ bool) bool {
 		if f.daFor == base {
 			s = f.da
 			return false
@@ -499,11 +512,13 @@ func (ls *LiveState) da(rec *store.Record, base *feature.Baseline) (float64, err
 // VectorScores returns the Euclidean and Mahalanobis distances of one
 // record from the installed baseline, bit-identical to Baseline().Score
 // of either metric: both come from one spectrum, through the function
-// Score calls. The fold does not compute them, so a resident record's
-// first call takes that spectrum (a miss) and keeps both, tagged with
-// the baseline; later calls are hits. A non-resident record is scored
-// and left out of the memo, as in Da. A record whose spectrum would not
-// be the baseline's length gets Score's error, with no spectrum.
+// Score calls. The fit's scan keeps both for every labelled record it
+// folds (Harmonics), so those calls are hits. Any other resident
+// record's first call takes that spectrum (a miss) and keeps both,
+// tagged with the baseline; later calls are hits. A non-resident record
+// is scored and left out of the memo, as in Da. A record whose spectrum
+// would not be the baseline's length gets Score's error, with no
+// spectrum.
 func (ls *LiveState) VectorScores(rec *store.Record) (euc, mah float64, err error) {
 	base := ls.baseline.Load()
 	switch {
@@ -512,7 +527,7 @@ func (ls *LiveState) VectorScores(rec *store.Record) (euc, mah float64, err erro
 	case rec.Samples() != len(base.PSDMean):
 		return 0, 0, feature.ErrPSDLength
 	}
-	if ls.lookup(rec, false, nil, func(f *feat, _ bool) bool {
+	if ls.lookup(rec, false, nil, nil, func(f *feat, _ bool) bool {
 		if f.vecFor == base {
 			euc, mah = f.euc, f.mah
 			return false
@@ -563,10 +578,14 @@ func (ls *LiveState) DaSeries(recs []*store.Record, idx []int) (days, das []floa
 // bundle keeps. A record that is not hot — a labelled measurement the
 // compactor moved to the cold tier — is served from the memo if it is
 // resident and otherwise has its harmonic extracted and is left out of
-// the memo.
-func (ls *LiveState) Harmonics(recs []*store.Record, hot []bool) []feature.Harmonic {
+// the memo. vec, when non-nil, is the baseline the fit is training,
+// whose PSD statistics are final (SetNormalizers moves only Algorithm
+// 1's normalizers): each fold this scan runs also keeps the record's
+// vector scores against it, so once it is installed, VectorScores of
+// those records reads them.
+func (ls *LiveState) Harmonics(recs []*store.Record, hot []bool, vec *feature.Baseline) []feature.Harmonic {
 	return par.Map(len(recs), 0, func(i int) feature.Harmonic {
-		if f := ls.lookup(recs[i], hot != nil && hot[i], nil, nil); f != nil {
+		if f := ls.lookup(recs[i], hot != nil && hot[i], nil, vec, nil); f != nil {
 			return f.harm
 		}
 		return feature.HarmonicOfRecord(recs[i], ls.cfg.Harmonic)
@@ -585,7 +604,7 @@ func (ls *LiveState) FaultReport(rec *store.Record) (rep feature.FaultReport) {
 	if det == nil {
 		return rep
 	}
-	ls.lookup(rec, true, nil, func(f *feat, _ bool) bool {
+	ls.lookup(rec, true, nil, nil, func(f *feat, _ bool) bool {
 		if f.faultFor == det {
 			rep = f.fault
 			return false

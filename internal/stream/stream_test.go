@@ -148,7 +148,7 @@ func TestHarmonicsMultiOption(t *testing.T) {
 		for _, rec := range recs {
 			ls.Fold(rec)
 		}
-		got := ls.Harmonics(recs, nil)
+		got := ls.Harmonics(recs, nil, nil)
 		for i, rec := range recs {
 			want := feature.HarmonicOfRecord(rec, opt)
 			if len(got[i].Peaks) != len(want.Peaks) {

@@ -121,12 +121,35 @@ func TestFitTransformsEachLabelledRecordOnce(t *testing.T) {
 	}
 }
 
-// TestSweepTransformsEachLabelledRecordOnce: the Euclidean and
-// Mahalanobis columns of the Fig. 12–14 sweep read one spectrum per
-// labelled record between them — the first column computes both scores
-// from it and keeps them, the second reads them — and Table III, which
-// asks the same four metrics again, computes none. The scores are
-// Baseline.Score's, bit for bit.
+// TestFitTakesOneSpectrumPerRecordItReads: a fit computes one spectrum
+// per Zone A pair for the baseline's PSD statistics and one per hot
+// labelled record for its scan, and no more.
+func TestFitTakesOneSpectrumPerRecordItReads(t *testing.T) {
+	eng, ds := fitEngine(t, 37)
+	var zoneA, hot int
+	for _, p := range eng.labelledPairs() {
+		if p.zone == ZoneA {
+			zoneA++
+		}
+		if p.hot {
+			hot++
+		}
+	}
+	fresh := NewWithStores(Options{}, ds.Measurements, ds.Labels)
+	p0 := psdCount()
+	if err := fresh.Fit(); err != nil {
+		t.Fatal(err)
+	}
+	if d := psdCount() - p0; d != uint64(zoneA+hot) {
+		t.Errorf("Fit computed %d spectra, want %d Zone A + %d hot labelled = %d", d, zoneA, hot, zoneA+hot)
+	}
+}
+
+// TestSweepTransformsEachLabelledRecordOnce: the fit's scan keeps the
+// Euclidean and Mahalanobis scores of every hot labelled record from
+// the spectrum it folds, so the Fig. 12–14 sweep and Table III, which
+// ask the same four metrics again, compute no spectrum and every
+// memo lookup is a hit. The scores are Baseline.Score's, bit for bit.
 func TestSweepTransformsEachLabelledRecordOnce(t *testing.T) {
 	eng, ds := fitEngine(t, 36)
 	base, _ := eng.Baseline()
@@ -139,13 +162,17 @@ func TestSweepTransformsEachLabelledRecordOnce(t *testing.T) {
 	}
 	metrics := []Metric{MetricPeakHarmonic, MetricEuclidean, MetricMahalanobis, MetricTemperature}
 	p0 := psdCount()
+	_, m0 := liveLookups()
 	for _, m := range metrics {
 		if _, err := eng.EvaluateMetricSweep(m, []int{5, 15, 25}, temp, 7); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d := psdCount() - p0; d != uint64(len(hot)) {
-		t.Errorf("the four-metric sweep computed %d spectra, want one per hot labelled record (%d)", d, len(hot))
+	if d := psdCount() - p0; d != 0 {
+		t.Errorf("the four-metric sweep computed %d spectra for %d hot labelled records, want 0", d, len(hot))
+	}
+	if _, m1 := liveLookups(); m1 != m0 {
+		t.Errorf("the four-metric sweep missed the memo %d times, want all hits", m1-m0)
 	}
 	p0 = psdCount()
 	for _, m := range metrics {

@@ -25,8 +25,6 @@ var surfaceAllowed = map[string]string{
 	"dsp.EnvelopeSpectrum":      "allocating EnvelopeSpectrumInto",
 	"dsp.FindPeaks":             "allocating FindPeaksInto",
 	"dsp.Periodogram":           "allocating PeriodogramInto",
-	"dsp.SmoothConvolve":        "allocating SmoothConvolveInto",
-	"dsp.TopPeaks":              "allocating TopPeaksInto",
 	"physics.Pump.Acceleration": "allocating AccelerationInto; BenchmarkAcceleration is a gated BENCH.txt row",
 	"store.ReplayWAL":           "ReplayWALWorkers at GOMAXPROCS, how the mirror and cluster tests read a WAL",
 
