@@ -55,6 +55,7 @@ type Engine struct {
 	labels       *Labels
 
 	classifier *core.GaussianClassifier
+	densities  *ZoneDensities // Fit's; nil after LoadModel
 	boundary   float64
 	models     *LifetimeModels
 
@@ -289,6 +290,7 @@ func (e *Engine) Fit() error {
 	if err != nil {
 		return fmt.Errorf("vibepm: densities: %w", err)
 	}
+	e.densities = densities
 	if b, err := densities.BoundaryBCD(); err == nil {
 		e.boundary = b
 	} else {
@@ -318,6 +320,17 @@ func (e *Engine) Boundary() (float64, error) {
 		return 0, ErrNotFitted
 	}
 	return e.boundary, nil
+}
+
+// Densities returns the per-zone D_a densities Fit estimated from the
+// labelled measurements (Fig. 11), the ones it located the boundary
+// between. It errors before Fit and after LoadModel: a model keeps the
+// boundary, not the densities.
+func (e *Engine) Densities() (*ZoneDensities, error) {
+	if !e.Fitted() || e.densities == nil {
+		return nil, ErrNotFitted
+	}
+	return e.densities, nil
 }
 
 // Da scores one measurement with the peak-harmonic distance from the

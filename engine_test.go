@@ -16,6 +16,18 @@ import (
 // fitEngine builds an engine over a small synthetic corpus and fits it.
 func fitEngine(t *testing.T, seed int64) (*Engine, *dataset.Dataset) {
 	t.Helper()
+	ds := smallDataset(t, seed)
+	eng := NewWithStores(Options{}, ds.Measurements, ds.Labels)
+	if err := eng.Fit(); err != nil {
+		t.Fatal(err)
+	}
+	return eng, ds
+}
+
+// smallDataset is fitEngine's corpus: 40 days of one capture a day,
+// 160 labels.
+func smallDataset(t *testing.T, seed int64) *dataset.Dataset {
+	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{
 		Seed:               seed,
 		DurationDays:       40,
@@ -30,11 +42,27 @@ func fitEngine(t *testing.T, seed int64) (*Engine, *dataset.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewWithStores(Options{}, ds.Measurements, ds.Labels)
+	return ds
+}
+
+// TestFitWithTwoBinHannWindow: Hann(2) = [0 0] has no mass, so n_h = 2
+// smooths nothing, as n_h = 1 and 3 do, and the engine fits. Smoothed
+// with it, every spectrum read all zeros and had no peak, and Fit
+// failed with "no scorable labelled measurements".
+func TestFitWithTwoBinHannWindow(t *testing.T) {
+	ds := smallDataset(t, 47)
+	eng := NewWithStores(Options{Harmonic: feature.Options{HannWindow: 2}}, ds.Measurements, ds.Labels)
 	if err := eng.Fit(); err != nil {
 		t.Fatal(err)
 	}
-	return eng, ds
+	if b, err := eng.Boundary(); err != nil || !(b > 0) {
+		t.Fatalf("boundary %v (err %v), want a positive one", b, err)
+	}
+	for _, lr := range ds.ValidLabelled() {
+		if _, err := eng.Da(lr.Record); err != nil {
+			t.Fatalf("record of pump %d, day %v: %v", lr.Record.PumpID, lr.Record.ServiceDays, err)
+		}
+	}
 }
 
 func ageFuncFor(ds *dataset.Dataset) AgeFunc {
@@ -55,6 +83,9 @@ func TestEngineUnfittedErrors(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := eng.Baseline(); !errors.Is(err, ErrNotFitted) {
+		t.Fatalf("err = %v", err)
+	}
+	if _, err := eng.Densities(); !errors.Is(err, ErrNotFitted) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := eng.Models(); !errors.Is(err, ErrNoRULModel) {

@@ -77,19 +77,20 @@ func BenchmarkEnvelopeSpectrum4096(b *testing.B) {
 	x := benchSignal(4096)
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, _, err := EnvelopeSpectrum(x, 4000); err != nil {
+		if _, _, err := EnvelopeSpectrumInto(nil, nil, x, 4000); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSmoothConvolveHann24(b *testing.B) {
+// BenchmarkSmoothHann24 is the harmonic search's smoothing: a 1,024-bin
+// spectrum through the n_h = 24 sliding Hann sum into a kept buffer.
+func BenchmarkSmoothHann24(b *testing.B) {
 	x := benchSignal(1024)
-	k := HannWindow(24)
 	dst := make([]float64, len(x))
 	b.ReportAllocs()
 	for b.Loop() {
-		SmoothConvolveInto(dst, x, k)
+		smoothHannInto(dst, x, 24)
 	}
 }
 

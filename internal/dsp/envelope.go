@@ -2,22 +2,17 @@ package dsp
 
 import "math"
 
-// Envelope returns the amplitude envelope of x — the magnitude of the
-// analytic signal, computed with an FFT-based Hilbert transform. In
+// EnvelopeInto writes the amplitude envelope of x — the magnitude of
+// the analytic signal, computed with an FFT-based Hilbert transform —
+// into dst (grown if needed, returned resliced to len(x)). In
 // rotating-machinery diagnostics the envelope demodulates the
 // high-frequency carrier excited by impacting bearing defects so that
 // the defect repetition rate becomes visible at low frequency; it backs
-// the envelope-spectrum extension feature.
-func Envelope(x []float64) []float64 {
-	return EnvelopeInto(make([]float64, len(x)), x)
-}
-
-// EnvelopeInto is Envelope writing into dst (grown if needed, returned
-// resliced to len(x)). The analytic-signal transform runs on cached
-// plans with pooled scratch — its forward half on the real-input FFT
-// for an even length, its inverse on the complex one, since the
-// analytic signal is complex — so steady-state calls with an adequate
-// dst are allocation-free.
+// the envelope-spectrum extension feature. The analytic-signal
+// transform runs on cached plans with pooled scratch — its forward half
+// on the real-input FFT for an even length, its inverse on the complex
+// one, since the analytic signal is complex — so steady-state calls
+// with an adequate dst are allocation-free.
 func EnvelopeInto(dst, x []float64) []float64 {
 	n := len(x)
 	if cap(dst) < n {
@@ -62,16 +57,11 @@ func EnvelopeInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// EnvelopeSpectrum returns the one-sided periodogram of the demeaned
-// amplitude envelope — the standard bearing-defect spectrum, where the
-// defect passing frequencies appear directly regardless of which
-// high-frequency resonance carries them.
-func EnvelopeSpectrum(x []float64, fs float64) (freq, psd []float64, err error) {
-	return EnvelopeSpectrumInto(nil, nil, x, fs)
-}
-
-// EnvelopeSpectrumInto is EnvelopeSpectrum writing into freq and psd
-// with PeriodogramInto's contract.
+// EnvelopeSpectrumInto writes the one-sided periodogram of the
+// demeaned amplitude envelope of x into freq and psd, with
+// PeriodogramInto's contract — the standard bearing-defect spectrum,
+// where the defect passing frequencies appear directly regardless of
+// which high-frequency resonance carries them.
 func EnvelopeSpectrumInto(freq, psd, x []float64, fs float64) ([]float64, []float64, error) {
 	eb := getFBuf(len(x))
 	env := EnvelopeInto(eb.s, x)

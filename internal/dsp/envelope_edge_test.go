@@ -33,7 +33,7 @@ func TestEnvelopeIntoTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			env := Envelope(tc.x)
+			env := EnvelopeInto(nil, tc.x)
 			if len(env) != len(tc.x) {
 				t.Fatalf("len %d, want %d", len(env), len(tc.x))
 			}
@@ -71,13 +71,13 @@ func TestEnvelopeIntoTable(t *testing.T) {
 // tiny and constant inputs succeed with a well-formed (possibly silent)
 // spectrum.
 func TestEnvelopeSpectrumEdgeCases(t *testing.T) {
-	if _, _, err := EnvelopeSpectrum(nil, 1000); err == nil {
+	if _, _, err := EnvelopeSpectrumInto(nil, nil, nil, 1000); err == nil {
 		t.Fatal("empty input must error")
 	}
-	if _, _, err := EnvelopeSpectrum([]float64{1, 2, 3, 4}, 0); err == nil {
+	if _, _, err := EnvelopeSpectrumInto(nil, nil, []float64{1, 2, 3, 4}, 0); err == nil {
 		t.Fatal("zero sample rate must error")
 	}
-	if _, _, err := EnvelopeSpectrum([]float64{1, 2, 3, 4}, -10); err == nil {
+	if _, _, err := EnvelopeSpectrumInto(nil, nil, []float64{1, 2, 3, 4}, -10); err == nil {
 		t.Fatal("negative sample rate must error")
 	}
 	for _, tc := range []struct {
@@ -90,7 +90,7 @@ func TestEnvelopeSpectrumEdgeCases(t *testing.T) {
 		{"constant", []float64{7, 7, 7, 7, 7, 7, 7, 7}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			freq, psd, err := EnvelopeSpectrum(tc.x, 1000)
+			freq, psd, err := EnvelopeSpectrumInto(nil, nil, tc.x, 1000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestEnvelopeSpectrumIntoReuse(t *testing.T) {
 		for i := range x {
 			x[i] = (1 + 0.5*math.Sin(2*math.Pi*37*float64(i)/1000)) * math.Sin(2*math.Pi*210*float64(i)/1000)
 		}
-		freq, psd, err := EnvelopeSpectrum(x, 1000)
+		freq, psd, err := EnvelopeSpectrumInto(nil, nil, x, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ func TestEnvelopeOfPureTone(t *testing.T) {
 	for i := range x {
 		x[i] = 3 * math.Sin(2*math.Pi*50*float64(i)/1000)
 	}
-	env := Envelope(x)
+	env := EnvelopeInto(nil, x)
 	// Ignore edges (Hilbert edge effects).
 	for i := 50; i < n-50; i++ {
 		if math.Abs(env[i]-3) > 0.1 {
@@ -33,7 +33,7 @@ func TestEnvelopeRecoversModulation(t *testing.T) {
 		tt := float64(i) / fs
 		x[i] = (1 + 0.8*math.Sin(2*math.Pi*20*tt)) * math.Sin(2*math.Pi*400*tt)
 	}
-	freq, psd, err := EnvelopeSpectrum(x, fs)
+	freq, psd, err := EnvelopeSpectrumInto(nil, nil, x, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestEnvelopeRecoversModulation(t *testing.T) {
 }
 
 func TestEnvelopeEdgeCases(t *testing.T) {
-	if got := Envelope(nil); len(got) != 0 {
+	if got := EnvelopeInto(nil, nil); len(got) != 0 {
 		t.Fatal("empty envelope")
 	}
-	if got := Envelope([]float64{-5}); got[0] != 5 {
+	if got := EnvelopeInto(nil, []float64{-5}); got[0] != 5 {
 		t.Fatalf("single-sample envelope %g", got[0])
 	}
 	// Odd-length input exercises the odd-n branch.
@@ -75,7 +75,7 @@ func TestEnvelopeEdgeCases(t *testing.T) {
 	for i := range x {
 		x[i] = 2 * math.Cos(2*math.Pi*30*float64(i)/1000)
 	}
-	env := Envelope(x)
+	env := EnvelopeInto(nil, x)
 	for i := 60; i < n-60; i++ {
 		if math.Abs(env[i]-2) > 0.15 {
 			t.Fatalf("odd-n envelope at %d = %.3f", i, env[i])
@@ -85,7 +85,7 @@ func TestEnvelopeEdgeCases(t *testing.T) {
 
 func TestEnvelopeNonNegative(t *testing.T) {
 	x := []float64{1, -2, 3, -4, 5, -6, 7, -8}
-	for i, v := range Envelope(x) {
+	for i, v := range EnvelopeInto(nil, x) {
 		if v < 0 {
 			t.Fatalf("negative envelope at %d: %g", i, v)
 		}

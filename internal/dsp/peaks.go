@@ -10,19 +10,17 @@ type Peak struct {
 	Value float64
 }
 
-// FindPeaks locates local maxima of y: points where the first-order
+// FindPeaksInto locates local maxima of y: points where the first-order
 // difference changes from positive to negative, exactly the paper's
 // step 2 of the harmonic-peak search. Plateaus report their first bin.
-// freq may be nil, in which case Peak.Freq is the bin index.
-func FindPeaks(freq, y []float64) []Peak { return FindPeaksInto(nil, freq, y) }
-
-// FindPeaksInto is FindPeaks appending to dst[:0]: the result shares
-// dst's array while it fits, so a caller that keeps a pooled dst finds
-// peaks without growing a list per spectrum.
+// freq may be nil, in which case Peak.Freq is the bin index. It appends
+// to dst[:0]: the result shares dst's array while it fits, so a caller
+// that keeps a pooled dst finds peaks without growing a list per
+// spectrum.
 func FindPeaksInto(dst []Peak, freq, y []float64) []Peak {
 	n := len(y)
 	if freq != nil {
-		checkLen("FindPeaks", len(freq), n)
+		checkLen("FindPeaksInto", len(freq), n)
 	}
 	peaks := dst[:0]
 	if n < 3 {
@@ -56,21 +54,14 @@ func FindPeaksInto(dst []Peak, freq, y []float64) []Peak {
 // TopPeaksInto returns the np largest peaks (by value) of the smoothed
 // signal, re-sorted in ascending frequency order as Algorithm 1
 // requires. It smooths y with a Hann window of size nh before the
-// derivative test; nh <= 1 disables smoothing. This is the full
-// harmonic-peak extraction procedure of §IV-B with the paper's defaults
-// np = 20, nh = 24. dst is FindPeaksInto's: the peaks are found, ranked
-// and cut in its array.
+// derivative test (smoothHannInto: nh <= 3 smooths nothing). This is
+// the full harmonic-peak extraction procedure of §IV-B with the paper's
+// defaults np = 20, nh = 24. dst is FindPeaksInto's: the peaks are
+// found, ranked and cut in its array.
 func TopPeaksInto(dst []Peak, freq, y []float64, np, nh int) []Peak {
-	smoothed := y
-	var buf *fbuf
-	if nh > 1 {
-		buf = getFBuf(len(y))
-		smoothed = SmoothConvolveInto(buf.s, y, hannCached(nh))
-	}
-	peaks := FindPeaksInto(dst, freq, smoothed)
-	if buf != nil {
-		putFBuf(buf)
-	}
+	buf := getFBuf(len(y))
+	peaks := FindPeaksInto(dst, freq, smoothHannInto(buf.s, y, nh))
+	putFBuf(buf)
 	if np > 0 && len(peaks) > np {
 		slices.SortStableFunc(peaks, func(a, b Peak) int {
 			switch {

@@ -8,7 +8,7 @@ import (
 
 func TestFindPeaksSimple(t *testing.T) {
 	y := []float64{0, 1, 0, 2, 0, 3, 0}
-	peaks := FindPeaks(nil, y)
+	peaks := FindPeaksInto(nil, nil, y)
 	if len(peaks) != 3 {
 		t.Fatalf("found %d peaks, want 3: %+v", len(peaks), peaks)
 	}
@@ -25,20 +25,20 @@ func TestFindPeaksSimple(t *testing.T) {
 
 func TestFindPeaksPlateau(t *testing.T) {
 	y := []float64{0, 2, 2, 2, 0}
-	peaks := FindPeaks(nil, y)
+	peaks := FindPeaksInto(nil, nil, y)
 	if len(peaks) != 1 || peaks[0].Index != 1 {
 		t.Fatalf("plateau peaks = %+v", peaks)
 	}
 }
 
 func TestFindPeaksMonotone(t *testing.T) {
-	if got := FindPeaks(nil, []float64{1, 2, 3, 4}); len(got) != 0 {
+	if got := FindPeaksInto(nil, nil, []float64{1, 2, 3, 4}); len(got) != 0 {
 		t.Fatalf("monotone rising should have no interior peak: %+v", got)
 	}
-	if got := FindPeaks(nil, []float64{4, 3, 2, 1}); len(got) != 0 {
+	if got := FindPeaksInto(nil, nil, []float64{4, 3, 2, 1}); len(got) != 0 {
 		t.Fatalf("monotone falling should have no interior peak: %+v", got)
 	}
-	if got := FindPeaks(nil, []float64{1, 2}); len(got) != 0 {
+	if got := FindPeaksInto(nil, nil, []float64{1, 2}); len(got) != 0 {
 		t.Fatal("too-short input should have no peaks")
 	}
 }
@@ -46,7 +46,7 @@ func TestFindPeaksMonotone(t *testing.T) {
 func TestFindPeaksEndpointsExcluded(t *testing.T) {
 	// First-derivative sign change cannot happen at the endpoints.
 	y := []float64{5, 1, 1, 1, 5}
-	if got := FindPeaks(nil, y); len(got) != 0 {
+	if got := FindPeaksInto(nil, nil, y); len(got) != 0 {
 		t.Fatalf("endpoints must not be peaks: %+v", got)
 	}
 }
@@ -69,6 +69,20 @@ func TestTopPeaksSelectsLargestAndSortsByFrequency(t *testing.T) {
 	}
 	if peaks[0].Freq != 100 || peaks[1].Freq != 160 {
 		t.Fatalf("frequencies = %+v", peaks)
+	}
+}
+
+// TestTopPeaksSmallWindows: a window of at most three bins smooths
+// nothing, so the search finds y's own three peaks. Hann(2) = [0 0] has
+// no mass: smoothed with it, y would read all zeros and have no peak.
+func TestTopPeaksSmallWindows(t *testing.T) {
+	y := make([]float64, 100)
+	y[10], y[50], y[80] = 3, 9, 6
+	for _, nh := range []int{0, 1, 2, 3} {
+		peaks := TopPeaksInto(nil, nil, y, 20, nh)
+		if len(peaks) != 3 || peaks[0].Index != 10 || peaks[1].Index != 50 || peaks[2].Index != 80 {
+			t.Errorf("n_h = %d: peaks %+v, want bins 10, 50 and 80", nh, peaks)
+		}
 	}
 }
 

@@ -248,17 +248,18 @@ func newDCTPlan(n int) *dctPlan {
 // of the largest accepted length.
 const maxCachedPlans = 32
 
-// planRegistry caches one immutable plan per length, for the first
-// maxCachedPlans distinct lengths it sees. Past that a miss builds a
-// one-off plan and does not keep it: correct, only slower. A hit is one
-// lock-free sync.Map load; a racing first use at worst builds the same
-// plan twice and keeps one.
-type planRegistry[T any] struct {
-	plans sync.Map // int -> T
+// planRegistry caches one immutable plan per key (a length; a rate and
+// a length for the frequency axes), for the first maxCachedPlans
+// distinct keys it sees. Past that a miss builds a one-off plan and
+// does not keep it: correct, only slower. A hit is one lock-free
+// sync.Map load; a racing first use at worst builds the same plan twice
+// and keeps one.
+type planRegistry[K comparable, T any] struct {
+	plans sync.Map // K -> T
 	slots atomic.Int32
 }
 
-func (r *planRegistry[T]) get(n int, build func(int) T) T {
+func (r *planRegistry[K, T]) get(n K, build func(K) T) T {
 	if v, ok := r.cached(n, build); ok {
 		return v
 	}
@@ -268,7 +269,7 @@ func (r *planRegistry[T]) get(n int, build func(int) T) T {
 // cached returns n's entry, building and keeping it on a miss while
 // the registry has a free slot; ok is false when the registry is full
 // and n is not in it.
-func (r *planRegistry[T]) cached(n int, build func(int) T) (T, bool) {
+func (r *planRegistry[K, T]) cached(n K, build func(K) T) (T, bool) {
 	if v, ok := r.plans.Load(n); ok {
 		return v.(T), true
 	}
@@ -287,11 +288,13 @@ func (r *planRegistry[T]) cached(n int, build func(int) T) (T, bool) {
 }
 
 var (
-	fftPlans       planRegistry[*fftPlan]
-	bluesteinPlans planRegistry[*bluesteinPlan]
-	dctPlans       planRegistry[*dctPlan]
-	realPlans      planRegistry[*realPlan]
-	hannPlans      planRegistry[[]float64] // shared, read-only
+	fftPlans        planRegistry[int, *fftPlan]
+	bluesteinPlans  planRegistry[int, *bluesteinPlan]
+	dctPlans        planRegistry[int, *dctPlan]
+	realPlans       planRegistry[int, *realPlan]
+	hannPlans       planRegistry[int, []float64] // shared, read-only
+	hannSmoothPlans planRegistry[int, *hannSmooth]
+	axisPlans       planRegistry[axisKey, []float64] // shared, read-only
 )
 
 func planFFT(n int) *fftPlan { return fftPlans.get(n, newFFTPlan) }
@@ -305,3 +308,53 @@ func planReal(n int) *realPlan { return realPlans.get(n, newRealPlan) }
 // hannCached returns a shared, read-only Hann window of length n.
 // Callers must not modify it; use HannWindow for a private copy.
 func hannCached(n int) []float64 { return hannPlans.get(n, HannWindow) }
+
+// maxCachedAxis is the longest frequency axis DCTAxisInto keeps: a
+// record may carry up to 1 Mi samples an axis, and a registry of 32 such
+// axes would pin 256 MiB; at 64 Ki bins it pins at most 16 MiB.
+const maxCachedAxis = 1 << 16
+
+// axisKey names one DCT frequency axis: the sample rate's bits (so
+// every rate, NaN and −0 included, is its own key) and the bin count.
+type axisKey struct {
+	rate uint64
+	k    int
+}
+
+// DCTAxisInto writes the frequency axis of a k-bin DCT spectrum of a
+// capture sampled at rate Hz into freq (grown if its capacity is short,
+// returned resliced to k): bin i sits at i·rate/(2k), computed as
+// float64(i) * rate / (2 * float64(k)). A fleet samples at a handful of
+// rates, so the axis is built once per (rate, k) in a bounded registry
+// and copied. Past the registry's cap, or past maxCachedAxis bins, it
+// is computed in place, to the same bits.
+func DCTAxisInto(freq []float64, rate float64, k int) []float64 {
+	if cap(freq) < k {
+		freq = make([]float64, k)
+	}
+	freq = freq[:k]
+	if k <= maxCachedAxis {
+		key := axisKey{rate: math.Float64bits(rate), k: k}
+		if axis, ok := axisPlans.cached(key, newDCTAxis); ok {
+			copy(freq, axis)
+			return freq
+		}
+	}
+	dctAxis(freq, rate)
+	return freq
+}
+
+func newDCTAxis(key axisKey) []float64 {
+	axis := make([]float64, key.k)
+	dctAxis(axis, math.Float64frombits(key.rate))
+	return axis
+}
+
+// dctAxis fills freq with the bin frequencies of a len(freq)-bin DCT
+// spectrum at rate Hz.
+func dctAxis(freq []float64, rate float64) {
+	k := len(freq)
+	for i := range freq {
+		freq[i] = float64(i) * rate / (2 * float64(k))
+	}
+}

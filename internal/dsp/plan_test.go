@@ -84,7 +84,7 @@ func TestPlannedParsevalAllLengthClasses(t *testing.T) {
 
 // reset empties the registry, so a test's lengths are cached whatever
 // ran before it in this process.
-func (r *planRegistry[T]) reset() {
+func (r *planRegistry[K, T]) reset() {
 	r.plans.Range(func(k, _ any) bool {
 		r.plans.Delete(k)
 		return true
@@ -92,7 +92,7 @@ func (r *planRegistry[T]) reset() {
 	r.slots.Store(0)
 }
 
-func (r *planRegistry[T]) len() int {
+func (r *planRegistry[K, T]) len() int {
 	n := 0
 	r.plans.Range(func(_, _ any) bool {
 		n++
@@ -109,6 +109,8 @@ func resetPlanRegistries() {
 	dctPlans.reset()
 	realPlans.reset()
 	hannPlans.reset()
+	hannSmoothPlans.reset()
+	axisPlans.reset()
 	cbufPools.reset()
 	fbufPools.reset()
 }
@@ -270,9 +272,14 @@ func TestPlanRegistriesAreBounded(t *testing.T) {
 				t.Fatalf("hann n=%d tap %d: %g, fresh %g", n, k, w[k], fresh[k])
 			}
 		}
+
+		sameSmooth(t, x, i+4) // a window length of its own
+		checkAxis(t, 1000+float64(i), n)
 	}
+	checkAxis(t, 4000, maxCachedAxis+1) // never cached
 	for name, size := range map[string]int{
 		"fft": fftPlans.len(), "bluestein": bluesteinPlans.len(), "dct": dctPlans.len(), "real": realPlans.len(), "hann": hannPlans.len(),
+		"hannSmooth": hannSmoothPlans.len(), "axis": axisPlans.len(),
 	} {
 		if size > maxCachedPlans {
 			t.Errorf("%s registry holds %d plans, cap %d", name, size, maxCachedPlans)
@@ -314,5 +321,16 @@ func TestScratchPoolsAreBounded(t *testing.T) {
 	}
 	if _, ok := cbufPools.plans.Load(1000); ok {
 		t.Error("a length past the cap must not get a pool")
+	}
+}
+
+// checkAxis fails t unless DCTAxisInto's axis for (rate, k) is the
+// inline loop's, bit for bit.
+func checkAxis(t *testing.T, rate float64, k int) {
+	t.Helper()
+	for i, f := range DCTAxisInto(nil, rate, k) {
+		if want := float64(i) * rate / (2 * float64(k)); math.Float64bits(f) != math.Float64bits(want) {
+			t.Fatalf("axis rate %v, k %d, bin %d: %v, inline %v", rate, k, i, f, want)
+		}
 	}
 }

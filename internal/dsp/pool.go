@@ -23,7 +23,7 @@ type fbuf struct{ s []float64 }
 // count, so they follow the plan registries' rule: the first
 // maxCachedPlans lengths get a pool, and past that a get allocates and
 // a put drops the buffer.
-var cbufPools, fbufPools planRegistry[*sync.Pool]
+var cbufPools, fbufPools planRegistry[int, *sync.Pool]
 
 func newPool(int) *sync.Pool { return new(sync.Pool) }
 

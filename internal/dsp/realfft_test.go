@@ -234,7 +234,7 @@ func TestRealKernelsMatchComplexChain(t *testing.T) {
 		want := complexAxisPower(counts, adcScale)
 		checkBound(t, name+" axis power", got, want, sum(want), realBound)
 
-		_, psd, err := Periodogram(x, fs)
+		_, psd, err := PeriodogramInto(nil, nil, x, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,8 +242,8 @@ func TestRealKernelsMatchComplexChain(t *testing.T) {
 		checkBound(t, name+" periodogram", psd, want, sum(want), realBound)
 
 		env := complexEnvelope(x)
-		checkBound(t, name+" envelope", Envelope(x), env, norm(env), realBound)
-		_, psd, err = EnvelopeSpectrum(x, fs)
+		checkBound(t, name+" envelope", EnvelopeInto(nil, x), env, norm(env), realBound)
+		_, psd, err = EnvelopeSpectrumInto(nil, nil, x, fs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -166,19 +166,13 @@ func makhoulIndex(j, n int) int {
 	return j / 2
 }
 
-// Periodogram computes the one-sided FFT periodogram of x sampled at
-// rate fs (Hz), returning the frequency axis and PSD estimate in
-// (unit²/Hz). The input is demeaned internally. The one-sided estimate
+// PeriodogramInto computes the one-sided FFT periodogram of x sampled
+// at rate fs (Hz) into freq and psd (each grown if needed, returned
+// resliced to len(x)/2+1): the frequency axis and the PSD estimate in
+// unit²/Hz. The input is demeaned internally. The one-sided estimate
 // doubles interior bins so the integral of the PSD equals the signal
-// variance.
-func Periodogram(x []float64, fs float64) (freq, psd []float64, err error) {
-	return PeriodogramInto(nil, nil, x, fs)
-}
-
-// PeriodogramInto is Periodogram writing into freq and psd (each grown
-// if needed, returned resliced to len(x)/2+1). The spectrum is
-// oneSided's, so steady-state calls with adequate outputs are
-// allocation-free.
+// variance. The spectrum is oneSided's, so steady-state calls with
+// adequate outputs are allocation-free.
 func PeriodogramInto(freq, psd, x []float64, fs float64) ([]float64, []float64, error) {
 	n := len(x)
 	if n == 0 {

@@ -62,7 +62,7 @@ func TestPeriodogramPeakFrequency(t *testing.T) {
 	for i := range x {
 		x[i] = 2 * math.Sin(2*math.Pi*f0*float64(i)/fs)
 	}
-	freq, psd, err := Periodogram(x, fs)
+	freq, psd, err := PeriodogramInto(nil, nil, x, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPeriodogramIntegratesToVariance(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	freq, psd, err := Periodogram(x, fs)
+	freq, psd, err := PeriodogramInto(nil, nil, x, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestPeriodogramErrors(t *testing.T) {
 	}
 	estimators := map[string]func(x []float64, fs float64) error{
 		"Periodogram": func(x []float64, fs float64) error {
-			_, _, err := Periodogram(x, fs)
+			_, _, err := PeriodogramInto(nil, nil, x, fs)
 			return err
 		},
 		"EnvelopeSpectrum": func(x []float64, fs float64) error {
-			_, _, err := EnvelopeSpectrum(x, fs)
+			_, _, err := EnvelopeSpectrumInto(nil, nil, x, fs)
 			return err
 		},
 		"Welch": func(x []float64, fs float64) error {
@@ -220,7 +220,7 @@ func TestPeriodogramIntoMatchesComposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		freq, psd, err := Periodogram(x, fs)
+		freq, psd, err := PeriodogramInto(nil, nil, x, fs)
 		if err != nil {
 			t.Fatal(err)
 		}

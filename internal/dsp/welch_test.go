@@ -63,7 +63,7 @@ func TestWelchReducesVarianceVsPeriodogram(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		_, per, err := Periodogram(x, fs)
+		_, per, err := PeriodogramInto(nil, nil, x, fs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func TestSmoothConvolvePreservesConstant(t *testing.T) {
 	for i := range x {
 		x[i] = 7
 	}
-	y := SmoothConvolveInto(nil, x, HannWindow(9))
+	y := smoothHannInto(nil, x, 9)
 	for i, v := range y {
 		if !almostEqual(v, 7, 1e-12) {
 			t.Fatalf("sample %d: %g", i, v)
@@ -60,21 +60,25 @@ func TestSmoothConvolveReducesVariance(t *testing.T) {
 			x[i] = -1
 		}
 	}
-	y := SmoothConvolveInto(nil, x, HannWindow(9))
+	y := smoothHannInto(nil, x, 9)
 	if Variance(y) >= Variance(x)/2 {
 		t.Fatalf("smoothing did not reduce variance: %g vs %g", Variance(y), Variance(x))
 	}
 }
 
 func TestSmoothConvolveEmpty(t *testing.T) {
-	if got := SmoothConvolveInto(nil, nil, HannWindow(5)); len(got) != 0 {
+	if got := smoothHannInto(nil, nil, 5); len(got) != 0 {
 		t.Fatal("empty signal should stay empty")
 	}
+	// Hann(1) and Hann(3) are the identity and Hann(2) has no mass:
+	// each copies.
 	x := []float64{1, 2, 3}
-	got := SmoothConvolveInto(nil, x, nil)
-	for i := range x {
-		if got[i] != x[i] {
-			t.Fatalf("empty kernel should copy input, got %v", got)
+	for m := 0; m <= 3; m++ {
+		got := smoothHannInto(nil, x, m)
+		for i := range x {
+			if got[i] != x[i] {
+				t.Fatalf("window %d should copy input, got %v", m, got)
+			}
 		}
 	}
 }
@@ -100,8 +104,10 @@ func TestEWMA(t *testing.T) {
 	}
 }
 
-// indexedSmooth is SmoothConvolveInto as it was before its inner loop
-// re-sliced its operands: the same four accumulators, indexed.
+// indexedSmooth is the direct reflected convolution of x by kernel,
+// normalised by the kernel mass: the interior an indexed loop over four
+// accumulators, the edge bands smoothEdges. smoothHannInto is proven
+// against it.
 func indexedSmooth(x, kernel []float64) []float64 {
 	n, m := len(x), len(kernel)
 	dst := make([]float64, n)
@@ -138,72 +144,103 @@ func indexedSmooth(x, kernel []float64) []float64 {
 	return dst
 }
 
-// smoothKernel is a length-m kernel with a non-zero sum: the Hann
-// window, or for m <= 2 (where it is all zeros) a lopsided pair.
-func smoothKernel(m int) []float64 {
-	if m <= 2 {
-		return []float64{0.25, 0.75}[:m]
-	}
-	return HannWindow(m)
-}
+// smoothBound is the sliding Hann sum's stated error: an interior
+// output of smoothHannInto is within smoothBound·max|x| of the direct
+// sum, the max taken over the output's window widened by smoothChain
+// bins each way (every bin its chain can read).
+const smoothBound = 1e-13
 
-// sameSmooth fails t unless SmoothConvolveInto of x by k is the indexed
-// one-output loop's, bit for bit.
-func sameSmooth(t *testing.T, x, k []float64) {
+// sameSmooth fails t unless smoothHannInto of x by the length-m Hann
+// window is the direct one's: bit for bit in the edge bands, within
+// smoothBound of the local max |x| in the interior. For m <= 3 it is
+// the input (Hann(3) is the identity, Hann(2) has no mass).
+func sameSmooth(t *testing.T, x []float64, m int) {
 	t.Helper()
-	got, want := SmoothConvolveInto(nil, x, k), indexedSmooth(x, k)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("window %d, n=%d, point %d: %v, indexed %v", len(k), len(x), i, got[i], want[i])
-		}
-	}
-}
-
-// TestSmoothConvolveEqualsIndexedLoop: the two-outputs-per-pass loop
-// sums every output's taps in the indexed one-output loop's order, bit
-// for bit, at odd and even interior counts and every kernel length from
-// 1 to n+2 — wider than the signal, where there is no interior.
-func TestSmoothConvolveEqualsIndexedLoop(t *testing.T) {
-	x := benchSignal(300)
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64, 65} {
-		for m := 1; m <= n+2; m++ {
-			sameSmooth(t, x[:n], smoothKernel(m))
-		}
-	}
-	for m := 1; m <= 33; m++ {
-		for _, n := range []int{300, 299} {
-			sameSmooth(t, x[:n], smoothKernel(m))
-		}
-	}
-}
-
-// FuzzSmoothConvolve: the interior loop equals the indexed one-output
-// loop bit for bit for any signal, kernel length and kernel values.
-func FuzzSmoothConvolve(f *testing.F) {
-	f.Add(int64(1), uint16(1024), uint8(24), false)
-	f.Add(int64(2), uint16(5), uint8(7), true)
-	f.Add(int64(3), uint16(63), uint8(4), true)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, m uint8, signed bool) {
-		rng := rand.New(rand.NewSource(seed))
-		x := make([]float64, int(n)%4097)
+	got := smoothHannInto(nil, x, m)
+	if m <= 3 {
 		for i := range x {
-			x[i] = rng.ExpFloat64()
-			if signed {
+			if math.Float64bits(got[i]) != math.Float64bits(x[i]) {
+				t.Fatalf("window %d, n=%d, point %d: %v, want the input %v", m, len(x), i, got[i], x[i])
+			}
+		}
+		return
+	}
+	want := indexedSmooth(x, HannWindow(m))
+	n, half := len(x), m/2
+	lo, hi := half, n-(m-1-half)
+	for i := range want {
+		if i < lo || i >= hi {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("window %d, n=%d, edge point %d: %v, direct %v", m, n, i, got[i], want[i])
+			}
+			continue
+		}
+		var peak float64
+		for _, v := range x[max(i-half-smoothChain, 0):min(i-half+m+smoothChain, n)] {
+			peak = max(peak, math.Abs(v))
+		}
+		if d := math.Abs(got[i] - want[i]); !(d <= smoothBound*peak) {
+			t.Fatalf("window %d, n=%d, point %d: %v, direct %v: off by %.3g of max |x| %.3g, bound %.0e",
+				m, n, i, got[i], want[i], d/peak, peak, smoothBound)
+		}
+	}
+}
+
+// logNormal is n log-normal samples of spread sigma: a PSD-like signal
+// whose dynamic range grows with sigma (e^{±3σ} at sigma 10).
+func logNormal(rng *rand.Rand, n int, sigma float64) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Exp(sigma * rng.NormFloat64())
+	}
+	return x
+}
+
+// TestSmoothHannMatchesIndexedWithinBound: the sliding sum stays within
+// smoothBound of the direct Hann convolution at signal lengths 0-9,
+// 31-33, 64, 65, 299, 300, 1,024 and 4,096 — odd and even interiors,
+// chain groups cut short and outputs left to direct sums — and every
+// window length from 1 to n+2 (wider than the signal, where there is no
+// interior; at 1,024 and 4,096 every length to 70, every 97th to 1,100
+// and n−1 to n+2), on a signed signal and on a log-normal one of
+// spread 10.
+func TestSmoothHannMatchesIndexedWithinBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, x := range [][]float64{benchSignal(4096), logNormal(rng, 4096, 10)} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64, 65, 299, 300} {
+			for m := 1; m <= n+2; m++ {
+				sameSmooth(t, x[:n], m)
+			}
+		}
+		for _, n := range []int{1024, 4096} {
+			for m := 1; m <= n+2; m++ {
+				if m > 70 && m < n-1 && (m%97 != 0 || m > 1100) {
+					continue
+				}
+				sameSmooth(t, x[:n], m)
+			}
+		}
+	}
+}
+
+// FuzzSmoothConvolve: for any signal — signed, or log-normal of spread
+// up to 10 — and any window length, the sliding Hann sum is within
+// smoothBound of the direct convolution, and bitwise at the edges.
+func FuzzSmoothConvolve(f *testing.F) {
+	f.Add(int64(1), uint16(1024), uint16(24), uint8(0))
+	f.Add(int64(2), uint16(5), uint16(7), uint8(40))
+	f.Add(int64(3), uint16(4096), uint16(64), uint8(100))
+	f.Fuzz(func(t *testing.T, seed int64, n, m uint16, spread uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		var x []float64
+		if spread == 0 {
+			x = make([]float64, int(n)%4097)
+			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
+		} else {
+			x = logNormal(rng, int(n)%4097, float64(spread%101)/10)
 		}
-		k := make([]float64, 1+int(m)%64)
-		var total float64
-		for j := range k {
-			k[j] = rng.Float64()
-			if signed {
-				k[j] -= 0.25
-			}
-			total += k[j]
-		}
-		if total == 0 {
-			return // the interior is zeros; the reference divides by zero
-		}
-		sameSmooth(t, x, k)
+		sameSmooth(t, x, int(m)%(len(x)+3))
 	})
 }

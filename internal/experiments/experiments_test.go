@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"vibepm/internal/core"
 	"vibepm/internal/feature"
 	"vibepm/internal/physics"
 )
@@ -156,6 +157,57 @@ func TestFig10(t *testing.T) {
 	}
 	if !(a.HighFreqShare < d.HighFreqShare) {
 		t.Fatalf("HF share ordering: %.3f %.3f", a.HighFreqShare, d.HighFreqShare)
+	}
+}
+
+// TestFig11ReadsTheFit: Fig. 11's boundary is the engine's own, bit for
+// bit, and the densities the fit estimated are the ones a refit over
+// every valid labelled D_a would give — the same sample counts and the
+// same boundary — at small and medium scale. So Fig11 reads them and
+// refits nothing.
+func TestFig11ReadsTheFit(t *testing.T) {
+	scales := []Scale{Small, Medium}
+	if testing.Short() {
+		scales = scales[:1]
+	}
+	for _, scale := range scales {
+		c := smallCorpus(t)
+		if scale != Small {
+			var err error
+			if c, err = NewCorpus(scale, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := Fig11(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.Engine.Boundary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var samples []core.Sample
+		for _, lr := range c.Dataset.ValidLabelled() {
+			if da, err := c.Engine.Da(lr.Record); err == nil {
+				samples = append(samples, core.Sample{Score: da, Zone: lr.Zone})
+			}
+		}
+		refit, err := core.FitDensities(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refit.BoundaryBCD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(r.Boundary) != math.Float64bits(b) || math.Float64bits(b) != math.Float64bits(want) {
+			t.Fatalf("%v: Fig. 11 boundary %v, engine %v, refit %v", scale, r.Boundary, b, want)
+		}
+		for _, d := range r.Densities {
+			if n := refit.ByZone[d.Zone].N(); d.Samples != n {
+				t.Fatalf("%v: Zone %v density of %d samples, refit %d", scale, d.Zone, d.Samples, n)
+			}
+		}
 	}
 }
 

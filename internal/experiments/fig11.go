@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"vibepm/internal/core"
 	"vibepm/internal/physics"
 )
 
@@ -23,26 +22,30 @@ type Fig11Result struct {
 	Boundary  float64
 }
 
-// Fig11 estimates the densities from every valid labelled measurement
-// in the corpus and locates the minimum-error BC/D boundary.
+// Fig11 reads the densities and the BC/D boundary the engine's Fit
+// estimated from every valid labelled measurement in the corpus, and
+// the mean D_a of each zone.
 func Fig11(c *Corpus) (*Fig11Result, error) {
-	var samples []core.Sample
+	dens, err := c.Engine.Densities()
+	if err != nil {
+		return nil, err
+	}
+	for _, zone := range []physics.MergedZone{physics.MergedBC, physics.MergedD} {
+		if _, ok := dens.ByZone[zone]; !ok {
+			return nil, fmt.Errorf("experiments: no Zone %v samples for the boundary", zone)
+		}
+	}
+	boundary, err := c.Engine.Boundary()
+	if err != nil {
+		return nil, err
+	}
 	byZone := map[physics.MergedZone][]float64{}
 	for _, lr := range c.Dataset.ValidLabelled() {
 		da, err := c.Engine.Da(lr.Record)
 		if err != nil {
 			continue
 		}
-		samples = append(samples, core.Sample{Score: da, Zone: lr.Zone})
 		byZone[lr.Zone] = append(byZone[lr.Zone], da)
-	}
-	dens, err := core.FitDensities(samples)
-	if err != nil {
-		return nil, err
-	}
-	boundary, err := dens.BoundaryBCD()
-	if err != nil {
-		return nil, err
 	}
 	res := &Fig11Result{Boundary: boundary}
 	// Common grid across zones for plotting.

@@ -165,12 +165,12 @@ func refDetectRecord(rec *store.Record, spec MachineSpec) FaultReport {
 	y := rec.AxisG(1)
 	z := rec.AxisG(2)
 
-	freq, px, err := dsp.Periodogram(x, fs)
+	freq, px, err := dsp.PeriodogramInto(nil, nil, x, fs)
 	if err != nil {
 		return FaultReport{Class: physics.FaultNone}
 	}
-	_, py, _ := dsp.Periodogram(y, fs)
-	_, pz, _ := dsp.Periodogram(z, fs)
+	_, py, _ := dsp.PeriodogramInto(nil, nil, y, fs)
+	_, pz, _ := dsp.PeriodogramInto(nil, nil, z, fs)
 
 	// Radial spectrum: the two radial axes carry the same recipe, so
 	// summing their periodograms halves the estimator variance.
@@ -239,8 +239,8 @@ func refDetectRecord(rec *store.Record, spec MachineSpec) FaultReport {
 	var envSNR [3]float64 // BPFO, BPFI, BSF
 	geometry := spec.Bearing
 	envFreqOf := [3]float64{}
-	if _, pe, err := dsp.EnvelopeSpectrum(x, fs); err == nil {
-		if _, pe2, err2 := dsp.EnvelopeSpectrum(y, fs); err2 == nil {
+	if _, pe, err := dsp.EnvelopeSpectrumInto(nil, nil, x, fs); err == nil {
+		if _, pe2, err2 := dsp.EnvelopeSpectrumInto(nil, nil, y, fs); err2 == nil {
 			for i := range pe {
 				pe[i] += pe2[i]
 			}

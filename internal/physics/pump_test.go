@@ -145,7 +145,7 @@ func TestAccelerationGravityBias(t *testing.T) {
 func TestAccelerationSpectrumPeaksAtRotor(t *testing.T) {
 	p := NewPump(PumpConfig{ID: 7, Seed: 7, RotorHz: 120})
 	x, _, _ := p.Acceleration(1, 4096, 1024)
-	freq, psd, err := dsp.Periodogram(x, 4096)
+	freq, psd, err := dsp.PeriodogramInto(nil, nil, x, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +170,8 @@ func TestWornPumpHasMoreHighFrequencyPower(t *testing.T) {
 		day := float64(i)
 		hx, _, _ := healthy.Acceleration(day, fs, 1024)
 		wx, _, _ := worn.Acceleration(day, fs, 1024)
-		fh, ph, _ := dsp.Periodogram(hx, fs)
-		fw, pw, _ := dsp.Periodogram(wx, fs)
+		fh, ph, _ := dsp.PeriodogramInto(nil, nil, hx, fs)
+		fw, pw, _ := dsp.PeriodogramInto(nil, nil, wx, fs)
 		hfHealthy += dsp.BandPower(fh, ph, 800, 2000)
 		hfWorn += dsp.BandPower(fw, pw, 800, 2000)
 	}

@@ -223,7 +223,7 @@ func TestHarmonicsLeavesUnfoldedRecordsOut(t *testing.T) {
 
 // TestMemoHarmonicsHoldOnlyWhatTheyKeep: the harmonic the memo keeps
 // for the life of a record owns an array of exactly its peaks, not the
-// one FindPeaks grew to every local maximum of the spectrum. The
+// one FindPeaksInto grew to every local maximum of the spectrum. The
 // baseline's variant scores D_a during the fold and is not kept.
 func TestMemoHarmonicsHoldOnlyWhatTheyKeep(t *testing.T) {
 	base := trainBaseline(t, feature.Options{})

@@ -82,10 +82,7 @@ var metPSDs = obs.Default.Counter("vibepm_transform_psd_total")
 func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64, Moments) {
 	metPSDs.Inc()
 	k := rec.Samples()
-	if cap(freq) < k {
-		freq = make([]float64, k)
-	}
-	freq = freq[:k]
+	freq = dsp.DCTAxisInto(freq, rec.SampleRateHz, k)
 	// A malformed record can carry an axis longer than the combined
 	// grid: its spectrum is summed in full and the bins past the grid
 	// are cut off. Well-formed records are unaffected.
@@ -108,9 +105,6 @@ func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64, Mome
 		sum += sq / float64(len(raw))
 	}
 	m.RMS = math.Sqrt(sum)
-	for i := range freq {
-		freq[i] = float64(i) * rec.SampleRateHz / (2 * float64(k))
-	}
 	return freq, psd[:k], m
 }
 

@@ -70,6 +70,39 @@ func TestPSDParsevalAcrossAxes(t *testing.T) {
 	}
 }
 
+// TestPSDFrequencyAxisIsTheInlineLoop: PSDInto's frequency axis, copied
+// from the cached one or computed past the cache, is bit for bit
+// float64(i)*rate/(2*float64(k)) at every rate and length — those a
+// fleet samples at, awkward ones, and more (rate, length) pairs than
+// the cache keeps.
+func TestPSDFrequencyAxisIsTheInlineLoop(t *testing.T) {
+	rates := []float64{4000, 3200, 22000, 150, 1000.5, 4096 / 3.0, 7919.123}
+	lengths := []int{1, 2, 3, 511, 512, 1000, 1024, 4096}
+	var freq, psd []float64
+	for _, rate := range rates {
+		for _, k := range lengths {
+			rec := &store.Record{SampleRateHz: rate, ScaleG: 0.0039}
+			for axis := range rec.Raw {
+				rec.Raw[axis] = make([]int16, k)
+				for i := range rec.Raw[axis] {
+					rec.Raw[axis][i] = int16((i*7 + axis) % 50)
+				}
+			}
+			for pass := 0; pass < 2; pass++ { // a miss, then a hit
+				freq, psd, _ = PSDInto(freq, psd, rec)
+				if len(freq) != k {
+					t.Fatalf("rate %v, k %d: %d bins", rate, k, len(freq))
+				}
+				for i, f := range freq {
+					if want := float64(i) * rate / (2 * float64(k)); math.Float64bits(f) != math.Float64bits(want) {
+						t.Fatalf("rate %v, k %d, bin %d: %v, inline %v", rate, k, i, f, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPSDPeakNearRotor(t *testing.T) {
 	pump := physics.NewPump(physics.PumpConfig{ID: 2, Seed: 3, RotorHz: 120})
 	rec := captureRecord(t, pump, 1)

@@ -86,6 +86,7 @@ func (e *Engine) LoadModel(r io.Reader) error {
 		return fmt.Errorf("vibepm: restore classifier: %w", err)
 	}
 	e.classifier = classifier
+	e.densities = nil
 	e.boundary = state.Boundary
 	e.models = state.Models
 	// As Fit does: folds score D_a against the installed baseline.

@@ -79,6 +79,26 @@ func TestSaveLoadModelRoundtrip(t *testing.T) {
 	}
 }
 
+// TestLoadModelDropsTheDensities: a model keeps the boundary, not the
+// densities it was located between, so a fitted engine that loads a
+// model has none left to report (they were its own fit's).
+func TestLoadModelDropsTheDensities(t *testing.T) {
+	eng, _ := fitEngine(t, 22)
+	if _, err := eng.Densities(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.LoadModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Densities(); !errors.Is(err, ErrNotFitted) {
+		t.Fatalf("Densities after LoadModel: %v", err)
+	}
+}
+
 // TestLoadModelInstallsLiveBaseline: an engine restored from a model
 // file folds D_a at ingest, as one that ran Fit does — the first read
 // of a fresh record is a memo hit, not a PSD on the read path.

@@ -21,10 +21,6 @@ var surfaceAllowed = map[string]string{
 	"transform.VelocityPSD": "reference for the in-place velocity integral",
 
 	// Allocating forms of Into kernels.
-	"dsp.Envelope":              "allocating EnvelopeInto",
-	"dsp.EnvelopeSpectrum":      "allocating EnvelopeSpectrumInto",
-	"dsp.FindPeaks":             "allocating FindPeaksInto",
-	"dsp.Periodogram":           "allocating PeriodogramInto",
 	"physics.Pump.Acceleration": "allocating AccelerationInto; BenchmarkAcceleration is a gated BENCH.txt row",
 	"store.ReplayWAL":           "ReplayWALWorkers at GOMAXPROCS, how the mirror and cluster tests read a WAL",
 

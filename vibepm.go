@@ -98,6 +98,10 @@ type TrendPoint = core.TrendPoint
 // RANSAC.
 type LifetimeModels = core.LifetimeModels
 
+// ZoneDensities holds the per-zone D_a densities of Fig. 11 that Fit
+// estimates.
+type ZoneDensities = core.ZoneDensities
+
 // Confusion is a 3-class confusion matrix over zones.
 type Confusion = core.Confusion
 
