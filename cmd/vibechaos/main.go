@@ -255,43 +255,15 @@ func marshal(r *report) ([]byte, error) {
 
 func main() {
 	var (
-		motes   = flag.Int("motes", 8, "fleet size")
-		days    = flag.Float64("days", 30, "soak length in days")
-		hours   = flag.Float64("report-hours", 6, "mote report period (hours)")
-		seed    = flag.Int64("seed", 42, "fault-plan seed")
-		planNm  = flag.String("plan", "bursty", "fault plan: none, bursty, hostile")
-		kill    = flag.Bool("kill", false, "schedule a permanent death for the last mote")
-		outP    = flag.String("out", "", "write the JSON report here instead of stdout")
-		crashN  = flag.Int("crash-trials", 0, "run N store crash-recovery trials instead of a soak")
-		crashRc = flag.Int("crash-records", 48, "appends per crash trial")
+		motes  = flag.Int("motes", 8, "fleet size")
+		days   = flag.Float64("days", 30, "soak length in days")
+		hours  = flag.Float64("report-hours", 6, "mote report period (hours)")
+		seed   = flag.Int64("seed", 42, "fault-plan seed")
+		planNm = flag.String("plan", "bursty", "fault plan: none, bursty, hostile")
+		kill   = flag.Bool("kill", false, "schedule a permanent death for the last mote")
+		outP   = flag.String("out", "", "write the JSON report here instead of stdout")
 	)
 	flag.Parse()
-
-	if *crashN > 0 {
-		rep, err := runCrashTrials(*crashN, *seed, *crashRc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vibechaos:", err)
-			os.Exit(1)
-		}
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vibechaos:", err)
-			os.Exit(1)
-		}
-		b = append(b, '\n')
-		if *outP != "" {
-			if err := os.WriteFile(*outP, b, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "vibechaos:", err)
-				os.Exit(1)
-			}
-		} else {
-			os.Stdout.Write(b)
-		}
-		if rep.Violations > 0 {
-			os.Exit(1)
-		}
-		return
-	}
 
 	rep, err := run(runConfig{
 		Motes:       *motes,

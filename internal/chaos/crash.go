@@ -166,8 +166,8 @@ func (c *CrashWriter) Sync() error {
 // trial loops do not leak descriptors.
 func (c *CrashWriter) Close() error { return c.f.Close() }
 
-// CrashTrialConfig parameterizes one crash-point trial.
-type CrashTrialConfig struct {
+// crashTrialConfig parameterizes one crash-point trial.
+type crashTrialConfig struct {
 	// Dir is the durable store directory (one per trial).
 	Dir string
 	// Seed fixes the generated record stream.
@@ -196,8 +196,8 @@ type CrashTrialConfig struct {
 	ReplayWorkers int
 }
 
-// CrashTrialResult reports one trial.
-type CrashTrialResult struct {
+// crashTrialResult reports one trial.
+type crashTrialResult struct {
 	// Attempted is how many appends were issued before the first
 	// failure (or all of them).
 	Attempted int
@@ -214,6 +214,58 @@ type CrashTrialResult struct {
 	Bytes int64
 	// Temps locates every temp file the trial wrote in that stream.
 	Temps []TempSpan
+}
+
+// Cut is one crash point of a sweep: the byte offset the budget fires
+// at, the WAL fsync policy of the trial, and the recovery parallelism
+// of its reopens (<= 0 GOMAXPROCS, 1 sequential).
+type Cut struct {
+	At            int64
+	Policy        store.SyncPolicy
+	ReplayWorkers int
+}
+
+// sweepPolicies are the fsync policies every sweep cycles through.
+var sweepPolicies = []store.SyncPolicy{store.SyncAlways, store.SyncNever, store.SyncInterval}
+
+// streamEdges are the offsets of a total-byte stream every sweep cuts
+// exactly: the first byte, either side of the WAL segment header's
+// end, and the stream's last two bytes. Those past total are dropped.
+func streamEdges(total int64) []int64 {
+	hdr := int64(len("VPMWAL1\n")) // a WAL segment header
+	var edges []int64
+	for _, at := range []int64{1, hdr - 1, hdr, total - 1, total} {
+		if at >= 1 && at <= total {
+			edges = append(edges, at)
+		}
+	}
+	return edges
+}
+
+// SweepCuts is the offset plan of every crash sweep over a stream of
+// total bytes: n offsets strided from byte 1 (stride total/n, at least
+// 1), each moved forward by seeded jitter within its stride and capped
+// at total, with the policy cycling Always, Never, Interval and the
+// replay workers 4, 1, 0 by trial index, so recovered == acked is
+// proven under the parallel replayer and the sequential one alike.
+// Then every stream edge (streamEdges) at every policy with 4 workers.
+// The plan is a pure function of its arguments.
+func SweepCuts(total int64, n int, seed int64) []Cut {
+	stride := max(total/int64(max(n, 1)), 1)
+	rng := rand.New(rand.NewSource(seed))
+	workers := []int{4, 1, 0}
+	var cuts []Cut
+	for off := int64(1); off <= total; off += stride {
+		i := len(cuts)
+		at := min(off+rng.Int63n(stride+1), total)
+		cuts = append(cuts, Cut{At: at, Policy: sweepPolicies[i%len(sweepPolicies)], ReplayWorkers: workers[i%len(workers)]})
+	}
+	for _, at := range streamEdges(total) {
+		for _, p := range sweepPolicies {
+			cuts = append(cuts, Cut{At: at, Policy: p, ReplayWorkers: 4})
+		}
+	}
+	return cuts
 }
 
 // TrialRecord builds the i-th record of a seeded trial stream: pump
@@ -235,7 +287,7 @@ func TrialRecord(rng *rand.Rand, i int) *store.Record {
 	}
 }
 
-func (cfg CrashTrialConfig) options(wrap func(string, *os.File) store.SegmentFile) store.DurableOptions {
+func (cfg crashTrialConfig) options(wrap func(string, *os.File) store.SegmentFile) store.DurableOptions {
 	opts := store.DurableOptions{
 		WAL:           store.WALOptions{SegmentBytes: cfg.SegmentBytes, Policy: cfg.Policy, WrapFile: wrap},
 		ReplayWorkers: cfg.ReplayWorkers,
@@ -251,7 +303,7 @@ func (cfg CrashTrialConfig) options(wrap func(string, *os.File) store.SegmentFil
 	return opts
 }
 
-// RunCrashTrial appends a seeded record stream into a durable store,
+// runCrashTrial appends a seeded record stream into a durable store,
 // checkpointing as configured, with every byte the store writes — WAL
 // segments, snapshot temps, partition temps — counted against one
 // budget that cuts the stream at an injected offset. It then checks
@@ -265,8 +317,8 @@ func (cfg CrashTrialConfig) options(wrap func(string, *os.File) store.SegmentFil
 //
 // A non-nil error means the contract was violated (or the trial could
 // not run).
-func RunCrashTrial(cfg CrashTrialConfig) (CrashTrialResult, error) {
-	var res CrashTrialResult
+func runCrashTrial(cfg crashTrialConfig) (crashTrialResult, error) {
+	var res crashTrialResult
 	budget := NewCrashBudget(cfg.CrashAfterBytes)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var acked []*store.Record

@@ -11,11 +11,11 @@ import (
 
 // probeTrial runs cfg without a crash: it learns the trial's byte
 // stream — its length and where each temp file sits in it.
-func probeTrial(t *testing.T, cfg CrashTrialConfig) CrashTrialResult {
+func probeTrial(t *testing.T, cfg crashTrialConfig) crashTrialResult {
 	t.Helper()
 	cfg.Dir = t.TempDir()
 	cfg.CrashAfterBytes = 0
-	res, err := RunCrashTrial(cfg)
+	res, err := runCrashTrial(cfg)
 	if err != nil {
 		t.Fatalf("probe trial: %v", err)
 	}
@@ -26,11 +26,11 @@ func probeTrial(t *testing.T, cfg CrashTrialConfig) CrashTrialResult {
 }
 
 // cutAt runs cfg with the stream cut at off and the contract checked.
-func cutAt(t *testing.T, cfg CrashTrialConfig, off int64) CrashTrialResult {
+func cutAt(t *testing.T, cfg crashTrialConfig, off int64) crashTrialResult {
 	t.Helper()
 	cfg.Dir = t.TempDir()
 	cfg.CrashAfterBytes = off
-	res, err := RunCrashTrial(cfg)
+	res, err := runCrashTrial(cfg)
 	if err != nil {
 		t.Fatalf("crash at byte %d (policy %v, %d replay workers): %v", off, cfg.Policy, cfg.ReplayWorkers, err)
 	}
@@ -44,13 +44,13 @@ func cutAt(t *testing.T, cfg CrashTrialConfig, off int64) CrashTrialResult {
 // seeded crash offsets, the byte stream of a tiered store that
 // checkpoints while it ingests — WAL segments, snapshot temps and
 // partition temps in the order the store writes them — is cut
-// mid-write, the store is reopened, and the contract RunCrashTrial
-// documents must hold. The offsets sweep the whole stream
-// (deterministic stride plus seeded jitter), so frames are torn at
-// headers, payloads, segment headers and rotation boundaries, and
-// checkpoints die at every stage of a partition and a snapshot write.
+// mid-write, the store is reopened, and the contract runCrashTrial
+// documents must hold. SweepCuts strides the offsets over the whole
+// stream with seeded jitter, so frames are torn at headers, payloads,
+// segment headers and rotation boundaries, and checkpoints die at
+// every stage of a partition and a snapshot write.
 func TestCrashPointHarness(t *testing.T) {
-	base := CrashTrialConfig{
+	base := crashTrialConfig{
 		Seed:            99,
 		Records:         96,
 		CheckpointEvery: 12,
@@ -60,66 +60,90 @@ func TestCrashPointHarness(t *testing.T) {
 	probe := probeTrial(t, base)
 	total := probe.Bytes
 
-	const minTrials, minPerKind = 200, 20
-	stride := total / minTrials
-	rng := rand.New(rand.NewSource(7))
-	policies := []store.SyncPolicy{store.SyncAlways, store.SyncNever, store.SyncInterval}
-	// The sweep alternates recovery parallelism so recovered == acked
-	// is proven at every crash offset under the parallel replayer and
-	// the sequential one alike.
-	workerCycle := []int{4, 1, 0}
-	trials := 0
-	cuts := make(map[FileKind]int)
-	for off := int64(1); off <= total; off += stride {
-		cfg := base
-		cfg.Policy = policies[trials%len(policies)]
-		cfg.ReplayWorkers = workerCycle[trials%len(workerCycle)]
-		// Jitter keeps offsets seeded, not just a grid.
-		at := min(off+rng.Int63n(stride+1), total)
-		res := cutAt(t, cfg, at)
-		if res.Crashed {
-			cuts[res.CutKind]++
-		} else if at < total {
-			t.Fatalf("trial %d: budget %d of %d never fired", trials, at, total)
-		}
-		trials++
-	}
-	if trials < minTrials {
-		t.Fatalf("only %d crash trials ran, want >= %d", trials, minTrials)
-	}
-	for _, kind := range []FileKind{KindSegment, KindSnapshotTemp, KindPartitionTemp} {
-		if cuts[kind] < minPerKind {
-			t.Fatalf("only %d of %d cuts landed in a %v, want >= %d (all: %v)", cuts[kind], trials, kind, minPerKind, cuts)
-		}
-	}
-
-	// Exact boundaries, under every policy: the very first byte, the
-	// segment header edge, the final byte — and around a snapshot temp:
-	// nothing of it written, its first byte, the byte before its rename
-	// (all but the last byte down), and the whole of it (the snapshot
-	// lands and the crash takes the next write instead).
-	hdr := int64(len("VPMWAL1\n"))
-	edges := []int64{1, hdr - 1, hdr, total - 1, total}
+	cuts := SweepCuts(total, 200, 7)
+	swept := len(cuts) - len(streamEdges(total))*len(sweepPolicies)
+	// Around each snapshot temp, under every policy: nothing of it
+	// written, its first byte, the byte before its rename (all but the
+	// last byte down), and the whole of it (the snapshot lands and the
+	// crash takes the next write instead).
 	snapshots := 0
 	for _, span := range probe.Temps {
-		if span.Kind == KindSnapshotTemp {
-			snapshots++
-			edges = append(edges, span.Start, span.Start+1, span.End-1, span.End)
+		if span.Kind != KindSnapshotTemp {
+			continue
+		}
+		snapshots++
+		for _, at := range []int64{span.Start, span.Start + 1, span.End - 1, span.End} {
+			for _, p := range sweepPolicies {
+				cuts = append(cuts, Cut{At: at, Policy: p, ReplayWorkers: 4})
+			}
 		}
 	}
 	if want := base.Records / base.CheckpointEvery; snapshots != want {
 		t.Fatalf("probe saw %d snapshot temps, want %d", snapshots, want)
 	}
-	for _, off := range edges {
-		for _, policy := range policies {
-			cfg := base
-			cfg.Policy = policy
-			cfg.ReplayWorkers = 4
-			cutAt(t, cfg, off)
-			trials++
+
+	const minPerKind = 20
+	kinds := make(map[FileKind]int)
+	for i, cut := range cuts {
+		cfg := base
+		cfg.Policy, cfg.ReplayWorkers = cut.Policy, cut.ReplayWorkers
+		res := cutAt(t, cfg, cut.At)
+		if !res.Crashed && cut.At < total {
+			t.Fatalf("trial %d: budget %d of %d never fired", i, cut.At, total)
+		}
+		if res.Crashed && i < swept {
+			kinds[res.CutKind]++
 		}
 	}
-	t.Logf("%d crash-point trials over %d bytes (swept cuts by file kind: %v), all recovered exactly", trials, total, cuts)
+	for _, kind := range []FileKind{KindSegment, KindSnapshotTemp, KindPartitionTemp} {
+		if kinds[kind] < minPerKind {
+			t.Fatalf("only %d of %d swept cuts landed in a %v, want >= %d (all: %v)", kinds[kind], swept, kind, minPerKind, kinds)
+		}
+	}
+	t.Logf("%d crash-point trials over %d bytes (swept cuts by file kind: %v), all recovered exactly", len(cuts), total, kinds)
+}
+
+// TestSweepCuts pins the offset plan every crash sweep runs: cuts in
+// [1, total], at least n of them strided, every stream edge under every
+// policy, a pure function of its arguments, and a stream shorter than
+// n swept byte by byte rather than looping on a zero stride.
+func TestSweepCuts(t *testing.T) {
+	const n, seed = 200, 7
+	for _, total := range []int64{32445, 50} {
+		cuts := SweepCuts(total, n, seed)
+		swept := len(cuts) - len(streamEdges(total))*len(sweepPolicies)
+		if swept < min(n, int(total)) {
+			t.Fatalf("total %d: %d strided cuts, want >= %d", total, swept, min(n, int(total)))
+		}
+		held := map[Cut]bool{}
+		for i, c := range cuts {
+			if c.At < 1 || c.At > total {
+				t.Fatalf("total %d: cut %d at byte %d, outside [1, %d]", total, i, c.At, total)
+			}
+			held[c] = true
+		}
+		hdr := int64(len("VPMWAL1\n"))
+		for _, edge := range []int64{1, hdr - 1, hdr, total - 1, total} {
+			for _, p := range sweepPolicies {
+				if !held[Cut{At: edge, Policy: p, ReplayWorkers: 4}] {
+					t.Fatalf("total %d: no cut at byte %d under %v with 4 replay workers", total, edge, p)
+				}
+			}
+		}
+		if again := SweepCuts(total, n, seed); !reflect.DeepEqual(again, cuts) {
+			t.Fatalf("total %d: same seed, different plan", total)
+		}
+		if total >= n {
+			continue
+		}
+		// Under n bytes the stride is 1: one cut per byte, each at its
+		// offset or jittered one past it.
+		for i, c := range cuts[:total] {
+			if c.At != int64(i+1) && c.At != int64(i+2) {
+				t.Fatalf("stride-1 cut %d at byte %d, want %d or %d", i, c.At, i+1, i+2)
+			}
+		}
+	}
 }
 
 // TestCompactionCrashSweep isolates the compactor: everything is acked
@@ -129,7 +153,7 @@ func TestCrashPointHarness(t *testing.T) {
 // an acked record: recovery rides on the WAL the checkpoint had not yet
 // retired, and the next checkpoint finishes the compaction.
 func TestCompactionCrashSweep(t *testing.T) {
-	base := CrashTrialConfig{Seed: 42, Records: 96, CheckpointEvery: 96, Tiered: true, Policy: store.SyncNever}
+	base := crashTrialConfig{Seed: 42, Records: 96, CheckpointEvery: 96, Tiered: true, Policy: store.SyncNever}
 	sweepPartitionTemps(t, base, 48)
 }
 
@@ -137,13 +161,13 @@ func TestCompactionCrashSweep(t *testing.T) {
 // stream — the compactor dies having written one byte of its very
 // first partition, so the cold tier gains nothing.
 func TestCompactionCrashFirstByte(t *testing.T) {
-	base := CrashTrialConfig{Seed: 7, Records: 64, CheckpointEvery: 64, Tiered: true, Policy: store.SyncNever}
+	base := crashTrialConfig{Seed: 7, Records: 64, CheckpointEvery: 64, Tiered: true, Policy: store.SyncNever}
 	sweepPartitionTemps(t, base, 1)
 }
 
 // sweepPartitionTemps cuts base's stream at n offsets spread over its
 // partition temps, starting one byte into the first.
-func sweepPartitionTemps(t *testing.T, base CrashTrialConfig, n int64) {
+func sweepPartitionTemps(t *testing.T, base crashTrialConfig, n int64) {
 	t.Helper()
 	var lo, hi int64
 	for _, span := range probeTrial(t, base).Temps {
@@ -242,7 +266,7 @@ func TestCrashPointConcurrentAppend(t *testing.T) {
 // TestRunCrashTrialCleanRun pins the no-crash path: every append acks
 // and survives the checkpoints and both reopens.
 func TestRunCrashTrialCleanRun(t *testing.T) {
-	res := probeTrial(t, CrashTrialConfig{Seed: 5, Records: 30, CheckpointEvery: 10, Policy: store.SyncNever})
+	res := probeTrial(t, crashTrialConfig{Seed: 5, Records: 30, CheckpointEvery: 10, Policy: store.SyncNever})
 	if len(res.Temps) != 3 {
 		t.Fatalf("clean run wrote %d temps, want the 3 snapshots: %+v", len(res.Temps), res)
 	}
@@ -251,7 +275,7 @@ func TestRunCrashTrialCleanRun(t *testing.T) {
 // TestCrashWriterDeterminism pins that the same budget over the same
 // byte stream cuts at the same offset and leaves identical bytes.
 func TestCrashWriterDeterminism(t *testing.T) {
-	cfg := CrashTrialConfig{Seed: 11, Records: 40, CheckpointEvery: 16, SegmentBytes: 1 << 11, Policy: store.SyncAlways}
+	cfg := crashTrialConfig{Seed: 11, Records: 40, CheckpointEvery: 16, SegmentBytes: 1 << 11, Policy: store.SyncAlways}
 	a, b := cutAt(t, cfg, 1777), cutAt(t, cfg, 1777)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same crash offset, different outcomes: %+v vs %+v", a, b)

@@ -96,10 +96,10 @@ func TestClusterSynchronousReplication(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := store.NewMeasurements()
-		if _, err := store.ReplayWAL(mdir, func(rec *store.Record) error {
+		if _, err := store.ReplayWALWorkers(mdir, func(rec *store.Record) error {
 			got.AddUnique(rec)
 			return nil
-		}); err != nil {
+		}, 0); err != nil {
 			t.Fatalf("replay mirror of %s: %v", name, err)
 		}
 		if err := chaos.CheckRecovered(got, ownRecs, ownRecs); err != nil {

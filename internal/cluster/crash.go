@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,8 +15,8 @@ import (
 	"vibepm/internal/transform"
 )
 
-// ClusterCrashConfig parameterizes one node-kill crash trial.
-type ClusterCrashConfig struct {
+// crashTrialConfig parameterizes one node-kill crash trial.
+type crashTrialConfig struct {
 	// Dir is the cluster root (one per trial).
 	Dir string
 	// Seed fixes the generated record stream.
@@ -36,14 +37,6 @@ type ClusterCrashConfig struct {
 	SegmentBytes int64
 	// Policy is the WAL fsync policy under test.
 	Policy store.SyncPolicy
-	// Reingest, when set, re-ingests every attempted record after the
-	// failover and asserts the cluster union converges to exactly the
-	// attempted stream — the "client retries after the outage" epilogue.
-	Reingest bool
-	// Reopen, when set, additionally closes the surviving cluster
-	// cleanly and reboots it from disk, asserting recovery reproduces
-	// the same cluster-wide contents.
-	Reopen bool
 	// ReplayWorkers is the recovery parallelism every cluster open and
 	// failover in the trial uses (<= 0 GOMAXPROCS, 1 sequential) — the
 	// sweep pins it above 1 to prove the contract holds under the
@@ -51,8 +44,8 @@ type ClusterCrashConfig struct {
 	ReplayWorkers int
 }
 
-// ClusterCrashResult reports one trial.
-type ClusterCrashResult struct {
+// crashTrialResult reports one trial.
+type crashTrialResult struct {
 	// Attempted is how many ingests were issued.
 	Attempted int
 	// Acked is how many ingests returned nil error.
@@ -72,7 +65,7 @@ type ClusterCrashResult struct {
 	Failover FailoverStats
 }
 
-// RunClusterCrashTrial ingests a seeded record stream into an N-node
+// runCrashTrial ingests a seeded record stream into an N-node
 // cluster whose victim node's WAL is cut at an injected byte offset.
 // The moment an ingest fails on the armed crash, the victim is killed
 // and its follower promoted; the rest of the stream keeps flowing
@@ -83,10 +76,14 @@ type ClusterCrashResult struct {
 //
 // — every acknowledged ingest survives the node death byte-for-byte
 // somewhere in the cluster, and nothing the clients never sent
-// materializes. A non-nil error means the contract was violated (or
+// materializes — with every survivor's live state equal to the batch
+// recompute over its store. Re-ingesting the attempted stream must
+// then converge the union to exactly that stream, and a clean close
+// and reboot of the survivors must reproduce it, each with live ≡
+// batch again. A non-nil error means the contract was violated (or
 // the trial could not run).
-func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
-	var res ClusterCrashResult
+func runCrashTrial(cfg crashTrialConfig) (crashTrialResult, error) {
+	var res crashTrialResult
 	names := MemberNames(3)
 	victim := names[0]
 	budget := chaos.NewCrashBudget(cfg.CrashAfterBytes)
@@ -179,52 +176,54 @@ func RunClusterCrashTrial(cfg ClusterCrashConfig) (ClusterCrashResult, error) {
 		return res, fmt.Errorf("after failover: %w", err)
 	}
 
-	if cfg.Reingest {
-		for i, rec := range attempted {
+	// The client retries after the outage: re-ingesting every attempted
+	// record converges the cluster union to exactly the attempted stream.
+	for i, rec := range attempted {
+		if _, _, err := c.Ingest(rec); err != nil {
+			// A budget that was exhausted without ever firing (the cut
+			// landed exactly on the last byte of the main stream) fires
+			// on the first re-ingested duplicate instead; the operator
+			// story is the same — kill, promote, retry.
+			if !budget.Crashed() || res.Victim != "" {
+				return res, fmt.Errorf("re-ingest %d: %w", i, err)
+			}
+			if err := killVictim(); err != nil {
+				return res, err
+			}
 			if _, _, err := c.Ingest(rec); err != nil {
-				// A budget that was exhausted without ever firing (the cut
-				// landed exactly on the last byte of the main stream) fires
-				// on the first re-ingested duplicate instead; the operator
-				// story is the same — kill, promote, retry.
-				if !budget.Crashed() || res.Victim != "" {
-					return res, fmt.Errorf("re-ingest %d: %w", i, err)
-				}
-				if err := killVictim(); err != nil {
-					return res, err
-				}
-				if _, _, err := c.Ingest(rec); err != nil {
-					return res, fmt.Errorf("re-ingest %d after failover: %w", i, err)
-				}
+				return res, fmt.Errorf("re-ingest %d after failover: %w", i, err)
 			}
 		}
-		if err := chaos.CheckRecovered(c.Union(), attempted, attempted); err != nil {
-			return res, fmt.Errorf("after re-ingest: %w", err)
-		}
-		if err := liveEqualsBatch(c); err != nil {
-			return res, fmt.Errorf("after re-ingest: %w", err)
-		}
+	}
+	if err := chaos.CheckRecovered(c.Union(), attempted, attempted); err != nil {
+		return res, fmt.Errorf("after re-ingest: %w", err)
+	}
+	if err := liveEqualsBatch(c); err != nil {
+		return res, fmt.Errorf("after re-ingest: %w", err)
 	}
 
-	if cfg.Reopen {
-		want := allRecords(c.Union())
-		survivors := names
-		if res.Victim != "" {
-			survivors = names[1:]
-		}
-		if err := c.Close(); err != nil {
-			return res, fmt.Errorf("clean close: %w", err)
-		}
-		again, err := Open(cfg.Dir, survivors, Options{Node: member})
-		if err != nil {
-			return res, fmt.Errorf("reopen cluster: %w", err)
-		}
-		defer again.abortAll()
-		if err := chaos.CheckRecovered(again.Union(), want, want); err != nil {
-			return res, fmt.Errorf("reopened vs pre-close: %w", err)
-		}
-		if err := liveEqualsBatch(again); err != nil {
-			return res, fmt.Errorf("after reopen: %w", err)
-		}
+	// A clean close and a reboot of the survivors from disk reproduce
+	// the same cluster-wide contents.
+	survivors := names
+	if res.Victim != "" {
+		survivors = names[1:]
+	}
+	// A cut past all the victim wrote so far fires in its close-time
+	// checkpoint instead: a crash at shutdown, which the reboot must
+	// recover from like any other.
+	if err := c.Close(); err != nil && !errors.Is(err, chaos.ErrCrashed) {
+		return res, fmt.Errorf("clean close: %w", err)
+	}
+	again, err := Open(cfg.Dir, survivors, Options{Node: member})
+	if err != nil {
+		return res, fmt.Errorf("reopen cluster: %w", err)
+	}
+	defer again.abortAll()
+	if err := chaos.CheckRecovered(again.Union(), attempted, attempted); err != nil {
+		return res, fmt.Errorf("reopened vs pre-close: %w", err)
+	}
+	if err := liveEqualsBatch(again); err != nil {
+		return res, fmt.Errorf("after reopen: %w", err)
 	}
 	return res, nil
 }

@@ -14,13 +14,13 @@ import (
 // seeded crash offsets, one node's WAL byte stream is cut mid-ingest,
 // the node is killed, its follower promotes the replicated mirror, and
 // the cluster-wide record set must still contain every acknowledged
-// ingest byte-for-byte (and nothing that was never sent). Offsets
-// stride the victim's whole log with seeded jitter, so the cut lands
+// ingest byte-for-byte (and nothing that was never sent). SweepCuts
+// strides the victim's whole log with seeded jitter, so the cut lands
 // in frame headers, payloads, segment headers, and rotation
-// boundaries; every few trials also re-ingest the failed tail (full
-// convergence) or reboot the surviving cluster from disk.
+// boundaries; every trial then re-ingests the failed tail (full
+// convergence) and reboots the surviving cluster from disk.
 func TestClusterNodeKillSweep(t *testing.T) {
-	base := ClusterCrashConfig{
+	base := crashTrialConfig{
 		Seed:         42,
 		Records:      48,
 		SegmentBytes: 1 << 11, // small segments: crashes hit rotations, mirrors switch files
@@ -30,7 +30,7 @@ func TestClusterNodeKillSweep(t *testing.T) {
 	// Probe run without a crash: learns the victim's total WAL bytes.
 	probe := base
 	probe.Dir = t.TempDir()
-	probeRes, err := RunClusterCrashTrial(probe)
+	probeRes, err := runCrashTrial(probe)
 	if err != nil {
 		t.Fatalf("probe trial: %v", err)
 	}
@@ -42,72 +42,39 @@ func TestClusterNodeKillSweep(t *testing.T) {
 		t.Fatalf("probe: victim wrote implausibly few WAL bytes: %d", total)
 	}
 
-	minTrials := 48
+	n := 48
 	if testing.Short() {
-		minTrials = 12
+		n = 12
 	}
-	stride := total / int64(minTrials)
-	if stride < 1 {
-		stride = 1
-	}
-	rng := rand.New(rand.NewSource(3))
-	policies := []store.SyncPolicy{store.SyncAlways, store.SyncNever, store.SyncInterval}
-	// Alternate recovery parallelism so boot recovery, mirror replay at
-	// promotion, and reopen all run under the parallel replayer for
-	// most offsets (and stay swept sequentially too).
-	workerCycle := []int{4, 1, 0}
-	trials := 0
-	for off := int64(1); off <= total; off += stride {
-		jitter := rng.Int63n(stride + 1)
+	cuts := chaos.SweepCuts(total, n, 3)
+	for i, cut := range cuts {
 		cfg := base
 		cfg.Dir = t.TempDir()
-		cfg.CrashAfterBytes = min(off+jitter, total)
-		cfg.Policy = policies[trials%len(policies)]
-		cfg.Reingest = trials%3 == 0
-		cfg.Reopen = trials%8 == 0
-		cfg.ReplayWorkers = workerCycle[trials%len(workerCycle)]
-		res, err := RunClusterCrashTrial(cfg)
+		cfg.CrashAfterBytes = cut.At
+		cfg.Policy, cfg.ReplayWorkers = cut.Policy, cut.ReplayWorkers
+		res, err := runCrashTrial(cfg)
 		if err != nil {
-			t.Fatalf("trial %d (crash at byte %d, policy %v): %v",
-				trials, cfg.CrashAfterBytes, cfg.Policy, err)
+			t.Fatalf("trial %d (crash at byte %d, policy %v): %v", i, cut.At, cut.Policy, err)
 		}
 		if res.Acked+res.Failed != res.Attempted {
 			t.Fatalf("trial %d: acked %d + failed %d != attempted %d",
-				trials, res.Acked, res.Failed, res.Attempted)
+				i, res.Acked, res.Failed, res.Attempted)
 		}
-		if !res.Crashed && cfg.CrashAfterBytes < total {
-			t.Fatalf("trial %d: budget %d of %d never fired", trials, cfg.CrashAfterBytes, total)
+		if !res.Crashed && cut.At < total {
+			t.Fatalf("trial %d: budget %d of %d never fired", i, cut.At, total)
 		}
 		if res.Crashed && res.Victim == "" {
-			t.Fatalf("trial %d: crashed but no node was killed: %+v", trials, res)
+			t.Fatalf("trial %d: crashed but no node was killed: %+v", i, res)
 		}
-		trials++
 	}
-	// Exact boundaries: first byte, the segment-header edge (the victim
-	// dies while booting), and the final bytes of the stream.
-	hdr := int64(len("VPMWAL1\n"))
-	for _, off := range []int64{1, hdr - 1, hdr, total - 1, total} {
-		cfg := base
-		cfg.Dir = t.TempDir()
-		cfg.CrashAfterBytes = off
-		cfg.Reingest = true
-		cfg.ReplayWorkers = 4
-		if _, err := RunClusterCrashTrial(cfg); err != nil {
-			t.Fatalf("boundary trial (crash at byte %d): %v", off, err)
-		}
-		trials++
-	}
-	if trials < minTrials {
-		t.Fatalf("only %d node-kill trials ran, want >= %d", trials, minTrials)
-	}
-	t.Logf("%d node-kill trials over %d victim WAL bytes, acked ⊆ recovered held in all", trials, total)
+	t.Logf("%d node-kill trials over %d victim WAL bytes, each re-ingested and rebooted; acked ⊆ recovered held in all", len(cuts), total)
 }
 
 // TestClusterCrashTrialDeterminism: the same crash offset over the
 // same seeded stream produces the same outcome, twice.
 func TestClusterCrashTrialDeterminism(t *testing.T) {
-	run := func() (ClusterCrashResult, error) {
-		return RunClusterCrashTrial(ClusterCrashConfig{
+	run := func() (crashTrialResult, error) {
+		return runCrashTrial(crashTrialConfig{
 			Dir:             t.TempDir(),
 			Seed:            17,
 			Records:         40,
@@ -141,15 +108,14 @@ func TestClusterCrashTrialDeterminism(t *testing.T) {
 // identical: recovery parallelism must be observable only as speed.
 func TestClusterCrashParallelReplayMatchesSequential(t *testing.T) {
 	for _, off := range []int64{600, 1500, 2800, 4100} {
-		run := func(workers int) ClusterCrashResult {
-			res, err := RunClusterCrashTrial(ClusterCrashConfig{
+		run := func(workers int) crashTrialResult {
+			res, err := runCrashTrial(crashTrialConfig{
 				Dir:             t.TempDir(),
 				Seed:            23,
 				Records:         44,
 				CrashAfterBytes: off,
 				SegmentBytes:    1 << 11,
 				Policy:          store.SyncAlways,
-				Reingest:        true,
 				ReplayWorkers:   workers,
 			})
 			if err != nil {

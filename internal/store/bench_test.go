@@ -74,7 +74,7 @@ func BenchmarkWALReplay1k(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		n := 0
-		stats, err := store.ReplayWAL(dir, func(*store.Record) error { n++; return nil })
+		stats, err := store.ReplayWALWorkers(dir, func(*store.Record) error { n++; return nil }, 0)
 		if err != nil || n != 1000 || stats.Truncated() {
 			b.Fatalf("replayed %d records, stats %+v, err %v", n, stats, err)
 		}

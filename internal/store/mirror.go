@@ -14,8 +14,8 @@ import (
 // stream into its own directory. Frames arrive through AppendFrame —
 // the function a primary's WALOptions.OnFrame hook calls — and land in
 // segment files named exactly like the primary's (wal-NNNNNNNN.seg),
-// so promotion is nothing special: ReplayWAL over the mirror directory
-// reconstructs every replicated record with the same torn-frame
+// so promotion is nothing special: ReplayWALWorkers over the mirror
+// directory reconstructs every replicated record with the same torn-frame
 // truncation rules the primary's own recovery uses.
 //
 // The mirror never retires segments on its own: it accumulates the

@@ -29,7 +29,7 @@ func shipWAL(t *testing.T, dir, mdir string, opts WALOptions) (*WAL, *SegmentMir
 
 // TestMirrorByteIdenticalToPrimary: after shipping an append stream
 // across several rotations, every mirror segment file is byte-for-byte
-// the primary's — the property that lets promotion reuse ReplayWAL
+// the primary's — the property that lets promotion reuse ReplayWALWorkers
 // unchanged.
 func TestMirrorByteIdenticalToPrimary(t *testing.T) {
 	dir, mdir := t.TempDir(), t.TempDir()
@@ -191,10 +191,10 @@ func TestMirrorIdempotentReShip(t *testing.T) {
 	}
 
 	apply := func(dst *Measurements) ReplayStats {
-		stats, err := ReplayWAL(mdir, func(rec *Record) error {
+		stats, err := ReplayWALWorkers(mdir, func(rec *Record) error {
 			dst.AddUnique(rec)
 			return nil
-		})
+		}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,13 +70,22 @@ type replayBatch struct {
 	truncated bool
 }
 
-// ReplayWALWorkers is ReplayWAL with an explicit verification worker
-// count: segments are scanned sequentially (frame boundaries are
-// serial by format) while CRC checks and record decoding fan out
-// across workers; apply is always called in frame order, from a
-// single goroutine, so the replay is byte-identical to the sequential
-// one whatever the worker count. workers <= 0 selects GOMAXPROCS;
-// workers == 1 is exactly the sequential replayer.
+// ReplayWALWorkers replays every intact record in dir's segments, in
+// segment then frame order. Within a segment, replay stops at the
+// first torn or corrupt frame — everything behind a bad frame is
+// untrusted — but later segments still replay: they were written by
+// runs that started after an earlier crash truncated its predecessor,
+// so their records are independent of the garbage tail. Replay never
+// panics on arbitrary directory contents: garbage files, short headers
+// and bit-flipped frames all just truncate the affected segment. A
+// missing directory replays nothing.
+//
+// Segments are scanned sequentially (frame boundaries are serial by
+// format) while CRC checks and record decoding fan out across workers;
+// apply is always called in frame order, from a single goroutine, so
+// the replay is byte-identical to the sequential one whatever the
+// worker count. workers <= 0 selects GOMAXPROCS; workers == 1 is
+// exactly the sequential replayer.
 func ReplayWALWorkers(dir string, apply func(*Record) error, workers int) (ReplayStats, error) {
 	return replayWAL(dir, apply, false, workers)
 }

@@ -705,24 +705,7 @@ type ReplayStats struct {
 // Truncated reports whether any segment was cut short.
 func (s ReplayStats) Truncated() bool { return s.Truncations > 0 }
 
-// ReplayWAL replays every intact record in dir's segments, in segment
-// then frame order. Within a segment, replay stops at the first torn
-// or corrupt frame — everything behind a bad frame is untrusted — but
-// later segments still replay: they were written by runs that started
-// after an earlier crash truncated its predecessor, so their records
-// are independent of the garbage tail. Replay never panics on
-// arbitrary directory contents: garbage files, short headers and
-// bit-flipped frames all just truncate the affected segment. A
-// missing directory replays nothing.
-//
-// Frame verification (CRC + decode) fans out across GOMAXPROCS
-// workers while apply stays strictly in frame order; see replay.go
-// for the pipeline and ReplayWALWorkers for an explicit worker count.
-func ReplayWAL(dir string, apply func(*Record) error) (ReplayStats, error) {
-	return replayWAL(dir, apply, false, 0)
-}
-
-// replayWAL implements ReplayWAL; with repair set it also physically
+// replayWAL implements ReplayWALWorkers; with repair set it also physically
 // truncates each damaged segment at its last intact frame, so the torn
 // bytes cannot be re-reported (or misread) by any later scan. workers
 // <= 0 means GOMAXPROCS; an effective count of 1 runs the sequential

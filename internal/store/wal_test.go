@@ -18,10 +18,10 @@ import (
 func collectReplay(t *testing.T, dir string) ([]*Record, ReplayStats) {
 	t.Helper()
 	var recs []*Record
-	stats, err := ReplayWAL(dir, func(rec *Record) error {
+	stats, err := ReplayWALWorkers(dir, func(rec *Record) error {
 		recs = append(recs, rec)
 		return nil
-	})
+	}, 0)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

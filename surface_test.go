@@ -22,13 +22,12 @@ var surfaceAllowed = map[string]string{
 
 	// Allocating forms of Into kernels.
 	"physics.Pump.Acceleration": "allocating AccelerationInto; BenchmarkAcceleration is a gated BENCH.txt row",
-	"store.ReplayWAL":           "ReplayWALWorkers at GOMAXPROCS, how the mirror and cluster tests read a WAL",
 
 	// Entry points of test harnesses.
-	"cluster.RunClusterCrashTrial": "the cluster crash sweep's harness",
-	"physics.NewFaultyPump":        "the fault-injection pump of the golden and kernel tests",
-	"gateway.Server.AdvanceMote":   "one mote's wakeup, for the gateway's race and hardening tests",
-	"restapi.WithMetrics":          "a private registry, so metric tests do not share obs.Default",
+	"chaos.SweepCuts":            "the offset plan of the store and cluster crash sweeps",
+	"physics.NewFaultyPump":      "the fault-injection pump of the golden and kernel tests",
+	"gateway.Server.AdvanceMote": "one mote's wakeup, for the gateway's race and hardening tests",
+	"restapi.WithMetrics":        "a private registry, so metric tests do not share obs.Default",
 
 	// Interface methods.
 	"physics.FaultClass.MarshalText": "encoding.TextMarshaler: fault classes encode as names",
