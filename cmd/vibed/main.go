@@ -108,6 +108,7 @@ func main() {
 		}
 	}
 
+	source := "simulated"
 	switch {
 	case *simulate:
 		logger.Info("simulating corpus", "seed", *seed)
@@ -132,7 +133,12 @@ func main() {
 		}
 	case *dataDir != "":
 		opts.Measurements, opts.Labels = store.NewMeasurements(), store.NewLabels()
-		if err := opts.Measurements.LoadFile(filepath.Join(*dataDir, "measurements.bin")); err != nil {
+		source = filepath.Join(*dataDir, "measurements.bin")
+		if *walDir != "" && store.HasSnapshot(*walDir) {
+			// Recovery replaces the store's contents with the snapshot,
+			// so the corpus file would be read only to be thrown away.
+			source = filepath.Join(*walDir, "snapshot.bin")
+		} else if err := opts.Measurements.LoadFile(source); err != nil {
 			logger.Error("load measurements failed", "err", err)
 			os.Exit(1)
 		}
@@ -146,7 +152,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "need -data DIR or -simulate")
 		os.Exit(2)
 	}
-	logger.Info("corpus loaded", "measurements", opts.Measurements.Len(), "labels", opts.Labels.Len())
+	logger.Info("corpus loaded", "measurements", opts.Measurements.Len(), "labels", opts.Labels.Len(), "measurements_from", source)
 
 	n, err := node.Open(opts)
 	if err != nil {

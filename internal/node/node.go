@@ -64,14 +64,18 @@ type Node struct {
 	// Handler serves the node's whole HTTP surface.
 	Handler http.Handler
 	log     *slog.Logger
+	// ckptDone closes when the post-recovery checkpoint Open started
+	// has returned; Close and Abort wait for it.
+	ckptDone chan struct{}
 }
 
 // Open recovers the durable store (when Dir is set), builds the engine
 // over it, fits when there are labels, warms the live state, and
-// mounts the API. Failures are logged at the step that failed and
+// mounts the API. A post-recovery checkpoint may still be running when
+// it returns. Failures are logged at the step that failed and
 // returned.
 func Open(opts Options) (*Node, error) {
-	n := &Node{Ingester: stream.Ingester{Store: opts.Measurements}, log: opts.Logger}
+	n := &Node{Ingester: stream.Ingester{Store: opts.Measurements}, log: opts.Logger, ckptDone: make(chan struct{})}
 	if n.Store == nil {
 		n.Store = store.NewMeasurements()
 	}
@@ -156,36 +160,21 @@ func Open(opts Options) (*Node, error) {
 		}
 	}
 
-	// When recovery replayed WAL records (or repaired torn frames),
-	// fold them into a fresh snapshot right away so the next restart
-	// skips the replay. The checkpoint is I/O-bound and the warm-up is
-	// CPU-bound, and both only read the recovered store — so they run
-	// concurrently instead of stacking their latencies. It starts after
-	// the fit, whose label scan caches cold reads per pump and must not
-	// race a compaction's evictions, and runs on the fit-error path too.
-	ckptDone := make(chan struct{})
-	go func() {
-		defer close(ckptDone)
-		if n.Durable == nil || (n.Recovery.Replayed == 0 && !n.Recovery.Replay.Truncated()) {
-			return
-		}
-		cs, err := n.Durable.Checkpoint()
-		if err != nil {
-			n.log.Warn("post-recovery checkpoint failed", "err", err)
-			return
-		}
-		n.log.Info("post-recovery checkpoint",
-			"records", cs.Records,
-			"segments_retired", cs.SegmentsRetired,
-			"took_ms", cs.Duration.Milliseconds(),
-		)
-	}()
 	if fitErr == nil {
 		warmStart := time.Now()
 		warmed := n.Engine.WarmLive()
 		n.log.Info("live state warmed", "records", warmed, "warm_ms", time.Since(warmStart).Milliseconds())
 	}
-	<-ckptDone
+	// When recovery replayed WAL records (or repaired torn frames), fold
+	// them into a fresh snapshot so the next restart skips the replay.
+	// The WAL already holds every replayed record, so readiness
+	// ("recovered, fitted and warmed") does not wait for the rewrite.
+	// It starts after the warm-up, so the warm-up has the CPU to
+	// itself, and runs beside the first requests; Close and Abort wait
+	// for it. It also starts after the fit, whose label scan caches
+	// cold reads per pump and must not race a compaction's evictions,
+	// and runs on the fit-error path too.
+	go n.postRecoveryCheckpoint()
 	if fitErr != nil {
 		n.log.Error("fit failed", "err", fitErr)
 		n.Abort()
@@ -216,6 +205,25 @@ func Open(opts Options) (*Node, error) {
 	return n, nil
 }
 
+// postRecoveryCheckpoint checkpoints the durable store when recovery
+// replayed or repaired anything, then closes ckptDone.
+func (n *Node) postRecoveryCheckpoint() {
+	defer close(n.ckptDone)
+	if n.Durable == nil || (n.Recovery.Replayed == 0 && !n.Recovery.Replay.Truncated()) {
+		return
+	}
+	cs, err := n.Durable.Checkpoint()
+	if err != nil {
+		n.log.Warn("post-recovery checkpoint failed", "err", err)
+		return
+	}
+	n.log.Info("post-recovery checkpoint",
+		"records", cs.Records,
+		"segments_retired", cs.SegmentsRetired,
+		"took_ms", cs.Duration.Milliseconds(),
+	)
+}
+
 // StartMaintenance checkpoints the durable store every ckptEvery and,
 // under the interval fsync policy, syncs the WAL every syncEvery,
 // until Close or Abort. A node without a durable store has none.
@@ -228,9 +236,11 @@ func (n *Node) StartMaintenance(ckptEvery, syncEvery time.Duration) {
 	})
 }
 
-// Close takes the final checkpoint, so a clean shutdown restarts from
-// the snapshot alone instead of replaying the whole log.
+// Close waits for the post-recovery checkpoint, then takes the final
+// one, so a clean shutdown restarts from the snapshot alone instead of
+// replaying the whole log.
 func (n *Node) Close() error {
+	<-n.ckptDone
 	if n.Durable == nil {
 		return nil
 	}
@@ -243,8 +253,10 @@ func (n *Node) Close() error {
 }
 
 // Abort drops the node the way a crash would: no final checkpoint, no
-// WAL sync.
+// WAL sync. It waits for the post-recovery checkpoint first, so no
+// write of this node outlives the call.
 func (n *Node) Abort() {
+	<-n.ckptDone
 	if n.Durable != nil {
 		n.Durable.Abort()
 	}

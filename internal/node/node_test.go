@@ -7,7 +7,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"vibepm/internal/dataset"
 	"vibepm/internal/obs"
@@ -283,4 +288,115 @@ func TestNodeInMemory(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNodeSnapshotIsAuthoritative: over a directory that holds a
+// snapshot, the corpus Open is handed does not matter — recovery
+// replaces it with the snapshot's records, and the node serves the
+// bodies it served before. This is what lets vibed skip reading a
+// corpus file the snapshot would replace.
+func TestNodeSnapshotIsAuthoritative(t *testing.T) {
+	dir := t.TempDir()
+	n := mustOpen(t, corpusOptions(t, dir))
+	postStream(t, n.Handler, 4, 8)
+	before, records := views(t, n.Handler), n.Store.Len()
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	other, err := dataset.Generate(dataset.Config{Seed: 6, Pumps: 3, DurationDays: 20, MeasurementsPerDay: 0.5, Samples: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := corpusOptions(t, dir)
+	opts.Measurements = other.Measurements
+	again := mustOpen(t, opts)
+	if rs := again.Recovery; !rs.SnapshotLoaded || rs.SnapshotRecords != records || again.Store.Len() != records {
+		t.Fatalf("store holds %d records after recovery %+v, want the snapshot's %d", again.Store.Len(), rs, records)
+	}
+	sameViews(t, "over another corpus", views(t, again.Handler), before)
+}
+
+// snapshotGate holds every write to a snapshot temp until release is
+// closed, announcing the first on entered.
+type snapshotGate struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+// gatedFile is a snapshot temp behind a snapshotGate.
+type gatedFile struct {
+	gate *snapshotGate
+	store.SegmentFile
+}
+
+func (f gatedFile) Write(p []byte) (int, error) {
+	f.gate.once.Do(func() { close(f.gate.entered) })
+	<-f.gate.release
+	return f.SegmentFile.Write(p)
+}
+
+// TestNodeServesDuringPostRecoveryCheckpoint: readiness is "recovered,
+// fitted and warmed". Open returns and serves the fleet view while the
+// post-recovery checkpoint is still writing its snapshot; Close waits
+// for that checkpoint, after which the next Open replays nothing.
+func TestNodeServesDuringPostRecoveryCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	n := mustOpen(t, corpusOptions(t, dir))
+	postStream(t, n.Handler, 5, 10)
+	before := views(t, n.Handler)
+	n.Abort()
+
+	gate := &snapshotGate{entered: make(chan struct{}), release: make(chan struct{})}
+	var released sync.Once
+	unblock := func() { released.Do(func() { close(gate.release) }) }
+	defer unblock() // a failed check must not leave Close waiting
+	opts := corpusOptions(t, dir)
+	opts.Durable.WAL.WrapFile = func(path string, f *os.File) store.SegmentFile {
+		if strings.HasPrefix(filepath.Base(path), "snapshot.bin.tmp") {
+			return gatedFile{gate, f}
+		}
+		return f
+	}
+	second := mustOpen(t, opts)
+	if rs := second.Recovery; rs.Replayed != 10 {
+		t.Fatalf("crash restart replayed %d records, want 10", rs.Replayed)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no post-recovery checkpoint reached its snapshot write")
+	}
+	code, body := get(second.Handler, "/api/v1/analysis/fleet")
+	if code != http.StatusOK || body != before["/api/v1/analysis/fleet"] {
+		t.Fatalf("fleet view during the checkpoint: status %d, same body %v", code, body == before["/api/v1/analysis/fleet"])
+	}
+	// An ingest during the checkpoint lands in the log behind its cut.
+	raw := make([]int16, 512)
+	for k := range raw {
+		raw[k] = int16(k%64 - 32)
+	}
+	rec := &store.Record{PumpID: 0, ServiceDays: 500, SampleRateHz: 4000, ScaleG: 0.003, Raw: [3][]int16{raw, raw, raw}}
+	if stored, err := second.Ingest(rec); err != nil || !stored {
+		t.Fatalf("ingest during the checkpoint: stored=%v err=%v", stored, err)
+	}
+	after := views(t, second.Handler)
+
+	closed := make(chan error, 1)
+	go func() { closed <- second.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while the post-recovery checkpoint was blocked", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	unblock()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+
+	third := mustOpen(t, corpusOptions(t, dir))
+	if rs := third.Recovery; !rs.SnapshotLoaded || rs.Replay.Records != 0 || rs.Replayed != 0 {
+		t.Fatalf("Open after Close replayed the log: %+v", rs)
+	}
+	sameViews(t, "after the checkpoint", views(t, third.Handler), after)
 }

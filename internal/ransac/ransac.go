@@ -57,6 +57,10 @@ var (
 	ErrNoModel      = errors.New("ransac: no acceptable model found")
 )
 
+// scoreBlock is how many points Fit scores a hypothesis on between
+// checks that it can still win.
+const scoreBlock = 128
+
 // Fit runs RANSAC over the points and returns the best line by inlier
 // count (ties broken by inlier RMS error). The returned model is
 // refined with a least-squares fit over its inliers.
@@ -95,16 +99,26 @@ func Fit(x, y []float64, cfg Config) (Line, error) {
 			continue
 		}
 		intercept := y[i] - slope*x[i]
+		// Score in blocks, and abandon the hypothesis once even every
+		// point left cannot lift it to the best count (a tie could still
+		// win on RMS) or to minInliers. That is exact: the abandoned
+		// hypothesis could not have been kept, the sum runs in the same
+		// order for one that is, and the draws above come first.
+		need := max(bestCount, minInliers)
 		count := 0
 		var sse float64
-		for k := 0; k < n; k++ {
-			r := y[k] - (slope*x[k] + intercept)
-			if math.Abs(r) <= cfg.InlierThreshold {
-				count++
-				sse += r * r
+		for lo := 0; lo < n && count+n-lo >= need; lo += scoreBlock {
+			hi := min(lo+scoreBlock, n)
+			xs, ys := x[lo:hi], y[lo:hi]
+			for k, xk := range xs {
+				r := ys[k] - (slope*xk + intercept)
+				if math.Abs(r) <= cfg.InlierThreshold {
+					count++
+					sse += r * r
+				}
 			}
 		}
-		if count < minInliers {
+		if count < need {
 			continue
 		}
 		rms := math.Sqrt(sse / float64(count))
@@ -167,6 +181,12 @@ func slopeOK(slope float64, cfg Config) bool {
 // (maxModels <= 0 means unbounded). Inlier indices in the returned
 // models refer to the original dataset.
 func Recursive(x, y []float64, cfg Config, maxModels int) ([]Line, error) {
+	return recursive(x, y, cfg, maxModels, Fit)
+}
+
+// recursive is Recursive over a given fit, so the tests can run it over
+// a reference one.
+func recursive(x, y []float64, cfg Config, maxModels int, fit func(x, y []float64, cfg Config) (Line, error)) ([]Line, error) {
 	if len(x) != len(y) {
 		return nil, errors.New("ransac: x/y length mismatch")
 	}
@@ -189,7 +209,7 @@ func Recursive(x, y []float64, cfg Config, maxModels int) ([]Line, error) {
 		sub := cfg
 		sub.Seed = seed
 		seed++
-		model, err := Fit(xs, ys, sub)
+		model, err := fit(xs, ys, sub)
 		if err != nil {
 			break
 		}

@@ -4,6 +4,7 @@
 package store_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -55,6 +56,22 @@ func BenchmarkWALAppend16(b *testing.B) { benchmarkWALAppend(b, store.SyncNever,
 // BenchmarkWALAppendSyncAlways has no row in BENCH.txt on purpose: a
 // per-op fsync measures the machine's disk, not the code.
 func BenchmarkWALAppendSyncAlways(b *testing.B) { benchmarkWALAppend(b, store.SyncAlways, 2) }
+
+// BenchmarkDecodeRecord: one 1,024-sample record's payload into a
+// Record — the per-frame work of a snapshot load and a WAL replay.
+func BenchmarkDecodeRecord(b *testing.B) {
+	var buf bytes.Buffer
+	if err := store.EncodeRecord(&buf, syntheticRecords(1, 1, 1024, 5)[0]); err != nil {
+		b.Fatal(err)
+	}
+	payload := buf.Bytes()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := store.DecodeRecord(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkWALReplay1k(b *testing.B) {
 	dir := b.TempDir()

@@ -13,6 +13,15 @@ import (
 // directory, written through writeFileAtomic.
 const snapshotName = "snapshot.bin"
 
+// HasSnapshot reports whether the durable directory dir holds a
+// checkpoint snapshot. OpenDurable replaces a preloaded store's
+// contents with it, so a caller may skip loading a corpus it would
+// only throw away.
+func HasSnapshot(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, snapshotName))
+	return err == nil
+}
+
 // DurableOptions parameterizes a durable store.
 type DurableOptions struct {
 	// WAL configures the write-ahead log.
@@ -123,10 +132,9 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, RecoveryStats, erro
 	if m == nil {
 		m = NewMeasurements()
 	}
-	snapPath := filepath.Join(dir, snapshotName)
-	if _, err := os.Stat(snapPath); err == nil {
+	if HasSnapshot(dir) {
 		start := time.Now()
-		if err := m.loadFile(snapPath, opts.ReplayWorkers); err != nil {
+		if err := m.loadFile(filepath.Join(dir, snapshotName), opts.ReplayWorkers); err != nil {
 			return nil, stats, fmt.Errorf("store: load snapshot: %w", err)
 		}
 		stats.SnapshotLoadDuration = time.Since(start)

@@ -10,6 +10,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -73,34 +74,50 @@ const MaxSamplesPerAxis = 1 << 20
 // healthy — so ingestion layers map it to "bad request", not "retry".
 var ErrRecordTooLarge = errors.New("store: record too large")
 
-// EncodeRecord writes r in the binary record format.
+// EncodeRecord writes r in the binary record format. A *bytes.Buffer
+// (what the WAL frame and the snapshot encode into) takes the record in
+// place, in one Write; another writer gets it from a scratch buffer.
+// A record whose axes disagree in length is refused before any byte is
+// written.
 func EncodeRecord(w io.Writer, r *Record) error {
-	if k := len(r.Raw[0]); k > MaxSamplesPerAxis {
+	k := len(r.Raw[0])
+	if k > MaxSamplesPerAxis {
 		return fmt.Errorf("%w: %d samples per axis (max %d)", ErrRecordTooLarge, k, MaxSamplesPerAxis)
 	}
-	var hdr [recordHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], recordMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], recordVersion)
-	binary.LittleEndian.PutUint32(hdr[6:], uint32(r.PumpID))
-	binary.LittleEndian.PutUint64(hdr[10:], math.Float64bits(r.ServiceDays))
-	binary.LittleEndian.PutUint32(hdr[18:], math.Float32bits(float32(r.SampleRateHz)))
-	binary.LittleEndian.PutUint32(hdr[22:], math.Float32bits(float32(r.ScaleG)))
-	binary.LittleEndian.PutUint32(hdr[26:], uint32(len(r.Raw[0])))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("store: write header: %w", err)
-	}
-	k := len(r.Raw[0])
-	buf := make([]byte, 2*k)
-	for axis := 0; axis < 3; axis++ {
+	for axis := 1; axis < 3; axis++ {
 		if len(r.Raw[axis]) != k {
 			return fmt.Errorf("store: axis %d has %d samples, want %d", axis, len(r.Raw[axis]), k)
 		}
-		for i, v := range r.Raw[axis] {
-			binary.LittleEndian.PutUint16(buf[2*i:], uint16(v))
+	}
+	bb, inPlace := w.(*bytes.Buffer)
+	if !inPlace {
+		bb = new(bytes.Buffer)
+	}
+	bb.Grow(recordHeaderLen + 6*k)
+	b := bb.AvailableBuffer()[:recordHeaderLen+6*k]
+	binary.LittleEndian.PutUint32(b[0:], recordMagic)
+	binary.LittleEndian.PutUint16(b[4:], recordVersion)
+	binary.LittleEndian.PutUint32(b[6:], uint32(r.PumpID))
+	binary.LittleEndian.PutUint64(b[10:], math.Float64bits(r.ServiceDays))
+	binary.LittleEndian.PutUint32(b[18:], math.Float32bits(float32(r.SampleRateHz)))
+	binary.LittleEndian.PutUint32(b[22:], math.Float32bits(float32(r.ScaleG)))
+	binary.LittleEndian.PutUint32(b[26:], uint32(k))
+	dst := b[recordHeaderLen:]
+	for axis := 0; axis < 3; axis++ {
+		for _, v := range r.Raw[axis] {
+			if len(dst) < 2 {
+				break // unreachable: b holds 6k bytes past the header
+			}
+			dst[0], dst[1] = byte(v), byte(uint16(v)>>8)
+			dst = dst[2:]
 		}
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("store: write axis %d: %w", axis, err)
-		}
+	}
+	if inPlace {
+		bb.Write(b)
+		return nil
+	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("store: write record: %w", err)
 	}
 	return nil
 }
@@ -131,13 +148,16 @@ func DecodeRecord(b []byte) (*Record, error) {
 	if len(b) < 6*k {
 		return nil, fmt.Errorf("store: record samples: %w", io.ErrUnexpectedEOF)
 	}
-	for axis := 0; axis < 3; axis++ {
-		samples := make([]int16, k)
-		for i := range samples {
-			samples[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
+	// One allocation for all three axes, each capped at its own end so
+	// an append to one reallocates instead of writing into the next.
+	all := make([]int16, 3*k)
+	for i := range all {
+		if len(b) < 2 {
+			break // unreachable: b holds 6k bytes
 		}
-		rec.Raw[axis] = samples
-		b = b[2*k:]
+		all[i] = int16(uint16(b[0]) | uint16(b[1])<<8)
+		b = b[2:]
 	}
+	rec.Raw = [3][]int16{all[:k:k], all[k : 2*k : 2*k], all[2*k:]}
 	return rec, nil
 }

@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +86,61 @@ func TestRecordCodecErrors(t *testing.T) {
 	rec := &Record{Raw: [3][]int16{make([]int16, 4), make([]int16, 3), make([]int16, 4)}}
 	if err := EncodeRecord(io.Discard, rec); err == nil {
 		t.Fatal("want error for ragged axes")
+	}
+}
+
+// TestDecodeRecordAxesDoNotAlias: the three decoded axes share one
+// allocation, each capped at its own end, so appending to one axis
+// leaves the next untouched.
+func TestDecodeRecordAxesDoNotAlias(t *testing.T) {
+	rec := randomRecord(rand.New(rand.NewSource(2)), 3, 9.5, 64)
+	var buf bytes.Buffer
+	if err := EncodeRecord(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRecord(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for axis := 0; axis < 2; axis++ {
+		next := append([]int16(nil), got.Raw[axis+1]...)
+		grown := append(got.Raw[axis], 12345, -12345)
+		if !slices.Equal(got.Raw[axis+1], next) || !slices.Equal(got.Raw[axis+1], rec.Raw[axis+1]) {
+			t.Fatalf("appending to axis %d wrote into axis %d", axis, axis+1)
+		}
+		if !slices.Equal(grown[:len(rec.Raw[axis])], rec.Raw[axis]) {
+			t.Fatalf("axis %d lost its samples when it grew", axis)
+		}
+	}
+}
+
+// TestEncodeRecordSameBytesAnyWriter: the in-place encode into a
+// bytes.Buffer and the scratch-buffer path of any other writer write
+// the documented layout, byte for byte.
+func TestEncodeRecordSameBytesAnyWriter(t *testing.T) {
+	rec := randomRecord(rand.New(rand.NewSource(3)), 11, 77.25, 100)
+	want := binary.LittleEndian.AppendUint32(nil, recordMagic)
+	want = binary.LittleEndian.AppendUint16(want, recordVersion)
+	want = binary.LittleEndian.AppendUint32(want, uint32(rec.PumpID))
+	want = binary.LittleEndian.AppendUint64(want, math.Float64bits(rec.ServiceDays))
+	want = binary.LittleEndian.AppendUint32(want, math.Float32bits(float32(rec.SampleRateHz)))
+	want = binary.LittleEndian.AppendUint32(want, math.Float32bits(float32(rec.ScaleG)))
+	want = binary.LittleEndian.AppendUint32(want, uint32(len(rec.Raw[0])))
+	for _, axis := range rec.Raw {
+		for _, v := range axis {
+			want = binary.LittleEndian.AppendUint16(want, uint16(v))
+		}
+	}
+	buf := bytes.NewBufferString("prefix")
+	if err := EncodeRecord(buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := EncodeRecord(struct{ io.Writer }{&file}, rec); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes()[len("prefix"):], want) || !bytes.Equal(file.Bytes(), want) {
+		t.Fatal("encoded bytes differ from the record layout")
 	}
 }
 
