@@ -6,13 +6,15 @@
 //
 // Everything is implemented on float64 slices with no external
 // dependencies. Transform sizes are arbitrary: power-of-two sizes use an
-// iterative radix-2 Cooley-Tukey FFT and other sizes fall back to
-// Bluestein's chirp-z algorithm. Real input of even length runs a
-// half-length complex FFT plus a split pass (realfft.go); odd lengths
-// take the complex path. Per-length setup (twiddle factors,
-// bit-reversal tables, chirp sequences) is computed once and cached in a
-// concurrency-safe plan registry, and transient work arrays come from
-// scratch pools, so steady-state transforms are allocation-free.
+// iterative Cooley-Tukey FFT whose stages run in fused radix-4 pairs
+// (on amd64 with AVX2 an assembly kernel, two butterflies at a time, to
+// the Go loop's bits), and other sizes fall back to Bluestein's chirp-z
+// algorithm. Real input of even length runs a half-length complex FFT
+// plus a split pass (realfft.go); odd lengths take the complex path.
+// Per-length setup (twiddle factors, bit-reversal tables, chirp
+// sequences) is computed once and cached in a concurrency-safe plan
+// registry, and transient work arrays come from scratch pools, so
+// steady-state transforms are allocation-free.
 package dsp
 
 import (

@@ -16,7 +16,7 @@ import (
 // concurrency-safe, bounded registry (planRegistry). Plans are immutable
 // after construction.
 
-// fftPlan caches the setup of a radix-2 Cooley-Tukey transform of one
+// fftPlan caches the setup of a Cooley-Tukey transform of one
 // power-of-two length.
 type fftPlan struct {
 	n     int
@@ -60,11 +60,15 @@ func (p *fftPlan) transform(x []complex128, inverse bool) {
 // butterflies runs the transform's stages over x already in
 // bit-reversed order — what a caller that wrote each sample straight to
 // its reversed slot (realPlan.slot) skips the swap pass with. Stages are
-// executed in fused pairs (a radix-4-style kernel): each 4-point group
-// stays in registers across two butterfly levels and the upper stage's
+// executed in fused pairs (radix-4): each 4-point group stays in
+// registers across two butterfly levels and the upper stage's
 // second-half twiddle is derived from the first by an exact ∓i
 // rotation, saving one complex multiply per group and half the
-// loads/stores of the plain radix-2 sweep.
+// loads/stores of the plain radix-2 sweep. An odd stage count peels the
+// twiddle-free first stage; the first pair of an even count is a plain
+// 4-point DFT. Every other pair is fusedStage: the AVX2 kernel where
+// the CPU runs it (stage_amd64.s), fusedStageGo otherwise, to the same
+// bits.
 func (p *fftPlan) butterflies(x []complex128, inverse bool) {
 	n := p.n
 	tw := p.fwd
@@ -94,7 +98,7 @@ func (p *fftPlan) butterflies(x []complex128, inverse bool) {
 			a, b, c, d := x[start], x[start+1], x[start+2], x[start+3]
 			a1, b1 := a+b, a-b
 			c1, d1 := c+d, c-d
-			q := complex(-si*imag(d1), si*real(d1))
+			q := complex(float64(-si*imag(d1)), float64(si*real(d1)))
 			x[start] = a1 + c1
 			x[start+2] = a1 - c1
 			x[start+1] = b1 + q
@@ -104,40 +108,63 @@ func (p *fftPlan) butterflies(x []complex128, inverse bool) {
 	}
 	for ; size <= n/2; size <<= 2 {
 		h := size >> 1
-		t1 := tw[h-1 : 2*h-1 : 2*h-1]
-		t2 := tw[2*h-1 : 3*h-1 : 3*h-1]
-		for start := 0; start < n; start += 4 * h {
-			s0 := x[start : start+h : start+h]
-			s1 := x[start+h : start+2*h : start+2*h]
-			s2 := x[start+2*h : start+3*h : start+3*h]
-			s3 := x[start+3*h : start+4*h : start+4*h]
-			for k := range s0 {
-				w1 := t1[k]
-				w1r, w1i := real(w1), imag(w1)
-				b, d := s1[k], s3[k]
-				br, bi := real(b), imag(b)
-				dr, di := real(d), imag(d)
-				btr, bti := br*w1r-bi*w1i, br*w1i+bi*w1r
-				dtr, dti := dr*w1r-di*w1i, dr*w1i+di*w1r
-				a, c := s0[k], s2[k]
-				ar, ai := real(a), imag(a)
-				cr, ci := real(c), imag(c)
-				a1r, a1i := ar+btr, ai+bti
-				b1r, b1i := ar-btr, ai-bti
-				c1r, c1i := cr+dtr, ci+dti
-				d1r, d1i := cr-dtr, ci-dti
-				w2 := t2[k]
-				w2r, w2i := real(w2), imag(w2)
-				ur, ui := c1r*w2r-c1i*w2i, c1r*w2i+c1i*w2r
-				qr, qi := d1r*w2r-d1i*w2i, d1r*w2i+d1i*w2r
-				qr, qi = -si*qi, si*qr
-				s0[k] = complex(a1r+ur, a1i+ui)
-				s2[k] = complex(a1r-ur, a1i-ui)
-				s1[k] = complex(b1r+qr, b1i+qi)
-				s3[k] = complex(b1r-qr, b1i-qi)
-			}
+		fusedStage(x, tw[h-1:2*h-1:2*h-1], tw[2*h-1:3*h-1:3*h-1], si)
+	}
+}
+
+// fusedStageAsm is the assembly fused stage, set at package init where
+// the CPU runs it (stage_amd64.go) and nil elsewhere.
+var fusedStageAsm func(x, t1, t2 []complex128, si float64)
+
+// fusedStage runs one fused pair of stages, of quarter-size h =
+// len(t1), over x.
+func fusedStage(x, t1, t2 []complex128, si float64) {
+	if fusedStageAsm != nil {
+		fusedStageAsm(x, t1, t2, si)
+		return
+	}
+	fusedStageGo(x, t1, t2, si)
+}
+
+// fusedStageGo is the portable fused stage: for each group of 4h
+// samples at start and each k < h, with quarters s0…s3 and twiddles
+// w1 = t1[k] (the lower stage) and w2 = t2[k] (the upper),
+//
+//	a1, b1 = s0 ± w1·s1     c1, d1 = s2 ± w1·s3
+//	s0, s2 = a1 ± w2·c1     s1, s3 = b1 ± (∓i)·w2·d1
+//
+// with si = −1 forward (the rotation −i) and +1 inverse. Every product
+// is rounded before its add (cmul), so the stage has one set of bits on
+// every target and equals the AVX2 kernel's.
+func fusedStageGo(x, t1, t2 []complex128, si float64) {
+	h := len(t1)
+	n := len(x)
+	t2 = t2[:h:h] // one bounds check here instead of one per k
+	for start := 0; start < n; start += 4 * h {
+		s0 := x[start : start+h : start+h]
+		s1 := x[start+h : start+2*h : start+2*h]
+		s2 := x[start+2*h : start+3*h : start+3*h]
+		s3 := x[start+3*h : start+4*h : start+4*h]
+		for k := range s0 {
+			a, c := s0[k], s2[k]
+			bt, dt := cmul(s1[k], t1[k]), cmul(s3[k], t1[k])
+			a1, b1 := a+bt, a-bt
+			c1, d1 := c+dt, c-dt
+			u, q := cmul(c1, t2[k]), cmul(d1, t2[k])
+			q = complex(float64(-si*imag(q)), float64(si*real(q)))
+			s0[k], s2[k] = a1+u, a1-u
+			s1[k], s3[k] = b1+q, b1-q
 		}
 	}
+}
+
+// cmul is a·b as Go's complex multiply computes it, re = ar·br − ai·bi
+// and im = ar·bi + ai·br, with every product rounded by an explicit
+// float64(…) before its add: Go lets a compiler fuse x*y + z (arm64
+// does), which would give the transform other bits on such a target.
+func cmul(a, b complex128) complex128 {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	return complex(float64(ar*br)-float64(ai*bi), float64(ar*bi)+float64(ai*br))
 }
 
 // bluesteinPlan caches the chirp sequences and the pre-transformed
@@ -197,19 +224,19 @@ func (p *bluesteinPlan) transform(x []complex128, inverse bool) {
 	buf := getCBuf(p.m)
 	a := buf.s
 	for k := 0; k < p.n; k++ {
-		a[k] = x[k] * w[k]
+		a[k] = cmul(x[k], w[k])
 	}
 	for k := p.n; k < p.m; k++ {
 		a[k] = 0
 	}
 	p.sub.transform(a, false)
 	for i := range a {
-		a[i] *= bf[i]
+		a[i] = cmul(a[i], bf[i])
 	}
 	p.sub.transform(a, true)
 	scale := complex(1/float64(p.m), 0)
 	for k := 0; k < p.n; k++ {
-		x[k] = a[k] * scale * w[k]
+		x[k] = cmul(cmul(a[k], scale), w[k])
 	}
 	putCBuf(buf)
 }

@@ -9,8 +9,8 @@ import (
 // symmetric, so half of a complex FFT's work recomputes values the other
 // half fixes. For an even n the samples are paired into an n/2-point
 // complex sequence z[p] = x[2p] + i·x[2p+1], transformed with the
-// radix-2 butterflies (n/2 a power of two) or Bluestein (otherwise), and
-// one split pass separates the two interleaved spectra:
+// butterflies (n/2 a power of two) or Bluestein (otherwise), and one
+// split pass separates the two interleaved spectra:
 //
 //	X[k] = ½(Z[k] + Z*[n/2−k]) − ½i·e^{−2πik/n}·(Z[k] − Z*[n/2−k]),  k = 0…n/2
 //
@@ -21,7 +21,7 @@ import (
 // DCT-II the input slots and the rotation.
 type realPlan struct {
 	n, m int            // n even, m = n/2
-	fft  *fftPlan       // the m-point radix-2 plan when m is a power of two
+	fft  *fftPlan       // the m-point plan when m is a power of two
 	blu  *bluesteinPlan // the m-point chirp-z plan otherwise (nil for m = 1)
 	// twiddle[k] = −i·e^{−2πik/n}, k = 0…m/2: the split's weight of the
 	// odd-indexed samples' spectrum (see split).
@@ -99,7 +99,8 @@ func (p *realPlan) transform(z []complex128, reversed bool) {
 func split(a, b, w complex128) (xk, xj complex128) {
 	er, ei := real(a)+real(b), imag(a)-imag(b)
 	dr, di := real(a)-real(b), imag(a)+imag(b)
-	gr, gi := real(w)*dr-imag(w)*di, real(w)*di+imag(w)*dr
+	g := cmul(w, complex(dr, di))
+	gr, gi := real(g), imag(g)
 	return complex(er+gr, ei+gi), complex(er-gr, gi-ei)
 }
 
@@ -141,23 +142,23 @@ func (p *realPlan) addPowerFromSlots(psd []float64, z []complex128, inv float64)
 	p.transform(z, true)
 	psd = psd[:n]
 	c := (real(z[0]) + imag(z[0])) * p.scale0
-	psd[0] += c * c * inv
+	psd[0] += float64(c * c * inv)
 	c = (real(z[0]) - imag(z[0])) * p.scale0
-	psd[m] += c * c * inv
+	psd[m] += float64(c * c * inv)
 	tw, rot := p.twiddle, p.rot[:m]
 	for k := 1; k < (m+1)/2; k++ {
 		j := m - k
 		xk, xj := split(z[k], z[j], tw[k])
-		wk, wj := rot[k]*xk, rot[j]*xj
-		psd[k] += real(wk) * real(wk) * inv
-		psd[n-k] += imag(wk) * imag(wk) * inv
-		psd[j] += real(wj) * real(wj) * inv
-		psd[n-j] += imag(wj) * imag(wj) * inv
+		wk, wj := cmul(rot[k], xk), cmul(rot[j], xj)
+		psd[k] += float64(real(wk) * real(wk) * inv)
+		psd[n-k] += float64(imag(wk) * imag(wk) * inv)
+		psd[j] += float64(real(wj) * real(wj) * inv)
+		psd[n-j] += float64(imag(wj) * imag(wj) * inv)
 	}
 	if k := m / 2; m%2 == 0 && k > 0 {
 		xk, _ := split(z[k], z[k], tw[k])
-		wk := rot[k] * xk
-		psd[k] += real(wk) * real(wk) * inv
-		psd[n-k] += imag(wk) * imag(wk) * inv
+		wk := cmul(rot[k], xk)
+		psd[k] += float64(real(wk) * real(wk) * inv)
+		psd[n-k] += float64(imag(wk) * imag(wk) * inv)
 	}
 }

@@ -146,12 +146,12 @@ func addOddAxisPower(psd []float64, counts []int16, scale, mean, inv float64) (s
 	}
 	planBluestein(n).transform(v, false)
 	c := real(v[0]) * p.scale0
-	psd[0] += c * c * inv
+	psd[0] += float64(c * c * inv)
 	psd, v = psd[:n], v[:n]
 	cosT, sinT := p.cosT[:n], p.sinT[:n]
 	for k := 1; k < n; k++ {
-		c := (real(v[k])*cosT[k] + imag(v[k])*sinT[k]) * p.scaleK
-		psd[k] += c * c * inv
+		c := (float64(real(v[k])*cosT[k]) + float64(imag(v[k])*sinT[k])) * p.scaleK
+		psd[k] += float64(c * c * inv)
 	}
 	putCBuf(buf)
 	return sumSq
