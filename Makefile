@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race lines golden-faults bench bench-check experiments experiments-paper results results-check chaos crash-trials cover fuzz clean
+.PHONY: all build test vet race lines golden-faults bench bench-check experiments experiments-paper results results-check paper-check chaos crash-trials cover fuzz clean
 
 all: build vet test
 
@@ -89,6 +89,16 @@ results-check:
 	$(GO) run ./cmd/vibebench -scale medium | diff \
 	  -I '^# vibebench ' -I '^corpus ready in ' -I '^(.*s)$$' \
 	  docs/results/medium-scale.txt -
+
+# The paper scale (~30 s, ~2 GB resident) against its committed file,
+# the same stamp and timing lines aside: the output half of the paper
+# run's gate. The transcript stays in paper-check.out. Too slow for the
+# per-PR jobs: its home is the paper-check workflow (manual and
+# weekly), which uploads that file.
+paper-check:
+	$(GO) run ./cmd/vibebench -scale paper > paper-check.out
+	diff -I '^# vibebench ' -I '^corpus ready in ' -I '^(.*s)$$' \
+	  docs/results/paper-scale.txt paper-check.out
 
 # Soak the ingestion pipeline under the hostile fault plan and print the
 # reliability report. The golden-file run lives in docs/results/.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vibepm/internal/core"
-	"vibepm/internal/feature"
 	"vibepm/internal/gencache"
 	"vibepm/internal/par"
 	"vibepm/internal/physics"
@@ -232,31 +231,27 @@ func (e *Engine) Fit() error {
 	if len(pairs) == 0 {
 		return fmt.Errorf("%w: no labelled measurements", ErrNoData)
 	}
-	var healthy []*Record
-	for _, p := range pairs {
-		if p.zone == ZoneA {
-			healthy = append(healthy, p.rec)
-		}
+	// The scan trains the baseline on the Zone A pairs and, since
+	// Algorithm 1 normalizes by the dataset-global peak maxima, reads
+	// the harmonic of the whole labelled corpus (worn spectra included)
+	// before scoring: one transform per labelled record. A hot record's
+	// is folded and planted, as a warm-up would, and the harmonic is
+	// the one the bundle keeps; the fold keeps the record's Euclidean
+	// and Mahalanobis scores against baseline too, whose PSD statistics
+	// SetNormalizers leaves as they are, so the metric sweep's vector
+	// columns read them. A Zone A record's spectrum is the one its
+	// baseline statistics were summed from. A cold record is extracted
+	// and not kept.
+	labelled := make([]*Record, len(pairs))
+	hot := make([]bool, len(pairs))
+	zoneA := make([]bool, len(pairs))
+	for i, p := range pairs {
+		labelled[i], hot[i], zoneA[i] = p.rec, p.hot, p.zone == ZoneA
 	}
-	baseline, err := feature.TrainBaseline(healthy, e.opts.Harmonic)
+	baseline, features, err := e.live.FitScan(labelled, hot, zoneA)
 	if err != nil {
 		return fmt.Errorf("vibepm: baseline: %w", err)
 	}
-	// Algorithm 1 normalizes by the dataset-global peak maxima, so scan
-	// the whole labelled corpus (worn spectra included) before scoring.
-	// The scan is the one transform of each hot labelled record: it
-	// folds and plants it, as a warm-up would, and reads the harmonic
-	// the bundle keeps. From the same spectrum the fold keeps the
-	// record's Euclidean and Mahalanobis scores against baseline, whose
-	// PSD statistics SetNormalizers leaves as they are, so the metric
-	// sweep's vector columns read them. A cold record is extracted and
-	// not kept.
-	labelled := make([]*Record, len(pairs))
-	hot := make([]bool, len(pairs))
-	for i, p := range pairs {
-		labelled[i], hot[i] = p.rec, p.hot
-	}
-	features := e.live.Harmonics(labelled, hot, baseline)
 	baseline.SetNormalizers(features...)
 	// Install only once the normalizers are set: folds score D_a
 	// against the installed baseline at ingest time.

@@ -15,9 +15,12 @@ import "testing"
 func TestKernelsDoNotAllocate(t *testing.T) {
 	resetPlanRegistries()
 	x1k, x4k, x16k := benchSignal(1024), benchSignal(4096), benchSignal(16384)
-	counts1k := make([]int16, 1024)
-	for i, v := range x1k {
-		counts1k[i] = int16(v * 4096)
+	var axes1k [3][]int16
+	for l := range axes1k {
+		axes1k[l] = make([]int16, 1024)
+		for i, v := range x1k {
+			axes1k[l][i] = int16(v*4096) + int16(l)
+		}
 	}
 	cbuf := make([]complex128, 1024)
 	dst1k, dst4k := make([]float64, 1024), make([]float64, 4096)
@@ -38,7 +41,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			}
 			FFT(cbuf[:1000])
 		}},
-		{"AddAxisPower", func() { AddAxisPower(dst1k, counts1k, 0.0039) }},
+		{"RecordPower", func() { RecordPower(dst1k, &axes1k, 0.0039) }},
 		{"WelchInto", func() {
 			if err := WelchInto(freq, psd, x16k, 1000, 1024); err != nil {
 				t.Fatal(err)

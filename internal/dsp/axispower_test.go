@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-// The DCT power kernel, AddAxisPower, against the O(n²) orthonormal
+// The DCT power kernel, addAxisPower, against the O(n²) orthonormal
 // DCT-II of its definition: sˡ = (âˡ·W_K)²/(2K) of â = g − mean,
 // g = counts·scale.
 
@@ -30,7 +30,7 @@ func naiveDCT2(x []float64) []float64 {
 	return out
 }
 
-// countsG is the axis in g that AddAxisPower reads: counts·scale.
+// countsG is the axis in g that addAxisPower reads: counts·scale.
 func countsG(counts []int16, scale float64) []float64 {
 	g := make([]float64, len(counts))
 	for i, c := range counts {
@@ -39,7 +39,7 @@ func countsG(counts []int16, scale float64) []float64 {
 	return g
 }
 
-// naivePower is AddAxisPower's spectrum by definition: naiveDCT2 of the
+// naivePower is addAxisPower's spectrum by definition: naiveDCT2 of the
 // demeaned axis, each coefficient squared and scaled by 1/(2K).
 func naivePower(counts []int16, scale float64) []float64 {
 	c := naiveDCT2(Demean(countsG(counts, scale)))
@@ -49,10 +49,10 @@ func naivePower(counts []int16, scale float64) []float64 {
 	return c
 }
 
-// axisPower is AddAxisPower into a fresh spectrum.
+// axisPower is addAxisPower into a fresh spectrum.
 func axisPower(counts []int16, scale float64) (psd []float64, mean, sumSq float64) {
 	psd = make([]float64, len(counts))
-	mean, sumSq = AddAxisPower(psd, counts, scale)
+	mean, sumSq = addAxisPower(psd, counts, scale)
 	return psd, mean, sumSq
 }
 
@@ -74,14 +74,14 @@ const adcScale = 0.0039
 // K = 1,024, each carrying an absolute error near 1e-13.
 const naiveBound = 1e-10
 
-// axisLengths are AddAxisPower's length classes: empty, one sample, the
+// axisLengths are addAxisPower's length classes: empty, one sample, the
 // smallest even and odd, primes (odd: Bluestein's K-point FFT), K ≡ 2
 // (mod 4) (the slot table's closing pair), powers of two (the
 // butterflies on bit-reversed slots) and even lengths whose half is not
 // a power of two (a Bluestein half).
 var axisLengths = []int{0, 1, 2, 3, 7, 127, 1021, 6, 10, 18, 1022, 4, 8, 64, 1024, 12, 20, 100, 1000}
 
-// checkNaivePower fails t unless AddAxisPower of counts is within
+// checkNaivePower fails t unless addAxisPower of counts is within
 // naiveBound of the total power of naivePower per bin.
 func checkNaivePower(t *testing.T, name string, counts []int16) {
 	t.Helper()
@@ -109,7 +109,7 @@ func checkParseval(t *testing.T, name string, counts []int16) {
 }
 
 // TestDCTParseval: the orthonormal DCT preserves energy, so the bins
-// of AddAxisPower sum to the Σ(g−mean)² it returns over 2K — the
+// of addAxisPower sum to the Σ(g−mean)² it returns over 2K — the
 // identity the paper uses to show rms² equals the sum of the PSD
 // feature.
 func TestDCTParseval(t *testing.T) {
@@ -146,11 +146,11 @@ func TestDCTConstantSignal(t *testing.T) {
 // TestDCTEmptyAndSingle: an empty axis adds nothing and reports zero
 // moments; one sample is its own mean and adds zero power.
 func TestDCTEmptyAndSingle(t *testing.T) {
-	if mean, sumSq := AddAxisPower(nil, nil, adcScale); mean != 0 || sumSq != 0 {
+	if mean, sumSq := addAxisPower(nil, nil, adcScale); mean != 0 || sumSq != 0 {
 		t.Fatalf("empty axis: mean %g, Σ(g−mean)² %g", mean, sumSq)
 	}
 	psd := []float64{0.25}
-	mean, sumSq := AddAxisPower(psd, []int16{-512}, 1.0/256)
+	mean, sumSq := addAxisPower(psd, []int16{-512}, 1.0/256)
 	if mean != -2 || sumSq != 0 || psd[0] != 0.25 {
 		t.Fatalf("one sample: mean %g, Σ(g−mean)² %g, bin %g (want -2, 0, 0.25 kept)", mean, sumSq, psd[0])
 	}

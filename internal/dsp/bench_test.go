@@ -38,17 +38,20 @@ func BenchmarkFFTBluestein1000(b *testing.B) {
 	}
 }
 
-// BenchmarkAxisPower1024 is the record spectrum's own kernel: one
-// 1,024-count axis to its DCT power and moments.
-func BenchmarkAxisPower1024(b *testing.B) {
-	counts := make([]int16, 1024)
-	for i, v := range benchSignal(1024) {
-		counts[i] = int16(v * 900)
+// BenchmarkRecordPower1024 is the record spectrum's own kernel: one
+// record's three 1,024-count axes to its DCT power and moments.
+func BenchmarkRecordPower1024(b *testing.B) {
+	var axes [3][]int16
+	for l := range axes {
+		axes[l] = make([]int16, 1024)
+		for i, v := range benchSignal(1024) {
+			axes[l][i] = int16(v*900) + int16(100*l)
+		}
 	}
 	psd := make([]float64, 1024)
 	b.ReportAllocs()
 	for b.Loop() {
-		AddAxisPower(psd, counts, 0.0039)
+		RecordPower(psd, &axes, 0.0039)
 	}
 }
 

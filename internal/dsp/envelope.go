@@ -40,10 +40,10 @@ func EnvelopeInto(dst, x []float64) []float64 {
 	// positive ones, keep DC (and Nyquist for even n) unscaled.
 	half := n / 2
 	for k := 1; k < half; k++ {
-		buf[k] *= 2
+		buf[k] = cmul(buf[k], 2)
 	}
 	if n%2 == 1 {
-		buf[half] *= 2
+		buf[half] = cmul(buf[half], 2)
 	}
 	for k := half + 1; k < n; k++ {
 		buf[k] = 0
@@ -51,7 +51,7 @@ func EnvelopeInto(dst, x []float64) []float64 {
 	IFFT(buf)
 	for i := range dst {
 		re, im := real(buf[i]), imag(buf[i])
-		dst[i] = math.Sqrt(re*re + im*im)
+		dst[i] = math.Sqrt(float64(re*re) + float64(im*im))
 	}
 	putCBuf(cb)
 	return dst

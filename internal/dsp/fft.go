@@ -11,6 +11,11 @@
 // the Go loop's bits), and other sizes fall back to Bluestein's chirp-z
 // algorithm. Real input of even length runs a half-length complex FFT
 // plus a split pass (realfft.go); odd lengths take the complex path.
+// The paper's record spectrum, RecordPower, takes a record's three axes
+// at once: one demean pass and one split-and-power pass for x, y and z
+// together, each an AVX2 kernel on amd64 CPUs that have it, to the Go
+// loops' bits. No product in the package is fused into an add on any
+// target, so its outputs have one set of bits everywhere.
 // Per-length setup (twiddle factors, bit-reversal tables, chirp
 // sequences) is computed once and cached in a concurrency-safe plan
 // registry, and transient work arrays come from scratch pools, so
@@ -51,7 +56,7 @@ func IFFT(x []complex128) {
 	}
 	scale := complex(1/float64(n), 0)
 	for i := range x {
-		x[i] *= scale
+		x[i] = cmul(x[i], scale)
 	}
 }
 

@@ -16,7 +16,7 @@ func EuclideanDistance(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }
@@ -57,12 +57,12 @@ func DiagonalCovariance(rows [][]float64, eps float64) []float64 {
 	for _, r := range rows {
 		for i, v := range r {
 			dv := v - mu[i]
-			varv[i] += dv * dv
+			varv[i] += float64(dv * dv)
 		}
 	}
 	inv := 1 / float64(len(rows))
 	for i := range varv {
-		varv[i] = varv[i]*inv + eps
+		varv[i] = float64(varv[i]*inv) + eps
 	}
 	return varv
 }
@@ -92,15 +92,15 @@ func FitLine(x, y []float64) (slope, intercept, r2 float64, err error) {
 	var sxx, sxy, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxx += float64(dx * dx)
+		sxy += float64(dx * dy)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 {
 		return 0, 0, 0, ErrSingular
 	}
 	slope = sxy / sxx
-	intercept = my - slope*mx
+	intercept = my - float64(slope*mx)
 	if syy == 0 {
 		r2 = 1
 	} else {
@@ -124,11 +124,11 @@ func Percentile(x []float64, p float64) float64 {
 	if p >= 100 {
 		return s[n-1]
 	}
-	pos := p / 100 * float64(n-1)
+	pos := float64(p / 100 * float64(n-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= n {
 		return s[n-1]
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }

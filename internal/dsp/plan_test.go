@@ -44,7 +44,7 @@ func TestPlannedFFTMatchesNaiveAllLengthClasses(t *testing.T) {
 }
 
 // TestPlannedDCTMatchesNaiveAllLengthClasses does the same for the
-// plan-cached DCT power, AddAxisPower: Makhoul's permutation on the
+// plan-cached DCT power, addAxisPower: Makhoul's permutation on the
 // real plan (even lengths) or Bluestein's (odd ones).
 func TestPlannedDCTMatchesNaiveAllLengthClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -258,7 +258,7 @@ func TestPlanRegistriesAreBounded(t *testing.T) {
 			}
 		}
 
-		// AddAxisPower has no entry point taking a plan: pin it to
+		// addAxisPower has no entry point taking a plan: pin it to
 		// the O(n²) reference instead, at this odd length (the complex
 		// path) and the even one after it (the real plan).
 		counts := randomCounts(rng, n+1)

@@ -132,33 +132,88 @@ func realFFT(z []complex128, x, w []float64, mu float64) {
 	}
 }
 
-// addPowerFromSlots finishes the orthonormal DCT-II of a sequence whose
-// pairs sit at their slots in z — the transform, then the split and the
-// rotation — adding each coefficient's c²·inv into psd[:n]. One split
-// serves four bins: k, n−k, m−k and n−m+k.
+// addPowerFromSlots finishes the orthonormal DCT-II of one axis whose
+// pairs sit at their slots in z — the transform, then the split and
+// the rotation — adding each coefficient's c²·inv into psd[:n]. One
+// split serves four bins: k, n−k, m−k and n−m+k.
 func (p *realPlan) addPowerFromSlots(psd []float64, z []complex128, inv float64) {
 	n, m := p.n, p.m
 	z = z[:m]
 	p.transform(z, true)
 	psd = psd[:n]
-	c := (real(z[0]) + imag(z[0])) * p.scale0
-	psd[0] += float64(c * c * inv)
-	c = (real(z[0]) - imag(z[0])) * p.scale0
-	psd[m] += float64(c * c * inv)
-	tw, rot := p.twiddle, p.rot[:m]
+	p0, pm := p.edgePower(z, inv)
+	psd[0] += p0
+	psd[m] += pm
 	for k := 1; k < (m+1)/2; k++ {
-		j := m - k
-		xk, xj := split(z[k], z[j], tw[k])
-		wk, wj := cmul(rot[k], xk), cmul(rot[j], xj)
-		psd[k] += float64(real(wk) * real(wk) * inv)
-		psd[n-k] += float64(imag(wk) * imag(wk) * inv)
-		psd[j] += float64(real(wj) * real(wj) * inv)
-		psd[n-j] += float64(imag(wj) * imag(wj) * inv)
+		pk, pnk, pj, pnj := p.slotPower(z, k, inv)
+		psd[k] += pk
+		psd[n-k] += pnk
+		psd[m-k] += pj
+		psd[n-m+k] += pnj
 	}
 	if k := m / 2; m%2 == 0 && k > 0 {
-		xk, _ := split(z[k], z[k], tw[k])
-		wk := cmul(rot[k], xk)
-		psd[k] += float64(real(wk) * real(wk) * inv)
-		psd[n-k] += float64(imag(wk) * imag(wk) * inv)
+		pk, pnk, _, _ := p.slotPower(z, k, inv)
+		psd[k] += pk
+		psd[n-k] += pnk
 	}
+}
+
+// recordPowerFromSlots is addPowerFromSlots for three transformed axes
+// at once, writing psd[:n] rather than adding to it: each bin is
+// (sˣ + sʸ) + sᶻ, the bits three adds into a zeroed psd give. The bins
+// k, n−k, m−k and n−m+k for k = 1 … ⌈m/2⌉−1 run on the AVX2 kernel
+// where the CPU runs it, two k at a time, and recordPowerGo otherwise;
+// the odd k left and the edge and middle bins run in Go.
+func (p *realPlan) recordPowerFromSlots(psd []float64, zx, zy, zz []complex128, inv float64) {
+	n, m := p.n, p.m
+	psd = psd[:n]
+	x0, xm := p.edgePower(zx, inv)
+	y0, ym := p.edgePower(zy, inv)
+	z0, zm := p.edgePower(zz, inv)
+	psd[0], psd[m] = x0+y0+z0, xm+ym+zm
+	k := 1
+	if recordPowerAsm != nil {
+		count := ((m+1)/2 - 1) &^ 1
+		recordPowerAsm(psd, zx, zy, zz, p.twiddle, p.rot, inv, count)
+		k += count
+	}
+	p.recordPowerGo(psd, zx, zy, zz, inv, k, (m+1)/2)
+	if k := m / 2; m%2 == 0 && k > 0 {
+		xk, xnk, _, _ := p.slotPower(zx, k, inv)
+		yk, ynk, _, _ := p.slotPower(zy, k, inv)
+		zk, znk, _, _ := p.slotPower(zz, k, inv)
+		psd[k], psd[n-k] = xk+yk+zk, xnk+ynk+znk
+	}
+}
+
+// recordPowerGo is the portable power pass: bins k, n−k, m−k and
+// n−m+k of the three axes for k in [lo, hi).
+func (p *realPlan) recordPowerGo(psd []float64, zx, zy, zz []complex128, inv float64, lo, hi int) {
+	n, m := p.n, p.m
+	for k := lo; k < hi; k++ {
+		xk, xnk, xj, xnj := p.slotPower(zx, k, inv)
+		yk, ynk, yj, ynj := p.slotPower(zy, k, inv)
+		zk, znk, zj, znj := p.slotPower(zz, k, inv)
+		psd[k], psd[n-k] = xk+yk+zk, xnk+ynk+znk
+		psd[m-k], psd[n-m+k] = xj+yj+zj, xnj+ynj+znj
+	}
+}
+
+// edgePower returns the power c²·inv of bins 0 and m of the DCT whose
+// transformed pairs are z.
+func (p *realPlan) edgePower(z []complex128, inv float64) (p0, pm float64) {
+	c := (real(z[0]) + imag(z[0])) * p.scale0
+	d := (real(z[0]) - imag(z[0])) * p.scale0
+	return float64(c * c * inv), float64(d * d * inv)
+}
+
+// slotPower returns the power c²·inv of bins k, n−k, j = m−k and n−j of
+// the DCT whose transformed pairs are z: one split of Z[k] and Z[j],
+// then each half rotated.
+func (p *realPlan) slotPower(z []complex128, k int, inv float64) (pk, pnk, pj, pnj float64) {
+	j := p.m - k
+	xk, xj := split(z[k], z[j], p.twiddle[k])
+	wk, wj := cmul(p.rot[k], xk), cmul(p.rot[j], xj)
+	return float64(real(wk) * real(wk) * inv), float64(imag(wk) * imag(wk) * inv),
+		float64(real(wj) * real(wj) * inv), float64(imag(wj) * imag(wj) * inv)
 }

@@ -86,7 +86,7 @@ func complexWelch(x []float64, fs float64, seg int) []float64 {
 	return out
 }
 
-// complexAxisPower is AddAxisPower on the complex path: complexDCT of
+// complexAxisPower is addAxisPower on the complex path: complexDCT of
 // the demeaned counts·scale, squared and scaled by 1/(2K).
 func complexAxisPower(counts []int16, scale float64) []float64 {
 	c := complexDCT(Demean(countsG(counts, scale)))
@@ -211,7 +211,7 @@ func TestRealFFTMatchesComplex(t *testing.T) {
 }
 
 // TestRealKernelsMatchComplexChain bounds every caller of the real
-// plan against its complex-path reference: AddAxisPower (Makhoul over
+// plan against its complex-path reference: addAxisPower (Makhoul over
 // the n-point complex FFT), PeriodogramInto, EnvelopeInto,
 // EnvelopeSpectrumInto and WelchInto (n-sample segments of a 4.5n-sample
 // signal, the tail dropped), at every even length class and, for the
@@ -273,8 +273,9 @@ func TestRealKernelsMatchComplexChain(t *testing.T) {
 // FuzzRealFFT checks realFFT against the complex FFT at random even
 // lengths to 4,096 — powers of two and Bluestein lengths alike — on
 // samples drawn from seed at a random offset and scale, untapered and
-// under a random taper about the mean, and AddAxisPower of the samples
-// rounded to ADC counts against the complex Makhoul chain.
+// under a random taper about the mean, and RecordPower of three axes
+// of the samples rounded to ADC counts against the sum of their complex
+// Makhoul chains.
 func FuzzRealFFT(f *testing.F) {
 	f.Add(int64(1), uint16(512), 1.0, 0.0)
 	f.Add(int64(2), uint16(500), 1e-3, 5.0)
@@ -296,9 +297,24 @@ func FuzzRealFFT(f *testing.F) {
 		}
 		checkRealFFT(t, x, nil, 0)
 		checkRealFFT(t, x, w, Mean(x))
-		counts := toCounts(x)
-		got, _, _ := axisPower(counts, adcScale)
-		want := complexAxisPower(counts, adcScale)
-		checkBound(t, "n="+strconv.Itoa(n)+" axis power", got, want, sum(want), realBound)
+		// A record of three axes: the samples, their reversal and the
+		// samples scaled by the taper.
+		var axes [3][]int16
+		axes[0] = toCounts(x)
+		axes[1] = make([]int16, n)
+		for i, c := range axes[0] {
+			axes[1][n-1-i] = c
+			x[i] *= w[i]
+		}
+		axes[2] = toCounts(x)
+		got := make([]float64, n)
+		RecordPower(got, &axes, adcScale)
+		want := make([]float64, n)
+		for _, counts := range axes {
+			for k, v := range complexAxisPower(counts, adcScale) {
+				want[k] += v
+			}
+		}
+		checkBound(t, "n="+strconv.Itoa(n)+" record power", got, want, sum(want), realBound)
 	})
 }

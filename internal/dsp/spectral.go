@@ -51,7 +51,7 @@ func RMS(x []float64) float64 {
 	}
 	var s float64
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s / float64(len(x)))
 }
@@ -65,7 +65,7 @@ func Variance(x []float64) float64 {
 	var s float64
 	for _, v := range x {
 		d := v - mu
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(x))
 }
@@ -73,21 +73,118 @@ func Variance(x []float64) float64 {
 // Std returns the population standard deviation of x.
 func Std(x []float64) float64 { return math.Sqrt(Variance(x)) }
 
-// AddAxisPower is one axis of the paper's PSD feature
-// sˡ = (âˡ·W_K)²/(2K), W_K the orthonormal DCT-II, read straight from
-// its raw ADC counts: with g = counts·scale and â = g − mean it adds sˡ
-// into psd[:len(counts)], which must exist, and returns the axis mean
-// and Σ(g−mean)², the moments the zero offset and the RMS feature are
-// made of (by Parseval, 2K·Σ sˡ is that Σ(g−mean)²). It reads the
-// counts twice (the mean; then each demeaned sample, summed squared and
-// written straight to its slot of the DCT's FFT, realPlan.slot) and its
-// spectrum once, allocation-free once the plan and scratch are warm.
+// RecordPower is the paper's PSD feature of one record,
+// s = Σ_{l∈{x,y,z}} (âˡ·W_K)²/(2K) with W_K the orthonormal DCT-II,
+// read straight from the three axes' raw ADC counts: with
+// gˡ = countsˡ·scale and âˡ = gˡ − meanˡ it writes s into psd[:K], K
+// the longest axis (psd must hold that many), and returns each axis's
+// mean and Σ(gˡ−meanˡ)², the moments the zero offsets and the RMS
+// feature are made of (by Parseval, 2K·Σ sˡ is that Σ(gˡ−meanˡ)²). An
+// empty axis adds nothing and reports zero moments.
 //
-// The moments are bit for bit the two-pass transform.Offsets and
-// transform.RMS: the counts are summed in sample order and every
-// product is rounded by an explicit float64 conversion before its add,
-// which stops a compiler from fusing the multiply into it.
-func AddAxisPower(psd []float64, counts []int16, scale float64) (mean, sumSq float64) {
+// Three axes of one even length — every well-formed record — take four
+// passes: the three means in one loop; one demean pass that sums each
+// axis's squares and writes each demeaned sample straight to its slot
+// of that axis's K/2-point FFT (realPlan.slot); the three transforms;
+// and one split/rotation/power pass that writes each bin once. The
+// demean and power passes are AVX2 kernels where the CPU runs them
+// (stage_amd64.s) and Go loops otherwise, to the same bits. An odd
+// length, or axes of unequal lengths, take addAxisPower per axis into
+// a cleared psd. It is allocation-free once the plan and scratch are
+// warm.
+//
+// Every path gives the same bits: each axis's sums run in sample
+// order, every product is rounded by an explicit float64 conversion
+// before its add (which stops a compiler from fusing the multiply into
+// it), and a bin is (0 + sˣ) + sʸ + sᶻ, the axes in order, exactly as
+// three addAxisPower calls into a zeroed psd make it. The moments are
+// bit for bit the two-pass transform.Offsets and transform.RMS.
+func RecordPower(psd []float64, axes *[3][]int16, scale float64) (mean, sumSq [3]float64) {
+	n := len(axes[0])
+	if n%2 == 1 || len(axes[1]) != n || len(axes[2]) != n {
+		clear(psd[:max(n, len(axes[1]), len(axes[2]))])
+		for l, counts := range axes {
+			mean[l], sumSq[l] = addAxisPower(psd, counts, scale)
+		}
+		return mean, sumSq
+	}
+	if n == 0 {
+		return mean, sumSq
+	}
+	x, y, z := axes[0], axes[1][:n], axes[2][:n]
+	var mx, my, mz float64
+	for i, c := range x {
+		mx += float64(float64(c) * scale)
+		my += float64(float64(y[i]) * scale)
+		mz += float64(float64(z[i]) * scale)
+	}
+	mean = [3]float64{mx / float64(n), my / float64(n), mz / float64(n)}
+	p := planReal(n)
+	bx, by, bz := getCBuf(p.m), getCBuf(p.m), getCBuf(p.m)
+	zx, zy, zz := bx.s, by.s, bz.s
+	demean := demeanScatterGo
+	if recordDemeanAsm != nil {
+		demean = recordDemeanAsm
+	}
+	sx, sy, sz := demean(zx, zy, zz, x, y, z, p.slot[:n/4*2], scale, mean[0], mean[1], mean[2])
+	if n%4 == 2 {
+		s := p.slot[p.m-1]
+		var d0, d1 float64
+		d0, d1, sx = demean2(x[n-2], x[n-1], scale, mean[0], sx)
+		zx[s] = complex(d0, d1)
+		d0, d1, sy = demean2(y[n-2], y[n-1], scale, mean[1], sy)
+		zy[s] = complex(d0, d1)
+		d0, d1, sz = demean2(z[n-2], z[n-1], scale, mean[2], sz)
+		zz[s] = complex(d0, d1)
+	}
+	p.transform(zx, true)
+	p.transform(zy, true)
+	p.transform(zz, true)
+	p.recordPowerFromSlots(psd, zx, zy, zz, 1/(2*float64(n)))
+	putCBuf(bx)
+	putCBuf(by)
+	putCBuf(bz)
+	return mean, [3]float64{sx, sy, sz}
+}
+
+// recordDemeanAsm and recordPowerAsm are the assembly demean and power
+// passes, set at package init where the CPU runs them
+// (stage_amd64.go) and nil elsewhere.
+var (
+	recordDemeanAsm func(zx, zy, zz []complex128, x, y, z []int16, slot []int32, scale, mx, my, mz float64) (sx, sy, sz float64)
+	recordPowerAsm  func(psd []float64, zx, zy, zz, tw, rot []complex128, inv float64, count int)
+)
+
+// demeanScatterGo is RecordPower's demean pass over the len(slot)/2
+// four-sample blocks of the axes x, y and z, whose means are mx, my
+// and mz: each sample becomes g − mean, its square is added to its
+// axis's Σ(g−mean)² in sample order, and each block's pairs (d0, d2)
+// and (d3, d1) go to its slots of the axis's FFT input zx, zy or zz.
+// It returns the three sums.
+func demeanScatterGo(zx, zy, zz []complex128, x, y, z []int16, slot []int32, scale, mx, my, mz float64) (sx, sy, sz float64) {
+	for b := 0; b < len(slot)/2; b++ {
+		s0, s1 := slot[2*b], slot[2*b+1]
+		qx, qy, qz := (*[4]int16)(x[4*b:]), (*[4]int16)(y[4*b:]), (*[4]int16)(z[4*b:])
+		var x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3 float64
+		x0, x1, sx = demean2(qx[0], qx[1], scale, mx, sx)
+		y0, y1, sy = demean2(qy[0], qy[1], scale, my, sy)
+		z0, z1, sz = demean2(qz[0], qz[1], scale, mz, sz)
+		x2, x3, sx = demean2(qx[2], qx[3], scale, mx, sx)
+		y2, y3, sy = demean2(qy[2], qy[3], scale, my, sy)
+		z2, z3, sz = demean2(qz[2], qz[3], scale, mz, sz)
+		zx[s0], zx[s1] = complex(x0, x2), complex(x3, x1)
+		zy[s0], zy[s1] = complex(y0, y2), complex(y3, y1)
+		zz[s0], zz[s1] = complex(z0, z2), complex(z3, z1)
+	}
+	return sx, sy, sz
+}
+
+// addAxisPower is one axis of RecordPower: it adds sˡ into
+// psd[:len(counts)], which must exist, and returns the axis mean and
+// Σ(g−mean)². It reads the counts twice (the mean; then each demeaned
+// sample, summed squared and written straight to its slot of the DCT's
+// FFT, realPlan.slot) and its spectrum once.
+func addAxisPower(psd []float64, counts []int16, scale float64) (mean, sumSq float64) {
 	n := len(counts)
 	if n == 0 {
 		return 0, 0
@@ -130,7 +227,7 @@ func demean2(a, b int16, scale, mean, sumSq float64) (da, db, sq float64) {
 	return da, db, sumSq
 }
 
-// addOddAxisPower is AddAxisPower's odd-length path: the demeaned
+// addOddAxisPower is addAxisPower's odd-length path: the demeaned
 // samples at their even-odd permuted slots of an n-point complex FFT,
 // then the cos/sin recombination, squared into psd. It returns
 // Σ(g−mean)².
@@ -221,9 +318,9 @@ func oneSided(acc, x, w []float64, mu, scale float64) {
 		FFT(cb.s)
 	}
 	for k, m := range cb.s[:half] {
-		p := (real(m)*real(m) + imag(m)*imag(m)) * scale
+		p := float64((float64(real(m)*real(m)) + float64(imag(m)*imag(m))) * scale)
 		if k != 0 && !(n%2 == 0 && k == half-1) {
-			p *= 2
+			p = float64(p * 2)
 		}
 		acc[k] += p
 	}
@@ -253,7 +350,7 @@ func BandPower(freq, psd []float64, lo, hi float64) float64 {
 			continue
 		}
 		frac := (b - a) / (f1 - f0)
-		p += 0.5 * (psd[i-1] + psd[i]) * (f1 - f0) * frac
+		p += float64(0.5 * (psd[i-1] + psd[i]) * (f1 - f0) * frac)
 	}
 	return p
 }

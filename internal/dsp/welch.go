@@ -48,7 +48,7 @@ func WelchInto(freq, psd []float64, x []float64, fs float64, seg int) error {
 	window := hannCached(seg)
 	var wp float64
 	for _, w := range window {
-		wp += w * w
+		wp += float64(w * w)
 	}
 	if wp == 0 {
 		return errSegment

@@ -197,7 +197,7 @@ func smoothEdges(dst, x, kernel []float64, from, to int) {
 			if idx < 0 || idx >= n {
 				continue // kernel wider than twice the signal
 			}
-			sum += x[idx] * kernel[j]
+			sum += float64(x[idx] * kernel[j])
 			mass += kernel[j]
 		}
 		if mass != 0 {
@@ -222,7 +222,7 @@ func EWMA(x []float64, alpha float64) []float64 {
 	}
 	out[0] = x[0]
 	for i := 1; i < n; i++ {
-		out[i] = alpha*x[i] + (1-alpha)*out[i-1]
+		out[i] = float64(alpha*x[i]) + float64((1-alpha)*out[i-1])
 	}
 	return out
 }

@@ -48,7 +48,7 @@ func trainHealthyBaseline(t *testing.T, seed int64, n int) *Baseline {
 	for i := range recs {
 		recs[i] = captureRecord(t, pump, float64(i)*0.1)
 	}
-	b, err := TrainBaseline(recs, Options{})
+	b, err := TrainBaseline(recs, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPeakDistanceMatchedWithinTolerance(t *testing.T) {
 }
 
 func TestTrainBaselineErrors(t *testing.T) {
-	if _, err := TrainBaseline(nil, Options{}); !errors.Is(err, ErrNoTraining) {
+	if _, err := TrainBaseline(nil, Options{}, nil); !errors.Is(err, ErrNoTraining) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -80,18 +80,26 @@ var ErrNoTraining = errors.New("feature: no Zone A training measurements")
 
 // TrainBaseline builds the Zone A baseline from healthy training
 // records: the harmonic feature of the average healthy PSD (a stable
-// exemplar), the PSD centroid, and the diagonal covariance.
-func TrainBaseline(healthy []*store.Record, opt Options) (*Baseline, error) {
+// exemplar), the PSD centroid, and the diagonal covariance. It takes
+// one spectrum per record; keep, when non-nil, is handed each record's
+// index, spectrum and moments once the baseline is built (its PSD
+// statistics final), across cores, so a caller can derive what else it
+// wants from them without transforming the record again. keep must not
+// retain the slices.
+func TrainBaseline(healthy []*store.Record, opt Options, keep func(b *Baseline, i int, freq, psd []float64, m transform.Moments)) (*Baseline, error) {
 	if len(healthy) == 0 {
 		return nil, ErrNoTraining
 	}
 	opt = opt.fill()
 	// The spectra are taken across cores and summed in record order, so
 	// the mean is the sequential loop's, bit for bit.
-	type spectrum struct{ freq, psd []float64 }
+	type spectrum struct {
+		freq, psd []float64
+		m         transform.Moments
+	}
 	spectra := par.Map(len(healthy), 0, func(i int) spectrum {
-		f, psd := transform.PSD(healthy[i])
-		return spectrum{f, psd}
+		f, psd, m := transform.PSDInto(nil, nil, healthy[i])
+		return spectrum{f, psd, m}
 	})
 	freq := spectra[0].freq
 	mean := make([]float64, len(spectra[0].psd))
@@ -132,14 +140,20 @@ func TrainBaseline(healthy []*store.Record, opt Options) (*Baseline, error) {
 	if pmax <= 0 {
 		pmax = 1
 	}
-	return &Baseline{
+	b := &Baseline{
 		Harmonic: h,
 		PMax:     pmax,
 		FMax:     fmax,
 		PSDMean:  mean,
 		PSDVar:   variance,
 		Opt:      opt,
-	}, nil
+	}
+	if keep != nil {
+		par.ForEach(len(spectra), 0, func(i int) {
+			keep(b, i, spectra[i].freq, spectra[i].psd, spectra[i].m)
+		})
+	}
+	return b, nil
 }
 
 // SetNormalizers widens Algorithm 1's global normalizers to cover the

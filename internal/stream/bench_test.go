@@ -38,7 +38,7 @@ func servingState(tb testing.TB, faults bool) *LiveState {
 	for i := 0; i < 4; i++ {
 		healthy = append(healthy, simRec(tb, 2, float64(10+i), 1024))
 	}
-	base, err := feature.TrainBaseline(healthy, feature.Options{})
+	base, err := feature.TrainBaseline(healthy, feature.Options{}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -382,7 +382,7 @@ func TestStaleDaRescoresFromTheKeptHarmonic(t *testing.T) {
 func TestVectorScoresAreTheBaselines(t *testing.T) {
 	base1 := trainBaseline(t, feature.Options{})
 	// A second Zone A set: the vector metrics read the PSD statistics.
-	base2, err := feature.TrainBaseline([]*store.Record{mkRec(0, 20, 256), mkRec(0, 23, 256)}, feature.Options{})
+	base2, err := feature.TrainBaseline([]*store.Record{mkRec(0, 20, 256), mkRec(0, 23, 256)}, feature.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,6 +477,71 @@ func TestScanKeepsTheTrainedVectorScores(t *testing.T) {
 		}
 		if err != nil || !eqF64(euc, wantEuc) || !eqF64(mah, wantMah) {
 			t.Errorf("record %d: VectorScores (%v, %v, %v), Score's (%v, %v)", i, euc, mah, err, wantEuc, wantMah)
+		}
+	}
+}
+
+// TestFitScanIsTrainingThenScan: FitScan's baseline is TrainBaseline's
+// over the Zone A records and its harmonics are what Harmonics returns
+// against it, bit for bit, and each hot record's bundle — a Zone A
+// one folded from its training spectrum — holds what the scan's fold
+// keeps. It takes one spectrum per record, where training and then
+// scanning take one more per Zone A record.
+func TestFitScanIsTrainingThenScan(t *testing.T) {
+	opt := feature.Options{}
+	var recs []*store.Record
+	for i := 0; i < 6; i++ {
+		recs = append(recs, mkRec(6, float64(i), 256))
+	}
+	hot := []bool{true, false, true, true, false, true}
+	zoneA := []bool{true, true, false, true, false, false}
+	var healthy []*store.Record
+	for i, a := range zoneA {
+		if a {
+			healthy = append(healthy, recs[i])
+		}
+	}
+	psds := obs.Default.Counter("vibepm_transform_psd_total")
+	p0 := psds.Value()
+	want, err := feature.TrainBaseline(healthy, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewLiveState(Config{Harmonic: opt})
+	wantH := ref.Harmonics(recs, hot, want)
+	if d := psds.Value() - p0; d != uint64(len(recs)+len(healthy)) {
+		t.Fatalf("training then scanning computed %d spectra, want %d", d, len(recs)+len(healthy))
+	}
+
+	ls := NewLiveState(Config{Harmonic: opt})
+	p0 = psds.Value()
+	got, gotH, err := ls.FitScan(recs, hot, zoneA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := psds.Value() - p0; d != uint64(len(recs)) {
+		t.Errorf("FitScan computed %d spectra, want one per record: %d", d, len(recs))
+	}
+	if !reflect.DeepEqual(*got, *want) {
+		t.Errorf("FitScan's baseline %+v, TrainBaseline's %+v", *got, *want)
+	}
+	if !reflect.DeepEqual(gotH, wantH) {
+		t.Errorf("FitScan's harmonics %+v, Harmonics' %+v", gotH, wantH)
+	}
+	if ls.Size() != ref.Size() {
+		t.Errorf("FitScan planted %d bundles, the scan %d", ls.Size(), ref.Size())
+	}
+	for i, rec := range recs {
+		g, w := ls.pump(rec.PumpID).feats[rec], ref.pump(rec.PumpID).feats[rec]
+		if (g == nil) != (w == nil) {
+			t.Fatalf("record %d: planted %v, the scan's %v", i, g != nil, w != nil)
+		}
+		if g == nil {
+			continue
+		}
+		if g.Offsets != w.Offsets || g.RMS != w.RMS || g.VRMS != w.VRMS || !reflect.DeepEqual(g.harm, w.harm) ||
+			g.euc != w.euc || g.mah != w.mah || g.vecFor != got || w.vecFor != want || g.daFor != nil {
+			t.Errorf("record %d: FitScan's bundle differs from the scan's", i)
 		}
 	}
 }

@@ -42,7 +42,7 @@
 // non-resident record's (one no store holds): the pure function's.
 //
 // There is one memo protocol, LiveState.lookup: every entry point
-// (Fold, Da, DaSeries, VectorScores, Harmonics, FaultReport,
+// (Fold, Da, DaSeries, VectorScores, Harmonics, FitScan, FaultReport,
 // MetricFunc, OffsetRows, and the durable Ingester planting the bundle
 // it folded during the append) is a thin caller of it, so a derived value is looked up,
 // computed on a miss and counted in exactly one place.
@@ -289,25 +289,42 @@ func (ls *LiveState) lookup(rec *store.Record, plant bool, pre *feat, vec *featu
 // callers that need the fault report ask for it.
 func (ls *LiveState) computeFeat(rec *store.Record, f *feat, vec *feature.Baseline) {
 	start := time.Now()
-	base := ls.baseline.Load()
 	// The spectrum lives in pooled scratch: the bundle keeps only what
 	// is derived from it, and the offsets and RMS its pass read.
-	m := transform.UsePSD(rec, func(freq, psd []float64) {
-		f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
-		sc := peakPool.Get().(*peakScratch)
-		raw, pinned := ls.extract(sc, freq, psd, base)
-		f.harm = own(raw)
-		if base != nil {
-			f.daFor = base
-			f.da.val, f.da.err = base.DaFromHarmonic(pinned)
+	m := transform.UsePSD(rec, func(freq, psd []float64) { ls.deriveFeat(f, freq, psd, vec) })
+	finishFold(f, m, start)
+}
+
+// foldSpectrum is computeFeat from a record's spectrum and moments
+// already taken (see FitScan), into a detached f.
+func (ls *LiveState) foldSpectrum(f *feat, freq, psd []float64, m transform.Moments, vec *feature.Baseline) {
+	start := time.Now()
+	ls.deriveFeat(f, freq, psd, vec)
+	finishFold(f, m, start)
+}
+
+// deriveFeat fills what f keeps from the record's spectrum.
+func (ls *LiveState) deriveFeat(f *feat, freq, psd []float64, vec *feature.Baseline) {
+	base := ls.baseline.Load()
+	f.VRMS = transform.VelocityRMSFromPSD(freq, psd, transform.ISOBandLoHz, transform.ISOBandHiHz)
+	sc := peakPool.Get().(*peakScratch)
+	raw, pinned := ls.extract(sc, freq, psd, base)
+	f.harm = own(raw)
+	if base != nil {
+		f.daFor = base
+		f.da.val, f.da.err = base.DaFromHarmonic(pinned)
+	}
+	peakPool.Put(sc)
+	if vec != nil {
+		if euc, mah, err := vec.VectorScores(psd); err == nil {
+			f.vecFor, f.euc, f.mah = vec, euc, mah
 		}
-		peakPool.Put(sc)
-		if vec != nil {
-			if euc, mah, err := vec.VectorScores(psd); err == nil {
-				f.vecFor, f.euc, f.mah = vec, euc, mah
-			}
-		}
-	})
+	}
+}
+
+// finishFold stores the moments the spectrum's pass read and counts
+// the fold that began at start.
+func finishFold(f *feat, m transform.Moments, start time.Time) {
 	f.Offsets, f.RMS = m.Offsets, m.RMS
 	f.folded = true
 	metFolds.Inc()
@@ -571,7 +588,8 @@ func (ls *LiveState) DaSeries(recs []*store.Record, idx []int) (days, das []floa
 }
 
 // Harmonics returns the harmonic feature of every record for
-// Config.Harmonic — the engine's Fit-time corpus scan. Results are
+// Config.Harmonic — the engine's Fit-time corpus scan of the records
+// the baseline is not trained on (FitScan). Results are
 // identical to feature.HarmonicOfRecord per record. hot[i] (nil: false
 // for every record) says recs[i] is held by the hot store: it is folded
 // and planted, the fold Warm would run, and the harmonic is the one its
@@ -590,6 +608,60 @@ func (ls *LiveState) Harmonics(recs []*store.Record, hot []bool, vec *feature.Ba
 		}
 		return feature.HarmonicOfRecord(recs[i], ls.cfg.Harmonic)
 	})
+}
+
+// FitScan is the engine's Fit-time scan with the Zone A baseline
+// trained inside it: it trains the baseline on the records zoneA
+// marks (feature.TrainBaseline for Config.Harmonic) and returns it with
+// every record's harmonic, exactly what Harmonics(recs, hot, baseline)
+// returns and keeps, taking one spectrum per record. A training
+// record's spectrum, taken for the baseline's PSD statistics, is also
+// the one its harmonic comes from: a hot one that is not resident yet
+// is folded from it off the memo, its vector scores against the
+// trained baseline included, and planted as lookup's pre; any other is
+// looked up as Harmonics would, and a cold one that is not resident
+// has its harmonic extracted from the spectrum. The other records are
+// Harmonics'.
+func (ls *LiveState) FitScan(recs []*store.Record, hot, zoneA []bool) (*feature.Baseline, []feature.Harmonic, error) {
+	n := len(recs)
+	healthy, rest := make([]*store.Record, 0, n), make([]*store.Record, 0, n)
+	train, other, otherHot := make([]int, 0, n), make([]int, 0, n), make([]bool, 0, n)
+	for i, rec := range recs {
+		if zoneA[i] {
+			healthy, train = append(healthy, rec), append(train, i)
+		} else {
+			rest, other, otherHot = append(rest, rec), append(other, i), append(otherHot, hot[i])
+		}
+	}
+	harms := make([]feature.Harmonic, len(recs))
+	base, err := feature.TrainBaseline(healthy, ls.cfg.Harmonic, func(b *feature.Baseline, j int, freq, psd []float64, m transform.Moments) {
+		i := train[j]
+		var pre *feat
+		if hot[i] && !ls.resident(recs[i]) {
+			pre = new(feat)
+			ls.foldSpectrum(pre, freq, psd, m, b)
+		}
+		if f := ls.lookup(recs[i], hot[i], pre, b, nil); f != nil {
+			harms[i] = f.harm
+		} else {
+			harms[i] = feature.ExtractHarmonic(freq, psd, ls.cfg.Harmonic)
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for k, h := range ls.Harmonics(rest, otherHot, base) {
+		harms[other[k]] = h
+	}
+	return base, harms, nil
+}
+
+// resident reports whether rec has a bundle in the memo.
+func (ls *LiveState) resident(rec *store.Record) bool {
+	ps := ls.pump(rec.PumpID)
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.feats[rec] != nil
 }
 
 // FaultReport classifies one record with the installed detector,

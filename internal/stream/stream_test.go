@@ -46,7 +46,7 @@ func trainBaseline(t *testing.T, opt feature.Options) *feature.Baseline {
 	for i := 0; i < 4; i++ {
 		healthy = append(healthy, mkRec(0, float64(i), 256))
 	}
-	b, err := feature.TrainBaseline(healthy, opt)
+	b, err := feature.TrainBaseline(healthy, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

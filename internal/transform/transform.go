@@ -44,7 +44,7 @@ func Offsets(rec *store.Record) (offsets [3]float64) {
 		var sum float64
 		for _, v := range raw {
 			// The conversion rounds the product before the add, as a
-			// stored acceleration would be (see dsp.AddAxisPower).
+			// stored acceleration would be (see dsp.RecordPower).
 			sum += float64(float64(v) * rec.ScaleG)
 		}
 		offsets[axis] = sum / float64(len(raw))
@@ -76,9 +76,11 @@ var metPSDs = obs.Default.Counter("vibepm_transform_psd_total")
 
 // PSDInto is PSD writing into caller-owned freq and psd slices (grown
 // if their capacity is short, returned resliced to rec.Samples()), plus
-// the record's Moments from the same reads: one dsp.AddAxisPower pass
-// per axis. The DCT runs on a cached plan over pooled scratch, so
-// steady-state calls with adequate slices are allocation-free.
+// the record's Moments from the same reads: one dsp.RecordPower call
+// over the three axes, whose demean and power passes each run once for
+// x, y and z together (AVX2 kernels where the CPU has them). The DCTs
+// run on a cached plan over pooled scratch, so steady-state calls with
+// adequate slices are allocation-free.
 func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64, Moments) {
 	metPSDs.Inc()
 	k := rec.Samples()
@@ -91,18 +93,15 @@ func PSDInto(freq, psd []float64, rec *store.Record) ([]float64, []float64, Mome
 		psd = make([]float64, n)
 	}
 	psd = psd[:n]
-	for i := range psd {
-		psd[i] = 0
-	}
+	mean, sumSq := dsp.RecordPower(psd, &rec.Raw, rec.ScaleG)
 	var m Moments
 	var sum float64
 	for axis, raw := range rec.Raw {
 		if len(raw) == 0 {
 			continue
 		}
-		mean, sq := dsp.AddAxisPower(psd, raw, rec.ScaleG)
-		m.Offsets[axis] = mean
-		sum += sq / float64(len(raw))
+		m.Offsets[axis] = mean[axis]
+		sum += sumSq[axis] / float64(len(raw))
 	}
 	m.RMS = math.Sqrt(sum)
 	return freq, psd[:k], m
@@ -138,7 +137,7 @@ func RMS(rec *store.Record) float64 {
 			continue
 		}
 		// Each conversion rounds a product before the add that follows
-		// it, so the sums are the ones dsp.AddAxisPower makes on every
+		// it, so the sums are the ones dsp.RecordPower makes on every
 		// target.
 		var mean float64
 		for _, v := range raw {

@@ -122,26 +122,32 @@ func TestFitTransformsEachLabelledRecordOnce(t *testing.T) {
 }
 
 // TestFitTakesOneSpectrumPerRecordItReads: a fit computes one spectrum
-// per Zone A pair for the baseline's PSD statistics and one per hot
-// labelled record for its scan, and no more.
+// per labelled record it reads, and no more: the scan folds each hot
+// labelled record once, and a Zone A record's fold reuses the spectrum
+// the baseline's PSD statistics were summed from.
 func TestFitTakesOneSpectrumPerRecordItReads(t *testing.T) {
 	eng, ds := fitEngine(t, 37)
-	var zoneA, hot int
+	read := map[*Record]bool{}
+	var zoneA int
 	for _, p := range eng.labelledPairs() {
+		if !p.hot {
+			t.Fatalf("pair at %.1f days is cold: the count below assumes every labelled record is hot", p.rec.ServiceDays)
+		}
+		read[p.rec] = true
 		if p.zone == ZoneA {
 			zoneA++
 		}
-		if p.hot {
-			hot++
-		}
+	}
+	if zoneA == 0 {
+		t.Fatal("no Zone A pair: the fit trains no baseline")
 	}
 	fresh := NewWithStores(Options{}, ds.Measurements, ds.Labels)
 	p0 := psdCount()
 	if err := fresh.Fit(); err != nil {
 		t.Fatal(err)
 	}
-	if d := psdCount() - p0; d != uint64(zoneA+hot) {
-		t.Errorf("Fit computed %d spectra, want %d Zone A + %d hot labelled = %d", d, zoneA, hot, zoneA+hot)
+	if d := psdCount() - p0; d != uint64(len(read)) {
+		t.Errorf("Fit computed %d spectra, want one per labelled record read: %d (%d of them Zone A)", d, len(read), zoneA)
 	}
 }
 
