@@ -105,21 +105,22 @@ paper-check:
 chaos:
 	$(GO) run ./cmd/vibechaos -motes 8 -days 30 -plan hostile -seed 42
 
-# The crash sweeps, outside the race detector: chaos.SweepCuts' offsets
-# through everything a tiered, checkpointing store writes (WAL
-# segments, snapshot temps, partition temps; the log counts the cuts
-# per file kind), through one compaction's partition bytes, and through
-# a cluster member's WAL until it is killed and its follower promoted.
+# The crash sweeps, outside the race detector, all through the one
+# trial runner of internal/chaos: chaos.SweepCuts' offsets through
+# everything a tiered, checkpointing store writes (WAL segments,
+# snapshot temps, partition temps; the log counts the cuts per file
+# kind), through one compaction's partition bytes, and through a
+# cluster member's WAL until it is killed and its follower promoted.
 crash-trials:
-	$(GO) test -count=1 -v -run '^(TestCrashPointHarness|TestCompactionCrashSweep|TestClusterNodeKillSweep)$$' ./internal/chaos ./internal/cluster
+	$(GO) test -count=1 -v -run '^(TestCrashPointHarness|TestCompactionCrashSweep|TestClusterNodeKillSweep)$$' ./internal/chaos
 
 cover:
 	$(GO) test -cover ./...
 
 # Short fuzz bursts over the binary codec, the WAL frame decoder, the
 # transport protocol, the live ingest fold path, the mean shift index
-# against its reference scan, and the rotor scan's rank index against
-# selection.
+# against its reference scan, the rotor scan's rank index against
+# selection, and the crash trial runner at any cut of a small store.
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=30s ./internal/store/
@@ -129,6 +130,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzImportRecord -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzClusterEquivalence -fuzztime=30s ./internal/meanshift/
 	$(GO) test -fuzz=FuzzFloorIndex -fuzztime=30s ./internal/feature/
+	$(GO) test -fuzz=FuzzCrashTrial -fuzztime=30s ./internal/chaos/
 
 clean:
 	$(GO) clean ./...

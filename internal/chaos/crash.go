@@ -166,56 +166,6 @@ func (c *CrashWriter) Sync() error {
 // trial loops do not leak descriptors.
 func (c *CrashWriter) Close() error { return c.f.Close() }
 
-// crashTrialConfig parameterizes one crash-point trial.
-type crashTrialConfig struct {
-	// Dir is the durable store directory (one per trial).
-	Dir string
-	// Seed fixes the generated record stream.
-	Seed int64
-	// Records is how many appends the trial attempts.
-	Records int
-	// CheckpointEvery checkpoints after every n-th acked append, so
-	// snapshot (and, when Tiered, partition) writes interleave with the
-	// appends in one byte stream; 0 never checkpoints before the crash.
-	CheckpointEvery int
-	// Tiered enables the cold tier (hot window 4 days, partitions of 2
-	// over the stream's 4 records a day), so checkpoints compact.
-	Tiered bool
-	// CrashAfterBytes cuts that byte stream at this offset, wherever it
-	// falls — frame, segment header, snapshot temp, partition temp;
-	// <= 0 runs to completion without crashing.
-	CrashAfterBytes int64
-	// SegmentBytes sets the WAL rotation threshold (0 = default).
-	// Small values make crash offsets land on rotation boundaries.
-	SegmentBytes int64
-	// Policy is the WAL fsync policy under test.
-	Policy store.SyncPolicy
-	// ReplayWorkers is the recovery parallelism every reopen in the
-	// trial uses (<= 0 GOMAXPROCS, 1 sequential) — the sweep pins it
-	// above 1 to prove recovered == acked under the parallel replayer.
-	ReplayWorkers int
-}
-
-// crashTrialResult reports one trial.
-type crashTrialResult struct {
-	// Attempted is how many appends were issued before the first
-	// failure (or all of them).
-	Attempted int
-	// Acked is how many appends were acknowledged (nil error).
-	Acked int
-	// Recovered is how many records reopening the store reconstructed,
-	// hot and cold together.
-	Recovered int
-	// Crashed reports whether the injected crash fired, and CutKind
-	// names the kind of file whose write it cut.
-	Crashed bool
-	CutKind FileKind
-	// Bytes is the total the trial wrote through the budget.
-	Bytes int64
-	// Temps locates every temp file the trial wrote in that stream.
-	Temps []TempSpan
-}
-
 // Cut is one crash point of a sweep: the byte offset the budget fires
 // at, the WAL fsync policy of the trial, and the recovery parallelism
 // of its reopens (<= 0 GOMAXPROCS, 1 sequential).
@@ -285,129 +235,6 @@ func TrialRecord(rng *rand.Rand, i int) *store.Record {
 		ScaleG:       0.003,
 		Raw:          [3][]int16{raw, raw, raw},
 	}
-}
-
-func (cfg crashTrialConfig) options(wrap func(string, *os.File) store.SegmentFile) store.DurableOptions {
-	opts := store.DurableOptions{
-		WAL:           store.WALOptions{SegmentBytes: cfg.SegmentBytes, Policy: cfg.Policy, WrapFile: wrap},
-		ReplayWorkers: cfg.ReplayWorkers,
-	}
-	if cfg.Tiered {
-		opts.Tiered = &store.TieredOptions{
-			HotWindowDays: 4,
-			PartitionDays: 2,
-			// One scalar stream, as a deployment's partitions carry.
-			Metrics: []store.ColdMetric{{Name: "first", Fn: func(r *store.Record) float64 { return float64(r.Raw[0][0]) }}},
-		}
-	}
-	return opts
-}
-
-// runCrashTrial appends a seeded record stream into a durable store,
-// checkpointing as configured, with every byte the store writes — WAL
-// segments, snapshot temps, partition temps — counted against one
-// budget that cuts the stream at an injected offset. It then checks
-// the recovery contract, reopening with no wrapper:
-//
-//   - hot ∪ cold holds exactly the acknowledged appends, byte for byte
-//     (no acked record lost, no phantom, no panic);
-//   - no *.tmp* file is left anywhere under the directory;
-//   - a further checkpoint converges and still holds exactly that;
-//   - a second reopen is identical.
-//
-// A non-nil error means the contract was violated (or the trial could
-// not run).
-func runCrashTrial(cfg crashTrialConfig) (crashTrialResult, error) {
-	var res crashTrialResult
-	budget := NewCrashBudget(cfg.CrashAfterBytes)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var acked []*store.Record
-	// A failure before the budget fired is the store's, not the trial's.
-	d, _, err := store.OpenDurable(cfg.Dir, cfg.options(budget.Wrap))
-	if err == nil {
-		for i := 0; i < cfg.Records; i++ {
-			rec := TrialRecord(rng, i)
-			res.Attempted++
-			var stored bool
-			if stored, err = d.AddUnique(rec); err != nil {
-				break
-			}
-			if !stored {
-				d.Abort()
-				return res, fmt.Errorf("append %d: unexpectedly judged duplicate", i)
-			}
-			acked = append(acked, rec)
-			if cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
-				if _, err = d.Checkpoint(); err != nil {
-					break
-				}
-			}
-		}
-		d.Abort()
-	}
-	res.Acked = len(acked)
-	res.Crashed = budget.Crashed()
-	res.CutKind = budget.cutKind
-	res.Bytes = budget.Written()
-	res.Temps = budget.temps
-	if err != nil && !res.Crashed {
-		return res, fmt.Errorf("failed without an injected crash: %w", err)
-	}
-	if budget.pinErr != nil {
-		return res, fmt.Errorf("pin the torn temp: %w", budget.pinErr)
-	}
-
-	for _, pass := range []string{"reopen after crash", "second reopen"} {
-		re, _, err := store.OpenDurable(cfg.Dir, cfg.options(nil))
-		if err != nil {
-			return res, fmt.Errorf("%s: %w", pass, err)
-		}
-		err = durableHoldsExactly(re, acked, &res.Recovered)
-		if err == nil {
-			err = noTempsUnder(cfg.Dir)
-		}
-		if err == nil && pass == "reopen after crash" {
-			// Convergence: the next checkpoint finishes whatever the
-			// crash interrupted and retires the log it replayed.
-			if _, err = re.Checkpoint(); err != nil {
-				err = fmt.Errorf("checkpoint: %w", err)
-			} else {
-				err = durableHoldsExactly(re, acked, &res.Recovered)
-			}
-		}
-		re.Abort()
-		if err != nil {
-			return res, fmt.Errorf("%s: %w", pass, err)
-		}
-	}
-	return res, nil
-}
-
-// durableHoldsExactly asserts that the union of d's hot store and cold
-// partitions is exactly the acked records. Records a crash left in
-// both tiers (renamed partition, WAL not yet retired) dedupe by key;
-// the byte comparison then also proves the cold copy decompressed
-// bit-identical to what was acked.
-func durableHoldsExactly(d *store.Durable, acked []*store.Record, n *int) error {
-	union := store.NewMeasurements()
-	for _, id := range d.Store().Pumps() {
-		for _, rec := range d.Store().All(id) {
-			union.AddUnique(rec)
-		}
-	}
-	if c := d.Cold(); c != nil {
-		for _, id := range c.Pumps() {
-			recs, err := c.Records(id)
-			if err != nil {
-				return fmt.Errorf("decompress pump %d: %w", id, err)
-			}
-			for _, rec := range recs {
-				union.AddUnique(rec)
-			}
-		}
-	}
-	*n = union.Len()
-	return CheckRecovered(union, acked, acked)
 }
 
 // CheckRecovered is the one yardstick every crash harness measures

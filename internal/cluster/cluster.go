@@ -78,9 +78,9 @@ func Open(dir string, names []string, opts Options) (*Cluster, error) {
 	if w := opts.Node.Durable.WAL; w.OnFrame != nil || w.OnSeal != nil {
 		return nil, errors.New("cluster: WAL OnFrame/OnSeal are cluster-owned")
 	}
-	// Union, failover and the retarget bootstrap read a member's hot
-	// store only, so a tiered member would silently lose its cold
-	// records; and one corpus cannot be shared by N stores.
+	// Failover and the retarget bootstrap read a member's hot store
+	// only, so a tiered member would silently lose its cold records;
+	// and one corpus cannot be shared by N stores.
 	if t := opts.Node; t.Measurements != nil || t.Labels != nil || t.Durable.Tiered != nil {
 		return nil, errors.New("cluster: members take no corpus and no tiering")
 	}
@@ -150,7 +150,7 @@ func Open(dir string, names []string, opts Options) (*Cluster, error) {
 		}
 		opened, err := node.Open(nopts)
 		if err != nil {
-			c.abortAll()
+			c.Abort()
 			return nil, fmt.Errorf("cluster: open node %s: %w", name, err)
 		}
 		n.Node = opened
@@ -352,26 +352,6 @@ func allRecords(m *store.Measurements) []*store.Record {
 	return recs
 }
 
-// Union merges every live node's store into one canonical view — the
-// cluster-wide record set the chaos harness compares against the acked
-// stream. Records are AddUnique'd, so a record present on two nodes
-// (mid-redistribution duplicates) counts once.
-func (c *Cluster) Union() *store.Measurements {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	u := store.NewMeasurements()
-	for _, name := range c.order {
-		n := c.nodes[name]
-		if n == nil || !n.alive {
-			continue
-		}
-		for _, rec := range allRecords(n.Store) {
-			u.AddUnique(rec)
-		}
-	}
-	return u
-}
-
 // NodeStatus is one member's row in a cluster status report.
 type NodeStatus struct {
 	Name          string   `json:"name"`
@@ -445,8 +425,10 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// abortAll tears down a half-open cluster without checkpoints.
-func (c *Cluster) abortAll() {
+// Abort drops every member the way a crash would — no final
+// checkpoint, no WAL sync — and closes the mirrors they host. It also
+// tears down a half-open cluster. Nothing may use the cluster after.
+func (c *Cluster) Abort() {
 	for _, n := range c.nodes {
 		if n.Node != nil {
 			n.Abort()

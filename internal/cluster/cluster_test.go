@@ -17,6 +17,22 @@ func memberWAL(w store.WALOptions) Options {
 	return Options{Node: node.Options{Durable: store.DurableOptions{WAL: w}}}
 }
 
+// union merges every live member's store into the cluster-wide record
+// set; a record held by two members counts once.
+func (c *Cluster) union() *store.Measurements {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	u := store.NewMeasurements()
+	for _, name := range c.order {
+		if n := c.nodes[name]; n.alive {
+			for _, rec := range allRecords(n.Store) {
+				u.AddUnique(rec)
+			}
+		}
+	}
+	return u
+}
+
 // ingestN pushes n seeded records through the cluster, returning the
 // acked records. off shifts the generated key range so successive
 // calls on one cluster do not collide (record keys are a function of
@@ -46,7 +62,7 @@ func TestClusterIngestRoutesByRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.abortAll()
+	defer c.Abort()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 120; i++ {
 		rec := chaos.TrialRecord(rng, i)
@@ -79,7 +95,7 @@ func TestClusterSynchronousReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.abortAll()
+	defer c.Abort()
 	acked := ingestN(t, c, 2, 0, 80)
 
 	for _, name := range MemberNames(2) {
@@ -116,7 +132,7 @@ func TestClusterCleanKillFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.abortAll()
+	defer c.Abort()
 	acked := ingestN(t, c, 3, 0, 150)
 
 	victim := "n2"
@@ -130,7 +146,7 @@ func TestClusterCleanKillFailover(t *testing.T) {
 	if fo.MirrorRecords == 0 || fo.Redistributed == 0 {
 		t.Fatalf("failover moved nothing: %+v", fo)
 	}
-	if err := chaos.CheckRecovered(c.Union(), acked, acked); err != nil {
+	if err := chaos.CheckRecovered(c.union(), acked, acked); err != nil {
 		t.Fatalf("after failover: %v", err)
 	}
 	for pump := 0; pump < 64; pump++ {
@@ -141,7 +157,7 @@ func TestClusterCleanKillFailover(t *testing.T) {
 	// Ingest keeps working, including keys the victim used to own.
 	more := ingestN(t, c, 4, 150, 60)
 	acked = append(acked, more...)
-	if err := chaos.CheckRecovered(c.Union(), acked, acked); err != nil {
+	if err := chaos.CheckRecovered(c.union(), acked, acked); err != nil {
 		t.Fatalf("after post-failover ingest: %v", err)
 	}
 
@@ -161,7 +177,7 @@ func TestClusterRetargetAfterFollowerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.abortAll()
+	defer c.Abort()
 	acked := ingestN(t, c, 5, 0, 120)
 
 	// n1 ships to n2. Kill n2: n1 must retarget to n3 with a bootstrap.
@@ -184,7 +200,7 @@ func TestClusterRetargetAfterFollowerDeath(t *testing.T) {
 	if _, err := c.Kill("n1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := chaos.CheckRecovered(c.Union(), acked, acked); err != nil {
+	if err := chaos.CheckRecovered(c.union(), acked, acked); err != nil {
 		t.Fatalf("after double failover: %v", err)
 	}
 }
@@ -197,7 +213,7 @@ func TestClusterLastNodeDiesDark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.abortAll()
+	defer c.Abort()
 	ingestN(t, c, 6, 0, 40)
 	if _, err := c.Kill("n1"); err != nil {
 		t.Fatal(err)
@@ -209,7 +225,7 @@ func TestClusterLastNodeDiesDark(t *testing.T) {
 	if fo.Follower != "" {
 		t.Fatalf("last corpse found a follower: %+v", fo)
 	}
-	if got := c.Union().Len(); got != 0 {
+	if got := c.union().Len(); got != 0 {
 		t.Fatalf("union of zero live nodes holds %d records", got)
 	}
 	rec := chaos.TrialRecord(rand.New(rand.NewSource(9)), 0)
@@ -235,8 +251,8 @@ func TestClusterReopenRecoversUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer again.abortAll()
-	if err := chaos.CheckRecovered(again.Union(), acked, acked); err != nil {
+	defer again.Abort()
+	if err := chaos.CheckRecovered(again.union(), acked, acked); err != nil {
 		t.Fatalf("after reopen: %v", err)
 	}
 }
@@ -248,7 +264,7 @@ func TestClusterStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.abortAll()
+	defer c.Abort()
 	ingestN(t, c, 8, 0, 30)
 	st := c.Status()
 	if st.Live != 3 || len(st.Nodes) != 3 || len(st.RingNodes) != 3 {
@@ -318,9 +334,9 @@ func TestClusterOpenValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.abortAll()
+	defer c.Abort()
 	acked := ingestN(t, c, 10, 0, 10)
-	if err := chaos.CheckRecovered(c.Union(), acked, acked); err != nil {
+	if err := chaos.CheckRecovered(c.union(), acked, acked); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -30,7 +30,7 @@ func newTestRouter(t *testing.T) (*Cluster, *Router) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.abortAll() })
+	t.Cleanup(func() { c.Abort() })
 	return c, c.Router()
 }
 
@@ -185,7 +185,7 @@ func TestClusterOfOneEqualsNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.abortAll()
+	defer c.Abort()
 	rt := c.Router()
 
 	both := func(method, path, body string) {
@@ -245,7 +245,7 @@ func TestRouterBodyCapFollowsMembers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.abortAll()
+			defer c.Abort()
 			body := `{"pump_id":1,"pad":"` + strings.Repeat("x", tc.bodyBytes) + `"}`
 			w := httptest.NewRecorder()
 			c.Router().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/measurements", strings.NewReader(body)))

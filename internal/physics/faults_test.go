@@ -60,6 +60,38 @@ func TestBearingMatchesCWRUDriveEnd6205(t *testing.T) {
 	}
 }
 
+// TestBearingAgainstSnippetTable checks DefaultBearing at 1,800 rpm
+// against the bearing table of the GreenLang GL-013 vibration tests
+// (BPFO 106.8 Hz, BPFI 163.2 Hz, BSF 69.6 Hz, FTF 12.6 Hz), and the two
+// identities every geometry obeys, also at a nonzero contact angle. The
+// table's FTF and BSF are not asserted: no bearing has all four, since
+// BPFO = N·FTF and 106.8 / 12.6 = 8.48 is no whole number of balls, and
+// the 6205 reads FTF 11.95 Hz (−5.2 %) and BSF 70.70 Hz (+1.6 %).
+func TestBearingAgainstSnippetTable(t *testing.T) {
+	const shaftHz = 1800.0 / 60
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"BPFO", DefaultBearing.BPFO(shaftHz), 106.8},
+		{"BPFI", DefaultBearing.BPFI(shaftHz), 163.2},
+	} {
+		if rel := math.Abs(c.got-c.want) / c.want; rel > 0.01 {
+			t.Errorf("%s at 1,800 rpm = %.2f Hz, the table says %.1f (relative error %.2f %%)", c.name, c.got, c.want, 100*rel)
+		}
+	}
+	angular := BearingGeometry{Balls: 13, BallDiameterMM: 7.94, PitchDiameterMM: 38.5, ContactAngleDeg: 40}
+	for _, g := range []BearingGeometry{DefaultBearing, angular} {
+		n := float64(g.Balls)
+		if bpfo, ftf := g.BPFO(shaftHz), g.FTF(shaftHz); math.Abs(bpfo-n*ftf) > 1e-12*bpfo {
+			t.Errorf("%+v: BPFO %.12g != N·FTF %.12g", g, bpfo, n*ftf)
+		}
+		if sum := g.BPFO(shaftHz) + g.BPFI(shaftHz); math.Abs(sum-n*shaftHz) > 1e-12*sum {
+			t.Errorf("%+v: BPFO + BPFI = %.12g, want N·f = %.12g", g, sum, n*shaftHz)
+		}
+	}
+}
+
 // TestFaultClassText pins the wire names and the roundtrip.
 func TestFaultClassText(t *testing.T) {
 	want := map[FaultClass]string{
